@@ -36,6 +36,13 @@ use serde::{Deserialize, Serialize};
 use crate::realtrain::{train_real, RealTrainConfig};
 use crate::scenario::Scenario;
 
+/// Serializes the enable→snapshot window of [`traced_real_run`] and
+/// [`traced_sim_run`]: the `dlsr_trace` collector they switch on, reset and
+/// read is process-global, so two traced runs at once (the default parallel
+/// test runner) would clear and drain each other's spans.
+// removed by ROADMAP item 1
+static TRACE_WINDOW: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+
 /// One traced real-training run: everything the fit needs.
 #[derive(Debug, Clone)]
 pub struct TracedRun {
@@ -66,11 +73,13 @@ pub fn traced_real_run(
         .global_batch(world)
         .checkpoint_every(checkpoint_every)
         .build();
+    let window = TRACE_WINDOW.lock();
     dlsr_trace::set_enabled(true);
     dlsr_trace::reset();
     let res = train_real(topo, sc.mpi_config(), &cfg);
     dlsr_trace::set_enabled(false);
     let counters = dlsr_trace::counters_snapshot();
+    drop(window);
     TracedRun {
         world,
         steps,
@@ -319,17 +328,16 @@ pub fn traced_sim_run(
     let (w, tensors) = crate::workload::edsr_measured_workload();
     let trainer = crate::sim::SimTrainer::new(w, tensors, batch, sc, topo, seed)
         .expect("per-GPU batch must fit");
+    let window = TRACE_WINDOW.lock();
     dlsr_trace::set_enabled(true);
     dlsr_trace::reset();
     let res = crate::experiment::run_world(topo, sc.mpi_config(), &trainer, warmup, steps);
     dlsr_trace::set_enabled(false);
     let counters = dlsr_trace::counters_snapshot();
+    drop(window);
     let warm_end = res.ranks.iter().map(|r| r.warm_end).fold(0.0, f64::max);
     let end = res.ranks.iter().map(|r| r.end).fold(0.0, f64::max);
-    let mut trace = Vec::new();
-    for r in &res.ranks {
-        trace.extend(r.trace.iter().cloned());
-    }
+    let trace = res.ranks.into_iter().flat_map(|r| r.trace).collect();
     TracedRun {
         world: topo.total_gpus(),
         steps,

@@ -209,24 +209,45 @@ fn run_with_trainer(
     let elapsed = end - warm_end;
     let images_per_sec = (world * batch * steps) as f64 / elapsed;
     let t1 = single_gpu_throughput(workload, tensors, batch, seed);
-    let mut timeline = dlsr_hvprof::Timeline::new();
-    let mut trace = Vec::new();
-    for r in &res.ranks {
-        timeline.merge(&r.timeline);
-        trace.extend(r.trace.iter().cloned());
-    }
+    let (profile, regcache, timeline, trace) = assemble_artifacts(res.ranks);
     TrainRun {
         scenario,
         gpus: world,
         images_per_sec,
         efficiency: images_per_sec / (world as f64 * t1),
         step_time: elapsed / steps as f64,
-        profile: res.ranks[0].prof.clone(),
-        regcache: res.ranks[0].reg,
-        regcache_hit_rate: res.ranks[0].reg.hit_rate(),
+        profile,
+        regcache,
+        regcache_hit_rate: regcache.hit_rate(),
         timeline,
         trace,
     }
+}
+
+/// A run's diagnostic artifacts from its per-rank results: rank 0's
+/// profile and registration-cache statistics, every rank's timeline events
+/// and trace spans. Events and spans are moved, not cloned — one allocation
+/// for the merged timeline, each rank's buffer freed as soon as it is
+/// absorbed — and start-time order is left to the timeline's export, so
+/// this is linear in the event count.
+pub(crate) fn assemble_artifacts(
+    mut ranks: Vec<RankRun>,
+) -> (
+    Hvprof,
+    dlsr_net::RegCacheStats,
+    dlsr_hvprof::Timeline,
+    Vec<dlsr_trace::TraceEvent>,
+) {
+    let profile = std::mem::take(&mut ranks[0].prof);
+    let regcache = ranks[0].reg;
+    let n_events = ranks.iter().map(|r| r.timeline.events().len()).sum();
+    let mut timeline = dlsr_hvprof::Timeline::with_capacity(n_events);
+    let mut trace = Vec::new();
+    for r in ranks {
+        timeline.absorb(r.timeline);
+        trace.extend(r.trace);
+    }
+    (profile, regcache, timeline, trace)
 }
 
 /// One point of a scaling study.

@@ -384,7 +384,7 @@ pub fn train_real(
         "global batch {} not divisible by {world} ranks",
         cfg.global_batch
     );
-    let res = MpiWorld::run(topo, mpi, move |comm| {
+    let mut res = MpiWorld::run(topo, mpi, move |comm| {
         let scale = cfg.model.scale;
         let mut model = Edsr::new(cfg.model, cfg.seed + comm.rank() as u64);
         let mut prof = Hvprof::new();
@@ -608,8 +608,8 @@ pub fn train_real(
     // rank threads drained their own spans above; the global drain picks up
     // the rank-tagged kernel spans recorded on rayon worker threads
     let mut trace: Vec<dlsr_trace::TraceEvent> = dlsr_trace::take_events();
-    for r in &res.ranks {
-        trace.extend(r.7.iter().cloned());
+    for r in &mut res.ranks {
+        trace.append(&mut r.7);
     }
     let regcache = res.ranks[0].6;
     let r0 = res.ranks.into_iter().next().expect("rank 0");

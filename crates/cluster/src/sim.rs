@@ -5,7 +5,7 @@ use dlsr_horovod::{
     plan_dynamic, readiness_from_elems, Backend, HorovodConfig, NegotiateTask, ScheduledGroup,
     TensorSpec,
 };
-use dlsr_hvprof::{Collective, Hvprof, Timeline};
+use dlsr_hvprof::{Collective, Hvprof, Label, Timeline};
 use dlsr_mpi::collectives::tasks::{AllreduceElemsTask, BarrierTask};
 use dlsr_mpi::collectives::AllreduceAlgorithm;
 use dlsr_mpi::config::DeviceMode;
@@ -167,10 +167,14 @@ pub struct SimTrainer {
     jitter_sigma: f64,
     seed: u64,
     /// Collect the per-step diagnostic artifacts (Hvprof profile,
-    /// HOROVOD_TIMELINE events). On by default; the simulator-scaling
-    /// benchmark turns it off — at 4096 ranks those strings are O(ranks ×
-    /// steps) host memory and allocator traffic that measure nothing. The
-    /// virtual clocks are identical either way.
+    /// HOROVOD_TIMELINE events) over the measured window. On by default.
+    /// Recording is plain data — an event is a static name template plus
+    /// indices, rendered only on export — and costs a few percent of a
+    /// 512-rank world's host time (`dlsr simscale --check` holds it under
+    /// 10 %). The simulator-scaling sweeps still turn it off: their walls
+    /// should measure the engine alone, and a 4096-rank world would hold
+    /// O(ranks × steps) events nobody reads. The virtual clocks are
+    /// identical either way.
     artifacts: bool,
 }
 
@@ -276,8 +280,8 @@ impl SimTrainer {
     }
 
     /// Turn per-step diagnostic artifacts (profile + timeline) on or off.
-    /// Timing — virtual and, at large worlds, mostly host wall too — is
-    /// unaffected; the returned [`RankRun`]s just carry empty artifacts.
+    /// Virtual timing is unaffected and host wall moves by a few percent;
+    /// with artifacts off the returned [`RankRun`]s carry empty ones.
     pub fn with_artifacts(mut self, on: bool) -> Self {
         self.artifacts = on;
         self
@@ -323,7 +327,13 @@ impl SimTrainer {
             warm_marked: false,
             warm_end: 0.0,
             prof: Hvprof::new(),
-            tl: Timeline::new(),
+            // per measured step: fwd, negotiate, bwd, metrics + one event
+            // per fused group (a capacity of 0 allocates nothing)
+            tl: Timeline::with_capacity(if self.artifacts {
+                steps * (4 + self.plan.len())
+            } else {
+                0
+            }),
             t0: 0.0,
             jit: 1.0,
             bwd_start: 0.0,
@@ -366,6 +376,14 @@ pub struct SimProgram<'a> {
     gi: usize,
 }
 
+impl SimProgram<'_> {
+    /// Whether this step's profile and timeline entries are kept: artifacts
+    /// are on and the warmup steps are over.
+    fn recording(&self) -> bool {
+        self.trainer.artifacts && self.warm_marked
+    }
+}
+
 impl RankProgram for SimProgram<'_> {
     type Out = RankRun;
 
@@ -376,12 +394,10 @@ impl RankProgram for SimProgram<'_> {
                 SimPhase::StepStart => {
                     if !self.warm_marked && self.step_idx as usize == self.warmup {
                         // Warmup boundary: drop warmup spans so the trace
-                        // covers only the measured window (mirrors the
-                        // prof/timeline reset).
+                        // covers only the measured window, like the profile
+                        // and timeline (which start recording here).
                         self.warm_marked = true;
                         self.warm_end = comm.now();
-                        self.prof = Hvprof::new();
-                        self.tl = Timeline::new();
                         return Step::DiscardTrace;
                     }
                     if self.step_idx as usize == self.warmup + self.steps {
@@ -405,9 +421,9 @@ impl RankProgram for SimProgram<'_> {
                     self.jit = jit;
                     self.bwd_start = self.t0 + tr.fwd * jit;
                     comm.advance_to(self.bwd_start);
-                    if tr.artifacts {
+                    if self.recording() {
                         self.tl.record(
-                            format!("fwd[{step_idx}]"),
+                            Label::indexed("fwd[{}]", [step_idx, 0, 0]),
                             "compute",
                             rank,
                             self.t0,
@@ -436,9 +452,9 @@ impl RankProgram for SimProgram<'_> {
                     self.phase = SimPhase::Backward;
                 }
                 SimPhase::AfterNegotiate => {
-                    if tr.artifacts {
+                    if self.recording() {
                         self.tl.record(
-                            format!("negotiate[{}]", self.step_idx),
+                            Label::indexed("negotiate[{}]", [self.step_idx, 0, 0]),
                             "negotiate",
                             comm.rank(),
                             self.ts,
@@ -483,11 +499,14 @@ impl RankProgram for SimProgram<'_> {
                     }
                     let sg = &tr.plan[self.gi];
                     let (step_idx, gi, bytes) = (self.step_idx, self.gi, sg.group.bytes);
-                    if tr.artifacts {
+                    if self.recording() {
                         self.prof
                             .record(Collective::Allreduce, bytes, comm.now() - self.ts);
                         self.tl.record(
-                            format!("allreduce[{step_idx}.{gi}] {}MB", bytes >> 20),
+                            Label::indexed(
+                                "allreduce[{}.{}] {}MB",
+                                [step_idx, gi as u64, bytes >> 20],
+                            ),
                             "allreduce",
                             comm.rank(),
                             self.ts,
@@ -510,9 +529,9 @@ impl RankProgram for SimProgram<'_> {
                     let step_idx = self.step_idx;
                     let bwd_end = self.t0 + (tr.fwd + tr.bwd) * self.jit + tr.staged_blocking;
                     comm.advance_to(bwd_end);
-                    if tr.artifacts {
+                    if self.recording() {
                         self.tl.record(
-                            format!("bwd[{step_idx}]"),
+                            Label::indexed("bwd[{}]", [step_idx, 0, 0]),
                             "compute",
                             comm.rank(),
                             self.bwd_start,
@@ -553,14 +572,14 @@ impl RankProgram for SimProgram<'_> {
                 }
                 SimPhase::AfterMetrics => {
                     let step_idx = self.step_idx;
-                    if tr.artifacts {
+                    if self.recording() {
                         self.prof.record(
                             Collective::Allreduce,
                             (METRICS_ELEMS * 4) as u64,
                             comm.now() - self.ts,
                         );
                         self.tl.record(
-                            format!("metrics[{step_idx}]"),
+                            Label::indexed("metrics[{}]", [step_idx, 0, 0]),
                             "allreduce",
                             comm.rank(),
                             self.ts,

@@ -12,7 +12,8 @@
 //!   `speedup_vs_threaded`) measure the simulator itself on the host that
 //!   ran it. They are never gated against a committed file; `dlsr simscale
 //!   --check` asserts the absolute criteria (512-rank step under a wall
-//!   bound, driven-vs-threaded speedup) on the machine at hand.
+//!   bound, driven-vs-threaded speedup) and the within-run ratios of an
+//!   [`ArtifactCost`] on the machine at hand.
 
 use std::time::Instant;
 
@@ -21,7 +22,7 @@ use dlsr_mpi::SimCore;
 use dlsr_net::ClusterTopology;
 use serde::{Deserialize, Serialize};
 
-use crate::experiment::run_world;
+use crate::experiment::{assemble_artifacts, run_world};
 use crate::scenario::Scenario;
 use crate::sim::SimTrainer;
 use crate::workload::edsr_measured_workload;
@@ -47,6 +48,42 @@ pub struct SimScalePoint {
     pub rank_steps_per_s: f64,
 }
 
+/// What the per-run diagnostic artifacts (profile + timeline) cost at one
+/// world size. The three walls are taken within one process as interleaved
+/// best-ofs, so their *ratios* hold across machines and `dlsr simscale
+/// --check` can assert them.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ArtifactCost {
+    pub world: usize,
+    /// `run_world` wall with artifacts off, seconds.
+    pub run_world_off_s: f64,
+    /// `run_world` wall with artifacts on, seconds.
+    pub run_world_on_s: f64,
+    /// Wall of assembling the run's artifacts from the per-rank results
+    /// (what `run_training` does after `run_world`), seconds.
+    pub assembly_s: f64,
+}
+
+impl ArtifactCost {
+    /// Artifact assembly as a fraction of the `run_world` that fed it.
+    pub fn assembly_share(&self) -> f64 {
+        self.assembly_s / self.run_world_on_s
+    }
+
+    /// `run_world` with artifacts on over artifacts off.
+    pub fn on_over_off(&self) -> f64 {
+        self.run_world_on_s / self.run_world_off_s
+    }
+}
+
+/// The wall columns of one point of an earlier report.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct WallColumns {
+    pub world: usize,
+    pub wall_s: f64,
+    pub rank_steps_per_s: f64,
+}
+
 /// Everything `dlsr simscale` writes to `results/BENCH_simscale.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimScaleReport {
@@ -64,6 +101,14 @@ pub struct SimScaleReport {
     /// Large-world smoke point (4096 ranks), when requested.
     #[serde(default)]
     pub smoke: Option<SimScalePoint>,
+    /// Artifact cost at 512 ranks, when the sweep reaches them.
+    #[serde(default)]
+    pub artifacts: Option<ArtifactCost>,
+    /// Wall columns (sweep, then smoke) of the report passed as `--before`:
+    /// the before/after reading of a simulator performance change, both
+    /// taken on one host.
+    #[serde(default)]
+    pub before: Option<Vec<WallColumns>>,
 }
 
 impl SimScaleReport {
@@ -73,6 +118,19 @@ impl SimScaleReport {
 
     pub fn from_json(s: &str) -> Result<Self, String> {
         serde_json::from_str(s).map_err(|e| format!("bad simscale JSON: {e:?}"))
+    }
+
+    /// This report's wall columns, sweep points first, then the smoke.
+    pub fn wall_columns(&self) -> Vec<WallColumns> {
+        self.event
+            .iter()
+            .chain(&self.smoke)
+            .map(|p| WallColumns {
+                world: p.world,
+                wall_s: p.wall_s,
+                rank_steps_per_s: p.rank_steps_per_s,
+            })
+            .collect()
     }
 }
 
@@ -94,9 +152,43 @@ pub fn measure_point(
     t1_step: f64,
     repeats: usize,
 ) -> SimScalePoint {
-    let (topo, trainer) = setup(nodes, sc, batch, seed);
+    let (topo, trainer) = setup(nodes, sc, batch, seed, false);
     let (wall_s, res) = time_core(&topo, &trainer, sc, core, warmup, steps, repeats);
     point_from(&topo, nodes, &res, wall_s, warmup, steps, t1_step)
+}
+
+/// Measure what the diagnostic artifacts cost on the driven engine at one
+/// world size: `run_world` with artifacts off and on as interleaved
+/// best-of-`pairs` walls (see [`measure_speedup_pair`] for why), and the
+/// assembly of each artifacts-on result.
+#[dlsr::wall]
+pub fn measure_artifact_cost(
+    nodes: usize,
+    sc: Scenario,
+    batch: usize,
+    warmup: usize,
+    steps: usize,
+    seed: u64,
+    pairs: usize,
+) -> ArtifactCost {
+    let (topo, off) = setup(nodes, sc, batch, seed, false);
+    let (_, on) = setup(nodes, sc, batch, seed, true);
+    let mut cost = ArtifactCost {
+        world: topo.total_gpus(),
+        run_world_off_s: f64::INFINITY,
+        run_world_on_s: f64::INFINITY,
+        assembly_s: f64::INFINITY,
+    };
+    for _ in 0..pairs.max(1) {
+        let (wall_off, _) = time_core(&topo, &off, sc, SimCore::Event, warmup, steps, 1);
+        let (wall_on, res) = time_core(&topo, &on, sc, SimCore::Event, warmup, steps, 1);
+        let start = Instant::now();
+        std::hint::black_box(assemble_artifacts(res.ranks));
+        cost.assembly_s = cost.assembly_s.min(start.elapsed().as_secs_f64());
+        cost.run_world_off_s = cost.run_world_off_s.min(wall_off);
+        cost.run_world_on_s = cost.run_world_on_s.min(wall_on);
+    }
+    cost
 }
 
 /// Measure the driven-vs-threaded pair at one world size with
@@ -117,7 +209,7 @@ pub fn measure_speedup_pair(
     t1_step: f64,
     pairs: usize,
 ) -> (SimScalePoint, SimScalePoint) {
-    let (topo, trainer) = setup(nodes, sc, batch, seed);
+    let (topo, trainer) = setup(nodes, sc, batch, seed, false);
     let mut best = [f64::INFINITY; 2];
     let mut results = [None, None];
     for _ in 0..pairs.max(1) {
@@ -157,9 +249,15 @@ pub fn measure_speedup_pair(
     (ev, th)
 }
 
-/// Build the Lassen-shaped world and the artifacts-off trainer every
-/// simscale measurement runs.
-fn setup(nodes: usize, sc: Scenario, batch: usize, seed: u64) -> (ClusterTopology, SimTrainer) {
+/// Build the Lassen-shaped world and the trainer a simscale measurement
+/// runs — artifacts off for every sweep point.
+fn setup(
+    nodes: usize,
+    sc: Scenario,
+    batch: usize,
+    seed: u64,
+    artifacts: bool,
+) -> (ClusterTopology, SimTrainer) {
     let (w, tensors) = edsr_measured_workload();
     // Lassen-shaped nodes (4 V100s, NVLink + IB EDR); worlds beyond the
     // real machine's 792 nodes (the 4096-rank smoke) keep the same shape.
@@ -172,13 +270,15 @@ fn setup(nodes: usize, sc: Scenario, batch: usize, seed: u64) -> (ClusterTopolog
             gpus_per_node: 4,
         }
     };
-    // Artifacts off: per-step profile/timeline strings are O(world × steps)
-    // allocator traffic that would distort — and at 4096 ranks dominate —
-    // what this benchmark measures. Virtual clocks are unaffected, and
-    // both cores run identically instrumented.
+    // Sweep points run with artifacts off so the walls measure the engine
+    // alone. The difference is small — recording an event is a push of
+    // plain data, and `measure_artifact_cost` holds it under 10 % at 512
+    // ranks — but the per-rank buffers are still O(world × steps) host
+    // memory nothing in the sweep reads. Virtual clocks are unaffected,
+    // and both cores run identically instrumented.
     let trainer = SimTrainer::new(w, tensors, batch, sc, &topo, seed)
         .expect("per-GPU batch must fit")
-        .with_artifacts(false);
+        .with_artifacts(artifacts);
     (topo, trainer)
 }
 
@@ -320,6 +420,16 @@ mod tests {
     }
 
     #[test]
+    fn artifact_cost_measures_three_positive_walls() {
+        let c = measure_artifact_cost(2, Scenario::MpiOpt, 4, 1, 3, 7, 2);
+        assert_eq!(c.world, 8);
+        for wall in [c.run_world_off_s, c.run_world_on_s, c.assembly_s] {
+            assert!(wall > 0.0 && wall.is_finite(), "{c:?}");
+        }
+        assert!(c.assembly_share() > 0.0 && c.on_over_off() > 0.0);
+    }
+
+    #[test]
     fn gate_trips_on_virtual_regressions_only() {
         let p = quick_point(1, SimCore::Event);
         let report = SimScaleReport {
@@ -331,6 +441,8 @@ mod tests {
             threaded: None,
             speedup_vs_threaded: None,
             smoke: None,
+            artifacts: None,
+            before: None,
         };
         assert!(gate(&report, &report, 10.0).is_empty());
         // Wall-clock differences never trip.

@@ -6,7 +6,7 @@
 //!               [--allreduce ALGO] [--wire FMT] [--hier] [--tune-comm]
 //! dlsr simulate [--nodes N] [--steps S] [--batch B] [--scenario NAME] [--core C]
 //! dlsr simscale [--nodes N,N,...] [--steps S] [--smoke] [--check]
-//!               [--baseline FILE] [--gate PCT]
+//!               [--baseline FILE] [--gate PCT] [--before FILE]
 //! dlsr profile  [--steps S]
 //! dlsr analyze  [--nodes N] [--steps S] [--baseline FILE] [--gate PCT]
 //! dlsr chaos    [--fault NAME] [--nodes N] [--gpus G] [--steps S] [--seed X]
@@ -156,15 +156,19 @@ USAGE:
                 at-scale costs-only run of the paper-scale EDSR workload
   dlsr simscale [--nodes N,N,...] [--steps S] [--batch B] [--warmup W]
                 [--scenario NAME] [--smoke] [--check] [--out FILE]
-                [--baseline FILE] [--gate PCT]
+                [--baseline FILE] [--gate PCT] [--before FILE]
                 benchmark the simulator itself: wall-clock cost of the
                 event-driven core across 64-512 virtual ranks (default
                 nodes 16,32,64,128) plus a thread-per-rank baseline at the
                 smallest world, written to results/BENCH_simscale.json.
                 --smoke adds a 4096-rank sanity point. --check asserts the
                 absolute criteria (512 ranks under 60 s wall, driven core
-                >= 10x threaded). --baseline gates the machine-independent
-                virtual quantities against a committed report
+                >= 10x threaded) and two within-run ratios at 512 ranks
+                (artifact assembly <= 10 % of run_world; run_world with
+                artifacts on <= 1.10x off). --baseline gates the
+                machine-independent virtual quantities against a committed
+                report; --before copies an earlier report's wall columns
+                into this one (before/after on one host)
   dlsr profile  [--nodes N] [--steps S] [--scenario NAME] [--sequential] [--check]
                 [--checkpoint-every K] [--trace-sample N]
                 [--allreduce ALGO] [--wire FMT] [--hier] [--tune-comm]
@@ -429,6 +433,29 @@ fn cmd_simscale(flags: &HashMap<String, String>) {
         point_line("smoke", &p);
         p
     });
+    // What profile + timeline cost on top of the engine at the paper's
+    // headline scale (the sweep itself runs with artifacts off).
+    let artifacts = nodes.contains(&128).then(|| {
+        let c = simscale::measure_artifact_cost(128, sc, batch, warmup, steps, seed, 20);
+        println!(
+            "  artifacts at {} ranks: run_world {:.1} ms off, {:.1} ms on ({:.2}x), \
+             assembly {:.2} ms ({:.1} % of run_world)",
+            c.world,
+            c.run_world_off_s * 1e3,
+            c.run_world_on_s * 1e3,
+            c.on_over_off(),
+            c.assembly_s * 1e3,
+            c.assembly_share() * 100.0,
+        );
+        c
+    });
+    let before = flags.get("before").map(|file| {
+        let text = std::fs::read_to_string(file)
+            .unwrap_or_else(|e| die(&format!("cannot read --before {file}: {e}")));
+        dlsr::cluster::SimScaleReport::from_json(&text)
+            .unwrap_or_else(|e| die(&e))
+            .wall_columns()
+    });
     let report = dlsr::cluster::SimScaleReport {
         scenario: sc.label().to_string(),
         batch,
@@ -438,6 +465,8 @@ fn cmd_simscale(flags: &HashMap<String, String>) {
         threaded: Some(threaded),
         speedup_vs_threaded: Some(speedup),
         smoke,
+        artifacts,
+        before,
     };
     if let Some(dir) = std::path::Path::new(&out).parent() {
         if !dir.as_os_str().is_empty() {
@@ -498,6 +527,27 @@ fn check_simscale(report: &dlsr::cluster::SimScaleReport) {
         }
         None => {
             eprintln!("check FAILED: no threaded baseline measured");
+            failed = true;
+        }
+    }
+    // Machine-independent ratios within this run: the diagnostic artifacts
+    // must stay a small add-on to the engine at 512 ranks.
+    match &report.artifacts {
+        Some(c) => {
+            for (what, ratio, bound) in [
+                ("artifact assembly / run_world", c.assembly_share(), 0.10),
+                ("run_world artifacts on / off", c.on_over_off(), 1.10),
+            ] {
+                if ratio <= bound {
+                    println!("check: {what} = {ratio:.3} (<= {bound})");
+                } else {
+                    eprintln!("check FAILED: {what} = {ratio:.3} (> {bound})");
+                    failed = true;
+                }
+            }
+        }
+        None => {
+            eprintln!("check FAILED: no 512-rank artifact-cost measurement in the sweep");
             failed = true;
         }
     }
@@ -590,11 +640,11 @@ fn sample_trace(events: &[dlsr::trace::TraceEvent], n: usize) -> Vec<dlsr::trace
     if n == 0 {
         return events.to_vec();
     }
-    let mut seen: HashMap<(usize, String), usize> = HashMap::new();
+    let mut seen: HashMap<(usize, &str), usize> = HashMap::new();
     events
         .iter()
         .filter(|e| {
-            let k = seen.entry((e.rank, e.cat.clone())).or_insert(0);
+            let k = seen.entry((e.rank, &*e.cat)).or_insert(0);
             *k += 1;
             *k <= n
         })

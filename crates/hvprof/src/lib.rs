@@ -28,7 +28,7 @@ pub mod hist;
 pub mod timeline;
 
 pub use hist::Log2Histogram;
-pub use timeline::{Timeline, TraceEvent};
+pub use timeline::{Label, Timeline, TraceEvent};
 
 /// Which collective an event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]

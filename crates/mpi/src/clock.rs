@@ -15,11 +15,13 @@ impl VClock {
     }
 
     /// Current virtual time in seconds.
+    #[inline]
     pub fn now(&self) -> f64 {
         self.0
     }
 
     /// Advance by a non-negative duration.
+    #[inline]
     pub fn advance(&mut self, dt: f64) {
         debug_assert!(dt >= 0.0, "negative time step {dt}");
         debug_assert!(dt.is_finite(), "non-finite time step");
@@ -28,6 +30,7 @@ impl VClock {
 
     /// Merge with an event timestamp: the clock cannot observe an event
     /// before it happened.
+    #[inline]
     pub fn merge(&mut self, t: f64) {
         if t > self.0 {
             self.0 = t;

@@ -132,6 +132,42 @@ mod tests {
         }
     }
 
+    /// The same property where chunks are uneven: element counts that do
+    /// not divide by the ring size, on a 3-node world (12-rank flat rings,
+    /// a 3-leader ring). The real collectives slice their buffers with
+    /// `chunk_range`; the synthetic state machines derive the same chunk
+    /// lengths incrementally.
+    #[test]
+    fn synthetic_allreduce_times_match_real_on_uneven_chunks() {
+        let mut chunked = MpiConfig::mpi_opt();
+        chunked.tuning.pipeline_chunk = 16 << 10;
+        let topo = ClusterTopology::lassen(3);
+        for elems in [100_003usize, 7] {
+            for algo in [
+                AllreduceAlgorithm::Ring,
+                AllreduceAlgorithm::TwoLevel,
+                AllreduceAlgorithm::PipelinedRing,
+            ] {
+                let t_real = MpiWorld::run(&topo, chunked.clone(), move |c| {
+                    let mut buf = vec![1.0f32; elems];
+                    Allreduce::new(&mut buf).buf_id(1).algo(algo).run(c);
+                    c.now()
+                })
+                .makespan();
+                let t_synth = MpiWorld::run(&topo, chunked.clone(), move |c| {
+                    allreduce_elems(c, elems, 1, algo);
+                    c.now()
+                })
+                .makespan();
+                let rel = (t_real - t_synth).abs() / t_real;
+                assert!(
+                    rel < 1e-9,
+                    "{algo:?}, {elems} elems: real {t_real} vs synthetic {t_synth} (rel {rel})"
+                );
+            }
+        }
+    }
+
     /// Wire compression preserves the timing equivalence: a compressed
     /// real collective and its synthetic mirror agree for every format ×
     /// algorithm, including hierarchical promotion and top-k sparse.

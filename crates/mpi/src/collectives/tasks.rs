@@ -18,7 +18,60 @@ use crate::message::Payload;
 
 use super::synthetic::{synth, synth_wire};
 use super::wire::{self, WireFormat};
-use super::{chunk_range, coll_tag, AllreduceAlgorithm};
+use super::{coll_tag, AllreduceAlgorithm};
+
+/// Lengths of the chunks `chunk_range(elems, p, i)` for a chunk index that
+/// rotates downward (`i, i−1, …, 0, p−1, …`), the order every ring schedule
+/// visits them in. A ring hop runs millions of times per simulated world,
+/// so the index is kept only as `(i · r) mod p` (with `elems = q·p + r`):
+/// chunk `i` has `q + 1` elements exactly when that residue plus `r`
+/// reaches `p`, and stepping down subtracts `r` modulo `p` — the same
+/// integers as `chunk_range`, without its divisions.
+#[derive(Clone, Copy)]
+struct ChunkCursor {
+    q: usize,
+    r: usize,
+    p: usize,
+    /// `(i · r) mod p` for the current chunk index `i`.
+    rem: usize,
+}
+
+impl ChunkCursor {
+    fn new(elems: usize, p: usize, i: usize) -> ChunkCursor {
+        let (q, r) = (elems / p, elems % p);
+        ChunkCursor {
+            q,
+            r,
+            p,
+            rem: i * r % p,
+        }
+    }
+
+    /// `chunk_range(elems, p, i).len()`.
+    #[inline]
+    fn len(&self) -> usize {
+        self.q + usize::from(self.rem + self.r >= self.p)
+    }
+
+    /// The cursor at chunk `i − 1` (wrapping to `p − 1`).
+    #[inline]
+    fn down(self) -> ChunkCursor {
+        let rem = if self.rem >= self.r {
+            self.rem - self.r
+        } else {
+            self.rem + self.p - self.r
+        };
+        ChunkCursor { rem, ..self }
+    }
+}
+
+/// World ranks of the right and left neighbours of position `me` in the
+/// strided ring `{0, stride, …, (p−1)·stride}`.
+fn ring_neighbours(me: usize, p: usize, stride: usize) -> (usize, usize) {
+    let right = if me + 1 == p { 0 } else { me + 1 };
+    let left = if me == 0 { p - 1 } else { me - 1 };
+    (right * stride, left * stride)
+}
 
 /// Ring allreduce (reduce-scatter + allgather) over the strided
 /// participant set `{0, stride, 2·stride, …, (p−1)·stride}` — all ranks
@@ -27,15 +80,16 @@ use super::{chunk_range, coll_tag, AllreduceAlgorithm};
 /// once per fusion group per step, and the allocation was visible in the
 /// driven-engine profile.
 struct RingSm {
-    elems: usize,
-    p: usize,
     buf_id: u64,
     seq: u64,
     wf: WireFormat,
-    me: usize,
+    /// The chunk this hop sends: `me − step` in the reduce-scatter,
+    /// `me + 1 − step` in the allgather — one downward rotation through
+    /// both phases, since `me − (p−1) ≡ me + 1 (mod p)`.
+    chunk: ChunkCursor,
     right: usize,
     left: usize,
-    phase: usize,
+    phase: u8,
     step: usize,
     sent: bool,
 }
@@ -57,15 +111,14 @@ impl RingSm {
         );
         let me = comm.rank() / stride;
         debug_assert!(me < p, "caller participates in the ring");
+        let (right, left) = ring_neighbours(me, p, stride);
         RingSm {
-            elems,
-            p,
             buf_id,
             seq,
             wf,
-            me,
-            right: ((me + 1) % p) * stride,
-            left: ((me + p - 1) % p) * stride,
+            chunk: ChunkCursor::new(elems, p, me),
+            right,
+            left,
             phase: 0,
             step: 0,
             sent: false,
@@ -73,27 +126,18 @@ impl RingSm {
     }
 
     fn poll(&mut self, comm: &mut Comm) -> Poll {
-        let p = self.p;
+        let p = self.chunk.p;
         if p <= 1 {
             return Poll::Ready;
         }
         while self.phase < 2 {
             while self.step < p - 1 {
-                let step = self.step;
-                let (tag, send_chunk) = if self.phase == 0 {
-                    (coll_tag(self.seq, step as u64), (self.me + p - step) % p)
-                } else {
-                    (
-                        coll_tag(self.seq, (p + step) as u64),
-                        (self.me + 1 + p - step) % p,
-                    )
-                };
+                let tag = coll_tag(self.seq, (usize::from(self.phase) * p + self.step) as u64);
                 if !self.sent {
-                    let send_elems = chunk_range(self.elems, p, send_chunk).len();
                     comm.isend(
                         self.right,
                         tag,
-                        synth_wire(send_elems, self.wf),
+                        synth_wire(self.chunk.len(), self.wf),
                         self.buf_id,
                     );
                     self.sent = true;
@@ -107,9 +151,10 @@ impl RingSm {
                         tag,
                     };
                 }
+                // the chunk just received is the one the next hop sends
+                self.chunk = self.chunk.down();
                 if self.phase == 0 {
-                    let recv_chunk = (self.me + p - step - 1) % p;
-                    comm.charge_reduce(chunk_range(self.elems, p, recv_chunk).len());
+                    comm.charge_reduce(self.chunk.len());
                 }
                 self.sent = false;
                 self.step += 1;
@@ -125,15 +170,20 @@ impl RingSm {
 /// sub-send `i+1` posted the moment sub-recv `i` lands.
 struct PipeSm {
     elems: usize,
-    p: usize,
     buf_id: u64,
     seq: u64,
     chunk_elems: usize,
     wf: WireFormat,
-    me: usize,
+    /// The block this step sends; the block it receives is one below
+    /// (same rotation as [`RingSm::chunk`]).
+    block: ChunkCursor,
+    /// Sub-chunks in a block of `q` elements; a `q + 1` block has
+    /// `subs_long` (blocks come in those two lengths only).
+    subs_short: usize,
+    subs_long: usize,
     right: usize,
     left: usize,
-    phase: usize,
+    phase: u8,
     step: usize,
     next_send: usize,
     recv_i: usize,
@@ -161,16 +211,19 @@ impl PipeSm {
         );
         let me = comm.rank() / stride;
         debug_assert!(me < p, "caller participates in the ring");
+        let (right, left) = ring_neighbours(me, p, stride);
+        let block = ChunkCursor::new(elems, p, me);
         PipeSm {
             elems,
-            p,
             buf_id,
             seq,
             chunk_elems,
             wf,
-            me,
-            right: ((me + 1) % p) * stride,
-            left: ((me + p - 1) % p) * stride,
+            block,
+            subs_short: block.q.div_ceil(chunk_elems),
+            subs_long: (block.q + 1).div_ceil(chunk_elems),
+            right,
+            left,
             phase: 0,
             step: 0,
             next_send: 0,
@@ -180,7 +233,7 @@ impl PipeSm {
     }
 
     fn poll(&mut self, comm: &mut Comm) -> Poll {
-        let p = self.p;
+        let p = self.block.p;
         if p <= 1 {
             return Poll::Ready;
         }
@@ -190,32 +243,22 @@ impl PipeSm {
         // with another task's sends) and cleared on every exit.
         comm.set_rendezvous_bytes(Some((self.elems * 4) as u64));
         let ce = self.chunk_elems;
-        let sub_len = |block: &std::ops::Range<usize>, i: usize| {
-            let start = block.start + i * ce;
-            (start + ce).min(block.end) - start
-        };
+        // length of sub-chunk `i` of a `block`-element block
+        let sub_len = |block: usize, i: usize| ce.min(block - i * ce);
+        let (q, subs_short, subs_long) = (self.block.q, self.subs_short, self.subs_long);
+        let subs = |block: usize| if block == q { subs_short } else { subs_long };
         while self.phase < 2 {
             while self.step < p - 1 {
-                let (send_block, recv_block) = if self.phase == 0 {
-                    (
-                        chunk_range(self.elems, p, (self.me + p - self.step) % p),
-                        chunk_range(self.elems, p, (self.me + p - self.step - 1) % p),
-                    )
-                } else {
-                    (
-                        chunk_range(self.elems, p, (self.me + 1 + p - self.step) % p),
-                        chunk_range(self.elems, p, (self.me + p - self.step) % p),
-                    )
-                };
-                let phase_step = ((self.phase * p + self.step) as u64) << 20;
-                let n_send = send_block.len().div_ceil(ce);
-                let n_recv = recv_block.len().div_ceil(ce);
+                let recv_cursor = self.block.down();
+                let (send_block, recv_block) = (self.block.len(), recv_cursor.len());
+                let phase_step = ((usize::from(self.phase) * p + self.step) as u64) << 20;
+                let (n_send, n_recv) = (subs(send_block), subs(recv_block));
                 if !self.primed {
                     if n_send > 0 {
                         comm.isend(
                             self.right,
                             coll_tag(self.seq, phase_step),
-                            synth_wire(sub_len(&send_block, 0), self.wf),
+                            synth_wire(sub_len(send_block, 0), self.wf),
                             self.buf_id,
                         );
                         self.next_send = 1;
@@ -238,13 +281,13 @@ impl PipeSm {
                         comm.isend(
                             self.right,
                             coll_tag(self.seq, phase_step | self.next_send as u64),
-                            synth_wire(sub_len(&send_block, self.next_send), self.wf),
+                            synth_wire(sub_len(send_block, self.next_send), self.wf),
                             self.buf_id,
                         );
                         self.next_send += 1;
                     }
                     if self.phase == 0 {
-                        comm.charge_reduce(sub_len(&recv_block, self.recv_i));
+                        comm.charge_reduce(sub_len(recv_block, self.recv_i));
                     }
                     self.recv_i += 1;
                 }
@@ -252,11 +295,12 @@ impl PipeSm {
                     comm.isend(
                         self.right,
                         coll_tag(self.seq, phase_step | self.next_send as u64),
-                        synth_wire(sub_len(&send_block, self.next_send), self.wf),
+                        synth_wire(sub_len(send_block, self.next_send), self.wf),
                         self.buf_id,
                     );
                     self.next_send += 1;
                 }
+                self.block = recv_cursor;
                 self.step += 1;
                 self.next_send = 0;
                 self.recv_i = 0;
@@ -318,9 +362,7 @@ struct TopkSm {
 impl TopkSm {
     fn poll(&mut self, comm: &mut Comm) -> Poll {
         let p = comm.size();
-        let rank = comm.rank();
-        let right = (rank + 1) % p;
-        let left = (rank + p - 1) % p;
+        let (right, left) = ring_neighbours(comm.rank(), p, 1);
         while self.step < p - 1 {
             let tag = coll_tag(self.seq, self.step as u64);
             if !self.sent {
@@ -376,7 +418,8 @@ impl TwoLevelSm {
             (t.gpus_per_node, t.nodes)
         };
         let rank = comm.rank();
-        let leader = (rank / gpn) * gpn;
+        // `poll` re-enters once per leader-ring hop: no division here
+        let leader = comm.node_first_rank();
         let r = rank - leader;
         loop {
             match &mut self.state {
@@ -744,12 +787,17 @@ mod tests {
     /// so scheduling mistakes would show up as clock divergence.
     struct Prog {
         algo: AllreduceAlgorithm,
+        elems: usize,
         left: usize,
     }
 
     impl Prog {
-        fn new(algo: AllreduceAlgorithm) -> Prog {
-            Prog { algo, left: 3 }
+        fn new(algo: AllreduceAlgorithm, elems: usize) -> Prog {
+            Prog {
+                algo,
+                elems,
+                left: 3,
+            }
         }
     }
 
@@ -764,7 +812,7 @@ mod tests {
             if self.left == 1 {
                 Step::Task(BarrierTask::new().into())
             } else {
-                Step::Task(AllreduceElemsTask::new(123_457, 1, self.algo).into())
+                Step::Task(AllreduceElemsTask::new(self.elems, 1, self.algo).into())
             }
         }
         fn finish(&mut self, comm: &mut Comm, _trace: Vec<dlsr_trace::TraceEvent>) -> f64 {
@@ -772,40 +820,67 @@ mod tests {
         }
     }
 
-    /// The tentpole's correctness bar: the driven engine, the event
-    /// context core (at several worker counts) and the legacy threaded
-    /// core produce *bit-identical* per-rank clocks.
+    /// The correctness bar: the driven engine, the event context core (at
+    /// several worker counts) and the legacy threaded core produce
+    /// *bit-identical* per-rank clocks — on a power-of-two world and on a
+    /// 3-node one (a non-power-of-two leader ring and a 12-rank flat
+    /// ring), with element counts that do and do not divide by the ring
+    /// size, small enough for single-element and empty chunks included.
     #[test]
     fn all_cores_agree_bitwise() {
-        let topo = ClusterTopology::lassen(2); // 8 ranks
-        for algo in [
-            AllreduceAlgorithm::Ring,
-            AllreduceAlgorithm::RecursiveDoubling,
-            AllreduceAlgorithm::TwoLevel,
-            AllreduceAlgorithm::PipelinedRing,
-        ] {
-            let driven =
-                MpiWorld::run_driven(&topo, MpiConfig::mpi_opt(), |_| Prog::new(algo)).clocks;
-            let threaded = MpiWorld::run_threaded(&topo, MpiConfig::mpi_opt(), move |c| {
-                drive_program(c, Prog::new(algo))
-            })
-            .clocks;
-            assert_eq!(
-                bits(&driven),
-                bits(&threaded),
-                "{algo:?}: driven vs threaded"
-            );
-            for workers in [1usize, 4, 8] {
-                let mut cfg = MpiConfig::mpi_opt();
-                cfg.sim_workers = workers;
-                let event =
-                    MpiWorld::run_event(&topo, cfg, move |c| drive_program(c, Prog::new(algo)))
+        for (nodes, elems) in [(2, 123_457), (3, 123_457), (3, 120_000), (3, 7), (2, 5)] {
+            let topo = ClusterTopology::lassen(nodes);
+            for algo in [
+                AllreduceAlgorithm::Ring,
+                AllreduceAlgorithm::RecursiveDoubling,
+                AllreduceAlgorithm::TwoLevel,
+                AllreduceAlgorithm::PipelinedRing,
+            ] {
+                let what = format!("{algo:?}, {nodes} nodes, {elems} elems");
+                let driven =
+                    MpiWorld::run_driven(&topo, MpiConfig::mpi_opt(), |_| Prog::new(algo, elems))
                         .clocks;
-                assert_eq!(
-                    bits(&driven),
-                    bits(&event),
-                    "{algo:?}: driven vs event(workers={workers})"
-                );
+                let threaded = MpiWorld::run_threaded(&topo, MpiConfig::mpi_opt(), move |c| {
+                    drive_program(c, Prog::new(algo, elems))
+                })
+                .clocks;
+                assert_eq!(bits(&driven), bits(&threaded), "{what}: driven vs threaded");
+                for workers in [1usize, 4, 8] {
+                    let mut cfg = MpiConfig::mpi_opt();
+                    cfg.sim_workers = workers;
+                    let event = MpiWorld::run_event(&topo, cfg, move |c| {
+                        drive_program(c, Prog::new(algo, elems))
+                    })
+                    .clocks;
+                    assert_eq!(
+                        bits(&driven),
+                        bits(&event),
+                        "{what}: driven vs event(workers={workers})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The incremental chunk arithmetic against `chunk_range`, from every
+    /// starting chunk through two full rotations.
+    #[test]
+    fn chunk_cursor_matches_chunk_range() {
+        use crate::collectives::chunk_range;
+        for p in [1usize, 2, 3, 4, 7, 12, 128] {
+            for elems in [0usize, 1, 5, p - 1, p, p + 1, 1000, 123_457, 8 << 20] {
+                for start in 0..p {
+                    let mut cursor = ChunkCursor::new(elems, p, start);
+                    for k in 0..2 * p {
+                        let i = (start + 2 * p - k) % p;
+                        assert_eq!(
+                            cursor.len(),
+                            chunk_range(elems, p, i).len(),
+                            "elems {elems}, p {p}, chunk {i}"
+                        );
+                        cursor = cursor.down();
+                    }
+                }
             }
         }
     }

@@ -112,6 +112,10 @@ pub struct Comm {
     regcache: RegistrationCache,
     ipc_registries: Arc<Vec<IpcRegistry>>,
     ipc_mapped: Vec<bool>,
+    /// The last inter-node destination and the fat tree's extra latency to
+    /// it: a ring sends to one neighbour for thousands of hops, and the
+    /// switch-hop count costs three divisions to derive.
+    ib_route: (usize, f64),
     stats: CommStats,
     pub(crate) coll_seq: u64,
     policy: PathPolicy,
@@ -170,6 +174,7 @@ impl Comm {
             regcache,
             ipc_registries,
             ipc_mapped: vec![false; size],
+            ib_route: (usize::MAX, 0.0),
             stats: CommStats::default(),
             coll_seq: 0,
             policy: PathPolicy::Mpi,
@@ -333,15 +338,29 @@ impl Comm {
         }
     }
 
+    /// The lowest rank on this rank's node (its leader in the two-level
+    /// collectives).
+    #[inline]
+    pub(crate) fn node_first_rank(&self) -> usize {
+        self.my_node * self.topo.gpus_per_node
+    }
+
+    /// Is `peer` one of this rank's node's GPUs? The send and receive paths
+    /// ask once per message, so this is a range test on the node's first
+    /// rank rather than a division by the GPUs per node.
+    #[inline]
+    fn on_my_node(&self, peer: usize) -> bool {
+        peer.wrapping_sub(self.node_first_rank()) < self.topo.gpus_per_node
+    }
+
     /// Which transport a message of `bytes` to `dst` takes, performing the
     /// one-time CUDA IPC handshake (handle export + peer open) if the path
     /// requires a mapping that does not exist yet.
     fn resolve_path(&mut self, dst: usize, bytes: u64) -> Result<TransportPath, CommError> {
-        let gpn = self.topo.gpus_per_node;
-        let dst_node = dst / gpn;
-        let same_node = dst_node == self.my_node;
+        let same_node = self.on_my_node(dst);
         let my_local = self.my_local;
-        let dst_local = dst - dst_node * gpn;
+        // meaningful (and only read) when `same_node`
+        let dst_local = dst.wrapping_sub(self.node_first_rank());
         if self.policy == PathPolicy::NcclLike && same_node {
             // NCCL sets up its own IPC rings at communicator init — the
             // framework's CUDA_VISIBLE_DEVICES mask does not constrain it,
@@ -544,10 +563,12 @@ impl Comm {
         };
         if matches!(path, TransportPath::IbRdma | TransportPath::IbEager) {
             // spine-crossing hops on the fat tree add switch latency
-            transfer += self
-                .cfg
-                .fat_tree
-                .extra_latency(self.my_node, dst / self.topo.gpus_per_node);
+            if self.ib_route.0 != dst {
+                let dst_node = dst / self.topo.gpus_per_node;
+                let extra = self.cfg.fat_tree.extra_latency(self.my_node, dst_node);
+                self.ib_route = (dst, extra);
+            }
+            transfer += self.ib_route.1;
         }
         #[cfg(feature = "faults")]
         let transfer = self.faulted_transfer(dst, transfer)?;
@@ -576,6 +597,7 @@ impl Comm {
     /// first. The charge is timing-neutral and uniform across wires, so
     /// the bounded-mailbox guarantee — and any overflow error — is
     /// core-independent.
+    #[inline]
     fn deliver(&mut self, dst: usize, msg: Message) -> Result<(), CommError> {
         if let Some(b) = &self.budget {
             if let Err(in_flight) = b.charge(&msg) {
@@ -758,6 +780,7 @@ impl Comm {
             .map(|m| m.expect("poll-less fabric recv always returns a message"))
     }
 
+    #[inline]
     fn complete_recv(&mut self, m: Message, recv_buf_id: u64) -> Payload {
         if let Some(b) = &self.budget {
             b.release(&m);
@@ -765,9 +788,7 @@ impl Comm {
         let bytes = m.payload.size_bytes();
         // Receiver-side registration: for inter-node RDMA the receive buffer
         // must be pinned too.
-        if bytes >= self.cfg.transport.eager_threshold
-            && m.src / self.topo.gpus_per_node != self.my_node
-        {
+        if bytes >= self.cfg.transport.eager_threshold && !self.on_my_node(m.src) {
             self.charge_registration(TransportPath::IbRdma, recv_buf_id, bytes);
         }
         self.clock.merge(m.arrival);
@@ -915,6 +936,7 @@ impl Comm {
     /// the engine drains the scratch and swaps it back in next segment, so
     /// steady-state routing does no allocator work — capacities circulate
     /// instead of being freed. No-op on the other wires.
+    #[inline]
     pub(crate) fn swap_outbox(&mut self, buf: &mut Vec<(usize, Message)>) {
         if let Wire::Driven { outbox } = &mut self.wire {
             std::mem::swap(outbox, buf);
@@ -922,6 +944,7 @@ impl Comm {
     }
 
     /// Queue an inbound message (engine-side routing on the driven core).
+    #[inline]
     pub(crate) fn push_pending(&mut self, m: Message) {
         self.pending.push_back(m);
     }

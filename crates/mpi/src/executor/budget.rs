@@ -19,36 +19,60 @@ use crate::message::Message;
 const MSG_OVERHEAD: u64 = 96;
 
 /// Shared in-flight byte counter for one world. Cheap enough for the send
-/// hot path: two relaxed atomic ops per message lifetime.
+/// hot path: two relaxed atomic ops per message lifetime on the context
+/// cores, two plain load/store pairs on the driven core.
 #[derive(Debug)]
 pub(crate) struct FlightBudget {
     limit: u64,
     used: AtomicU64,
+    /// Every charge and release comes from one thread (the driven engine),
+    /// so the counter is updated with a load and a store instead of a
+    /// locked read-modify-write.
+    single_thread: bool,
 }
 
 impl FlightBudget {
     /// The world's budget, or `None` when `sim_mailbox_budget` is 0
-    /// (unlimited — the legacy behaviour).
-    pub(crate) fn from_config(cfg: &MpiConfig) -> Option<Arc<FlightBudget>> {
+    /// (unlimited — the legacy behaviour). `single_thread` is the caller's
+    /// promise that one thread runs every rank of the world.
+    pub(crate) fn from_config(cfg: &MpiConfig, single_thread: bool) -> Option<Arc<FlightBudget>> {
         (cfg.sim_mailbox_budget > 0).then(|| {
             Arc::new(FlightBudget {
                 limit: cfg.sim_mailbox_budget,
                 used: AtomicU64::new(0),
+                single_thread,
             })
         })
     }
 
+    #[inline]
     fn cost(msg: &Message) -> u64 {
         msg.payload.host_bytes() + MSG_OVERHEAD
     }
 
+    /// Add `delta` (wrapping, so a negative delta is its two's complement)
+    /// to the counter and return the new total.
+    #[inline]
+    fn add(&self, delta: u64) -> u64 {
+        if self.single_thread {
+            let total = self.used.load(Ordering::Relaxed).wrapping_add(delta);
+            self.used.store(total, Ordering::Relaxed);
+            total
+        } else {
+            self.used
+                .fetch_add(delta, Ordering::Relaxed)
+                .wrapping_add(delta)
+        }
+    }
+
     /// Charge a message entering the fabric. On overflow the charge is
     /// rolled back and the would-be total is returned for the error.
+    #[inline]
     pub(crate) fn charge(&self, msg: &Message) -> Result<(), u64> {
         let cost = Self::cost(msg);
-        let total = self.used.fetch_add(cost, Ordering::Relaxed) + cost;
+        let total = self.add(cost);
         if total > self.limit {
-            self.used.fetch_sub(cost, Ordering::Relaxed);
+            self.add(cost.wrapping_neg());
             Err(total)
         } else {
             Ok(())
@@ -56,8 +80,9 @@ impl FlightBudget {
     }
 
     /// Release a message the receiver has consumed.
+    #[inline]
     pub(crate) fn release(&self, msg: &Message) {
-        self.used.fetch_sub(Self::cost(msg), Ordering::Relaxed);
+        self.add(Self::cost(msg).wrapping_neg());
     }
 
     pub(crate) fn limit(&self) -> u64 {
@@ -79,33 +104,38 @@ mod tests {
         }
     }
 
+    /// Both accounting modes of a `limit`-byte budget.
+    fn budgets(limit: u64) -> [FlightBudget; 2] {
+        [false, true].map(|single_thread| FlightBudget {
+            limit,
+            used: AtomicU64::new(0),
+            single_thread,
+        })
+    }
+
     #[test]
     fn charge_and_release_balance() {
-        let b = FlightBudget {
-            limit: 1000,
-            used: AtomicU64::new(0),
-        };
-        let m = msg(100);
-        assert!(b.charge(&m).is_ok());
-        assert_eq!(b.used.load(Ordering::Relaxed), 100 + MSG_OVERHEAD);
-        b.release(&m);
-        assert_eq!(b.used.load(Ordering::Relaxed), 0);
+        for b in budgets(1000) {
+            let m = msg(100);
+            assert!(b.charge(&m).is_ok());
+            assert_eq!(b.used.load(Ordering::Relaxed), 100 + MSG_OVERHEAD);
+            b.release(&m);
+            assert_eq!(b.used.load(Ordering::Relaxed), 0);
+        }
     }
 
     #[test]
     fn overflow_rolls_back_and_reports_the_total() {
-        let b = FlightBudget {
-            limit: 150,
-            used: AtomicU64::new(0),
-        };
-        let m = msg(100);
-        let e = b.charge(&m).unwrap_err();
-        assert_eq!(e, 100 + MSG_OVERHEAD);
-        assert_eq!(
-            b.used.load(Ordering::Relaxed),
-            0,
-            "failed charge rolled back"
-        );
+        for b in budgets(150) {
+            let m = msg(100);
+            let e = b.charge(&m).unwrap_err();
+            assert_eq!(e, 100 + MSG_OVERHEAD);
+            assert_eq!(
+                b.used.load(Ordering::Relaxed),
+                0,
+                "failed charge rolled back"
+            );
+        }
     }
 
     #[test]

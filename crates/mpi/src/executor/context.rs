@@ -52,7 +52,7 @@ where
     let size = topo.total_gpus();
     assert!(size > 0, "cannot launch an empty world");
     let cfg = Arc::new(cfg);
-    let budget = FlightBudget::from_config(&cfg);
+    let budget = FlightBudget::from_config(&cfg, false);
     let mut senders = Vec::with_capacity(size);
     let mut receivers = Vec::with_capacity(size);
     for _ in 0..size {
@@ -136,7 +136,7 @@ where
     #[cfg(feature = "verify")]
     let workers = size.max(workers);
     let cfg = Arc::new(cfg);
-    let budget = FlightBudget::from_config(&cfg);
+    let budget = FlightBudget::from_config(&cfg, false);
     let fabric = Arc::new(EventFabric::new(size, workers));
     let registries = ipc_registries(topo);
 

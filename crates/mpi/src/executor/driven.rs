@@ -162,7 +162,7 @@ where
     let size = topo.total_gpus();
     assert!(size > 0, "cannot launch an empty world");
     let cfg = Arc::new(cfg);
-    let budget = FlightBudget::from_config(&cfg);
+    let budget = FlightBudget::from_config(&cfg, true);
     let ipc_registries = Arc::new(
         (0..topo.nodes)
             .map(|_| IpcRegistry::new())

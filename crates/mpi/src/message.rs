@@ -41,6 +41,7 @@ pub enum Payload {
 
 impl Payload {
     /// Payload size in bytes on the wire.
+    #[inline]
     pub fn size_bytes(&self) -> u64 {
         match self {
             Payload::F32(v) => (v.len() * 4) as u64,
@@ -55,6 +56,7 @@ impl Payload {
     /// (mailbox-budget accounting). Synthetic payloads carry a size but no
     /// data, so they cost nothing here no matter how many simulated bytes
     /// they represent.
+    #[inline]
     pub fn host_bytes(&self) -> u64 {
         match self {
             Payload::F32(v) => (v.len() * 4) as u64,

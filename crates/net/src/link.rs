@@ -19,6 +19,7 @@ impl LinkModel {
     }
 
     /// Transfer time for `bytes`.
+    #[inline]
     pub fn time(&self, bytes: u64) -> f64 {
         self.latency + bytes as f64 / self.bandwidth
     }

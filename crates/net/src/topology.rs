@@ -78,6 +78,7 @@ impl FatTree {
 
     /// Switch hops between two nodes: 0 intra-node, 2 within a leaf group,
     /// 4 across the spine.
+    #[inline]
     pub fn hops(&self, a: usize, b: usize) -> usize {
         if a == b {
             0
@@ -89,6 +90,7 @@ impl FatTree {
     }
 
     /// Latency added on top of the base (2-hop) InfiniBand figure.
+    #[inline]
     pub fn extra_latency(&self, a: usize, b: usize) -> f64 {
         self.hops(a, b).saturating_sub(2) as f64 * self.hop_latency
     }

@@ -106,6 +106,7 @@ impl TransportModel {
     /// `ipc_available` is the MPI library's verdict for this device pair
     /// (see `dlsr_gpu::DeviceEnv::ipc_possible` + a successful
     /// `cuIpcOpenMemHandle`).
+    #[inline]
     pub fn path(
         &self,
         same_device: bool,
@@ -130,6 +131,7 @@ impl TransportModel {
     }
 
     /// Pure transfer time on a path (excluding registration costs).
+    #[inline]
     pub fn transfer_time(&self, path: TransportPath, bytes: u64) -> f64 {
         match path {
             TransportPath::DeviceLocal => self.d2d.time(bytes),
@@ -142,6 +144,7 @@ impl TransportModel {
 
     /// Transfer time as NCCL's transport would see it: intra-node paths are
     /// identical (same NVLink), inter-node rides NCCL's own IB transport.
+    #[inline]
     pub fn transfer_time_nccl(&self, path: TransportPath, bytes: u64) -> f64 {
         match path {
             TransportPath::IbRdma | TransportPath::IbEager => self.nccl_ib.time(bytes),
@@ -151,11 +154,13 @@ impl TransportModel {
 
     /// Cost of pinning `bytes` for RDMA (charged on registration-cache
     /// misses for `IbRdma` messages).
+    #[inline]
     pub fn pin_time(&self, bytes: u64) -> f64 {
         self.pin_base + bytes as f64 * self.pin_per_byte
     }
 
     /// Does this path require memory registration?
+    #[inline]
     pub fn needs_registration(&self, path: TransportPath) -> bool {
         matches!(path, TransportPath::IbRdma)
     }

@@ -3,7 +3,98 @@
 
 use proptest::prelude::*;
 
-use dlsr_net::{LinkModel, RegistrationCache, TransportModel};
+use std::collections::HashMap;
+
+use dlsr_net::{LinkModel, RegCacheStats, RegistrationCache, TransportModel};
+
+/// Reference LRU the slab cache must match step for step: the map + scan
+/// implementation the cache had before its recency list — a global tick,
+/// `last_use` per entry, eviction by scanning for the smallest `last_use`.
+#[derive(Default)]
+struct ModelCache {
+    capacity: u64,
+    used: u64,
+    tick: u64,
+    entries: HashMap<(u64, u64), u64>,
+    stats: RegCacheStats,
+    enabled: bool,
+}
+
+impl ModelCache {
+    fn lookup(&mut self, id: u64, bytes: u64) -> bool {
+        self.tick += 1;
+        if let Some(last_use) = self.entries.get_mut(&(id, bytes)) {
+            *last_use = self.tick;
+            self.stats.hits += 1;
+            return true;
+        }
+        self.stats.misses += 1;
+        if !self.enabled {
+            return false;
+        }
+        while self.used + bytes > self.capacity && !self.entries.is_empty() {
+            let victim = *self
+                .entries
+                .iter()
+                .min_by_key(|(_, t)| **t)
+                .expect("non-empty")
+                .0;
+            self.entries.remove(&victim);
+            self.used -= victim.1;
+            self.stats.evictions += 1;
+        }
+        if bytes <= self.capacity {
+            self.entries.insert((id, bytes), self.tick);
+            self.used += bytes;
+        }
+        false
+    }
+
+    fn invalidate(&mut self, id: u64, bytes: u64) {
+        if self.entries.remove(&(id, bytes)).is_some() {
+            self.used -= bytes;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random lookup/invalidate sequences at capacities small enough to
+    /// evict: the cache and the reference model agree on every verdict,
+    /// on the statistics and on the bytes held, after every operation.
+    #[test]
+    fn regcache_matches_the_map_and_scan_model(
+        capacity in 1u64..6_000,
+        enabled in proptest::bool::ANY,
+        ops in proptest::collection::vec((0u64..8, 1u64..5, 0u32..6), 1..400),
+    ) {
+        let mut cache = if enabled {
+            RegistrationCache::new(capacity)
+        } else {
+            RegistrationCache::disabled()
+        };
+        let mut model = ModelCache {
+            capacity: if enabled { capacity } else { 0 },
+            enabled,
+            ..ModelCache::default()
+        };
+        for (step, &(id, len, op)) in ops.iter().enumerate() {
+            // few ids × few lengths: keys repeat, so hits, evictions of
+            // still-wanted entries and invalidations of live ones all occur
+            let bytes = len * 700;
+            if op == 0 {
+                cache.invalidate(id, bytes);
+                model.invalidate(id, bytes);
+            } else {
+                prop_assert_eq!(cache.lookup(id, bytes), model.lookup(id, bytes),
+                    "verdict differs at op {} ({}, {})", step, id, bytes);
+            }
+            prop_assert_eq!(cache.stats(), model.stats, "stats differ at op {}", step);
+            prop_assert_eq!(cache.used_bytes(), model.used, "bytes differ at op {}", step);
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]

@@ -666,7 +666,7 @@ pub fn critical_path(events: &[TraceEvent], steps: usize) -> CritPath {
 mod tests {
     use super::*;
 
-    fn ev(name: &str, cat_: &str, rank: usize, s: f64, e: f64) -> TraceEvent {
+    fn ev(name: &str, cat_: &'static str, rank: usize, s: f64, e: f64) -> TraceEvent {
         TraceEvent {
             name: name.into(),
             cat: cat_.into(),

@@ -37,6 +37,7 @@ pub mod report;
 /// rows are answered from it).
 pub use dlsr_hvprof::Log2Histogram;
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
@@ -60,7 +61,9 @@ pub enum Clock {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
     pub name: String,
-    pub cat: String,
+    /// One of the [`cat`] constants for every span this crate records
+    /// (borrowed, no allocation); owned only after deserialization.
+    pub cat: Cow<'static, str>,
     pub rank: usize,
     pub start_s: f64,
     pub end_s: f64,
@@ -193,6 +196,7 @@ pub fn is_on() -> bool {
 /// Tag the current thread with a rank; subsequent spans and counters
 /// recorded on this thread carry it. `MpiWorld::run` calls this in each
 /// per-rank thread.
+#[inline]
 pub fn set_thread_rank(_rank: usize) {
     #[cfg(feature = "enabled")]
     imp::RANK.with(|r| r.set(_rank));
@@ -238,7 +242,7 @@ impl Drop for SpanGuard {
         if let Some((name, cat, start_s)) = self.inner.take() {
             push_event(TraceEvent {
                 name,
-                cat: cat.to_string(),
+                cat: Cow::Borrowed(cat),
                 rank: thread_rank(),
                 start_s,
                 end_s: now_wall_s(),
@@ -277,7 +281,7 @@ impl VSpan {
         if let Some((name, cat, rank, start_s)) = self.inner.take() {
             push_event(TraceEvent {
                 name,
-                cat: cat.to_string(),
+                cat: Cow::Borrowed(cat),
                 rank,
                 start_s,
                 end_s,
@@ -314,7 +318,7 @@ pub fn record_wall_span(
     if is_on() {
         push_event(TraceEvent {
             name: name(),
-            cat: cat.to_string(),
+            cat: Cow::Borrowed(cat),
             rank,
             start_s,
             end_s,
@@ -328,7 +332,7 @@ pub fn record_span(name: impl FnOnce() -> String, cat: &'static str, start_s: f6
     if is_on() {
         push_event(TraceEvent {
             name: name(),
-            cat: cat.to_string(),
+            cat: Cow::Borrowed(cat),
             rank: thread_rank(),
             start_s,
             end_s,
@@ -339,6 +343,7 @@ pub fn record_span(name: impl FnOnce() -> String, cat: &'static str, start_s: f6
 
 /// Add `delta` to the monotonic counter `key` (thread-sharded, summed at
 /// snapshot time).
+#[inline]
 pub fn counter_add(_key: &'static str, _delta: f64) {
     #[cfg(feature = "enabled")]
     if is_on() {
@@ -434,7 +439,7 @@ pub fn to_timeline(events: &[TraceEvent]) -> dlsr_hvprof::timeline::Timeline {
             Clock::Virtual => ev.rank,
             Clock::Wall => ev.rank + WALL_PID_BASE,
         };
-        tl.record(&ev.name, &ev.cat, lane, ev.start_s, ev.end_s);
+        tl.record(ev.name.as_str(), ev.cat.clone(), lane, ev.start_s, ev.end_s);
     }
     tl
 }

@@ -444,7 +444,7 @@ impl StepReport {
                         events
                             .iter()
                             .filter(|e| {
-                                e.rank == rank && e.clock == clock && set.contains(&e.cat.as_str())
+                                e.rank == rank && e.clock == clock && set.contains(&&*e.cat)
                             })
                             .map(|e| (e.start_s, e.end_s))
                             .collect(),
@@ -483,7 +483,7 @@ impl StepReport {
 
         let mut categories: BTreeMap<String, CategoryStat> = BTreeMap::new();
         for e in events {
-            let c = categories.entry(e.cat.clone()).or_default();
+            let c = categories.entry(e.cat.to_string()).or_default();
             c.calls += 1;
             c.seconds += e.dur_s();
         }
@@ -564,7 +564,10 @@ impl StepReport {
 
         let mut hists: BTreeMap<String, Log2Histogram> = BTreeMap::new();
         for e in events {
-            hists.entry(e.cat.clone()).or_default().record(e.dur_s());
+            hists
+                .entry(e.cat.to_string())
+                .or_default()
+                .record(e.dur_s());
         }
         let percentiles = Percentiles(
             hists
@@ -839,7 +842,7 @@ mod tests {
         format!("{}{}", &compact[..start], rest)
     }
 
-    fn ev(name: &str, cat_: &str, rank: usize, s: f64, e: f64, clock: Clock) -> TraceEvent {
+    fn ev(name: &str, cat_: &'static str, rank: usize, s: f64, e: f64, clock: Clock) -> TraceEvent {
         TraceEvent {
             name: name.into(),
             cat: cat_.into(),

@@ -13,7 +13,7 @@ use dlsr_trace::{cat, Clock, TraceEvent};
 fn span(name: &str, cat: &'static str, rank: usize, start: f64, end: f64) -> TraceEvent {
     TraceEvent {
         name: name.to_string(),
-        cat: cat.to_string(),
+        cat: cat.into(),
         rank,
         start_s: start,
         end_s: end,
@@ -92,7 +92,7 @@ fn chrome_trace_round_trips_the_new_span_kinds() {
     for ev in &events {
         let found = items.iter().any(|it| {
             it["name"].as_str() == Some(ev.name.as_str())
-                && it["cat"].as_str() == Some(ev.cat.as_str())
+                && it["cat"].as_str() == Some(&*ev.cat)
                 && it["pid"].as_u64() == Some(ev.rank as u64)
         });
         assert!(found, "span `{}` missing from the chrome export", ev.name);
