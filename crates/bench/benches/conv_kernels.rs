@@ -1,16 +1,13 @@
 //! Criterion microbenches for the convolution kernels — the compute
 //! substrate every model in the workspace runs on.
 //!
-//! Three ablations:
 //! - production im2col+GEMM vs the direct reference (sanity scale),
-//! - production engine vs the pre-engine `dlsr_bench::legacy` kernels on
-//!   EDSR-shaped workloads (the before/after the engine was built for),
-//! - raw packed GEMM vs the naive triple loop on an im2col-shaped matmul.
+//! - the production engine on EDSR-shaped workloads,
+//! - raw packed GEMM on an im2col-shaped matmul.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use dlsr_bench::legacy;
 use dlsr_tensor::conv::{conv2d, conv2d_backward, conv2d_reference, Conv2dParams};
 use dlsr_tensor::{init, matmul};
 
@@ -49,9 +46,7 @@ fn bench_backward(c: &mut Criterion) {
 }
 
 /// EDSR body shapes: F feature maps on 48×48 LR patches, batch 4 — the
-/// exact per-layer workload of the paper's training loop. This is the
-/// acceptance benchmark for the packed-GEMM engine: `engine` vs `legacy`
-/// on the same tensors.
+/// exact per-layer workload of the paper's training loop.
 fn bench_edsr_shapes(c: &mut Criterion) {
     let p = Conv2dParams::same(3);
 
@@ -63,14 +58,8 @@ fn bench_edsr_shapes(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("forward", "engine"), |b| {
         b.iter(|| conv2d(black_box(&x), black_box(&w), None, p).unwrap())
     });
-    group.bench_function(BenchmarkId::new("forward", "legacy"), |b| {
-        b.iter(|| legacy::conv2d(black_box(&x), black_box(&w), None, p).unwrap())
-    });
     group.bench_function(BenchmarkId::new("backward", "engine"), |b| {
         b.iter(|| conv2d_backward(black_box(&x), black_box(&w), black_box(&go), p).unwrap())
-    });
-    group.bench_function(BenchmarkId::new("backward", "legacy"), |b| {
-        b.iter(|| legacy::conv2d_backward(black_box(&x), black_box(&w), black_box(&go), p).unwrap())
     });
     group.finish();
 
@@ -82,9 +71,6 @@ fn bench_edsr_shapes(c: &mut Criterion) {
     group.sample_size(5);
     group.bench_function(BenchmarkId::new("forward", "engine"), |b| {
         b.iter(|| conv2d(black_box(&x), black_box(&w), None, p).unwrap())
-    });
-    group.bench_function(BenchmarkId::new("forward", "legacy"), |b| {
-        b.iter(|| legacy::conv2d(black_box(&x), black_box(&w), None, p).unwrap())
     });
     group.finish();
 }
@@ -101,18 +87,6 @@ fn bench_raw_gemm(c: &mut Criterion) {
     group.bench_function("packed", |b| {
         b.iter(|| {
             matmul::matmul_into(
-                black_box(a.data()),
-                black_box(b_mat.data()),
-                &mut out,
-                m,
-                k,
-                n,
-            )
-        })
-    });
-    group.bench_function("naive_ikj", |b| {
-        b.iter(|| {
-            legacy::matmul_into(
                 black_box(a.data()),
                 black_box(b_mat.data()),
                 &mut out,

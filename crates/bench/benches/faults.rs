@@ -7,7 +7,7 @@
 //!   itself measurably slower),
 //! - a virtual-time sweep over every chaos scenario — throughput, timeline
 //!   overhead, retry/backoff/degraded charges per fault class — written to
-//!   `BENCH_faults.json` at the repo root so robustness overhead has
+//!   `results/BENCH_faults.json` so robustness overhead has
 //!   before/after data points like the rest of the perf trajectory.
 
 use criterion::{criterion_group, Criterion};
@@ -112,7 +112,10 @@ fn write_fault_results() {
         },
         "faults": serde_json::Value::Object(scenarios),
     });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_faults.json");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/BENCH_faults.json"
+    );
     std::fs::write(
         path,
         serde_json::to_string_pretty(&value).expect("serialize"),

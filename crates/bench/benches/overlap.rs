@@ -5,8 +5,8 @@
 //! - a criterion group `overlap` timing the *host* cost of the two paths
 //!   (the hook-driven engine must not make the simulation itself slower),
 //! - a traced virtual-time comparison — step time, exposed communication
-//!   and overlap ratio per mode — written to `BENCH_overlap.json` at the
-//!   repo root so the perf trajectory has before/after data points.
+//!   and overlap ratio per mode — written to `results/BENCH_overlap.json`
+//!   so the perf trajectory has before/after data points.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -84,7 +84,10 @@ fn write_overlap_results() {
         "exposed_drop_frac": if seq_exposed > 0.0 { 1.0 - ovl_exposed / seq_exposed } else { 0.0 },
         "step_speedup": seq_step / ovl_step,
     });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_overlap.json");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/BENCH_overlap.json"
+    );
     std::fs::write(
         path,
         serde_json::to_string_pretty(&value).expect("serialize"),

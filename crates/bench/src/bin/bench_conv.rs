@@ -1,23 +1,18 @@
-//! Three-tier throughput history of the conv engine on a fixed tiny-EDSR
-//! training step:
-//!
-//! - `before_legacy_kernels` — the seed's direct conv loops, preserved in
-//!   [`dlsr_bench::legacy`];
-//! - `after_packed_engine` — the first engine rewrite (materialized im2col
-//!   + packed 4×16 GEMM), preserved verbatim in [`dlsr_bench::packed`];
-//! - `after_simd_engine` — the production path: SIMD microkernels behind
-//!   runtime dispatch, shape-keyed blueprints, implicit-GEMM conv.
+//! Throughput of the production conv engine (SIMD microkernels behind
+//! runtime dispatch, shape-keyed blueprints, implicit-GEMM conv) on a
+//! fixed tiny-EDSR training step. The two earlier tiers this step was
+//! measured on — the seed's direct loops and the first packed-GEMM engine
+//! — are history: their numbers live in the table in `docs/KERNELS.md`.
 //!
 //! Workload: batch 4 at 48×48 — a 3→64 head conv, two residual-style
 //! conv(+ReLU)/conv pairs at F=64, and a 64→3 tail conv, forward and
-//! backward. Emits `results/BENCH_conv.json` with img/sec for all tiers
-//! and the tier-over-tier speedups.
+//! backward. Emits `results/BENCH_conv.json` with seconds/step and
+//! img/sec.
 
 #![forbid(unsafe_code)]
 use std::time::Instant;
 
 use dlsr_attr as dlsr;
-use dlsr_bench::{legacy, packed};
 use dlsr_tensor::conv::{conv2d_backward, conv2d_fused, Act, Conv2dParams};
 use dlsr_tensor::{elementwise, init, Tensor};
 
@@ -49,23 +44,12 @@ fn build_stack() -> Vec<Layer> {
     ]
 }
 
-type FusedFn =
-    fn(&Tensor, &Tensor, Option<&[f32]>, Act, Conv2dParams) -> dlsr_tensor::Result<Tensor>;
-type BackwardFn =
-    fn(&Tensor, &Tensor, &Tensor, Conv2dParams) -> dlsr_tensor::Result<(Tensor, Tensor, Vec<f32>)>;
-
-/// One forward+backward pass through `fused`/`backward` (fused-ReLU tiers).
-fn step_fused(
-    stack: &[Layer],
-    x: &Tensor,
-    p: Conv2dParams,
-    fused: FusedFn,
-    backward: BackwardFn,
-) -> Tensor {
+/// One forward+backward pass through the stack.
+fn step(stack: &[Layer], x: &Tensor, p: Conv2dParams) -> Tensor {
     let mut acts = vec![x.clone()];
     for l in stack {
         let act = if l.relu { Act::Relu } else { Act::Identity };
-        let y = fused(acts.last().unwrap(), &l.w, Some(&l.b), act, p).unwrap();
+        let y = conv2d_fused(acts.last().unwrap(), &l.w, Some(&l.b), act, p).unwrap();
         acts.push(y);
     }
     let mut grad = Tensor::ones(acts.last().unwrap().shape().clone());
@@ -74,45 +58,22 @@ fn step_fused(
             // post-activation output doubles as the mask: y > 0 ⇔ pre > 0
             grad = elementwise::relu_backward(&grad, &acts[i + 1]).unwrap();
         }
-        let (gi, _gw, _gb) = backward(&acts[i], &l.w, &grad, p).unwrap();
-        grad = gi;
-    }
-    grad
-}
-
-/// The same pass with the pre-engine kernels: sequential conv, separate
-/// ReLU pass, per-call allocations.
-fn step_legacy(stack: &[Layer], x: &Tensor, p: Conv2dParams) -> Tensor {
-    let mut acts = vec![x.clone()];
-    for l in stack {
-        let mut y = legacy::conv2d(acts.last().unwrap(), &l.w, Some(&l.b), p).unwrap();
-        if l.relu {
-            y = elementwise::relu(&y);
-        }
-        acts.push(y);
-    }
-    let mut grad = Tensor::ones(acts.last().unwrap().shape().clone());
-    for (i, l) in stack.iter().enumerate().rev() {
-        if l.relu {
-            grad = elementwise::relu_backward(&grad, &acts[i + 1]).unwrap();
-        }
-        let (gi, _gw, _gb) = legacy::conv2d_backward(&acts[i], &l.w, &grad, p).unwrap();
+        let (gi, _gw, _gb) = conv2d_backward(&acts[i], &l.w, &grad, p).unwrap();
         grad = gi;
     }
     grad
 }
 
 #[dlsr::wall]
-fn time_steps<F: FnMut() -> Tensor>(mut f: F) -> (f64, Tensor) {
+fn time_steps<F: FnMut() -> Tensor>(mut f: F) -> f64 {
     for _ in 0..WARMUP {
         f();
     }
     let t0 = Instant::now();
-    let mut last = f();
-    for _ in 1..STEPS {
-        last = f();
+    for _ in 0..STEPS {
+        std::hint::black_box(f());
     }
-    (t0.elapsed().as_secs_f64() / STEPS as f64, last)
+    t0.elapsed().as_secs_f64() / STEPS as f64
 }
 
 fn main() {
@@ -125,33 +86,9 @@ fn main() {
         stack.len()
     );
 
-    let (legacy_s, g_legacy) = time_steps(|| step_legacy(&stack, &x, p));
-    let (packed_s, g_packed) =
-        time_steps(|| step_fused(&stack, &x, p, packed::conv2d_fused, packed::conv2d_backward));
-    let (simd_s, g_simd) = time_steps(|| step_fused(&stack, &x, p, conv2d_fused, conv2d_backward));
-    assert!(
-        g_packed.allclose(&g_legacy, 1e-3),
-        "packed and legacy paths disagree: {}",
-        g_packed.max_abs_diff(&g_legacy)
-    );
-    assert!(
-        g_simd.allclose(&g_legacy, 1e-3),
-        "simd and legacy paths disagree: {}",
-        g_simd.max_abs_diff(&g_legacy)
-    );
-
-    let ips = |s: f64| BATCH as f64 / s;
-    let speedup_packed = legacy_s / packed_s;
-    let speedup_simd = packed_s / simd_s;
-    println!("legacy: {legacy_s:.4} s/step  ({:.2} img/s)", ips(legacy_s));
-    println!(
-        "packed: {packed_s:.4} s/step  ({:.2} img/s)  [{speedup_packed:.2}x vs legacy]",
-        ips(packed_s)
-    );
-    println!(
-        "simd:   {simd_s:.4} s/step  ({:.2} img/s)  [{speedup_simd:.2}x vs packed]",
-        ips(simd_s)
-    );
+    let simd_s = time_steps(|| step(&stack, &x, p));
+    let ips = BATCH as f64 / simd_s;
+    println!("simd: {simd_s:.4} s/step  ({ips:.2} img/s)");
 
     dlsr_bench::write_json(
         "BENCH_conv.json",
@@ -165,21 +102,10 @@ fn main() {
                 "warmup_steps": WARMUP,
                 "timed_steps": STEPS,
             },
-            "before_legacy_kernels": {
-                "seconds_per_step": legacy_s,
-                "images_per_sec": ips(legacy_s),
-            },
-            "after_packed_engine": {
-                "seconds_per_step": packed_s,
-                "images_per_sec": ips(packed_s),
-            },
             "after_simd_engine": {
                 "seconds_per_step": simd_s,
-                "images_per_sec": ips(simd_s),
+                "images_per_sec": ips,
             },
-            "speedup_packed_vs_legacy": speedup_packed,
-            "speedup_simd_vs_packed": speedup_simd,
-            "speedup_simd_vs_legacy": legacy_s / simd_s,
         }),
     );
 }

@@ -4,8 +4,6 @@
 //! Shared output helpers live here.
 
 #![forbid(unsafe_code)]
-pub mod legacy;
-pub mod packed;
 
 use std::io::Write;
 

@@ -396,17 +396,7 @@ pub fn sim_check(
         .iter()
         .map(|&w| {
             assert_eq!(w % 4, 0, "worlds are whole Lassen nodes (4 GPUs each)");
-            let p = crate::simscale::measure_point(
-                w / 4,
-                sc,
-                batch,
-                warmup,
-                steps,
-                seed,
-                dlsr_mpi::SimCore::Event,
-                t1,
-                1,
-            );
+            let p = crate::simscale::measure_point(w / 4, sc, batch, warmup, steps, seed, t1, 1);
             let predicted_step_s = model.predict_step_s(w);
             let simulated_step_s = p.virtual_step_s;
             let predicted_eff = model.predict_efficiency(w);

@@ -3,17 +3,14 @@
 use dlsr_gpu::{GpuSpec, KernelCostModel, WorkloadProfile};
 use dlsr_horovod::TensorSpec;
 use dlsr_hvprof::Hvprof;
-use dlsr_mpi::{MpiConfig, MpiWorld, SimCore, WorldResult};
+use dlsr_mpi::{MpiConfig, MpiWorld, WorldResult};
 use dlsr_net::ClusterTopology;
 
 use crate::scenario::Scenario;
 use crate::sim::{RankRun, SimTrainer};
 
-/// Run a trainer on every rank of `topo` on the core `cfg.sim_core`
-/// selects: the zero-thread driven engine for [`SimCore::Event`] (the
-/// default — one thread, no locks, scales to 4096 ranks), or the legacy
-/// thread-per-rank world for [`SimCore::Threaded`]. Results are
-/// bitwise-identical (asserted by the equivalence suites).
+/// Run a trainer on every rank of `topo` on the zero-thread driven
+/// engine (one thread, no locks, scales to 4096 ranks).
 pub fn run_world(
     topo: &ClusterTopology,
     cfg: MpiConfig,
@@ -21,16 +18,14 @@ pub fn run_world(
     warmup: usize,
     steps: usize,
 ) -> WorldResult<RankRun> {
-    match cfg.sim_core {
-        // Verify builds keep ranks on the event *context* core so the
-        // cross-rank checker (whose rendezvous needs concurrent ranks)
-        // stays attached; the equivalence suite pins the driven engine
-        // bitwise to it, so what gets verified is what gets driven.
-        #[cfg(feature = "verify")]
-        SimCore::Event => MpiWorld::run(topo, cfg, move |c| trainer.run(c, warmup, steps)),
-        #[cfg(not(feature = "verify"))]
-        SimCore::Event => MpiWorld::run_driven(topo, cfg, |_| trainer.program(warmup, steps)),
-        SimCore::Threaded => MpiWorld::run(topo, cfg, move |c| trainer.run(c, warmup, steps)),
+    // Verify builds keep ranks on the event *context* core so the
+    // cross-rank checker (whose rendezvous needs concurrent ranks)
+    // stays attached; the equivalence suite pins the driven engine
+    // bitwise to it, so what gets verified is what gets driven.
+    if cfg!(feature = "verify") {
+        MpiWorld::run(topo, cfg, move |c| trainer.run(c, warmup, steps))
+    } else {
+        MpiWorld::run_driven(topo, cfg, |_| trainer.program(warmup, steps))
     }
 }
 
@@ -107,34 +102,6 @@ pub fn run_training(
     steps: usize,
     seed: u64,
 ) -> TrainRun {
-    run_training_core(
-        topo,
-        scenario,
-        workload,
-        tensors,
-        batch,
-        warmup,
-        steps,
-        seed,
-        scenario.mpi_config().sim_core,
-    )
-}
-
-/// [`run_training`] on an explicit execution core (the `--core` flag of
-/// `dlsr simulate`; the equivalence suites compare the two cores through
-/// this entry point).
-#[allow(clippy::too_many_arguments)]
-pub fn run_training_core(
-    topo: &ClusterTopology,
-    scenario: Scenario,
-    workload: &WorkloadProfile,
-    tensors: &[TensorSpec],
-    batch: usize,
-    warmup: usize,
-    steps: usize,
-    seed: u64,
-    core: SimCore,
-) -> TrainRun {
     let trainer = SimTrainer::new(
         workload.clone(),
         tensors.to_vec(),
@@ -144,9 +111,17 @@ pub fn run_training_core(
         seed,
     )
     .expect("per-GPU batch must fit in device memory");
-    let cfg = scenario.mpi_config().to_builder().sim_core(core).build();
     run_with_trainer(
-        topo, scenario, cfg, workload, tensors, trainer, batch, warmup, steps, seed,
+        topo,
+        scenario,
+        scenario.mpi_config(),
+        workload,
+        tensors,
+        trainer,
+        batch,
+        warmup,
+        steps,
+        seed,
     )
 }
 

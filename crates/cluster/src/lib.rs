@@ -28,8 +28,7 @@ pub use analysis::{
     GroupCost, ProjectionPoint, SimCheck, SimCheckPoint, TracedRun, ValidationPoint,
 };
 pub use experiment::{
-    batch_sweep, run_training, run_training_core, run_training_tuned, run_world, scaling_sweep,
-    ScalingPoint, TrainRun,
+    batch_sweep, run_training, run_training_tuned, run_world, scaling_sweep, ScalingPoint, TrainRun,
 };
 pub use realtrain::{train_real, RealTrainConfig, RealTrainConfigBuilder, RealTrainResult};
 pub use scenario::Scenario;

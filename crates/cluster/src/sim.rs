@@ -309,7 +309,7 @@ impl SimTrainer {
 
     /// Run `warmup + steps` training steps; the profile and timeline cover
     /// only the measured window. Blocking form of [`SimTrainer::program`],
-    /// driven in place — context cores and the driven engine execute the
+    /// driven in place — the context core and the driven engine execute the
     /// identical state machine.
     pub fn run(&self, comm: &mut Comm, warmup: usize, steps: usize) -> RankRun {
         drive_program(comm, self.program(warmup, steps))
@@ -358,7 +358,7 @@ enum SimPhase {
 /// One rank's training run as a resumable [`RankProgram`]: synchronous
 /// compute segments happen in `next`, every communication round is yielded
 /// as a task the engine can park mid-flight. [`SimTrainer::run`] drives
-/// this same machine on the context cores, so the two paths cannot drift.
+/// this same machine on the context core, so the two paths cannot drift.
 pub struct SimProgram<'a> {
     trainer: &'a SimTrainer,
     warmup: usize,

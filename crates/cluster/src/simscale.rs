@@ -1,5 +1,5 @@
-//! Simulator-scaling benchmark: how fast (host wall-clock) the execution
-//! cores push the paper-scale costs-only workload through 64–4096 virtual
+//! Simulator-scaling benchmark: how fast (host wall-clock) the driven
+//! engine pushes the paper-scale costs-only workload through 64–4096 virtual
 //! ranks, behind `dlsr simscale`.
 //!
 //! Two families of numbers live in a [`SimScaleReport`], with different
@@ -8,17 +8,15 @@
 //! - **virtual** quantities (`virtual_step_s`, `efficiency`) are on the
 //!   simulated clock. They are bitwise machine-independent, so a committed
 //!   report is a CI regression baseline for them ([`gate`]).
-//! - **wall** quantities (`wall_s`, `rank_steps_per_s`,
-//!   `speedup_vs_threaded`) measure the simulator itself on the host that
-//!   ran it. They are never gated against a committed file; `dlsr simscale
-//!   --check` asserts the absolute criteria (512-rank step under a wall
-//!   bound, driven-vs-threaded speedup) and the within-run ratios of an
-//!   [`ArtifactCost`] on the machine at hand.
+//! - **wall** quantities (`wall_s`, `rank_steps_per_s`) measure the
+//!   simulator itself on the host that ran it. They are never gated
+//!   against a committed file; `dlsr simscale --check` asserts the
+//!   absolute criterion (512-rank step under a wall bound) and the
+//!   within-run ratios of an [`ArtifactCost`] on the machine at hand.
 
 use std::time::Instant;
 
 use dlsr_attr as dlsr;
-use dlsr_mpi::SimCore;
 use dlsr_net::ClusterTopology;
 use serde::{Deserialize, Serialize};
 
@@ -30,15 +28,14 @@ use crate::workload::edsr_measured_workload;
 /// Default node sweep: 64 → 512 ranks on 4-GPU Lassen nodes (Figs 12/13).
 pub const DEFAULT_NODES: [usize; 4] = [16, 32, 64, 128];
 
-/// One measured world size on one execution core.
+/// One measured world size.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimScalePoint {
     /// Total ranks (nodes × 4).
     pub world: usize,
     pub nodes: usize,
     /// Mean virtual step time over the measured window, seconds
-    /// (machine-independent; identical across cores by the equivalence
-    /// suite).
+    /// (machine-independent).
     pub virtual_step_s: f64,
     /// Weak-scaling efficiency vs. the single-rank virtual step time.
     pub efficiency: f64,
@@ -91,13 +88,10 @@ pub struct SimScaleReport {
     pub batch: usize,
     pub warmup: usize,
     pub steps: usize,
-    /// The default (event-driven) core across the node sweep.
+    /// The driven engine across the node sweep. (Reports written before
+    /// the thread-per-rank core was deleted also carry `threaded` and
+    /// `speedup_vs_threaded`; loading ignores them.)
     pub event: Vec<SimScalePoint>,
-    /// Thread-per-rank baseline at the smallest sweep world.
-    pub threaded: Option<SimScalePoint>,
-    /// Driven-over-threaded `rank_steps_per_s` ratio at the baseline
-    /// world. Wall-clock: comparable only within one report.
-    pub speedup_vs_threaded: Option<f64>,
     /// Large-world smoke point (4096 ranks), when requested.
     #[serde(default)]
     pub smoke: Option<SimScalePoint>,
@@ -134,8 +128,8 @@ impl SimScaleReport {
     }
 }
 
-/// Run the paper-scale EDSR workload on `nodes` Lassen nodes on the given
-/// core and measure it. `t1_step` is the single-rank virtual step time
+/// Run the paper-scale EDSR workload on `nodes` Lassen nodes and measure
+/// it. `t1_step` is the single-rank virtual step time
 /// (from [`single_rank_step_s`]) the efficiency is normalized against.
 /// The wall measurement is best-of-`repeats` (virtual quantities are
 /// bitwise identical across repeats, so only the wall numbers differ):
@@ -148,19 +142,20 @@ pub fn measure_point(
     warmup: usize,
     steps: usize,
     seed: u64,
-    core: SimCore,
     t1_step: f64,
     repeats: usize,
 ) -> SimScalePoint {
     let (topo, trainer) = setup(nodes, sc, batch, seed, false);
-    let (wall_s, res) = time_core(&topo, &trainer, sc, core, warmup, steps, repeats);
+    let (wall_s, res) = time_world(&topo, &trainer, sc, warmup, steps, repeats);
     point_from(&topo, nodes, &res, wall_s, warmup, steps, t1_step)
 }
 
 /// Measure what the diagnostic artifacts cost on the driven engine at one
 /// world size: `run_world` with artifacts off and on as interleaved
-/// best-of-`pairs` walls (see [`measure_speedup_pair`] for why), and the
-/// assembly of each artifacts-on result.
+/// best-of-`pairs` walls (host scheduler noise varies on the
+/// hundreds-of-milliseconds scale; interleaving makes both settings sample
+/// the same noise, so their ratio is far steadier than two walls taken at
+/// different moments), and the assembly of each artifacts-on result.
 #[dlsr::wall]
 pub fn measure_artifact_cost(
     nodes: usize,
@@ -180,8 +175,8 @@ pub fn measure_artifact_cost(
         assembly_s: f64::INFINITY,
     };
     for _ in 0..pairs.max(1) {
-        let (wall_off, _) = time_core(&topo, &off, sc, SimCore::Event, warmup, steps, 1);
-        let (wall_on, res) = time_core(&topo, &on, sc, SimCore::Event, warmup, steps, 1);
+        let (wall_off, _) = time_world(&topo, &off, sc, warmup, steps, 1);
+        let (wall_on, res) = time_world(&topo, &on, sc, warmup, steps, 1);
         let start = Instant::now();
         std::hint::black_box(assemble_artifacts(res.ranks));
         cost.assembly_s = cost.assembly_s.min(start.elapsed().as_secs_f64());
@@ -189,64 +184,6 @@ pub fn measure_artifact_cost(
         cost.run_world_on_s = cost.run_world_on_s.min(wall_on);
     }
     cost
-}
-
-/// Measure the driven-vs-threaded pair at one world size with
-/// *interleaved* repeats: the cores alternate run by run and each wall is
-/// the best of its `pairs` runs. On a busy host, scheduler noise varies on
-/// the hundreds-of-milliseconds scale — interleaving makes both cores
-/// sample the same noise environment, so their ratio (the speedup
-/// criterion `dlsr simscale --check` asserts) is far more stable than two
-/// independently-timed measurements taken at different moments.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_speedup_pair(
-    nodes: usize,
-    sc: Scenario,
-    batch: usize,
-    warmup: usize,
-    steps: usize,
-    seed: u64,
-    t1_step: f64,
-    pairs: usize,
-) -> (SimScalePoint, SimScalePoint) {
-    let (topo, trainer) = setup(nodes, sc, batch, seed, false);
-    let mut best = [f64::INFINITY; 2];
-    let mut results = [None, None];
-    for _ in 0..pairs.max(1) {
-        for (i, core) in [SimCore::Event, SimCore::Threaded].into_iter().enumerate() {
-            // A driven run at this world size finishes in single-digit
-            // milliseconds — far below the host's scheduling-noise scale —
-            // so its best-of needs many inner repeats to touch the true
-            // floor. They cost ~1 ms each; the threaded run costs hundreds
-            // of milliseconds and gets one per pair.
-            let reps = match core {
-                SimCore::Event => 16,
-                SimCore::Threaded => 1,
-            };
-            let (wall, res) = time_core(&topo, &trainer, sc, core, warmup, steps, reps);
-            best[i] = best[i].min(wall);
-            results[i] = Some(res);
-        }
-    }
-    let ev = point_from(
-        &topo,
-        nodes,
-        results[0].as_ref().expect("event ran"),
-        best[0],
-        warmup,
-        steps,
-        t1_step,
-    );
-    let th = point_from(
-        &topo,
-        nodes,
-        results[1].as_ref().expect("threaded ran"),
-        best[1],
-        warmup,
-        steps,
-        t1_step,
-    );
-    (ev, th)
 }
 
 /// Build the Lassen-shaped world and the trainer a simscale measurement
@@ -274,29 +211,27 @@ fn setup(
     // alone. The difference is small — recording an event is a push of
     // plain data, and `measure_artifact_cost` holds it under 10 % at 512
     // ranks — but the per-rank buffers are still O(world × steps) host
-    // memory nothing in the sweep reads. Virtual clocks are unaffected,
-    // and both cores run identically instrumented.
+    // memory nothing in the sweep reads. Virtual clocks are unaffected.
     let trainer = SimTrainer::new(w, tensors, batch, sc, &topo, seed)
         .expect("per-GPU batch must fit")
         .with_artifacts(artifacts);
     (topo, trainer)
 }
 
-/// Best-of-`repeats` wall for one core (virtual quantities are bitwise
+/// Best-of-`repeats` wall of one world (virtual quantities are bitwise
 /// identical across repeats, so only the wall differs). Wall-domain
 /// boundary: simscale's product IS host wall time — it benchmarks the
 /// simulator itself and never feeds rank-visible state.
 #[dlsr::wall]
-fn time_core(
+fn time_world(
     topo: &ClusterTopology,
     trainer: &SimTrainer,
     sc: Scenario,
-    core: SimCore,
     warmup: usize,
     steps: usize,
     repeats: usize,
 ) -> (f64, dlsr_mpi::WorldResult<crate::sim::RankRun>) {
-    let cfg = sc.mpi_config().to_builder().sim_core(core).build();
+    let cfg = sc.mpi_config();
     let mut wall_s = f64::INFINITY;
     let mut res = None;
     for _ in 0..repeats.max(1) {
@@ -395,28 +330,69 @@ pub fn gate(current: &SimScaleReport, baseline: &SimScaleReport, tol_pct: f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quick_point(nodes: usize, core: SimCore) -> SimScalePoint {
-        let t1 = single_rank_step_s(Scenario::MpiOpt, 4, 1, 3, 7);
-        measure_point(nodes, Scenario::MpiOpt, 4, 1, 3, 7, core, t1, 1)
-    }
+    use dlsr_mpi::MpiWorld;
 
     #[test]
     fn cores_agree_on_virtual_time_bitwise() {
         // The headline simscale quantity must not depend on which core
-        // produced it — same worlds, same virtual clocks, to the bit.
+        // produced it: the trainer as a program on the driven engine and
+        // as a closure on the context core, same virtual clocks to the bit.
+        let sc = Scenario::MpiOpt;
+        let t1 = single_rank_step_s(sc, 4, 1, 3, 7);
         for nodes in [1, 2] {
-            let ev = quick_point(nodes, SimCore::Event);
-            let th = quick_point(nodes, SimCore::Threaded);
+            let (topo, trainer) = setup(nodes, sc, 4, 7, false);
+            let driven = MpiWorld::run_driven(&topo, sc.mpi_config(), |_| trainer.program(1, 3));
+            let context = MpiWorld::run(&topo, sc.mpi_config(), |c| trainer.run(c, 1, 3));
+            let [dr, cx] = [driven, context].map(|r| point_from(&topo, nodes, &r, 1.0, 1, 3, t1));
             assert_eq!(
-                ev.virtual_step_s.to_bits(),
-                th.virtual_step_s.to_bits(),
+                dr.virtual_step_s.to_bits(),
+                cx.virtual_step_s.to_bits(),
                 "cores disagree at {nodes} nodes: {} vs {}",
-                ev.virtual_step_s,
-                th.virtual_step_s
+                dr.virtual_step_s,
+                cx.virtual_step_s
             );
-            assert!(ev.efficiency > 0.3 && ev.efficiency <= 1.001, "{ev:?}");
+            assert!(dr.efficiency > 0.3 && dr.efficiency <= 1.001, "{dr:?}");
         }
+    }
+
+    /// Removing the `threaded` / `speedup_vs_threaded` columns must not
+    /// break `--baseline`: the committed report was written while they
+    /// existed (the literal below keeps that shape on record should the
+    /// file be regenerated), it must load, and a fresh sweep at `dlsr
+    /// simscale`'s default seed must pass the CI gate against it.
+    #[test]
+    fn reports_with_the_deleted_columns_still_load_and_gate() {
+        let old = r#"{"scenario": "MPI-Opt", "batch": 4, "warmup": 1, "steps": 4, "event": [],
+            "threaded": {"world": 64, "nodes": 16, "virtual_step_s": 0.44, "efficiency": 0.88,
+                         "wall_s": 0.3, "rank_steps_per_s": 1066.0},
+            "speedup_vs_threaded": 186.5}"#;
+        SimScaleReport::from_json(old).expect("old-format report loads");
+
+        let committed = include_str!("../../../results/BENCH_simscale.json");
+        let base = SimScaleReport::from_json(committed).expect("committed baseline loads");
+        let sc: Scenario = base.scenario.parse().expect("baseline names a scenario");
+        let seed = 2021;
+        let t1 = single_rank_step_s(sc, base.batch, base.warmup, base.steps, seed);
+        let fresh = SimScaleReport {
+            event: base
+                .event
+                .iter()
+                .map(|p| {
+                    measure_point(
+                        p.nodes,
+                        sc,
+                        base.batch,
+                        base.warmup,
+                        base.steps,
+                        seed,
+                        t1,
+                        1,
+                    )
+                })
+                .collect(),
+            ..base.clone()
+        };
+        assert_eq!(gate(&fresh, &base, 1.0), Vec::<String>::new());
     }
 
     #[test]
@@ -431,15 +407,14 @@ mod tests {
 
     #[test]
     fn gate_trips_on_virtual_regressions_only() {
-        let p = quick_point(1, SimCore::Event);
+        let t1 = single_rank_step_s(Scenario::MpiOpt, 4, 1, 3, 7);
+        let p = measure_point(1, Scenario::MpiOpt, 4, 1, 3, 7, t1, 1);
         let report = SimScaleReport {
             scenario: "MPI-Opt".into(),
             batch: 4,
             warmup: 1,
             steps: 3,
             event: vec![p.clone()],
-            threaded: None,
-            speedup_vs_threaded: None,
             smoke: None,
             artifacts: None,
             before: None,

@@ -1,16 +1,15 @@
 //! Determinism contract of the online comm tuner (docs/WIRE.md):
 //! *same binary + same seed + same `DLSR_COMM_TUNE` cache ⇒ the same
-//! training bits*, on any execution core and any rayon pool size.
+//! training bits*, on any rayon pool size.
 //!
 //! Three pieces:
 //!
-//! 1. **Cross-core agreement on the frozen path.** The first tuned run in
-//!    a process installs its frozen decision in the process-global table;
-//!    later runs with the same (world, grad bytes) key freeze at step 0.
-//!    The event and threaded cores must train identical bits from that
-//!    shared frozen state.
+//! 1. **The frozen path repeats.** The first tuned run in a process
+//!    installs its frozen decision in the process-global table; later
+//!    runs with the same (world, grad bytes) key freeze at step 0 and
+//!    must train identical bits from that shared frozen state.
 //! 2. **Exploration is reproducible.** Fresh-cache runs must print the
-//!    same digest on any core and any rayon pool size — the tuner's
+//!    same digest on any rayon pool size — the tuner's
 //!    measurements are virtual-clock durations agreed through a
 //!    Max-allreduce, never wall time. The in-process table would leak the
 //!    first run's decision into the second, so each exploration gets its
@@ -25,11 +24,10 @@
 use std::process::Command;
 
 use dlsr_cluster::realtrain::{train_real, RealTrainConfig, RealTrainResult};
-use dlsr_mpi::{MpiConfig, SimCore};
+use dlsr_mpi::MpiConfig;
 use dlsr_net::ClusterTopology;
 
 const CHILD_ENV: &str = "DLSR_COMM_TUNE_DIGEST_CHILD";
-const CHILD_CORE_ENV: &str = "DLSR_COMM_TUNE_DIGEST_CORE";
 
 fn topo() -> ClusterTopology {
     ClusterTopology {
@@ -68,54 +66,39 @@ fn digest(res: &RealTrainResult) -> u64 {
     h
 }
 
-fn on_core(core: SimCore) -> MpiConfig {
-    MpiConfig::mpi_opt().to_builder().sim_core(core).build()
-}
-
 #[test]
-fn cores_agree_bitwise_on_the_frozen_tuner_path() {
+fn frozen_tuner_path_repeats_bitwise() {
     // Warm the process-global table: this run explores, freezes, installs.
-    let _warm = train_real(&topo(), on_core(SimCore::Event), &cfg());
+    let _warm = train_real(&topo(), MpiConfig::mpi_opt(), &cfg());
     assert!(
         !dlsr_horovod::tuner::entries().is_empty(),
         "a tuned run left no frozen decision behind"
     );
     // Both runs below find the installed entry and freeze at step 0.
-    let ev = train_real(&topo(), on_core(SimCore::Event), &cfg());
-    let th = train_real(&topo(), on_core(SimCore::Threaded), &cfg());
-    assert_eq!(
-        digest(&ev),
-        digest(&th),
-        "frozen-tuner runs diverged between the event and threaded cores"
-    );
-    assert_eq!(ev.makespan.to_bits(), th.makespan.to_bits());
+    let a = train_real(&topo(), MpiConfig::mpi_opt(), &cfg());
+    let b = train_real(&topo(), MpiConfig::mpi_opt(), &cfg());
+    assert_eq!(digest(&a), digest(&b), "frozen-tuner runs diverged");
+    assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
 }
 
 /// Child mode: print the digest of one tuned run and exit. The parent
-/// pins `RAYON_NUM_THREADS`, `DLSR_COMM_TUNE` and the core before
-/// spawning.
+/// pins `RAYON_NUM_THREADS` and `DLSR_COMM_TUNE` before spawning.
 #[test]
 fn comm_tune_cache_makes_runs_bitwise_reproducible() {
     if std::env::var_os(CHILD_ENV).is_some() {
-        let core = match std::env::var(CHILD_CORE_ENV).as_deref() {
-            Ok("threaded") => SimCore::Threaded,
-            _ => SimCore::Event,
-        };
-        let res = train_real(&topo(), on_core(core), &cfg());
+        let res = train_real(&topo(), MpiConfig::mpi_opt(), &cfg());
         println!("DIGEST={:#018x}", digest(&res));
         return;
     }
     let dir = std::env::temp_dir().join(format!("dlsr-comm-tune-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create comm-tune dir");
 
-    // Fresh-cache exploration is core- and thread-count invariant. Each
+    // Fresh-cache exploration is thread-count invariant. Each
     // child gets its own cache file so no child reads another's frozen
     // decision.
-    let d1 = digest_from_child("1", "event", &dir.join("explore-1.tune"));
-    let d4 = digest_from_child("4", "event", &dir.join("explore-4.tune"));
-    let dt = digest_from_child("1", "threaded", &dir.join("explore-t.tune"));
+    let d1 = digest_from_child("1", &dir.join("explore-1.tune"));
+    let d4 = digest_from_child("4", &dir.join("explore-4.tune"));
     assert_eq!(d1, d4, "exploration digests differ across rayon pool sizes");
-    assert_eq!(d1, dt, "exploration digests differ across execution cores");
 
     // The seeding child above appended exactly one frozen decision
     // (appends are header-less, like the GEMM tune cache; `# comments`
@@ -131,14 +114,12 @@ fn comm_tune_cache_makes_runs_bitwise_reproducible() {
     );
 
     // The same cache state must now reproduce the same bits on any pool
-    // size and core — the warm children freeze at step 0, skipping
+    // size — the warm children freeze at step 0, skipping
     // exploration, so their digest legitimately differs from the
     // exploring run's.
-    let w1 = digest_from_child("1", "event", &cache);
-    let w4 = digest_from_child("4", "event", &cache);
-    let wt = digest_from_child("1", "threaded", &cache);
+    let w1 = digest_from_child("1", &cache);
+    let w4 = digest_from_child("4", &cache);
     assert_eq!(w1, w4, "warm-cache digests differ across rayon pool sizes");
-    assert_eq!(w1, wt, "warm-cache digests differ across execution cores");
     // Appending happens at freeze time only: a run that starts frozen
     // must not grow the file (the cache state would otherwise depend on
     // how many runs came before).
@@ -147,7 +128,7 @@ fn comm_tune_cache_makes_runs_bitwise_reproducible() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn digest_from_child(rayon_threads: &str, core: &str, cache: &std::path::Path) -> u64 {
+fn digest_from_child(rayon_threads: &str, cache: &std::path::Path) -> u64 {
     let exe = std::env::current_exe().expect("test binary path");
     let out = Command::new(exe)
         .args([
@@ -157,7 +138,6 @@ fn digest_from_child(rayon_threads: &str, core: &str, cache: &std::path::Path) -
             "--test-threads=1",
         ])
         .env(CHILD_ENV, "1")
-        .env(CHILD_CORE_ENV, core)
         .env("RAYON_NUM_THREADS", rayon_threads)
         .env("DLSR_COMM_TUNE", cache)
         .output()
@@ -165,7 +145,7 @@ fn digest_from_child(rayon_threads: &str, core: &str, cache: &std::path::Path) -
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
-        "digest child ({rayon_threads} threads, {core} core) failed:\n{stdout}\n{}",
+        "digest child ({rayon_threads} threads) failed:\n{stdout}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let at = stdout

@@ -1,14 +1,14 @@
-//! The cross-core contract of the event-driven rewrite (`docs/SIMCORE.md`):
-//! the zero-thread driven engine and the thread-per-rank context core run
-//! the *same* task state machines, so a training run must be bitwise
-//! identical across cores — same per-step losses, same final parameters,
-//! same virtual makespan — at every world size, with and without
-//! communication overlap, and under an injected fault plan. Any
-//! divergence means a core has private semantics, which is exactly what
-//! the single-implementation task design exists to forbid.
+//! Training bits held across the deletion of the thread-per-rank core.
+//!
+//! The digests below were recorded on the last commit that carried both
+//! context cores (event and threaded), where the two agreed bitwise on
+//! every row: per-step losses, final parameters and virtual makespan of
+//! `train_real` at every world size, with and without communication
+//! overlap, and under an injected fault plan. `MpiWorld::run` — the one
+//! core `train_real` runs on now — must keep producing exactly those bits.
 
 use dlsr_cluster::{train_real, RealTrainConfig, RealTrainResult};
-use dlsr_mpi::{MpiConfig, SimCore};
+use dlsr_mpi::MpiConfig;
 use dlsr_net::ClusterTopology;
 use parking_lot::Mutex;
 
@@ -24,69 +24,73 @@ fn topo(gpus: usize) -> ClusterTopology {
     }
 }
 
-fn on_core(core: SimCore) -> MpiConfig {
-    MpiConfig::mpi_opt().to_builder().sim_core(core).build()
-}
-
-/// Everything the cores must agree on, as exact bit patterns.
-fn bits(r: &RealTrainResult) -> (Vec<u32>, Vec<u32>, u64) {
-    (
-        r.losses.iter().map(|l| l.to_bits()).collect(),
-        r.final_params.iter().map(|p| p.to_bits()).collect(),
-        r.makespan.to_bits(),
-    )
+/// FNV-1a over the exact bit patterns of losses, final parameters and
+/// makespan, each widened to a little-endian u64.
+fn digest(r: &RealTrainResult) -> u64 {
+    let words = r
+        .losses
+        .iter()
+        .chain(&r.final_params)
+        .map(|x| x.to_bits() as u64);
+    words
+        .chain([r.makespan.to_bits()])
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }
 
 #[test]
-fn cores_agree_bitwise_across_world_sizes_and_overlap_modes() {
+fn training_bits_match_the_pre_deletion_goldens() {
     let _g = LOCK.lock();
-    for gpus in [1usize, 2, 4, 8] {
-        let t = topo(gpus);
-        for overlap in [true, false] {
-            // global batch 8 divides every world size under test
-            let cfg = RealTrainConfig::builder()
-                .steps(6)
-                .global_batch(8)
-                .overlap(overlap)
-                .build();
-            let ev = train_real(&t, on_core(SimCore::Event), &cfg);
-            let th = train_real(&t, on_core(SimCore::Threaded), &cfg);
-            let mode = if overlap { "overlapped" } else { "sequential" };
-            assert_eq!(
-                bits(&ev),
-                bits(&th),
-                "{gpus} ranks, {mode}: event and threaded cores diverged"
-            );
-        }
+    for (gpus, overlap, golden) in [
+        (1usize, true, 0x1967ba5004e8ceac_u64),
+        (1, false, 0x1967ba5004e8ceac),
+        (2, true, 0x4d3429cc1d65ea70),
+        (2, false, 0x319aa1e1b8bcfe96),
+        (4, true, 0x2c77f29a1ac6cdd5),
+        (4, false, 0x242c51151bc4ff29),
+        (8, true, 0xd09a764c04d3d8a0),
+        (8, false, 0xcee7ee34aad42a4d),
+    ] {
+        // global batch 8 divides every world size under test
+        let cfg = RealTrainConfig::builder()
+            .steps(6)
+            .global_batch(8)
+            .overlap(overlap)
+            .build();
+        let got = digest(&train_real(&topo(gpus), MpiConfig::mpi_opt(), &cfg));
+        let mode = if overlap { "overlapped" } else { "sequential" };
+        assert_eq!(
+            got, golden,
+            "{gpus} ranks, {mode}: training bits changed ({got:#018x})"
+        );
     }
 }
 
-/// Fault injection must not open a gap between cores either: the plan is
-/// applied by the shared communicator layer, beneath the executor.
+/// The fault plan is applied by the shared communicator layer, beneath
+/// the executor, so its bits were core-independent too.
 #[cfg(feature = "faults")]
 #[test]
-fn cores_agree_bitwise_under_an_injected_fault_plan() {
+fn training_bits_under_a_fault_plan_match_the_pre_deletion_goldens() {
     use std::sync::Arc;
 
     use dlsr_faults::ChaosScenario;
 
     let _g = LOCK.lock();
-    let t = topo(4);
     let cfg = RealTrainConfig::builder().steps(6).build();
-    for scenario in [ChaosScenario::Lossy, ChaosScenario::DegradedLink] {
-        let run = |core: SimCore| {
-            let mpi = on_core(core)
-                .to_builder()
-                .fault_plan(Some(Arc::new(scenario.plan(7, 4, 6))))
-                .build();
-            train_real(&t, mpi, &cfg)
-        };
-        let ev = run(SimCore::Event);
-        let th = run(SimCore::Threaded);
+    for (scenario, golden) in [
+        (ChaosScenario::Lossy, 0x26f77ca5f16fb965_u64),
+        (ChaosScenario::DegradedLink, 0x15863eb2170818b6),
+    ] {
+        let mpi = MpiConfig::mpi_opt()
+            .to_builder()
+            .fault_plan(Some(Arc::new(scenario.plan(7, 4, 6))))
+            .build();
+        let got = digest(&train_real(&topo(4), mpi, &cfg));
         assert_eq!(
-            bits(&ev),
-            bits(&th),
-            "{scenario:?}: event and threaded cores diverged under faults"
+            got, golden,
+            "{scenario:?}: training bits changed ({got:#018x})"
         );
     }
 }

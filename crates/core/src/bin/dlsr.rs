@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! dlsr train    [--nodes N] [--gpus G] [--steps S] [--batch B] [--scenario NAME]
-//!               [--augment] [--warmup W] [--eval-every E] [--digest] [--core C]
+//!               [--augment] [--warmup W] [--eval-every E] [--digest] [--sequential]
 //!               [--allreduce ALGO] [--wire FMT] [--hier] [--tune-comm]
-//! dlsr simulate [--nodes N] [--steps S] [--batch B] [--scenario NAME] [--core C]
+//! dlsr simulate [--nodes N] [--steps S] [--batch B] [--scenario NAME]
 //! dlsr simscale [--nodes N,N,...] [--steps S] [--smoke] [--check]
 //!               [--baseline FILE] [--gate PCT] [--before FILE]
 //! dlsr profile  [--steps S]
@@ -77,25 +77,6 @@ fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, defaul
     }
 }
 
-/// `--core event|threaded` — which execution core runs the world. The
-/// default (`event`) is the discrete-event core; `threaded` keeps the
-/// legacy thread-per-rank core, preserved as the equivalence baseline
-/// (the two must produce bitwise-identical results and digests).
-fn sim_core(flags: &HashMap<String, String>) -> dlsr_mpi::SimCore {
-    match flags.get("core").map(String::as_str) {
-        None | Some("event") => dlsr_mpi::SimCore::Event,
-        Some("threaded") => dlsr_mpi::SimCore::Threaded,
-        Some(other) => die(&format!(
-            "bad value for --core: {other} (expected event | threaded)"
-        )),
-    }
-}
-
-/// Apply the `--core` selection to an MPI configuration.
-fn with_core(cfg: MpiConfig, flags: &HashMap<String, String>) -> MpiConfig {
-    cfg.to_builder().sim_core(sim_core(flags)).build()
-}
-
 /// Apply the wire-efficiency knobs to an MPI configuration:
 /// `--allreduce` pins the default algorithm, `--wire` selects a gradient
 /// wire format *and* drops the size floor to zero so every bin uses it,
@@ -136,14 +117,13 @@ fn usage() {
 USAGE:
   dlsr train    [--nodes N] [--gpus G] [--steps S] [--batch B] [--scenario NAME]
                 [--augment] [--warmup W] [--eval-every E] [--digest]
-                [--core event|threaded] [--sequential]
+                [--sequential]
                 [--allreduce ALGO] [--wire FMT] [--hier] [--tune-comm]
                 real EDSR training (tiny model, real math) on a simulated
                 cluster. --digest prints an FNV-1a digest of the exact loss
                 and parameter bits — two builds that print the same digest
                 ran bitwise-identical training (the CI chaos job compares
-                default vs `--features faults` builds this way, and the
-                simscale job compares --core event vs threaded).
+                default vs `--features faults` builds this way).
                 --sequential disables backward/allreduce overlap.
                 --allreduce pins the default algorithm (ring | rd |
                 two-level | pipelined-ring); --wire selects a gradient wire
@@ -152,18 +132,16 @@ USAGE:
                 two-level hierarchical path; --tune-comm turns on the
                 online comm tuner (see docs/WIRE.md)
   dlsr simulate [--nodes N] [--steps S] [--batch B] [--scenario NAME]
-                [--core event|threaded]
                 at-scale costs-only run of the paper-scale EDSR workload
   dlsr simscale [--nodes N,N,...] [--steps S] [--batch B] [--warmup W]
                 [--scenario NAME] [--smoke] [--check] [--out FILE]
                 [--baseline FILE] [--gate PCT] [--before FILE]
                 benchmark the simulator itself: wall-clock cost of the
-                event-driven core across 64-512 virtual ranks (default
-                nodes 16,32,64,128) plus a thread-per-rank baseline at the
-                smallest world, written to results/BENCH_simscale.json.
+                driven engine across 64-512 virtual ranks (default nodes
+                16,32,64,128), written to results/BENCH_simscale.json.
                 --smoke adds a 4096-rank sanity point. --check asserts the
-                absolute criteria (512 ranks under 60 s wall, driven core
-                >= 10x threaded) and two within-run ratios at 512 ranks
+                absolute criterion (512 ranks under 60 s wall) and two
+                within-run ratios at 512 ranks
                 (artifact assembly <= 10 % of run_world; run_world with
                 artifacts on <= 1.10x off). --baseline gates the
                 machine-independent virtual quantities against a committed
@@ -265,11 +243,7 @@ fn cmd_train(flags: &HashMap<String, String>) {
         sc.label(),
         cfg.steps
     );
-    let res = train_real(
-        &topo,
-        with_core(with_comm(sc.mpi_config(), flags), flags),
-        &cfg,
-    );
+    let res = train_real(&topo, with_comm(sc.mpi_config(), flags), &cfg);
     println!(
         "loss: {:.4} -> {:.4}",
         res.losses.first().unwrap(),
@@ -321,17 +295,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) {
         topo.total_gpus(),
         sc.label()
     );
-    let run = dlsr::cluster::run_training_core(
-        &topo,
-        sc,
-        &w,
-        &tensors,
-        batch,
-        2,
-        steps,
-        2021,
-        sim_core(flags),
-    );
+    let run = run_training(&topo, sc, &w, &tensors, batch, 2, steps, 2021);
     println!("throughput : {:>10.1} img/s", run.images_per_sec);
     println!("efficiency : {:>9.1} %", run.efficiency * 100.0);
     println!("step time  : {:>9.1} ms", run.step_time * 1e3);
@@ -343,7 +307,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) {
 
 /// `dlsr simscale`: benchmark the simulator itself — wall-clock cost of
 /// pushing the paper-scale workload through 64–4096 virtual ranks on the
-/// event-driven core, against the thread-per-rank baseline.
+/// driven engine.
 fn cmd_simscale(flags: &HashMap<String, String>) {
     use dlsr::cluster::simscale;
 
@@ -389,47 +353,17 @@ fn cmd_simscale(flags: &HashMap<String, String>) {
             p.rank_steps_per_s,
         );
     };
-    // The smallest sweep world doubles as the speedup criterion of the
-    // event-driven rewrite, so its driven and threaded walls are measured
-    // as an interleaved best-of-N pair (noise-robust ratio); the rest of
-    // the sweep only needs its own best-of-N.
-    let (base_point, threaded) =
-        simscale::measure_speedup_pair(nodes[0], sc, batch, warmup, steps, seed, t1, 5);
-    let mut event = vec![base_point];
-    point_line("event", &event[0]);
-    for &n in &nodes[1..] {
-        let p = simscale::measure_point(
-            n,
-            sc,
-            batch,
-            warmup,
-            steps,
-            seed,
-            dlsr_mpi::SimCore::Event,
-            t1,
-            3,
-        );
-        point_line("event", &p);
-        event.push(p);
-    }
-    point_line("threaded", &threaded);
-    let speedup = event[0].rank_steps_per_s / threaded.rank_steps_per_s.max(1e-9);
-    println!(
-        "  driven vs threaded at {} ranks: {speedup:.1}x",
-        threaded.world
-    );
-    if event[0].virtual_step_s.to_bits() != threaded.virtual_step_s.to_bits() {
-        eprintln!(
-            "simscale FAILED: cores disagree on the virtual step at {} ranks: \
-             {} vs {}",
-            threaded.world, event[0].virtual_step_s, threaded.virtual_step_s
-        );
-        std::process::exit(1);
-    }
+    let event: Vec<_> = nodes
+        .iter()
+        .map(|&n| {
+            let p = simscale::measure_point(n, sc, batch, warmup, steps, seed, t1, 5);
+            point_line("event", &p);
+            p
+        })
+        .collect();
     let smoke = flags.contains_key("smoke").then(|| {
         // 4096-rank sanity: one warmup-free step through the full stack.
-        let p =
-            simscale::measure_point(1024, sc, batch, 0, 1, seed, dlsr_mpi::SimCore::Event, t1, 1);
+        let p = simscale::measure_point(1024, sc, batch, 0, 1, seed, t1, 1);
         point_line("smoke", &p);
         p
     });
@@ -462,8 +396,6 @@ fn cmd_simscale(flags: &HashMap<String, String>) {
         warmup,
         steps,
         event,
-        threaded: Some(threaded),
-        speedup_vs_threaded: Some(speedup),
         smoke,
         artifacts,
         before,
@@ -515,20 +447,6 @@ fn check_simscale(report: &dlsr::cluster::SimScaleReport) {
     } else {
         eprintln!("check FAILED: no 512-rank point in the sweep");
         failed = true;
-    }
-    // The event-driven core must beat thread-per-rank by >= 10x.
-    match report.speedup_vs_threaded {
-        Some(s) if s >= 10.0 => {
-            println!("check: driven core is {s:.1}x the threaded baseline (>= 10x)")
-        }
-        Some(s) => {
-            eprintln!("check FAILED: driven core is only {s:.1}x the threaded baseline (< 10x)");
-            failed = true;
-        }
-        None => {
-            eprintln!("check FAILED: no threaded baseline measured");
-            failed = true;
-        }
     }
     // Machine-independent ratios within this run: the diagnostic artifacts
     // must stay a small add-on to the engine at 512 ranks.

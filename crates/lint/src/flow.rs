@@ -51,11 +51,7 @@ use crate::rules::{
 pub const COLLECTIVE_FNS: &[&str] = &[
     "allgather",
     "allreduce",
-    "allreduce_auto",
-    "allreduce_auto_labeled",
     "allreduce_elems",
-    "allreduce_op",
-    "allreduce_with",
     "barrier",
     "bcast",
     "bcast_elems",

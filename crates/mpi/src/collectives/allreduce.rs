@@ -245,77 +245,6 @@ impl<'a> Allreduce<'a> {
     }
 }
 
-/// In-place sum-allreduce of `buf` across all ranks using the configured
-/// algorithm.
-#[deprecated(note = "use the request builder: Allreduce::new(&mut buf).buf_id(id).run(comm)")]
-pub fn allreduce(comm: &mut Comm, buf: &mut Vec<f32>, buf_id: u64) {
-    let algo = comm.config().allreduce;
-    Allreduce::new(buf)
-        .buf_id(buf_id)
-        .algo(algo)
-        .wire(WireFormat::F32)
-        .run(comm);
-}
-
-/// In-place sum-allreduce with an explicit algorithm.
-#[deprecated(
-    note = "use the request builder: Allreduce::new(&mut buf).buf_id(id).algo(algo).run(comm)"
-)]
-pub fn allreduce_with(comm: &mut Comm, buf: &mut Vec<f32>, buf_id: u64, algo: AllreduceAlgorithm) {
-    Allreduce::new(buf)
-        .buf_id(buf_id)
-        .algo(algo)
-        .wire(WireFormat::F32)
-        .run(comm);
-}
-
-/// In-place sum-allreduce with the algorithm chosen by message size.
-/// Returns the algorithm used.
-#[deprecated(
-    note = "use the request builder: Allreduce::new(&mut buf).buf_id(id).run(comm) and read \
-            `.algo` off the returned CommChoice"
-)]
-pub fn allreduce_auto(comm: &mut Comm, buf: &mut Vec<f32>, buf_id: u64) -> AllreduceAlgorithm {
-    Allreduce::new(buf).buf_id(buf_id).run(comm).algo
-}
-
-/// [`allreduce_auto`] with an optional fusion-group index carried into the
-/// trace span names.
-#[deprecated(
-    note = "use the request builder: Allreduce::new(&mut buf).buf_id(id).group(g).run(comm)"
-)]
-pub fn allreduce_auto_labeled(
-    comm: &mut Comm,
-    buf: &mut Vec<f32>,
-    buf_id: u64,
-    group: Option<usize>,
-) -> AllreduceAlgorithm {
-    let mut req = Allreduce::new(buf).buf_id(buf_id);
-    if let Some(g) = group {
-        req = req.group(g);
-    }
-    req.run(comm).algo
-}
-
-/// In-place allreduce with an explicit algorithm and reduction operator.
-#[deprecated(
-    note = "use the request builder: Allreduce::new(&mut buf).buf_id(id).algo(algo).op(op).run(comm)"
-)]
-pub fn allreduce_op(
-    comm: &mut Comm,
-    buf: &mut Vec<f32>,
-    buf_id: u64,
-    algo: AllreduceAlgorithm,
-    op: ReduceOp,
-) {
-    Allreduce::new(buf)
-        .buf_id(buf_id)
-        .algo(algo)
-        .op(op)
-        .wire(WireFormat::F32)
-        .run(comm);
-}
-
 fn allreduce_grouped(
     comm: &mut Comm,
     buf: &mut Vec<f32>,

@@ -15,12 +15,6 @@ pub mod wire;
 
 pub use allgather::allgather;
 pub use allreduce::{Allreduce, AllreduceAlgorithm, CollectiveBuf};
-// Re-exporting deprecated items trips the lint at the `pub use` itself;
-// keep the old names importable for downstream code mid-migration.
-#[allow(deprecated)]
-pub use allreduce::{
-    allreduce, allreduce_auto, allreduce_auto_labeled, allreduce_op, allreduce_with,
-};
 pub use barrier::barrier;
 pub use bcast::bcast;
 pub use rooted::{gather, reduce, scatter};

@@ -5,8 +5,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crossbeam::channel::{Receiver, Sender};
-
 use dlsr_gpu::{DeviceEnv, GpuId, IpcRegistry};
 use dlsr_net::{ClusterTopology, RegCacheStats, RegistrationCache, TransportPath};
 
@@ -80,11 +78,6 @@ pub struct RecvRequest {
 /// wire — so results are identical across wires by construction (the
 /// equivalence suite asserts it).
 pub(crate) enum Wire {
-    /// Legacy threaded core: one crossbeam channel per rank.
-    Channels {
-        senders: Vec<Sender<Message>>,
-        rx: Receiver<Message>,
-    },
     /// Event context core: shared mailbox fabric with run-token scheduling.
     Event { fabric: Arc<EventFabric> },
     /// Driven core: sends accumulate locally and the single-threaded engine
@@ -492,7 +485,7 @@ impl Comm {
     /// pays CPU overhead, registration and any IPC setup).
     ///
     /// Panics on terminal errors ([`Comm::try_send`] returns them as
-    /// values): one rank panicking tears down its channels and the whole
+    /// values): one rank panicking tears down the fabric and the whole
     /// world aborts together through `std::thread::scope`.
     ///
     /// `buf_id` identifies the application buffer for the registration
@@ -609,9 +602,6 @@ impl Comm {
             }
         }
         match &mut self.wire {
-            Wire::Channels { senders, .. } => senders[dst]
-                .send(msg)
-                .map_err(|_| CommError::WorldTornDown { rank: self.rank }),
             Wire::Event { fabric } => fabric
                 .deliver(dst, msg)
                 .map_err(|()| CommError::WorldTornDown { rank: self.rank }),
@@ -660,12 +650,10 @@ impl Comm {
         Ok(self.complete_recv(m, recv_buf_id))
     }
 
-    /// Pull messages off the wire until one matches `(src, tag)`,
-    /// buffering strays. Blocks — parking this rank on the event core —
-    /// until the match exists.
+    /// Take the `(src, tag)` match off the wire. Blocks — parking this
+    /// rank on the event fabric — until the match exists.
     fn wire_recv_matching(&mut self, src: usize, tag: u64) -> Result<Message, CommError> {
         match &self.wire {
-            Wire::Channels { .. } => self.channel_recv_matching(src, tag),
             Wire::Event { fabric } => {
                 let fabric = Arc::clone(fabric);
                 self.event_recv_matching(&fabric, src, tag)
@@ -678,69 +666,10 @@ impl Comm {
         }
     }
 
-    /// Threaded-core matching loop.
-    #[cfg(not(feature = "verify"))]
-    fn channel_recv_matching(&mut self, src: usize, tag: u64) -> Result<Message, CommError> {
-        loop {
-            let Wire::Channels { rx, .. } = &self.wire else {
-                unreachable!("caller checked the wire variant")
-            };
-            let m = rx
-                .recv()
-                .map_err(|_| CommError::WorldTornDown { rank: self.rank })?;
-            if m.src == src && m.tag == tag {
-                return Ok(m);
-            }
-            self.pending.push_back(m);
-        }
-    }
-
-    /// Threaded-core matching loop, verified build: identical matching
-    /// semantics, but waits in short polls so this rank can (a) register
-    /// itself as blocked in the wait-for graph, (b) run the deadlock cycle
-    /// check, and (c) bail out promptly when another rank flags a
-    /// violation.
-    #[cfg(feature = "verify")]
-    fn channel_recv_matching(&mut self, src: usize, tag: u64) -> Result<Message, CommError> {
-        use crossbeam::channel::RecvTimeoutError;
-        let ctx = self.verify.clone();
-        let mut noted = false;
-        loop {
-            let Wire::Channels { rx, .. } = &self.wire else {
-                unreachable!("caller checked the wire variant")
-            };
-            match rx.recv_timeout(crate::verify::POLL) {
-                Ok(m) => {
-                    if m.src == src && m.tag == tag {
-                        if noted {
-                            if let Some(c) = &ctx {
-                                c.note_unblocked(self.rank);
-                            }
-                        }
-                        return Ok(m);
-                    }
-                    self.pending.push_back(m);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(c) = &ctx {
-                        c.note_blocked(self.rank, src, tag);
-                        noted = true;
-                        // Panics on a confirmed stable cycle, or when a
-                        // violation was flagged elsewhere.
-                        c.check_deadlock(self.rank);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::WorldTornDown { rank: self.rank });
-                }
-            }
-        }
-    }
-
     /// Event-core matching receive: park on the fabric until the exact
     /// message is delivered. With a verifier attached, parks in short
-    /// polls and runs the same blocked/deadlock bookkeeping as the
-    /// threaded core (token-less, so the checks never hold up peers).
+    /// polls and runs the blocked/deadlock bookkeeping (token-less, so
+    /// the checks never hold up peers).
     fn event_recv_matching(
         &mut self,
         fabric: &EventFabric,
@@ -892,14 +821,6 @@ impl Comm {
                 return Some(self.complete_recv(m, recv_buf_id));
             }
             let pulled = match &mut self.wire {
-                Wire::Channels { rx, .. } => {
-                    let mut any = false;
-                    while let Ok(m) = rx.try_recv() {
-                        self.pending.push_back(m);
-                        any = true;
-                    }
-                    any
-                }
                 Wire::Event { fabric } => {
                     if let Some(m) = fabric.try_take(rank, src, tag) {
                         self.pending.push_back(m);
@@ -920,7 +841,7 @@ impl Comm {
 
     /// Block until a `(src, tag)` match is queued, leaving it in the
     /// out-of-order buffer for the task's next poll — the blocking half of
-    /// [`drive_task`](crate::executor::drive_task) on the context cores.
+    /// [`drive_task`](crate::executor::drive_task) on the context core.
     /// Panics on terminal errors, like [`Comm::recv`].
     pub(crate) fn block_until_match(&mut self, src: usize, tag: u64) {
         if self.pending.iter().any(|m| m.src == src && m.tag == tag) {

@@ -51,22 +51,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Which execution core runs the world's rank programs (see
-/// `docs/SIMCORE.md`). Results are bitwise-identical across cores — timing
-/// flows only through message arrival stamps — so this knob trades wall
-/// time, never fidelity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimCore {
-    /// The discrete-event core: at most `sim_workers` ranks run at once,
-    /// blocked recvs park their rank, and run tokens are granted in
-    /// deterministic `(virtual_time, rank)` order. The default.
-    #[default]
-    Event,
-    /// The legacy thread-per-rank core: every rank gets an OS thread for
-    /// the run's whole lifetime. Kept as the equivalence baseline.
-    Threaded,
-}
-
 /// Communication-tuning knobs: the algorithm size bins, the pipelined
 /// ring's chunking, and the wire-compression policy. Grouped in one
 /// sub-struct so the online comm tuner (`dlsr-horovod`) and the CLI can
@@ -206,8 +190,6 @@ pub struct MpiConfig {
     pub tuning: CommTuning,
     /// Retry/timeout/backoff policy answering transient transport faults.
     pub retry: RetryPolicy,
-    /// Which execution core runs the world ([`SimCore::Event`] by default).
-    pub sim_core: SimCore,
     /// Worker-pool size of the event core: how many ranks may run
     /// concurrently. 0 — the default — means "auto": the machine's
     /// available parallelism, capped at the world size. Never affects
@@ -242,7 +224,6 @@ impl MpiConfig {
             reduce_bandwidth: 500.0e9,
             tuning: CommTuning::default(),
             retry: RetryPolicy::default(),
-            sim_core: SimCore::Event,
             sim_workers: 0,
             sim_mailbox_budget: 1 << 30,
             #[cfg(feature = "faults")]
@@ -452,12 +433,6 @@ impl MpiConfigBuilder {
     /// Retry/timeout/backoff policy for transient transport faults.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.cfg.retry = policy;
-        self
-    }
-
-    /// Which execution core runs the world.
-    pub fn sim_core(mut self, core: SimCore) -> Self {
-        self.cfg.sim_core = core;
         self
     }
 

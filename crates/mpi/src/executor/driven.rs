@@ -1,7 +1,7 @@
 //! The driven core: a zero-thread discrete-event engine over resumable
 //! rank programs.
 //!
-//! Where the context cores give every rank an OS thread to block on, this
+//! Where the context core gives every rank an OS thread to block on, this
 //! engine runs N ranks on *one* thread: a rank is a [`RankProgram`] that
 //! yields [`EventTask`]s, a task that cannot make progress returns
 //! [`Poll::Pending`] naming the exact `(src, tag)` it needs, and the
@@ -12,7 +12,7 @@
 //! comment in `run`). No locks, no syscalls, no context switches: this
 //! is the core that takes worlds to 512–4096 ranks.
 //!
-//! The same [`EventTask`]s run unchanged on the context cores via
+//! The same [`EventTask`]s run unchanged on the context core via
 //! [`drive_task`] (poll, and on `Pending` block the OS thread until the
 //! match arrives), so every collective has exactly one implementation —
 //! its state machine — and core equivalence is structural rather than

@@ -6,21 +6,26 @@
 //! crates, so the thread-per-rank model this module replaces cannot creep
 //! back in through a side door.
 //!
-//! Three cores share one message fabric contract (exact `(src, tag)`
+//! Two cores share one message fabric contract (exact `(src, tag)`
 //! matching, per-sender FIFO, LogGP arrival stamps — see `docs/SIMCORE.md`
 //! for the determinism argument):
 //!
-//! - `context::run_event` — the default. Per-rank closures run on OS
-//!   threads used purely as *coroutine contexts*: at most `workers` run
-//!   tokens exist, a blocked recv parks the rank and releases its token,
-//!   and the `fabric::EventFabric` grants freed tokens to eligible ranks
-//!   in deterministic `(virtual_time, rank)` order.
-//! - `driven::run` — zero threads. Rank programs are resumable state
-//!   machines ([`RankProgram`] yielding [`EventTask`]s) stepped by a
+//! - `context::run` — behind [`MpiWorld::run`](crate::MpiWorld::run),
+//!   for rank *closures*. They run on OS threads used purely as
+//!   *coroutine contexts*: at most `workers` run tokens exist, a blocked
+//!   recv parks the rank and releases its token, and the
+//!   `fabric::EventFabric` grants freed tokens to eligible ranks in
+//!   deterministic `(virtual_time, rank)` order.
+//! - `driven::run` — behind
+//!   [`MpiWorld::run_driven`](crate::MpiWorld::run_driven), for rank
+//!   *programs*; zero threads. Rank programs are resumable state machines
+//!   ([`RankProgram`] yielding [`EventTask`]s) stepped by a
 //!   single-threaded virtual-time event loop; this is the core that takes
 //!   worlds to 512–4096 ranks.
-//! - `context::run_threaded` — the legacy thread-per-rank core, kept as
-//!   the bitwise-equivalence baseline until retirement.
+//!
+//! Neither is selected by configuration: the caller's entry point is the
+//! choice, and the two are pinned bitwise-equal by
+//! `collectives::tasks::tests::all_cores_agree_bitwise`.
 
 pub(crate) mod budget;
 pub(crate) mod context;

@@ -52,9 +52,7 @@ pub mod world;
 pub use clock::VClock;
 pub use collectives::{Allreduce, AllreduceAlgorithm, CollectiveBuf, WireFormat};
 pub use comm::{Comm, CommStats, PathPolicy, RecvRequest};
-pub use config::{
-    CommChoice, CommTuning, ConfigError, MpiConfig, MpiConfigBuilder, RetryPolicy, SimCore,
-};
+pub use config::{CommChoice, CommTuning, ConfigError, MpiConfig, MpiConfigBuilder, RetryPolicy};
 pub use error::CommError;
 pub use executor::{drive_program, drive_task, EventTask, Poll, RankProgram, Step, Task};
 pub use message::{Message, Payload};

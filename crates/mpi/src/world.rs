@@ -1,12 +1,14 @@
 //! Job launcher: runs a closure (or a resumable [`RankProgram`]) on every
 //! rank of a simulated world and collects results — the simulated
-//! `mpirun`. The actual execution cores live in [`crate::executor`]; this
-//! module only dispatches on [`SimCore`].
+//! `mpirun`. The two execution cores live in [`crate::executor`]; which
+//! one runs is decided by what the caller holds: a closure goes to
+//! [`MpiWorld::run`] (event context core), a [`RankProgram`] to
+//! [`MpiWorld::run_driven`] (zero-thread driven engine).
 
 use dlsr_net::ClusterTopology;
 
 use crate::comm::Comm;
-use crate::config::{MpiConfig, SimCore};
+use crate::config::MpiConfig;
 use crate::executor::{context, driven, RankProgram};
 
 /// The simulated MPI world.
@@ -28,42 +30,19 @@ impl<R> WorldResult<R> {
 }
 
 impl MpiWorld {
-    /// Launch `topo.total_gpus()` ranks, run `f` on each, join, and return
-    /// per-rank results plus final clocks.
+    /// Launch `topo.total_gpus()` ranks on the event context core, run `f`
+    /// on each, join, and return per-rank results plus final clocks.
     ///
     /// `f` must be deterministic in rank order of collective calls (normal
     /// SPMD discipline); payloads flow through real message queues so
-    /// results are exact. Which core executes the ranks is chosen by
-    /// [`MpiConfig::sim_core`] — results are bitwise-identical either way.
+    /// results are exact, and bitwise-identical to the same collectives
+    /// run as a program on [`MpiWorld::run_driven`].
     pub fn run<R, F>(topo: &ClusterTopology, cfg: MpiConfig, f: F) -> WorldResult<R>
     where
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
-        match cfg.sim_core {
-            SimCore::Event => context::run_event(topo, cfg, f),
-            SimCore::Threaded => context::run_threaded(topo, cfg, f),
-        }
-    }
-
-    /// [`MpiWorld::run`] forced onto the legacy thread-per-rank core
-    /// (ignores `cfg.sim_core`) — the equivalence baseline.
-    pub fn run_threaded<R, F>(topo: &ClusterTopology, cfg: MpiConfig, f: F) -> WorldResult<R>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Send + Sync,
-    {
-        context::run_threaded(topo, cfg, f)
-    }
-
-    /// [`MpiWorld::run`] forced onto the event context core (ignores
-    /// `cfg.sim_core`).
-    pub fn run_event<R, F>(topo: &ClusterTopology, cfg: MpiConfig, f: F) -> WorldResult<R>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Send + Sync,
-    {
-        context::run_event(topo, cfg, f)
+        context::run(topo, cfg, f)
     }
 
     /// Run rank *programs* on the zero-thread driven engine: `make(rank)`
@@ -72,9 +51,9 @@ impl MpiWorld {
     /// engine-chosen order. Same clock/payload semantics as
     /// [`MpiWorld::run`], minus threads — this is the entry point for
     /// 512–4096-rank worlds. The cross-rank `verify` checker is not
-    /// attached here (its rendezvous assumes concurrent ranks); use a
+    /// attached here (its rendezvous assumes concurrent ranks); use the
     /// context core to verify a program, which the equivalence suite makes
-    /// meaningful by pinning this engine bitwise to those cores.
+    /// meaningful by pinning this engine bitwise to that core.
     pub fn run_driven<P, F>(topo: &ClusterTopology, cfg: MpiConfig, make: F) -> WorldResult<P::Out>
     where
         P: RankProgram,

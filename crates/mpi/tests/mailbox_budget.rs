@@ -1,7 +1,7 @@
 //! End-to-end bounded-mailbox behavior: a sender that outruns its
 //! receiver by more than `sim_mailbox_budget` host bytes gets an explicit
 //! [`CommError::MailboxBudget`] from `try_send` — never a hang, never an
-//! OOM — and the error is identical on every core, because the charge
+//! OOM — and the error is identical on both cores, because the charge
 //! happens in the shared communicator beneath the executors.
 
 use dlsr_mpi::{Comm, CommError, MpiConfig, MpiWorld, Payload, RankProgram, Step};
@@ -54,15 +54,10 @@ fn assert_tripped(sent: &Result<usize, CommError>) {
 }
 
 #[test]
-fn overflow_is_an_explicit_error_on_the_context_cores() {
-    for run in [
-        MpiWorld::run_event::<Result<usize, CommError>, _>,
-        MpiWorld::run_threaded::<Result<usize, CommError>, _>,
-    ] {
-        let res = run(&topo(), tight_budget(), flood);
-        assert_tripped(&res.ranks[0]);
-        assert!(res.ranks[1].is_ok());
-    }
+fn overflow_is_an_explicit_error_on_the_context_core() {
+    let res = MpiWorld::run(&topo(), tight_budget(), flood);
+    assert_tripped(&res.ranks[0]);
+    assert!(res.ranks[1].is_ok());
 }
 
 /// The driven engine charges the same budget at the same point: a rank
@@ -99,7 +94,7 @@ fn overflow_is_an_explicit_error_on_the_driven_engine() {
 /// case above.)
 #[test]
 fn draining_receiver_releases_budget() {
-    let res = MpiWorld::run_event(&topo(), tight_budget(), |comm: &mut Comm| {
+    let res = MpiWorld::run(&topo(), tight_budget(), |comm: &mut Comm| {
         for window in 0..25u64 {
             for i in 0..8u64 {
                 let id = window * 8 + i;
