@@ -141,9 +141,10 @@ USAGE:
                 16,32,64,128), written to results/BENCH_simscale.json.
                 --smoke adds a 4096-rank sanity point. --check asserts the
                 absolute criterion (512 ranks under 60 s wall) and two
-                within-run ratios at 512 ranks
-                (artifact assembly <= 10 % of run_world; run_world with
-                artifacts on <= 1.10x off). --baseline gates the
+                artifact costs at 512 ranks, from interleaved best-of-20
+                walls (assembly <= 10 % of run_world; recording, i.e.
+                run_world artifacts on - off, <= 1000 ns per recorded
+                event). --baseline gates the
                 machine-independent virtual quantities against a committed
                 report; --before copies an earlier report's wall columns
                 into this one (before/after on one host)
@@ -372,12 +373,14 @@ fn cmd_simscale(flags: &HashMap<String, String>) {
     let artifacts = nodes.contains(&128).then(|| {
         let c = simscale::measure_artifact_cost(128, sc, batch, warmup, steps, seed, 20);
         println!(
-            "  artifacts at {} ranks: run_world {:.1} ms off, {:.1} ms on ({:.2}x), \
-             assembly {:.2} ms ({:.1} % of run_world)",
+            "  artifacts at {} ranks: run_world {:.1} ms off, {:.1} ms on (+{:.2} ms for \
+             {} events, {:.0} ns each), assembly {:.2} ms ({:.1} % of run_world)",
             c.world,
             c.run_world_off_s * 1e3,
             c.run_world_on_s * 1e3,
-            c.on_over_off(),
+            c.recording_s() * 1e3,
+            c.events.unwrap_or(0),
+            c.recording_ns_per_event().unwrap_or(f64::NAN),
             c.assembly_s * 1e3,
             c.assembly_share() * 100.0,
         );
@@ -427,6 +430,14 @@ fn cmd_simscale(flags: &HashMap<String, String>) {
     }
 }
 
+/// `simscale --check`'s bound on what one recorded artifact event may add
+/// to `run_world`. An event is a push of plain data plus, for allreduces, a
+/// histogram update: 210–310 ns on the 2-core sandbox this repo is
+/// developed on (340–560 ns on the commit before the ring wave, whose
+/// queued hops shared the cache with the recording), so either side of
+/// that change meets the bound with a factor of two or more to spare.
+const ARTIFACT_NS_PER_EVENT: f64 = 1000.0;
+
 /// `simscale --check`: the absolute acceptance criteria, on this machine.
 fn check_simscale(report: &dlsr::cluster::SimScaleReport) {
     let mut failed = false;
@@ -448,18 +459,25 @@ fn check_simscale(report: &dlsr::cluster::SimScaleReport) {
         eprintln!("check FAILED: no 512-rank point in the sweep");
         failed = true;
     }
-    // Machine-independent ratios within this run: the diagnostic artifacts
-    // must stay a small add-on to the engine at 512 ranks.
+    // The diagnostic artifacts must stay a small add-on at 512 ranks:
+    // assembly against the run that fed it, recording per event recorded —
+    // not against the engine's own wall, or every engine speed-up would
+    // read as an artifact regression.
     match &report.artifacts {
         Some(c) => {
-            for (what, ratio, bound) in [
+            for (what, value, bound) in [
                 ("artifact assembly / run_world", c.assembly_share(), 0.10),
-                ("run_world artifacts on / off", c.on_over_off(), 1.10),
+                (
+                    "artifact recording, ns per event",
+                    // NaN (fails the bound) if the run recorded nothing
+                    c.recording_ns_per_event().unwrap_or(f64::NAN),
+                    ARTIFACT_NS_PER_EVENT,
+                ),
             ] {
-                if ratio <= bound {
-                    println!("check: {what} = {ratio:.3} (<= {bound})");
+                if value <= bound {
+                    println!("check: {what} = {value:.3} (<= {bound})");
                 } else {
-                    eprintln!("check FAILED: {what} = {ratio:.3} (> {bound})");
+                    eprintln!("check FAILED: {what} = {value:.3} (> {bound})");
                     failed = true;
                 }
             }

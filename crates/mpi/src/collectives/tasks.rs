@@ -11,6 +11,14 @@
 //! posted, reduce charges) in task state *before* returning `Pending`, so
 //! resuming retries only the blocked [`Comm::try_recv_buffered`] and never
 //! replays a send.
+//!
+//! The ring allreduce — flat, or over the node leaders of a two-level
+//! reduction — has a second form on the driven engine: its participants
+//! park on the ring's descriptor ([`Poll::Wave`]) and the engine evaluates
+//! the whole `2·p·(p−1)`-hop schedule in one pass (`RingWave::run`),
+//! charging each hop through the same `Comm` accounting the message path
+//! uses. The pipelined ring, recursive doubling, top-k and the barrier
+//! keep the message path on both cores.
 
 use crate::comm::Comm;
 use crate::executor::{drive_task, EventTask, Poll};
@@ -63,6 +71,16 @@ impl ChunkCursor {
         };
         ChunkCursor { rem, ..self }
     }
+
+    /// The cursor at chunk `i + 1` (wrapping to `0`).
+    #[inline]
+    fn up(self) -> ChunkCursor {
+        let rem = self.rem + self.r;
+        ChunkCursor {
+            rem: if rem >= self.p { rem - self.p } else { rem },
+            ..self
+        }
+    }
 }
 
 /// World ranks of the right and left neighbours of position `me` in the
@@ -73,16 +91,131 @@ fn ring_neighbours(me: usize, p: usize, stride: usize) -> (usize, usize) {
     (right * stride, left * stride)
 }
 
-/// Ring allreduce (reduce-scatter + allgather) over the strided
-/// participant set `{0, stride, 2·stride, …, (p−1)·stride}` — all ranks
-/// (`stride` 1) or the node leaders (`stride` = GPUs per node). The set is
-/// stored as `(p, stride)` rather than a `Vec`: these machines are built
-/// once per fusion group per step, and the allocation was visible in the
-/// driven-engine profile.
-struct RingSm {
-    buf_id: u64,
+/// A costs-only ring allreduce (reduce-scatter + allgather) of `elems`
+/// elements over the strided participant set `{0, stride, 2·stride, …,
+/// (p−1)·stride}` — all ranks (`stride` 1) or the node leaders (`stride` =
+/// GPUs per node). The set is stored as `(p, stride)` rather than a `Vec`:
+/// rings are built once per fusion group per step, and the allocation was
+/// visible in the driven-engine profile.
+///
+/// This is both what a `RingSm` executes hop by hop as messages and what
+/// a rank on the driven engine parks on ([`Poll::Wave`]): every hop of the
+/// schedule carries nothing but a length and its arrival stamp is fixed at
+/// send time, so once all `p` participants have reached the ring the engine
+/// evaluates the whole thing with `RingWave::run` and no `Message` is
+/// ever built. Two participants of one ring hold equal descriptors; the
+/// engine treats unequal ones pending together as a collective mismatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingWave {
     seq: u64,
+    p: usize,
+    stride: usize,
+    elems: usize,
+    buf_id: u64,
     wf: WireFormat,
+}
+
+impl RingWave {
+    /// Number of ranks that must park on this descriptor before it runs.
+    pub(crate) fn participants(&self) -> usize {
+        self.p
+    }
+
+    /// Evaluate the ring for all participants at once, over the world's
+    /// communicators. For each of the `2·(p−1)` steps every participant
+    /// accounts its send ([`Comm::account_send`]), then the receive of its
+    /// left neighbour's stamp ([`Comm::account_recv`]), rotates its chunk
+    /// and, in the reduce-scatter, charges the reduce — the per-rank
+    /// operation order of [`RingSm::poll`], calling the accounting the
+    /// message path calls, so the clocks, statistics and registration
+    /// caches it leaves behind are the message path's to the bit (one more
+    /// topological order under `docs/SIMCORE.md`'s determinism argument).
+    ///
+    /// Participant `i`'s receive needs only participant `i−1`'s send of the
+    /// same step, so one sweep `send₀, send₁ recv₁, …, sendₚ₋₁ recvₚ₋₁,
+    /// recv₀` visits each communicator once per step and keeps a single
+    /// stamp in flight. All cursors rotate in lockstep — participant `i+1`
+    /// is always one chunk above participant `i` — so the sweep carries one
+    /// cursor and the kernel needs no per-participant scratch.
+    pub(crate) fn run(&self, comms: &mut [Comm]) {
+        let RingWave {
+            p,
+            stride,
+            buf_id,
+            wf,
+            ..
+        } = *self;
+        let tracing = dlsr_trace::is_on();
+        // the events of a cell belong to the rank it accounts for
+        let enter = |rank: usize| {
+            if tracing {
+                dlsr_trace::set_thread_rank(rank);
+            }
+        };
+        let send = |comm: &mut Comm, to: usize, chunk: ChunkCursor| -> f64 {
+            match comm.account_send(to, wf.wire_bytes(chunk.len()), buf_id) {
+                Ok(arrival) => arrival,
+                Err(e) => comm.send_failed(e),
+            }
+        };
+        // what `RingSm::poll` does between one send and the next: complete
+        // the receive of the chunk below the one just sent — the chunk the
+        // next hop sends — and reduce into it during the reduce-scatter
+        let recv = |comm: &mut Comm, from: usize, sent: ChunkCursor, arrival: f64, reduce: bool| {
+            let chunk = sent.down();
+            comm.account_recv(from, wf.wire_bytes(chunk.len()), arrival, buf_id);
+            if reduce {
+                comm.charge_reduce(chunk.len());
+            }
+        };
+        // participant 0's chunk this step
+        let mut base = ChunkCursor::new(self.elems, p, 0);
+        for phase in 0..2 {
+            let reduce = phase == 0;
+            for _step in 0..p - 1 {
+                enter(0);
+                let first = send(&mut comms[0], stride, base);
+                let (mut chunk, mut stamp) = (base, first);
+                for i in 1..p {
+                    chunk = chunk.up();
+                    let (rank, right) = (i * stride, if i + 1 == p { 0 } else { (i + 1) * stride });
+                    enter(rank);
+                    let comm = &mut comms[rank];
+                    let sent = send(comm, right, chunk);
+                    recv(comm, rank - stride, chunk, stamp, reduce);
+                    stamp = sent;
+                }
+                enter(0);
+                recv(&mut comms[0], (p - 1) * stride, base, stamp, reduce);
+                base = base.down();
+            }
+        }
+    }
+}
+
+impl std::fmt::Display for RingWave {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let RingWave {
+            seq,
+            p,
+            stride,
+            elems,
+            buf_id,
+            wf,
+        } = self;
+        write!(
+            f,
+            "ring allreduce #{seq} of {elems} elems ({wf}) over {p} ranks of stride {stride}, \
+             buffer {buf_id:#x}"
+        )
+    }
+}
+
+/// The message-path execution of a [`RingWave`] for one participant: the
+/// form the context core runs, and the reference the wave is held equal to
+/// (`all_cores_agree_bitwise`, `tests/wave_equivalence.rs`).
+struct RingSm {
+    ring: RingWave,
     /// The chunk this hop sends: `me − step` in the reduce-scatter,
     /// `me + 1 − step` in the allgather — one downward rotation through
     /// both phases, since `me − (p−1) ≡ me + 1 (mod p)`.
@@ -113,9 +246,14 @@ impl RingSm {
         debug_assert!(me < p, "caller participates in the ring");
         let (right, left) = ring_neighbours(me, p, stride);
         RingSm {
-            buf_id,
-            seq,
-            wf,
+            ring: RingWave {
+                seq,
+                p,
+                stride,
+                elems,
+                buf_id,
+                wf,
+            },
             chunk: ChunkCursor::new(elems, p, me),
             right,
             left,
@@ -126,26 +264,27 @@ impl RingSm {
     }
 
     fn poll(&mut self, comm: &mut Comm) -> Poll {
-        let p = self.chunk.p;
+        let RingWave {
+            seq, p, buf_id, wf, ..
+        } = self.ring;
         if p <= 1 {
             return Poll::Ready;
         }
+        if comm.on_driven_wire() && self.phase < 2 {
+            // Park on the ring as a whole; the engine's wake comes after
+            // `RingWave::run` has accounted every hop, so the re-poll
+            // finds both phases finished.
+            self.phase = 2;
+            return Poll::Wave(self.ring);
+        }
         while self.phase < 2 {
             while self.step < p - 1 {
-                let tag = coll_tag(self.seq, (usize::from(self.phase) * p + self.step) as u64);
+                let tag = coll_tag(seq, (usize::from(self.phase) * p + self.step) as u64);
                 if !self.sent {
-                    comm.isend(
-                        self.right,
-                        tag,
-                        synth_wire(self.chunk.len(), self.wf),
-                        self.buf_id,
-                    );
+                    comm.isend(self.right, tag, synth_wire(self.chunk.len(), wf), buf_id);
                     self.sent = true;
                 }
-                if comm
-                    .try_recv_buffered(self.left, tag, self.buf_id)
-                    .is_none()
-                {
+                if comm.try_recv_buffered(self.left, tag, buf_id).is_none() {
                     return Poll::Pending {
                         src: self.left,
                         tag,
@@ -776,56 +915,78 @@ pub(crate) fn drive_barrier(comm: &mut Comm) {
 
 #[cfg(test)]
 mod tests {
+    use crate::comm::CommStats;
     use crate::config::MpiConfig;
     use crate::executor::{drive_program, RankProgram, Step};
     use crate::world::MpiWorld;
-    use dlsr_net::ClusterTopology;
+    use dlsr_net::{ClusterTopology, RegCacheStats};
 
     use super::*;
 
     /// A small rank program with per-rank clock skew between collectives,
-    /// so scheduling mistakes would show up as clock divergence.
-    struct Prog {
+    /// so scheduling mistakes would show up as clock divergence. A rank for
+    /// which `elems_of` answers `None` skips its allreduces (a bug the
+    /// engine must diagnose, not a supported program).
+    struct Prog<F> {
         algo: AllreduceAlgorithm,
-        elems: usize,
+        elems_of: F,
         left: usize,
     }
 
-    impl Prog {
-        fn new(algo: AllreduceAlgorithm, elems: usize) -> Prog {
+    impl<F: Fn(usize) -> Option<usize>> Prog<F> {
+        fn per_rank(algo: AllreduceAlgorithm, elems_of: F) -> Prog<F> {
             Prog {
                 algo,
-                elems,
+                elems_of,
                 left: 3,
             }
         }
     }
 
-    impl RankProgram for Prog {
-        type Out = f64;
+    /// Every rank reduces `elems` elements.
+    fn uniform(algo: AllreduceAlgorithm, elems: usize) -> Prog<impl Fn(usize) -> Option<usize>> {
+        Prog::per_rank(algo, move |_| Some(elems))
+    }
+
+    /// Everything a rank's communicator holds at the end of a run that the
+    /// two cores must agree on: clock bits, statistics, registration cache.
+    type Outcome = (u64, CommStats, RegCacheStats);
+
+    impl<F: Fn(usize) -> Option<usize>> RankProgram for Prog<F> {
+        type Out = Outcome;
         fn next(&mut self, comm: &mut Comm) -> Step {
-            if self.left == 0 {
-                return Step::Done;
-            }
-            self.left -= 1;
-            comm.advance(1.0e-5 * (comm.rank() as f64 + 1.0));
-            if self.left == 1 {
-                Step::Task(BarrierTask::new().into())
-            } else {
-                Step::Task(AllreduceElemsTask::new(self.elems, 1, self.algo).into())
+            loop {
+                if self.left == 0 {
+                    return Step::Done;
+                }
+                self.left -= 1;
+                comm.advance(1.0e-5 * (comm.rank() as f64 + 1.0));
+                if self.left == 1 {
+                    return Step::Task(BarrierTask::new().into());
+                }
+                if let Some(elems) = (self.elems_of)(comm.rank()) {
+                    return Step::Task(AllreduceElemsTask::new(elems, 1, self.algo).into());
+                }
             }
         }
-        fn finish(&mut self, comm: &mut Comm, _trace: Vec<dlsr_trace::TraceEvent>) -> f64 {
-            comm.now()
+        fn finish(&mut self, comm: &mut Comm, _trace: Vec<dlsr_trace::TraceEvent>) -> Outcome {
+            (
+                comm.now().to_bits(),
+                comm.stats().clone(),
+                comm.regcache_stats(),
+            )
         }
     }
 
-    /// The correctness bar: the driven engine and the event context core
-    /// (at several worker counts) produce *bit-identical* per-rank clocks
-    /// — on a power-of-two world and on a 3-node one (a non-power-of-two
-    /// leader ring and a 12-rank flat ring), with element counts that do
-    /// and do not divide by the ring size, small enough for
-    /// single-element and empty chunks included.
+    /// The correctness bar: the driven engine — whose rings run as waves —
+    /// and the event context core (at several worker counts) — whose rings
+    /// exchange messages — leave *bit-identical* clocks, statistics and
+    /// registration caches on every rank: on a power-of-two world and on a
+    /// 3-node one (a non-power-of-two leader ring and a 12-rank flat
+    /// ring), with element counts that do and do not divide by the ring
+    /// size, small enough for single-element and empty chunks included.
+    /// `tests/wave_equivalence.rs` draws the same comparison from the
+    /// whole configuration space.
     #[test]
     fn all_cores_agree_bitwise() {
         for (nodes, elems) in [(2, 123_457), (3, 123_457), (3, 120_000), (3, 7), (2, 5)] {
@@ -838,27 +999,81 @@ mod tests {
             ] {
                 let what = format!("{algo:?}, {nodes} nodes, {elems} elems");
                 let driven =
-                    MpiWorld::run_driven(&topo, MpiConfig::mpi_opt(), |_| Prog::new(algo, elems))
-                        .clocks;
+                    MpiWorld::run_driven(&topo, MpiConfig::mpi_opt(), |_| uniform(algo, elems))
+                        .ranks;
                 for workers in [1usize, 4, 8] {
                     let mut cfg = MpiConfig::mpi_opt();
                     cfg.sim_workers = workers;
-                    let event = MpiWorld::run(&topo, cfg, move |c| {
-                        drive_program(c, Prog::new(algo, elems))
-                    })
-                    .clocks;
-                    assert_eq!(
-                        bits(&driven),
-                        bits(&event),
-                        "{what}: driven vs event(workers={workers})"
-                    );
+                    let event =
+                        MpiWorld::run(&topo, cfg, move |c| drive_program(c, uniform(algo, elems)))
+                            .ranks;
+                    assert_eq!(driven, event, "{what}: driven vs event(workers={workers})");
                 }
             }
         }
     }
 
+    /// What `f` panics with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the world must panic");
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("panic payload is a message")
+    }
+
+    /// A world stuck on a partial wave says who waits in which ring — a
+    /// rank parked on a wave has no `(src, tag)` to list.
+    #[test]
+    fn a_partial_wave_is_named_in_the_deadlock_panic() {
+        let topo = ClusterTopology::lassen(3);
+        let msg = panic_message(|| {
+            MpiWorld::run_driven(&topo, MpiConfig::mpi_opt(), |_| {
+                // node 1's leader never enters the allreduces
+                Prog::per_rank(AllreduceAlgorithm::TwoLevel, |rank| {
+                    (rank != 4).then_some(1000)
+                })
+            });
+        });
+        assert!(msg.contains("deadlock on the driven core"), "{msg}");
+        assert!(
+            msg.contains(
+                "ranks [0, 8] wait for the other 1 participants of ring allreduce #1 of 1000 \
+                 elems (f32) over 3 ranks of stride 4"
+            ),
+            "{msg}"
+        );
+        // the ranks parked on messages are still listed
+        assert!(msg.contains("rank 5 waits for (src 4, tag"), "{msg}");
+    }
+
+    /// Two descriptors pending at once mean the leaders disagree about
+    /// the collective: reported at the second arrival, naming both.
+    #[test]
+    fn a_mis_sized_wave_is_a_mismatch_panic() {
+        let topo = ClusterTopology::lassen(3);
+        let msg = panic_message(|| {
+            MpiWorld::run_driven(&topo, MpiConfig::mpi_opt(), |_| {
+                Prog::per_rank(AllreduceAlgorithm::TwoLevel, |rank| {
+                    Some(if rank / 4 == 1 { 999 } else { 1000 })
+                })
+            });
+        });
+        assert!(
+            msg.contains("collective mismatch on the driven core"),
+            "{msg}"
+        );
+        for elems in [999, 1000] {
+            assert!(
+                msg.contains(&format!("ring allreduce #1 of {elems} elems")),
+                "{msg}"
+            );
+        }
+    }
+
     /// The incremental chunk arithmetic against `chunk_range`, from every
-    /// starting chunk through two full rotations.
+    /// starting chunk through two full rotations down and back up.
     #[test]
     fn chunk_cursor_matches_chunk_range() {
         use crate::collectives::chunk_range;
@@ -873,14 +1088,20 @@ mod tests {
                             chunk_range(elems, p, i).len(),
                             "elems {elems}, p {p}, chunk {i}"
                         );
+                        assert_eq!(cursor.down().up().rem, cursor.rem);
                         cursor = cursor.down();
+                    }
+                    for k in 0..2 * p {
+                        let i = (start + k) % p;
+                        assert_eq!(
+                            cursor.len(),
+                            chunk_range(elems, p, i).len(),
+                            "elems {elems}, p {p}, chunk {i} (up)"
+                        );
+                        cursor = cursor.up();
                     }
                 }
             }
         }
-    }
-
-    fn bits(clocks: &[f64]) -> Vec<u64> {
-        clocks.iter().map(|c| c.to_bits()).collect()
     }
 }

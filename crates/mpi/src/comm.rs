@@ -17,7 +17,7 @@ use crate::message::{Message, Payload};
 
 /// Per-rank communication statistics (drives Fig 11's hit-rate numbers and
 /// the transport-mix assertions in tests).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommStats {
     /// Bytes sent over NVLink P2P (IPC path).
     pub nvlink_bytes: u64,
@@ -86,6 +86,25 @@ pub(crate) enum Wire {
     Driven { outbox: Vec<(usize, Message)> },
 }
 
+/// One remembered answer of [`Comm::route`].
+#[derive(Clone, Copy)]
+struct Route {
+    /// `(dst, bytes, rendezvous size, policy)`.
+    key: (usize, u64, Option<u64>, PathPolicy),
+    path: TransportPath,
+    /// Fault-free wire time, fat-tree latency included.
+    transfer: f64,
+}
+
+impl Route {
+    /// Matches no send: no rank is `usize::MAX`.
+    const NONE: Route = Route {
+        key: (usize::MAX, 0, None, PathPolicy::Mpi),
+        path: TransportPath::DeviceLocal,
+        transfer: 0.0,
+    };
+}
+
 /// MPI communicator for one rank.
 pub struct Comm {
     rank: usize,
@@ -105,10 +124,8 @@ pub struct Comm {
     regcache: RegistrationCache,
     ipc_registries: Arc<Vec<IpcRegistry>>,
     ipc_mapped: Vec<bool>,
-    /// The last inter-node destination and the fat tree's extra latency to
-    /// it: a ring sends to one neighbour for thousands of hops, and the
-    /// switch-hop count costs three divisions to derive.
-    ib_route: (usize, f64),
+    /// The two most recent answers of [`Comm::route`], newest first.
+    routes: [Route; 2],
     stats: CommStats,
     pub(crate) coll_seq: u64,
     policy: PathPolicy,
@@ -167,7 +184,7 @@ impl Comm {
             regcache,
             ipc_registries,
             ipc_mapped: vec![false; size],
-            ib_route: (usize::MAX, 0.0),
+            routes: [Route::NONE; 2],
             stats: CommStats::default(),
             coll_seq: 0,
             policy: PathPolicy::Mpi,
@@ -493,8 +510,15 @@ impl Comm {
     /// fresh id for transient ones.
     pub fn send(&mut self, dst: usize, tag: u64, payload: Payload, buf_id: u64) {
         if let Err(e) = self.try_send(dst, tag, payload, buf_id) {
-            panic!("dlsr-mpi: rank {}: send failed: {e}", self.rank);
+            self.send_failed(e);
         }
+    }
+
+    /// The terminal-send-error panic of [`Comm::send`], shared with the
+    /// ring wave so a failed hop aborts the world with the same message.
+    #[cold]
+    pub(crate) fn send_failed(&self, e: CommError) -> ! {
+        panic!("dlsr-mpi: rank {}: send failed: {e}", self.rank);
     }
 
     /// [`Comm::send`], returning terminal failures instead of panicking.
@@ -505,19 +529,41 @@ impl Comm {
         payload: Payload,
         buf_id: u64,
     ) -> Result<(), CommError> {
+        let arrival = self.account_send(dst, payload.size_bytes(), buf_id)?;
+        self.deliver(
+            dst,
+            Message {
+                src: self.rank,
+                tag,
+                payload,
+                arrival,
+            },
+        )
+    }
+
+    /// Everything a send of `bytes` to `dst` charges this rank — path
+    /// selection and any IPC handshake, registration, the send overhead,
+    /// the transport counters, wire time with fat-tree latency and fault
+    /// verdicts, the NET span — and the message's arrival stamp. Rank-local:
+    /// no message exists yet. [`Comm::try_send`] hands the stamp to the wire
+    /// in a [`Message`]; the driven engine's ring wave
+    /// ([`RingWave`](crate::collectives::tasks::RingWave)) hands it straight
+    /// to the neighbour's [`Comm::account_recv`]. Both pay through this one
+    /// function, so a wave cannot charge differently from the messages it
+    /// replaces.
+    pub(crate) fn account_send(
+        &mut self,
+        dst: usize,
+        bytes: u64,
+        buf_id: u64,
+    ) -> Result<f64, CommError> {
         if dst >= self.size {
             return Err(CommError::InvalidRank {
                 rank: dst,
                 size: self.size,
             });
         }
-        let bytes = payload.size_bytes();
-        // The protocol decision (IPC/NVLink vs host staging, eager vs
-        // rendezvous) is made for the registered parent buffer when a
-        // chunked collective is streaming it as sub-chunks; each chunk
-        // then rides the path the parent established. Transfer time below
-        // still uses the chunk's own wire size.
-        let path = self.resolve_path(dst, self.rendezvous_bytes.unwrap_or(bytes))?;
+        let (path, transfer) = self.route(dst, bytes)?;
         self.charge_registration(path, buf_id, bytes);
         // NCCL launches a device kernel per transport step — higher
         // per-message CPU+launch overhead than MPI's host-driven engine.
@@ -550,19 +596,6 @@ impl Comm {
                 }
             }
         }
-        let mut transfer = match self.policy {
-            PathPolicy::Mpi => self.cfg.transport.transfer_time(path, bytes),
-            PathPolicy::NcclLike => self.cfg.transport.transfer_time_nccl(path, bytes),
-        };
-        if matches!(path, TransportPath::IbRdma | TransportPath::IbEager) {
-            // spine-crossing hops on the fat tree add switch latency
-            if self.ib_route.0 != dst {
-                let dst_node = dst / self.topo.gpus_per_node;
-                let extra = self.cfg.fat_tree.extra_latency(self.my_node, dst_node);
-                self.ib_route = (dst, extra);
-            }
-            transfer += self.ib_route.1;
-        }
         #[cfg(feature = "faults")]
         let transfer = self.faulted_transfer(dst, transfer)?;
         let arrival = self.clock.now() + transfer;
@@ -575,15 +608,42 @@ impl Comm {
             arrival,
         );
         self.stats.sends += 1;
-        self.deliver(
-            dst,
-            Message {
-                src: self.rank,
-                tag,
-                payload,
-                arrival,
-            },
-        )
+        Ok(arrival)
+    }
+
+    /// The transport path of a `bytes` message to `dst` and its fault-free
+    /// wire time. The protocol decision (IPC/NVLink vs host staging, eager
+    /// vs rendezvous) is made for the registered parent buffer when a
+    /// chunked collective is streaming it as sub-chunks; each chunk then
+    /// rides the path the parent established, and wire time still uses the
+    /// chunk's own size.
+    ///
+    /// Once a destination's IPC handshake is done the answer is a pure
+    /// function of `(dst, bytes, rendezvous size, policy)`, and a ring sends
+    /// two chunk lengths to one neighbour for thousands of hops — so the
+    /// last two answers are remembered.
+    fn route(&mut self, dst: usize, bytes: u64) -> Result<(TransportPath, f64), CommError> {
+        let key = (dst, bytes, self.rendezvous_bytes, self.policy);
+        if let Some(hit) = self.routes.iter().find(|r| r.key == key) {
+            return Ok((hit.path, hit.transfer));
+        }
+        let path = self.resolve_path(dst, self.rendezvous_bytes.unwrap_or(bytes))?;
+        let mut transfer = match self.policy {
+            PathPolicy::Mpi => self.cfg.transport.transfer_time(path, bytes),
+            PathPolicy::NcclLike => self.cfg.transport.transfer_time_nccl(path, bytes),
+        };
+        if matches!(path, TransportPath::IbRdma | TransportPath::IbEager) {
+            // spine-crossing hops on the fat tree add switch latency
+            let dst_node = dst / self.topo.gpus_per_node;
+            transfer += self.cfg.fat_tree.extra_latency(self.my_node, dst_node);
+        }
+        self.routes[1] = self.routes[0];
+        self.routes[0] = Route {
+            key,
+            path,
+            transfer,
+        };
+        Ok((path, transfer))
     }
 
     /// Hand a finished message to the wire, charging the in-flight budget
@@ -714,16 +774,24 @@ impl Comm {
         if let Some(b) = &self.budget {
             b.release(&m);
         }
-        let bytes = m.payload.size_bytes();
+        self.account_recv(m.src, m.payload.size_bytes(), m.arrival, recv_buf_id);
+        m.payload
+    }
+
+    /// Everything receiving a `bytes` message from `src` stamped `arrival`
+    /// charges this rank: receive-side registration, the clock merge, the
+    /// receive overhead. The receive half of [`Comm::account_send`], shared
+    /// the same way by the message path and the ring wave.
+    #[inline]
+    pub(crate) fn account_recv(&mut self, src: usize, bytes: u64, arrival: f64, recv_buf_id: u64) {
         // Receiver-side registration: for inter-node RDMA the receive buffer
         // must be pinned too.
-        if bytes >= self.cfg.transport.eager_threshold && !self.on_my_node(m.src) {
+        if bytes >= self.cfg.transport.eager_threshold && !self.on_my_node(src) {
             self.charge_registration(TransportPath::IbRdma, recv_buf_id, bytes);
         }
-        self.clock.merge(m.arrival);
+        self.clock.merge(arrival);
         self.clock.advance(self.cfg.recv_overhead);
         self.stats.recvs += 1;
-        m.payload
     }
 
     /// Concurrent send + receive (both directions in flight, as in ring
@@ -868,5 +936,12 @@ impl Comm {
     #[inline]
     pub(crate) fn push_pending(&mut self, m: Message) {
         self.pending.push_back(m);
+    }
+
+    /// Is this rank stepped by the driven engine? There a costs-only ring
+    /// parks on a wave instead of exchanging messages.
+    #[inline]
+    pub(crate) fn on_driven_wire(&self) -> bool {
+        matches!(self.wire, Wire::Driven { .. })
     }
 }

@@ -12,10 +12,24 @@
 //! comment in `run`). No locks, no syscalls, no context switches: this
 //! is the core that takes worlds to 512–4096 ranks.
 //!
+//! A costs-only ring allreduce does not even route messages here. Its hops
+//! carry nothing but a length, so the task returns the third outcome,
+//! [`Poll::Wave`], naming the ring; the engine parks the rank, counts
+//! arrivals, and when the last participant parks evaluates the whole ring
+//! in one pass over the communicators (`RingWave::run`) and wakes them
+//! all. The pass charges every hop through the accounting functions the
+//! message path calls (`Comm::account_send` / `Comm::account_recv`), in
+//! each rank's own operation order — one more topological order of the
+//! same dataflow graph, so clocks, statistics, registration caches and
+//! trace spans come out as the messages would have left them. Nothing is
+//! in flight during a wave, so it charges no `FlightBudget`: the budget
+//! bounds host bytes held in mailboxes, and a wave holds none.
+//!
 //! The same [`EventTask`]s run unchanged on the context core via
 //! [`drive_task`] (poll, and on `Pending` block the OS thread until the
-//! match arrives), so every collective has exactly one implementation —
-//! its state machine — and core equivalence is structural rather than
+//! match arrives; rings exchange their messages there and are the wave's
+//! reference), so every collective has exactly one implementation — its
+//! state machine — and core equivalence is structural rather than
 //! maintained by hand.
 
 use std::sync::Arc;
@@ -24,6 +38,7 @@ use dlsr_gpu::IpcRegistry;
 use dlsr_net::ClusterTopology;
 use dlsr_trace::TraceEvent;
 
+use crate::collectives::tasks::RingWave;
 use crate::comm::{Comm, Wire};
 use crate::config::MpiConfig;
 use crate::executor::budget::FlightBudget;
@@ -41,6 +56,12 @@ pub enum Poll {
         /// Tag awaited.
         tag: u64,
     },
+    /// The task reached a costs-only ring allreduce on the driven engine
+    /// and needs the *ring* to complete, not a message: the rank parks
+    /// until every participant of this descriptor has parked, the engine
+    /// evaluates the ring in one pass ([`RingWave`]) and wakes them all.
+    /// Never returned on the context core, whose rings exchange messages.
+    Wave(RingWave),
 }
 
 /// A resumable unit of rank work (one collective, one negotiation round).
@@ -129,6 +150,10 @@ pub fn drive_task(comm: &mut Comm, task: &mut dyn EventTask) {
         match task.poll(comm) {
             Poll::Ready => return,
             Poll::Pending { src, tag } => comm.block_until_match(src, tag),
+            Poll::Wave(ring) => unreachable!(
+                "dlsr-mpi: rank {}: {ring} parked as a wave off the driven engine",
+                comm.rank()
+            ),
         }
     }
 }
@@ -184,6 +209,14 @@ where
     let mut tasks: Vec<Option<Task>> = (0..size).map(|_| None).collect();
     // `Some((src, tag))` while a rank's task is parked on that match.
     let mut waiting: Vec<Option<(usize, u64)>> = vec![None; size];
+    // The ring some ranks are parked on as a wave, and those ranks in
+    // arrival order. One slot is enough: every participant of a ring holds
+    // the same descriptor, and no rank can reach a later collective while a
+    // ring it belongs to is incomplete — two different descriptors pending
+    // together mean the ranks disagree about the collective (invariant 5
+    // of docs/CORRECTNESS.md), which is reported at once.
+    let mut wave: Option<RingWave> = None;
+    let mut wave_ranks: Vec<usize> = Vec::new();
     // Per-rank trace accumulation: the engine thread's trace buffer is
     // drained into the running rank's slot at every segment boundary.
     let mut traces: Vec<Vec<TraceEvent>> = vec![Vec::new(); size];
@@ -219,6 +252,33 @@ where
                         waiting[r] = Some((src, tag));
                         if tracing {
                             traces[r].extend(dlsr_trace::take_thread_events());
+                        }
+                        break;
+                    }
+                    Poll::Wave(ring) => {
+                        if tracing {
+                            traces[r].extend(dlsr_trace::take_thread_events());
+                        }
+                        if let Some(other) = wave.filter(|other| *other != ring) {
+                            panic!(
+                                "dlsr-mpi: collective mismatch on the driven core: rank {r} \
+                                 enters {ring} while ranks {wave_ranks:?} wait in {other}"
+                            );
+                        }
+                        wave = Some(ring);
+                        wave_ranks.push(r);
+                        if wave_ranks.len() == ring.participants() {
+                            ring.run(&mut comms);
+                            if tracing {
+                                // the kernel tagged each cell's events with
+                                // the rank it accounted for
+                                for e in dlsr_trace::take_thread_events() {
+                                    let rank = e.rank;
+                                    traces[rank].push(e);
+                                }
+                            }
+                            wave = None;
+                            runnable.append(&mut wave_ranks);
                         }
                         break;
                     }
@@ -259,13 +319,20 @@ where
     }
 
     if live > 0 {
-        let stuck: Vec<String> = waiting
+        let mut stuck: Vec<String> = waiting
             .iter()
             .enumerate()
             .filter_map(|(rank, w)| {
                 w.map(|(src, tag)| format!("rank {rank} waits for (src {src}, tag {tag:#x})"))
             })
             .collect();
+        if let Some(ring) = wave {
+            wave_ranks.sort_unstable();
+            stuck.push(format!(
+                "ranks {wave_ranks:?} wait for the other {} participants of {ring}",
+                ring.participants() - wave_ranks.len()
+            ));
+        }
         panic!(
             "dlsr-mpi: deadlock on the driven core: {live} ranks never completed; {}",
             stuck.join("; ")

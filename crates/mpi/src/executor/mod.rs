@@ -21,11 +21,15 @@
 //!   *programs*; zero threads. Rank programs are resumable state machines
 //!   ([`RankProgram`] yielding [`EventTask`]s) stepped by a
 //!   single-threaded virtual-time event loop; this is the core that takes
-//!   worlds to 512–4096 ranks.
+//!   worlds to 512–4096 ranks. Costs-only ring allreduces park on a
+//!   rendezvous ([`Poll::Wave`]) and are evaluated as one wave over the
+//!   communicators instead of being routed hop by hop.
 //!
 //! Neither is selected by configuration: the caller's entry point is the
-//! choice, and the two are pinned bitwise-equal by
-//! `collectives::tasks::tests::all_cores_agree_bitwise`.
+//! choice, and the two are pinned bitwise-equal — clocks, `CommStats`,
+//! registration caches — by
+//! `collectives::tasks::tests::all_cores_agree_bitwise` and, over the
+//! configuration space, by `tests/wave_equivalence.rs`.
 
 pub(crate) mod budget;
 pub(crate) mod context;
