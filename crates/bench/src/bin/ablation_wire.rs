@@ -1,23 +1,19 @@
-//! Wire-efficiency of the compressed gradient formats (docs/WIRE.md).
-//!
-//! Three measurements, one file:
+//! **Ablation** — wire efficiency of the compressed gradient formats
+//! (docs/WIRE.md), written to `results/BENCH_wire.json`:
 //!
 //! - a **wire-byte sweep**: encoded bytes per [`WireFormat`] across the
 //!   gradient size bins the selector distinguishes, asserting the headline
 //!   claim — bf16 shrinks every >= 8 MiB bin by >= 1.8x,
 //! - a traced virtual-time comparison of the overlapped 2-node profile:
 //!   plain f32 vs hierarchical allreduce + bf16 wire + the (frozen) comm
-//!   tuner, asserting exposed communication drops by >= 15%,
-//! - a criterion group `wire` timing the host cost of the quantizers
-//!   (compression must not make the simulation itself slow).
+//!   tuner, asserting exposed communication drops by >= 15%.
 //!
-//! Written to `results/BENCH_wire.json`. The assertions run in both bench
-//! and `--test` mode, so CI exercises them via
-//! `cargo bench -p dlsr-bench --bench wire -- --test`.
+//! Run: `cargo run --release -p dlsr-bench --bin ablation_wire`
 
-use criterion::{criterion_group, Criterion};
-use std::hint::black_box;
-
+#![forbid(unsafe_code)]
+use dlsr::trace::report::StepReport;
+use dlsr_bench::write_json;
+use dlsr_cluster::analysis::traced_real_run;
 use dlsr_cluster::{train_real, RealTrainConfig};
 use dlsr_models::EdsrConfig;
 use dlsr_mpi::{MpiConfig, WireFormat};
@@ -57,27 +53,8 @@ fn cfg(tune_comm: bool) -> RealTrainConfig {
         .build()
 }
 
-fn bench_wire(c: &mut Criterion) {
-    let mut group = c.benchmark_group("wire");
-    group.sample_size(10);
-    let src: Vec<f32> = (0..1 << 18).map(|i| (i as f32).sin()).collect();
-    for wf in [
-        WireFormat::Bf16,
-        WireFormat::Fp16,
-        WireFormat::TopK { k_permille: 50 },
-    ] {
-        group.bench_function(format!("quantize/{wf}"), |b| {
-            b.iter(|| {
-                let mut buf = src.clone();
-                wf.quantize(&mut buf);
-                black_box(buf)
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Mean exposed communication per rank of one traced overlapped run.
+/// (virtual step time, mean exposed communication per rank) of one traced
+/// overlapped run.
 fn traced_exposed(mpi: MpiConfig, tune_comm: bool) -> (f64, f64) {
     let topo = ClusterTopology::lassen(NODES);
     if tune_comm {
@@ -89,19 +66,14 @@ fn traced_exposed(mpi: MpiConfig, tune_comm: bool) -> (f64, f64) {
         let warmup = cfg(true).to_builder().steps(16).build();
         train_real(&topo, mpi.clone(), &warmup);
     }
-    dlsr::trace::set_enabled(true);
-    dlsr::trace::reset();
-    let res = train_real(&topo, mpi, &cfg(tune_comm));
-    dlsr::trace::set_enabled(false);
-    let counters = dlsr::trace::counters_snapshot();
-    dlsr::trace::reset();
-    let report = dlsr::trace::report::StepReport::build(&res.trace, &counters);
+    let run = traced_real_run(&topo, mpi, &cfg(tune_comm));
+    let report = StepReport::build(&run.trace, &run.counters);
     let n = report.ranks.len() as f64;
     let exposed = report.ranks.iter().map(|r| r.exposed_comm_s).sum::<f64>() / n;
-    (res.makespan / STEPS as f64, exposed)
+    (run.makespan / STEPS as f64, exposed)
 }
 
-fn write_wire_results() {
+fn main() {
     // Part 1: encoded bytes per format and size bin.
     let mut sweep = Vec::new();
     for dense in BINS {
@@ -109,15 +81,15 @@ fn write_wire_results() {
         let mut formats = std::collections::BTreeMap::new();
         for wf in WireFormat::ALL {
             let bytes = wf.wire_bytes(elems);
+            let ratio = dense as f64 / bytes as f64;
             formats.insert(
                 wf.to_string(),
                 serde_json::json!({
                     "wire_bytes": bytes,
-                    "ratio": dense as f64 / bytes as f64,
+                    "ratio": ratio,
                 }),
             );
             if wf == WireFormat::Bf16 && dense >= 8 << 20 {
-                let ratio = dense as f64 / bytes as f64;
                 assert!(
                     ratio >= 1.8,
                     "bf16 shrinks a {} MiB bin only {ratio:.2}x (< 1.8x)",
@@ -150,47 +122,35 @@ fn write_wire_results() {
         wire_exposed * 1e3,
     );
 
-    let value = serde_json::json!({
-        "workload": {
-            "model": "EDSR(B=4, F=64)",
-            "grad_bytes": model().grad_bytes(),
-            "nodes": NODES,
-            "gpus": NODES * 4,
-            "global_batch": 8,
-            "steps": STEPS,
-            "scenario": "mpi-opt",
-        },
-        "size_bins": sweep,
-        "overlapped_f32": {
-            "step_time_s": f32_step,
-            "exposed_comm_s": f32_exposed,
-        },
-        "overlapped_hier_bf16_tuned": {
-            "step_time_s": wire_step,
-            "exposed_comm_s": wire_exposed,
-        },
-        "exposed_drop_frac": drop,
-        "step_speedup": f32_step / wire_step,
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_wire.json");
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&value).expect("serialize"),
-    )
-    .expect("write BENCH_wire.json");
-    println!("[results written to {path}]");
+    write_json(
+        "BENCH_wire.json",
+        &serde_json::json!({
+            "workload": {
+                "model": "EDSR(B=4, F=64)",
+                "grad_bytes": model().grad_bytes(),
+                "nodes": NODES,
+                "gpus": NODES * 4,
+                "global_batch": 8,
+                "steps": STEPS,
+                "scenario": "mpi-opt",
+            },
+            "size_bins": sweep,
+            "overlapped_f32": {
+                "step_time_s": f32_step,
+                "exposed_comm_s": f32_exposed,
+            },
+            "overlapped_hier_bf16_tuned": {
+                "step_time_s": wire_step,
+                "exposed_comm_s": wire_exposed,
+            },
+            "exposed_drop_frac": drop,
+            "step_speedup": f32_step / wire_step,
+        }),
+    );
     println!(
         "exposed comm: {:.3} ms f32 -> {:.3} ms hier+bf16+tuned ({:.1}% drop)",
         f32_exposed * 1e3,
         wire_exposed * 1e3,
         drop * 100.0
     );
-}
-
-criterion_group!(benches, bench_wire);
-
-fn main() {
-    write_wire_results();
-    let mut criterion = Criterion::from_args();
-    benches(&mut criterion);
 }

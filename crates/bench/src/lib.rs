@@ -1,5 +1,7 @@
 //! `dlsr-bench` — harness binaries regenerating every table and figure of
-//! the paper (see `src/bin/`), plus criterion microbenches (`benches/`).
+//! the paper and the other committed virtual-clock result files (see
+//! `src/bin/`). Wall-clock numbers are the `benchmark/` package's, not
+//! this crate's.
 //!
 //! Shared output helpers live here.
 

@@ -27,7 +27,7 @@
 
 use std::collections::BTreeMap;
 
-use dlsr_mpi::AllreduceAlgorithm;
+use dlsr_mpi::{AllreduceAlgorithm, MpiConfig};
 use dlsr_net::ClusterTopology;
 use dlsr_trace::analyze::{collective_profiles, critical_path, Attribution, CritPath};
 use dlsr_trace::TraceEvent;
@@ -58,31 +58,29 @@ pub struct TracedRun {
     pub counters: BTreeMap<String, f64>,
 }
 
-/// Run real EDSR(tiny) training on `topo` with tracing on and collect
-/// the spans. Weak scaling: one image per rank per step, matching
-/// `dlsr profile`. Resets the global trace state.
-pub fn traced_real_run(
-    topo: &ClusterTopology,
-    sc: Scenario,
-    steps: usize,
-    checkpoint_every: usize,
-) -> TracedRun {
-    let world = topo.total_gpus();
-    let cfg = RealTrainConfig::builder()
+/// The weak-scaling configuration `dlsr profile` and `dlsr analyze` trace:
+/// one image per rank per step.
+pub fn weak_scaling_config(world: usize, steps: usize, checkpoint_every: usize) -> RealTrainConfig {
+    RealTrainConfig::builder()
         .steps(steps)
         .global_batch(world)
         .checkpoint_every(checkpoint_every)
-        .build();
+        .build()
+}
+
+/// Run real EDSR training on `topo` with tracing on and collect the
+/// spans. Resets the global trace state.
+pub fn traced_real_run(topo: &ClusterTopology, mpi: MpiConfig, cfg: &RealTrainConfig) -> TracedRun {
     let window = TRACE_WINDOW.lock();
     dlsr_trace::set_enabled(true);
     dlsr_trace::reset();
-    let res = train_real(topo, sc.mpi_config(), &cfg);
+    let res = train_real(topo, mpi, cfg);
     dlsr_trace::set_enabled(false);
     let counters = dlsr_trace::counters_snapshot();
     drop(window);
     TracedRun {
-        world,
-        steps,
+        world: topo.total_gpus(),
+        steps: cfg.steps,
         makespan: res.makespan,
         trace: res.trace,
         counters,
@@ -283,7 +281,7 @@ pub fn validate(
                 nodes: 1,
                 gpus_per_node: w,
             };
-            let run = traced_real_run(&topo, sc, steps, 0);
+            let run = traced_real_run(&topo, sc.mpi_config(), &weak_scaling_config(w, steps, 0));
             let actual = run.makespan / steps.max(1) as f64;
             let predicted = model.predict_step_s(w);
             ValidationPoint {
@@ -396,7 +394,7 @@ pub fn sim_check(
         .iter()
         .map(|&w| {
             assert_eq!(w % 4, 0, "worlds are whole Lassen nodes (4 GPUs each)");
-            let p = crate::simscale::measure_point(w / 4, sc, batch, warmup, steps, seed, t1, 1);
+            let p = crate::simscale::measure_point(w / 4, sc, batch, warmup, steps, seed, t1);
             let predicted_step_s = model.predict_step_s(w);
             let simulated_step_s = p.virtual_step_s;
             let predicted_eff = model.predict_efficiency(w);
@@ -766,7 +764,11 @@ mod tests {
             nodes: 1,
             gpus_per_node: 2,
         };
-        let run = traced_real_run(&topo, Scenario::MpiOpt, 3, 0);
+        let run = traced_real_run(
+            &topo,
+            Scenario::MpiOpt.mpi_config(),
+            &weak_scaling_config(2, 3, 0),
+        );
         assert_eq!(run.world, 2);
         assert!(!run.trace.is_empty());
         let (model, cp) = fit_model(&run, Scenario::MpiOpt);

@@ -170,11 +170,10 @@ pub struct SimTrainer {
     /// HOROVOD_TIMELINE events) over the measured window. On by default.
     /// Recording is plain data — an event is a static name template plus
     /// indices, rendered only on export — and costs a few percent of a
-    /// 512-rank world's host time (`dlsr simscale --check` holds it under
-    /// 10 %). The simulator-scaling sweeps still turn it off: their walls
-    /// should measure the engine alone, and a 4096-rank world would hold
-    /// O(ranks × steps) events nobody reads. The virtual clocks are
-    /// identical either way.
+    /// 512-rank world's host time (the benchmark's
+    /// `hvprof.artifacts_overhead_pct_w512`). `dlsr simscale` still turns
+    /// it off: a 4096-rank world would hold O(ranks × steps) events nobody
+    /// reads. The virtual clocks are identical either way.
     artifacts: bool,
 }
 

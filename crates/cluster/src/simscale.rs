@@ -1,26 +1,19 @@
-//! Simulator-scaling benchmark: how fast (host wall-clock) the driven
-//! engine pushes the paper-scale costs-only workload through 64–4096 virtual
-//! ranks, behind `dlsr simscale`.
+//! Simulator-scaling sweep: the paper-scale costs-only workload pushed
+//! through 64–4096 virtual ranks on the driven engine, behind
+//! `dlsr simscale`.
 //!
-//! Two families of numbers live in a [`SimScaleReport`], with different
-//! portability:
-//!
-//! - **virtual** quantities (`virtual_step_s`, `efficiency`) are on the
-//!   simulated clock. They are bitwise machine-independent, so a committed
-//!   report is a CI regression baseline for them ([`gate`]).
-//! - **wall** quantities (`wall_s`, `rank_steps_per_s`) measure the
-//!   simulator itself on the host that ran it. They are never gated
-//!   against a committed file; `dlsr simscale --check` asserts the
-//!   absolute criterion (512-rank step under a wall bound) and the two
-//!   readings of an [`ArtifactCost`] on the machine at hand.
+//! Everything in a [`SimScaleReport`] is on the simulated clock, so it is
+//! bitwise machine-independent: `results/BENCH_simscale.json` is committed
+//! output that CI regenerates and diffs. What the sweep costs the *host*
+//! (per rank-step, with and without artifacts) is measured by the repo's
+//! benchmark, not here — `cluster.host_us_per_rank_step_w{64,512,1024}`,
+//! `cluster.run_world_ms_w512`, `hvprof.artifacts_overhead_pct_w512` and
+//! `op_ms_min` on `sim_world_512`.
 
-use std::time::Instant;
-
-use dlsr_attr as dlsr;
 use dlsr_net::ClusterTopology;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use crate::experiment::{assemble_artifacts, run_world};
+use crate::experiment::run_world;
 use crate::scenario::Scenario;
 use crate::sim::SimTrainer;
 use crate::workload::edsr_measured_workload;
@@ -28,129 +21,67 @@ use crate::workload::edsr_measured_workload;
 /// Default node sweep: 64 → 512 ranks on 4-GPU Lassen nodes (Figs 12/13).
 pub const DEFAULT_NODES: [usize; 4] = [16, 32, 64, 128];
 
+/// Nodes of the large-world smoke point every sweep ends with (4096 ranks).
+const SMOKE_NODES: usize = 1024;
+
 /// One measured world size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimScalePoint {
     /// Total ranks (nodes × 4).
     pub world: usize,
     pub nodes: usize,
-    /// Mean virtual step time over the measured window, seconds
-    /// (machine-independent).
+    /// Mean virtual step time over the measured window, seconds.
     pub virtual_step_s: f64,
     /// Weak-scaling efficiency vs. the single-rank virtual step time.
     pub efficiency: f64,
-    /// Host wall-clock of the whole run, seconds (machine-dependent).
-    pub wall_s: f64,
-    /// Simulator throughput: `world × (warmup + steps) / wall_s`.
-    pub rank_steps_per_s: f64,
-}
-
-/// What the per-run diagnostic artifacts (profile + timeline) cost at one
-/// world size. The three walls are taken within one process as interleaved
-/// best-ofs. `dlsr simscale --check` asserts two readings of them: assembly
-/// as a share of the run that fed it, and what recording costs *per
-/// recorded event*. The second used to be the ratio on ÷ off; that ratio's
-/// base is the engine's own cost, so every engine speed-up read as an
-/// artifact regression while the recording cost had not moved. Per event
-/// it is a property of the recording path alone.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ArtifactCost {
-    pub world: usize,
-    /// `run_world` wall with artifacts off, seconds.
-    pub run_world_off_s: f64,
-    /// `run_world` wall with artifacts on, seconds.
-    pub run_world_on_s: f64,
-    /// Wall of assembling the run's artifacts from the per-rank results
-    /// (what `run_training` does after `run_world`), seconds.
-    pub assembly_s: f64,
-    /// Timeline events the artifacts-on run recorded, all ranks (every
-    /// allreduce event has a profile record beside it). `None` in reports
-    /// written before the field existed.
-    #[serde(default)]
-    pub events: Option<usize>,
-}
-
-impl ArtifactCost {
-    /// Artifact assembly as a fraction of the `run_world` that fed it.
-    pub fn assembly_share(&self) -> f64 {
-        self.assembly_s / self.run_world_on_s
-    }
-
-    /// Host seconds recording adds to `run_world`: artifacts on − off.
-    pub fn recording_s(&self) -> f64 {
-        self.run_world_on_s - self.run_world_off_s
-    }
-
-    /// [`ArtifactCost::recording_s`] per recorded event, nanoseconds
-    /// (`None` without an event count).
-    pub fn recording_ns_per_event(&self) -> Option<f64> {
-        let events = self.events.filter(|&n| n > 0)?;
-        Some(self.recording_s() * 1e9 / events as f64)
-    }
-}
-
-/// The wall columns of one point of an earlier report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WallColumns {
-    pub world: usize,
-    pub wall_s: f64,
-    pub rank_steps_per_s: f64,
 }
 
 /// Everything `dlsr simscale` writes to `results/BENCH_simscale.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimScaleReport {
     pub scenario: String,
     pub batch: usize,
     pub warmup: usize,
     pub steps: usize,
-    /// The driven engine across the node sweep. (Reports written before
-    /// the thread-per-rank core was deleted also carry `threaded` and
-    /// `speedup_vs_threaded`; loading ignores them.)
+    /// The driven engine across the node sweep.
     pub event: Vec<SimScalePoint>,
-    /// Large-world smoke point (4096 ranks), when requested.
-    #[serde(default)]
-    pub smoke: Option<SimScalePoint>,
-    /// Artifact cost at 512 ranks, when the sweep reaches them.
-    #[serde(default)]
-    pub artifacts: Option<ArtifactCost>,
-    /// Wall columns (sweep, then smoke) of the report passed as `--before`:
-    /// the before/after reading of a simulator performance change, both
-    /// taken on one host.
-    #[serde(default)]
-    pub before: Option<Vec<WallColumns>>,
+    /// Large-world smoke point (4096 ranks): one warmup-free step through
+    /// the full stack.
+    pub smoke: SimScalePoint,
 }
 
 impl SimScaleReport {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("SimScaleReport serializes")
     }
+}
 
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| format!("bad simscale JSON: {e:?}"))
-    }
-
-    /// This report's wall columns, sweep points first, then the smoke.
-    pub fn wall_columns(&self) -> Vec<WallColumns> {
-        self.event
+/// Sweep `nodes` (Lassen nodes per world), then the 4096-rank smoke point.
+pub fn sweep(
+    sc: Scenario,
+    batch: usize,
+    warmup: usize,
+    steps: usize,
+    seed: u64,
+    nodes: &[usize],
+) -> SimScaleReport {
+    let t1 = single_rank_step_s(sc, batch, warmup, steps, seed);
+    SimScaleReport {
+        scenario: sc.label().to_string(),
+        batch,
+        warmup,
+        steps,
+        event: nodes
             .iter()
-            .chain(&self.smoke)
-            .map(|p| WallColumns {
-                world: p.world,
-                wall_s: p.wall_s,
-                rank_steps_per_s: p.rank_steps_per_s,
-            })
-            .collect()
+            .map(|&n| measure_point(n, sc, batch, warmup, steps, seed, t1))
+            .collect(),
+        smoke: measure_point(SMOKE_NODES, sc, batch, 0, 1, seed, t1),
     }
 }
 
 /// Run the paper-scale EDSR workload on `nodes` Lassen nodes and measure
 /// it. `t1_step` is the single-rank virtual step time
 /// (from [`single_rank_step_s`]) the efficiency is normalized against.
-/// The wall measurement is best-of-`repeats` (virtual quantities are
-/// bitwise identical across repeats, so only the wall numbers differ):
-/// single-shot walls on a busy host are dominated by scheduler noise.
-#[allow(clippy::too_many_arguments)]
 pub fn measure_point(
     nodes: usize,
     sc: Scenario,
@@ -159,62 +90,15 @@ pub fn measure_point(
     steps: usize,
     seed: u64,
     t1_step: f64,
-    repeats: usize,
 ) -> SimScalePoint {
-    let (topo, trainer) = setup(nodes, sc, batch, seed, false);
-    let (wall_s, res) = time_world(&topo, &trainer, sc, warmup, steps, repeats);
-    point_from(&topo, nodes, &res, wall_s, warmup, steps, t1_step)
-}
-
-/// Measure what the diagnostic artifacts cost on the driven engine at one
-/// world size: `run_world` with artifacts off and on as interleaved
-/// best-of-`pairs` walls (host scheduler noise varies on the
-/// hundreds-of-milliseconds scale; interleaving makes both settings sample
-/// the same noise, so their difference is far steadier than two walls
-/// taken at different moments), and the assembly of each artifacts-on
-/// result.
-#[dlsr::wall]
-pub fn measure_artifact_cost(
-    nodes: usize,
-    sc: Scenario,
-    batch: usize,
-    warmup: usize,
-    steps: usize,
-    seed: u64,
-    pairs: usize,
-) -> ArtifactCost {
-    let (topo, off) = setup(nodes, sc, batch, seed, false);
-    let (_, on) = setup(nodes, sc, batch, seed, true);
-    let mut cost = ArtifactCost {
-        world: topo.total_gpus(),
-        run_world_off_s: f64::INFINITY,
-        run_world_on_s: f64::INFINITY,
-        assembly_s: f64::INFINITY,
-        events: None,
-    };
-    for _ in 0..pairs.max(1) {
-        let (wall_off, _) = time_world(&topo, &off, sc, warmup, steps, 1);
-        let (wall_on, res) = time_world(&topo, &on, sc, warmup, steps, 1);
-        // the same count every pair: recording is deterministic
-        cost.events = Some(res.ranks.iter().map(|r| r.timeline.events().len()).sum());
-        let start = Instant::now();
-        std::hint::black_box(assemble_artifacts(res.ranks));
-        cost.assembly_s = cost.assembly_s.min(start.elapsed().as_secs_f64());
-        cost.run_world_off_s = cost.run_world_off_s.min(wall_off);
-        cost.run_world_on_s = cost.run_world_on_s.min(wall_on);
-    }
-    cost
+    let (topo, trainer) = setup(nodes, sc, batch, seed);
+    let res = run_world(&topo, sc.mpi_config(), &trainer, warmup, steps);
+    point_from(&topo, nodes, &res, steps, t1_step)
 }
 
 /// Build the Lassen-shaped world and the trainer a simscale measurement
 /// runs — artifacts off for every sweep point.
-fn setup(
-    nodes: usize,
-    sc: Scenario,
-    batch: usize,
-    seed: u64,
-    artifacts: bool,
-) -> (ClusterTopology, SimTrainer) {
+fn setup(nodes: usize, sc: Scenario, batch: usize, seed: u64) -> (ClusterTopology, SimTrainer) {
     let (w, tensors) = edsr_measured_workload();
     // Lassen-shaped nodes (4 V100s, NVLink + IB EDR); worlds beyond the
     // real machine's 792 nodes (the 4096-rank smoke) keep the same shape.
@@ -227,57 +111,27 @@ fn setup(
             gpus_per_node: 4,
         }
     };
-    // Sweep points run with artifacts off so the walls measure the engine
-    // alone. The difference is small — recording an event is a push of
-    // plain data, a fraction of a microsecond by `measure_artifact_cost` —
-    // but the per-rank buffers are still O(world × steps) host memory
-    // nothing in the sweep reads. Virtual clocks are unaffected.
+    // Sweep points run with artifacts off: the per-rank buffers are
+    // O(world × steps) host memory nothing in the sweep reads. Virtual
+    // clocks are unaffected.
     let trainer = SimTrainer::new(w, tensors, batch, sc, &topo, seed)
         .expect("per-GPU batch must fit")
-        .with_artifacts(artifacts);
+        .with_artifacts(false);
     (topo, trainer)
-}
-
-/// Best-of-`repeats` wall of one world (virtual quantities are bitwise
-/// identical across repeats, so only the wall differs). Wall-domain
-/// boundary: simscale's product IS host wall time — it benchmarks the
-/// simulator itself and never feeds rank-visible state.
-#[dlsr::wall]
-fn time_world(
-    topo: &ClusterTopology,
-    trainer: &SimTrainer,
-    sc: Scenario,
-    warmup: usize,
-    steps: usize,
-    repeats: usize,
-) -> (f64, dlsr_mpi::WorldResult<crate::sim::RankRun>) {
-    let cfg = sc.mpi_config();
-    let mut wall_s = f64::INFINITY;
-    let mut res = None;
-    for _ in 0..repeats.max(1) {
-        let start = Instant::now();
-        let r = run_world(topo, cfg.clone(), trainer, warmup, steps);
-        wall_s = wall_s.min(start.elapsed().as_secs_f64());
-        res = Some(r);
-    }
-    (wall_s, res.expect("at least one repeat ran"))
 }
 
 fn point_from(
     topo: &ClusterTopology,
     nodes: usize,
     res: &dlsr_mpi::WorldResult<crate::sim::RankRun>,
-    wall_s: f64,
-    warmup: usize,
     steps: usize,
     t1_step: f64,
 ) -> SimScalePoint {
     let warm_end = res.ranks.iter().map(|r| r.warm_end).fold(0.0, f64::max);
     let end = res.ranks.iter().map(|r| r.end).fold(0.0, f64::max);
     let virtual_step_s = (end - warm_end) / steps.max(1) as f64;
-    let world = topo.total_gpus();
     SimScalePoint {
-        world,
+        world: topo.total_gpus(),
         nodes,
         virtual_step_s,
         efficiency: if virtual_step_s > 0.0 {
@@ -285,8 +139,6 @@ fn point_from(
         } else {
             0.0
         },
-        wall_s,
-        rank_steps_per_s: (world * (warmup + steps)) as f64 / wall_s.max(1e-9),
     }
 }
 
@@ -312,41 +164,6 @@ pub fn single_rank_step_s(
     (r.end - r.warm_end) / steps.max(1) as f64
 }
 
-/// Compare a fresh report against a committed baseline. Only the
-/// machine-independent virtual quantities are gated, and only in the
-/// *worse* direction: slower virtual steps or lower efficiency beyond
-/// `tol_pct` percent trip; wall-clock never does.
-pub fn gate(current: &SimScaleReport, baseline: &SimScaleReport, tol_pct: f64) -> Vec<String> {
-    let tol = tol_pct / 100.0;
-    let mut violations = Vec::new();
-    for base in &baseline.event {
-        let Some(cur) = current.event.iter().find(|p| p.world == base.world) else {
-            violations.push(format!(
-                "world {} present in the baseline but missing from the sweep",
-                base.world
-            ));
-            continue;
-        };
-        if base.virtual_step_s > 0.0 && cur.virtual_step_s > base.virtual_step_s * (1.0 + tol) {
-            violations.push(format!(
-                "virtual step at {} ranks regressed: {:.3} ms vs baseline {:.3} ms (tol {tol_pct}%)",
-                base.world,
-                cur.virtual_step_s * 1e3,
-                base.virtual_step_s * 1e3,
-            ));
-        }
-        if base.efficiency > 0.0 && cur.efficiency < base.efficiency * (1.0 - tol) {
-            violations.push(format!(
-                "efficiency at {} ranks regressed: {:.1}% vs baseline {:.1}% (tol {tol_pct}%)",
-                base.world,
-                cur.efficiency * 100.0,
-                base.efficiency * 100.0,
-            ));
-        }
-    }
-    violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,10 +177,10 @@ mod tests {
         let sc = Scenario::MpiOpt;
         let t1 = single_rank_step_s(sc, 4, 1, 3, 7);
         for nodes in [1, 2] {
-            let (topo, trainer) = setup(nodes, sc, 4, 7, false);
+            let (topo, trainer) = setup(nodes, sc, 4, 7);
             let driven = MpiWorld::run_driven(&topo, sc.mpi_config(), |_| trainer.program(1, 3));
             let context = MpiWorld::run(&topo, sc.mpi_config(), |c| trainer.run(c, 1, 3));
-            let [dr, cx] = [driven, context].map(|r| point_from(&topo, nodes, &r, 1.0, 1, 3, t1));
+            let [dr, cx] = [driven, context].map(|r| point_from(&topo, nodes, &r, 3, t1));
             assert_eq!(
                 dr.virtual_step_s.to_bits(),
                 cx.virtual_step_s.to_bits(),
@@ -375,100 +192,24 @@ mod tests {
         }
     }
 
-    /// Removing the `threaded` / `speedup_vs_threaded` columns must not
-    /// break `--baseline`: the committed report was written while they
-    /// existed (the literal below keeps that shape on record should the
-    /// file be regenerated), it must load, and a fresh sweep at `dlsr
-    /// simscale`'s default seed must pass the CI gate against it.
+    /// The committed report is what `dlsr simscale` writes at its defaults,
+    /// byte for byte (CI regenerates and diffs it the same way).
     #[test]
-    fn reports_with_the_deleted_columns_still_load_and_gate() {
-        let old = r#"{"scenario": "MPI-Opt", "batch": 4, "warmup": 1, "steps": 4, "event": [],
-            "threaded": {"world": 64, "nodes": 16, "virtual_step_s": 0.44, "efficiency": 0.88,
-                         "wall_s": 0.3, "rank_steps_per_s": 1066.0},
-            "speedup_vs_threaded": 186.5}"#;
-        SimScaleReport::from_json(old).expect("old-format report loads");
-
-        let committed = include_str!("../../../results/BENCH_simscale.json");
-        let base = SimScaleReport::from_json(committed).expect("committed baseline loads");
-        let sc: Scenario = base.scenario.parse().expect("baseline names a scenario");
-        let seed = 2021;
-        let t1 = single_rank_step_s(sc, base.batch, base.warmup, base.steps, seed);
-        let fresh = SimScaleReport {
-            event: base
-                .event
-                .iter()
-                .map(|p| {
-                    measure_point(
-                        p.nodes,
-                        sc,
-                        base.batch,
-                        base.warmup,
-                        base.steps,
-                        seed,
-                        t1,
-                        1,
-                    )
-                })
-                .collect(),
-            ..base.clone()
-        };
-        assert_eq!(gate(&fresh, &base, 1.0), Vec::<String>::new());
-    }
-
-    #[test]
-    fn artifact_cost_measures_three_positive_walls() {
-        let c = measure_artifact_cost(2, Scenario::MpiOpt, 4, 1, 3, 7, 2);
-        assert_eq!(c.world, 8);
-        for wall in [c.run_world_off_s, c.run_world_on_s, c.assembly_s] {
-            assert!(wall > 0.0 && wall.is_finite(), "{c:?}");
-        }
-        // per measured step: fwd, negotiate, bwd, metrics + one per group
-        let (topo, trainer) = setup(2, Scenario::MpiOpt, 4, 7, true);
+    fn a_fresh_sweep_serialises_to_the_committed_report() {
+        let fresh = sweep(Scenario::MpiOpt, 4, 1, 4, 2021, &DEFAULT_NODES);
         assert_eq!(
-            c.events,
-            Some(topo.total_gpus() * 3 * (4 + trainer.plan().len())),
-            "{c:?}"
+            fresh.to_json(),
+            include_str!("../../../results/BENCH_simscale.json")
         );
-        assert!(c.assembly_share() > 0.0);
-        assert!(c.recording_ns_per_event().is_some_and(f64::is_finite));
     }
 
     #[test]
-    fn gate_trips_on_virtual_regressions_only() {
-        let t1 = single_rank_step_s(Scenario::MpiOpt, 4, 1, 3, 7);
-        let p = measure_point(1, Scenario::MpiOpt, 4, 1, 3, 7, t1, 1);
-        let report = SimScaleReport {
-            scenario: "MPI-Opt".into(),
-            batch: 4,
-            warmup: 1,
-            steps: 3,
-            event: vec![p.clone()],
-            smoke: None,
-            artifacts: None,
-            before: None,
-        };
-        assert!(gate(&report, &report, 10.0).is_empty());
-        // Wall-clock differences never trip.
-        let mut slow_wall = report.clone();
-        slow_wall.event[0].wall_s *= 100.0;
-        slow_wall.event[0].rank_steps_per_s /= 100.0;
-        assert!(gate(&slow_wall, &report, 10.0).is_empty());
-        // A slower virtual step does.
-        let mut regressed = report.clone();
-        regressed.event[0].virtual_step_s *= 1.5;
-        let v = gate(&regressed, &report, 10.0);
-        assert!(
-            v.iter().any(|m| m.contains("virtual step")),
-            "expected a virtual-step violation, got {v:?}"
-        );
-        // A missing world does.
-        let empty = SimScaleReport {
-            event: Vec::new(),
-            ..report.clone()
-        };
-        assert!(!gate(&empty, &report, 10.0).is_empty());
-        // JSON round-trip (the committed-baseline format).
-        let back = SimScaleReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(back, report);
+    fn artifacts_on_records_a_fixed_event_count_per_rank_step() {
+        // per measured step: fwd, negotiate, bwd, metrics + one per group
+        let (topo, trainer) = setup(2, Scenario::MpiOpt, 4, 7);
+        let trainer = trainer.with_artifacts(true);
+        let res = run_world(&topo, Scenario::MpiOpt.mpi_config(), &trainer, 1, 3);
+        let events: usize = res.ranks.iter().map(|r| r.timeline.events().len()).sum();
+        assert_eq!(events, topo.total_gpus() * 3 * (4 + trainer.plan().len()));
     }
 }

@@ -5,8 +5,7 @@
 //!               [--augment] [--warmup W] [--eval-every E] [--digest] [--sequential]
 //!               [--allreduce ALGO] [--wire FMT] [--hier] [--tune-comm]
 //! dlsr simulate [--nodes N] [--steps S] [--batch B] [--scenario NAME]
-//! dlsr simscale [--nodes N,N,...] [--steps S] [--smoke] [--check]
-//!               [--baseline FILE] [--gate PCT] [--before FILE]
+//! dlsr simscale [--nodes N,N,...] [--steps S] [--out FILE]
 //! dlsr profile  [--steps S]
 //! dlsr analyze  [--nodes N] [--steps S] [--baseline FILE] [--gate PCT]
 //! dlsr chaos    [--fault NAME] [--nodes N] [--gpus G] [--steps S] [--seed X]
@@ -38,7 +37,6 @@ fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
                     | "digest"
                     | "no-validate"
                     | "no-sim-check"
-                    | "smoke"
                     | "json"
                     | "sarif"
                     | "self-test"
@@ -134,20 +132,15 @@ USAGE:
   dlsr simulate [--nodes N] [--steps S] [--batch B] [--scenario NAME]
                 at-scale costs-only run of the paper-scale EDSR workload
   dlsr simscale [--nodes N,N,...] [--steps S] [--batch B] [--warmup W]
-                [--scenario NAME] [--smoke] [--check] [--out FILE]
-                [--baseline FILE] [--gate PCT] [--before FILE]
-                benchmark the simulator itself: wall-clock cost of the
-                driven engine across 64-512 virtual ranks (default nodes
-                16,32,64,128), written to results/BENCH_simscale.json.
-                --smoke adds a 4096-rank sanity point. --check asserts the
-                absolute criterion (512 ranks under 60 s wall) and two
-                artifact costs at 512 ranks, from interleaved best-of-20
-                walls (assembly <= 10 % of run_world; recording, i.e.
-                run_world artifacts on - off, <= 1000 ns per recorded
-                event). --baseline gates the
-                machine-independent virtual quantities against a committed
-                report; --before copies an earlier report's wall columns
-                into this one (before/after on one host)
+                [--scenario NAME] [--out FILE]
+                virtual-clock scaling sweep of the paper-scale workload on
+                the driven engine: step time and weak-scaling efficiency at
+                64-512 virtual ranks (default nodes 16,32,64,128) plus a
+                4096-rank point, written to results/BENCH_simscale.json.
+                Every number is on the simulated clock, so the file is
+                identical on every machine; CI regenerates and diffs it.
+                What the sweep costs the host is the benchmark's to measure
+                (benchmark/README.md)
   dlsr profile  [--nodes N] [--steps S] [--scenario NAME] [--sequential] [--check]
                 [--checkpoint-every K] [--trace-sample N]
                 [--allreduce ALGO] [--wire FMT] [--hier] [--tune-comm]
@@ -306,9 +299,8 @@ fn cmd_simulate(flags: &HashMap<String, String>) {
     print!("{}", run.profile.render(Collective::Allreduce));
 }
 
-/// `dlsr simscale`: benchmark the simulator itself — wall-clock cost of
-/// pushing the paper-scale workload through 64–4096 virtual ranks on the
-/// driven engine.
+/// `dlsr simscale`: virtual-clock scaling sweep of the paper-scale
+/// workload through 64–4096 virtual ranks on the driven engine.
 fn cmd_simscale(flags: &HashMap<String, String>) {
     use dlsr::cluster::simscale;
 
@@ -342,67 +334,20 @@ fn cmd_simscale(flags: &HashMap<String, String>) {
         sc.label(),
         nodes.iter().map(|n| n * 4).collect::<Vec<_>>(),
     );
-    let t1 = simscale::single_rank_step_s(sc, batch, warmup, steps, seed);
-    let point_line = |label: &str, p: &dlsr::cluster::SimScalePoint| {
+    let report = simscale::sweep(sc, batch, warmup, steps, seed, &nodes);
+    for (label, p) in report
+        .event
+        .iter()
+        .map(|p| ("event", p))
+        .chain([("smoke", &report.smoke)])
+    {
         println!(
-            "  {label:>8} {:>5} ranks: virtual step {:>8.1} ms, eff {:>5.1} %, \
-             wall {:>7.2} s, {:>9.0} rank-steps/s",
+            "  {label:>8} {:>5} ranks: virtual step {:>8.1} ms, eff {:>5.1} %",
             p.world,
             p.virtual_step_s * 1e3,
             p.efficiency * 100.0,
-            p.wall_s,
-            p.rank_steps_per_s,
         );
-    };
-    let event: Vec<_> = nodes
-        .iter()
-        .map(|&n| {
-            let p = simscale::measure_point(n, sc, batch, warmup, steps, seed, t1, 5);
-            point_line("event", &p);
-            p
-        })
-        .collect();
-    let smoke = flags.contains_key("smoke").then(|| {
-        // 4096-rank sanity: one warmup-free step through the full stack.
-        let p = simscale::measure_point(1024, sc, batch, 0, 1, seed, t1, 1);
-        point_line("smoke", &p);
-        p
-    });
-    // What profile + timeline cost on top of the engine at the paper's
-    // headline scale (the sweep itself runs with artifacts off).
-    let artifacts = nodes.contains(&128).then(|| {
-        let c = simscale::measure_artifact_cost(128, sc, batch, warmup, steps, seed, 20);
-        println!(
-            "  artifacts at {} ranks: run_world {:.1} ms off, {:.1} ms on (+{:.2} ms for \
-             {} events, {:.0} ns each), assembly {:.2} ms ({:.1} % of run_world)",
-            c.world,
-            c.run_world_off_s * 1e3,
-            c.run_world_on_s * 1e3,
-            c.recording_s() * 1e3,
-            c.events.unwrap_or(0),
-            c.recording_ns_per_event().unwrap_or(f64::NAN),
-            c.assembly_s * 1e3,
-            c.assembly_share() * 100.0,
-        );
-        c
-    });
-    let before = flags.get("before").map(|file| {
-        let text = std::fs::read_to_string(file)
-            .unwrap_or_else(|e| die(&format!("cannot read --before {file}: {e}")));
-        dlsr::cluster::SimScaleReport::from_json(&text)
-            .unwrap_or_else(|e| die(&e))
-            .wall_columns()
-    });
-    let report = dlsr::cluster::SimScaleReport {
-        scenario: sc.label().to_string(),
-        batch,
-        warmup,
-        steps,
-        event,
-        smoke,
-        artifacts,
-        before,
-    };
+    }
     if let Some(dir) = std::path::Path::new(&out).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).expect("create output directory");
@@ -410,92 +355,6 @@ fn cmd_simscale(flags: &HashMap<String, String>) {
     }
     std::fs::write(&out, report.to_json()).expect("write simscale JSON");
     println!("simscale     : {out}");
-
-    if flags.contains_key("check") {
-        check_simscale(&report);
-    }
-    if let Some(basefile) = flags.get("baseline") {
-        let tol: f64 = get(flags, "gate", 10.0);
-        let text = std::fs::read_to_string(basefile)
-            .unwrap_or_else(|e| die(&format!("cannot read --baseline {basefile}: {e}")));
-        let base = dlsr::cluster::SimScaleReport::from_json(&text).unwrap_or_else(|e| die(&e));
-        let violations = simscale::gate(&report, &base, tol);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("gate FAILED: {v}");
-            }
-            std::process::exit(1);
-        }
-        println!("gate: within {tol}% of {basefile}");
-    }
-}
-
-/// `simscale --check`'s bound on what one recorded artifact event may add
-/// to `run_world`. An event is a push of plain data plus, for allreduces, a
-/// histogram update: 210–310 ns on the 2-core sandbox this repo is
-/// developed on (340–560 ns on the commit before the ring wave, whose
-/// queued hops shared the cache with the recording), so either side of
-/// that change meets the bound with a factor of two or more to spare.
-const ARTIFACT_NS_PER_EVENT: f64 = 1000.0;
-
-/// `simscale --check`: the absolute acceptance criteria, on this machine.
-fn check_simscale(report: &dlsr::cluster::SimScaleReport) {
-    let mut failed = false;
-    // 512-rank Fig 12/13 reproduction must complete in under a minute.
-    if let Some(p512) = report.event.iter().find(|p| p.world == 512) {
-        if p512.wall_s < 60.0 {
-            println!(
-                "check: 512-rank run took {:.2} s wall (< 60 s)",
-                p512.wall_s
-            );
-        } else {
-            eprintln!(
-                "check FAILED: 512-rank run took {:.2} s wall (>= 60 s)",
-                p512.wall_s
-            );
-            failed = true;
-        }
-    } else {
-        eprintln!("check FAILED: no 512-rank point in the sweep");
-        failed = true;
-    }
-    // The diagnostic artifacts must stay a small add-on at 512 ranks:
-    // assembly against the run that fed it, recording per event recorded —
-    // not against the engine's own wall, or every engine speed-up would
-    // read as an artifact regression.
-    match &report.artifacts {
-        Some(c) => {
-            for (what, value, bound) in [
-                ("artifact assembly / run_world", c.assembly_share(), 0.10),
-                (
-                    "artifact recording, ns per event",
-                    // NaN (fails the bound) if the run recorded nothing
-                    c.recording_ns_per_event().unwrap_or(f64::NAN),
-                    ARTIFACT_NS_PER_EVENT,
-                ),
-            ] {
-                if value <= bound {
-                    println!("check: {what} = {value:.3} (<= {bound})");
-                } else {
-                    eprintln!("check FAILED: {what} = {value:.3} (> {bound})");
-                    failed = true;
-                }
-            }
-        }
-        None => {
-            eprintln!("check FAILED: no 512-rank artifact-cost measurement in the sweep");
-            failed = true;
-        }
-    }
-    if let Some(smoke) = &report.smoke {
-        println!(
-            "check: {}-rank smoke completed in {:.2} s wall",
-            smoke.world, smoke.wall_s
-        );
-    }
-    if failed {
-        std::process::exit(1);
-    }
 }
 
 fn cmd_profile(flags: &HashMap<String, String>) {
@@ -707,7 +566,11 @@ fn cmd_analyze(flags: &HashMap<String, String>) {
         "analyzing {steps} traced EDSR(tiny) steps on {world} simulated GPUs ({})...",
         sc.label()
     );
-    let mut run = analysis::traced_real_run(&topo, sc, steps, ckpt);
+    let mut run = analysis::traced_real_run(
+        &topo,
+        sc.mpi_config(),
+        &analysis::weak_scaling_config(world, steps, ckpt),
+    );
     if slowdown != 1.0 {
         // Stretch the measured timeline — a synthetic regression to prove
         // the gate trips (used by the CI liveness test).
@@ -737,7 +600,11 @@ fn cmd_analyze(flags: &HashMap<String, String>) {
         nodes: 1,
         gpus_per_node: 2,
     };
-    let fit_run = analysis::traced_real_run(&fit_topo, sc, steps, 0);
+    let fit_run = analysis::traced_real_run(
+        &fit_topo,
+        sc.mpi_config(),
+        &analysis::weak_scaling_config(2, steps, 0),
+    );
     let (model, _) = analysis::fit_model(&fit_run, sc);
     println!(
         "\ncost model (fit at {} ranks): base {:.3} ms, negotiate {:.1} us, \
@@ -1179,6 +1046,9 @@ fn cmd_chaos(flags: &HashMap<String, String>) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (flags, positional) = parse_flags(&args);
+    if flags.contains_key("help") {
+        return usage();
+    }
     match positional.first().map(String::as_str) {
         Some("train") => cmd_train(&flags),
         Some("simulate") => cmd_simulate(&flags),

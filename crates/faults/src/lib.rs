@@ -293,7 +293,7 @@ impl FaultPlan {
 }
 
 /// Named chaos scenarios — one per fault class — shared by the `dlsr
-/// chaos` CLI, the criterion bench (`BENCH_faults.json`) and the CI chaos
+/// chaos` CLI, the `ablation_faults` harness (`BENCH_faults.json`) and the CI chaos
 /// job, so "run the lossy scenario" means the same plan everywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChaosScenario {

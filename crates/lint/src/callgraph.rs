@@ -400,7 +400,7 @@ impl Graph {
 fn module_path(path: &str) -> Vec<String> {
     let parts: Vec<&str> = path.split('/').collect();
     let Some(src_at) = parts.iter().position(|p| *p == "src") else {
-        // benches/, examples/: the file stem names the target.
+        // examples/: the file stem names the target.
         return match parts.last() {
             Some(f) => vec![f.trim_end_matches(".rs").to_string()],
             None => Vec::new(),

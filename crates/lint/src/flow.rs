@@ -5,7 +5,7 @@
 //! - **`wall-clock`** (transitive): a wall-clock read (`Instant`,
 //!   `SystemTime`) may only happen in code that is unreachable from
 //!   non-wall entry points. `#[dlsr::wall]` marks a fn as a wall-domain
-//!   boundary (trace epoch, bench mains, simscale measurement): reads
+//!   boundary (trace epoch, the `tune_gemm` timing loop): reads
 //!   inside it are fine, and traversal never crosses into it. This
 //!   replaces PR 4's path allowlist — the allowlist is now an annotation
 //!   the call graph understands, so a helper called only from bench mains

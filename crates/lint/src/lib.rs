@@ -10,7 +10,7 @@
 //!    transitive `hot-alloc`, `determinism-taint`, and static
 //!    `collective-order` protocol checking.
 //!
-//! The scan set is every `crates/*/{src,benches,examples}` tree plus the
+//! The scan set is every `crates/*/{src,examples}` tree plus the
 //! workspace-root `examples/` (which `crates/core/Cargo.toml` declares as
 //! its own targets). Findings flow through one waiver table, so a waiver
 //! that suppresses nothing is itself reported (stale-waiver detection).
@@ -144,7 +144,7 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Collect the workspace scan set under `root`: every
-/// `crates/*/{src,benches,examples}` tree, plus the workspace-root
+/// `crates/*/{src,examples}` tree, plus the workspace-root
 /// `examples/` attributed to crate `core` (whose Cargo.toml declares those
 /// files as example/test targets).
 pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
@@ -164,7 +164,7 @@ pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
             .and_then(|n| n.to_str())
             .unwrap_or("")
             .to_string();
-        for sub in ["src", "benches", "examples"] {
+        for sub in ["src", "examples"] {
             let dir = crate_dir.join(sub);
             if !dir.is_dir() {
                 continue;
@@ -370,17 +370,16 @@ mod tests {
         );
     }
 
-    /// The widened scan set actually contains the benches, the bench-crate
-    /// binaries, and the root examples, and the call graph is non-trivial.
+    /// The widened scan set actually contains the bench-crate harness
+    /// binaries and the root examples, and the call graph is non-trivial.
     #[test]
     fn scan_set_is_widened() {
         let files = collect_workspace(&root()).expect("workspace readable");
         let has = |prefix: &str| files.iter().any(|f| f.path.starts_with(prefix));
         assert!(
-            has("crates/bench/benches/"),
-            "benches missing from scan set"
+            has("crates/bench/src/bin/ablation_wire.rs"),
+            "bench harness bins missing from scan set"
         );
-        assert!(has("crates/bench/src/bin/"), "bench bins missing");
         assert!(has("examples/"), "root examples missing");
         assert!(
             files

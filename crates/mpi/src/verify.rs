@@ -33,8 +33,7 @@
 //! Same pattern as `dlsr-trace`: without the `verify` feature, [`COMPILED`]
 //! is a literal `false`, the `Comm` verify hooks are empty `#[inline]`
 //! functions, `Comm` carries no extra field, and the blocking-receive path
-//! is byte-identical to the unverified build — zero overhead on the
-//! `overlap` criterion bench.
+//! is byte-identical to the unverified build — zero overhead.
 
 use std::sync::Mutex;
 
