@@ -26,11 +26,9 @@ pub fn traced_training_run(
     seed: u64,
 ) -> (TrainRun, StepReport) {
     let (w, tensors) = edsr_measured_workload();
-    dlsr::trace::set_enabled(true);
-    dlsr::trace::reset();
-    let run = run_training(topo, scenario, &w, &tensors, batch, warmup, steps, seed);
-    dlsr::trace::set_enabled(false);
-    let counters = dlsr::trace::counters_snapshot();
+    let (run, counters) = dlsr_cluster::analysis::traced(|| {
+        run_training(topo, scenario, &w, &tensors, batch, warmup, steps, seed)
+    });
     let mut report = StepReport::build(&run.trace, &counters).with_context(
         scenario.label(),
         run.gpus,
@@ -43,7 +41,6 @@ pub fn traced_training_run(
         run.regcache.evictions,
     );
     report.attach_critical_path(dlsr::trace::analyze::critical_path(&run.trace, steps));
-    dlsr::trace::reset();
     (run, report)
 }
 

@@ -36,13 +36,6 @@ use serde::{Deserialize, Serialize};
 use crate::realtrain::{train_real, RealTrainConfig};
 use crate::scenario::Scenario;
 
-/// Serializes the enable→snapshot window of [`traced_real_run`] and
-/// [`traced_sim_run`]: the `dlsr_trace` collector they switch on, reset and
-/// read is process-global, so two traced runs at once (the default parallel
-/// test runner) would clear and drain each other's spans.
-// removed by ROADMAP item 1
-static TRACE_WINDOW: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-
 /// One traced real-training run: everything the fit needs.
 #[derive(Debug, Clone)]
 pub struct TracedRun {
@@ -68,16 +61,20 @@ pub fn weak_scaling_config(world: usize, steps: usize, checkpoint_every: usize) 
         .build()
 }
 
-/// Run real EDSR training on `topo` with tracing on and collect the
-/// spans. Resets the global trace state.
+/// The workspace's one trace window: run `run` with a fresh
+/// [`dlsr_trace::TraceSink`] in scope on the calling thread and return its
+/// result with the counters its worlds left in the sink (their spans are in
+/// the result: each world drains its lanes as it ends). The sink is this
+/// call's alone — runs on other threads neither see it nor wait for it.
+pub fn traced<R>(run: impl FnOnce() -> R) -> (R, BTreeMap<String, f64>) {
+    let sink = dlsr_trace::TraceSink::new();
+    let out = sink.scope(run);
+    (out, sink.counters())
+}
+
+/// Run real EDSR training on `topo` with tracing on and collect the spans.
 pub fn traced_real_run(topo: &ClusterTopology, mpi: MpiConfig, cfg: &RealTrainConfig) -> TracedRun {
-    let window = TRACE_WINDOW.lock();
-    dlsr_trace::set_enabled(true);
-    dlsr_trace::reset();
-    let res = train_real(topo, mpi, cfg);
-    dlsr_trace::set_enabled(false);
-    let counters = dlsr_trace::counters_snapshot();
-    drop(window);
+    let (res, counters) = traced(|| train_real(topo, mpi, cfg));
     TracedRun {
         world: topo.total_gpus(),
         steps: cfg.steps,
@@ -314,7 +311,7 @@ pub fn project(model: &CostModel, worlds: &[usize]) -> Vec<ProjectionPoint> {
 /// Run the costs-only simulator (paper-scale EDSR workload, event core)
 /// on `topo` with tracing enabled and package the measured window as a
 /// [`TracedRun`], so the same [`fit_model`] machinery that fits real
-/// training traces can fit simulated ones. Resets the global trace state.
+/// training traces can fit simulated ones.
 pub fn traced_sim_run(
     topo: &ClusterTopology,
     sc: Scenario,
@@ -326,13 +323,8 @@ pub fn traced_sim_run(
     let (w, tensors) = crate::workload::edsr_measured_workload();
     let trainer = crate::sim::SimTrainer::new(w, tensors, batch, sc, topo, seed)
         .expect("per-GPU batch must fit");
-    let window = TRACE_WINDOW.lock();
-    dlsr_trace::set_enabled(true);
-    dlsr_trace::reset();
-    let res = crate::experiment::run_world(topo, sc.mpi_config(), &trainer, warmup, steps);
-    dlsr_trace::set_enabled(false);
-    let counters = dlsr_trace::counters_snapshot();
-    drop(window);
+    let (res, counters) =
+        traced(|| crate::experiment::run_world(topo, sc.mpi_config(), &trainer, warmup, steps));
     let warm_end = res.ranks.iter().map(|r| r.warm_end).fold(0.0, f64::max);
     let end = res.ranks.iter().map(|r| r.end).fold(0.0, f64::max);
     let trace = res.ranks.into_iter().flat_map(|r| r.trace).collect();

@@ -51,7 +51,7 @@ pub struct TrainRun {
     /// Merged HOROVOD_TIMELINE-style trace (all ranks, measured window).
     pub timeline: dlsr_hvprof::Timeline,
     /// Structured trace spans from every rank over the measured window
-    /// (empty unless the `dlsr-trace` collector is enabled).
+    /// (empty unless a `dlsr-trace` sink is in scope).
     pub trace: Vec<dlsr_trace::TraceEvent>,
 }
 

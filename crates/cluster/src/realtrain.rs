@@ -313,9 +313,9 @@ pub struct RealTrainResult {
     /// Communicator statistics of rank 0 (transport mix, retry/backoff and
     /// degraded-link charges under faults).
     pub comm_stats: dlsr_mpi::CommStats,
-    /// Structured trace spans from every rank (plus rank-tagged kernel
-    /// spans from worker threads); empty unless the `dlsr-trace`
-    /// collector is enabled.
+    /// Structured trace spans of every rank's lane, in rank order (kernel
+    /// spans from worker threads included); empty unless a `dlsr-trace`
+    /// sink is in scope.
     pub trace: Vec<dlsr_trace::TraceEvent>,
     /// Analytic-vs-measured gradient-readiness reconciliation from rank
     /// 0's last overlapped backward; `None` on the sequential path.
@@ -384,7 +384,7 @@ pub fn train_real(
         "global batch {} not divisible by {world} ranks",
         cfg.global_batch
     );
-    let mut res = MpiWorld::run(topo, mpi, move |comm| {
+    let res = MpiWorld::run(topo, mpi, move |comm| {
         let scale = cfg.model.scale;
         let mut model = Edsr::new(cfg.model, cfg.seed + comm.rank() as u64);
         let mut prof = Hvprof::new();
@@ -599,18 +599,13 @@ pub fn train_real(
             psnr_curve,
             comm.now(),
             comm.regcache_stats(),
-            dlsr_trace::take_thread_events(),
             opt.readiness_reconciliation().cloned(),
             comm.stats().clone(),
         )
     });
     let makespan = res.ranks.iter().map(|r| r.5).fold(0.0, f64::max);
-    // rank threads drained their own spans above; the global drain picks up
-    // the rank-tagged kernel spans recorded on rayon worker threads
-    let mut trace: Vec<dlsr_trace::TraceEvent> = dlsr_trace::take_events();
-    for r in &mut res.ranks {
-        trace.append(&mut r.7);
-    }
+    // every rank recorded into its own lane of the sink in scope, if any
+    let trace = dlsr_trace::current().map_or_else(Vec::new, |l| l.sink().drain_events());
     let regcache = res.ranks[0].6;
     let r0 = res.ranks.into_iter().next().expect("rank 0");
     RealTrainResult {
@@ -621,9 +616,9 @@ pub fn train_real(
         psnr_curve: r0.4,
         makespan,
         regcache,
-        comm_stats: r0.9,
+        comm_stats: r0.8,
         trace,
-        readiness: r0.8,
+        readiness: r0.7,
     }
 }
 

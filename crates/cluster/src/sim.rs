@@ -146,7 +146,7 @@ pub struct RankRun {
     /// HOROVOD_TIMELINE-style event trace over the measured steps.
     pub timeline: Timeline,
     /// Structured trace spans from this rank's thread over the measured
-    /// steps (empty unless the `dlsr-trace` collector is enabled).
+    /// steps (empty unless a `dlsr-trace` sink is in scope).
     pub trace: Vec<dlsr_trace::TraceEvent>,
 }
 

@@ -10,11 +10,6 @@
 use dlsr_cluster::{train_real, RealTrainConfig, RealTrainResult};
 use dlsr_mpi::MpiConfig;
 use dlsr_net::ClusterTopology;
-use parking_lot::Mutex;
-
-/// Serializes the tests in this binary: the trace collector is a process
-/// global, so a traced run must not interleave with other runs.
-static LOCK: Mutex<()> = Mutex::new(());
 
 fn topo(gpus: usize) -> ClusterTopology {
     ClusterTopology {
@@ -42,7 +37,6 @@ fn digest(r: &RealTrainResult) -> u64 {
 
 #[test]
 fn training_bits_match_the_pre_deletion_goldens() {
-    let _g = LOCK.lock();
     for (gpus, overlap, golden) in [
         (1usize, true, 0x1967ba5004e8ceac_u64),
         (1, false, 0x1967ba5004e8ceac),
@@ -77,7 +71,6 @@ fn training_bits_under_a_fault_plan_match_the_pre_deletion_goldens() {
 
     use dlsr_faults::ChaosScenario;
 
-    let _g = LOCK.lock();
     let cfg = RealTrainConfig::builder().steps(6).build();
     for (scenario, golden) in [
         (ChaosScenario::Lossy, 0x26f77ca5f16fb965_u64),

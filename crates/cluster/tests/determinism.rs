@@ -11,6 +11,10 @@
 //!    initialization, so each pool size needs its own process: the test
 //!    re-executes its own binary with the env var pinned and compares the
 //!    digests the children print.
+//! 3. **Worker-side counters belong to the dispatching rank.** A traced
+//!    run's `gemm.*` tile counters are the same at 1 and 4 worker threads:
+//!    what a rayon worker records lands in the lane of the rank whose
+//!    kernel fanned out to it, not in a buffer no world owns.
 
 #![forbid(unsafe_code)]
 
@@ -40,14 +44,13 @@ fn cfg() -> RealTrainConfig {
 /// FNV-1a over the exact bit patterns of the parameters: any single-ULP
 /// drift changes the digest.
 fn digest(params: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in params {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    fnv(params.iter().flat_map(|v| v.to_bits().to_le_bytes()))
+}
+
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 fn train_digest() -> u64 {
@@ -83,6 +86,36 @@ fn thread_count_does_not_change_parameters() {
     assert_eq!(
         d1, d4,
         "1 vs 4 rayon threads changed the trained parameters"
+    );
+}
+
+/// Two images per rank, so with more than one worker every conv layer fans
+/// its per-image GEMMs out — and each of them bumps its tile counter on a
+/// worker thread.
+#[test]
+fn thread_count_does_not_change_kernel_counters() {
+    const TEST: &str = "thread_count_does_not_change_kernel_counters";
+    if std::env::var_os(CHILD_ENV).is_some() {
+        let (_, counters) =
+            dlsr_cluster::analysis::traced(|| train_real(&topo(), MpiConfig::mpi_opt(), &cfg()));
+        let tiles: Vec<_> = counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("gemm."))
+            .collect();
+        assert!(
+            tiles.iter().any(|(_, &v)| v > 0.0),
+            "traced run counted no GEMM tiles: {counters:?}"
+        );
+        let bytes = tiles
+            .iter()
+            .flat_map(|(k, v)| k.bytes().chain(v.to_bits().to_le_bytes()));
+        println!("DIGEST={:#018x}", fnv(bytes));
+        return;
+    }
+    assert_eq!(
+        child_digest(TEST, "1", &[]),
+        child_digest(TEST, "4", &[]),
+        "1 vs 4 rayon threads changed the traced run's gemm.* tile counters"
     );
 }
 
@@ -139,16 +172,20 @@ fn simd_isa_and_tune_cache_do_not_change_parameters() {
 }
 
 fn digest_from_child(rayon_threads: &str, extra_env: &[(&str, &str)]) -> u64 {
+    child_digest(
+        "thread_count_does_not_change_parameters",
+        rayon_threads,
+        extra_env,
+    )
+}
+
+/// Re-run test `test` of this binary in child mode and parse its digest.
+fn child_digest(test: &str, rayon_threads: &str, extra_env: &[(&str, &str)]) -> u64 {
     let exe = std::env::current_exe().expect("test binary path");
     let mut cmd = Command::new(exe);
-    cmd.args([
-        "thread_count_does_not_change_parameters",
-        "--exact",
-        "--nocapture",
-        "--test-threads=1",
-    ])
-    .env(CHILD_ENV, "1")
-    .env("RAYON_NUM_THREADS", rayon_threads);
+    cmd.args([test, "--exact", "--nocapture", "--test-threads=1"])
+        .env(CHILD_ENV, "1")
+        .env("RAYON_NUM_THREADS", rayon_threads);
     for (k, v) in extra_env {
         cmd.env(k, v);
     }

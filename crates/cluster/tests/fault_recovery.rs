@@ -10,11 +10,6 @@ use dlsr_cluster::{train_real, RealTrainConfig, RealTrainResult};
 use dlsr_faults::{ChaosScenario, FaultPlan, FaultSpec, RankFailure};
 use dlsr_mpi::MpiConfig;
 use dlsr_net::ClusterTopology;
-use parking_lot::Mutex;
-
-/// Serializes the tests in this binary: the trace collector is a process
-/// global, so a traced run must not interleave with other runs.
-static LOCK: Mutex<()> = Mutex::new(());
 
 fn topo(nodes: usize, gpus: usize) -> ClusterTopology {
     ClusterTopology {
@@ -43,7 +38,6 @@ fn math_digest(r: &RealTrainResult) -> (Vec<u32>, Vec<u32>) {
 /// model — recovery costs time, never accuracy.
 #[test]
 fn rank_failure_restores_from_checkpoint_and_reconverges() {
-    let _g = LOCK.lock();
     let t = topo(1, 2);
     let cfg = RealTrainConfig::builder()
         .steps(10)
@@ -54,10 +48,8 @@ fn rank_failure_restores_from_checkpoint_and_reconverges() {
     let plan = ChaosScenario::RankFailure.plan(42, 2, 10);
     let f = plan.rank_failure().expect("scenario schedules a failure");
     assert_eq!((f.rank, f.step), (1, 5));
-    dlsr_trace::set_enabled(true);
-    dlsr_trace::reset();
-    let faulted = train_real(&t, with_plan(plan), &cfg);
-    dlsr_trace::set_enabled(false);
+    let (faulted, counters) =
+        dlsr_cluster::analysis::traced(|| train_real(&t, with_plan(plan), &cfg));
     // bitwise re-convergence: step-keyed data + exact state restore make
     // the replayed steps identical, so the final model matches exactly —
     // comfortably within the 0.1 dB acceptance bound
@@ -72,7 +64,6 @@ fn rank_failure_restores_from_checkpoint_and_reconverges() {
     );
     // the restore and the checkpoints it relies on are visible in the
     // step report's fault summary
-    let counters = dlsr_trace::counters_snapshot();
     let report = dlsr_trace::report::StepReport::build(&faulted.trace, &counters);
     assert!(report.faults.restores >= 1, "restore counter missing");
     assert!(
@@ -87,7 +78,6 @@ fn rank_failure_restores_from_checkpoint_and_reconverges() {
 /// (post-broadcast) snapshot: the whole prefix replays.
 #[test]
 fn early_failure_restores_from_initial_snapshot() {
-    let _g = LOCK.lock();
     let t = topo(1, 2);
     let cfg = RealTrainConfig::builder().steps(6).build(); // no checkpoints
     let clean = train_real(&t, MpiConfig::mpi_opt(), &cfg);
@@ -106,7 +96,6 @@ fn early_failure_restores_from_initial_snapshot() {
 /// transport pays, the math doesn't notice.
 #[test]
 fn lossy_transport_retries_without_changing_the_math() {
-    let _g = LOCK.lock();
     let t = topo(1, 2);
     let cfg = RealTrainConfig::builder().steps(6).build();
     let clean = train_real(&t, MpiConfig::mpi_opt(), &cfg);
@@ -123,7 +112,6 @@ fn lossy_transport_retries_without_changing_the_math() {
 /// A degraded inter-node link slows transfers inside its window only.
 #[test]
 fn degraded_link_charges_time_on_the_wire() {
-    let _g = LOCK.lock();
     let t = topo(2, 1);
     let cfg = RealTrainConfig::builder().steps(4).build();
     let clean = train_real(&t, MpiConfig::mpi_opt(), &cfg);
@@ -141,7 +129,6 @@ fn degraded_link_charges_time_on_the_wire() {
 /// makes everyone wait for it.
 #[test]
 fn straggler_rank_stretches_the_makespan() {
-    let _g = LOCK.lock();
     let t = topo(1, 2);
     let cfg = RealTrainConfig::builder().steps(4).build();
     let clean = train_real(&t, MpiConfig::mpi_opt(), &cfg);
@@ -154,7 +141,6 @@ fn straggler_rank_stretches_the_makespan() {
 /// run exactly — losses, retry counts and makespan — at every world size.
 #[test]
 fn injected_runs_are_deterministic_in_the_plan_seed() {
-    let _g = LOCK.lock();
     for gpus in [1usize, 2, 4] {
         let t = topo(1, gpus);
         let cfg = RealTrainConfig::builder().steps(5).build();

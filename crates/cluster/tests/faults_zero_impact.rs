@@ -12,11 +12,6 @@ use dlsr_cluster::{train_real, RealTrainConfig, RealTrainResult};
 use dlsr_faults::FaultPlan;
 use dlsr_mpi::MpiConfig;
 use dlsr_net::ClusterTopology;
-use parking_lot::Mutex;
-
-/// Serializes the tests in this binary: the trace collector is a process
-/// global, so a traced run must not interleave with other runs.
-static LOCK: Mutex<()> = Mutex::new(());
 
 fn topo(gpus: usize) -> ClusterTopology {
     ClusterTopology {
@@ -36,7 +31,6 @@ fn digest(r: &RealTrainResult) -> (Vec<u32>, Vec<u32>, u64) {
 
 #[test]
 fn empty_plan_is_bitwise_identical_to_no_plan() {
-    let _g = LOCK.lock();
     for overlap in [true, false] {
         for gpus in [1usize, 2] {
             let t = topo(gpus);
@@ -61,7 +55,6 @@ fn empty_plan_is_bitwise_identical_to_no_plan() {
 
 #[test]
 fn checkpointing_is_identical_with_and_without_a_plan() {
-    let _g = LOCK.lock();
     // checkpoint_every exercises the snapshot path; an empty plan must not
     // change when snapshots are taken or what they cost
     let cfg = RealTrainConfig::builder()

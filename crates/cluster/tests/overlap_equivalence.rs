@@ -9,11 +9,6 @@
 use dlsr_cluster::{train_real, RealTrainConfig};
 use dlsr_mpi::MpiConfig;
 use dlsr_net::ClusterTopology;
-use parking_lot::Mutex;
-
-/// Serializes the tests in this binary: the trace collector is a process
-/// global, so a traced run must not interleave with other runs.
-static LOCK: Mutex<()> = Mutex::new(());
 
 fn topo(gpus: usize) -> ClusterTopology {
     ClusterTopology {
@@ -25,7 +20,6 @@ fn topo(gpus: usize) -> ClusterTopology {
 
 #[test]
 fn overlapped_training_is_bitwise_identical_to_sequential() {
-    let _g = LOCK.lock();
     for gpus in [1usize, 2, 4] {
         let t = topo(gpus);
         let sequential = RealTrainConfig::builder().steps(20).overlap(false).build();
@@ -45,7 +39,6 @@ fn overlapped_training_is_bitwise_identical_to_sequential() {
 
 #[test]
 fn measured_readiness_reconciles_with_the_analytic_schedule() {
-    let _g = LOCK.lock();
     let cfg = RealTrainConfig::builder().steps(5).build();
     let res = train_real(&topo(2), MpiConfig::mpi_opt(), &cfg);
     let rec = res
@@ -77,19 +70,15 @@ fn measured_readiness_reconciles_with_the_analytic_schedule() {
 
 #[test]
 fn overlap_shrinks_exposed_communication() {
-    let _g = LOCK.lock();
     let run = |overlap: bool| {
-        dlsr_trace::set_enabled(true);
-        dlsr_trace::reset();
         let cfg = RealTrainConfig::builder()
             .steps(3)
             .global_batch(8)
             .overlap(overlap)
             .build();
-        let res = train_real(&ClusterTopology::lassen(2), MpiConfig::mpi_opt(), &cfg);
-        dlsr_trace::set_enabled(false);
-        let counters = dlsr_trace::counters_snapshot();
-        dlsr_trace::reset();
+        let (res, counters) = dlsr_cluster::analysis::traced(|| {
+            train_real(&ClusterTopology::lassen(2), MpiConfig::mpi_opt(), &cfg)
+        });
         let report = dlsr_trace::report::StepReport::build(&res.trace, &counters);
         (res, report)
     };

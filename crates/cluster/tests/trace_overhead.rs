@@ -12,23 +12,13 @@ fn enabling_trace_changes_step_time_by_less_than_3_percent() {
     let (w, tensors) = edsr_measured_workload();
     let topo = ClusterTopology::lassen(2);
 
-    dlsr_trace::set_enabled(false);
-    dlsr_trace::reset();
     let off = run_training(&topo, Scenario::MpiOpt, &w, &tensors, 4, 1, 4, 7);
-    assert!(
-        off.trace.is_empty(),
-        "disabled collector must record nothing"
-    );
+    assert!(off.trace.is_empty(), "an untraced run must record nothing");
 
-    dlsr_trace::set_enabled(true);
-    dlsr_trace::reset();
-    let on = run_training(&topo, Scenario::MpiOpt, &w, &tensors, 4, 1, 4, 7);
-    dlsr_trace::set_enabled(false);
-    dlsr_trace::reset();
-    assert!(
-        !on.trace.is_empty(),
-        "enabled collector must record the run"
-    );
+    let (on, _) = dlsr_cluster::analysis::traced(|| {
+        run_training(&topo, Scenario::MpiOpt, &w, &tensors, 4, 1, 4, 7)
+    });
+    assert!(!on.trace.is_empty(), "a traced run must record its spans");
 
     let delta = (on.step_time - off.step_time).abs() / off.step_time;
     assert!(

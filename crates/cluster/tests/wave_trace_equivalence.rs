@@ -1,10 +1,10 @@
-//! There is no tracing fallback for the ring wave: with the `dlsr-trace`
-//! collector on, the driven engine still evaluates costs-only rings as
-//! waves, tagging each cell's spans with the rank it accounts for. Every
+//! There is no tracing fallback for the ring wave: with a trace sink in
+//! scope, the driven engine still evaluates costs-only rings as waves,
+//! running each cell under the lane of the rank it accounts for. Every
 //! rank must therefore end with exactly the span sequence the context
 //! core's message-path ring records on that rank's own thread — which is
 //! what keeps `dlsr analyze` and `dlsr profile` output independent of the
-//! core. One test, so the process-global collector has one user.
+//! core.
 
 use dlsr_cluster::{edsr_measured_workload, Scenario, SimTrainer};
 use dlsr_mpi::MpiWorld;
@@ -18,12 +18,12 @@ fn per_rank_span_sequences_are_equal_across_cores() {
     for sc in [Scenario::MpiOpt, Scenario::Nccl] {
         let trainer = SimTrainer::new(w.clone(), tensors.clone(), 4, sc, &topo, 7)
             .expect("per-GPU batch must fit");
-        dlsr_trace::set_enabled(true);
-        dlsr_trace::reset();
-        let driven = MpiWorld::run_driven(&topo, sc.mpi_config(), |_| trainer.program(1, 2));
-        let context = MpiWorld::run(&topo, sc.mpi_config(), |c| trainer.run(c, 1, 2));
-        dlsr_trace::set_enabled(false);
-        dlsr_trace::reset();
+        let ((driven, context), _) = dlsr_cluster::analysis::traced(|| {
+            (
+                MpiWorld::run_driven(&topo, sc.mpi_config(), |_| trainer.program(1, 2)),
+                MpiWorld::run(&topo, sc.mpi_config(), |c| trainer.run(c, 1, 2)),
+            )
+        });
 
         for (rank, (d, c)) in driven.ranks.iter().zip(&context.ranks).enumerate() {
             assert!(

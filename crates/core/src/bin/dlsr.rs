@@ -396,11 +396,9 @@ fn cmd_profile(flags: &HashMap<String, String>) {
         sc.label(),
         if overlap { "overlapped" } else { "sequential" }
     );
-    dlsr::trace::set_enabled(true);
-    dlsr::trace::reset();
-    let res = train_real(&topo, with_comm(sc.mpi_config(), flags), &cfg);
-    dlsr::trace::set_enabled(false);
-    let counters = dlsr::trace::counters_snapshot();
+    let (res, counters) = dlsr::cluster::analysis::traced(|| {
+        train_real(&topo, with_comm(sc.mpi_config(), flags), &cfg)
+    });
     let mut report = dlsr::trace::report::StepReport::build(&res.trace, &counters).with_context(
         sc.label(),
         world,

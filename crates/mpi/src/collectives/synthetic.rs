@@ -171,13 +171,22 @@ mod tests {
     /// Wire compression preserves the timing equivalence: a compressed
     /// real collective and its synthetic mirror agree for every format ×
     /// algorithm, including hierarchical promotion and top-k sparse.
+    ///
+    /// Size bins scaled down 64×, so a ~320 KB payload sits where 20 MB does
+    /// under the defaults (one sub-chunk per ring block on `flat`, several on
+    /// `hier`'s pipelined leader ring, each a rendezvous even as bf16), one
+    /// element either side of a whole number of sub-chunks.
     #[test]
     fn synthetic_wire_allreduce_times_match_real() {
-        let hier = MpiConfig::mpi_opt()
+        const CHUNK: u64 = 32 << 10;
+        let scaled = MpiConfig::mpi_opt()
             .to_builder()
-            .hierarchical(true)
-            .pipeline_chunk(1 << 20)
-            .build();
+            .rd_threshold(2 << 10)
+            .wire_threshold(128 << 10)
+            .pipeline_threshold(128 << 10);
+        let flat = scaled.clone().pipeline_chunk(2 * CHUNK).build();
+        let hier = scaled.hierarchical(true).pipeline_chunk(CHUNK).build();
+        let whole = 10 * CHUNK as usize / 4;
         for wf in [
             WireFormat::Bf16,
             WireFormat::Fp16,
@@ -189,30 +198,32 @@ mod tests {
                 AllreduceAlgorithm::TwoLevel,
                 AllreduceAlgorithm::PipelinedRing,
             ] {
-                for cfg in [MpiConfig::mpi_opt(), hier.clone()] {
-                    let topo = ClusterTopology::lassen(2);
-                    let elems = 5_000_000usize;
-                    let t_real = MpiWorld::run(&topo, cfg.clone(), move |c| {
-                        let mut buf: Vec<f32> =
-                            (0..elems).map(|i| (i % 97) as f32 * 0.3 - 11.0).collect();
-                        Allreduce::new(&mut buf)
-                            .buf_id(1)
-                            .algo(algo)
-                            .wire(wf)
-                            .run(c);
-                        c.now()
-                    })
-                    .makespan();
-                    let t_synth = MpiWorld::run(&topo, cfg, move |c| {
-                        allreduce_elems_wire(c, elems, 1, algo, wf);
-                        c.now()
-                    })
-                    .makespan();
-                    let rel = (t_real - t_synth).abs() / t_real;
-                    assert!(
-                        rel < 1e-9,
-                        "{wf} {algo:?}: real {t_real} vs synthetic {t_synth} (rel {rel})"
-                    );
+                for cfg in [flat.clone(), hier.clone()] {
+                    for elems in [whole - 1, whole, whole + 1] {
+                        let topo = ClusterTopology::lassen(2);
+                        let t_real = MpiWorld::run(&topo, cfg.clone(), move |c| {
+                            let mut buf: Vec<f32> =
+                                (0..elems).map(|i| (i % 97) as f32 * 0.3 - 11.0).collect();
+                            Allreduce::new(&mut buf)
+                                .buf_id(1)
+                                .algo(algo)
+                                .wire(wf)
+                                .run(c);
+                            c.now()
+                        })
+                        .makespan();
+                        let t_synth = MpiWorld::run(&topo, cfg.clone(), move |c| {
+                            allreduce_elems_wire(c, elems, 1, algo, wf);
+                            c.now()
+                        })
+                        .makespan();
+                        let rel = (t_real - t_synth).abs() / t_real;
+                        assert!(
+                            rel < 1e-9,
+                            "{wf} {algo:?}, {elems} elems: real {t_real} vs synthetic {t_synth} \
+                             (rel {rel})"
+                        );
+                    }
                 }
             }
         }

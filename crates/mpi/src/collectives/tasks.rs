@@ -137,7 +137,11 @@ impl RingWave {
     /// stamp in flight. All cursors rotate in lockstep — participant `i+1`
     /// is always one chunk above participant `i` — so the sweep carries one
     /// cursor and the kernel needs no per-participant scratch.
-    pub(crate) fn run(&self, comms: &mut [Comm]) {
+    ///
+    /// `lanes` are the ranks' trace lanes when the world is traced: each
+    /// cell runs with the lane of the rank it accounts for current, so its
+    /// spans land where that rank's own thread would have recorded them.
+    pub(crate) fn run(&self, comms: &mut [Comm], lanes: Option<&[dlsr_trace::Lane]>) {
         let RingWave {
             p,
             stride,
@@ -145,13 +149,7 @@ impl RingWave {
             wf,
             ..
         } = *self;
-        let tracing = dlsr_trace::is_on();
-        // the events of a cell belong to the rank it accounts for
-        let enter = |rank: usize| {
-            if tracing {
-                dlsr_trace::set_thread_rank(rank);
-            }
-        };
+        let enter = |rank: usize| lanes.map(|l| l[rank].enter());
         let send = |comm: &mut Comm, to: usize, chunk: ChunkCursor| -> f64 {
             match comm.account_send(to, wf.wire_bytes(chunk.len()), buf_id) {
                 Ok(arrival) => arrival,
@@ -173,19 +171,21 @@ impl RingWave {
         for phase in 0..2 {
             let reduce = phase == 0;
             for _step in 0..p - 1 {
-                enter(0);
-                let first = send(&mut comms[0], stride, base);
+                let first = {
+                    let _lane = enter(0);
+                    send(&mut comms[0], stride, base)
+                };
                 let (mut chunk, mut stamp) = (base, first);
                 for i in 1..p {
                     chunk = chunk.up();
                     let (rank, right) = (i * stride, if i + 1 == p { 0 } else { (i + 1) * stride });
-                    enter(rank);
+                    let _lane = enter(rank);
                     let comm = &mut comms[rank];
                     let sent = send(comm, right, chunk);
                     recv(comm, rank - stride, chunk, stamp, reduce);
                     stamp = sent;
                 }
-                enter(0);
+                let _lane = enter(0);
                 recv(&mut comms[0], (p - 1) * stride, base, stamp, reduce);
                 base = base.down();
             }

@@ -55,6 +55,8 @@ where
     #[cfg(feature = "verify")]
     let verify_ctx = crate::verify::VerifyCtx::new(size);
 
+    // rank `r`'s thread records into lane `r` of the trace sink in scope here
+    let sink = dlsr_trace::current().map(|l| l.sink().clone());
     let mut out: Vec<Option<(R, f64)>> = (0..size).map(|_| None).collect();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(size);
@@ -65,10 +67,11 @@ where
             let registries = Arc::clone(&registries);
             let topo = topo.clone();
             let f = &f;
+            let lane = sink.as_ref().map(|s| s.lane(rank));
             #[cfg(feature = "verify")]
             let verify_ctx = Arc::clone(&verify_ctx);
             handles.push(scope.spawn(move || {
-                dlsr_trace::set_thread_rank(rank);
+                let _lane = lane.as_ref().map(dlsr_trace::Lane::enter);
                 let mut comm = Comm::new(
                     rank,
                     topo,

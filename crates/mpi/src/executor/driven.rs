@@ -25,6 +25,13 @@
 //! in flight during a wave, so it charges no `FlightBudget`: the budget
 //! bounds host bytes held in mailboxes, and a wave holds none.
 //!
+//! Tracing is ambient: with a `dlsr_trace::TraceSink` in scope on the
+//! calling thread, whatever the engine runs for rank `r` — a segment, a
+//! poll, a wave cell — runs with the sink's lane `r` current, so spans are
+//! written where they belong. The engine only hands a lane's spans on:
+//! [`Step::DiscardTrace`] drops them, [`Step::Done`] moves them into
+//! [`RankProgram::finish`].
+//!
 //! The same [`EventTask`]s run unchanged on the context core via
 //! [`drive_task`] (poll, and on `Pending` block the OS thread until the
 //! match arrives; rings exchange their messages there and are the wave's
@@ -137,8 +144,8 @@ pub trait RankProgram {
     type Out;
     /// Run the next synchronous segment and say what follows it.
     fn next(&mut self, comm: &mut Comm) -> Step;
-    /// Produce the rank's result. `trace` holds the rank's accumulated
-    /// trace events (empty when tracing is off).
+    /// Produce the rank's result. `trace` holds the spans of the rank's
+    /// trace lane (empty when no sink is in scope).
     fn finish(&mut self, comm: &mut Comm, trace: Vec<TraceEvent>) -> Self::Out;
 }
 
@@ -166,10 +173,12 @@ pub fn drive_program<P: RankProgram>(comm: &mut Comm, mut prog: P) -> P::Out {
         match prog.next(comm) {
             Step::Task(mut t) => drive_task(comm, &mut t),
             Step::DiscardTrace => {
-                let _ = dlsr_trace::take_thread_events();
+                if let Some(lane) = dlsr_trace::current() {
+                    lane.drain_events();
+                }
             }
             Step::Done => {
-                let trace = dlsr_trace::take_thread_events();
+                let trace = dlsr_trace::current().map_or_else(Vec::new, |l| l.drain_events());
                 return prog.finish(comm, trace);
             }
         }
@@ -217,9 +226,10 @@ where
     // of docs/CORRECTNESS.md), which is reported at once.
     let mut wave: Option<RingWave> = None;
     let mut wave_ranks: Vec<usize> = Vec::new();
-    // Per-rank trace accumulation: the engine thread's trace buffer is
-    // drained into the running rank's slot at every segment boundary.
-    let mut traces: Vec<Vec<TraceEvent>> = vec![Vec::new(); size];
+    // Every rank's lane of the trace sink in scope on this thread, if any:
+    // whatever runs for rank `r` below runs with lane `r` current.
+    let lanes: Option<Vec<dlsr_trace::Lane>> =
+        dlsr_trace::current().map(|l| (0..size).map(|r| l.sink().lane(r)).collect());
     let mut out: Vec<Option<(P::Out, f64)>> = (0..size).map(|_| None).collect();
     // Runnable ranks, LIFO. Execution order cannot change any outcome:
     // arrival stamps are fixed at send time, payloads are data, and a
@@ -233,16 +243,13 @@ where
     // cleared on wake), so the stack never holds duplicates.
     let mut runnable: Vec<usize> = (0..size).rev().collect();
     let mut live = size;
-    let tracing = dlsr_trace::is_on();
     // Routing scratch, swapped against each rank's outbox: capacities
     // circulate instead of being freed, so steady-state routing never
     // touches the allocator.
     let mut outbox: Vec<(usize, crate::message::Message)> = Vec::new();
 
     while let Some(r) = runnable.pop() {
-        if tracing {
-            dlsr_trace::set_thread_rank(r);
-        }
+        let _lane = lanes.as_ref().map(|l| l[r].enter());
         // Run rank r until it parks or completes.
         loop {
             if let Some(task) = tasks[r].as_mut() {
@@ -250,15 +257,9 @@ where
                     Poll::Ready => tasks[r] = None,
                     Poll::Pending { src, tag } => {
                         waiting[r] = Some((src, tag));
-                        if tracing {
-                            traces[r].extend(dlsr_trace::take_thread_events());
-                        }
                         break;
                     }
                     Poll::Wave(ring) => {
-                        if tracing {
-                            traces[r].extend(dlsr_trace::take_thread_events());
-                        }
                         if let Some(other) = wave.filter(|other| *other != ring) {
                             panic!(
                                 "dlsr-mpi: collective mismatch on the driven core: rank {r} \
@@ -268,15 +269,7 @@ where
                         wave = Some(ring);
                         wave_ranks.push(r);
                         if wave_ranks.len() == ring.participants() {
-                            ring.run(&mut comms);
-                            if tracing {
-                                // the kernel tagged each cell's events with
-                                // the rank it accounted for
-                                for e in dlsr_trace::take_thread_events() {
-                                    let rank = e.rank;
-                                    traces[rank].push(e);
-                                }
-                            }
+                            ring.run(&mut comms, lanes.as_deref());
                             wave = None;
                             runnable.append(&mut wave_ranks);
                         }
@@ -287,16 +280,14 @@ where
                 match progs[r].next(&mut comms[r]) {
                     Step::Task(t) => tasks[r] = Some(t),
                     Step::DiscardTrace => {
-                        if tracing {
-                            let _ = dlsr_trace::take_thread_events();
-                            traces[r].clear();
+                        if let Some(l) = &lanes {
+                            l[r].drain_events();
                         }
                     }
                     Step::Done => {
-                        if tracing {
-                            traces[r].extend(dlsr_trace::take_thread_events());
-                        }
-                        let trace = std::mem::take(&mut traces[r]);
+                        let trace = lanes
+                            .as_ref()
+                            .map_or_else(Vec::new, |l| l[r].drain_events());
                         let o = progs[r].finish(&mut comms[r], trace);
                         let now = comms[r].now();
                         out[r] = Some((o, now));

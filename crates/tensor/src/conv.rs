@@ -257,15 +257,19 @@ pub fn conv2d_fused_into(
 
     let chw_in = c_in * h * w;
     let batch_par = n > 1 && rayon::current_num_threads() > 1;
-    // Spans from rayon workers are tagged with the dispatching rank so the
-    // trace attributes kernel time to the rank that owns this layer call.
-    let rank = dlsr_trace::thread_rank();
+    // Rayon workers have no trace lane of their own: they record into the
+    // lane of the rank that owns this layer call.
+    let lane = dlsr_trace::current();
     let image = |i: usize, dst: &mut [f32]| {
+        let _lane = lane.as_ref().map(dlsr_trace::Lane::enter);
         let img = &input.data()[i * chw_in..(i + 1) * chw_in];
         // Implicit GEMM: the im2col matrix is a view the packer reads
         // through, never a buffer.
         let view = Im2colView::new(img, (c_in, h, w), (kh, kw), p.stride, p.padding);
-        let t0 = dlsr_trace::now_wall_s();
+        let _span = dlsr_trace::span_with(
+            || format!("conv gemm {c_out}x{k}x{hw_out} {variant} kc{}", bp.kc),
+            dlsr_trace::cat::GEMM,
+        );
         wpack.gemm(
             &bp,
             BSrc::Im2col(view),
@@ -275,13 +279,6 @@ pub fn conv2d_fused_into(
             hw_out,
             epi,
             batch_par,
-        );
-        dlsr_trace::record_wall_span(
-            || format!("conv gemm {c_out}x{k}x{hw_out} {variant} kc{}", bp.kc),
-            dlsr_trace::cat::GEMM,
-            rank,
-            t0,
-            dlsr_trace::now_wall_s(),
         );
     };
     let out_chunk = c_out * hw_out;
@@ -344,9 +341,13 @@ pub fn conv2d_backward(
     let mut gb_all = scratch::take(n * c_out);
 
     let batch_par = n > 1 && rayon::current_num_threads() > 1;
-    let rank = dlsr_trace::thread_rank();
+    let lane = dlsr_trace::current();
     let image = |i: usize, gi: &mut [f32], gw_i: &mut [f32], gb_i: &mut [f32]| {
-        let t0 = dlsr_trace::now_wall_s();
+        let _lane = lane.as_ref().map(dlsr_trace::Lane::enter);
+        let gemm_span = dlsr_trace::span_with(
+            || format!("conv bwd gemm {c_out}x{hw_out}x{k} {variant} kc{}", bp_w.kc),
+            dlsr_trace::cat::GEMM,
+        );
         let img = &input.data()[i * chw_in..(i + 1) * chw_in];
         let go = &grad_out.data()[i * c_out * hw_out..(i + 1) * c_out * hw_out];
         let view = Im2colView::new(img, (c_in, h, w), (kh, kw), p.stride, p.padding);
@@ -381,23 +382,13 @@ pub fn conv2d_backward(
             Epilogue::None,
             batch_par,
         );
-        let t1 = dlsr_trace::now_wall_s();
-        dlsr_trace::record_wall_span(
-            || format!("conv bwd gemm {c_out}x{hw_out}x{k} {variant} kc{}", bp_w.kc),
-            dlsr_trace::cat::GEMM,
-            rank,
-            t0,
-            t1,
-        );
+        drop(gemm_span);
         // ...which col2im scatters back onto the image.
-        col2im(&col, (c_in, h, w), (kh, kw), p, gi);
-        dlsr_trace::record_wall_span(
+        let _span = dlsr_trace::span_with(
             || format!("col2im {c_in}x{h}x{w} k{kh}x{kw}"),
             dlsr_trace::cat::IM2COL,
-            rank,
-            t1,
-            dlsr_trace::now_wall_s(),
         );
+        col2im(&col, (c_in, h, w), (kh, kw), p, gi);
     };
 
     let gw_len = c_out * k;

@@ -2,11 +2,20 @@
 //!
 //! Every layer of the stack (tensor kernels, nn layers, Horovod
 //! negotiate/fusion, MPI collectives, the virtual wire) records *spans* and
-//! bumps *counters* through this crate. Collection is thread-sharded: each
-//! thread owns an `Arc`'d buffer registered in a global list, so recording a
-//! span in steady state takes only the uncontended lock on the thread's own
-//! buffer — no cross-thread contention until a drain point
-//! ([`take_events`] / [`take_thread_events`]) walks the registry.
+//! bumps *counters* through this crate, into whatever [`Lane`] is current
+//! on the recording thread.
+//!
+//! The collector is a value, not process state. A caller that wants a run
+//! observed creates a [`TraceSink`] and runs it inside [`TraceSink::scope`]
+//! on its own thread; `MpiWorld::run` / `run_driven` read the sink in scope
+//! on the thread that launches them ([`current`]) and make rank `r`'s lane
+//! current ([`Lane::enter`]) wherever they run rank `r` — its OS thread on
+//! the context core, every segment and ring-wave cell on the driven engine
+//! — and a kernel that fans out to rayon workers hands them the lane it was
+//! called under. Spans therefore land in the lane of the rank they belong
+//! to when they are recorded; nothing is re-filed later, a thread with no
+//! lane records nothing, and two sinks scoped on two threads never see each
+//! other (`crates/cluster/tests/concurrent_traces.rs`).
 //!
 //! Two clock domains coexist (see [`Clock`]):
 //! - **Virtual** spans carry simulated seconds from a rank's `VClock`
@@ -24,9 +33,8 @@
 //! Collection is compiled in only under the `enabled` cargo feature. Without
 //! it, [`is_on`] is a `const false`, so every guarded call site — including
 //! its `format!` arguments — is dead code the optimizer removes. With the
-//! feature compiled in, a runtime [`set_enabled`] flag (default off) gates
-//! recording behind one relaxed atomic load, which is what the < 3%
-//! overhead test in `dlsr-cluster` measures.
+//! feature compiled in, recording is off on every thread that has no lane
+//! current, and the check is one thread-local read.
 
 #![forbid(unsafe_code)]
 pub mod analyze;
@@ -39,7 +47,14 @@ pub use dlsr_hvprof::Log2Histogram;
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
+use std::sync::Arc;
+use std::time::Instant;
+#[cfg(feature = "enabled")]
+use std::{cell::RefCell, mem::ManuallyDrop};
 
+use dlsr_attr as dlsr;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// Whether span/counter collection was compiled into this build
@@ -119,116 +134,220 @@ pub mod cat {
     pub const COMM_SET: &[&str] = &[FUSION, ALLREDUCE, MPI, NET];
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::TraceEvent;
-    use dlsr_attr as dlsr;
-    use parking_lot::Mutex;
-    use std::cell::Cell;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::{Arc, OnceLock};
-    use std::time::Instant;
+/// One rank's share of a [`TraceSink`]: its spans, counters and gauges.
+/// Written by whichever thread has the lane current — the rank's own thread,
+/// the driven engine while it runs that rank, rayon workers a kernel handed
+/// the lane to — hence the lock, which only a kernel fan-out ever contends.
+#[derive(Default)]
+struct LaneBuf {
+    events: Vec<TraceEvent>,
+    counters: BTreeMap<&'static str, f64>,
+    gauges: BTreeMap<&'static str, f64>,
+}
 
-    pub static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Everything one traced run records: one lane of spans, counters and gauges
+/// per rank, and the wall epoch its wall spans count from. A sink records
+/// only what runs inside [`TraceSink::scope`] on the scoping thread, in the
+/// worlds launched from there and in the kernel fan-outs of their ranks —
+/// nothing else in the process can see it, so any number of sinks can be
+/// live at once.
+#[derive(Clone)]
+pub struct TraceSink {
+    /// Wall-clock zero of this sink's wall spans.
+    epoch: Instant,
+    /// Lane `r` at index `r`; grown on demand by [`TraceSink::lane`].
+    lanes: Arc<Mutex<Vec<Arc<Mutex<LaneBuf>>>>>,
+}
 
-    #[derive(Default)]
-    pub struct ThreadBuf {
-        pub events: Mutex<Vec<TraceEvent>>,
-        pub counters: Mutex<BTreeMap<&'static str, f64>>,
-        pub gauges: Mutex<BTreeMap<&'static str, f64>>,
-    }
-
-    static REGISTRY: Mutex<Vec<Arc<ThreadBuf>>> = Mutex::new(Vec::new());
-
-    thread_local! {
-        static LOCAL: Arc<ThreadBuf> = {
-            let buf = Arc::new(ThreadBuf::default());
-            REGISTRY.lock().push(buf.clone());
-            buf
-        };
-        pub static RANK: Cell<usize> = const { Cell::new(0) };
-    }
-
-    /// Wall-clock zero for this process's trace. Wall-domain boundary:
-    /// trace timestamps are host-side observability, never rank-visible
-    /// state (the virtual clock lives in `&mut Comm`).
+impl TraceSink {
+    /// An empty sink whose wall epoch is now. Wall-domain boundary: trace
+    /// timestamps are host-side observability, never rank-visible state
+    /// (the virtual clock lives in `&mut Comm`).
     #[dlsr::wall]
-    pub fn epoch() -> Instant {
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        *EPOCH.get_or_init(Instant::now)
+    #[allow(clippy::new_without_default)] // reads the clock: not a default value
+    pub fn new() -> Self {
+        TraceSink {
+            epoch: Instant::now(),
+            lanes: Arc::default(),
+        }
     }
 
-    pub fn with_local<R>(f: impl FnOnce(&ThreadBuf) -> R) -> R {
-        LOCAL.with(|b| f(b))
+    /// Rank `rank`'s lane, created on first use.
+    pub fn lane(&self, rank: usize) -> Lane {
+        let mut lanes = self.lanes.lock();
+        if lanes.len() <= rank {
+            lanes.resize_with(rank + 1, Default::default);
+        }
+        Lane {
+            sink: self.clone(),
+            rank,
+            buf: Arc::clone(&lanes[rank]),
+        }
     }
 
-    /// Snapshot of every thread's buffer, including threads that have since
-    /// exited (their `Arc` stays registered so no events are lost).
-    pub fn all_bufs() -> Vec<Arc<ThreadBuf>> {
-        REGISTRY.lock().clone()
+    /// Run `f` with this sink in scope on the calling thread: lane 0 is
+    /// current (what the launching thread records outside a world is rank
+    /// 0's, as a single-process job's would be), and a world launched inside
+    /// `f` records each rank into its own lane. The previous scope, if any,
+    /// is restored when `f` returns or unwinds.
+    pub fn scope<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _current = self.lane(0).enter();
+        f()
+    }
+
+    /// Drain the spans of every lane, in rank order. Counters stay.
+    pub fn drain_events(&self) -> Vec<TraceEvent> {
+        let lanes = self.lanes.lock();
+        let drain = |lane: &Arc<Mutex<LaneBuf>>| std::mem::take(&mut lane.lock().events);
+        lanes.iter().flat_map(drain).collect()
+    }
+
+    /// Counters summed and gauges max-merged across lanes (gauges keep
+    /// their own keys). Non-destructive.
+    pub fn counters(&self) -> BTreeMap<String, f64> {
+        let mut out: BTreeMap<String, f64> = BTreeMap::new();
+        for lane in self.lanes.lock().iter() {
+            let lane = lane.lock();
+            for (k, v) in &lane.counters {
+                *out.entry((*k).to_string()).or_insert(0.0) += v;
+            }
+            for (k, v) in &lane.gauges {
+                let e = out.entry((*k).to_string()).or_insert(f64::MIN);
+                *e = e.max(*v);
+            }
+        }
+        out
     }
 }
 
-/// Turn runtime collection on or off. No-op unless compiled with the
-/// `enabled` feature. Collection starts **off** so library code never
-/// records unless a harness opts in.
-pub fn set_enabled(_on: bool) {
+/// A handle on one rank's lane of a [`TraceSink`]. Whoever runs work on a
+/// rank's behalf makes its lane current for the duration ([`Lane::enter`]):
+/// `MpiWorld::run` in each rank thread, the driven engine around every
+/// segment and wave cell it runs for a rank, a kernel in the rayon workers
+/// it fans out to.
+#[derive(Clone)]
+pub struct Lane {
+    sink: TraceSink,
+    rank: usize,
+    buf: Arc<Mutex<LaneBuf>>,
+}
+
+impl Lane {
+    /// The sink this lane belongs to.
+    pub fn sink(&self) -> &TraceSink {
+        &self.sink
+    }
+
+    /// Make this lane current on the calling thread until the guard drops,
+    /// which restores whatever was current before (also on unwind).
+    pub fn enter(&self) -> Entered {
+        Entered {
+            #[cfg(feature = "enabled")]
+            outer: CURRENT.with(|c| c.replace(Some(self.clone()))),
+            not_send: PhantomData,
+        }
+    }
+
+    /// Drain this lane's spans. Counters stay.
+    pub fn drain_events(&self) -> Vec<TraceEvent> {
+        std::mem::take(&mut self.buf.lock().events)
+    }
+}
+
+/// Guard of [`Lane::enter`]; tied to the thread it was created on.
+#[must_use = "the lane is current only while the guard lives"]
+pub struct Entered {
     #[cfg(feature = "enabled")]
-    imp::ENABLED.store(_on, std::sync::atomic::Ordering::Relaxed);
+    outer: Option<Lane>,
+    not_send: PhantomData<*const ()>,
 }
 
-/// True when collection is compiled in *and* runtime-enabled. `const false`
-/// without the feature, so `if is_on() { ... }` call sites (and their
-/// formatting) compile out entirely.
+impl Drop for Entered {
+    fn drop(&mut self) {
+        #[cfg(feature = "enabled")]
+        CURRENT.with(|c| c.replace(self.outer.take()));
+    }
+}
+
+#[cfg(feature = "enabled")]
+thread_local! {
+    /// The lane this thread records into; `None` = tracing is off here.
+    /// The crate's only static.
+    ///
+    /// `ManuallyDrop` so the slot has no destructor to register and
+    /// [`is_on`] is two loads, not a lazy-state check first: with tracing
+    /// compiled in and off, a 512-rank simulated step tests it ~1 M times
+    /// (about five per ring cell), which leaves `sim_world_512` ≈ 8 % over
+    /// the global flag this replaced as it is and more with the state
+    /// check. Nothing leaks: an [`Entered`] cannot leave its thread and puts
+    /// back what it found, so the slot is `None` again before the thread
+    /// ends.
+    static CURRENT: ManuallyDrop<RefCell<Option<Lane>>> =
+        const { ManuallyDrop::new(RefCell::new(None)) };
+}
+
+/// The lane current on this thread — what a launcher reads to find the sink
+/// in scope, and what a kernel captures before fanning out to threads that
+/// have no lane of their own. `None` when nothing is being traced here.
+pub fn current() -> Option<Lane> {
+    #[cfg(feature = "enabled")]
+    return CURRENT.with(|c| c.borrow().clone());
+    #[cfg(not(feature = "enabled"))]
+    None
+}
+
+/// True when collection is compiled in *and* a lane is current on this
+/// thread. `const false` without the feature, so `if is_on() { ... }` call
+/// sites (and their formatting) compile out entirely.
+///
+/// The generic recorders below are `#[inline]` for this check's sake: a
+/// copy per downstream codegen unit is what lets the thread-local access
+/// fold into the record site (`Comm::account_send` otherwise calls the
+/// accessor once per message).
 #[inline(always)]
 pub fn is_on() -> bool {
     #[cfg(feature = "enabled")]
-    {
-        imp::ENABLED.load(std::sync::atomic::Ordering::Relaxed)
-    }
+    return CURRENT.with(|c| c.borrow().is_some());
     #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
+    false
 }
 
-/// Tag the current thread with a rank; subsequent spans and counters
-/// recorded on this thread carry it. `MpiWorld::run` calls this in each
-/// per-rank thread.
+/// Run `f` on the current lane, if there is one. Not a substitute for the
+/// [`is_on`] test in front of a record site: this access carries `f`, is not
+/// inlined, and once per counter bump it cost a 512-rank simulated step 37 %
+/// more host time.
 #[inline]
-pub fn set_thread_rank(_rank: usize) {
+fn with_current<R>(_f: impl FnOnce(&Lane) -> R) -> Option<R> {
     #[cfg(feature = "enabled")]
-    imp::RANK.with(|r| r.set(_rank));
-}
-
-/// Rank tag of the current thread (0 if never set).
-pub fn thread_rank() -> usize {
-    #[cfg(feature = "enabled")]
-    {
-        imp::RANK.with(|r| r.get())
-    }
+    return CURRENT.with(|c| c.borrow().as_ref().map(_f));
     #[cfg(not(feature = "enabled"))]
-    {
-        0
-    }
+    None
 }
 
-/// Wall-clock seconds since the trace epoch.
+/// Wall-clock seconds since the epoch of the sink in scope (0 outside one).
+#[inline]
 pub fn now_wall_s() -> f64 {
-    #[cfg(feature = "enabled")]
-    {
-        imp::epoch().elapsed().as_secs_f64()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        0.0
-    }
+    with_current(|lane| lane.sink.epoch.elapsed().as_secs_f64()).unwrap_or(0.0)
 }
 
-fn push_event(_ev: TraceEvent) {
-    #[cfg(feature = "enabled")]
-    imp::with_local(|b| b.events.lock().push(_ev));
+/// File a completed span in the current lane; `rank` defaults to the lane's.
+fn push_event(
+    name: String,
+    cat: &'static str,
+    rank: Option<usize>,
+    (start_s, end_s): (f64, f64),
+    clock: Clock,
+) {
+    with_current(|lane| {
+        lane.buf.lock().events.push(TraceEvent {
+            name,
+            cat: Cow::Borrowed(cat),
+            rank: rank.unwrap_or(lane.rank),
+            start_s,
+            end_s,
+            clock,
+        })
+    });
 }
 
 /// RAII wall-clock span. Opens at construction, records on drop. Inert when
@@ -240,14 +359,7 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((name, cat, start_s)) = self.inner.take() {
-            push_event(TraceEvent {
-                name,
-                cat: Cow::Borrowed(cat),
-                rank: thread_rank(),
-                start_s,
-                end_s: now_wall_s(),
-                clock: Clock::Wall,
-            });
+            push_event(name, cat, None, (start_s, now_wall_s()), Clock::Wall);
         }
     }
 }
@@ -259,6 +371,7 @@ pub fn span(name: &str, cat: &'static str) -> SpanGuard {
 
 /// Open a wall-clock span with a lazily built name (skips the formatting
 /// cost when collection is off).
+#[inline]
 pub fn span_with(name: impl FnOnce() -> String, cat: &'static str) -> SpanGuard {
     if is_on() {
         SpanGuard {
@@ -279,14 +392,7 @@ pub struct VSpan {
 impl VSpan {
     pub fn finish(mut self, end_s: f64) {
         if let Some((name, cat, rank, start_s)) = self.inner.take() {
-            push_event(TraceEvent {
-                name,
-                cat: Cow::Borrowed(cat),
-                rank,
-                start_s,
-                end_s,
-                clock: Clock::Virtual,
-            });
+            push_event(name, cat, Some(rank), (start_s, end_s), Clock::Virtual);
         }
     }
 }
@@ -294,6 +400,7 @@ impl VSpan {
 /// Open a virtual-clock span for `rank` starting at `start_s` (the rank's
 /// current virtual time). Name construction is skipped when collection is
 /// off, but prefer guarding `format!` call sites with [`is_on`].
+#[inline]
 pub fn vspan(name: impl FnOnce() -> String, cat: &'static str, rank: usize, start_s: f64) -> VSpan {
     if is_on() {
         VSpan {
@@ -304,10 +411,8 @@ pub fn vspan(name: impl FnOnce() -> String, cat: &'static str, rank: usize, star
     }
 }
 
-/// Record a completed wall-clock span with an explicit rank tag. Kernels
-/// that fan work out to rayon workers capture the dispatching rank thread's
-/// [`thread_rank`] and pass it here so worker-side spans still attribute to
-/// the right rank lane.
+/// Record a completed wall-clock span with an explicit rank tag.
+#[inline]
 pub fn record_wall_span(
     name: impl FnOnce() -> String,
     cat: &'static str,
@@ -316,114 +421,33 @@ pub fn record_wall_span(
     end_s: f64,
 ) {
     if is_on() {
-        push_event(TraceEvent {
-            name: name(),
-            cat: Cow::Borrowed(cat),
-            rank,
-            start_s,
-            end_s,
-            clock: Clock::Wall,
-        });
+        push_event(name(), cat, Some(rank), (start_s, end_s), Clock::Wall);
     }
 }
 
-/// Record a completed virtual-clock span on the current thread's rank.
+/// Record a completed virtual-clock span on the current lane's rank.
+#[inline]
 pub fn record_span(name: impl FnOnce() -> String, cat: &'static str, start_s: f64, end_s: f64) {
     if is_on() {
-        push_event(TraceEvent {
-            name: name(),
-            cat: Cow::Borrowed(cat),
-            rank: thread_rank(),
-            start_s,
-            end_s,
-            clock: Clock::Virtual,
-        });
+        push_event(name(), cat, None, (start_s, end_s), Clock::Virtual);
     }
 }
 
-/// Add `delta` to the monotonic counter `key` (thread-sharded, summed at
-/// snapshot time).
+/// Add `delta` to the monotonic counter `key` of the current lane (summed
+/// across lanes by [`TraceSink::counters`]).
 #[inline]
-pub fn counter_add(_key: &'static str, _delta: f64) {
-    #[cfg(feature = "enabled")]
+pub fn counter_add(key: &'static str, delta: f64) {
     if is_on() {
-        imp::with_local(|b| *b.counters.lock().entry(_key).or_insert(0.0) += _delta);
+        with_current(|lane| *lane.buf.lock().counters.entry(key).or_insert(0.0) += delta);
     }
 }
 
-/// Set gauge `key` to `value` (last write per thread; snapshot takes the max
-/// across threads).
-pub fn gauge_set(_key: &'static str, _value: f64) {
-    #[cfg(feature = "enabled")]
+/// Set gauge `key` of the current lane to `value` (last write per lane;
+/// [`TraceSink::counters`] takes the max across lanes).
+#[inline]
+pub fn gauge_set(key: &'static str, value: f64) {
     if is_on() {
-        imp::with_local(|b| {
-            b.gauges.lock().insert(_key, _value);
-        });
-    }
-}
-
-/// Drain and return every recorded span from **all** threads (rank threads
-/// and rayon workers alike). Counters are left in place.
-pub fn take_events() -> Vec<TraceEvent> {
-    #[cfg(feature = "enabled")]
-    {
-        let mut out = Vec::new();
-        for buf in imp::all_bufs() {
-            out.append(&mut buf.events.lock());
-        }
-        out
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
-}
-
-/// Drain and return spans recorded by the **current** thread only. Rank
-/// threads in the simulator use this at step boundaries so each
-/// `RankRun` carries exactly its own spans.
-pub fn take_thread_events() -> Vec<TraceEvent> {
-    #[cfg(feature = "enabled")]
-    {
-        imp::with_local(|b| std::mem::take(&mut *b.events.lock()))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
-}
-
-/// Sum counters (and max-merge gauges, prefixed `gauge:`-free — gauges keep
-/// their own keys) across all threads. Non-destructive.
-pub fn counters_snapshot() -> BTreeMap<String, f64> {
-    #[cfg(feature = "enabled")]
-    {
-        let mut out: BTreeMap<String, f64> = BTreeMap::new();
-        for buf in imp::all_bufs() {
-            for (k, v) in buf.counters.lock().iter() {
-                *out.entry((*k).to_string()).or_insert(0.0) += v;
-            }
-            for (k, v) in buf.gauges.lock().iter() {
-                let e = out.entry((*k).to_string()).or_insert(f64::MIN);
-                *e = e.max(*v);
-            }
-        }
-        out
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        BTreeMap::new()
-    }
-}
-
-/// Clear all recorded spans, counters, and gauges on every thread. Test and
-/// CLI harnesses call this before a measured run.
-pub fn reset() {
-    #[cfg(feature = "enabled")]
-    for buf in imp::all_bufs() {
-        buf.events.lock().clear();
-        buf.counters.lock().clear();
-        buf.gauges.lock().clear();
+        with_current(|lane| lane.buf.lock().gauges.insert(key, value));
     }
 }
 
@@ -452,29 +476,23 @@ pub const WALL_PID_BASE: usize = 1000;
 mod tests {
     use super::*;
 
-    // Tests that flip the global runtime flag serialize on this lock so
-    // `cargo test` thread interleaving cannot cross-contaminate buffers.
-    pub(crate) static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-
+    /// Recording is disabled wherever no lane is current (scoping itself is
+    /// `tests/scoping.rs`'s).
     #[test]
     fn disabled_records_nothing() {
-        let _g = TEST_LOCK.lock();
-        set_enabled(false);
-        reset();
-        let _s = span("noop", cat::GEMM);
-        drop(_s);
+        let sink = TraceSink::new();
+        drop(span("noop", cat::GEMM));
         counter_add("x", 1.0);
-        assert!(take_events().is_empty());
-        assert!(counters_snapshot().is_empty());
+        assert!(!is_on() && current().is_none());
+        assert!(sink.drain_events().is_empty());
+        assert!(sink.counters().is_empty());
     }
 
     #[cfg(feature = "enabled")]
     #[test]
     fn spans_counters_round_trip() {
-        let _g = TEST_LOCK.lock();
-        set_enabled(true);
-        reset();
-        set_thread_rank(3);
+        let sink = TraceSink::new();
+        let _lane = sink.lane(3).enter();
         {
             let _s = span("gemm 64x64", cat::GEMM);
         }
@@ -486,8 +504,7 @@ mod tests {
         gauge_set("fusion.util", 0.5);
         gauge_set("fusion.util", 0.25);
 
-        let evs = take_thread_events();
-        set_enabled(false);
+        let evs = sink.lane(3).drain_events();
         assert_eq!(evs.len(), 3);
         assert!(evs.iter().all(|e| e.rank == 3));
         let mpi = evs.iter().find(|e| e.cat == cat::MPI).unwrap();
@@ -496,11 +513,11 @@ mod tests {
         let wall = evs.iter().find(|e| e.cat == cat::GEMM).unwrap();
         assert_eq!(wall.clock, Clock::Wall);
 
-        let c = counters_snapshot();
+        // draining spans leaves the counters
+        assert!(sink.drain_events().is_empty());
+        let c = sink.counters();
         assert_eq!(c["regcache.hit"], 3.0);
         assert_eq!(c["fusion.util"], 0.25);
-        reset();
-        assert!(counters_snapshot().is_empty());
     }
 
     #[cfg(feature = "enabled")]
