@@ -18,16 +18,29 @@
 //! 3. The forward and weight-gradient GEMMs read the image through a
 //!    *virtual im2col view* ([`matmul::BSrc::Im2col`] /
 //!    [`matmul::BSrc::Im2colT`]): the column matrix is never materialized —
-//!    the packing routines gather patch elements straight from the image,
-//!    which removes a `C_in·K²·H_out·W_out` scratch buffer and a full
-//!    write+read pass per image per direction. Only the input gradient
-//!    still materializes a column matrix, because there it is the GEMM
-//!    *output* that `col2im` scatters back onto the image.
+//!    the packing routines copy patch runs straight from the image, which
+//!    removes a `C_in·K²·H_out·W_out` scratch buffer and a full write+read
+//!    pass per image per direction. The input gradient materializes a
+//!    column matrix, because there it is the GEMM *output* that `col2im`
+//!    adds back onto the image, run by run.
 //! 4. Reductions that cross the parallel axis (weight/bias gradients) are
 //!    accumulated per image into disjoint scratch, then summed sequentially
 //!    in ascending image order — results are bitwise independent of the
 //!    thread count (see the module docs of [`crate::matmul`] for the GEMM
 //!    half of that contract).
+//!
+//! Layers with at most four output channels at stride 1 (EDSR's RGB output
+//! conv) skip pack-and-GEMM for the forward and the input gradient: packing
+//! an image costs the same for 3 output rows as for 64 and is never
+//! amortized there. The forward walks a zero-padded copy of the image with
+//! one vector of accumulators per output channel (`direct_forward`); the
+//! input gradient computes each column-matrix run and adds it to the image
+//! at once, so that matrix is never written (`direct_input_grad`). Both
+//! perform, per element, exactly the `mul_add` chain and `kc`-boundary adds
+//! of the engine under the selector's blueprint, so which path runs — a pure
+//! function of `(c_out, stride, bf16 flag)` — cannot change a bit
+//! (`tests/properties.rs` holds every path to one GEMM oracle). The weight
+//! gradient of such a layer still runs through the engine.
 //!
 //! The forward GEMM applies bias and activation in its epilogue
 //! ([`conv2d_fused`]), so a conv + ReLU layer makes a single pass over the
@@ -142,6 +155,12 @@ impl PackedA {
 }
 
 /// Accumulate a column matrix back into an image (the adjoint of im2col).
+///
+/// Walks `(c, ky, kx, oy, ox)` in ascending order — the order is part of
+/// the digest contract, every image element sums its taps in it. The `ox`
+/// range that lands inside the image is clamped once per `(ky, kx)`, so the
+/// inner loop is a branch-free add of one contiguous column-matrix run onto
+/// one image row.
 #[dlsr::hot]
 fn col2im(
     col: &[f32],
@@ -150,31 +169,245 @@ fn col2im(
     p: Conv2dParams,
     img: &mut [f32],
 ) {
+    let (s, pad) = (p.stride, p.padding);
     let h_out = p.out_extent(h, kh);
     let w_out = p.out_extent(w, kw);
     let hw_out = h_out * w_out;
     for c in 0..c_in {
-        let plane_base = c * h * w;
+        let plane = &mut img[c * h * w..(c + 1) * h * w];
         for ky in 0..kh {
             for kx in 0..kw {
                 let row = ((c * kh + ky) * kw + kx) * hw_out;
+                // ox with 0 <= ox·s + kx − pad < w
+                let ox_lo = pad.saturating_sub(kx).div_ceil(s);
+                let ox_hi = w_out.min((w + pad).saturating_sub(kx).div_ceil(s));
+                if ox_lo >= ox_hi {
+                    continue;
+                }
+                let ix_lo = ox_lo * s + kx - pad;
                 for oy in 0..h_out {
-                    let iy = (oy * p.stride + ky) as isize - p.padding as isize;
-                    if iy < 0 || iy >= h as isize {
+                    let iy = oy * s + ky;
+                    if iy < pad || iy - pad >= h {
                         continue;
                     }
-                    let iy = iy as usize;
-                    let src = &col[row + oy * w_out..row + (oy + 1) * w_out];
-                    for (ox, &s) in src.iter().enumerate() {
-                        let ix = (ox * p.stride + kx) as isize - p.padding as isize;
-                        if ix >= 0 && ix < w as isize {
-                            img[plane_base + iy * w + ix as usize] += s;
+                    let src = &col[row + oy * w_out + ox_lo..row + oy * w_out + ox_hi];
+                    let dst = &mut plane[(iy - pad) * w + ix_lo..];
+                    if s == 1 {
+                        for (d, &v) in dst[..src.len()].iter_mut().zip(src) {
+                            *d += v;
+                        }
+                    } else {
+                        for (d, &v) in dst.iter_mut().step_by(s).zip(src) {
+                            *d += v;
                         }
                     }
                 }
             }
         }
     }
+}
+
+/// Widest `c_out` the pack-free paths serve. Packing an image for the GEMM
+/// engine costs the same for 3 output rows as for 64, so below this it can
+/// never be amortized.
+const DIRECT_MAX_C_OUT: usize = 4;
+
+/// Lanes per accumulator vector in [`direct_forward`].
+const DIRECT_LANES: usize = 16;
+
+/// `gemm.variant.*` counter the pack-free paths count their
+/// tile-equivalents under.
+const DIRECT_COUNTER: &str = "gemm.variant.direct";
+
+/// Whether a layer takes the pack-free paths ([`direct_forward`],
+/// [`direct_input_grad`]) instead of pack-and-GEMM: a pure function of the
+/// layer's shape and the storage precision (bf16 panels exist only in the
+/// engine).
+fn is_direct(c_out: usize, p: Conv2dParams) -> bool {
+    #[cfg(feature = "bf16")]
+    if tune::bf16_enabled() {
+        return false;
+    }
+    (1..=DIRECT_MAX_C_OUT).contains(&c_out) && p.stride == 1
+}
+
+/// Extents `(rows, row pitch)` of the zero-padded image copy
+/// [`direct_forward`] reads: every tap of every output pixel is in bounds,
+/// and each row carries slack so the last lane vector of an output row
+/// reads whole.
+fn padded_extents((h_out, w_out): (usize, usize), (kh, kw): (usize, usize)) -> (usize, usize) {
+    (
+        h_out + kh - 1,
+        w_out.next_multiple_of(DIRECT_LANES) + kw - 1,
+    )
+}
+
+/// Copy `img` (`[c_in, h, w]`) into the interior of the zeroed
+/// `[c_in, ph, pw]` buffer `padded`, `pad` rows/columns in.
+#[dlsr::hot]
+fn pad_image(
+    img: &[f32],
+    (c_in, h, w): (usize, usize, usize),
+    pad: usize,
+    (ph, pw): (usize, usize),
+    padded: &mut [f32],
+) {
+    padded.fill(0.0);
+    for c in 0..c_in {
+        for y in 0..h {
+            let dst = (c * ph + y + pad) * pw + pad;
+            padded[dst..dst + w].copy_from_slice(&img[(c * h + y) * w..(c * h + y + 1) * w]);
+        }
+    }
+}
+
+/// Stride-1 forward convolution for `CO <= 4` output channels, without
+/// packing: one vector of [`DIRECT_LANES`] accumulators per output channel
+/// walks the taps of `DIRECT_LANES` neighbouring output pixels over the
+/// zero-padded image.
+///
+/// Per output element this is the chain the GEMM engine performs (see the
+/// determinism contract in [`crate::matmul`]): one `mul_add` per tap in
+/// ascending `(c, ky, kx)` from a zero accumulator, the accumulator stored
+/// at the first `kc` boundary and added at every later one, padding taps
+/// multiplied as zeros rather than skipped, then the epilogue.
+#[allow(clippy::too_many_arguments)]
+#[dlsr::hot]
+fn direct_forward<const CO: usize>(
+    padded: &[f32],
+    (c_in, ph, pw): (usize, usize, usize),
+    (kh, kw): (usize, usize),
+    weight: &[f32],
+    kc: usize,
+    (h_out, w_out): (usize, usize),
+    epi: Epilogue<'_>,
+    out: &mut [f32],
+) {
+    const V: usize = DIRECT_LANES;
+    let k = c_in * kh * kw;
+    let hw_out = h_out * w_out;
+    for oy in 0..h_out {
+        for ox0 in (0..w_out).step_by(V) {
+            let mut total = [[0.0f32; V]; CO];
+            let mut acc = [[0.0f32; V]; CO];
+            let (mut tap, mut left) = (0, kc);
+            for c in 0..c_in {
+                for ky in 0..kh {
+                    let row = (c * ph + oy + ky) * pw + ox0;
+                    let row = &padded[row..row + V + kw - 1];
+                    for kx in 0..kw {
+                        let x = &row[kx..kx + V];
+                        for (co, a) in acc.iter_mut().enumerate() {
+                            let wv = weight[co * k + tap];
+                            for (a, &x) in a.iter_mut().zip(x) {
+                                *a = wv.mul_add(x, *a);
+                            }
+                        }
+                        tap += 1;
+                        left -= 1;
+                        if left == 0 || tap == k {
+                            if tap <= kc {
+                                total = acc;
+                            } else {
+                                for (t, a) in total.iter_mut().zip(&acc) {
+                                    for (t, &a) in t.iter_mut().zip(a) {
+                                        *t += a;
+                                    }
+                                }
+                            }
+                            acc = [[0.0; V]; CO];
+                            left = kc;
+                        }
+                    }
+                }
+            }
+            let lanes = V.min(w_out - ox0);
+            for (co, t) in total.iter().enumerate() {
+                let dst = co * hw_out + oy * w_out + ox0;
+                let dst = &mut out[dst..dst + lanes];
+                dst.copy_from_slice(&t[..lanes]);
+                epi.finish_row(co, dst);
+            }
+        }
+    }
+}
+
+/// Stride-1 input gradient for `CO <= 4` output channels with the product
+/// fused into the scatter: where the GEMM path writes the `K × H·W` column
+/// matrix `Wᵀ·grad_out` and [`col2im`] adds it onto the image, this adds
+/// each column-matrix run the moment it is computed, so the matrix never
+/// exists.
+///
+/// Same bits: the run elements are the engine's `mul_add` chain over
+/// ascending `co` from a zero accumulator (`cut[co]` marks the `kc`
+/// boundaries, where the partial sum is stored, then added), and the runs
+/// land in `col2im`'s `(c, ky, kx, oy, ox)` order.
+#[allow(clippy::too_many_arguments)]
+#[dlsr::hot]
+fn direct_input_grad<const CO: usize>(
+    grad_out: &[f32],
+    weight: &[f32],
+    kc: usize,
+    (c_in, h, w): (usize, usize, usize),
+    (kh, kw): (usize, usize),
+    pad: usize,
+    (h_out, w_out): (usize, usize),
+    grad_in: &mut [f32],
+) {
+    let hw_out = h_out * w_out;
+    let k = c_in * kh * kw;
+    let cut: [bool; CO] = std::array::from_fn(|co| co != 0 && co % kc == 0);
+    for c in 0..c_in {
+        let plane = &mut grad_in[c * h * w..(c + 1) * h * w];
+        for ky in 0..kh {
+            for kx in 0..kw {
+                let tap = (c * kh + ky) * kw + kx;
+                let wv: [f32; CO] = std::array::from_fn(|co| weight[co * k + tap]);
+                // ox with 0 <= ox + kx − pad < w
+                let ox_lo = pad.saturating_sub(kx);
+                let ox_hi = w_out.min((w + pad).saturating_sub(kx));
+                if ox_lo >= ox_hi {
+                    continue;
+                }
+                let (ix_lo, len) = (ox_lo + kx - pad, ox_hi - ox_lo);
+                for oy in 0..h_out {
+                    let iy = oy + ky;
+                    if iy < pad || iy - pad >= h {
+                        continue;
+                    }
+                    let g: [&[f32]; CO] = std::array::from_fn(|co| {
+                        let j = co * hw_out + oy * w_out + ox_lo;
+                        &grad_out[j..j + len]
+                    });
+                    let dst = (iy - pad) * w + ix_lo;
+                    for (t, d) in plane[dst..dst + len].iter_mut().enumerate() {
+                        let (mut sum, mut acc) = (0.0f32, 0.0f32);
+                        for co in 0..CO {
+                            if cut[co] {
+                                sum = if co == kc { acc } else { sum + acc };
+                                acc = 0.0;
+                            }
+                            acc = wv[co].mul_add(g[co][t], acc);
+                        }
+                        *d += if CO > kc { sum + acc } else { acc };
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Run `$f::<CO>($args)` for the runtime `c_out` of a direct-path layer.
+macro_rules! direct_dispatch {
+    ($c_out:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        match $c_out {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            n => unreachable!("direct conv path taken with c_out = {n}"),
+        }
+    };
 }
 
 /// Forward convolution: `out[n, co, :, :] = Σ_ci weight[co, ci] ⋆ input[n, ci] + bias[co]`.
@@ -245,9 +478,6 @@ pub fn conv2d_fused_into(
 
     // Resolve the blueprint once per layer call; every image shares it.
     let bp = tune::select(c_out, k, hw_out);
-    let variant = bp.kernel.executes_as().as_str();
-    // Pack the weight matrix once; every image multiplies against it.
-    let wpack = PackedA::pack(&bp, weight.data(), c_out, k, false);
     let epi = match (bias, act) {
         (None, Act::Identity) => Epilogue::None,
         (None, Act::Relu) => Epilogue::Relu,
@@ -260,9 +490,37 @@ pub fn conv2d_fused_into(
     // Rayon workers have no trace lane of their own: they record into the
     // lane of the rank that owns this layer call.
     let lane = dlsr_trace::current();
+    let variant = bp.kernel.executes_as().as_str();
+    // Pack the weight matrix once; every image multiplies against it —
+    // unless the layer is too narrow for packing to pay (`is_direct`).
+    let wpack = (!is_direct(c_out, p)).then(|| PackedA::pack(&bp, weight.data(), c_out, k, false));
     let image = |i: usize, dst: &mut [f32]| {
         let _lane = lane.as_ref().map(dlsr_trace::Lane::enter);
         let img = &input.data()[i * chw_in..(i + 1) * chw_in];
+        let Some(wpack) = &wpack else {
+            let _span = dlsr_trace::span_with(
+                || format!("conv direct {c_out}x{k}x{hw_out}"),
+                dlsr_trace::cat::GEMM,
+            );
+            dlsr_trace::counter_add(DIRECT_COUNTER, matmul::tile_count(&bp, c_out, k, hw_out));
+            let (ph, pw) = padded_extents((h_out, w_out), (kh, kw));
+            let mut padded = scratch::take(c_in * ph * pw);
+            pad_image(img, (c_in, h, w), p.padding, (ph, pw), &mut padded);
+            direct_dispatch!(
+                c_out,
+                direct_forward(
+                    &padded,
+                    (c_in, ph, pw),
+                    (kh, kw),
+                    weight.data(),
+                    bp.kc,
+                    (h_out, w_out),
+                    epi,
+                    dst,
+                )
+            );
+            return;
+        };
         // Implicit GEMM: the im2col matrix is a view the packer reads
         // through, never a buffer.
         let view = Im2colView::new(img, (c_in, h, w), (kh, kw), p.stride, p.padding);
@@ -333,8 +591,10 @@ pub fn conv2d_backward(
     let bp_i = tune::select(k, c_out, hw_out);
     let variant = bp_w.kernel.executes_as().as_str();
 
-    // Pack Wᵀ (K×C_out) once for the input-gradient GEMMs.
-    let wt_pack = PackedA::pack(&bp_i, weight.data(), k, c_out, true);
+    // Pack Wᵀ (K×C_out) once for the input-gradient GEMMs — unless the
+    // layer is too narrow for the column matrix to pay (`is_direct`).
+    let wt_pack =
+        (!is_direct(c_out, p)).then(|| PackedA::pack(&bp_i, weight.data(), k, c_out, true));
 
     // Disjoint per-image accumulators for the cross-batch reductions.
     let mut gw_all = scratch::take(n * c_out * k);
@@ -370,6 +630,29 @@ pub fn conv2d_backward(
             batch_par,
         );
 
+        let Some(wt_pack) = &wt_pack else {
+            drop(gemm_span);
+            // input gradient, pack-free: Wᵀ·grad_out fused into the scatter
+            let _span = dlsr_trace::span_with(
+                || format!("conv bwd direct {k}x{c_out}x{hw_out}"),
+                dlsr_trace::cat::GEMM,
+            );
+            dlsr_trace::counter_add(DIRECT_COUNTER, matmul::tile_count(&bp_i, k, c_out, hw_out));
+            direct_dispatch!(
+                c_out,
+                direct_input_grad(
+                    go,
+                    weight.data(),
+                    bp_i.kc,
+                    (c_in, h, w),
+                    (kh, kw),
+                    p.padding,
+                    (h_out, w_out),
+                    gi
+                )
+            );
+            return;
+        };
         // input gradient: Wᵀ·grad_out produces the column matrix...
         let mut col = scratch::take(k * hw_out);
         wt_pack.gemm(

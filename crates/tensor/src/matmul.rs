@@ -63,6 +63,27 @@ pub enum Epilogue<'a> {
     BiasRelu(&'a [f32]),
 }
 
+impl Epilogue<'_> {
+    /// Apply the epilogue to a fully summed stretch of output row `row`.
+    #[inline]
+    pub(crate) fn finish_row(self, row: usize, dst: &mut [f32]) {
+        match self {
+            Epilogue::None => {}
+            Epilogue::Bias(bias) => {
+                let bv = bias[row];
+                dst.iter_mut().for_each(|d| *d += bv);
+            }
+            Epilogue::Relu => {
+                dst.iter_mut().for_each(|d| *d = d.max(0.0));
+            }
+            Epilogue::BiasRelu(bias) => {
+                let bv = bias[row];
+                dst.iter_mut().for_each(|d| *d = (*d + bv).max(0.0));
+            }
+        }
+    }
+}
+
 /// Packed-panel element type: `f32`, or bf16 bits behind the `bf16`
 /// feature. Accumulation is always `f32`; only panel storage changes.
 pub(crate) trait Elem: Copy + Send + Sync + 'static {
@@ -71,6 +92,9 @@ pub(crate) trait Elem: Copy + Send + Sync + 'static {
 
     fn take_scratch(len: usize) -> Self::Buf;
     fn pack(x: f32) -> Self;
+    /// Pack a contiguous run: `dst[i] = pack(src[i])`, equal lengths.
+    #[dlsr::hot]
+    fn pack_run(dst: &mut [Self], src: &[f32]);
     /// One microkernel tile: `acc = Apanel · Bpanel` (see [`kernels`]).
     fn tile(
         kernel: KernelId,
@@ -92,6 +116,12 @@ impl Elem for f32 {
 
     fn pack(x: f32) -> f32 {
         x
+    }
+
+    #[inline]
+    #[dlsr::hot]
+    fn pack_run(dst: &mut [f32], src: &[f32]) {
+        dst.copy_from_slice(src);
     }
 
     #[inline]
@@ -118,6 +148,14 @@ impl Elem for u16 {
 
     fn pack(x: f32) -> u16 {
         kernels::f32_to_bf16(x)
+    }
+
+    #[inline]
+    #[dlsr::hot]
+    fn pack_run(dst: &mut [u16], src: &[f32]) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = kernels::f32_to_bf16(s);
+        }
     }
 
     #[inline]
@@ -283,7 +321,10 @@ fn pack_b_block<E: Elem>(
     match src {
         BSrc::Rows(b) => pack_block_rows::<E>(bp.nr, b, n, jc, ncb, kb, kc, dst),
         BSrc::Cols(b) => pack_block_cols::<E>(bp.nr, b, k, n, jc, ncb, kb, kc, dst),
-        BSrc::Im2col(v) => pack_block_im2col::<E>(bp.nr, &v, n, jc, ncb, kb, kc, dst),
+        BSrc::Im2col(v) if v.stride == 1 => {
+            pack_block_im2col::<E>(bp.nr, &v, n, jc, ncb, kb, kc, dst)
+        }
+        BSrc::Im2col(v) => pack_block_im2col_strided::<E>(bp.nr, &v, n, jc, ncb, kb, kc, dst),
         BSrc::Im2colT(v) => pack_block_im2col_t::<E>(bp.nr, &v, n, jc, ncb, kb, kc, dst),
     }
 }
@@ -345,14 +386,87 @@ fn pack_block_cols<E: Elem>(
     }
 }
 
-/// Pack a staged block straight out of the image: `B[p, j] = col[p, j]`
-/// where `p` decodes to a (channel, ky, kx) patch row and `j` to an output
-/// pixel. The per-panel spatial bases are hoisted to stack arrays, so the
-/// inner loop is an add, two bounds tests, and one image load — the im2col
-/// gather fused into packing.
+/// Pack a staged block straight out of a stride-1 image view:
+/// `B[p, j] = col[p, j]` where `p` decodes to a (channel, ky, kx) patch row
+/// and `j` to an output pixel. Consecutive columns of a panel are
+/// consecutive output pixels, so for a fixed patch row the sources are
+/// contiguous image runs — one per output row the panel crosses. Those
+/// segments depend only on the panel and are computed once for it; the patch
+/// row is walked by counting `(c, ky, kx)` up, and each run is one
+/// [`Elem::pack_run`] with zero-filled out-of-image edges.
 #[allow(clippy::too_many_arguments)]
 #[dlsr::hot]
 fn pack_block_im2col<E: Elem>(
+    nr: usize,
+    v: &Im2colView<'_>,
+    n: usize,
+    jc: usize,
+    ncb: usize,
+    kb: usize,
+    kc: usize,
+    dst: &mut [E],
+) {
+    debug_assert_eq!(v.stride, 1);
+    let khw = v.kh * v.kw;
+    let (c0, rem0) = (kb / khw, kb % khw);
+    let (ky0, kx0) = (rem0 / v.kw, rem0 % v.kw);
+    let (hs, ws, pad) = (v.h as isize, v.w as isize, v.padding as isize);
+    let zero = E::pack(0.0);
+    for jp in 0..ncb / nr {
+        let j0 = jc + jp * nr;
+        let cols = nr.min(n.saturating_sub(j0));
+        // The panel's output-row segments: (first panel column, length,
+        // image y of tap row 0, image x of tap column 0).
+        let mut segs = [(0usize, 0usize, 0isize, 0isize); MAX_NR];
+        let mut nseg = 0;
+        let (mut oy, mut ox) = (j0 / v.w_out, j0 % v.w_out);
+        let mut j = 0;
+        while j < cols {
+            let len = (cols - j).min(v.w_out - ox);
+            segs[nseg] = (j, len, oy as isize - pad, ox as isize - pad);
+            nseg += 1;
+            j += len;
+            (oy, ox) = (oy + 1, 0);
+        }
+        let panel = &mut dst[jp * (nr * kc)..(jp + 1) * (nr * kc)];
+        let (mut c, mut ky, mut kx) = (c0, ky0, kx0);
+        for drow in panel.chunks_exact_mut(nr) {
+            let plane = &v.img[c * v.h * v.w..(c + 1) * v.h * v.w];
+            drow[cols..].fill(zero);
+            for &(j, len, y0, x0) in &segs[..nseg] {
+                let drun = &mut drow[j..j + len];
+                let (iy, x0, len) = (y0 + ky as isize, x0 + kx as isize, len as isize);
+                // Elements of the run left and right of the image.
+                let lead = (-x0).clamp(0, len);
+                let trail = (x0 + len - ws).clamp(0, len);
+                if iy < 0 || iy >= hs || lead + trail >= len {
+                    drun.fill(zero);
+                    continue;
+                }
+                let src0 = (iy * ws + x0 + lead) as usize;
+                let (lead, live) = (lead as usize, (len - lead - trail) as usize);
+                drun[..lead].fill(zero);
+                drun[lead + live..].fill(zero);
+                E::pack_run(&mut drun[lead..lead + live], &plane[src0..src0 + live]);
+            }
+            kx += 1;
+            if kx == v.kw {
+                (ky, kx) = (ky + 1, 0);
+                if ky == v.kh {
+                    (c, ky) = (c + 1, 0);
+                }
+            }
+        }
+    }
+}
+
+/// Strided twin of [`pack_block_im2col`]: columns of a panel are not
+/// contiguous in the image, so every element is gathered. The per-panel
+/// spatial bases are hoisted to stack arrays; the inner loop is an add, two
+/// bounds tests and one image load.
+#[allow(clippy::too_many_arguments)]
+#[dlsr::hot]
+fn pack_block_im2col_strided<E: Elem>(
     nr: usize,
     v: &Im2colView<'_>,
     n: usize,
@@ -366,68 +480,24 @@ fn pack_block_im2col<E: Elem>(
     let (hs, ws) = (v.h as isize, v.w as isize);
     for jp in 0..ncb / nr {
         let j0 = jc + jp * nr;
-        let fast = v.stride == 1;
         let mut iy0 = [0isize; MAX_NR];
         let mut ix0 = [0isize; MAX_NR];
         let mut live = [false; MAX_NR];
-        if !fast {
-            for j in 0..nr {
-                let col = j0 + j;
-                if col < n {
-                    let (oy, ox) = (col / v.w_out, col % v.w_out);
-                    iy0[j] = (oy * v.stride) as isize - v.padding as isize;
-                    ix0[j] = (ox * v.stride) as isize - v.padding as isize;
-                    live[j] = true;
-                }
+        for j in 0..nr {
+            let col = j0 + j;
+            if col < n {
+                let (oy, ox) = (col / v.w_out, col % v.w_out);
+                iy0[j] = (oy * v.stride) as isize - v.padding as isize;
+                ix0[j] = (ox * v.stride) as isize - v.padding as isize;
+                live[j] = true;
             }
         }
         let panel = &mut dst[jp * (nr * kc)..(jp + 1) * (nr * kc)];
-        let cols = nr.min(n.saturating_sub(j0));
         for (p, drow) in panel.chunks_exact_mut(nr).enumerate() {
             let row = kb + p;
             let (c, rem) = (row / khw, row % khw);
             let (ky, kx) = ((rem / v.kw) as isize, (rem % v.kw) as isize);
             let plane = &v.img[c * v.h * v.w..(c + 1) * v.h * v.w];
-            if fast && cols > 0 {
-                // Stride-1 fast path: consecutive columns of this panel are
-                // consecutive output pixels, so for a fixed patch row the
-                // sources form contiguous image runs — one per output row
-                // the panel crosses. Each run is a converting copy with
-                // zero-filled out-of-image edges instead of a per-element
-                // bounds test.
-                let (fill, pad) = drow.split_at_mut(cols);
-                pad.fill(E::pack(0.0));
-                let mut j = 0usize;
-                while j < cols {
-                    let col = j0 + j;
-                    let (oy, ox) = (col / v.w_out, col % v.w_out);
-                    let seg = (cols - j).min(v.w_out - ox);
-                    let drun = &mut fill[j..j + seg];
-                    let iy = oy as isize + ky - v.padding as isize;
-                    if iy < 0 || iy >= hs {
-                        drun.fill(E::pack(0.0));
-                    } else {
-                        // source x for element t of the run: ox+t+kx-pad
-                        let x0 = ox as isize + kx - v.padding as isize;
-                        let lead = (-x0).clamp(0, seg as isize) as usize;
-                        let trail = (x0 + seg as isize - ws).clamp(0, seg as isize) as usize;
-                        if lead + trail >= seg {
-                            // run entirely off-image on the x axis
-                            drun.fill(E::pack(0.0));
-                        } else {
-                            drun[..lead].fill(E::pack(0.0));
-                            drun[seg - trail..].fill(E::pack(0.0));
-                            let src0 = iy as usize * v.w + (x0 + lead as isize) as usize;
-                            let srun = &plane[src0..src0 + seg - lead - trail];
-                            for (d, &s) in drun[lead..seg - trail].iter_mut().zip(srun) {
-                                *d = E::pack(s);
-                            }
-                        }
-                    }
-                    j += seg;
-                }
-                continue;
-            }
             for (j, d) in drow.iter_mut().enumerate() {
                 let val = if live[j] {
                     let (iy, ix) = (iy0[j] + ky, ix0[j] + kx);
@@ -540,20 +610,7 @@ fn store_tile(
             dst.copy_from_slice(src);
         }
         if let Some((epi, row0)) = finalize {
-            match epi {
-                Epilogue::None => {}
-                Epilogue::Bias(bias) => {
-                    let bv = bias[row0 + i];
-                    dst.iter_mut().for_each(|d| *d += bv);
-                }
-                Epilogue::Relu => {
-                    dst.iter_mut().for_each(|d| *d = d.max(0.0));
-                }
-                Epilogue::BiasRelu(bias) => {
-                    let bv = bias[row0 + i];
-                    dst.iter_mut().for_each(|d| *d = (*d + bv).max(0.0));
-                }
-            }
+            epi.finish_row(row0 + i, dst);
         }
     }
 }
@@ -763,6 +820,12 @@ fn gemm_rows_par<E: Elem>(
     });
 }
 
+/// Microkernel invocations one `m×k×n` GEMM makes under `bp` — the unit of
+/// the `gemm.variant.*` counters.
+pub(crate) fn tile_count(bp: &Blueprint, m: usize, k: usize, n: usize) -> f64 {
+    (m.div_ceil(bp.mr) * n.div_ceil(bp.nr) * k.div_ceil(bp.kc)) as f64
+}
+
 #[allow(clippy::too_many_arguments)]
 fn gemm_generic<E: Elem>(
     bp: &Blueprint,
@@ -798,8 +861,7 @@ fn gemm_generic<E: Elem>(
         return;
     }
     let kernel = bp.kernel.executes_as();
-    let tiles = m.div_ceil(bp.mr) * n.div_ceil(bp.nr) * k.div_ceil(bp.kc);
-    dlsr_trace::counter_add(kernel.counter_key(), tiles as f64);
+    dlsr_trace::counter_add(kernel.counter_key(), tile_count(bp, m, k, n));
     if !force_seq && bp.par == ParHint::Rows && rayon::current_num_threads() > 1 {
         gemm_rows_par::<E>(bp, kernel, apack, bsrc, c, m, k, n, epi);
     } else {

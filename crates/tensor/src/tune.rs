@@ -119,11 +119,17 @@ impl Blueprint {
 /// this, thread dispatch costs more than the multiply.
 const PAR_FLOP_THRESHOLD: usize = 1 << 21;
 
-/// The EDSR training shapes (batch-4 48×48 patches, F=64 body) the cache
-/// is seeded with: forward head/body/tail, the upsampler, and the
-/// backward weight/input-gradient GEMMs. Keeping them here means the
-/// first training step never pays a selector miss.
-pub const EDSR_SHAPES: [(usize, usize, usize); 10] = [
+/// The EDSR training shapes (48×48 patches, F=64 body, ×2) the cache is
+/// seeded with: forward head/body/tail, the upsampler, and the backward
+/// weight/input-gradient GEMMs. Keeping them here means the first training
+/// step never pays a selector miss (`crates/models/tests/tune_seeds.rs`).
+///
+/// Rows 0–9 are indexed by position from outside the workspace, so new
+/// shapes are appended. Rows 2, 6 and 9 are the output conv at 48², where
+/// no ×2 model runs it: it comes after the pixel shuffle, at 96² (rows
+/// 10–12). Its forward and input-gradient run pack-free (`crate::conv`)
+/// and resolve their row only for `kc`.
+pub const EDSR_SHAPES: [(usize, usize, usize); 15] = [
     (64, 27, 2304),   // fwd head: 3->64, 3x3, 48x48 out
     (64, 576, 2304),  // fwd body: 64->64
     (3, 576, 2304),   // fwd tail: 64->3
@@ -134,6 +140,11 @@ pub const EDSR_SHAPES: [(usize, usize, usize); 10] = [
     (576, 64, 2304),  // igrad body
     (27, 64, 2304),   // igrad head
     (576, 3, 2304),   // igrad tail
+    (3, 576, 9216),   // fwd tail at 96x96 (kc only)
+    (3, 9216, 576),   // wgrad tail at 96x96
+    (576, 3, 9216),   // igrad tail at 96x96 (kc only)
+    (256, 2304, 576), // wgrad upsampler
+    (576, 256, 2304), // igrad upsampler
 ];
 
 /// Deterministic heuristic for shapes without a cache entry.

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 
 use dlsr_tensor::conv::{
-    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_reference, Conv2dParams,
+    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_fused, conv2d_reference, Act,
+    Conv2dParams,
 };
 use dlsr_tensor::kernels::KernelId;
 use dlsr_tensor::matmul::{self, matmul, transpose, BSrc, Epilogue, Im2colView};
@@ -31,6 +32,228 @@ fn scalar_oracle(kc: usize) -> Blueprint {
         kc,
         nc: 64,
         par: ParHint::Seq,
+    }
+}
+
+/// The im2col definition, materialized: `col[(c, ky, kx), (oy, ox)]`.
+fn im2col(
+    img: &[f32],
+    (c_in, h, w): (usize, usize, usize),
+    (kh, kw): (usize, usize),
+    p: Conv2dParams,
+) -> Vec<f32> {
+    let (h_out, w_out) = (p.out_extent(h, kh), p.out_extent(w, kw));
+    let n = h_out * w_out;
+    let mut col = vec![0.0f32; c_in * kh * kw * n];
+    for r in 0..c_in * kh * kw {
+        let (c, ky, kx) = (r / (kh * kw), r / kw % kh, r % kw);
+        for j in 0..n {
+            let iy = (j / w_out * p.stride + ky) as isize - p.padding as isize;
+            let ix = (j % w_out * p.stride + kx) as isize - p.padding as isize;
+            if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                col[r * n + j] = img[(c * h + iy as usize) * w + ix as usize];
+            }
+        }
+    }
+    col
+}
+
+/// The per-element `col2im` loop the conv module ran before its run-adding
+/// one: a bounds test per element, `(c, ky, kx, oy, ox)` order.
+fn naive_col2im(
+    col: &[f32],
+    (c_in, h, w): (usize, usize, usize),
+    (kh, kw): (usize, usize),
+    p: Conv2dParams,
+    img: &mut [f32],
+) {
+    let (h_out, w_out) = (p.out_extent(h, kh), p.out_extent(w, kw));
+    for c in 0..c_in {
+        for ky in 0..kh {
+            for kx in 0..kw {
+                let row = ((c * kh + ky) * kw + kx) * h_out * w_out;
+                for oy in 0..h_out {
+                    for ox in 0..w_out {
+                        let iy = (oy * p.stride + ky) as isize - p.padding as isize;
+                        let ix = (ox * p.stride + kx) as isize - p.padding as isize;
+                        if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                            img[(c * h + iy as usize) * w + ix as usize] +=
+                                col[row + oy * w_out + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Bit patterns, with every NaN mapped to one pattern: which payload an FMA
+/// hands on is the instruction selector's choice, NaN-or-not is the code's.
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter()
+        .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+        .collect()
+}
+
+/// One conv layer, forward and backward, against the pack-and-GEMM
+/// formulation spelled out with the engine's public pieces: `matmul::gemm`
+/// under the selector's blueprint on a **materialized** column matrix, the
+/// naive `col2im`, per-image reductions summed in ascending image order.
+/// Every conv path — implicit-im2col packers, run-adding `col2im`, the
+/// pack-free small-`c_out` forward and input gradient — must reproduce it
+/// bit for bit. `epi`: 0 = no bias, 1 = bias, 2 = bias + ReLU. With
+/// `nan_tap` the first weight is NaN: the engine multiplies padding zeros
+/// like any other tap, so every output whose window holds that tap — in the
+/// image or in the padding — is NaN, and a path that skips padding taps
+/// shows.
+#[allow(clippy::too_many_arguments)]
+fn assert_conv_equals_gemm_oracle(
+    n: usize,
+    (c_in, c_out): (usize, usize),
+    (h, w): (usize, usize),
+    (kh, kw): (usize, usize),
+    p: Conv2dParams,
+    epi: usize,
+    nan_tap: bool,
+    seed: u64,
+) {
+    let ctx = format!(
+        "n={n} c_in={c_in} c_out={c_out} {h}x{w} k{kh}x{kw} {p:?} epi={epi} nan_tap={nan_tap}"
+    );
+    let (h_out, w_out) = (p.out_extent(h, kh), p.out_extent(w, kw));
+    let (k, hw) = (c_in * kh * kw, h_out * w_out);
+    let x = dlsr_tensor::init::uniform([n, c_in, h, w], -1.0, 1.0, seed);
+    let mut wt = dlsr_tensor::init::uniform([c_out, c_in, kh, kw], -1.0, 1.0, seed + 1);
+    if nan_tap {
+        wt.data_mut()[0] = f32::NAN;
+    }
+    let go = dlsr_tensor::init::uniform([n, c_out, h_out, w_out], -1.0, 1.0, seed + 2);
+    let bias: Vec<f32> = (0..c_out).map(|i| 0.3 * i as f32 - 0.4).collect();
+    let (bias_arg, act, epilogue) = match epi {
+        0 => (None, Act::Identity, Epilogue::None),
+        1 => (Some(&bias[..]), Act::Identity, Epilogue::Bias(&bias)),
+        _ => (Some(&bias[..]), Act::Relu, Epilogue::BiasRelu(&bias)),
+    };
+
+    let (bp_f, bp_w, bp_i) = (
+        tune::select(c_out, k, hw),
+        tune::select(c_out, hw, k),
+        tune::select(k, c_out, hw),
+    );
+    let mut w_pack = vec![0.0f32; matmul::packed_a_len(&bp_f, c_out, k)];
+    matmul::pack_a(&bp_f, wt.data(), c_out, k, &mut w_pack);
+    let mut wt_pack = vec![0.0f32; matmul::packed_a_len(&bp_i, k, c_out)];
+    matmul::pack_a_transposed(&bp_i, wt.data(), k, c_out, &mut wt_pack);
+
+    let mut want_out = vec![0.0f32; n * c_out * hw];
+    let mut want_gi = vec![0.0f32; n * c_in * h * w];
+    let mut want_gw = vec![0.0f32; c_out * k];
+    let mut want_gb = vec![0.0f32; c_out];
+    for i in 0..n {
+        let img = &x.data()[i * c_in * h * w..(i + 1) * c_in * h * w];
+        let go_i = &go.data()[i * c_out * hw..(i + 1) * c_out * hw];
+        let col = im2col(img, (c_in, h, w), (kh, kw), p);
+        let out_i = &mut want_out[i * c_out * hw..(i + 1) * c_out * hw];
+        matmul::gemm(
+            &bp_f,
+            &w_pack,
+            BSrc::Rows(&col),
+            out_i,
+            c_out,
+            k,
+            hw,
+            epilogue,
+            false,
+        );
+
+        let mut go_pack = vec![0.0f32; matmul::packed_a_len(&bp_w, c_out, hw)];
+        matmul::pack_a(&bp_w, go_i, c_out, hw, &mut go_pack);
+        let mut gw_i = vec![0.0f32; c_out * k];
+        matmul::gemm(
+            &bp_w,
+            &go_pack,
+            BSrc::Cols(&col),
+            &mut gw_i,
+            c_out,
+            hw,
+            k,
+            Epilogue::None,
+            false,
+        );
+        want_gw.iter_mut().zip(&gw_i).for_each(|(a, b)| *a += b);
+        for (co, chunk) in go_i.chunks_exact(hw).enumerate() {
+            want_gb[co] += chunk.iter().sum::<f32>();
+        }
+
+        let mut gcol = vec![0.0f32; k * hw];
+        matmul::gemm(
+            &bp_i,
+            &wt_pack,
+            BSrc::Rows(go_i),
+            &mut gcol,
+            k,
+            c_out,
+            hw,
+            Epilogue::None,
+            false,
+        );
+        let gi_i = &mut want_gi[i * c_in * h * w..(i + 1) * c_in * h * w];
+        naive_col2im(&gcol, (c_in, h, w), (kh, kw), p, gi_i);
+    }
+
+    let out = conv2d_fused(&x, &wt, bias_arg, act, p).unwrap();
+    let (gi, gw, gb) = conv2d_backward(&x, &wt, &go, p).unwrap();
+    assert_eq!(bits(out.data()), bits(&want_out), "forward: {ctx}");
+    assert_eq!(bits(gi.data()), bits(&want_gi), "grad_input: {ctx}");
+    assert_eq!(bits(gw.data()), bits(&want_gw), "grad_weight: {ctx}");
+    assert_eq!(bits(&gb), bits(&want_gb), "grad_bias: {ctx}");
+}
+
+/// The corners the random grid below must not be left to find by luck:
+/// `c_out` 4 | 5 (pack-free | GEMM path), `c_in·kh·kw` > 256 (several `kc`
+/// blocks inside the pack-free forward), stride 2 (strided packer, strided
+/// `col2im`), every epilogue, padding wider than the kernel reach, an
+/// output row longer than one lane vector and one shorter than a panel.
+#[test]
+fn conv_equals_gemm_oracle_at_the_path_boundaries() {
+    let s1 = |padding| Conv2dParams { stride: 1, padding };
+    let s2 = |padding| Conv2dParams { stride: 2, padding };
+    for (n, ch, hw, k, p, epi, nan_tap) in [
+        (2, (40, 3), (7, 9), (3, 3), s1(1), 2, false),
+        (1, (30, 4), (5, 7), (3, 3), s1(1), 1, true),
+        (1, (30, 5), (5, 7), (3, 3), s1(1), 1, true),
+        (3, (11, 2), (9, 7), (5, 5), s1(2), 0, true),
+        (1, (11, 1), (9, 7), (5, 5), s1(0), 2, false),
+        (2, (40, 3), (9, 7), (3, 3), s2(1), 2, false),
+        (1, (3, 3), (11, 21), (1, 3), s1(2), 1, false),
+        (1, (5, 4), (7, 5), (1, 1), s1(2), 0, true),
+        (2, (64, 3), (5, 19), (3, 3), s1(1), 0, false),
+        (1, (2, 64), (13, 11), (3, 3), s1(1), 2, false),
+        (1, (7, 6), (13, 11), (3, 3), s2(0), 1, true),
+    ] {
+        assert_conv_equals_gemm_oracle(n, ch, hw, k, p, epi, nan_tap, 99);
+    }
+}
+
+/// `kc` is the one blueprint field that changes bits, and a tune cache may
+/// carry any value: the pack-free paths must cut their chains where the
+/// engine would, also inside a four-term input-gradient product and at
+/// depths that leave a ragged last block. (Extents outside the random grid,
+/// so no other test of this binary resolves these shapes.)
+#[test]
+fn conv_equals_gemm_oracle_under_installed_kc() {
+    let (c_in, c_out, hw, kernel) = (6, 4, (13, 23), (3, 3));
+    let p = Conv2dParams::same(3);
+    let (k, n) = (c_in * 9, hw.0 * hw.1);
+    for (kc_fwd, kc_igrad) in [(7, 1), (54, 2), (20, 3), (1, 4)] {
+        for (shape, kc) in [((c_out, k, n), kc_fwd), ((k, c_out, n), kc_igrad)] {
+            let bp = Blueprint {
+                kc,
+                ..tune::heuristic(shape.0, shape.1, shape.2)
+            };
+            tune::install(shape.0, shape.1, shape.2, bp);
+        }
+        assert_conv_equals_gemm_oracle(2, (c_in, c_out), hw, kernel, p, 1, false, 5);
     }
 }
 
@@ -126,6 +349,30 @@ proptest! {
         prop_assert!(fast.allclose(&slow, 1e-3), "diff {}", fast.max_abs_diff(&slow));
     }
 
+    /// Every conv path is **bitwise** the pack-and-GEMM formulation (see
+    /// [`assert_conv_equals_gemm_oracle`]) across channel counts on both
+    /// sides of the pack-free rule, square and flat kernels, paddings,
+    /// strides, odd extents and epilogues.
+    #[test]
+    fn conv_equals_gemm_oracle_bitwise(
+        n in 1usize..3,
+        c_in in 1usize..=40,
+        c_out in 1usize..=5,
+        k_idx in 0usize..4,
+        padding in 0usize..=2,
+        stride in 1usize..=2,
+        h_half in 2usize..6,
+        w_half in 2usize..11,
+        epi in 0usize..3,
+        nan_tap in proptest::bool::ANY,
+        seed in 0u64..1000,
+    ) {
+        let kernel = [(1usize, 1usize), (3, 3), (5, 5), (1, 3)][k_idx];
+        let p = Conv2dParams { stride, padding };
+        let hw = (2 * h_half + 1, 2 * w_half + 1);
+        assert_conv_equals_gemm_oracle(n, (c_in, c_out), hw, kernel, p, epi, nan_tap, seed);
+    }
+
     /// All three backward gradients agree with the direct-loop adjoint
     /// reference over the same hyper-parameter grid as the forward test.
     #[test]
@@ -195,22 +442,8 @@ proptest! {
         let view = Im2colView::new(img.data(), (c_in, hw, hw), (kk, kk), stride, padding);
         let (kdim, n) = (view.rows(), view.cols());
         prop_assume!(n > 0);
-        // materialize the column matrix by the im2col definition
         let p = Conv2dParams { stride, padding };
-        let w_out = p.out_extent(hw, kk);
-        let mut col = vec![0.0f32; kdim * n];
-        for r in 0..kdim {
-            let (c, rem) = (r / (kk * kk), r % (kk * kk));
-            let (ky, kx) = (rem / kk, rem % kk);
-            for j in 0..n {
-                let (oy, ox) = (j / w_out, j % w_out);
-                let iy = (oy * stride + ky) as isize - padding as isize;
-                let ix = (ox * stride + kx) as isize - padding as isize;
-                if iy >= 0 && iy < hw as isize && ix >= 0 && ix < hw as isize {
-                    col[r * n + j] = img.data()[(c * hw + iy as usize) * hw + ix as usize];
-                }
-            }
-        }
+        let col = im2col(img.data(), (c_in, hw, hw), (kk, kk), p);
         let a = dlsr_tensor::init::uniform([m, kdim], -1.0, 1.0, seed + 1);
         let bp = tune::heuristic(m, kdim, n);
         let implicit = run_gemm(&bp, &a, BSrc::Im2col(view), m, kdim, n);

@@ -64,4 +64,18 @@ fn steady_state_does_not_allocate() {
         conv2d_fused_into(&x2, &w2, None, Act::Identity, p, &mut out2).unwrap();
     });
     assert_eq!(allocs, 0, "mixed layer shapes allocated in steady state");
+
+    // A 3-channel output layer takes the pack-free paths: its zero-padded
+    // image copy is pooled scratch too, next to a GEMM-path layer as in a
+    // model's tail.
+    let w3 = init::uniform([3, 8, 3, 3], -1.0, 1.0, 8);
+    let bias3 = vec![0.1f32; 3];
+    let mut out3 = Tensor::zeros([4, 3, 12, 12]);
+    let go3 = init::uniform([4, 3, 12, 12], -1.0, 1.0, 9);
+    let allocs = steady_state_allocs(|| {
+        conv2d_fused_into(&x, &w, Some(&bias), Act::Relu, p, &mut out).unwrap();
+        conv2d_fused_into(&out, &w3, Some(&bias3), Act::Identity, p, &mut out3).unwrap();
+        conv2d_backward(&out, &w3, &go3, p).unwrap();
+    });
+    assert_eq!(allocs, 0, "c_out = 3 layer allocated in steady state");
 }
