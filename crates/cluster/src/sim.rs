@@ -171,7 +171,7 @@ pub struct SimTrainer {
     /// Recording is plain data — an event is a static name template plus
     /// indices, rendered only on export — and costs a few percent of a
     /// 512-rank world's host time (the benchmark's
-    /// `hvprof.artifacts_overhead_pct_w512`). `dlsr simscale` still turns
+    /// `hvprof.artifacts_overhead_pct_w512`). The `simscale` sweep still turns
     /// it off: a 4096-rank world would hold O(ranks × steps) events nobody
     /// reads. The virtual clocks are identical either way.
     artifacts: bool,

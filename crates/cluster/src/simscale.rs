@@ -1,10 +1,10 @@
 //! Simulator-scaling sweep: the paper-scale costs-only workload pushed
 //! through 64–4096 virtual ranks on the driven engine, behind
-//! `dlsr simscale`.
+//! `dlsr figures --only simscale`.
 //!
 //! Everything in a [`SimScaleReport`] is on the simulated clock, so it is
 //! bitwise machine-independent: `results/BENCH_simscale.json` is committed
-//! output that CI regenerates and diffs. What the sweep costs the *host*
+//! output that CI checks with `dlsr figures --check`. What the sweep costs the *host*
 //! (per rank-step, with and without artifacts) is measured by the repo's
 //! benchmark, not here — `cluster.host_us_per_rank_step_w{64,512,1024}`,
 //! `cluster.run_world_ms_w512`, `hvprof.artifacts_overhead_pct_w512` and
@@ -36,7 +36,8 @@ pub struct SimScalePoint {
     pub efficiency: f64,
 }
 
-/// Everything `dlsr simscale` writes to `results/BENCH_simscale.json`.
+/// Everything the `simscale` harness writes to
+/// `results/BENCH_simscale.json`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimScaleReport {
     pub scenario: String,
@@ -192,8 +193,8 @@ mod tests {
         }
     }
 
-    /// The committed report is what `dlsr simscale` writes at its defaults,
-    /// byte for byte (CI regenerates and diffs it the same way).
+    /// The committed report is what the `simscale` harness of `dlsr figures`
+    /// writes, byte for byte (CI checks it the same way).
     #[test]
     fn a_fresh_sweep_serialises_to_the_committed_report() {
         let fresh = sweep(Scenario::MpiOpt, 4, 1, 4, 2021, &DEFAULT_NODES);

@@ -5,8 +5,8 @@
 //!               [--augment] [--warmup W] [--eval-every E] [--digest] [--sequential]
 //!               [--allreduce ALGO] [--wire FMT] [--hier] [--tune-comm]
 //! dlsr simulate [--nodes N] [--steps S] [--batch B] [--scenario NAME]
-//! dlsr simscale [--nodes N,N,...] [--steps S] [--out FILE]
-//! dlsr profile  [--steps S]
+//! dlsr figures  [--only NAME] [--check]
+//! dlsr profile  [--nodes N] [--steps S] [--scenario NAME] [--sequential] [--check]
 //! dlsr analyze  [--nodes N] [--steps S] [--baseline FILE] [--gate PCT]
 //! dlsr chaos    [--fault NAME] [--nodes N] [--gpus G] [--steps S] [--seed X]
 //! dlsr lint     [--json | --sarif] [--root DIR] [--self-test]
@@ -19,7 +19,10 @@ use std::collections::HashMap;
 use dlsr::prelude::*;
 use dlsr::tensor::resize;
 
-fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
+/// `--name value` / `--boolean` pairs of one invocation.
+type Flags = HashMap<String, String>;
+
+fn parse_flags(args: &[String]) -> (Flags, Vec<String>) {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
     let mut i = 0;
@@ -31,7 +34,6 @@ fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
                 name,
                 "augment"
                     | "help"
-                    | "compare"
                     | "check"
                     | "sequential"
                     | "digest"
@@ -66,7 +68,7 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> T {
+fn get<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> T {
     match flags.get(name) {
         None => default,
         Some(v) => v
@@ -81,7 +83,7 @@ fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, defaul
 /// `--hier` promotes large inter-node reductions to the two-level
 /// hierarchical path. Parse errors surface the enums' own messages (the
 /// same labels `FromStr` documents and the reports print).
-fn with_comm(cfg: MpiConfig, flags: &HashMap<String, String>) -> MpiConfig {
+fn with_comm(cfg: MpiConfig, flags: &Flags) -> MpiConfig {
     let mut b = cfg.to_builder();
     if let Some(v) = flags.get("allreduce") {
         let algo: AllreduceAlgorithm = v.parse().unwrap_or_else(|e: String| die(&e));
@@ -97,7 +99,7 @@ fn with_comm(cfg: MpiConfig, flags: &HashMap<String, String>) -> MpiConfig {
     b.build()
 }
 
-fn scenario(flags: &HashMap<String, String>) -> Scenario {
+fn scenario(flags: &Flags) -> Scenario {
     // `Scenario`'s FromStr parses the same case-insensitive labels the
     // reports print, so every subcommand accepts the same names. Keep the
     // historical lowercase short form `mpi` for the default scenario.
@@ -107,6 +109,45 @@ fn scenario(flags: &HashMap<String, String>) -> Scenario {
         .unwrap_or("mpi-opt");
     s.parse().unwrap_or_else(|e: String| die(&e))
 }
+
+/// A subcommand: its name, the flags it reads (space-separated), its body.
+type Command = (&'static str, &'static str, fn(&Flags));
+
+/// Every subcommand. `main` rejects a flag the chosen one does not list, so
+/// a typo (`figures --ony fig12`, `train --step 4`) is an error instead of
+/// a silently ignored key. Keep each list in step with the usage text
+/// below.
+const COMMANDS: &[Command] = &[
+    (
+        "train",
+        "nodes gpus steps batch scenario augment warmup eval-every digest sequential \
+         allreduce wire hier tune-comm",
+        cmd_train,
+    ),
+    ("simulate", "nodes steps batch scenario", cmd_simulate),
+    ("figures", "only check", cmd_figures),
+    (
+        "profile",
+        "nodes steps scenario sequential check checkpoint-every trace-sample \
+         allreduce wire hier tune-comm",
+        cmd_profile,
+    ),
+    (
+        "analyze",
+        "nodes steps scenario check checkpoint-every no-validate no-sim-check slowdown \
+         out baseline gate",
+        cmd_analyze,
+    ),
+    ("verify", "nodes gpus steps scenario", cmd_verify),
+    (
+        "chaos",
+        "fault nodes gpus steps seed scenario checkpoint-every",
+        cmd_chaos,
+    ),
+    ("lint", "json sarif root self-test", cmd_lint),
+    ("info", "", |_| cmd_info()),
+    ("help", "", |_| usage()),
+];
 
 fn usage() {
     println!(
@@ -131,16 +172,19 @@ USAGE:
                 online comm tuner (see docs/WIRE.md)
   dlsr simulate [--nodes N] [--steps S] [--batch B] [--scenario NAME]
                 at-scale costs-only run of the paper-scale EDSR workload
-  dlsr simscale [--nodes N,N,...] [--steps S] [--batch B] [--warmup W]
-                [--scenario NAME] [--out FILE]
-                virtual-clock scaling sweep of the paper-scale workload on
-                the driven engine: step time and weak-scaling efficiency at
-                64-512 virtual ranks (default nodes 16,32,64,128) plus a
-                4096-rank point, written to results/BENCH_simscale.json.
-                Every number is on the simulated clock, so the file is
-                identical on every machine; CI regenerates and diffs it.
-                What the sweep costs the host is the benchmark's to measure
-                (benchmark/README.md)
+  dlsr figures  [--only NAME] [--check]
+                regenerate every committed virtual-clock file under
+                results/ — the paper's figures and tables, the ablations and
+                extras, the two timelines and the 64-4096 rank simulator
+                sweep — in one process that runs each distinct training
+                sweep once (run from the repo root; README §Reproducing the
+                paper maps names to figures and files). Every number is on
+                the simulated clock, so the files are identical on every
+                machine. --only runs one harness. --check writes nothing:
+                it compares what the code produces with the committed files
+                and exits 1 naming each file that is missing or differs,
+                with its first differing line (the CI step). An unknown NAME
+                lists the harnesses
   dlsr profile  [--nodes N] [--steps S] [--scenario NAME] [--sequential] [--check]
                 [--checkpoint-every K] [--trace-sample N]
                 [--allreduce ALGO] [--wire FMT] [--hier] [--tune-comm]
@@ -157,8 +201,6 @@ USAGE:
                 per (rank, category) to keep the artifact reviewable
                 (default 24, at least one full step of every layer;
                 0 exports everything)
-  dlsr profile --compare [--steps S]
-                hvprof Table-I comparison (default vs MPI-Opt, 4 GPUs)
   dlsr analyze  [--nodes N] [--steps S] [--scenario NAME] [--check]
                 [--checkpoint-every K] [--no-validate] [--slowdown F]
                 [--out FILE] [--baseline FILE] [--gate PCT]
@@ -209,7 +251,7 @@ Scenarios: mpi (broken default) | mpi-reg | mpi-opt (the paper's fix) | nccl"
     );
 }
 
-fn cmd_train(flags: &HashMap<String, String>) {
+fn cmd_train(flags: &Flags) {
     let nodes: usize = get(flags, "nodes", 1);
     let gpus: usize = get(flags, "gpus", 4);
     let topo = ClusterTopology {
@@ -275,7 +317,7 @@ fn train_digest(res: &RealTrainResult) -> u64 {
     h
 }
 
-fn cmd_simulate(flags: &HashMap<String, String>) {
+fn cmd_simulate(flags: &Flags) {
     let nodes: usize = get(flags, "nodes", 8);
     let steps: usize = get(flags, "steps", 6);
     let batch: usize = get(flags, "batch", 4);
@@ -299,80 +341,47 @@ fn cmd_simulate(flags: &HashMap<String, String>) {
     print!("{}", run.profile.render(Collective::Allreduce));
 }
 
-/// `dlsr simscale`: virtual-clock scaling sweep of the paper-scale
-/// workload through 64–4096 virtual ranks on the driven engine.
-fn cmd_simscale(flags: &HashMap<String, String>) {
-    use dlsr::cluster::simscale;
+/// `dlsr figures`: regenerate (or, with `--check`, verify) the committed
+/// virtual-clock files under `results/`.
+fn cmd_figures(flags: &Flags) {
+    use dlsr::figures::{self, Row, Sweeps};
 
-    let sc = scenario(flags);
-    let steps: usize = get(flags, "steps", 4);
-    let warmup: usize = get(flags, "warmup", 1);
-    let batch: usize = get(flags, "batch", 4);
-    let seed: u64 = get(flags, "seed", 2021);
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "results/BENCH_simscale.json".to_string());
-    let nodes: Vec<usize> = match flags.get("nodes") {
-        None => simscale::DEFAULT_NODES.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("bad --nodes entry: {s}")))
-            })
-            .collect(),
+    let rows: Vec<&Row> = match flags.get("only") {
+        None => figures::ROWS.iter().collect(),
+        Some(name) => match figures::ROWS.iter().find(|r| r.name == name) {
+            Some(Row { run: None, .. }) => die(&format!(
+                "`{name}` is compiled out; rebuild with `--features faults`"
+            )),
+            Some(row) => vec![row],
+            None => {
+                let names: Vec<&str> = figures::ROWS.iter().map(|r| r.name).collect();
+                die(&format!(
+                    "unknown harness `{name}` for --only; known: {}",
+                    names.join(" ")
+                ))
+            }
+        },
     };
-    if nodes.is_empty() {
-        die("--nodes needs at least one node count");
+    let dir = std::path::Path::new("results");
+    let failed = |e: std::io::Error| -> ! { die(&format!("figures: {e}")) };
+    let files = figures::produce(&rows, &Sweeps::default(), &mut std::io::stdout().lock())
+        .unwrap_or_else(|e| failed(e));
+    if !flags.contains_key("check") {
+        figures::write(&files, dir).unwrap_or_else(|e| failed(e));
+        return println!("[{} files written under results/]", files.len());
     }
-    println!(
-        "simulator scaling: {} steps (+{warmup} warmup) of the paper-scale EDSR \
-         workload under {}, worlds {:?} ranks",
-        steps,
-        sc.label(),
-        nodes.iter().map(|n| n * 4).collect::<Vec<_>>(),
-    );
-    let report = simscale::sweep(sc, batch, warmup, steps, seed, &nodes);
-    for (label, p) in report
-        .event
-        .iter()
-        .map(|p| ("event", p))
-        .chain([("smoke", &report.smoke)])
-    {
-        println!(
-            "  {label:>8} {:>5} ranks: virtual step {:>8.1} ms, eff {:>5.1} %",
-            p.world,
-            p.virtual_step_s * 1e3,
-            p.efficiency * 100.0,
-        );
+    let stale = figures::stale(&files, dir).unwrap_or_else(|e| failed(e));
+    if stale.is_empty() {
+        return println!("[results/ holds what the code writes]");
     }
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
+    for (file, why) in &stale {
+        eprintln!("check FAILED: results/{file}: {why}");
     }
-    std::fs::write(&out, report.to_json()).expect("write simscale JSON");
-    println!("simscale     : {out}");
+    eprintln!("regenerate with `dlsr figures` and commit the result");
+    std::process::exit(1);
 }
 
-fn cmd_profile(flags: &HashMap<String, String>) {
-    if flags.contains_key("compare") {
-        let steps: usize = get(flags, "steps", 100);
-        let (w, tensors) = edsr_measured_workload();
-        let topo = ClusterTopology::lassen(1);
-        println!("profiling {steps} steps on 4 GPUs (default vs MPI-Opt)...");
-        let d = run_training(&topo, Scenario::MpiDefault, &w, &tensors, 4, 2, steps, 2021);
-        let o = run_training(&topo, Scenario::MpiOpt, &w, &tensors, 4, 2, steps, 2021);
-        let rows = compare(&d.profile, &o.profile, Collective::Allreduce);
-        print!("{}", render_table(&rows));
-        println!(
-            "\nthroughput: {:.1} -> {:.1} img/s",
-            d.images_per_sec, o.images_per_sec
-        );
-        return;
-    }
+fn cmd_profile(flags: &Flags) {
     if !dlsr::trace::COMPILED {
         die("this binary was built without the `trace` feature; rebuild with default features");
     }
@@ -540,7 +549,7 @@ fn check_profile(events: &[dlsr::trace::TraceEvent], report: &dlsr::trace::repor
 
 /// `dlsr analyze`: cross-rank critical-path attribution, scaling-efficiency
 /// projection and the bench regression gate. See docs/OBSERVABILITY.md.
-fn cmd_analyze(flags: &HashMap<String, String>) {
+fn cmd_analyze(flags: &Flags) {
     use dlsr::cluster::analysis;
 
     if !dlsr::trace::COMPILED {
@@ -805,7 +814,7 @@ fn check_analysis(
 /// `dlsr lint` — the workspace static analyzer, embedded so the main CLI
 /// exposes the same contract as the standalone `dlsr-lint` binary:
 /// exit 0 clean, 1 findings, 2 analyzer failure.
-fn cmd_lint(flags: &HashMap<String, String>) {
+fn cmd_lint(flags: &Flags) {
     let root = match flags.get("root") {
         Some(p) => std::path::PathBuf::from(p),
         None => std::env::current_dir()
@@ -902,7 +911,7 @@ fn cmd_info() {
     );
 }
 
-fn cmd_verify(flags: &HashMap<String, String>) {
+fn cmd_verify(flags: &Flags) {
     if !dlsr_mpi::verify::COMPILED {
         eprintln!(
             "dlsr verify: the collective-matching verifier is compiled out of \
@@ -943,7 +952,7 @@ fn cmd_verify(flags: &HashMap<String, String>) {
 }
 
 #[cfg(not(feature = "faults"))]
-fn cmd_chaos(_flags: &HashMap<String, String>) {
+fn cmd_chaos(_flags: &Flags) {
     eprintln!(
         "dlsr chaos: deterministic fault injection is compiled out of this \
          binary.\nRebuild with:  cargo run -p dlsr --features faults -- chaos"
@@ -955,7 +964,7 @@ fn cmd_chaos(_flags: &HashMap<String, String>) {
 /// baseline and report what the fault cost — while proving it cost only
 /// virtual time, never accuracy.
 #[cfg(feature = "faults")]
-fn cmd_chaos(flags: &HashMap<String, String>) {
+fn cmd_chaos(flags: &Flags) {
     use std::sync::Arc;
 
     use dlsr::faults::ChaosScenario;
@@ -1047,17 +1056,25 @@ fn main() {
     if flags.contains_key("help") {
         return usage();
     }
-    match positional.first().map(String::as_str) {
-        Some("train") => cmd_train(&flags),
-        Some("simulate") => cmd_simulate(&flags),
-        Some("simscale") => cmd_simscale(&flags),
-        Some("profile") => cmd_profile(&flags),
-        Some("analyze") => cmd_analyze(&flags),
-        Some("verify") => cmd_verify(&flags),
-        Some("chaos") => cmd_chaos(&flags),
-        Some("lint") => cmd_lint(&flags),
-        Some("info") => cmd_info(),
-        Some("help") | None => usage(),
-        Some(other) => die(&format!("unknown command `{other}`")),
+    let cmd = positional.first().map_or("help", String::as_str);
+    let Some((_, known, run)) = COMMANDS.iter().find(|(name, ..)| *name == cmd) else {
+        die(&format!("unknown command `{cmd}`"));
+    };
+    if let Some(extra) = positional.get(1) {
+        die(&format!("unexpected argument `{extra}` for `dlsr {cmd}`"));
     }
+    // min(): the map's order is random, the message should not be
+    let known = || known.split_whitespace();
+    if let Some(bad) = flags.keys().filter(|k| known().all(|f| f != *k)).min() {
+        let known: Vec<String> = known().map(|f| format!("--{f}")).collect();
+        die(&format!(
+            "unknown flag --{bad} for `dlsr {cmd}`; known: {}",
+            if known.is_empty() {
+                "none".into()
+            } else {
+                known.join(" ")
+            }
+        ));
+    }
+    run(&flags);
 }

@@ -2,13 +2,13 @@
 //! the right design for dense GPU nodes: virtual-time comparison of ring,
 //! recursive doubling and two-level across message sizes and scales.
 //!
-//! Run: `cargo run --release -p dlsr-bench --bin ablation_allreduce_algos`
+//! Run: `cargo run --release -p dlsr -- figures --only ablation_allreduce_algos`
 
-#![forbid(unsafe_code)]
-use dlsr::mpi::collectives::{synthetic, AllreduceAlgorithm};
-use dlsr::prelude::*;
-use dlsr_bench::write_json;
-use dlsr_net::ClusterTopology;
+use std::io::{self, Write};
+
+use super::{json, Outputs, Sweeps};
+use crate::mpi::collectives::synthetic;
+use crate::prelude::*;
 
 fn time_allreduce(topo: &ClusterTopology, elems: usize, algo: AllreduceAlgorithm) -> f64 {
     MpiWorld::run(topo, MpiConfig::mpi_opt(), move |c| {
@@ -24,27 +24,32 @@ fn time_allreduce(topo: &ClusterTopology, elems: usize, algo: AllreduceAlgorithm
     .fold(0.0, f64::max)
 }
 
-fn main() {
-    println!("== allreduce algorithm ablation (virtual ms, steady state) ==\n");
+pub fn run(_: &Sweeps, out: &mut dyn Write) -> io::Result<Outputs> {
+    writeln!(
+        out,
+        "== allreduce algorithm ablation (virtual ms, steady state) ==\n"
+    )?;
     let algos = [
         ("ring", AllreduceAlgorithm::Ring),
         ("recursive-dbl", AllreduceAlgorithm::RecursiveDoubling),
         ("two-level", AllreduceAlgorithm::TwoLevel),
     ];
-    let mut out = Vec::new();
+    let mut rows = Vec::new();
     for &nodes in &[1usize, 4, 16, 64] {
         let topo = ClusterTopology::lassen(nodes);
-        println!("-- {} GPUs --", topo.total_gpus());
-        println!(
+        writeln!(out, "-- {} GPUs --", topo.total_gpus())?;
+        writeln!(
+            out,
             "{:>10} {:>14} {:>14} {:>14}",
             "size", algos[0].0, algos[1].0, algos[2].0
-        );
+        )?;
         for &elems in &[4_096usize, 262_144, 12_000_000] {
             let times: Vec<f64> = algos
                 .iter()
                 .map(|&(_, a)| time_allreduce(&topo, elems, a))
                 .collect();
-            println!(
+            writeln!(
+                out,
                 "{:>8}KB {:>12.3}ms {:>12.3}ms {:>12.3}ms{}",
                 elems * 4 / 1024,
                 times[0] * 1e3,
@@ -55,8 +60,8 @@ fn main() {
                     let winner = algos[times.iter().position(|&t| t == min).unwrap()].0;
                     format!("   <- {winner}")
                 }
-            );
-            out.push(serde_json::json!({
+            )?;
+            rows.push(serde_json::json!({
                 "gpus": topo.total_gpus(),
                 "bytes": elems * 4,
                 "ring_ms": times[0] * 1e3,
@@ -64,17 +69,20 @@ fn main() {
                 "two_level_ms": times[2] * 1e3,
             }));
         }
-        println!();
+        writeln!(out)?;
     }
-    println!("recursive doubling wins latency-bound (small) reductions; the flat");
-    println!("ring is bandwidth-optimal for large buffers at moderate scale (which");
-    println!("is why NCCL uses it); the hierarchical two-level design pays off at");
-    println!("extreme rank counts, where the ring's 2(p−1) per-step latencies and");
-    println!("per-chunk costs dominate — the regime where MPI-Opt overtakes NCCL");
-    println!("in Fig 12.");
+    writeln!(
+        out,
+        "recursive doubling wins latency-bound (small) reductions; the flat\n\
+         ring is bandwidth-optimal for large buffers at moderate scale (which\n\
+         is why NCCL uses it); the hierarchical two-level design pays off at\n\
+         extreme rank counts, where the ring's 2(p−1) per-step latencies and\n\
+         per-chunk costs dominate — the regime where MPI-Opt overtakes NCCL\n\
+         in Fig 12."
+    )?;
 
-    write_json(
+    Ok(vec![json(
         "ablation_allreduce_algos.json",
-        &serde_json::json!({ "rows": out }),
-    );
+        &serde_json::json!({ "rows": rows }),
+    )])
 }

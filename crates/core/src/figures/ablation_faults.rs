@@ -4,16 +4,15 @@
 //! per fault class — written to `results/BENCH_faults.json`. Asserts that
 //! no fault changes the training math.
 //!
-//! Run: `cargo run --release -p dlsr-bench --features faults --bin ablation_faults`
+//! Run: `cargo run --release -p dlsr --features faults -- figures --only ablation_faults`
 
-#![forbid(unsafe_code)]
+use std::io::{self, Write};
 use std::sync::Arc;
 
-use dlsr_bench::write_json;
-use dlsr_cluster::{train_real, RealTrainConfig, RealTrainResult};
 use dlsr_faults::ChaosScenario;
-use dlsr_mpi::MpiConfig;
-use dlsr_net::ClusterTopology;
+
+use super::{json, Outputs, Sweeps};
+use crate::prelude::*;
 
 const NODES: usize = 2;
 const GPUS_PER_NODE: usize = 2; // 4 ranks; 2 nodes so degraded-link bites
@@ -21,7 +20,7 @@ const STEPS: usize = 6;
 const GLOBAL_BATCH: usize = 8;
 const SEED: u64 = 42;
 
-fn run(fault: Option<ChaosScenario>) -> RealTrainResult {
+fn train(fault: Option<ChaosScenario>) -> RealTrainResult {
     let topo = ClusterTopology {
         name: format!("chaos-{NODES}x{GPUS_PER_NODE}"),
         nodes: NODES,
@@ -42,12 +41,12 @@ fn run(fault: Option<ChaosScenario>) -> RealTrainResult {
     train_real(&topo, mpi, &cfg)
 }
 
-fn main() {
-    let clean = run(None);
+pub fn run(_: &Sweeps, out: &mut dyn Write) -> io::Result<Outputs> {
+    let clean = train(None);
     let throughput = |r: &RealTrainResult| GLOBAL_BATCH as f64 * STEPS as f64 / r.makespan;
     let mut scenarios = std::collections::BTreeMap::new();
     for f in ChaosScenario::ALL {
-        let res = run(Some(f));
+        let res = train(Some(f));
         let same_math = res
             .final_params
             .iter()
@@ -66,15 +65,16 @@ fn main() {
                 "math_bitwise_identical": same_math,
             }),
         );
-        println!(
+        writeln!(
+            out,
             "{:>15}: {:>7.1} img/s ({:+.1}% makespan, {} retries)",
             f.label(),
             throughput(&res),
             (res.makespan / clean.makespan - 1.0) * 100.0,
             res.comm_stats.retries
-        );
+        )?;
     }
-    write_json(
+    Ok(vec![json(
         "BENCH_faults.json",
         &serde_json::json!({
             "workload": {
@@ -93,5 +93,5 @@ fn main() {
             },
             "faults": serde_json::Value::Object(scenarios),
         }),
-    );
+    )])
 }

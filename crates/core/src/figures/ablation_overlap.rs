@@ -3,15 +3,15 @@
 //! ratio per mode from a traced run, written to
 //! `results/BENCH_overlap.json`.
 //!
-//! Run: `cargo run --release -p dlsr-bench --bin ablation_overlap`
+//! Run: `cargo run --release -p dlsr -- figures --only ablation_overlap`
 
-#![forbid(unsafe_code)]
-use dlsr::trace::report::StepReport;
-use dlsr_bench::write_json;
+use std::io::{self, Write};
+
 use dlsr_cluster::analysis::traced_real_run;
-use dlsr_cluster::RealTrainConfig;
-use dlsr_mpi::MpiConfig;
-use dlsr_net::ClusterTopology;
+
+use super::{json, Outputs, Sweeps};
+use crate::prelude::*;
+use crate::trace::report::StepReport;
 
 const NODES: usize = 2; // 8 ranks
 const STEPS: usize = 3;
@@ -32,7 +32,7 @@ fn traced(overlap: bool) -> (f64, f64, f64) {
     (run.makespan / STEPS as f64, comm, exposed)
 }
 
-fn main() {
+pub fn run(_: &Sweeps, out: &mut dyn Write) -> io::Result<Outputs> {
     let (seq_step, seq_comm, seq_exposed) = traced(false);
     let (ovl_step, ovl_comm, ovl_exposed) = traced(true);
     let mode = |step: f64, comm: f64, exposed: f64| {
@@ -44,7 +44,7 @@ fn main() {
             "overlap_ratio": if comm > 0.0 { 1.0 - exposed / comm } else { 0.0 },
         })
     };
-    write_json(
+    let file = json(
         "BENCH_overlap.json",
         &serde_json::json!({
             "workload": {
@@ -61,11 +61,13 @@ fn main() {
             "step_speedup": seq_step / ovl_step,
         }),
     );
-    println!(
+    writeln!(
+        out,
         "virtual step: {:.3} ms sequential -> {:.3} ms overlapped; exposed comm {:.3} -> {:.3} ms",
         seq_step * 1e3,
         ovl_step * 1e3,
         seq_exposed * 1e3,
         ovl_exposed * 1e3
-    );
+    )?;
+    Ok(vec![file])
 }

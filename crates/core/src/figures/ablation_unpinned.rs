@@ -5,12 +5,13 @@
 //! usable batch — "these extra kernels frequently overflow GPU memory, and
 //! restrict the hyperparameter space" (§III-C).
 //!
-//! Run: `cargo run --release -p dlsr-bench --bin ablation_unpinned`
+//! Run: `cargo run --release -p dlsr -- figures --only ablation_unpinned`
 
-#![forbid(unsafe_code)]
-use dlsr::gpu::DeviceEnv;
-use dlsr::prelude::*;
-use dlsr_bench::write_json;
+use std::io::{self, Write};
+
+use super::{json, Outputs, Sweeps};
+use crate::gpu::DeviceEnv;
+use crate::prelude::*;
 
 fn max_batch(model: &KernelCostModel, w: &WorkloadProfile, contexts: usize) -> usize {
     (1..=256)
@@ -18,10 +19,13 @@ fn max_batch(model: &KernelCostModel, w: &WorkloadProfile, contexts: usize) -> u
         .count()
 }
 
-fn main() {
+pub fn run(_: &Sweeps, out: &mut dyn Write) -> io::Result<Outputs> {
     let model = KernelCostModel::new(GpuSpec::v100());
     let (w, _) = edsr_measured_workload();
-    println!("== Fig 6 ablation: device-visibility configurations ==\n");
+    writeln!(
+        out,
+        "== Fig 6 ablation: device-visibility configurations ==\n"
+    )?;
 
     let rows = [
         ("unpinned (no masks)", DeviceEnv::unpinned(4)),
@@ -31,11 +35,12 @@ fn main() {
         ),
         ("pinned + MV2_VISIBLE_DEVICES", DeviceEnv::mpi_opt(0, 4)),
     ];
-    println!(
+    writeln!(
+        out,
         "{:<32} {:>9} {:>9} {:>11} {:>10}",
         "configuration", "contexts", "IPC?", "ctx waste", "max batch"
-    );
-    let mut out = Vec::new();
+    )?;
+    let mut table = Vec::new();
     for (name, env) in rows {
         // per *device*: every local process (4 of them) opens a context on
         // each device it can see
@@ -43,15 +48,16 @@ fn main() {
         let ipc = env.ipc_possible(0, 1);
         let waste = contexts_per_device as u64 * model.spec().context_bytes;
         let mb = max_batch(&model, &w, contexts_per_device);
-        println!(
+        writeln!(
+            out,
             "{:<32} {:>9} {:>9} {:>8} MB {:>10}",
             name,
             contexts_per_device,
             if ipc { "yes" } else { "no" },
             waste >> 20,
             mb
-        );
-        out.push(serde_json::json!({
+        )?;
+        table.push(serde_json::json!({
             "config": name,
             "contexts_per_device": contexts_per_device,
             "ipc": ipc,
@@ -59,12 +65,15 @@ fn main() {
             "max_batch": mb,
         }));
     }
-    println!("\nunpinned keeps IPC but pays 4 CUDA contexts per device (Fig 6a);");
-    println!("pinning frees the memory but breaks MPI's IPC (Fig 6b) — only the");
-    println!("MV2_VISIBLE_DEVICES split (Fig 7) gets both.");
+    writeln!(
+        out,
+        "\nunpinned keeps IPC but pays 4 CUDA contexts per device (Fig 6a);\n\
+         pinning frees the memory but breaks MPI's IPC (Fig 6b) — only the\n\
+         MV2_VISIBLE_DEVICES split (Fig 7) gets both."
+    )?;
 
-    write_json(
+    Ok(vec![json(
         "ablation_unpinned.json",
-        &serde_json::json!({ "rows": out }),
-    );
+        &serde_json::json!({ "rows": table }),
+    )])
 }

@@ -8,16 +8,15 @@
 //!   plain f32 vs hierarchical allreduce + bf16 wire + the (frozen) comm
 //!   tuner, asserting exposed communication drops by >= 15%.
 //!
-//! Run: `cargo run --release -p dlsr-bench --bin ablation_wire`
+//! Run: `cargo run --release -p dlsr -- figures --only ablation_wire`
 
-#![forbid(unsafe_code)]
-use dlsr::trace::report::StepReport;
-use dlsr_bench::write_json;
+use std::io::{self, Write};
+
 use dlsr_cluster::analysis::traced_real_run;
-use dlsr_cluster::{train_real, RealTrainConfig};
-use dlsr_models::EdsrConfig;
-use dlsr_mpi::{MpiConfig, WireFormat};
-use dlsr_net::ClusterTopology;
+
+use super::{json, Outputs, Sweeps};
+use crate::prelude::*;
+use crate::trace::report::StepReport;
 
 const NODES: usize = 2; // 8 ranks
 const STEPS: usize = 3;
@@ -62,7 +61,10 @@ fn traced_exposed(mpi: MpiConfig, tune_comm: bool) -> (f64, f64) {
         // measures the tuned steady state, not the exploration sweep. The
         // run must outlast the candidate list (two steps per candidate:
         // settle + measure) for the decision to freeze and land in the
-        // process-global table.
+        // process-global table. That table is keyed by (world, gradient
+        // bytes) and read only by `tune_comm` runs: no other row of
+        // `dlsr figures` makes one, and a second run of this row finds the
+        // same decision already frozen, so no row's bytes depend on it.
         let warmup = cfg(true).to_builder().steps(16).build();
         train_real(&topo, mpi.clone(), &warmup);
     }
@@ -73,7 +75,7 @@ fn traced_exposed(mpi: MpiConfig, tune_comm: bool) -> (f64, f64) {
     (run.makespan / STEPS as f64, exposed)
 }
 
-fn main() {
+pub fn run(_: &Sweeps, out: &mut dyn Write) -> io::Result<Outputs> {
     // Part 1: encoded bytes per format and size bin.
     let mut sweep = Vec::new();
     for dense in BINS {
@@ -122,7 +124,7 @@ fn main() {
         wire_exposed * 1e3,
     );
 
-    write_json(
+    let file = json(
         "BENCH_wire.json",
         &serde_json::json!({
             "workload": {
@@ -147,10 +149,12 @@ fn main() {
             "step_speedup": f32_step / wire_step,
         }),
     );
-    println!(
+    writeln!(
+        out,
         "exposed comm: {:.3} ms f32 -> {:.3} ms hier+bf16+tuned ({:.1}% drop)",
         f32_exposed * 1e3,
         wire_exposed * 1e3,
         drop * 100.0
-    );
+    )?;
+    Ok(vec![file])
 }

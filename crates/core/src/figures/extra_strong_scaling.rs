@@ -5,53 +5,59 @@
 //! scale, occupancy falls (the Fig 9 curve read backwards), and efficiency
 //! collapses much sooner than in the weak-scaling figures.
 //!
-//! Run: `cargo run --release -p dlsr-bench --bin extra_strong_scaling`
+//! Run: `cargo run --release -p dlsr -- figures --only extra_strong_scaling`
 
-#![forbid(unsafe_code)]
-use dlsr::prelude::*;
-use dlsr_bench::{bar, steps, warmup, write_json, SEED};
-use dlsr_net::ClusterTopology;
+use std::io::{self, Write};
 
-fn main() {
+use super::{bar, json, Outputs, Sweeps, Workload, SEED, STEPS, WARMUP};
+use crate::prelude::*;
+
+pub fn run(sweeps: &Sweeps, out: &mut dyn Write) -> io::Result<Outputs> {
     let global_batch = 256usize;
-    let (w, tensors) = edsr_measured_workload();
-    println!("== strong scaling: global batch fixed at {global_batch} ==\n");
-    println!(
+    writeln!(
+        out,
+        "== strong scaling: global batch fixed at {global_batch} ==\n"
+    )?;
+    writeln!(
+        out,
         "{:>6} {:>10} {:>12} {:>10} {:>12}",
         "GPUs", "batch/GPU", "img/s", "eff", "step (ms)"
-    );
+    )?;
     let mut rows = Vec::new();
     let mut best = 0.0f64;
     let mut runs = Vec::new();
     for &nodes in &[4usize, 8, 16, 32, 64] {
-        let topo = ClusterTopology::lassen(nodes);
-        let world = topo.total_gpus();
+        let world = ClusterTopology::lassen(nodes).total_gpus();
         let per_gpu = global_batch / world;
         if per_gpu == 0 {
-            println!("{world:>6} {:>10} — fewer samples than GPUs; stopping", 0);
+            writeln!(
+                out,
+                "{world:>6} {:>10} — fewer samples than GPUs; stopping",
+                0
+            )?;
             break;
         }
-        let run = run_training(
-            &topo,
+        let run = sweeps.run(
+            Workload::EdsrMeasured,
             Scenario::MpiOpt,
-            &w,
-            &tensors,
+            nodes,
             per_gpu,
-            warmup(),
-            steps(),
+            WARMUP,
+            STEPS,
             SEED,
         );
         best = best.max(run.images_per_sec);
         runs.push((world, per_gpu, run));
     }
     for (world, per_gpu, run) in &runs {
-        println!(
+        writeln!(
+            out,
             "{world:>6} {per_gpu:>10} {:>12.1} {:>9.1}% {:>12.1}   {}",
             run.images_per_sec,
             run.efficiency * 100.0,
             run.step_time * 1e3,
             bar(run.images_per_sec, best, 28)
-        );
+        )?;
         rows.push(serde_json::json!({
             "gpus": world,
             "batch_per_gpu": per_gpu,
@@ -59,13 +65,16 @@ fn main() {
             "efficiency": run.efficiency,
         }));
     }
-    println!("\nstrong scaling trades occupancy for latency: past the point where");
-    println!("per-GPU batches stop amortizing kernel overheads, adding GPUs mostly");
-    println!("adds communication — the regime weak scaling (Figs 10–13) avoids by");
-    println!("growing the global batch with the machine.");
+    writeln!(
+        out,
+        "\nstrong scaling trades occupancy for latency: past the point where\n\
+         per-GPU batches stop amortizing kernel overheads, adding GPUs mostly\n\
+         adds communication — the regime weak scaling (Figs 10–13) avoids by\n\
+         growing the global batch with the machine."
+    )?;
 
-    write_json(
+    Ok(vec![json(
         "extra_strong_scaling.json",
         &serde_json::json!({ "global_batch": global_batch, "rows": rows }),
-    );
+    )])
 }

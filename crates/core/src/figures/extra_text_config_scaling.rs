@@ -6,54 +6,41 @@
 //! therefore imply the F=256 model; this harness makes that argument
 //! quantitative (see EXPERIMENTS.md "Known deviations" #1).
 //!
-//! Run: `cargo run --release -p dlsr-bench --bin extra_text_config_scaling`
+//! Run: `cargo run --release -p dlsr -- figures --only extra_text_config`
 
-#![forbid(unsafe_code)]
-use dlsr::prelude::*;
-use dlsr_bench::{steps, warmup, write_json, SEED};
-use dlsr_net::ClusterTopology;
+use std::io::{self, Write};
 
-fn main() {
-    println!("== what-if: the literal §IV-C EDSR (B=32, F=64, ~10 MB gradients) ==\n");
-    let (w, tensors) = edsr_text_workload();
-    println!(
+use super::{json, Outputs, Sweeps, Workload};
+use crate::prelude::*;
+
+pub fn run(sweeps: &Sweeps, out: &mut dyn Write) -> io::Result<Outputs> {
+    writeln!(
+        out,
+        "== what-if: the literal §IV-C EDSR (B=32, F=64, ~10 MB gradients) ==\n"
+    )?;
+    let (w, _) = Workload::EdsrText.load();
+    writeln!(
+        out,
         "workload: {} — {} params, {} MB of gradients\n",
         w.name,
         w.params,
         w.grad_bytes() >> 20
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>6} {:>12} {:>12} {:>9}",
         "GPUs", "MPI (img/s)", "Opt (img/s)", "Opt gain"
-    );
+    )?;
     let mut rows = Vec::new();
     for &nodes in &[1usize, 8, 32, 128] {
-        let topo = ClusterTopology::lassen(nodes);
-        let d = run_training(
-            &topo,
-            Scenario::MpiDefault,
-            &w,
-            &tensors,
-            4,
-            warmup(),
-            steps(),
-            SEED,
-        );
-        let o = run_training(
-            &topo,
-            Scenario::MpiOpt,
-            &w,
-            &tensors,
-            4,
-            warmup(),
-            steps(),
-            SEED,
-        );
+        let d = sweeps.point(Workload::EdsrText, Scenario::MpiDefault, nodes);
+        let o = sweeps.point(Workload::EdsrText, Scenario::MpiOpt, nodes);
         let gain = (o.images_per_sec / d.images_per_sec - 1.0) * 100.0;
-        println!(
+        writeln!(
+            out,
             "{:>6} {:>12.1} {:>12.1} {:>8.1}%",
             d.gpus, d.images_per_sec, o.images_per_sec, gain
-        );
+        )?;
         rows.push(serde_json::json!({
             "gpus": d.gpus,
             "mpi_img_s": d.images_per_sec,
@@ -62,15 +49,18 @@ fn main() {
         }));
         // the message-size evidence
         if nodes == 1 {
-            print!("\n{}\n", d.profile.render(Collective::Allreduce));
+            write!(out, "\n{}\n", d.profile.render(Collective::Allreduce))?;
         }
     }
-    println!("with every fused message below the 16 MB IPC threshold, MPI-Opt's");
-    println!("gain is a few percent (registration cache only) — nothing like the");
-    println!("paper's 26 %. The measured results require the F=256 model.");
+    writeln!(
+        out,
+        "with every fused message below the 16 MB IPC threshold, MPI-Opt's\n\
+         gain is a few percent (registration cache only) — nothing like the\n\
+         paper's 26 %. The measured results require the F=256 model."
+    )?;
 
-    write_json(
+    Ok(vec![json(
         "extra_text_config.json",
         &serde_json::json!({ "rows": rows }),
-    );
+    )])
 }

@@ -2,64 +2,56 @@
 //! built against MVAPICH2-GDR (the broken `CUDA_VISIBLE_DEVICES`-pinned
 //! configuration) compared with NCCL, 4 → 512 GPUs on Lassen.
 //!
-//! Run: `cargo run --release -p dlsr-bench --bin fig10_default_scaling`
-//! (set `DLSR_NODES="1,2,4"` for a quick pass)
+//! Run: `cargo run --release -p dlsr -- figures --only fig10`
 
-#![forbid(unsafe_code)]
-use dlsr::prelude::*;
-use dlsr_bench::{bar, node_counts, steps, warmup, write_json, SEED};
+use std::io::{self, Write};
 
-fn main() {
-    let (w, tensors) = edsr_measured_workload();
-    let nodes = node_counts();
-    println!("== Fig 10: default EDSR scaling, MVAPICH2-GDR (default) vs NCCL ==\n");
+use super::{bar, json, Outputs, Sweeps};
+use crate::prelude::*;
 
-    let mpi = scaling_sweep(
-        &nodes,
-        Scenario::MpiDefault,
-        &w,
-        &tensors,
-        4,
-        warmup(),
-        steps(),
-        SEED,
-    );
-    let nccl = scaling_sweep(
-        &nodes,
-        Scenario::Nccl,
-        &w,
-        &tensors,
-        4,
-        warmup(),
-        steps(),
-        SEED,
-    );
+pub fn run(sweeps: &Sweeps, out: &mut dyn Write) -> io::Result<Outputs> {
+    writeln!(
+        out,
+        "== Fig 10: default EDSR scaling, MVAPICH2-GDR (default) vs NCCL ==\n"
+    )?;
+
+    let mpi = sweeps.sweep(Scenario::MpiDefault);
+    let nccl = sweeps.sweep(Scenario::Nccl);
 
     let max = nccl
         .iter()
         .chain(mpi.iter())
         .map(|p| p.images_per_sec)
         .fold(0.0, f64::max);
-    println!("{:>6} {:>14} {:>14}", "GPUs", "MPI (img/s)", "NCCL (img/s)");
+    writeln!(
+        out,
+        "{:>6} {:>14} {:>14}",
+        "GPUs", "MPI (img/s)", "NCCL (img/s)"
+    )?;
     for (m, n) in mpi.iter().zip(nccl.iter()) {
-        println!(
+        writeln!(
+            out,
             "{:>6} {:>14.1} {:>14.1}   MPI  {}",
             m.gpus,
             m.images_per_sec,
             n.images_per_sec,
             bar(m.images_per_sec, max, 34)
-        );
-        println!("{:>51}NCCL {}", "", bar(n.images_per_sec, max, 34));
+        )?;
+        writeln!(out, "{:>51}NCCL {}", "", bar(n.images_per_sec, max, 34))?;
     }
     let last = mpi.last().unwrap();
-    println!(
+    writeln!(
+        out,
         "\nat {} GPUs, default MPI reaches only {:.1} % scaling efficiency — the",
         last.gpus,
         last.efficiency * 100.0
-    );
-    println!("degradation the paper traces to the CUDA IPC conflict (§III-C).");
+    )?;
+    writeln!(
+        out,
+        "degradation the paper traces to the CUDA IPC conflict (§III-C)."
+    )?;
 
-    write_json(
+    Ok(vec![json(
         "fig10_results.json",
         &serde_json::json!({
             "figure": "10",
@@ -70,5 +62,5 @@ fn main() {
                 "gpus": p.gpus, "img_s": p.images_per_sec, "efficiency": p.efficiency
             })).collect::<Vec<_>>(),
         }),
-    );
+    )])
 }

@@ -3,55 +3,33 @@
 //! against default MPI and NCCL, 4 → 512 GPUs.
 //! Paper: 26 % throughput improvement over default MPI at scale.
 //!
-//! Run: `cargo run --release -p dlsr-bench --bin fig12_optimized_scaling`
+//! Run: `cargo run --release -p dlsr -- figures --only fig12`
 
-#![forbid(unsafe_code)]
-use dlsr::prelude::*;
-use dlsr_bench::{bar, node_counts, steps, warmup, write_json, SEED};
+use std::io::{self, Write};
+use std::rc::Rc;
 
-fn main() {
-    let (w, tensors) = edsr_measured_workload();
-    let nodes = node_counts();
-    println!("== Fig 12: optimized EDSR scaling (MPI-Opt vs MPI vs NCCL) ==\n");
+use super::{bar, json, Outputs, Sweeps};
+use crate::prelude::*;
 
-    let mpi = scaling_sweep(
-        &nodes,
-        Scenario::MpiDefault,
-        &w,
-        &tensors,
-        4,
-        warmup(),
-        steps(),
-        SEED,
-    );
-    let opt = scaling_sweep(
-        &nodes,
-        Scenario::MpiOpt,
-        &w,
-        &tensors,
-        4,
-        warmup(),
-        steps(),
-        SEED,
-    );
-    let nccl = scaling_sweep(
-        &nodes,
-        Scenario::Nccl,
-        &w,
-        &tensors,
-        4,
-        warmup(),
-        steps(),
-        SEED,
-    );
+pub fn run(sweeps: &Sweeps, out: &mut dyn Write) -> io::Result<Outputs> {
+    writeln!(
+        out,
+        "== Fig 12: optimized EDSR scaling (MPI-Opt vs MPI vs NCCL) ==\n"
+    )?;
+
+    let mpi = sweeps.sweep(Scenario::MpiDefault);
+    let opt = sweeps.sweep(Scenario::MpiOpt);
+    let nccl = sweeps.sweep(Scenario::Nccl);
 
     let max = opt.iter().map(|p| p.images_per_sec).fold(0.0, f64::max);
-    println!(
+    writeln!(
+        out,
         "{:>6} {:>12} {:>12} {:>12} {:>9}",
         "GPUs", "MPI", "MPI-Opt", "NCCL", "Opt gain"
-    );
+    )?;
     for ((m, o), n) in mpi.iter().zip(opt.iter()).zip(nccl.iter()) {
-        println!(
+        writeln!(
+            out,
             "{:>6} {:>12.1} {:>12.1} {:>12.1} {:>8.1}%   {}",
             m.gpus,
             m.images_per_sec,
@@ -59,22 +37,26 @@ fn main() {
             n.images_per_sec,
             (o.images_per_sec / m.images_per_sec - 1.0) * 100.0,
             bar(o.images_per_sec, max, 30)
-        );
+        )?;
     }
     let (m_last, o_last) = (mpi.last().unwrap(), opt.last().unwrap());
-    println!(
+    writeln!(
+        out,
         "\nat {} GPUs MPI-Opt improves throughput by {:.1} % over default MPI",
         o_last.gpus,
         (o_last.images_per_sec / m_last.images_per_sec - 1.0) * 100.0
-    );
-    println!("(paper: 26 %), and matches or beats NCCL across the sweep.");
+    )?;
+    writeln!(
+        out,
+        "(paper: 26 %), and matches or beats NCCL across the sweep."
+    )?;
 
-    let ser = |v: &[ScalingPoint]| {
+    let ser = |v: &[Rc<TrainRun>]| {
         v.iter()
             .map(|p| serde_json::json!({ "gpus": p.gpus, "img_s": p.images_per_sec, "efficiency": p.efficiency }))
             .collect::<Vec<_>>()
     };
-    write_json(
+    Ok(vec![json(
         "fig12_results.json",
         &serde_json::json!({
             "figure": "12",
@@ -83,5 +65,5 @@ fn main() {
             "mpi_opt": ser(&opt),
             "nccl": ser(&nccl),
         }),
-    );
+    )])
 }

@@ -3,78 +3,60 @@
 //! Paper: default drops below 60 % at scale; MPI-Opt stays above 70 %, a
 //! +15.6 % efficiency improvement = 1.26× training speedup.
 //!
-//! Run: `cargo run --release -p dlsr-bench --bin fig13_efficiency`
+//! Run: `cargo run --release -p dlsr -- figures --only fig13`
 
-#![forbid(unsafe_code)]
-use dlsr::prelude::*;
-use dlsr_bench::{bar, node_counts, steps, warmup, write_json, SEED};
+use std::io::{self, Write};
+use std::rc::Rc;
 
-fn main() {
-    let (w, tensors) = edsr_measured_workload();
-    let nodes = node_counts();
-    println!("== Fig 13: EDSR scaling efficiency ==\n");
+use super::{bar, json, Outputs, Sweeps};
+use crate::prelude::*;
 
-    let mpi = scaling_sweep(
-        &nodes,
-        Scenario::MpiDefault,
-        &w,
-        &tensors,
-        4,
-        warmup(),
-        steps(),
-        SEED,
-    );
-    let opt = scaling_sweep(
-        &nodes,
-        Scenario::MpiOpt,
-        &w,
-        &tensors,
-        4,
-        warmup(),
-        steps(),
-        SEED,
-    );
-    let nccl = scaling_sweep(
-        &nodes,
-        Scenario::Nccl,
-        &w,
-        &tensors,
-        4,
-        warmup(),
-        steps(),
-        SEED,
-    );
+pub fn run(sweeps: &Sweeps, out: &mut dyn Write) -> io::Result<Outputs> {
+    writeln!(out, "== Fig 13: EDSR scaling efficiency ==\n")?;
 
-    println!("{:>6} {:>9} {:>9} {:>9}", "GPUs", "MPI", "MPI-Opt", "NCCL");
+    let mpi = sweeps.sweep(Scenario::MpiDefault);
+    let opt = sweeps.sweep(Scenario::MpiOpt);
+    let nccl = sweeps.sweep(Scenario::Nccl);
+
+    writeln!(
+        out,
+        "{:>6} {:>9} {:>9} {:>9}",
+        "GPUs", "MPI", "MPI-Opt", "NCCL"
+    )?;
     for ((m, o), n) in mpi.iter().zip(opt.iter()).zip(nccl.iter()) {
-        println!(
+        writeln!(
+            out,
             "{:>6} {:>8.1}% {:>8.1}% {:>8.1}%   Opt {}",
             m.gpus,
             m.efficiency * 100.0,
             o.efficiency * 100.0,
             n.efficiency * 100.0,
             bar(o.efficiency, 1.0, 30)
-        );
-        println!("{:>41}MPI {}", "", bar(m.efficiency, 1.0, 30));
+        )?;
+        writeln!(out, "{:>41}MPI {}", "", bar(m.efficiency, 1.0, 30))?;
     }
     let (m_last, o_last) = (mpi.last().unwrap(), opt.last().unwrap());
     let diff_pp = (o_last.efficiency - m_last.efficiency) * 100.0;
     let speedup = o_last.images_per_sec / m_last.images_per_sec;
-    println!(
+    writeln!(
+        out,
         "\nat {} GPUs: MPI-Opt {:.1} % vs default {:.1} % — a {:.1} pp efficiency",
         o_last.gpus,
         o_last.efficiency * 100.0,
         m_last.efficiency * 100.0,
         diff_pp
-    );
-    println!("improvement (paper: +15.6 pp) and a {speedup:.2}× training speedup (paper: 1.26×).");
+    )?;
+    writeln!(
+        out,
+        "improvement (paper: +15.6 pp) and a {speedup:.2}× training speedup (paper: 1.26×)."
+    )?;
 
-    let ser = |v: &[ScalingPoint]| {
+    let ser = |v: &[Rc<TrainRun>]| {
         v.iter()
             .map(|p| serde_json::json!({ "gpus": p.gpus, "efficiency": p.efficiency }))
             .collect::<Vec<_>>()
     };
-    write_json(
+    Ok(vec![json(
         "fig13_results.json",
         &serde_json::json!({
             "figure": "13",
@@ -85,5 +67,5 @@ fn main() {
             "mpi_opt": ser(&opt),
             "nccl": ser(&nccl),
         }),
-    );
+    )])
 }

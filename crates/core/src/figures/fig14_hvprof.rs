@@ -1,22 +1,25 @@
 //! **Fig 14** — hvprof allreduce profile for 100 training steps of EDSR on
 //! 4 GPUs, default MPI vs MPI-Opt, by message-size bin.
 //!
-//! Run: `cargo run --release -p dlsr-bench --bin fig14_hvprof`
+//! Run: `cargo run --release -p dlsr -- figures --only fig14`
 
-#![forbid(unsafe_code)]
-use dlsr::prelude::*;
-use dlsr_bench::{bar, write_json, SEED};
+use std::io::{self, Write};
+
 use dlsr_hvprof::BINS;
-use dlsr_net::ClusterTopology;
 
-fn main() {
-    let (w, tensors) = edsr_measured_workload();
-    let topo = ClusterTopology::lassen(1); // 4 GPUs, as in §III-B
+use super::{bar, json, Outputs, Sweeps, Workload, BATCH, SEED, WARMUP};
+use crate::prelude::*;
+
+pub fn run(sweeps: &Sweeps, out: &mut dyn Write) -> io::Result<Outputs> {
     let steps = 100;
-    println!("== Fig 14: hvprof allreduce profile, {steps} steps of EDSR on 4 GPUs ==\n");
+    writeln!(
+        out,
+        "== Fig 14: hvprof allreduce profile, {steps} steps of EDSR on 4 GPUs ==\n"
+    )?;
 
-    let d = run_training(&topo, Scenario::MpiDefault, &w, &tensors, 4, 2, steps, SEED);
-    let o = run_training(&topo, Scenario::MpiOpt, &w, &tensors, 4, 2, steps, SEED);
+    // one Lassen node: 4 GPUs, as in §III-B. Table I reads the same two runs.
+    let profile = |sc| sweeps.run(Workload::EdsrMeasured, sc, 1, BATCH, WARMUP, steps, SEED);
+    let (d, o) = (profile(Scenario::MpiDefault), profile(Scenario::MpiOpt));
 
     let db = d.profile.bin_seconds(Collective::Allreduce);
     let ob = o.profile.bin_seconds(Collective::Allreduce);
@@ -27,30 +30,36 @@ fn main() {
         if db[i] == 0.0 && ob[i] == 0.0 {
             continue;
         }
-        println!(
+        writeln!(
+            out,
             "{name:>16}  default {:>8.1} ms  {}",
             db[i] * 1e3,
             bar(db[i], max, 32)
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "{:>16}  MPI-Opt {:>8.1} ms  {}",
             "",
             ob[i] * 1e3,
             bar(ob[i], max, 32)
-        );
+        )?;
         series.push(serde_json::json!({
             "bin": name, "default_ms": db[i] * 1e3, "optimized_ms": ob[i] * 1e3
         }));
     }
-    println!(
+    writeln!(
+        out,
         "\ntotal: default {:.1} ms vs MPI-Opt {:.1} ms over {steps} steps",
         d.profile.total_seconds(Collective::Allreduce) * 1e3,
         o.profile.total_seconds(Collective::Allreduce) * 1e3
-    );
-    println!("(see table1_allreduce for the Table I presentation of this run)");
+    )?;
+    writeln!(
+        out,
+        "(see `figures --only table1` for the Table I presentation of this run)"
+    )?;
 
-    write_json(
+    Ok(vec![json(
         "fig14_results.json",
         &serde_json::json!({ "figure": "14", "series": series }),
-    );
+    )])
 }

@@ -6,36 +6,40 @@
 //! 16–32 MB: 1321.6 → 619.6 (53.1 %) · 32–64 MB: 5145.6 → 2587.2 (49.7 %)
 //! · total 7179.9 → 3918.5 (**45.4 %**).
 //!
-//! Run: `cargo run --release -p dlsr-bench --bin table1_allreduce`
+//! Run: `cargo run --release -p dlsr -- figures --only table1`
 
-#![forbid(unsafe_code)]
-use dlsr::prelude::*;
-use dlsr_bench::{write_json, SEED};
-use dlsr_net::ClusterTopology;
+use std::io::{self, Write};
 
-fn main() {
-    let (w, tensors) = edsr_measured_workload();
-    let topo = ClusterTopology::lassen(1);
+use super::{json, Outputs, Sweeps, Workload, BATCH, SEED, WARMUP};
+use crate::prelude::*;
+
+pub fn run(sweeps: &Sweeps, out: &mut dyn Write) -> io::Result<Outputs> {
     let steps = 100;
-    println!("== Table I: allreduce improvement, {steps} steps of EDSR on 4 GPUs ==\n");
+    writeln!(
+        out,
+        "== Table I: allreduce improvement, {steps} steps of EDSR on 4 GPUs ==\n"
+    )?;
 
-    let d = run_training(&topo, Scenario::MpiDefault, &w, &tensors, 4, 2, steps, SEED);
-    let o = run_training(&topo, Scenario::MpiOpt, &w, &tensors, 4, 2, steps, SEED);
+    // the two runs Fig 14 plots
+    let profile = |sc| sweeps.run(Workload::EdsrMeasured, sc, 1, BATCH, WARMUP, steps, SEED);
+    let (d, o) = (profile(Scenario::MpiDefault), profile(Scenario::MpiOpt));
 
     let rows = compare(&d.profile, &o.profile, Collective::Allreduce);
-    print!("{}", render_table(&rows));
+    write!(out, "{}", render_table(&rows))?;
 
     let total = rows.last().expect("total row");
-    println!(
+    writeln!(
+        out,
         "\ntotal allreduce time improvement: {:.1} % (paper: 45.4 %)",
         total.improvement_pct
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "training throughput: {:.1} → {:.1} img/s",
         d.images_per_sec, o.images_per_sec
-    );
+    )?;
 
-    write_json(
+    Ok(vec![json(
         "table1_results.json",
         &serde_json::json!({
             "table": "I",
@@ -57,5 +61,5 @@ fn main() {
                 "total_improvement_pct": total.improvement_pct
             }
         }),
-    );
+    )])
 }

@@ -48,10 +48,13 @@
 //! assert!(run.efficiency > 0.5 && run.efficiency <= 1.0);
 //! ```
 //!
-//! Every figure and table of the paper has a dedicated harness in
-//! `crates/bench/src/bin/` — see EXPERIMENTS.md for the index.
+//! Every figure and table of the paper is a row of the [`figures`]
+//! registry, regenerated and checked by `dlsr figures` — see EXPERIMENTS.md
+//! for the index.
 
 #![forbid(unsafe_code)]
+pub mod figures;
+
 pub use dlsr_cluster as cluster;
 pub use dlsr_data as data;
 #[cfg(feature = "faults")]

@@ -8,7 +8,7 @@
 //!   boundary (trace epoch, the `tune_gemm` timing loop): reads
 //!   inside it are fine, and traversal never crosses into it. This
 //!   replaces PR 4's path allowlist — the allowlist is now an annotation
-//!   the call graph understands, so a helper called only from bench mains
+//!   the call graph understands, so a helper called only from a wall-domain `main`
 //!   is covered automatically and a helper that leaks into rank code is
 //!   not.
 //! - **`hot-alloc`** (transitive): the allocation scan runs over every fn
@@ -663,8 +663,8 @@ mod tests {
     #[test]
     fn wall_marker_protects_reads_and_callees() {
         let (f, _) = run(&[(
-            "crates/bench/src/bin/b.rs",
-            "bench",
+            "crates/tensor/src/bin/b.rs",
+            "tensor",
             "
             use dlsr_attr as dlsr;
             #[dlsr::wall]
@@ -678,8 +678,8 @@ mod tests {
     #[test]
     fn unannotated_entry_into_wall_helper_still_trips() {
         let (f, _) = run(&[(
-            "crates/bench/src/bin/b.rs",
-            "bench",
+            "crates/tensor/src/bin/b.rs",
+            "tensor",
             "
             use dlsr_attr as dlsr;
             #[dlsr::wall]

@@ -370,15 +370,20 @@ mod tests {
         );
     }
 
-    /// The widened scan set actually contains the bench-crate harness
-    /// binaries and the root examples, and the call graph is non-trivial.
+    /// The widened scan set actually contains the `dlsr figures` harnesses,
+    /// the `src/bin` targets and the root examples, and the call graph is
+    /// non-trivial.
     #[test]
     fn scan_set_is_widened() {
         let files = collect_workspace(&root()).expect("workspace readable");
         let has = |prefix: &str| files.iter().any(|f| f.path.starts_with(prefix));
         assert!(
-            has("crates/bench/src/bin/ablation_wire.rs"),
-            "bench harness bins missing from scan set"
+            has("crates/core/src/figures/ablation_wire.rs"),
+            "figure harnesses missing from scan set"
+        );
+        assert!(
+            has("crates/tensor/src/bin/tune_gemm.rs"),
+            "the wall-domain tuner binary is missing from scan set"
         );
         assert!(has("examples/"), "root examples missing");
         assert!(

@@ -565,7 +565,7 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, RULE_HOT_MARKERS);
         // outside crates/tensor/src the convention is not enforced
-        assert!(run("crates/bench/src/x.rs", "bench", src).is_empty());
+        assert!(run("crates/core/src/x.rs", "core", src).is_empty());
 
         let marked = "#[dlsr::hot]\nfn microkernel_scalar(acc: &mut [f32]) {}";
         assert!(run("crates/tensor/src/x.rs", "tensor", marked).is_empty());
@@ -595,7 +595,7 @@ mod tests {
             );
         }
         // only rank-execution crates are in scope
-        assert!(run("crates/bench/src/x.rs", "bench", spawn).is_empty());
+        assert!(run("crates/core/src/x.rs", "core", spawn).is_empty());
         // thread::sleep and similar non-spawning calls are fine
         assert!(run("crates/mpi/src/verify.rs", "mpi", "std::thread::sleep(d);").is_empty());
         // waivers work like everywhere else

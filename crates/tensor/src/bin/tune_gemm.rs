@@ -10,7 +10,7 @@
 //! winner, and writes the tune-cache file the runtime loads via
 //! `DLSR_TUNE_CACHE`.
 //!
-//! Usage: `cargo run --release -p dlsr-bench --bin tune_gemm [-- out.tune]`
+//! Usage: `cargo run --release -p dlsr-tensor --bin tune_gemm [-- out.tune]`
 //! Tunes the EDSR training shapes; the output path defaults to
 //! `results/gemm.tune`.
 

@@ -9,7 +9,7 @@
 //! never times candidates, so the selected blueprint — and therefore the
 //! training digest — cannot depend on machine load, thread count, or
 //! whether the cache is warm. Measured tuning lives in the
-//! `tune_gemm` bench binary (`crates/bench/src/bin/`), the one place the
+//! `tune_gemm` binary (`crates/tensor/src/bin/`), the one place the
 //! workspace wall-clock lint allows timing; it writes the cache file this
 //! module loads.
 //!

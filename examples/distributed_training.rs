@@ -50,5 +50,5 @@ fn main() {
     println!("note: with tiny models the gradient messages sit below the IPC");
     println!("threshold, so both configurations stage through the host and the");
     println!("makespans are close. The paper-scale contrast is shown by");
-    println!("`cargo run --release -p dlsr-bench --bin fig12_optimized_scaling`.");
+    println!("`cargo run --release -p dlsr -- figures --only fig12`.");
 }

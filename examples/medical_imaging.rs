@@ -74,5 +74,5 @@ fn main() {
     println!("the bicubic baseline. Pushing past it takes the production-scale");
     println!("training the paper is about: ~10 img/s on a V100 means hundreds of");
     println!("GPU-hours per model — exactly why DLSR training needs HPC clusters");
-    println!("(run the fig10..fig13 harnesses in dlsr-bench to see that story).");
+    println!("(run `dlsr figures --only fig12` / `fig13` to see that story).");
 }
