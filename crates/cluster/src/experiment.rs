@@ -18,15 +18,7 @@ pub fn run_world(
     warmup: usize,
     steps: usize,
 ) -> WorldResult<RankRun> {
-    // Verify builds keep ranks on the event *context* core so the
-    // cross-rank checker (whose rendezvous needs concurrent ranks)
-    // stays attached; the equivalence suite pins the driven engine
-    // bitwise to it, so what gets verified is what gets driven.
-    if cfg!(feature = "verify") {
-        MpiWorld::run(topo, cfg, move |c| trainer.run(c, warmup, steps))
-    } else {
-        MpiWorld::run_driven(topo, cfg, |_| trainer.program(warmup, steps))
-    }
+    MpiWorld::run_driven(topo, cfg, |_| trainer.program(warmup, steps))
 }
 
 /// Result of one distributed training measurement.

@@ -1,16 +1,19 @@
-//! End-to-end smoke test: real distributed EDSR training under the
+//! End-to-end smoke test: real distributed EDSR training, and the
+//! costs-only world behind the scaling figures, under the
 //! collective-matching verifier (`verify` feature — see Cargo.toml).
 //!
 //! This is the "clean workspace" half of the verifier story: the full
 //! training path (parameter bcast, coordinator negotiation, overlapped
-//! fusion-group allreduces, metric reductions) must rendezvous cleanly at
-//! every round, and the launch order recorded per rank must match the
-//! analytic schedule.
+//! fusion-group allreduces, metric reductions) must file equal signatures
+//! at every round on every rank, and the launch order recorded per rank
+//! must match the analytic schedule.
 
 #![forbid(unsafe_code)]
 
+use dlsr_cluster::experiment::run_world;
 use dlsr_cluster::realtrain::{train_real, RealTrainConfig};
-use dlsr_mpi::{verify, MpiConfig};
+use dlsr_cluster::{edsr_measured_workload, Scenario, SimTrainer};
+use dlsr_mpi::MpiConfig;
 use dlsr_net::ClusterTopology;
 
 #[test]
@@ -26,11 +29,7 @@ fn real_training_passes_the_verifier() {
     // exactly the path whose launch order the verifier audits.
     let res = train_real(&topo, MpiConfig::mpi_opt(), &cfg);
     assert!(res.losses.len() == 6);
-    assert!(
-        verify::take_violations().is_empty(),
-        "clean training must record no violations"
-    );
-    let summary = verify::last_summary().expect("verified run stores a summary");
+    let summary = res.verify.expect("a verified run returns a summary");
     assert_eq!(summary.ranks, 2);
     assert!(
         summary.collectives_checked > 0,
@@ -45,5 +44,33 @@ fn real_training_passes_the_verifier() {
     let cfg = RealTrainConfig::builder().steps(3).overlap(false).build();
     let res = train_real(&topo, MpiConfig::mpi_opt(), &cfg);
     assert!(res.losses.len() == 3);
-    assert!(verify::take_violations().is_empty());
+    assert!(res.verify.expect("summary").collectives_checked > 0);
+}
+
+/// The world every scaling number comes from — `run_world`, so the driven
+/// engine, two-level allreduces whose leader rings run as waves (MPI-Opt)
+/// and flat ring waves under the NCCL path policy — files exactly the
+/// rounds its program yields: per step one negotiation, one allreduce per
+/// fusion group, the barrier and the metrics allreduce. Top-level entries
+/// only: a two-level allreduce's inner leader ring records nothing of its
+/// own.
+#[test]
+fn the_costs_only_world_passes_the_verifier() {
+    let topo = ClusterTopology::lassen(8);
+    let (workload, tensors) = edsr_measured_workload();
+    let (warmup, steps) = (1, 3);
+    for scenario in [Scenario::MpiOpt, Scenario::Nccl] {
+        let trainer = SimTrainer::new(workload.clone(), tensors.clone(), 4, scenario, &topo, 2021)
+            .expect("batch 4 fits");
+        let res = run_world(&topo, scenario.mpi_config(), &trainer, warmup, steps);
+        let summary = res.verify.expect("a verified run returns a summary");
+        assert_eq!(summary.ranks, 32);
+        let per_step = 1 + trainer.plan().len() + 1 + 1;
+        assert_eq!(
+            summary.collectives_checked,
+            ((warmup + steps) * per_step) as u64,
+            "{scenario:?}: {} fusion groups",
+            trainer.plan().len()
+        );
+    }
 }

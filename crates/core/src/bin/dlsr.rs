@@ -222,11 +222,12 @@ USAGE:
                 at 64-512 ranks and the agreement recorded in the report
                 (gated against the baseline in efficiency points)
   dlsr verify   [--nodes N] [--gpus G] [--steps S] [--scenario NAME]
-                run real training under the collective-matching verifier:
-                every collective's per-rank signature is cross-checked at
-                each rendezvous, fusion launch order is audited against
-                the analytic schedule, and crossed nonblocking p2p is
-                flagged as deadlock. Requires a `--features verify` build
+                run real training, then the costs-only world of the same
+                topology, under the collective-matching verifier: every
+                collective's per-rank signature is compared with the other
+                ranks' on arrival and fusion launch order is audited against
+                the analytic schedule. Prints the violation and exits 1 on
+                a mismatch. Requires a `--features verify` build
   dlsr chaos    [--fault NAME] [--nodes N] [--gpus G] [--steps S] [--seed X]
                 [--scenario NAME] [--checkpoint-every K]
                 run the injected-fault suite (see docs/ROBUSTNESS.md): each
@@ -937,17 +938,49 @@ fn cmd_verify(flags: &Flags) {
         sc.label(),
         cfg.steps
     );
-    // Any mismatch panics the world with the violation recorded; reaching
-    // the summary line below means every rendezvous checked out.
-    let res = train_real(&topo, sc.mpi_config(), &cfg);
-    let summary = dlsr_mpi::verify::last_summary().expect("verified run stores a summary");
+    // A violation unwinds its world with the `Violation` as the payload
+    // (already printed once by the launcher); the peers' "world torn down"
+    // panics behind it are not news, so the hook stays quiet meanwhile.
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let verified = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let real = train_real(&topo, sc.mpi_config(), &cfg);
+        // the same topology costs-only, through the driven engine and its
+        // ring waves: the code behind every committed scaling number
+        let (w, tensors) = edsr_measured_workload();
+        let trainer = SimTrainer::new(w, tensors, 4, sc, &topo, 2021)
+            .unwrap_or_else(|e| die(&format!("verify: {e}")));
+        let sim = dlsr::cluster::experiment::run_world(&topo, sc.mpi_config(), &trainer, 1, 3);
+        (real, sim.verify)
+    }));
+    std::panic::set_hook(hook);
+    let (real, sim) = verified.unwrap_or_else(|payload| {
+        if !payload.is::<dlsr_mpi::verify::Violation>() {
+            let msg = payload.downcast_ref::<String>().map(String::as_str);
+            eprintln!(
+                "dlsr verify: a rank panicked: {}",
+                msg.or(payload.downcast_ref::<&str>().copied())
+                    .unwrap_or("(no message)")
+            );
+        }
+        std::process::exit(1)
+    });
+    let summary = real.verify.expect("verify is compiled in");
     println!(
         "ok: {} collectives and {} fusion launches cross-checked over {} ranks \
          (final loss {:.4})",
         summary.collectives_checked,
         summary.launches_checked,
         summary.ranks,
-        res.losses.last().copied().unwrap_or(f32::NAN),
+        real.losses.last().copied().unwrap_or(f32::NAN),
+    );
+    println!(
+        "ok: {} collectives cross-checked over {} ranks of the costs-only world \
+         (driven engine, 1 + 3 steps)",
+        sim.as_ref()
+            .expect("verify is compiled in")
+            .collectives_checked,
+        summary.ranks,
     );
 }
 

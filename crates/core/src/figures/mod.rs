@@ -4,7 +4,7 @@
 //! [`ROWS`] is the registry: one [`Row`] per harness, naming the files it
 //! owns and the function that produces them. A row prints its terminal
 //! figure to the writer it is handed and returns `(file name, bytes)`
-//! pairs; [`produce`] runs rows, [`write`] writes what they produced and
+//! pairs; [`produce`] runs rows, [`write()`] writes what they produced and
 //! [`stale`] compares it with the committed copies instead. The paper's evaluation is a handful of runs
 //! drawn several ways (Figs 10, 12 and 13 are one experiment, Fig 14 and
 //! Table I one profile), so rows take their costs-only training runs from

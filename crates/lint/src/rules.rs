@@ -597,7 +597,7 @@ mod tests {
         // only rank-execution crates are in scope
         assert!(run("crates/core/src/x.rs", "core", spawn).is_empty());
         // thread::sleep and similar non-spawning calls are fine
-        assert!(run("crates/mpi/src/verify.rs", "mpi", "std::thread::sleep(d);").is_empty());
+        assert!(run("crates/mpi/src/x.rs", "mpi", "std::thread::sleep(d);").is_empty());
         // waivers work like everywhere else
         let waived = "// dlsr-lint: allow(thread-spawn) -- test-only stress harness\n\
                       let h = std::thread::spawn(|| {});";

@@ -262,10 +262,10 @@ fn allreduce_grouped(
     // rendezvous, never as a hang or a payload decode panic mid-schedule.
     comm.verify_coll(
         "allreduce",
-        crate::verify::op_name(op),
+        op.label(),
         wf.dtype_name(),
         buf.len(),
-        crate::verify::algo_name(algo),
+        algo.label(),
         group,
         0,
     );

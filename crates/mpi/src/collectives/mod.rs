@@ -34,6 +34,15 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
+    /// Short label, as recorded in collective verify signatures.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            ReduceOp::Sum => "sum",
+            ReduceOp::Max => "max",
+            ReduceOp::Min => "min",
+        }
+    }
+
     /// Combine `other` into `acc` elementwise.
     pub fn combine(self, acc: &mut [f32], other: &[f32]) {
         debug_assert_eq!(acc.len(), other.len());

@@ -18,7 +18,7 @@ pub fn reduce(comm: &mut Comm, buf: &mut [f32], root: usize, buf_id: u64, op: Re
     }
     comm.verify_coll(
         "reduce",
-        crate::verify::op_name(op),
+        op.label(),
         "f32",
         buf.len(),
         "binomial",

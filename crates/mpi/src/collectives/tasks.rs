@@ -729,9 +729,9 @@ impl EventTask for AllreduceElemsTask {
             comm.verify_coll(
                 "allreduce",
                 "sum",
-                "synth",
+                self.wf.synth_dtype_name(),
                 self.elems,
-                crate::verify::algo_name(self.algo),
+                self.algo.label(),
                 None,
                 0,
             );
@@ -918,6 +918,7 @@ mod tests {
     use crate::comm::CommStats;
     use crate::config::MpiConfig;
     use crate::executor::{drive_program, RankProgram, Step};
+    use crate::verify::{Violation, ViolationKind};
     use crate::world::MpiWorld;
     use dlsr_net::{ClusterTopology, RegCacheStats};
 
@@ -1013,22 +1014,24 @@ mod tests {
         }
     }
 
-    /// What `f` panics with.
-    fn panic_message(f: impl FnOnce()) -> String {
+    /// The violation `f`'s world fails with.
+    fn panic_message(f: impl FnOnce()) -> (ViolationKind, String) {
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
             .expect_err("the world must panic");
-        err.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("panic payload is a message")
+        let v = err
+            .downcast::<Violation>()
+            .expect("panic payload is a Violation");
+        (v.kind, v.detail)
     }
 
     /// A world stuck on a partial wave says who waits in which ring — a
-    /// rank parked on a wave has no `(src, tag)` to list.
+    /// rank parked on a wave has no `(src, tag)` to list. (A `verify` build
+    /// never lets it get stuck: the leader that skips the allreduce files a
+    /// barrier where its peers filed an allreduce.)
     #[test]
     fn a_partial_wave_is_named_in_the_deadlock_panic() {
         let topo = ClusterTopology::lassen(3);
-        let msg = panic_message(|| {
+        let (kind, msg) = panic_message(|| {
             MpiWorld::run_driven(&topo, MpiConfig::mpi_opt(), |_| {
                 // node 1's leader never enters the allreduces
                 Prog::per_rank(AllreduceAlgorithm::TwoLevel, |rank| {
@@ -1036,6 +1039,15 @@ mod tests {
                 })
             });
         });
+        if crate::verify::COMPILED {
+            assert_eq!(kind, ViolationKind::CollectiveMismatch, "{msg}");
+            assert!(
+                msg.contains("allreduce(") && msg.contains("barrier("),
+                "{msg}"
+            );
+            return;
+        }
+        assert_eq!(kind, ViolationKind::Deadlock);
         assert!(msg.contains("deadlock on the driven core"), "{msg}");
         assert!(
             msg.contains(
@@ -1049,27 +1061,33 @@ mod tests {
     }
 
     /// Two descriptors pending at once mean the leaders disagree about
-    /// the collective: reported at the second arrival, naming both.
+    /// the collective: reported at the second arrival, naming both. (A
+    /// `verify` build reports the same disagreement one level up, when the
+    /// second top-level signature arrives.)
     #[test]
     fn a_mis_sized_wave_is_a_mismatch_panic() {
         let topo = ClusterTopology::lassen(3);
-        let msg = panic_message(|| {
+        let (kind, msg) = panic_message(|| {
             MpiWorld::run_driven(&topo, MpiConfig::mpi_opt(), |_| {
                 Prog::per_rank(AllreduceAlgorithm::TwoLevel, |rank| {
                     Some(if rank / 4 == 1 { 999 } else { 1000 })
                 })
             });
         });
-        assert!(
+        assert_eq!(kind, ViolationKind::CollectiveMismatch);
+        for elems in [999, 1000] {
+            let named = if crate::verify::COMPILED {
+                format!("elems={elems},")
+            } else {
+                format!("ring allreduce #1 of {elems} elems")
+            };
+            assert!(msg.contains(&named), "{msg}");
+        }
+        assert_eq!(
             msg.contains("collective mismatch on the driven core"),
+            !crate::verify::COMPILED,
             "{msg}"
         );
-        for elems in [999, 1000] {
-            assert!(
-                msg.contains(&format!("ring allreduce #1 of {elems} elems")),
-                "{msg}"
-            );
-        }
     }
 
     /// The incremental chunk arithmetic against `chunk_range`, from every

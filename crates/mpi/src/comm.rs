@@ -140,11 +140,11 @@ pub struct Comm {
     /// and the send path is byte-identical to the pre-fault build).
     #[cfg(feature = "faults")]
     send_seq: Vec<u64>,
-    /// Cross-rank verifier for this world (debug builds only; without the
-    /// `verify` feature the field does not exist and every hook below
-    /// compiles to nothing).
+    /// The world's verify ledger (debug builds only; without the `verify`
+    /// feature the field does not exist and every hook below compiles to
+    /// nothing).
     #[cfg(feature = "verify")]
-    verify: Option<Arc<crate::verify::VerifyCtx>>,
+    verify: Option<Arc<crate::verify::Ledger>>,
 }
 
 impl Comm {
@@ -197,16 +197,18 @@ impl Comm {
         }
     }
 
-    /// Attach the world's cross-rank verifier (set by [`crate::MpiWorld`]
-    /// right after construction, before the rank closure runs).
+    /// Attach the world's verify ledger (set by both launchers right after
+    /// construction, before the rank runs).
     #[cfg(feature = "verify")]
-    pub(crate) fn attach_verify(&mut self, ctx: Arc<crate::verify::VerifyCtx>) {
-        self.verify = Some(ctx);
+    pub(crate) fn attach_verify(&mut self, ledger: Arc<crate::verify::Ledger>) {
+        self.verify = Some(ledger);
     }
 
-    /// Record + cross-check one collective signature (no-op unless the
-    /// `verify` feature is on). Called at every top-level collective entry
-    /// point, before any of the collective's messages move.
+    /// File one collective signature in the world's ledger and raise the
+    /// [`Violation`](crate::verify::Violation) if it differs from what an
+    /// earlier rank filed for the same round (no-op unless the `verify`
+    /// feature is on). Called exactly once at every top-level collective
+    /// entry point, before any of the collective's messages move.
     #[inline]
     #[allow(unused_variables)]
     // one parameter per `CollSig` field: the arg list *is* the signature
@@ -222,20 +224,20 @@ impl Comm {
         root: usize,
     ) {
         #[cfg(feature = "verify")]
-        if let Some(ctx) = self.verify.clone() {
-            ctx.record_collective(
-                self.rank,
-                crate::verify::CollSig {
-                    kind,
-                    op,
-                    dtype,
-                    elems,
-                    seq: self.coll_seq,
-                    algo,
-                    group,
-                    root,
-                },
-            );
+        if let Some(ledger) = &self.verify {
+            let sig = crate::verify::CollSig {
+                kind,
+                op,
+                dtype,
+                elems,
+                seq: self.coll_seq,
+                algo,
+                group,
+                root,
+            };
+            if let Err(v) = ledger.record(self.rank, sig) {
+                v.raise();
+            }
         }
     }
 
@@ -255,8 +257,10 @@ impl Comm {
     #[allow(unused_variables)]
     pub fn verify_launch(&mut self, group: usize) {
         #[cfg(feature = "verify")]
-        if let Some(ctx) = self.verify.clone() {
-            ctx.record_launch(self.rank, group);
+        if let Some(ledger) = &self.verify {
+            if let Err(v) = ledger.launch(self.rank, group) {
+                v.raise();
+            }
         }
     }
 
@@ -714,59 +718,15 @@ impl Comm {
     /// rank on the event fabric — until the match exists.
     fn wire_recv_matching(&mut self, src: usize, tag: u64) -> Result<Message, CommError> {
         match &self.wire {
-            Wire::Event { fabric } => {
-                let fabric = Arc::clone(fabric);
-                self.event_recv_matching(&fabric, src, tag)
-            }
+            Wire::Event { fabric } => fabric
+                .recv_blocking(self.rank, src, tag, self.clock.now())
+                .map_err(|()| CommError::WorldTornDown { rank: self.rank }),
             Wire::Driven { .. } => panic!(
                 "dlsr-mpi: rank {}: blocking recv on the driven core; event tasks must poll \
                  with try_recv_buffered",
                 self.rank
             ),
         }
-    }
-
-    /// Event-core matching receive: park on the fabric until the exact
-    /// message is delivered. With a verifier attached, parks in short
-    /// polls and runs the blocked/deadlock bookkeeping (token-less, so
-    /// the checks never hold up peers).
-    fn event_recv_matching(
-        &mut self,
-        fabric: &EventFabric,
-        src: usize,
-        tag: u64,
-    ) -> Result<Message, CommError> {
-        #[cfg(feature = "verify")]
-        if let Some(ctx) = self.verify.clone() {
-            let mut noted = false;
-            loop {
-                let got = fabric.recv_blocking(
-                    self.rank,
-                    src,
-                    tag,
-                    self.clock.now(),
-                    Some(crate::verify::POLL),
-                );
-                match got {
-                    Ok(Some(m)) => {
-                        if noted {
-                            ctx.note_unblocked(self.rank);
-                        }
-                        return Ok(m);
-                    }
-                    Ok(None) => {
-                        ctx.note_blocked(self.rank, src, tag);
-                        noted = true;
-                        ctx.check_deadlock(self.rank);
-                    }
-                    Err(()) => return Err(CommError::WorldTornDown { rank: self.rank }),
-                }
-            }
-        }
-        fabric
-            .recv_blocking(self.rank, src, tag, self.clock.now(), None)
-            .map_err(|()| CommError::WorldTornDown { rank: self.rank })
-            .map(|m| m.expect("poll-less fabric recv always returns a message"))
     }
 
     #[inline]

@@ -37,15 +37,6 @@ where
     } else {
         cfg.sim_workers
     };
-    // The verify deadlock watcher reads "parked and token-less" as
-    // "blocked on a peer", so a capped pool would turn token starvation
-    // into false wait-for edges (a rank whose message arrived but is
-    // still queued for a token keeps reporting itself blocked). Tokens
-    // are a wall-time throttle, never a correctness device: verified
-    // builds simply grant everyone one, restoring the exact semantics
-    // the watcher was written against.
-    #[cfg(feature = "verify")]
-    let workers = size.max(workers);
     let cfg = Arc::new(cfg);
     let budget = FlightBudget::from_config(&cfg, false);
     let fabric = Arc::new(EventFabric::new(size, workers));
@@ -53,12 +44,11 @@ where
         Arc::new((0..topo.nodes).map(|_| IpcRegistry::new()).collect());
 
     #[cfg(feature = "verify")]
-    let verify_ctx = crate::verify::VerifyCtx::new(size);
+    let ledger = crate::verify::Ledger::new(size);
 
     // rank `r`'s thread records into lane `r` of the trace sink in scope here
     let sink = dlsr_trace::current().map(|l| l.sink().clone());
-    let mut out: Vec<Option<(R, f64)>> = (0..size).map(|_| None).collect();
-    std::thread::scope(|scope| {
+    let mut joined = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(size);
         for rank in 0..size {
             let cfg = Arc::clone(&cfg);
@@ -69,7 +59,7 @@ where
             let f = &f;
             let lane = sink.as_ref().map(|s| s.lane(rank));
             #[cfg(feature = "verify")]
-            let verify_ctx = Arc::clone(&verify_ctx);
+            let ledger = Arc::clone(&ledger);
             handles.push(scope.spawn(move || {
                 let _lane = lane.as_ref().map(dlsr_trace::Lane::enter);
                 let mut comm = Comm::new(
@@ -83,7 +73,7 @@ where
                     registries,
                 );
                 #[cfg(feature = "verify")]
-                comm.attach_verify(verify_ctx);
+                comm.attach_verify(ledger);
                 // A panicking rank must wake parked peers (they observe
                 // WorldTornDown) before its own panic reaches the join —
                 // otherwise the world would hang instead of aborting
@@ -101,26 +91,38 @@ where
                     Ok(r) => {
                         let now = comm.now();
                         fabric.finish(rank);
-                        (rank, r, now)
+                        (r, now)
                     }
                     Err(p) => {
-                        fabric.teardown();
+                        fabric.teardown(rank);
                         resume_unwind(p);
                     }
                 }
             }));
         }
-        for h in handles {
-            let (rank, r, clock) = h.join().expect("rank thread panicked");
-            out[rank] = Some((r, clock));
-        }
+        handles
+            .into_iter()
+            .map(|h| h.join())
+            .collect::<Vec<std::thread::Result<(R, f64)>>>()
     });
 
-    #[cfg(feature = "verify")]
-    verify_ctx.final_check();
-    let (ranks, clocks) = out
+    // The world's diagnosis is the payload of the rank that failed *first*
+    // (a `Violation`, or whatever the closure panicked with); peers that
+    // went down observing the teardown never win.
+    if let Some(first) = fabric.torn_down_by() {
+        let payload = joined.swap_remove(first).err();
+        resume_unwind(payload.expect("the rank that tore the world down panicked"));
+    }
+    let (ranks, clocks) = joined
         .into_iter()
-        .map(|slot| slot.expect("every rank reported"))
+        .map(|rank| rank.expect("no teardown, so no rank panicked"))
         .unzip();
-    WorldResult { ranks, clocks }
+    WorldResult {
+        ranks,
+        clocks,
+        #[cfg(feature = "verify")]
+        verify: Some(ledger.close().unwrap_or_else(|v| v.raise())),
+        #[cfg(not(feature = "verify"))]
+        verify: None,
+    }
 }

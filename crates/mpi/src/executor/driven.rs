@@ -49,6 +49,7 @@ use crate::collectives::tasks::RingWave;
 use crate::comm::{Comm, Wire};
 use crate::config::MpiConfig;
 use crate::executor::budget::FlightBudget;
+use crate::verify::{Violation, ViolationKind};
 use crate::world::WorldResult;
 
 /// One poll's outcome.
@@ -214,6 +215,14 @@ where
             )
         })
         .collect();
+    // Nothing in the ledger waits for another rank, so the one thread that
+    // steps every rank can file all of their signatures.
+    #[cfg(feature = "verify")]
+    let ledger = crate::verify::Ledger::new(size);
+    #[cfg(feature = "verify")]
+    for comm in &mut comms {
+        comm.attach_verify(Arc::clone(&ledger));
+    }
     let mut progs: Vec<P> = (0..size).map(&mut make).collect();
     let mut tasks: Vec<Option<Task>> = (0..size).map(|_| None).collect();
     // `Some((src, tag))` while a rank's task is parked on that match.
@@ -223,7 +232,7 @@ where
     // the same descriptor, and no rank can reach a later collective while a
     // ring it belongs to is incomplete — two different descriptors pending
     // together mean the ranks disagree about the collective (invariant 5
-    // of docs/CORRECTNESS.md), which is reported at once.
+    // of docs/CORRECTNESS.md), which is raised at once.
     let mut wave: Option<RingWave> = None;
     let mut wave_ranks: Vec<usize> = Vec::new();
     // Every rank's lane of the trace sink in scope on this thread, if any:
@@ -261,10 +270,15 @@ where
                     }
                     Poll::Wave(ring) => {
                         if let Some(other) = wave.filter(|other| *other != ring) {
-                            panic!(
-                                "dlsr-mpi: collective mismatch on the driven core: rank {r} \
-                                 enters {ring} while ranks {wave_ranks:?} wait in {other}"
-                            );
+                            Violation {
+                                kind: ViolationKind::CollectiveMismatch,
+                                rank: r,
+                                detail: format!(
+                                    "collective mismatch on the driven core: rank {r} enters \
+                                     {ring} while ranks {wave_ranks:?} wait in {other}"
+                                ),
+                            }
+                            .raise();
                         }
                         wave = Some(ring);
                         wave_ranks.push(r);
@@ -309,25 +323,23 @@ where
         }
     }
 
+    // The runnable stack is empty: a rank that has not finished now never
+    // will — the same condition the event fabric checks when its last
+    // running rank parks or finishes.
     if live > 0 {
-        let mut stuck: Vec<String> = waiting
+        let parked = waiting
             .iter()
             .enumerate()
-            .filter_map(|(rank, w)| {
-                w.map(|(src, tag)| format!("rank {rank} waits for (src {src}, tag {tag:#x})"))
-            })
-            .collect();
-        if let Some(ring) = wave {
+            .filter_map(|(rank, w)| Some((rank, (*w)?)));
+        let wave = wave.map(|ring| {
             wave_ranks.sort_unstable();
-            stuck.push(format!(
+            format!(
                 "ranks {wave_ranks:?} wait for the other {} participants of {ring}",
                 ring.participants() - wave_ranks.len()
-            ));
-        }
-        panic!(
-            "dlsr-mpi: deadlock on the driven core: {live} ranks never completed; {}",
-            stuck.join("; ")
-        );
+            )
+        });
+        let lowest = out.iter().position(Option::is_none).expect("live > 0");
+        Violation::deadlock("driven", lowest, live, parked, wave).raise();
     }
 
     let mut ranks = Vec::with_capacity(size);
@@ -337,5 +349,12 @@ where
         ranks.push(o);
         clocks.push(c);
     }
-    WorldResult { ranks, clocks }
+    WorldResult {
+        ranks,
+        clocks,
+        #[cfg(feature = "verify")]
+        verify: Some(ledger.close().unwrap_or_else(|v| v.raise())),
+        #[cfg(not(feature = "verify"))]
+        verify: None,
+    }
 }

@@ -18,7 +18,6 @@
 
 use std::collections::BTreeSet;
 use std::sync::{Condvar, MutexGuard, PoisonError};
-use std::time::Duration;
 
 // The vendored `parking_lot` stub wraps `std::sync::Mutex` and yields std
 // guards, so `std::sync::Condvar` composes with it; its `lock()` already
@@ -27,26 +26,12 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::message::Message;
+use crate::verify::Violation;
 
-/// Condvar wait that survives a peer's panic-while-locked (deadlock abort
-/// poisons the inner std mutex; waiters just take the guard back).
+/// Condvar wait that survives a peer's panic-while-locked (waiters just
+/// take the guard back).
 fn wait<'a>(cv: &Condvar, g: MutexGuard<'a, Sched>) -> MutexGuard<'a, Sched> {
     cv.wait(g).unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Timed wait with the same poison-stripping; returns `(guard, timed_out)`.
-fn wait_timeout<'a>(
-    cv: &Condvar,
-    g: MutexGuard<'a, Sched>,
-    d: Duration,
-) -> (MutexGuard<'a, Sched>, bool) {
-    match cv.wait_timeout(g, d) {
-        Ok((g, t)) => (g, t.timed_out()),
-        Err(p) => {
-            let (g, t) = p.into_inner();
-            (g, t.timed_out())
-        }
-    }
 }
 
 /// Where a rank stands with the scheduler.
@@ -75,7 +60,9 @@ struct Sched {
     running: usize,
     workers: usize,
     live: usize,
-    torn_down: bool,
+    /// The rank that tore the world down first — the one whose panic is
+    /// the world's diagnosis; peers only observe the teardown.
+    torn_down_by: Option<usize>,
 }
 
 /// One world's shared fabric (event context core).
@@ -97,7 +84,7 @@ impl EventFabric {
                 running: 0,
                 workers,
                 live: size,
-                torn_down: false,
+                torn_down_by: None,
             }),
             cvs: (0..size).map(|_| Condvar::new()).collect(),
         };
@@ -126,7 +113,7 @@ impl EventFabric {
     pub(crate) fn wait_for_token(&self, rank: usize) -> Result<(), ()> {
         let mut st = self.sched.lock();
         loop {
-            if st.torn_down {
+            if st.torn_down_by.is_some() {
                 return Err(());
             }
             if st.has_token[rank] {
@@ -140,7 +127,7 @@ impl EventFabric {
     /// exactly this `(src, tag)`.
     pub(crate) fn deliver(&self, dst: usize, msg: Message) -> Result<(), ()> {
         let mut st = self.sched.lock();
-        if st.torn_down {
+        if st.torn_down_by.is_some() {
             return Err(());
         }
         let wake_key = match st.status[dst] {
@@ -170,23 +157,18 @@ impl EventFabric {
     }
 
     /// Blocking exact-match receive. Parks the rank (releasing its token)
-    /// until the message is delivered and a token is granted back.
-    ///
-    /// With `poll` set (the verify watcher), returns `Ok(None)` after that
-    /// long with no match, leaving the rank parked — the caller runs its
-    /// deadlock bookkeeping token-less and calls again. Returns `Err` on
-    /// world teardown.
+    /// until the message is delivered and a token is granted back. Returns
+    /// `Err` on world teardown.
     pub(crate) fn recv_blocking(
         &self,
         rank: usize,
         src: usize,
         tag: u64,
         vtime: f64,
-        poll: Option<Duration>,
-    ) -> Result<Option<Message>, ()> {
+    ) -> Result<Message, ()> {
         let mut st = self.sched.lock();
         loop {
-            if st.torn_down {
+            if st.torn_down_by.is_some() {
                 return Err(());
             }
             if st.has_token[rank] {
@@ -194,7 +176,7 @@ impl EventFabric {
                     .iter()
                     .position(|m| m.src == src && m.tag == tag)
                 {
-                    return Ok(Some(st.mail[rank].remove(i)));
+                    return Ok(st.mail[rank].remove(i));
                 }
                 // Nothing to do at this virtual time: park, hand the token
                 // to the next eligible rank.
@@ -206,43 +188,41 @@ impl EventFabric {
                     vtime: vtime.to_bits(),
                 };
                 self.pump(&mut st);
-                if poll.is_none() {
-                    // Without the verify watcher the fabric itself aborts a
-                    // fully-parked world instead of hanging forever.
-                    self.abort_if_deadlocked(&mut st, rank, src, tag);
-                }
+                st = self.raise_if_deadlocked(st, rank);
             }
-            match poll {
-                None => st = wait(&self.cvs[rank], st),
-                Some(d) => {
-                    let (g, timed_out) = wait_timeout(&self.cvs[rank], st, d);
-                    st = g;
-                    if timed_out && !st.has_token[rank] && !st.torn_down {
-                        return Ok(None);
-                    }
-                }
-            }
+            st = wait(&self.cvs[rank], st);
         }
     }
 
-    /// Every live rank parked, no token granted, none eligible ⇒ no
-    /// message can ever arrive again. Tear the world down with a
-    /// diagnostic instead of hanging.
-    fn abort_if_deadlocked(&self, st: &mut Sched, rank: usize, src: usize, tag: u64) {
-        if st.running == 0 && st.eligible.is_empty() && st.live > 0 {
-            st.torn_down = true;
-            for cv in &self.cvs {
-                cv.notify_all();
-            }
-            panic!(
-                "dlsr-mpi: deadlock: all {} live ranks parked on recv with no matching message \
-                 in flight; rank {rank} waits for (src {src}, tag {tag:#x})",
-                st.live
-            );
+    /// Deadlock, as the scheduler sees it exactly: some rank has not
+    /// finished and no rank can run — none holds a token, none is queued
+    /// for one, so no message can ever be delivered again. Checked whenever
+    /// `rank` gives its token up for good or for a park; tears the world
+    /// down and raises the violation listing every parked rank instead of
+    /// hanging.
+    fn raise_if_deadlocked<'a>(
+        &self,
+        mut st: MutexGuard<'a, Sched>,
+        rank: usize,
+    ) -> MutexGuard<'a, Sched> {
+        if st.running > 0 || !st.eligible.is_empty() || st.live == 0 {
+            return st;
         }
+        st.torn_down_by = Some(rank);
+        for cv in &self.cvs {
+            cv.notify_all();
+        }
+        let parked = st.status.iter().enumerate().filter_map(|(r, s)| match *s {
+            Status::Parked { src, tag, .. } => Some((r, (src, tag))),
+            _ => None,
+        });
+        let deadlock = Violation::deadlock("context", rank, st.live, parked, None);
+        drop(st);
+        deadlock.raise()
     }
 
-    /// Rank closure returned: release its token and let the world drain.
+    /// Rank closure returned: release its token and let the world drain —
+    /// or find that what is left of it cannot.
     pub(crate) fn finish(&self, rank: usize) {
         let mut st = self.sched.lock();
         st.status[rank] = Status::Done;
@@ -252,15 +232,21 @@ impl EventFabric {
         }
         st.live -= 1;
         self.pump(&mut st);
+        drop(self.raise_if_deadlocked(st, rank));
     }
 
-    /// A rank panicked: wake everyone so blocked peers observe
+    /// `rank` panicked: wake everyone so blocked peers observe
     /// [`crate::CommError::WorldTornDown`] and the world aborts together.
-    pub(crate) fn teardown(&self) {
+    pub(crate) fn teardown(&self, rank: usize) {
         let mut st = self.sched.lock();
-        st.torn_down = true;
+        st.torn_down_by.get_or_insert(rank);
         for cv in &self.cvs {
             cv.notify_all();
         }
+    }
+
+    /// The first rank to tear the world down, if any did.
+    pub(crate) fn torn_down_by(&self) -> Option<usize> {
+        self.sched.lock().torn_down_by
     }
 }

@@ -1,41 +1,43 @@
 //! Debug-mode collective-matching verifier.
 //!
-//! With the `verify` cargo feature on, every rank records a signature per
+//! With the `verify` cargo feature on, every rank files a signature per
 //! collective — operation, reduce op, dtype, element count, collective
 //! sequence number (the tag base), selected algorithm bin and fusion group
-//! id — and a cross-rank checker validates that the signatures agree
-//! *before* any payload moves. Three families of divergence are caught:
+//! id — in the world's `Ledger` *before* it moves any payload. Nothing in
+//! the ledger waits: the first rank to reach a round leaves the reference,
+//! every later one is compared with it on arrival. So both launchers attach
+//! the same ledger — the context core's rank threads and the driven
+//! engine's single thread, ring waves included — and a verified build runs
+//! the code every committed number comes from. Three families of divergence:
 //!
 //! - **Collective mismatch**: rank 1 calling `allreduce` with a different
 //!   element count, algorithm or sequence (tag) than rank 0, or calling a
-//!   different collective altogether. Detected synchronously at a
-//!   rendezvous on collective entry, so the world panics with a precise
-//!   report instead of hanging on a tag that will never match.
+//!   different collective altogether. Raised by the *later* of the two
+//!   ranks at collective entry, naming both ranks and both signatures,
+//!   instead of hanging on a tag that will never match.
 //! - **Launch-order divergence**: the overlapped optimizer in
 //!   `dlsr-horovod` derives its fusion-group launch order analytically
 //!   (model shape only). Each observed launch is checked against that
 //!   schedule (group 0 first, then strictly `previous + 1` within a
 //!   backward), and the full per-rank launch sequences are compared across
-//!   ranks at the end of the run.
-//! - **Nonblocking p2p deadlock**: a wait-for graph over blocked receives
-//!   (`isend`/`irecv`/`wait` and plain `recv`). When a rank times out
-//!   waiting, it records the edge `rank → src`; a cycle that stays stable
-//!   across a re-check (no message arrived, no epoch advanced) is a real
-//!   deadlock — crossed `irecv`s, for example — and is reported instead of
-//!   hanging the test suite.
+//!   ranks when the world closes.
+//! - **Desync**: the world joined cleanly but some rank returned without
+//!   reaching a collective the others ran.
 //!
-//! Violations are pushed to a process-global list before the world panics,
-//! so tests can `catch_unwind` around [`crate::MpiWorld::run`] and inspect
-//! [`take_violations`].
+//! Deadlock is not the verifier's business: "some rank has not finished and
+//! no rank can run" is decided, in every build, by the scheduler that knows
+//! it exactly — the driven engine when its runnable stack empties, the
+//! event fabric when its last running rank parks or finishes — and raised
+//! as a [`Violation`] listing what every parked rank waits for.
+//!
+//! A failing world unwinds with the [`Violation`] as its panic payload; a
+//! clean one returns the [`VerifySummary`] in [`crate::WorldResult::verify`].
 //!
 //! # Cost when disabled
 //!
 //! Same pattern as `dlsr-trace`: without the `verify` feature, [`COMPILED`]
 //! is a literal `false`, the `Comm` verify hooks are empty `#[inline]`
-//! functions, `Comm` carries no extra field, and the blocking-receive path
-//! is byte-identical to the unverified build — zero overhead.
-
-use std::sync::Mutex;
+//! functions and `Comm` carries no extra field — zero overhead.
 
 /// Whether the verifier was compiled in (`verify` cargo feature).
 pub const COMPILED: bool = cfg!(feature = "verify");
@@ -48,14 +50,14 @@ pub enum ViolationKind {
     /// Observed fusion-group launches diverged from the analytic schedule
     /// (or between ranks).
     LaunchOrder,
-    /// A stable wait-for cycle over blocked receives.
+    /// Some rank has not finished and no rank can run.
     Deadlock,
-    /// A rank stopped arriving at collective rendezvous (schedule drift
-    /// that never produced a comparable signature).
+    /// The world finished with ranks having filed unequal numbers of
+    /// collective signatures.
     Desync,
 }
 
-/// One detected violation, recorded before the world panics.
+/// One detected violation: the panic payload of the world it failed.
 #[derive(Debug, Clone)]
 pub struct Violation {
     pub kind: ViolationKind,
@@ -64,28 +66,58 @@ pub struct Violation {
     pub detail: String,
 }
 
-/// Summary of a verified run, stored by the final cross-rank check.
-#[derive(Debug, Clone, Default)]
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "dlsr-mpi: {:?} detected by rank {}: {}",
+            self.kind, self.rank, self.detail
+        )
+    }
+}
+
+impl Violation {
+    /// Deadlock as both cores report it: `live` ranks of the `core` core's
+    /// world have not finished and none can run. `parked` is every rank
+    /// blocked on a `(src, tag)`; `wave` the driven engine's line for ranks
+    /// parked on a partial ring.
+    pub(crate) fn deadlock(
+        core: &str,
+        rank: usize,
+        live: usize,
+        parked: impl Iterator<Item = (usize, (usize, u64))>,
+        wave: Option<String>,
+    ) -> Violation {
+        let parked: Vec<String> = parked
+            .map(|(r, (src, tag))| format!("rank {r} waits for (src {src}, tag {tag:#x})"))
+            .chain(wave)
+            .collect();
+        Violation {
+            kind: ViolationKind::Deadlock,
+            rank,
+            detail: format!(
+                "deadlock on the {core} core: {live} ranks never completed; {}",
+                parked.join("; ")
+            ),
+        }
+    }
+
+    /// Unwind the calling rank with `self` as the payload. The panic hook
+    /// does not run: the launcher prints the violation once, whichever rank
+    /// or scheduler raised it.
+    pub(crate) fn raise(self) -> ! {
+        std::panic::resume_unwind(Box::new(self))
+    }
+}
+
+/// Summary of a cleanly verified world ([`crate::WorldResult::verify`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifySummary {
     pub ranks: usize,
-    /// Collective rendezvous rounds whose signatures were cross-checked.
+    /// Collective rounds every rank reached with the same signature.
     pub collectives_checked: u64,
     /// Fusion-group launches checked against the analytic order (rank 0).
     pub launches_checked: u64,
-}
-
-static VIOLATIONS: Mutex<Vec<Violation>> = Mutex::new(Vec::new());
-static SUMMARY: Mutex<Option<VerifySummary>> = Mutex::new(None);
-
-/// Drain the globally recorded violations (tests call this after catching
-/// the world's panic). Empty when the feature is off or nothing fired.
-pub fn take_violations() -> Vec<Violation> {
-    std::mem::take(&mut VIOLATIONS.lock().unwrap_or_else(|e| e.into_inner()))
-}
-
-/// Summary of the last successfully verified world run, if any.
-pub fn last_summary() -> Option<VerifySummary> {
-    SUMMARY.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
 /// Per-collective signature. Every field must agree across ranks at every
@@ -123,328 +155,146 @@ impl std::fmt::Display for CollSig {
 }
 
 #[cfg(feature = "verify")]
-pub use imp::VerifyCtx;
-#[cfg(feature = "verify")]
-pub(crate) use imp::POLL;
+pub use imp::Ledger;
 
 #[cfg(feature = "verify")]
 mod imp {
-    use super::{CollSig, VerifySummary, Violation, ViolationKind, SUMMARY, VIOLATIONS};
-    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-    use std::time::Duration;
+    use super::{CollSig, VerifySummary, Violation, ViolationKind};
+    use std::collections::VecDeque;
+    use std::sync::Arc;
 
-    /// How often blocked waiters poll for progress / failure.
-    pub(crate) const POLL: Duration = Duration::from_millis(25);
-    /// A confirmed wait-for cycle must survive this pause to count as a
-    /// deadlock (a matching message already in flight is drained within
-    /// one `POLL`, bumping the blocked rank's epoch).
-    const STABILITY: Duration = Duration::from_millis(80);
-    /// How long a rank waits at a collective rendezvous for its peers
-    /// before declaring schedule desync.
-    const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(30);
+    // the vendored stub strips poisoning, and no lock is held across a raise
+    use parking_lot::Mutex;
+
+    /// A collective round some but not all ranks have reached.
+    struct Round {
+        /// The first rank to reach it, and what it filed: the reference.
+        first: usize,
+        sig: CollSig,
+        arrived: usize,
+    }
 
     struct State {
-        /// Per-rank collective signatures, in program order.
-        sigs: Vec<Vec<CollSig>>,
+        /// Signatures filed so far, per rank: the round its next one joins.
+        filed: Vec<u64>,
+        /// Open rounds, oldest first; `open[0]` is round number `retired`.
+        open: VecDeque<Round>,
+        /// Rounds every rank reached with the reference's signature.
+        retired: u64,
         /// Per-rank fusion-group launch order.
         launches: Vec<Vec<usize>>,
-        /// Per-rank blocked receive: `(src, tag)` while waiting.
-        blocked: Vec<Option<(usize, u64)>>,
-        /// Bumped on every block/unblock transition; lets the deadlock
-        /// check confirm a cycle did not move between two observations.
-        epoch: Vec<u64>,
-        /// Set on the first violation; every poller panics once it is set
-        /// so the whole world tears down instead of hanging.
-        failed: bool,
-        /// Collective rounds fully cross-checked (counted once by rank 0).
-        checked: u64,
     }
 
-    /// Shared cross-rank verifier state for one world run.
-    pub struct VerifyCtx {
-        size: usize,
-        state: Mutex<State>,
-        cv: Condvar,
-    }
+    /// One world's cross-rank record of collective signatures and fusion
+    /// launches. Every method files or compares and returns; none waits for
+    /// another rank.
+    pub struct Ledger(Mutex<State>);
 
-    impl VerifyCtx {
+    impl Ledger {
         pub fn new(size: usize) -> Arc<Self> {
-            Arc::new(VerifyCtx {
-                size,
-                state: Mutex::new(State {
-                    sigs: vec![Vec::new(); size],
-                    launches: vec![Vec::new(); size],
-                    blocked: vec![None; size],
-                    epoch: vec![0; size],
-                    failed: false,
-                    checked: 0,
-                }),
-                cv: Condvar::new(),
-            })
+            Arc::new(Ledger(Mutex::new(State {
+                filed: vec![0; size],
+                open: VecDeque::new(),
+                retired: 0,
+                launches: vec![Vec::new(); size],
+            })))
         }
 
-        fn lock(&self) -> MutexGuard<'_, State> {
-            self.state.lock().unwrap_or_else(|e| e.into_inner())
-        }
-
-        /// Record the violation, mark the run failed, wake every waiter,
-        /// and panic this rank. Only the first failure is recorded; later
-        /// ranks panic with a generic abort so the report stays precise.
-        fn fail(&self, mut st: MutexGuard<'_, State>, v: Violation) -> ! {
-            let first = !st.failed;
-            st.failed = true;
-            drop(st);
-            if first {
-                VIOLATIONS
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(v.clone());
-            }
-            self.cv.notify_all();
-            panic!(
-                "dlsr-mpi verify: {:?} detected by rank {}: {}",
-                v.kind, v.rank, v.detail
-            );
-        }
-
-        fn abort_secondary(&self, st: MutexGuard<'_, State>, rank: usize) -> ! {
-            drop(st);
-            panic!("dlsr-mpi verify: rank {rank} aborting after a violation on another rank");
-        }
-
-        /// Rendezvous + cross-check one collective signature. Blocks until
-        /// every rank has recorded a signature for this round, then checks
-        /// all of them for equality. Panics the whole world on mismatch —
-        /// *before* any of the collective's messages move.
-        pub fn record_collective(&self, rank: usize, sig: CollSig) {
-            let mut st = self.lock();
-            if st.failed {
-                self.abort_secondary(st, rank);
-            }
-            st.sigs[rank].push(sig);
-            let idx = st.sigs[rank].len() - 1;
-            self.cv.notify_all();
-
-            let mut waited = Duration::ZERO;
-            loop {
-                if st.failed {
-                    self.abort_secondary(st, rank);
-                }
-                if (0..self.size).all(|r| st.sigs[r].len() > idx) {
-                    break;
-                }
-                let (guard, res) = self
-                    .cv
-                    .wait_timeout(st, POLL)
-                    .unwrap_or_else(|e| e.into_inner());
-                st = guard;
-                if res.timed_out() {
-                    waited += POLL;
-                    if waited >= RENDEZVOUS_TIMEOUT {
-                        let missing: Vec<usize> = (0..self.size)
-                            .filter(|&r| st.sigs[r].len() <= idx)
-                            .collect();
-                        let mine = st.sigs[rank][idx].clone();
-                        self.fail(
-                            st,
-                            Violation {
-                                kind: ViolationKind::Desync,
-                                rank,
-                                detail: format!(
-                                    "collective round {idx}: ranks {missing:?} never arrived \
-                                     (rank {rank} is at {mine})"
-                                ),
-                            },
-                        );
-                    }
-                }
-            }
-
-            let base = st.sigs[0][idx].clone();
-            for r in 1..self.size {
-                let s = &st.sigs[r][idx];
-                if *s != base {
-                    let s = s.clone();
-                    self.fail(
-                        st,
-                        Violation {
-                            kind: ViolationKind::CollectiveMismatch,
-                            rank,
-                            detail: format!(
-                                "collective round {idx}: rank 0 recorded {base} but rank {r} \
-                                 recorded {s}"
-                            ),
-                        },
-                    );
-                }
-            }
-            if rank == 0 {
-                st.checked += 1;
-            }
-        }
-
-        /// Record one fusion-group launch and check it against the analytic
-        /// schedule: group 0 opens a backward pass, and within a pass each
-        /// launch must be exactly `previous + 1`.
-        pub fn record_launch(&self, rank: usize, group: usize) {
-            let mut st = self.lock();
-            if st.failed {
-                self.abort_secondary(st, rank);
-            }
-            let prev = st.launches[rank].last().copied();
-            let in_order = group == 0 || prev == Some(group - 1);
-            if !in_order {
-                self.fail(
-                    st,
-                    Violation {
-                        kind: ViolationKind::LaunchOrder,
+        /// File `rank`'s next collective signature. The first arrival of a
+        /// round is its reference; a later one that differs is the
+        /// mismatch, reported by the rank that just arrived — before it
+        /// moves any of the collective's messages. A round every rank
+        /// reached is retired, so memory is the number of open rounds.
+        pub fn record(&self, rank: usize, sig: CollSig) -> Result<(), Violation> {
+            let mut st = self.0.lock();
+            let round = st.filed[rank];
+            st.filed[rank] += 1;
+            // ranks file rounds in order, so `retired ≤ round ≤ rounds opened`
+            let i = (round - st.retired) as usize;
+            if i == st.open.len() {
+                st.open.push_back(Round {
+                    first: rank,
+                    sig,
+                    arrived: 1,
+                });
+            } else {
+                let open = &mut st.open[i];
+                if open.sig != sig {
+                    return Err(Violation {
+                        kind: ViolationKind::CollectiveMismatch,
                         rank,
                         detail: format!(
-                            "rank {rank} launched fusion group {group} after {prev:?}; the \
-                             analytic schedule launches groups in ascending order from 0"
+                            "collective round {round}: rank {} recorded {} but rank {rank} \
+                             recorded {sig}",
+                            open.first, open.sig
                         ),
-                    },
-                );
+                    });
+                }
+                open.arrived += 1;
+            }
+            // whoever completes a round has completed every earlier one
+            if st.open[0].arrived == st.filed.len() {
+                st.open.pop_front();
+                st.retired += 1;
+            }
+            Ok(())
+        }
+
+        /// File one fusion-group launch and check it against the analytic
+        /// schedule: group 0 opens a backward pass, and within a pass each
+        /// launch must be exactly `previous + 1`.
+        pub fn launch(&self, rank: usize, group: usize) -> Result<(), Violation> {
+            let mut st = self.0.lock();
+            let prev = st.launches[rank].last().copied();
+            if group != 0 && prev != Some(group - 1) {
+                return Err(Violation {
+                    kind: ViolationKind::LaunchOrder,
+                    rank,
+                    detail: format!(
+                        "rank {rank} launched fusion group {group} after {prev:?}; the \
+                         analytic schedule launches groups in ascending order from 0"
+                    ),
+                });
             }
             st.launches[rank].push(group);
+            Ok(())
         }
 
-        /// Note that `rank` is blocked receiving `(src, tag)`. Epoch bumps
-        /// only on transitions so a stable block keeps a stable epoch.
-        pub fn note_blocked(&self, rank: usize, src: usize, tag: u64) {
-            let mut st = self.lock();
-            if st.failed {
-                self.abort_secondary(st, rank);
-            }
-            if st.blocked[rank] != Some((src, tag)) {
-                st.blocked[rank] = Some((src, tag));
-                st.epoch[rank] += 1;
-            }
-        }
-
-        /// Note that `rank`'s blocked receive completed.
-        pub fn note_unblocked(&self, rank: usize) {
-            let mut st = self.lock();
-            if st.blocked[rank].is_some() {
-                st.blocked[rank] = None;
-                st.epoch[rank] += 1;
-            }
-        }
-
-        /// Look for a wait-for cycle reachable from `rank`. If one exists,
-        /// re-observe it after a pause; a cycle whose members are all still
-        /// blocked at the same epochs is a confirmed deadlock.
-        pub fn check_deadlock(&self, rank: usize) {
-            let path = {
-                let st = self.lock();
-                if st.failed {
-                    self.abort_secondary(st, rank);
-                }
-                let Some(path) = walk_cycle(&st, self.size, rank) else {
-                    return;
-                };
-                path
-            };
-            std::thread::sleep(STABILITY);
-            let st = self.lock();
-            if st.failed {
-                self.abort_secondary(st, rank);
-            }
-            let stable = path
-                .iter()
-                .all(|&(r, e)| st.blocked[r].is_some() && st.epoch[r] == e);
-            if stable {
-                let chain: Vec<String> = path
-                    .iter()
-                    .map(|&(r, _)| {
-                        let (src, tag) = st.blocked[r].expect("member still blocked");
-                        format!("rank {r} waits for (src {src}, tag {tag:#x})")
-                    })
+        /// End-of-world checks, after every rank returned cleanly: no round
+        /// is left open (else some rank skipped a collective) and the launch
+        /// sequences are identical.
+        pub fn close(&self) -> Result<VerifySummary, Violation> {
+            let st = self.0.lock();
+            if let Some(open) = st.open.front() {
+                let missing: Vec<usize> = (0..st.filed.len())
+                    .filter(|&r| st.filed[r] == st.retired)
                     .collect();
-                self.fail(
-                    st,
-                    Violation {
-                        kind: ViolationKind::Deadlock,
-                        rank,
-                        detail: format!("stable wait-for cycle: {}", chain.join(" -> ")),
-                    },
-                );
+                return Err(Violation {
+                    kind: ViolationKind::Desync,
+                    rank: open.first,
+                    detail: format!(
+                        "collective round {}: rank {} recorded {} but ranks {missing:?} \
+                         returned without reaching it",
+                        st.retired, open.first, open.sig
+                    ),
+                });
             }
-        }
-
-        /// Whether a violation has been flagged (pollers panic on it).
-        pub fn failed(&self) -> bool {
-            self.lock().failed
-        }
-
-        /// End-of-run cross-rank checks (launch sequences and signature
-        /// counts must be identical) plus the summary for reporting. Called
-        /// from the world's main thread after all ranks joined cleanly.
-        pub fn final_check(&self) {
-            let st = self.lock();
-            for r in 1..self.size {
-                if st.launches[r] != st.launches[0] {
-                    let detail = format!(
+            if let Some(r) = (1..st.filed.len()).find(|&r| st.launches[r] != st.launches[0]) {
+                return Err(Violation {
+                    kind: ViolationKind::LaunchOrder,
+                    rank: r,
+                    detail: format!(
                         "fusion launch order diverged: rank 0 launched {:?}, rank {r} \
                          launched {:?}",
                         st.launches[0], st.launches[r]
-                    );
-                    self.fail(
-                        st,
-                        Violation {
-                            kind: ViolationKind::LaunchOrder,
-                            rank: r,
-                            detail,
-                        },
-                    );
-                }
+                    ),
+                });
             }
-            *SUMMARY.lock().unwrap_or_else(|e| e.into_inner()) = Some(VerifySummary {
-                ranks: self.size,
-                collectives_checked: st.checked,
+            Ok(VerifySummary {
+                ranks: st.filed.len(),
+                collectives_checked: st.retired,
                 launches_checked: st.launches[0].len() as u64,
-            });
+            })
         }
-    }
-
-    /// Follow blocked-on edges from `rank`. Returns the `(rank, epoch)`
-    /// path up to and including the first repeated node — i.e. evidence of
-    /// a cycle reachable from `rank` — or `None` if the walk reaches an
-    /// unblocked rank. A rank blocked *on* a cycle is deadlocked too, so
-    /// the cycle need not pass through `rank` itself.
-    fn walk_cycle(st: &State, size: usize, rank: usize) -> Option<Vec<(usize, u64)>> {
-        let mut seen = vec![false; size];
-        let mut path = Vec::new();
-        let mut cur = rank;
-        loop {
-            let (src, _tag) = st.blocked[cur]?;
-            seen[cur] = true;
-            path.push((cur, st.epoch[cur]));
-            if seen[src] {
-                return Some(path);
-            }
-            cur = src;
-        }
-    }
-}
-
-/// Names for the algorithm bin recorded in signatures.
-pub(crate) fn algo_name(algo: crate::collectives::AllreduceAlgorithm) -> &'static str {
-    use crate::collectives::AllreduceAlgorithm as A;
-    match algo {
-        A::Ring => "ring",
-        A::RecursiveDoubling => "rd",
-        A::TwoLevel => "two-level",
-        A::PipelinedRing => "pipelined-ring",
-    }
-}
-
-/// Names for the reduce operator recorded in signatures.
-pub(crate) fn op_name(op: crate::collectives::ReduceOp) -> &'static str {
-    use crate::collectives::ReduceOp as O;
-    match op {
-        O::Sum => "sum",
-        O::Max => "max",
-        O::Min => "min",
     }
 }

@@ -5,11 +5,14 @@
 //! [`MpiWorld::run`] (event context core), a [`RankProgram`] to
 //! [`MpiWorld::run_driven`] (zero-thread driven engine).
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
 use dlsr_net::ClusterTopology;
 
 use crate::comm::Comm;
 use crate::config::MpiConfig;
 use crate::executor::{context, driven, RankProgram};
+use crate::verify::{VerifySummary, Violation};
 
 /// The simulated MPI world.
 pub struct MpiWorld;
@@ -20,6 +23,9 @@ pub struct WorldResult<R> {
     pub ranks: Vec<R>,
     /// Per-rank final virtual times in seconds.
     pub clocks: Vec<f64>,
+    /// What the collective-matching verifier checked on the way (`None`
+    /// without the `verify` feature).
+    pub verify: Option<VerifySummary>,
 }
 
 impl<R> WorldResult<R> {
@@ -29,6 +35,18 @@ impl<R> WorldResult<R> {
     }
 }
 
+/// Run a world. If it unwinds with a [`Violation`] — whichever rank or
+/// scheduler raised it — print it, once, and keep unwinding with it as the
+/// payload.
+fn reporting<R>(world: impl FnOnce() -> R) -> R {
+    catch_unwind(AssertUnwindSafe(world)).unwrap_or_else(|payload| {
+        if let Some(v) = payload.downcast_ref::<Violation>() {
+            eprintln!("{v}");
+        }
+        resume_unwind(payload)
+    })
+}
+
 impl MpiWorld {
     /// Launch `topo.total_gpus()` ranks on the event context core, run `f`
     /// on each, join, and return per-rank results plus final clocks.
@@ -36,13 +54,15 @@ impl MpiWorld {
     /// `f` must be deterministic in rank order of collective calls (normal
     /// SPMD discipline); payloads flow through real message queues so
     /// results are exact, and bitwise-identical to the same collectives
-    /// run as a program on [`MpiWorld::run_driven`].
+    /// run as a program on [`MpiWorld::run_driven`]. A rank that panics
+    /// takes the world down with it, and the caller unwinds with *that*
+    /// rank's payload.
     pub fn run<R, F>(topo: &ClusterTopology, cfg: MpiConfig, f: F) -> WorldResult<R>
     where
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
-        context::run(topo, cfg, f)
+        reporting(|| context::run(topo, cfg, f))
     }
 
     /// Run rank *programs* on the zero-thread driven engine: `make(rank)`
@@ -50,16 +70,14 @@ impl MpiWorld {
     /// discrete-event loop steps all of them in a deterministic
     /// engine-chosen order. Same clock/payload semantics as
     /// [`MpiWorld::run`], minus threads — this is the entry point for
-    /// 512–4096-rank worlds. The cross-rank `verify` checker is not
-    /// attached here (its rendezvous assumes concurrent ranks); use the
-    /// context core to verify a program, which the equivalence suite makes
-    /// meaningful by pinning this engine bitwise to that core.
+    /// 512–4096-rank worlds. In a `verify` build the same ledger checks
+    /// both entry points, ring waves included.
     pub fn run_driven<P, F>(topo: &ClusterTopology, cfg: MpiConfig, make: F) -> WorldResult<P::Out>
     where
         P: RankProgram,
         F: FnMut(usize) -> P,
     {
-        driven::run(topo, cfg, make)
+        reporting(|| driven::run(topo, cfg, make))
     }
 }
 

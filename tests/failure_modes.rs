@@ -83,10 +83,11 @@ fn indivisible_global_batch_panics_at_loader_construction() {
     let _ = DataLoader::new(ds, 8, 7, ShardSpec { rank: 0, world: 4 });
 }
 
-/// A rank panic propagates out of the world launcher instead of hanging
-/// (all ranks fail before any communication, so no partner blocks).
+/// A rank panic propagates out of the world launcher, payload and all,
+/// instead of hanging (all ranks fail before any communication, so no
+/// partner blocks).
 #[test]
-#[should_panic(expected = "rank thread panicked")]
+#[should_panic(expected = "deliberate rank failure")]
 fn rank_panics_propagate() {
     let topo = ClusterTopology::lassen(1);
     let _ = MpiWorld::run(&topo, MpiConfig::mpi_opt(), |_c| {
