@@ -344,6 +344,13 @@ fn allreduce_grouped(
 /// — the allgather then circulates already-quantized values, whose
 /// re-encode is lossless, so every rank finishes with bit-identical
 /// buffers (see `docs/WIRE.md`).
+///
+/// Forwarding: the block a step receives is the block the next step sends
+/// (across the phase boundary too), so only the first send is encoded;
+/// every later message is the payload just received, folded in place by
+/// [`wire::combine_forward`] or read out by [`wire::copy_out`]. Its bits
+/// are the re-encode's: `enc(dec(enc(v))) == enc(v)`, which also covers
+/// the owner's first allgather send past its re-quantization point.
 fn ring_allreduce(
     comm: &mut Comm,
     buf: &mut [f32],
@@ -364,14 +371,13 @@ fn ring_allreduce(
     let right = participants[(me + 1) % p];
     let left = participants[(me + p - 1) % p];
     let len = buf.len();
+    let mut payload = wf.encode(&buf[chunk_range(len, p, me)]);
 
     // reduce-scatter: after p-1 steps, participant i owns the fully reduced
     // chunk (i+1) mod p
     for step in 0..p - 1 {
-        let send_chunk = (me + p - step) % p;
         let recv_chunk = (me + p - step - 1) % p;
-        let payload = wf.encode(&buf[chunk_range(len, p, send_chunk)]);
-        let incoming = wire::decode(comm.sendrecv(
+        let incoming = comm.sendrecv(
             right,
             coll_tag(seq, step as u64),
             payload,
@@ -379,23 +385,22 @@ fn ring_allreduce(
             left,
             coll_tag(seq, step as u64),
             buf_id,
-        ));
+        );
         let r = chunk_range(len, p, recv_chunk);
-        comm.charge_reduce(incoming.len());
-        op.combine(&mut buf[r], &incoming);
+        comm.charge_reduce(r.len());
+        payload = wire::combine_forward(incoming, &mut buf[r], op, false);
     }
 
-    // the owner's re-quantization point (see doc comment)
+    // the owner's re-quantization point (see doc comment): the last step
+    // left `enc(v)` in `payload`, and decoding it is `Q(v)`
     if !wf.is_f32() {
-        wf.quantize(&mut buf[chunk_range(len, p, (me + 1) % p)]);
+        wire::copy_out(&payload, &mut buf[chunk_range(len, p, (me + 1) % p)]);
     }
 
     // allgather: circulate reduced chunks
     for step in 0..p - 1 {
-        let send_chunk = (me + 1 + p - step) % p;
         let recv_chunk = (me + p - step) % p;
-        let payload = wf.encode(&buf[chunk_range(len, p, send_chunk)]);
-        let incoming = wire::decode(comm.sendrecv(
+        payload = comm.sendrecv(
             right,
             coll_tag(seq, (p + step) as u64),
             payload,
@@ -403,9 +408,8 @@ fn ring_allreduce(
             left,
             coll_tag(seq, (p + step) as u64),
             buf_id,
-        ));
-        let r = chunk_range(len, p, recv_chunk);
-        buf[r].copy_from_slice(&incoming);
+        );
+        wire::copy_out(&payload, &mut buf[chunk_range(len, p, recv_chunk)]);
     }
 }
 
@@ -445,7 +449,9 @@ fn pipeline_tag_step(phase_step: usize, chunk: usize) -> u64 {
 /// order in which a given element accumulates — and wire encode/decode and
 /// the post-reduce-scatter re-quantization point are elementwise, so
 /// results are bitwise equal to the plain ring for every `ReduceOp` and
-/// every `WireFormat`.
+/// every `WireFormat`. Sub-chunks are forwarded like the plain ring's
+/// blocks: the first step encodes its block's sub-chunks, every later step
+/// sends the ones the previous step received.
 #[allow(clippy::too_many_arguments)]
 fn pipelined_ring_allreduce(
     comm: &mut Comm,
@@ -477,48 +483,53 @@ fn pipelined_ring_allreduce(
     // 4 MB sub-chunk is below the large-message threshold on its own.
     comm.set_rendezvous_bytes(Some((len * 4) as u64));
 
+    // the sub-chunk messages the next step sends: encoded for the first,
+    // then what the step before received
+    let first = chunk_range(len, p, me);
+    let mut fwd: Vec<Payload> = (0..sub_count(first.len(), chunk_elems))
+        .map(|i| wf.encode(&buf[sub_range(&first, chunk_elems, i)]))
+        .collect();
+
     // reduce-scatter, then allgather — same block rotation as the plain
     // ring, each step streamed sub-chunk by sub-chunk.
     for phase in 0..2usize {
         // same re-quantization point as the plain ring: once, between the
-        // phases, on the block this participant owns
+        // phases, on the block this participant owns — decoded from the
+        // sub-chunk messages the last reduce-scatter step left in `fwd`
         if phase == 1 && !wf.is_f32() {
-            wf.quantize(&mut buf[chunk_range(len, p, (me + 1) % p)]);
+            let own = chunk_range(len, p, (me + 1) % p);
+            for (i, sub) in fwd.iter().enumerate() {
+                wire::copy_out(sub, &mut buf[sub_range(&own, chunk_elems, i)]);
+            }
         }
         for step in 0..p - 1 {
-            let (send_block, recv_block) = if phase == 0 {
-                (
-                    chunk_range(len, p, (me + p - step) % p),
-                    chunk_range(len, p, (me + p - step - 1) % p),
-                )
+            let recv_block = if phase == 0 {
+                chunk_range(len, p, (me + p - step - 1) % p)
             } else {
-                (
-                    chunk_range(len, p, (me + 1 + p - step) % p),
-                    chunk_range(len, p, (me + p - step) % p),
-                )
+                chunk_range(len, p, (me + p - step) % p)
             };
             let phase_step = phase * p + step;
-            let n_send = sub_count(send_block.len(), chunk_elems);
             let n_recv = sub_count(recv_block.len(), chunk_elems);
-            // The send block is never written by this step's receives, so
+            let mut received = Vec::with_capacity(n_recv);
+            // This step's sends do not depend on its receives, so
             // sub-send i+1 can be posted the moment sub-recv i arrives —
             // *before* its reduce — putting the next transfer on the wire
             // while the reduce kernel runs. Consecutive sends stay at least
             // one sub-cycle apart, so wire occupancy is still serialized.
-            let mut next_send = 0;
-            let post_send = |comm: &mut Comm, buf: &[f32], next_send: &mut usize| {
-                if *next_send < n_send {
-                    let r = sub_range(&send_block, chunk_elems, *next_send);
-                    comm.isend(
-                        right,
-                        coll_tag(seq, pipeline_tag_step(phase_step, *next_send)),
-                        wf.encode(&buf[r]),
-                        buf_id,
-                    );
-                    *next_send += 1;
-                }
+            let mut sends = std::mem::take(&mut fwd).into_iter().enumerate();
+            let mut post_send = |comm: &mut Comm| {
+                let Some((i, payload)) = sends.next() else {
+                    return false;
+                };
+                comm.isend(
+                    right,
+                    coll_tag(seq, pipeline_tag_step(phase_step, i)),
+                    payload,
+                    buf_id,
+                );
+                true
             };
-            post_send(comm, buf, &mut next_send); // prime the pipeline
+            post_send(comm); // prime the pipeline
             for i in 0..n_recv {
                 let t0 = comm.now();
                 let req = comm.irecv(
@@ -526,15 +537,16 @@ fn pipelined_ring_allreduce(
                     coll_tag(seq, pipeline_tag_step(phase_step, i)),
                     buf_id,
                 );
-                let incoming = wire::decode(comm.wait(req));
-                post_send(comm, buf, &mut next_send);
+                let incoming = comm.wait(req);
+                post_send(comm);
                 let r = sub_range(&recv_block, chunk_elems, i);
-                let sub_bytes = incoming.len() * 4;
+                let sub_bytes = r.len() * 4;
                 if phase == 0 {
-                    comm.charge_reduce(incoming.len());
-                    op.combine(&mut buf[r], &incoming);
+                    comm.charge_reduce(r.len());
+                    received.push(wire::combine_forward(incoming, &mut buf[r], op, false));
                 } else {
-                    buf[r].copy_from_slice(&incoming);
+                    wire::copy_out(&incoming, &mut buf[r]);
+                    received.push(incoming);
                 }
                 let label = if phase == 0 { "rs" } else { "ag" };
                 dlsr_trace::record_span(
@@ -547,9 +559,8 @@ fn pipelined_ring_allreduce(
                     comm.now(),
                 );
             }
-            while next_send < n_send {
-                post_send(comm, buf, &mut next_send);
-            }
+            while post_send(comm) {}
+            fwd = received;
         }
     }
     comm.set_rendezvous_bytes(None);
@@ -559,19 +570,26 @@ fn pipelined_ring_allreduce(
 ///
 /// Wire compression quantizes *both* sides of every hop — the local
 /// accumulator and the decoded incoming buffer — so each exchange computes
-/// `Q(a) op Q(b)` on both partners. f32 `+`/`max`/`min` of two operands is
-/// commutative, so partners agree bitwise after every hop, and by
-/// induction all ranks finish identical.
+/// `Q(a) op Q(b)` on both partners, always with the lower rank's operand
+/// first: `+`, `max` and `min` are not bitwise commutative on NaN payloads
+/// and signed zeros, so partners agree bitwise after every hop only because
+/// they evaluate the same expression, and by induction all ranks finish
+/// identical. Each hop sends the payload the previous one received, folded
+/// in place ([`wire::combine_forward`]): only the first is encoded.
 fn recursive_doubling(comm: &mut Comm, buf: &mut [f32], buf_id: u64, op: ReduceOp, wf: WireFormat) {
     let p = comm.size();
     let rank = comm.rank();
     let seq = comm.next_seq();
     let mut mask = 1usize;
     let mut step = 0u64;
+    let mut payload = wf.encode(buf);
     while mask < p {
         let partner = rank ^ mask;
-        let payload = wf.encode(buf);
-        let incoming = wire::decode(comm.sendrecv(
+        // Q(a): the decode of what this hop sends, as the partner sees it
+        if !wf.is_f32() {
+            wire::copy_out(&payload, buf);
+        }
+        let incoming = comm.sendrecv(
             partner,
             coll_tag(seq, step),
             payload,
@@ -579,12 +597,9 @@ fn recursive_doubling(comm: &mut Comm, buf: &mut [f32], buf_id: u64, op: ReduceO
             partner,
             coll_tag(seq, step),
             buf_id,
-        ));
-        if !wf.is_f32() {
-            wf.quantize(buf);
-        }
-        comm.charge_reduce(incoming.len());
-        op.combine(buf, &incoming);
+        );
+        comm.charge_reduce(buf.len());
+        payload = wire::combine_forward(incoming, buf, op, partner < rank);
         mask <<= 1;
         step += 1;
     }
@@ -616,7 +631,10 @@ fn two_level(
 
     // Phase 1: binomial intra-node reduce to the leader (log₂(gpn)
     // rounds). These are the large intra-node GPU transfers the CUDA IPC
-    // fix accelerates.
+    // fix accelerates. A sender hands its buffer over (phase 3 refills it);
+    // a receiver keeps what it received for phase 3's sends to the same
+    // children.
+    let mut spares: Vec<Vec<f32>> = Vec::new();
     if gpn > 1 {
         let r = rank - leader;
         let mut mask = 1usize;
@@ -625,7 +643,7 @@ fn two_level(
                 comm.send(
                     leader + (r - mask),
                     coll_tag(seq, 0),
-                    Payload::F32(buf.clone()),
+                    Payload::F32(std::mem::take(buf)),
                     buf_id,
                 );
                 break;
@@ -635,6 +653,7 @@ fn two_level(
                 let incoming = comm.recv(leader + src, coll_tag(seq, 0), buf_id).into_f32();
                 comm.charge_reduce(incoming.len());
                 op.combine(buf, &incoming);
+                spares.push(incoming);
             }
             mask <<= 1;
         }
@@ -679,10 +698,12 @@ fn two_level(
         mask >>= 1;
         while mask > 0 {
             if r + mask < gpn {
+                let mut out = spares.pop().expect("phase 1 received from this child");
+                out.copy_from_slice(buf);
                 comm.send(
                     leader + r + mask,
                     coll_tag(seq, 1),
-                    Payload::F32(buf.clone()),
+                    Payload::F32(out),
                     buf_id,
                 );
             }
@@ -1144,6 +1165,93 @@ mod tests {
             "partial top-k should drop coordinates ({nonzero}/{len} kept)"
         );
         assert!(nonzero > 0, "top-k must keep at least one coordinate");
+    }
+
+    /// `mpi.wire_encodes` of each rank for one allreduce: a hop forwards
+    /// what it received, so a rank encodes only the messages it originates
+    /// — one on the ring and recursive doubling (re-encoding every hop was
+    /// 2·(p−1) and log₂p), one per sub-chunk of its first block on the
+    /// pipelined ring, one per node leader (the leader ring) on two-level.
+    #[test]
+    fn each_rank_encodes_only_the_messages_it_originates() {
+        let topo = ClusterTopology::lassen(2); // 8 ranks, leaders 0 and 4
+        let (len, chunk_elems) = (1003, 16);
+        let cfg = MpiConfig::mpi_opt()
+            .to_builder()
+            .pipeline_chunk(4 * chunk_elems as u64)
+            .build();
+        for wf in [WireFormat::F32, WireFormat::Bf16] {
+            for algo in AllreduceAlgorithm::ALL {
+                let encodes = MpiWorld::run(&topo, cfg.clone(), move |c| {
+                    let mut buf = vec![1.0f32; len];
+                    let sink = dlsr_trace::TraceSink::new();
+                    sink.scope(|| {
+                        Allreduce::new(&mut buf)
+                            .buf_id(1)
+                            .algo(algo)
+                            .wire(wf)
+                            .run(c)
+                    });
+                    let counters = sink.counters();
+                    counters
+                        .get(dlsr_trace::report::keys::WIRE_ENCODES)
+                        .copied()
+                        .unwrap_or(0.0)
+                })
+                .ranks;
+                for (rank, &n) in encodes.iter().enumerate() {
+                    let want = match algo {
+                        AllreduceAlgorithm::Ring | AllreduceAlgorithm::RecursiveDoubling => 1,
+                        AllreduceAlgorithm::PipelinedRing => {
+                            sub_count(chunk_range(len, 8, rank).len(), chunk_elems)
+                        }
+                        AllreduceAlgorithm::TwoLevel => usize::from(rank % 4 == 0),
+                    };
+                    assert_eq!(n, want as f64, "{algo:?} {wf} rank {rank}");
+                }
+            }
+        }
+    }
+
+    /// Recursive-doubling partners evaluate one expression, the lower
+    /// rank's operand first: exchanging `[+0, NaN(1)]` with `[-0, NaN(2)]`
+    /// used to leave rank 0 with `[+0, NaN(2)]` and rank 1 with
+    /// `[-0, NaN(1)]` under Max and Min (and different NaNs under Sum).
+    #[test]
+    fn recursive_doubling_partners_agree_on_signed_zeros_and_nan_payloads() {
+        let topo = ClusterTopology {
+            name: "pair".into(),
+            nodes: 1,
+            gpus_per_node: 2,
+        };
+        let inputs = [
+            [0.0, f32::from_bits(0x7fc0_0001)],
+            [-0.0, f32::from_bits(0x7fc0_0002)],
+        ];
+        for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min] {
+            for algo in [
+                AllreduceAlgorithm::RecursiveDoubling,
+                AllreduceAlgorithm::Ring,
+            ] {
+                let ranks = MpiWorld::run(&topo, MpiConfig::mpi_opt(), move |c| {
+                    let mut buf = inputs[c.rank()].to_vec();
+                    Allreduce::new(&mut buf)
+                        .buf_id(1)
+                        .algo(algo)
+                        .wire(WireFormat::F32)
+                        .op(op)
+                        .run(c);
+                    buf.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                })
+                .ranks;
+                assert_eq!(ranks[0], ranks[1], "{algo:?} {op:?}: ranks diverged");
+                if algo == AllreduceAlgorithm::RecursiveDoubling {
+                    let lower_first =
+                        (0..2).map(|i| op.apply(inputs[0][i], inputs[1][i]).to_bits());
+                    assert_eq!(ranks[0], lower_first.collect::<Vec<_>>(), "{op:?}");
+                }
+            }
+        }
     }
 
     #[test]

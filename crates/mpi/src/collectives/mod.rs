@@ -43,25 +43,47 @@ impl ReduceOp {
         }
     }
 
-    /// Combine `other` into `acc` elementwise.
+    /// Combine `other` into `acc` elementwise: `acc[i] = acc[i] op other[i]`.
     pub fn combine(self, acc: &mut [f32], other: &[f32]) {
         debug_assert_eq!(acc.len(), other.len());
+        // one loop per op, so each vectorizes
         match self {
             ReduceOp::Sum => {
                 for (a, &b) in acc.iter_mut().zip(other) {
-                    *a += b;
+                    *a = ReduceOp::Sum.apply(*a, b);
                 }
             }
             ReduceOp::Max => {
                 for (a, &b) in acc.iter_mut().zip(other) {
-                    *a = a.max(b);
+                    *a = ReduceOp::Max.apply(*a, b);
                 }
             }
             ReduceOp::Min => {
                 for (a, &b) in acc.iter_mut().zip(other) {
-                    *a = a.min(b);
+                    *a = ReduceOp::Min.apply(*a, b);
                 }
             }
+        }
+    }
+
+    /// `l op h` for one element, with the bits IEEE 754 leaves open pinned
+    /// down, so they cannot depend on which operand the compiler happens to
+    /// put first (it treats `+`, `max` and `min` as commutative; the
+    /// hardware does not, on NaN payloads and signed zeros): a sum with a
+    /// NaN operand is that NaN quieted, `l`'s when both are NaN (a single
+    /// NaN operand propagates through `+` in either order); `max` and `min`
+    /// return the number when one operand is NaN, `l` when both are, and
+    /// `h` when the two compare equal (`+0` vs `-0`). Not commutative
+    /// bitwise — callers that must agree across ranks evaluate it with the
+    /// same operand order.
+    #[inline(always)]
+    pub(crate) fn apply(self, l: f32, h: f32) -> f32 {
+        match self {
+            ReduceOp::Sum if l.is_nan() => f32::from_bits(l.to_bits() | 0x0040_0000),
+            ReduceOp::Sum => l + h,
+            ReduceOp::Max if l > h || h.is_nan() => l,
+            ReduceOp::Min if l < h || h.is_nan() => l,
+            ReduceOp::Max | ReduceOp::Min => h,
         }
     }
 }
@@ -125,5 +147,33 @@ mod tests {
         let mut c = vec![1.0, 5.0];
         ReduceOp::Min.combine(&mut c, &[3.0, 2.0]);
         assert_eq!(c, vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn apply_pins_nan_payloads_and_signed_zeros() {
+        let bits =
+            |op: ReduceOp, l: u32, h: u32| op.apply(f32::from_bits(l), f32::from_bits(h)).to_bits();
+        let (pz, nz, one) = (0x0000_0000, 0x8000_0000, 1.0f32.to_bits());
+        let (nan1, snan2) = (0x7fc0_0001, 0xffa0_0002);
+        let inf = f32::INFINITY.to_bits();
+        // sums: the first NaN operand, quieted; zeros as IEEE rounds them
+        assert_eq!(bits(ReduceOp::Sum, nan1, snan2), nan1);
+        assert_eq!(bits(ReduceOp::Sum, snan2, nan1), 0xffe0_0002);
+        assert_eq!(bits(ReduceOp::Sum, one, snan2), 0xffe0_0002);
+        assert!(f32::from_bits(bits(ReduceOp::Sum, inf, inf | nz)).is_nan());
+        assert_eq!(bits(ReduceOp::Sum, pz, nz), pz);
+        for op in [ReduceOp::Max, ReduceOp::Min] {
+            // max/min: the number beside a NaN, the first of two NaNs, the
+            // second of two equal zeros
+            assert_eq!(bits(op, nan1, one), one, "{op:?}");
+            assert_eq!(bits(op, one, snan2), one, "{op:?}");
+            assert_eq!(bits(op, nan1, snan2), nan1, "{op:?}");
+            assert_eq!(bits(op, pz, nz), nz, "{op:?}");
+            assert_eq!(bits(op, nz, pz), pz, "{op:?}");
+        }
+        // the slice form evaluates the same scalar
+        let mut acc = [f32::from_bits(nan1), -0.0];
+        ReduceOp::Max.combine(&mut acc, &[f32::from_bits(snan2), 0.0]);
+        assert_eq!([acc[0].to_bits(), acc[1].to_bits()], [nan1, pz]);
     }
 }

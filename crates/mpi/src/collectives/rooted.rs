@@ -34,7 +34,7 @@ pub fn reduce(comm: &mut Comm, buf: &mut [f32], root: usize, buf_id: u64, op: Re
     while mask < p {
         if relative & mask != 0 {
             let dst = (rank + p - mask) % p;
-            comm.send(dst, coll_tag(seq, 0), Payload::F32(acc.clone()), buf_id);
+            comm.send(dst, coll_tag(seq, 0), Payload::F32(acc), buf_id);
             return; // sent up the tree; done
         }
         let src_rel = relative + mask;

@@ -17,6 +17,8 @@ use std::str::FromStr;
 
 use crate::message::Payload;
 
+use super::ReduceOp;
+
 /// Encoding of gradient payloads on the wire. Accumulation is always f32;
 /// the format only changes what crosses the fabric (and therefore the
 /// charged transfer time).
@@ -105,8 +107,9 @@ impl WireFormat {
 
     /// Quantize a slice in place: `decode(encode(x))` elementwise. This is
     /// the projection each algorithm applies at its re-quantization point
-    /// so every rank holds bit-identical results (the projection is
-    /// idempotent: re-encoding an already-quantized value is lossless).
+    /// so every rank holds bit-identical results — the schedules get it by
+    /// decoding the message they encoded ([`copy_out`]) — and it is
+    /// idempotent: re-encoding an already-quantized value is lossless.
     /// No-op for f32 and top-k (top-k never quantizes values).
     pub fn quantize(self, buf: &mut [f32]) {
         match self {
@@ -124,9 +127,13 @@ impl WireFormat {
         }
     }
 
-    /// Encode a dense f32 slice into a wire payload. Top-k is not a dense
-    /// format — its sparse schedule builds `Payload::Sparse` directly.
+    /// Encode a dense f32 slice into a wire payload — the one allocation a
+    /// dense schedule makes per message it originates; every later hop
+    /// forwards what it received ([`combine_forward`], [`copy_out`]).
+    /// Counted as `mpi.wire_encodes`. Top-k is not a dense format — its
+    /// sparse schedule builds `Payload::Sparse` directly.
     pub(crate) fn encode(self, src: &[f32]) -> Payload {
+        dlsr_trace::counter_add(dlsr_trace::report::keys::WIRE_ENCODES, 1.0);
         match self {
             WireFormat::F32 => Payload::F32(src.to_vec()),
             WireFormat::Bf16 => Payload::Half {
@@ -144,20 +151,95 @@ impl WireFormat {
     }
 }
 
-/// Decode a dense wire payload back to f32 (accepts the lossless f32
-/// payload too, so f32 and half-precision flows share one receive path).
-pub(crate) fn decode(payload: Payload) -> Vec<f32> {
-    match payload {
-        Payload::F32(v) => v,
-        Payload::Half { bits, fp16: false } => bits.into_iter().map(bf16_to_f32).collect(),
-        Payload::Half { bits, fp16: true } => bits.into_iter().map(fp16_to_f32).collect(),
-        other => panic!(
-            "collective expected a dense gradient payload, got {} — \
-             wire-format skew between ranks? (build with the `verify` \
-             feature to catch this at the rendezvous)",
-            other.kind_name()
-        ),
+/// Fold a received dense payload into `acc` and turn it into the next
+/// hop's message, in one pass over its own storage: per element
+/// `v = acc op dec(x)` (`dec(x) op acc` when `incoming_first`), then
+/// `acc = v` and `x = enc(v)`. The returned payload holds exactly the bits
+/// `encode(acc)` would, with no second pass and no allocation. Accepts the
+/// lossless f32 payload too, so every dense format shares one receive path.
+pub(crate) fn combine_forward(
+    mut payload: Payload,
+    acc: &mut [f32],
+    op: ReduceOp,
+    incoming_first: bool,
+) -> Payload {
+    match &mut payload {
+        Payload::F32(xs) => fold(xs, acc, op, incoming_first, |x| x, |v| v),
+        Payload::Half { bits, fp16: false } => {
+            fold(bits, acc, op, incoming_first, bf16_to_f32, bf16_bits)
+        }
+        Payload::Half { bits, fp16: true } => {
+            fold(bits, acc, op, incoming_first, fp16_to_f32, fp16_bits)
+        }
+        other => not_dense(other),
     }
+    payload
+}
+
+/// Decode a received dense payload straight into `dst`, which it must
+/// cover exactly. The payload is left as it arrived, to be forwarded.
+pub(crate) fn copy_out(payload: &Payload, dst: &mut [f32]) {
+    match payload {
+        Payload::F32(xs) => dst.copy_from_slice(xs),
+        Payload::Half { bits, fp16 } => {
+            assert_eq!(bits.len(), dst.len(), "dense payload length");
+            let pairs = dst.iter_mut().zip(bits);
+            if *fp16 {
+                pairs.for_each(|(d, &h)| *d = fp16_to_f32(h));
+            } else {
+                pairs.for_each(|(d, &h)| *d = bf16_to_f32(h));
+            }
+        }
+        other => not_dense(other),
+    }
+}
+
+/// [`combine_forward`]'s loop, one monomorphic copy per (op, operand
+/// order) so each vectorizes. The scalar is [`ReduceOp::apply`], the one
+/// [`ReduceOp::combine`] evaluates, so the bits match it exactly.
+#[inline(always)]
+fn fold<T: Copy>(
+    xs: &mut [T],
+    acc: &mut [f32],
+    op: ReduceOp,
+    incoming_first: bool,
+    dec: impl Fn(T) -> f32,
+    enc: impl Fn(f32) -> T,
+) {
+    assert_eq!(xs.len(), acc.len(), "dense payload length");
+    #[inline(always)]
+    fn each<T: Copy>(
+        xs: &mut [T],
+        acc: &mut [f32],
+        dec: impl Fn(T) -> f32,
+        enc: impl Fn(f32) -> T,
+        f: impl Fn(f32, f32) -> f32,
+    ) {
+        for (x, a) in xs.iter_mut().zip(acc) {
+            let v = f(*a, dec(*x));
+            *a = v;
+            *x = enc(v);
+        }
+    }
+    use ReduceOp::{Max, Min, Sum};
+    match (op, incoming_first) {
+        (Sum, false) => each(xs, acc, dec, enc, |a, b| Sum.apply(a, b)),
+        (Sum, true) => each(xs, acc, dec, enc, |a, b| Sum.apply(b, a)),
+        (Max, false) => each(xs, acc, dec, enc, |a, b| Max.apply(a, b)),
+        (Max, true) => each(xs, acc, dec, enc, |a, b| Max.apply(b, a)),
+        (Min, false) => each(xs, acc, dec, enc, |a, b| Min.apply(a, b)),
+        (Min, true) => each(xs, acc, dec, enc, |a, b| Min.apply(b, a)),
+    }
+}
+
+#[cold]
+fn not_dense(other: &Payload) -> ! {
+    panic!(
+        "collective expected a dense gradient payload, got {} — \
+         wire-format skew between ranks? (build with the `verify` \
+         feature to catch this at collective entry)",
+        other.kind_name()
+    )
 }
 
 /// f32 → bf16 bits, round-to-nearest-even. NaN stays NaN (quieted);
@@ -426,12 +508,109 @@ mod tests {
         for wire in [WireFormat::F32, WireFormat::Bf16, WireFormat::Fp16] {
             let mut q = src.clone();
             wire.quantize(&mut q);
-            let back = decode(wire.encode(&q));
-            assert_eq!(
-                q.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            );
+            let mut back = vec![0.0; q.len()];
+            copy_out(&wire.encode(&q), &mut back);
+            assert_eq!(bits_of(&q), bits_of(&back));
         }
+    }
+
+    fn bits_of(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The wire bits of a dense payload, whatever its format.
+    fn payload_bits(p: &Payload) -> Vec<u32> {
+        match p {
+            Payload::F32(v) => bits_of(v),
+            Payload::Half { bits, .. } => bits.iter().map(|&h| h as u32).collect(),
+            other => panic!("not dense: {}", other.kind_name()),
+        }
+    }
+
+    /// Why a hop may forward what it received instead of re-encoding its
+    /// decoded copy: `enc(dec(enc(x))) == enc(x)` for every f32 `x` —
+    /// every exponent and upper mantissa, with the low bits at the bf16
+    /// and fp16 rounding ties and their neighbours, NaNs of both signs and
+    /// any payload included.
+    #[test]
+    fn forwarding_an_encoded_value_is_exact() {
+        for hi in 0..=0xFFFFu32 {
+            for lo in [
+                0u32, 1, 0x0FFF, 0x1000, 0x1001, 0x3000, 0x7FFF, 0x8000, 0x8001, 0xFFFF,
+            ] {
+                let x = f32::from_bits(hi << 16 | lo);
+                let b = bf16_bits(x);
+                assert_eq!(
+                    bf16_bits(bf16_to_f32(b)),
+                    b,
+                    "bf16 x = {:#010x}",
+                    x.to_bits()
+                );
+                let h = fp16_bits(x);
+                assert_eq!(
+                    fp16_bits(fp16_to_f32(h)),
+                    h,
+                    "fp16 x = {:#010x}",
+                    x.to_bits()
+                );
+            }
+        }
+    }
+
+    /// `combine_forward` is `combine` (in either operand order) followed
+    /// by `encode`, bit for bit, and `copy_out` is the decode that leaves
+    /// the payload as it arrived.
+    #[test]
+    fn combine_forward_equals_combine_then_encode() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            1.0 + 2.0_f32.powi(-8),
+            -(1.0 + 2.0_f32.powi(-11)),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffa0_0002),
+            f32::from_bits(0x0000_0003),
+            2.0_f32.powi(-20),
+            -3.75,
+            65520.0,
+        ];
+        let n = specials.len();
+        let acc0: Vec<f32> = (0..n * n).map(|i| specials[i / n]).collect();
+        let src: Vec<f32> = (0..n * n).map(|i| specials[i % n]).collect();
+        for wire in [WireFormat::F32, WireFormat::Bf16, WireFormat::Fp16] {
+            let sent = wire.encode(&src);
+            let mut incoming = vec![0.0; src.len()];
+            copy_out(&sent, &mut incoming);
+            for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min] {
+                for incoming_first in [false, true] {
+                    let mut want = acc0.clone();
+                    if incoming_first {
+                        let mut first = incoming.clone();
+                        op.combine(&mut first, &acc0);
+                        want = first;
+                    } else {
+                        op.combine(&mut want, &incoming);
+                    }
+                    let mut acc = acc0.clone();
+                    let fwd = combine_forward(sent.clone(), &mut acc, op, incoming_first);
+                    let case = format!("{wire} {op:?} incoming_first={incoming_first}");
+                    assert_eq!(bits_of(&acc), bits_of(&want), "{case}: accumulator");
+                    assert_eq!(
+                        payload_bits(&fwd),
+                        payload_bits(&wire.encode(&want)),
+                        "{case}: forwarded payload"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wire-format skew between ranks?")]
+    fn a_non_dense_payload_is_a_format_skew() {
+        copy_out(&Payload::Bytes(vec![0; 4]), &mut [0.0]);
     }
 
     #[test]

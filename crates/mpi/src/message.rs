@@ -83,7 +83,7 @@ impl Payload {
     pub fn into_f32(self) -> Vec<f32> {
         match self {
             Payload::F32(v) => v,
-            other => panic!("expected F32 payload, got {other:?}"),
+            other => other.mismatch("F32"),
         }
     }
 
@@ -91,7 +91,7 @@ impl Payload {
     pub fn into_sparse(self) -> (Vec<u32>, Vec<f32>) {
         match self {
             Payload::Sparse { idx, val } => (idx, val),
-            other => panic!("expected Sparse payload, got {other:?}"),
+            other => other.mismatch("Sparse"),
         }
     }
 
@@ -99,7 +99,7 @@ impl Payload {
     pub fn into_bytes(self) -> Vec<u8> {
         match self {
             Payload::Bytes(b) => b,
-            other => panic!("expected Bytes payload, got {other:?}"),
+            other => other.mismatch("Bytes"),
         }
     }
 
@@ -107,8 +107,19 @@ impl Payload {
     pub fn into_synthetic(self) -> u64 {
         match self {
             Payload::Synthetic { bytes } => bytes,
-            other => panic!("expected Synthetic payload, got {other:?}"),
+            other => other.mismatch("Synthetic"),
         }
+    }
+
+    /// The panic of a failed unwrap: kind and size only — a gradient
+    /// payload's contents would be millions of numbers in the message.
+    #[cold]
+    fn mismatch(&self, expected: &str) -> ! {
+        panic!(
+            "expected {expected} payload, got {} ({} bytes)",
+            self.kind_name(),
+            self.size_bytes()
+        )
     }
 }
 
@@ -163,8 +174,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "expected F32")]
+    #[should_panic(expected = "expected F32 payload, got Half(bf16) (10 bytes)")]
     fn wrong_unwrap_panics() {
-        let _ = Payload::Bytes(vec![]).into_f32();
+        let _ = Payload::Half {
+            bits: vec![0x3f80; 5],
+            fp16: false,
+        }
+        .into_f32();
     }
 }

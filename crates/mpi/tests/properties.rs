@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
-use dlsr_mpi::collectives::{allgather, barrier, bcast, Allreduce, AllreduceAlgorithm, ReduceOp};
+use dlsr_mpi::collectives::{
+    allgather, barrier, bcast, Allreduce, AllreduceAlgorithm, ReduceOp, WireFormat,
+};
 use dlsr_mpi::{MpiConfig, MpiWorld, Payload};
 use dlsr_net::ClusterTopology;
 
@@ -12,6 +14,139 @@ fn topo(nodes: usize, gpn: usize) -> ClusterTopology {
         name: format!("t{nodes}x{gpn}"),
         nodes,
         gpus_per_node: gpn,
+    }
+}
+
+/// Values at every dense wire format's edges: signed zeros, infinities,
+/// NaNs of either sign with any payload (quiet or signaling), f32
+/// subnormals, fp16 subnormals and the ties between them, exact bf16 and
+/// fp16 round-to-nearest-even ties, and ordinary numbers.
+fn edge_value() -> impl Strategy<Value = f32> {
+    (0u32..10, 0u32..=u32::MAX).prop_map(|(kind, r)| {
+        let sign = r & 0x8000_0000;
+        let mantissa = (r & 0x7f_ffff).max(1);
+        let bits = match kind {
+            0 => sign,
+            1 => sign | 0x7f80_0000,
+            2 => sign | 0x7f80_0000 | mantissa, // NaN, quiet or signaling
+            3 => sign | mantissa,               // f32 subnormal
+            // k · 2^-25: fp16 subnormals (even k) and the ties between them
+            4 => return ((r % 4095) as i32 - 2047) as f32 * 2.0f32.powi(-25),
+            // bf16 ties: the 16 dropped bits are exactly one half
+            5 => sign | (r & 0x7fff_0000).min(0x7f7f_0000) | 0x8000,
+            // fp16 ties: a normal half's 13 dropped bits are exactly one half
+            6 => sign | (113 + r % 30) << 23 | (r >> 8 & 0x3ff) << 13 | 0x1000,
+            _ => return (r as f32 / u32::MAX as f32 - 0.5) * 2.0e3,
+        };
+        f32::from_bits(bits)
+    })
+}
+
+fn to_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// What the ring computes, element by element, in any dense format:
+/// block `b` (the ring's `b·len/p .. (b+1)·len/p`) starts as rank `b`'s
+/// value and travels right on the wire; rank `b+k` folds its own value
+/// with the decoded message, `own op Q(v)`; the owner re-quantizes the
+/// fully reduced value once, and the allgather delivers that to every
+/// rank unchanged. `Q` is the format's projection (`WireFormat::quantize`,
+/// the identity for f32). A one-rank world returns its input.
+fn ring_reference(
+    p: usize,
+    len: usize,
+    op: ReduceOp,
+    wf: WireFormat,
+    input: impl Fn(usize, usize) -> f32,
+) -> Vec<f32> {
+    if p == 1 {
+        return (0..len).map(|i| input(0, i)).collect();
+    }
+    let q = |v: f32| {
+        let mut t = [v];
+        wf.quantize(&mut t);
+        t[0]
+    };
+    let mut out = Vec::with_capacity(len);
+    for b in 0..p {
+        out.extend((b * len / p..(b + 1) * len / p).map(|j| {
+            let mut v = input(b, j);
+            for k in 1..p {
+                let mut own = [input((b + k) % p, j)];
+                op.combine(&mut own, &[q(v)]);
+                v = own[0];
+            }
+            q(v)
+        }));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The bitwise contract of docs/WIRE.md for every dense wire format and
+    /// reduce op, on inputs full of edge values: every algorithm leaves
+    /// every rank with identical bits (NaN payloads and signed zeros
+    /// included), and the ring and the pipelined ring, at any sub-chunk
+    /// size, equal the sequential reference bit for bit.
+    #[test]
+    fn every_wire_format_is_rank_invariant_and_rings_match_the_reference(
+        nodes in 1usize..4,
+        gpn in 1usize..5,
+        len in 0usize..300,
+        chunk_pick in 0usize..300,
+        wf_idx in 0usize..3,
+        op_idx in 0usize..3,
+        pool in proptest::collection::vec(edge_value(), 1..64),
+    ) {
+        let wf = [WireFormat::F32, WireFormat::Bf16, WireFormat::Fp16][wf_idx];
+        let op = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min][op_idx];
+        let t = topo(nodes, gpn);
+        let p = t.total_gpus();
+        let chunk = 1 + chunk_pick % len.max(1);
+        let input = move |rank: usize, i: usize| pool[(rank * 7919 + i) % pool.len()];
+        let flat = MpiConfig::mpi_opt().to_builder().pipeline_chunk(4 * chunk as u64).build();
+        // hierarchical two-level with the leader ring pipelined at any size
+        let hier = flat
+            .clone()
+            .to_builder()
+            .hierarchical(true)
+            .rd_threshold(0)
+            .pipeline_threshold(1)
+            .build();
+        let runs = [
+            (AllreduceAlgorithm::Ring, &flat),
+            (AllreduceAlgorithm::PipelinedRing, &flat),
+            (AllreduceAlgorithm::RecursiveDoubling, &flat),
+            (AllreduceAlgorithm::TwoLevel, &flat),
+            (AllreduceAlgorithm::TwoLevel, &hier),
+        ];
+        let want = to_bits(&ring_reference(p, len, op, wf, &input));
+        for (algo, cfg) in runs {
+            let input = input.clone();
+            let ranks = MpiWorld::run(&t, cfg.clone(), move |c| {
+                let mut buf: Vec<f32> = (0..len).map(|i| input(c.rank(), i)).collect();
+                Allreduce::new(&mut buf).buf_id(1).algo(algo).wire(wf).op(op).run(c);
+                to_bits(&buf)
+            })
+            .ranks;
+            let hierarchical = cfg.tuning.hierarchical;
+            for (rank, got) in ranks.iter().enumerate() {
+                prop_assert_eq!(
+                    got, &ranks[0],
+                    "{:?} (hierarchical {}) {} {:?}: rank {} differs from rank 0",
+                    algo, hierarchical, wf, op, rank
+                );
+            }
+            if matches!(algo, AllreduceAlgorithm::Ring | AllreduceAlgorithm::PipelinedRing) {
+                prop_assert_eq!(
+                    &ranks[0], &want,
+                    "{:?} {} {:?} chunk {}: not the sequential reference", algo, wf, op, chunk
+                );
+            }
+        }
     }
 }
 

@@ -58,6 +58,11 @@ pub mod keys {
     /// The same buffers' dense f32 size: `wire_dense_bytes / wire_bytes`
     /// is the achieved wire compression ratio.
     pub const WIRE_DENSE_BYTES: &str = "mpi.wire_dense_bytes";
+    /// Dense payloads a gradient allreduce encoded (allocated) — the rest
+    /// of its messages forward what the rank received. One per rank on a
+    /// ring or recursive doubling, one per sub-chunk of the first block on
+    /// the pipelined ring.
+    pub const WIRE_ENCODES: &str = "mpi.wire_encodes";
     /// Prefix of the per-microkernel tile counters the GEMM engine emits
     /// (`gemm.variant.<kernel>` — e.g. `gemm.variant.avx512_8x32`); the
     /// suffix is the kernel name the shape-keyed selector resolved to.
