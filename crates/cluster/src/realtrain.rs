@@ -712,6 +712,24 @@ mod tests {
         assert!(diff14 < 2e-4, "1 vs 4 ranks diverged: {diff14}");
     }
 
+    /// The loader renders each synthetic image once: over 60 steps a rank
+    /// renders at most its `n_images` training images plus the eval image,
+    /// however many patches it draws from them.
+    #[test]
+    fn each_rank_renders_each_image_at_most_once() {
+        let topo = ClusterTopology::lassen(1);
+        let cfg = RealTrainConfig::builder().steps(60).build();
+        let (_, counters) =
+            crate::analysis::traced(|| train_real(&topo, MpiConfig::mpi_opt(), &cfg));
+        let rendered = counters[dlsr_trace::report::keys::IMAGES_RENDERED];
+        let per_rank_bound = (cfg.n_images + 1) as f64;
+        let world = topo.total_gpus() as f64;
+        assert!(
+            rendered >= world && rendered <= world * per_rank_bound,
+            "{rendered} images rendered by {world} ranks"
+        );
+    }
+
     fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
         a.iter()
             .zip(b)

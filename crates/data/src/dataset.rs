@@ -4,6 +4,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use dlsr_tensor::{resize, Tensor};
+use dlsr_trace::report::keys;
 
 use crate::synthetic::SyntheticImageSpec;
 
@@ -19,19 +20,26 @@ pub struct PatchPair {
 /// A deterministic virtual DIV2K: `n_images` synthetic HR images, each
 /// paired with its bicubic-downsampled LR version. Patches are sampled on
 /// demand; nothing is stored on disk.
+///
+/// Each image is rendered the first time it is drawn and kept, as a real
+/// loader keeps a decoded image: the dataset holds at most what it *is*,
+/// `n_images × (HR + LR)` floats, and no draw renders an image twice.
 pub struct Div2kSynthetic {
     spec: SyntheticImageSpec,
-    n_images: usize,
     scale: usize,
     seed: u64,
-    // cache of the most recently generated image (training revisits images)
-    cache: Option<(usize, Tensor, Tensor)>,
+    /// Image `i`'s `(HR, LR)` pair at index `i`, once rendered.
+    images: Vec<Option<(Tensor, Tensor)>>,
 }
 
 impl Div2kSynthetic {
     /// Create a dataset of `n_images` images at upscale factor `scale`
     /// (DIV2K proper has 800 training images).
     pub fn new(spec: SyntheticImageSpec, n_images: usize, scale: usize, seed: u64) -> Self {
+        assert!(
+            n_images >= 1,
+            "n_images must be >= 1: there is nothing to sample"
+        );
         assert!(scale >= 1, "scale must be >= 1");
         assert!(
             spec.height.is_multiple_of(scale) && spec.width.is_multiple_of(scale),
@@ -39,21 +47,20 @@ impl Div2kSynthetic {
         );
         Div2kSynthetic {
             spec,
-            n_images,
             scale,
             seed,
-            cache: None,
+            images: vec![None; n_images],
         }
     }
 
     /// Number of images in the collection.
     pub fn len(&self) -> usize {
-        self.n_images
+        self.images.len()
     }
 
     /// True when the collection is empty.
     pub fn is_empty(&self) -> bool {
-        self.n_images == 0
+        self.images.is_empty()
     }
 
     /// The upscale factor.
@@ -61,45 +68,36 @@ impl Div2kSynthetic {
         self.scale
     }
 
-    /// Full HR/LR image pair for image `index` (cached).
+    /// Full HR/LR image pair for image `index`, rendered on first use.
     pub fn image(&mut self, index: usize) -> (&Tensor, &Tensor) {
-        assert!(index < self.n_images, "image index out of range");
-        let needs = match &self.cache {
-            Some((i, _, _)) => *i != index,
-            None => true,
-        };
-        if needs {
-            let hr = self.spec.generate(self.seed, index);
-            let lr = resize::bicubic_downsample(&hr, self.scale)
-                .expect("spec extents divisible by scale");
-            self.cache = Some((index, hr, lr));
-        }
-        let (_, hr, lr) = self.cache.as_ref().expect("cache just filled");
+        assert!(index < self.images.len(), "image index out of range");
+        let (spec, seed, scale) = (self.spec, self.seed, self.scale);
+        let (hr, lr) = self.images[index].get_or_insert_with(|| {
+            dlsr_trace::counter_add(keys::IMAGES_RENDERED, 1.0);
+            let hr = spec.generate(seed, index);
+            let lr =
+                resize::bicubic_downsample(&hr, scale).expect("spec extents divisible by scale");
+            (hr, lr)
+        });
         (hr, lr)
     }
 
     /// Sample a random aligned LR/HR patch pair. `lr_patch` is the LR patch
     /// extent (the paper's EDSR uses 96 for ×2 training; HR patch = 192).
     pub fn sample_patch(&mut self, lr_patch: usize, rng: &mut SmallRng) -> PatchPair {
-        let index = rng.gen_range(0..self.n_images);
+        let index = rng.gen_range(0..self.images.len());
         let s = self.scale;
-        let (c, lh, lw) = {
-            let (_, lr) = self.image(index);
-            let (_, c, lh, lw) = lr.shape().as_nchw().expect("rank-4 image");
-            (c, lh, lw)
-        };
+        let (hr, lr) = self.image(index);
+        let (_, c, lh, lw) = lr.shape().as_nchw().expect("rank-4 image");
         assert!(
             lr_patch <= lh && lr_patch <= lw,
             "patch larger than LR image"
         );
         let y = rng.gen_range(0..=lh - lr_patch);
         let x = rng.gen_range(0..=lw - lr_patch);
-        let (hr, lr) = self.image(index);
-        let lr_crop = crop(lr, c, y, x, lr_patch, lr_patch);
-        let hr_crop = crop(hr, c, y * s, x * s, lr_patch * s, lr_patch * s);
         PatchPair {
-            lr: lr_crop,
-            hr: hr_crop,
+            lr: crop(lr, c, y, x, lr_patch, lr_patch),
+            hr: crop(hr, c, y * s, x * s, lr_patch * s, lr_patch * s),
         }
     }
 
@@ -114,15 +112,14 @@ impl Div2kSynthetic {
 
 fn crop(img: &Tensor, c: usize, y0: usize, x0: usize, h: usize, w: usize) -> Tensor {
     let (_, _, ih, iw) = img.shape().as_nchw().expect("rank-4 image");
-    let mut out = Tensor::zeros([1, c, h, w]);
+    let mut out = Vec::with_capacity(c * h * w);
     for ch in 0..c {
         for y in 0..h {
             let src = ch * ih * iw + (y0 + y) * iw + x0;
-            let dst = ch * h * w + y * w;
-            out.data_mut()[dst..dst + w].copy_from_slice(&img.data()[src..src + w]);
+            out.extend_from_slice(&img.data()[src..src + w]);
         }
     }
-    out
+    Tensor::from_vec([1, c, h, w], out).expect("buffer matches shape")
 }
 
 /// Stack `[1,C,H,W]` samples into a `[N,C,H,W]` batch.
@@ -200,6 +197,58 @@ mod tests {
         assert_eq!(batch.shape().dims(), &[2, 3, 8, 8]);
         assert_eq!(&batch.data()[..p1.lr.numel()], p1.lr.data());
         assert_eq!(&batch.data()[p1.lr.numel()..], p2.lr.data());
+    }
+
+    #[test]
+    fn warm_patches_equal_fresh_ones_whatever_the_render_order() {
+        // render every image, in a shuffled order, before sampling
+        let mut order: Vec<usize> = (0..4).collect();
+        let mut rng = SmallRng::seed_from_u64(3);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        assert!(!order.is_sorted(), "{order:?} is not shuffled");
+        let mut warm = small_ds();
+        for &i in &order {
+            warm.image(i);
+        }
+        for key in 0..64 {
+            assert_eq!(
+                warm.patch_for(8, key),
+                small_ds().patch_for(8, key),
+                "key {key}"
+            );
+        }
+    }
+
+    #[test]
+    fn each_image_is_rendered_once() {
+        let sink = dlsr_trace::TraceSink::new();
+        sink.scope(|| {
+            let mut ds = small_ds();
+            let first: *const Tensor = ds.image(2).0;
+            for key in 0..64 {
+                ds.patch_for(8, key);
+            }
+            assert!(
+                std::ptr::eq(first, ds.image(2).0),
+                "image 2 was rendered again"
+            );
+        });
+        // the count is the sharper half: a re-render that frees the old
+        // image can be handed its address back by the allocator
+        assert_eq!(sink.counters()[keys::IMAGES_RENDERED], 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "n_images")]
+    fn empty_dataset_panics_at_construction() {
+        let spec = SyntheticImageSpec {
+            height: 32,
+            width: 32,
+            ..Default::default()
+        };
+        let _ = Div2kSynthetic::new(spec, 0, 2, 1);
     }
 
     #[test]

@@ -63,6 +63,10 @@ pub mod keys {
     /// ring or recursive doubling, one per sub-chunk of the first block on
     /// the pipelined ring.
     pub const WIRE_ENCODES: &str = "mpi.wire_encodes";
+    /// Synthetic images a `Div2kSynthetic` rendered (HR + its LR). Each
+    /// image is rendered on its first draw and kept, so a run renders at
+    /// most one per image of each dataset it builds.
+    pub const IMAGES_RENDERED: &str = "data.images_rendered";
     /// Prefix of the per-microkernel tile counters the GEMM engine emits
     /// (`gemm.variant.<kernel>` — e.g. `gemm.variant.avx512_8x32`); the
     /// suffix is the kernel name the shape-keyed selector resolved to.
