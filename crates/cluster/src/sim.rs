@@ -169,11 +169,14 @@ pub struct SimTrainer {
     /// Collect the per-step diagnostic artifacts (Hvprof profile,
     /// HOROVOD_TIMELINE events) over the measured window. On by default.
     /// Recording is plain data — an event is a static name template plus
-    /// indices, rendered only on export — and costs a few percent of a
-    /// 512-rank world's host time (the benchmark's
-    /// `hvprof.artifacts_overhead_pct_w512`). The `simscale` sweep still turns
-    /// it off: a 4096-rank world would hold O(ranks × steps) events nobody
-    /// reads. The virtual clocks are identical either way.
+    /// indices, rendered only on export — and costs a few hundred
+    /// nanoseconds of host time per event (docs/SIMCORE.md, "What recording
+    /// an artifact event costs"). The benchmark's
+    /// `hvprof.artifacts_overhead_pct_w512` reads that cost as a share of a
+    /// 512-rank world's host time, a ratio that grows whenever the engine
+    /// beneath it gets faster. The `simscale` sweep still turns it off: a
+    /// 4096-rank world would hold O(ranks × steps) events nobody reads. The
+    /// virtual clocks are identical either way.
     artifacts: bool,
 }
 
@@ -676,6 +679,33 @@ mod tests {
         assert_eq!(total, trainer.workload().grad_bytes() as u64);
         // the 1-128KB bin traffic comes from the per-step metrics allreduce
         // (exercised in the experiment tests)
+    }
+
+    /// docs/SIMCORE.md's host-cost formula, pinned: under MPI-Opt a step
+    /// runs `G + 1` two-level allreduces (the fusion groups and the metrics
+    /// reduction), each with a `2·N·(N−1)`-cell wave over the `N` node
+    /// leaders.
+    #[test]
+    fn a_step_evaluates_the_host_cost_formulas_ring_cells() {
+        let (w, tensors) = edsr_measured_workload();
+        let topo = ClusterTopology::lassen(8);
+        let sc = Scenario::MpiOpt;
+        let groups = SimTrainer::new(w.clone(), tensors.clone(), 4, sc, &topo, 7)
+            .unwrap()
+            .plan()
+            .len();
+        let (warmup, steps) = (1, 3);
+        let (_, counters) = crate::analysis::traced(|| {
+            crate::run_training(&topo, sc, &w, &tensors, 4, warmup, steps, 7)
+        });
+        let n = topo.nodes;
+        let per_step = (groups + 1) * 2 * n * (n - 1);
+        assert!(groups > 1, "{groups} fusion groups");
+        assert_eq!(
+            counters.get(dlsr_trace::report::keys::WAVE_CELLS).copied(),
+            Some(((warmup + steps) * per_step) as f64),
+            "{groups} groups over {n} leaders"
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! There is no tracing fallback for the ring wave: with a trace sink in
-//! scope, the driven engine still evaluates costs-only rings as waves,
-//! running each cell under the lane of the rank it accounts for. Every
-//! rank must therefore end with exactly the span sequence the context
-//! core's message-path ring records on that rank's own thread — which is
-//! what keeps `dlsr analyze` and `dlsr profile` output independent of the
-//! core.
+//! With a trace sink in scope the driven engine still evaluates costs-only
+//! rings as waves, but never in closed form: a traced wave runs cell by
+//! cell, each cell under the lane of the rank it accounts for, because its
+//! cells record spans and counters. Every rank must therefore end with
+//! exactly the span sequence the context core's message-path ring records
+//! on that rank's own thread — which is what keeps `dlsr analyze` and
+//! `dlsr profile` output independent of the core. (That the untraced closed
+//! form leaves the traced run's virtual numbers is `trace_overhead.rs`.)
 
 use dlsr_cluster::{edsr_measured_workload, Scenario, SimTrainer};
 use dlsr_mpi::MpiWorld;

@@ -15,12 +15,16 @@
 //! The ring allreduce — flat, or over the node leaders of a two-level
 //! reduction — has a second form on the driven engine: its participants
 //! park on the ring's descriptor ([`Poll::Wave`]) and the engine evaluates
-//! the whole `2·p·(p−1)`-hop schedule in one pass (`RingWave::run`),
-//! charging each hop through the same `Comm` accounting the message path
-//! uses. The pipelined ring, recursive doubling, top-k and the barrier
-//! keep the message path on both cores.
+//! the whole `2·p·(p−1)`-hop schedule in one pass (`RingWave::run`). A
+//! steady wave — untraced, fault-free, every hop's handshake done and
+//! every registration lookup a hit — runs in closed form: max-plus
+//! arithmetic over one clock per participant, with costs quoted by `Comm`
+//! and statistics settled once per participant. Any other wave charges
+//! each hop through the same `Comm` accounting the message path uses. The
+//! pipelined ring, recursive doubling, top-k and the barrier keep the
+//! message path on both cores.
 
-use crate::comm::Comm;
+use crate::comm::{Comm, RecvQuote, SendQuote};
 use crate::executor::{drive_task, EventTask, Poll};
 use crate::message::Payload;
 
@@ -58,7 +62,13 @@ impl ChunkCursor {
     /// `chunk_range(elems, p, i).len()`.
     #[inline]
     fn len(&self) -> usize {
-        self.q + usize::from(self.rem + self.r >= self.p)
+        self.q + self.class()
+    }
+
+    /// The chunk's length class: 0 for `q` elements, 1 for `q + 1`.
+    #[inline]
+    fn class(&self) -> usize {
+        usize::from(self.rem + self.r >= self.p)
     }
 
     /// The cursor at chunk `i − 1` (wrapping to `p − 1`).
@@ -122,14 +132,35 @@ impl RingWave {
     }
 
     /// Evaluate the ring for all participants at once, over the world's
-    /// communicators. For each of the `2·(p−1)` steps every participant
-    /// accounts its send ([`Comm::account_send`]), then the receive of its
-    /// left neighbour's stamp ([`Comm::account_recv`]), rotates its chunk
-    /// and, in the reduce-scatter, charges the reduce — the per-rank
-    /// operation order of [`RingSm::poll`], calling the accounting the
-    /// message path calls, so the clocks, statistics and registration
-    /// caches it leaves behind are the message path's to the bit (one more
-    /// topological order under `docs/SIMCORE.md`'s determinism argument).
+    /// communicators: in closed form when the wave is steady
+    /// ([`RingWave::closed_form`]), else cell by cell ([`RingWave::cells`]),
+    /// the reference. A traced world (`lanes` are the ranks' trace lanes)
+    /// always runs cell by cell: its cells record spans and counters.
+    pub(crate) fn run(
+        &self,
+        comms: &mut [Comm],
+        lanes: Option<&[dlsr_trace::Lane]>,
+        scratch: &mut WaveScratch,
+    ) {
+        let p = self.p;
+        dlsr_trace::counter_add(
+            dlsr_trace::report::keys::WAVE_CELLS,
+            (2 * p * (p - 1)) as f64,
+        );
+        if lanes.is_some() || !self.closed_form(comms, scratch) {
+            self.cells(comms, lanes);
+        }
+    }
+
+    /// The per-cell kernel. For each of the `2·(p−1)` steps every
+    /// participant accounts its send ([`Comm::account_send`]), then the
+    /// receive of its left neighbour's stamp ([`Comm::account_recv`]),
+    /// rotates its chunk and, in the reduce-scatter, charges the reduce —
+    /// the per-rank operation order of [`RingSm::poll`], calling the
+    /// accounting the message path calls, so the clocks, statistics and
+    /// registration caches it leaves behind are the message path's to the
+    /// bit (one more topological order under `docs/SIMCORE.md`'s
+    /// determinism argument).
     ///
     /// Participant `i`'s receive needs only participant `i−1`'s send of the
     /// same step, so one sweep `send₀, send₁ recv₁, …, sendₚ₋₁ recvₚ₋₁,
@@ -138,10 +169,10 @@ impl RingWave {
     /// is always one chunk above participant `i` — so the sweep carries one
     /// cursor and the kernel needs no per-participant scratch.
     ///
-    /// `lanes` are the ranks' trace lanes when the world is traced: each
-    /// cell runs with the lane of the rank it accounts for current, so its
-    /// spans land where that rank's own thread would have recorded them.
-    pub(crate) fn run(&self, comms: &mut [Comm], lanes: Option<&[dlsr_trace::Lane]>) {
+    /// With `lanes`, each cell runs with the lane of the rank it accounts
+    /// for current, so its spans land where that rank's own thread would
+    /// have recorded them.
+    fn cells(&self, comms: &mut [Comm], lanes: Option<&[dlsr_trace::Lane]>) {
         let RingWave {
             p,
             stride,
@@ -191,6 +222,212 @@ impl RingWave {
             }
         }
     }
+
+    /// Evaluate a *steady* wave — one whose hops do nothing for the first
+    /// time — in closed form, and say whether it was steady; an unsteady
+    /// wave is left uncharged for [`RingWave::cells`].
+    ///
+    /// Steadiness is read off the communicators, never assumed: every
+    /// participant quotes its send to the right and its receive from the
+    /// left for each of the ring's ≤ 2 chunk lengths ([`Comm::quote_send`],
+    /// [`Comm::quote_recv`]), and a quote exists only when the IPC
+    /// handshake is done, every registration lookup would hit, and no fault
+    /// plan is set. Repeating such a hop changes nothing but the clock and
+    /// the counters, so the wave is max-plus arithmetic over one clock per
+    /// participant ([`closed_step`]) plus one settlement per participant.
+    fn closed_form(&self, comms: &mut [Comm], scratch: &mut WaveScratch) -> bool {
+        if !self.quote(comms, scratch) {
+            return false;
+        }
+        let p = self.p;
+        let WaveScratch {
+            clocks,
+            costs,
+            long,
+            ..
+        } = scratch;
+        // whether chunk `j mod p` is long, for `j < 2p`: the chunks of one
+        // step's participants are then a window, participant 0's first
+        long.clear();
+        let cursors =
+            std::iter::successors(Some(ChunkCursor::new(self.elems, p, 0)), |c| Some(c.up()));
+        long.extend(cursors.take(2 * p).map(|c| c.class() == 1));
+        // participant 0 sends chunk 0, then one chunk lower each step
+        for step in 0..2 * (p - 1) {
+            let base = (p - step % p) % p;
+            let window = &long[base..base + p];
+            if step < p - 1 {
+                closed_step::<true>(clocks, costs, window);
+            } else {
+                closed_step::<false>(clocks, costs, window);
+            }
+        }
+        self.settle(comms, scratch);
+        true
+    }
+
+    /// Fill `scratch` with every participant's clock and quotes; `false` as
+    /// soon as one participant has no quote.
+    fn quote(&self, comms: &[Comm], scratch: &mut WaveScratch) -> bool {
+        let RingWave {
+            p,
+            stride,
+            elems,
+            buf_id,
+            wf,
+            ..
+        } = *self;
+        // by class; a ring whose chunks all have `q` elements quotes `q` twice
+        let lens = [elems / p, elems / p + usize::from(elems % p != 0)];
+        scratch.clocks.clear();
+        scratch.costs.clear();
+        scratch.quotes.clear();
+        for i in 0..p {
+            let comm = &comms[i * stride];
+            let (right, left) = ring_neighbours(i, p, stride);
+            let quoted = lens.map(|len| {
+                let bytes = wf.wire_bytes(len);
+                Some((
+                    comm.quote_send(right, bytes, buf_id)?,
+                    comm.quote_recv(left, bytes, buf_id)?,
+                ))
+            });
+            let [Some(short), Some(long)] = quoted else {
+                return false;
+            };
+            let hop = [short, long];
+            scratch.clocks.push(comm.now());
+            scratch.costs.push(HopCosts {
+                send_overhead: hop.map(|(send, _)| send.overhead),
+                transfer: hop.map(|(send, _)| send.transfer),
+                recv_overhead: hop.map(|(_, recv)| recv.overhead),
+                reduce: lens.map(|len| comm.reduce_time(len)),
+            });
+            scratch.quotes.push(hop);
+        }
+        true
+    }
+
+    /// Hand every participant its clock and, in one call, the statistics
+    /// and registration-cache state its `2·(p−1)` sends and receives leave
+    /// ([`Comm::settle_hops`]). How many hops of each chunk class a
+    /// participant makes follows from the schedule: participant `i` sends
+    /// every chunk but `i+1` in the reduce-scatter and every chunk but `i+2`
+    /// in the allgather, and receives every chunk but `i`, then every chunk
+    /// but `i+1` (indices mod `p`); exactly `r = elems mod p` chunks are
+    /// long.
+    fn settle(&self, comms: &mut [Comm], scratch: &WaveScratch) {
+        let (p, stride, buf_id) = (self.p, self.stride, self.buf_id);
+        let hops = 2 * (p as u64 - 1);
+        // the `r` long chunks, once per phase
+        let long_both_phases = 2 * (self.elems % p) as u64;
+        // the class of chunk `j mod p`
+        let class = |j: usize| usize::from(scratch.long[j % p]);
+        for (i, quotes) in scratch.quotes.iter().enumerate() {
+            let long_sends = long_both_phases - (class(i + 1) + class(i + 2)) as u64;
+            let long_recvs = long_both_phases - (class(i) + class(i + 1)) as u64;
+            let sends = [hops - long_sends, long_sends];
+            let recvs = [hops - long_recvs, long_recvs];
+            let lookups = |c: usize| {
+                let (send, recv) = quotes[c];
+                sends[c] * u64::from(send.lookup) + recvs[c] * u64::from(recv.lookup)
+            };
+            // A hit moves its key to the front, so the classes looked up end
+            // up ordered by their last lookup. With both looked up, walk the
+            // participant's hops back from its last — which sends chunk
+            // `i+3` and receives the one below — receive before send.
+            let (by_last_lookup, touched) = match (lookups(0) > 0, lookups(1) > 0) {
+                (false, false) => ([0, 0], 0),
+                (true, false) => ([0, 0], 1),
+                (false, true) => ([1, 1], 1),
+                (true, true) => {
+                    let last = (i + 3..)
+                        .find_map(|sent| {
+                            let (received, sent) = (class(sent + p - 1), class(sent));
+                            [
+                                (received, quotes[received].1.lookup),
+                                (sent, quotes[sent].0.lookup),
+                            ]
+                            .into_iter()
+                            .find_map(|(c, lookup)| lookup.then_some(c))
+                        })
+                        .expect("both classes are looked up");
+                    ([1 - last, last], 2)
+                }
+            };
+            comms[i * stride].settle_hops(
+                scratch.clocks[i],
+                &[(quotes[0].0, sends[0]), (quotes[1].0, sends[1])],
+                hops,
+                lookups(0) + lookups(1),
+                &by_last_lookup.map(|c| (buf_id, quotes[c].0.bytes))[..touched],
+            );
+        }
+    }
+}
+
+/// The closed form's working set, owned by the driven engine beside its
+/// routing scratch and reused by every wave: once the widest ring has run,
+/// a wave allocates nothing.
+#[derive(Default)]
+pub(crate) struct WaveScratch {
+    /// Participant `i`'s clock.
+    clocks: Vec<f64>,
+    /// Participant `i`'s hop costs, as [`closed_step`] reads them.
+    costs: Vec<HopCosts>,
+    /// Participant `i`'s quotes by chunk class, for the settlement.
+    quotes: Vec<[(SendQuote, RecvQuote); 2]>,
+    /// Whether chunk `j mod p` is long, for `j < 2p`.
+    long: Vec<bool>,
+}
+
+/// One participant's quoted hop costs by chunk class (index 0 for chunks of
+/// `q` elements, 1 for `q + 1`): one cache line per participant.
+#[derive(Clone, Copy)]
+struct HopCosts {
+    send_overhead: [f64; 2],
+    transfer: [f64; 2],
+    recv_overhead: [f64; 2],
+    reduce: [f64; 2],
+}
+
+/// One step of a steady ring, `long[i]` saying whether participant `i`'s
+/// chunk is long: the sweep of [`RingWave::cells`] where each cell is the
+/// float operations a steady hop's [`Comm::account_send`],
+/// [`Comm::account_recv`] and [`Comm::charge_reduce`] perform on the clock,
+/// in their order — send overhead, stamp = clock + wire time, merge,
+/// receive overhead, reduce charge (reduce-scatter only) — with every cost
+/// quoted, none computed.
+#[inline(always)]
+fn closed_step<const REDUCE: bool>(clocks: &mut [f64], costs: &[HopCosts], long: &[bool]) {
+    let send = |clock: &mut f64, h: &HopCosts, c: usize| {
+        *clock += h.send_overhead[c];
+        *clock + h.transfer[c]
+    };
+    let recv = |clock: &mut f64, h: &HopCosts, c: usize, stamp: f64| {
+        if stamp > *clock {
+            *clock = stamp;
+        }
+        *clock += h.recv_overhead[c];
+        if REDUCE {
+            *clock += h.reduce[c];
+        }
+    };
+    let (Some((first, rest)), Some((h0, hs)), Some((&last, _))) = (
+        clocks.split_first_mut(),
+        costs.split_first(),
+        long.split_last(),
+    ) else {
+        return;
+    };
+    let mut stamp = send(first, h0, usize::from(long[0]));
+    // the chunk in flight is the left neighbour's
+    for (((clock, h), &in_flight), &mine) in rest.iter_mut().zip(hs).zip(long).zip(&long[1..]) {
+        let sent = send(clock, h, usize::from(mine));
+        recv(clock, h, usize::from(in_flight), stamp);
+        stamp = sent;
+    }
+    recv(first, h0, usize::from(last), stamp);
 }
 
 impl std::fmt::Display for RingWave {
@@ -915,7 +1152,7 @@ pub(crate) fn drive_barrier(comm: &mut Comm) {
 
 #[cfg(test)]
 mod tests {
-    use crate::comm::CommStats;
+    use crate::comm::{CommStats, PathPolicy};
     use crate::config::MpiConfig;
     use crate::executor::{drive_program, RankProgram, Step};
     use crate::verify::{Violation, ViolationKind};
@@ -1088,6 +1325,119 @@ mod tests {
             !crate::verify::COMPILED,
             "{msg}"
         );
+    }
+
+    /// `p` communicators of a world on the driven wire, with no engine
+    /// around them: a wave is evaluated on them directly.
+    fn bare_world(topo: &ClusterTopology, policy: PathPolicy) -> Vec<Comm> {
+        let cfg = std::sync::Arc::new(MpiConfig::mpi_opt());
+        let registries = std::sync::Arc::new(
+            (0..topo.nodes)
+                .map(|_| dlsr_gpu::IpcRegistry::new())
+                .collect::<Vec<_>>(),
+        );
+        (0..topo.total_gpus())
+            .map(|rank| {
+                let mut comm = Comm::new(
+                    rank,
+                    topo.clone(),
+                    std::sync::Arc::clone(&cfg),
+                    crate::comm::Wire::Driven { outbox: Vec::new() },
+                    None,
+                    std::sync::Arc::clone(&registries),
+                );
+                comm.set_path_policy(policy);
+                comm
+            })
+            .collect()
+    }
+
+    /// Everything a wave can leave on a communicator: clock bits,
+    /// statistics, registration statistics and both caches' recency order.
+    type Snapshot = (u64, CommStats, RegCacheStats, [Vec<(u64, u64)>; 2]);
+
+    fn snapshot(comms: &[Comm]) -> Vec<Snapshot> {
+        comms
+            .iter()
+            .map(|c| {
+                let (clock, stats, reg) =
+                    (c.now().to_bits(), c.stats().clone(), c.regcache_stats());
+                (clock, stats, reg, c.regcache_recency())
+            })
+            .collect()
+    }
+
+    /// The closed form against its reference, the per-cell kernel, on two
+    /// identical hand-built worlds: each round skews every rank's clock
+    /// the same way on both, then evaluates one ring per cell on the first
+    /// world and in closed form (falling back per cell, as `run` does,
+    /// only where the wave is not steady) on the second. The rings: leader
+    /// rings of 2 and 3 nodes and 8- and 12-rank flat rings (hops within a
+    /// node and across, so a rank may look up the cache on its send but
+    /// not on its receive), under both path policies, with chunk lengths
+    /// both above the 16 KiB RDMA threshold (lookups of both lengths,
+    /// whose last-lookup order differs between ranks), straddling it
+    /// (lookups of one length), below it or empty (none), and all equal.
+    /// The first round is cold; the closed form must refuse it exactly
+    /// where it would register or shake hands, and accept every warm one.
+    #[test]
+    fn a_steady_wave_in_closed_form_equals_the_per_cell_kernel() {
+        use WireFormat::{Bf16, F32};
+        let (mpi, nccl) = (PathPolicy::Mpi, PathPolicy::NcclLike);
+        // (nodes, stride, elems per participant, extra elems, wire, policy, cold round steady)
+        let cases = [
+            (3, 4, 4099, 1, F32, mpi, false),
+            (2, 4, 4099, 1, F32, mpi, false),
+            (2, 1, 4096, 5, F32, mpi, false),
+            (2, 1, 4095, 3, F32, mpi, false),
+            (2, 1, 4099, 7, F32, nccl, false),
+            (2, 4, 4099, 1, F32, nccl, false),
+            (2, 4, 1000, 1, F32, nccl, true),
+            (3, 4, 8192, 0, F32, mpi, false),
+            (3, 4, 1000, 0, Bf16, mpi, true),
+            (3, 1, 0, 5, F32, mpi, true),
+        ];
+        let mut scratch = WaveScratch::default();
+        for (nodes, stride, per, extra, wf, policy, cold_steady) in cases {
+            let topo = ClusterTopology::lassen(nodes);
+            let p = topo.total_gpus() / stride;
+            let elems = per * p + extra;
+            let ring = RingWave {
+                seq: 1,
+                p,
+                stride,
+                elems,
+                buf_id: 9,
+                wf,
+            };
+            let what = format!("{ring} under {policy:?}");
+            let [mut cells, mut closed] = [0, 1].map(|_| bare_world(&topo, policy));
+            for round in 0..3 {
+                for comms in [&mut cells, &mut closed] {
+                    for (rank, comm) in comms.iter_mut().enumerate() {
+                        comm.advance(1.0e-5 * ((rank * 7 + round * 3) % 11) as f64);
+                    }
+                }
+                ring.cells(&mut cells, None);
+                let before = snapshot(&closed);
+                let steady = ring.closed_form(&mut closed, &mut scratch);
+                if !steady {
+                    assert_eq!(snapshot(&closed), before, "{what}: a refused wave charged");
+                    ring.cells(&mut closed, None);
+                }
+                assert_eq!(
+                    steady,
+                    round > 0 || cold_steady,
+                    "{what}, round {round}: steady"
+                );
+                for (rank, (c, f)) in snapshot(&cells).iter().zip(snapshot(&closed)).enumerate() {
+                    assert_eq!(
+                        *c, f,
+                        "{what}, round {round}, rank {rank}: per cell vs closed form"
+                    );
+                }
+            }
+        }
     }
 
     /// The incremental chunk arithmetic against `chunk_range`, from every

@@ -108,7 +108,7 @@ impl WireFormat {
     /// Quantize a slice in place: `decode(encode(x))` elementwise. This is
     /// the projection each algorithm applies at its re-quantization point
     /// so every rank holds bit-identical results — the schedules get it by
-    /// decoding the message they encoded ([`copy_out`]) — and it is
+    /// decoding the message they encoded (`wire::copy_out`) — and it is
     /// idempotent: re-encoding an already-quantized value is lossless.
     /// No-op for f32 and top-k (top-k never quantizes values).
     pub fn quantize(self, buf: &mut [f32]) {

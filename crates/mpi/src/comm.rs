@@ -105,6 +105,31 @@ impl Route {
     };
 }
 
+/// What one send charges when nothing about it happens for the first time
+/// ([`Comm::quote_send`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SendQuote {
+    pub(crate) path: TransportPath,
+    pub(crate) bytes: u64,
+    /// Added to the sender's clock before the stamp is taken.
+    pub(crate) overhead: f64,
+    /// Wire time, fat-tree latency included: the stamp is the clock plus
+    /// this.
+    pub(crate) transfer: f64,
+    /// Whether the send looks up the registration cache (and hits).
+    pub(crate) lookup: bool,
+}
+
+/// What one receive charges besides the clock merge when its registration
+/// lookup, if it makes one, hits ([`Comm::quote_recv`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecvQuote {
+    /// Added to the receiver's clock after the merge.
+    pub(crate) overhead: f64,
+    /// Whether the receive looks up the registration cache (and hits).
+    pub(crate) lookup: bool,
+}
+
 /// MPI communicator for one rank.
 pub struct Comm {
     rank: usize,
@@ -344,6 +369,16 @@ impl Comm {
         self.regcache.stats()
     }
 
+    /// The keys of both registration caches (MPI's, then NCCL's), most
+    /// recently used first.
+    #[cfg(test)]
+    pub(crate) fn regcache_recency(&self) -> [Vec<(u64, u64)>; 2] {
+        [
+            self.regcache.recency().collect(),
+            self.nccl_regcache.recency().collect(),
+        ]
+    }
+
     /// The GPU this rank drives.
     pub fn gpu(&self) -> GpuId {
         GpuId {
@@ -367,50 +402,72 @@ impl Comm {
         peer.wrapping_sub(self.node_first_rank()) < self.topo.gpus_per_node
     }
 
-    /// Which transport a message of `bytes` to `dst` takes, performing the
-    /// one-time CUDA IPC handshake (handle export + peer open) if the path
-    /// requires a mapping that does not exist yet.
-    fn resolve_path(&mut self, dst: usize, bytes: u64) -> Result<TransportPath, CommError> {
+    /// Which transport a message of `bytes` to `dst` takes, and whether
+    /// taking it first needs the one-time CUDA IPC handshake with `dst`.
+    /// Side-effect free; [`Comm::resolve_path`] performs the handshake.
+    fn select_path(&self, dst: usize, bytes: u64) -> (TransportPath, bool) {
         let same_node = self.on_my_node(dst);
-        let my_local = self.my_local;
-        // meaningful (and only read) when `same_node`
-        let dst_local = dst.wrapping_sub(self.node_first_rank());
-        if self.policy == PathPolicy::NcclLike && same_node {
+        let path = if self.policy == PathPolicy::NcclLike && same_node {
             // NCCL sets up its own IPC rings at communicator init — the
             // framework's CUDA_VISIBLE_DEVICES mask does not constrain it,
             // and it uses the P2P path at every message size.
-            if !self.ipc_mapped[dst] {
-                self.clock.advance(self.cfg.ipc_setup_cost);
-                self.ipc_mapped[dst] = true;
-                self.stats.ipc_mappings += 1;
+            TransportPath::NvlinkP2p
+        } else {
+            // meaningful (and only read) when `same_node`
+            let dst_local = dst.wrapping_sub(self.node_first_rank());
+            let ipc_ok = same_node && self.env.ipc_possible(self.my_local, dst_local);
+            self.cfg.transport.path(false, same_node, ipc_ok, bytes)
+        };
+        (
+            path,
+            path == TransportPath::NvlinkP2p && !self.ipc_mapped[dst],
+        )
+    }
+
+    /// [`Comm::select_path`], performing the handshake it asks for.
+    fn resolve_path(&mut self, dst: usize, bytes: u64) -> Result<TransportPath, CommError> {
+        let (path, handshake) = self.select_path(dst, bytes);
+        if handshake {
+            if self.policy == PathPolicy::Mpi {
+                // Export our buffer, peer opens it (NCCL's own rings need
+                // no handle exchange). Both env masks are identical across
+                // ranks (same job config), so simulating the peer's open
+                // with our env is faithful.
+                let node = self.my_node;
+                let reg = &self.ipc_registries[node];
+                let buf = dlsr_gpu::device::DeviceBuffer {
+                    device: self.gpu(),
+                    id: (self.rank as u64) << 32 | dst as u64,
+                    bytes,
+                };
+                let handle = reg.get_mem_handle(buf);
+                let peer = GpuId {
+                    node,
+                    local: dst.wrapping_sub(self.node_first_rank()),
+                };
+                reg.open_mem_handle(handle, peer, &self.env)
+                    .map_err(|e| CommError::Ipc(e.to_string()))?;
             }
-            return Ok(TransportPath::NvlinkP2p);
-        }
-        let ipc_ok = same_node && self.env.ipc_possible(my_local, dst_local);
-        let path = self.cfg.transport.path(false, same_node, ipc_ok, bytes);
-        if path == TransportPath::NvlinkP2p && !self.ipc_mapped[dst] {
-            // One-time handshake: export our buffer, peer opens it. Both
-            // env masks are identical across ranks (same job config), so
-            // simulating the peer's open with our env is faithful.
-            let node = self.my_node;
-            let reg = &self.ipc_registries[node];
-            let buf = dlsr_gpu::device::DeviceBuffer {
-                device: self.gpu(),
-                id: (self.rank as u64) << 32 | dst as u64,
-                bytes,
-            };
-            let handle = reg.get_mem_handle(buf);
-            let peer = GpuId {
-                node,
-                local: dst_local,
-            };
-            reg.open_mem_handle(handle, peer, &self.env)
-                .map_err(|e| CommError::Ipc(e.to_string()))?;
             self.clock.advance(self.cfg.ipc_setup_cost);
             self.ipc_mapped[dst] = true;
             self.stats.ipc_mappings += 1;
         }
         Ok(path)
+    }
+
+    /// The registration cache this rank's path policy looks up.
+    fn cache(&self) -> &RegistrationCache {
+        match self.policy {
+            PathPolicy::Mpi => &self.regcache,
+            PathPolicy::NcclLike => &self.nccl_regcache,
+        }
+    }
+
+    fn cache_mut(&mut self) -> &mut RegistrationCache {
+        match self.policy {
+            PathPolicy::Mpi => &mut self.regcache,
+            PathPolicy::NcclLike => &mut self.nccl_regcache,
+        }
     }
 
     /// Charge registration (pinning) for a buffer if the path needs it and
@@ -419,11 +476,7 @@ impl Comm {
         if !self.cfg.transport.needs_registration(path) {
             return;
         }
-        let cache = match self.policy {
-            PathPolicy::Mpi => &mut self.regcache,
-            PathPolicy::NcclLike => &mut self.nccl_regcache,
-        };
-        if !cache.lookup(buf_id, bytes) {
+        if !self.cache_mut().lookup(buf_id, bytes) {
             let t = self.cfg.transport.pin_time(bytes);
             self.clock.advance(t);
             self.stats.pin_seconds += t;
@@ -554,7 +607,8 @@ impl Comm {
     /// ([`RingWave`](crate::collectives::tasks::RingWave)) hands it straight
     /// to the neighbour's [`Comm::account_recv`]. Both pay through this one
     /// function, so a wave cannot charge differently from the messages it
-    /// replaces.
+    /// replaces; a steady wave's closed form pays a [`Comm::quote_send`]
+    /// instead, which is read off the same helpers.
     pub(crate) fn account_send(
         &mut self,
         dst: usize,
@@ -569,37 +623,8 @@ impl Comm {
         }
         let (path, transfer) = self.route(dst, bytes)?;
         self.charge_registration(path, buf_id, bytes);
-        // NCCL launches a device kernel per transport step — higher
-        // per-message CPU+launch overhead than MPI's host-driven engine.
-        let overhead = match self.policy {
-            PathPolicy::Mpi => self.cfg.send_overhead,
-            PathPolicy::NcclLike => self.cfg.nccl_send_overhead,
-        };
-        self.clock.advance(overhead);
-        {
-            use dlsr_trace::report::keys;
-            match path {
-                TransportPath::NvlinkP2p => {
-                    self.stats.nvlink_bytes += bytes;
-                    dlsr_trace::counter_add(keys::NET_IPC, 1.0);
-                }
-                TransportPath::HostStaged => {
-                    self.stats.staged_bytes += bytes;
-                    dlsr_trace::counter_add(keys::NET_STAGED, 1.0);
-                }
-                TransportPath::IbRdma => {
-                    self.stats.ib_bytes += bytes;
-                    dlsr_trace::counter_add(keys::NET_RDMA, 1.0);
-                }
-                TransportPath::IbEager => {
-                    self.stats.ib_bytes += bytes;
-                    dlsr_trace::counter_add(keys::NET_EAGER, 1.0);
-                }
-                TransportPath::DeviceLocal => {
-                    dlsr_trace::counter_add(keys::NET_LOCAL, 1.0);
-                }
-            }
-        }
+        self.clock.advance(self.send_overhead());
+        self.count_transfers(path, bytes, 1);
         #[cfg(feature = "faults")]
         let transfer = self.faulted_transfer(dst, transfer)?;
         let arrival = self.clock.now() + transfer;
@@ -615,6 +640,62 @@ impl Comm {
         Ok(arrival)
     }
 
+    /// What a message costs its sender in CPU time before it leaves. NCCL
+    /// launches a device kernel per transport step — a higher per-message
+    /// CPU+launch overhead than MPI's host-driven engine.
+    fn send_overhead(&self) -> f64 {
+        match self.policy {
+            PathPolicy::Mpi => self.cfg.send_overhead,
+            PathPolicy::NcclLike => self.cfg.nccl_send_overhead,
+        }
+    }
+
+    /// The transport counters of `n` messages of `bytes` on `path`.
+    #[inline]
+    fn count_transfers(&mut self, path: TransportPath, bytes: u64, n: u64) {
+        use dlsr_trace::report::keys;
+        let (total, key) = match path {
+            TransportPath::NvlinkP2p => (Some(&mut self.stats.nvlink_bytes), keys::NET_IPC),
+            TransportPath::HostStaged => (Some(&mut self.stats.staged_bytes), keys::NET_STAGED),
+            TransportPath::IbRdma => (Some(&mut self.stats.ib_bytes), keys::NET_RDMA),
+            TransportPath::IbEager => (Some(&mut self.stats.ib_bytes), keys::NET_EAGER),
+            TransportPath::DeviceLocal => (None, keys::NET_LOCAL),
+        };
+        if let Some(total) = total {
+            *total += bytes * n;
+        }
+        dlsr_trace::counter_add(key, n as f64);
+    }
+
+    /// What [`Comm::account_send`] would charge for `bytes` to `dst`, if
+    /// sending it does nothing for the first time: the IPC handshake with
+    /// `dst` is done, a registration lookup would hit, and no fault plan can
+    /// intervene. `None` otherwise. Side-effect free: the quote is taken
+    /// from the functions the send pays through ([`Comm::select_path`],
+    /// [`Comm::wire_time`], [`Comm::send_overhead`], the policy's
+    /// registration cache), so paying a quote ([`Comm::settle_hops`] plus
+    /// the caller's clock arithmetic) charges what the send would.
+    pub(crate) fn quote_send(&self, dst: usize, bytes: u64, buf_id: u64) -> Option<SendQuote> {
+        #[cfg(feature = "faults")]
+        if self.cfg.fault_plan.is_some() {
+            return None;
+        }
+        if dst >= self.size {
+            return None;
+        }
+        let (path, handshake) = self.select_path(dst, self.rendezvous_bytes.unwrap_or(bytes));
+        let lookup = self.cfg.transport.needs_registration(path);
+        if handshake || (lookup && !self.cache().peek(buf_id, bytes)) {
+            return None;
+        }
+        Some(SendQuote {
+            path,
+            bytes,
+            overhead: self.send_overhead(),
+            transfer: self.wire_time(dst, path, bytes),
+            lookup,
+        })
+    }
     /// The transport path of a `bytes` message to `dst` and its fault-free
     /// wire time. The protocol decision (IPC/NVLink vs host staging, eager
     /// vs rendezvous) is made for the registered parent buffer when a
@@ -632,6 +713,19 @@ impl Comm {
             return Ok((hit.path, hit.transfer));
         }
         let path = self.resolve_path(dst, self.rendezvous_bytes.unwrap_or(bytes))?;
+        let transfer = self.wire_time(dst, path, bytes);
+        self.routes[1] = self.routes[0];
+        self.routes[0] = Route {
+            key,
+            path,
+            transfer,
+        };
+        Ok((path, transfer))
+    }
+
+    /// Fault-free wire time of `bytes` to `dst` on `path`, fat-tree latency
+    /// included.
+    fn wire_time(&self, dst: usize, path: TransportPath, bytes: u64) -> f64 {
         let mut transfer = match self.policy {
             PathPolicy::Mpi => self.cfg.transport.transfer_time(path, bytes),
             PathPolicy::NcclLike => self.cfg.transport.transfer_time_nccl(path, bytes),
@@ -641,13 +735,7 @@ impl Comm {
             let dst_node = dst / self.topo.gpus_per_node;
             transfer += self.cfg.fat_tree.extra_latency(self.my_node, dst_node);
         }
-        self.routes[1] = self.routes[0];
-        self.routes[0] = Route {
-            key,
-            path,
-            transfer,
-        };
-        Ok((path, transfer))
+        transfer
     }
 
     /// Hand a finished message to the wire, charging the in-flight budget
@@ -744,14 +832,60 @@ impl Comm {
     /// the same way by the message path and the ring wave.
     #[inline]
     pub(crate) fn account_recv(&mut self, src: usize, bytes: u64, arrival: f64, recv_buf_id: u64) {
-        // Receiver-side registration: for inter-node RDMA the receive buffer
-        // must be pinned too.
-        if bytes >= self.cfg.transport.eager_threshold && !self.on_my_node(src) {
+        if self.recv_registers(src, bytes) {
             self.charge_registration(TransportPath::IbRdma, recv_buf_id, bytes);
         }
         self.clock.merge(arrival);
         self.clock.advance(self.cfg.recv_overhead);
         self.stats.recvs += 1;
+    }
+
+    /// Receiver-side registration: for inter-node RDMA the receive buffer
+    /// must be pinned too.
+    #[inline]
+    fn recv_registers(&self, src: usize, bytes: u64) -> bool {
+        bytes >= self.cfg.transport.eager_threshold && !self.on_my_node(src)
+    }
+
+    /// What [`Comm::account_recv`] would charge for `bytes` from `src`
+    /// besides the clock merge, if its registration lookup (when it makes
+    /// one) would hit; `None` otherwise. Side-effect free, like
+    /// [`Comm::quote_send`].
+    pub(crate) fn quote_recv(&self, src: usize, bytes: u64, recv_buf_id: u64) -> Option<RecvQuote> {
+        let lookup = self.recv_registers(src, bytes);
+        if lookup && !self.cache().peek(recv_buf_id, bytes) {
+            return None;
+        }
+        Some(RecvQuote {
+            overhead: self.cfg.recv_overhead,
+            lookup,
+        })
+    }
+
+    /// Settle in one call what a run of quoted hops leaves on this rank
+    /// besides its clock arithmetic, which the caller has done: `clock` is
+    /// where that arithmetic took the clock, `sends` pairs each quoted send
+    /// with how many times it ran, `recvs` counts the receives, `hits` the
+    /// registration lookups among all of them — every one a hit, by the
+    /// quotes — and `by_last_lookup` lists the keys those lookups touched,
+    /// oldest last lookup first. Equal, by construction, to paying each hop
+    /// through [`Comm::account_send`] / [`Comm::account_recv`] untraced.
+    pub(crate) fn settle_hops(
+        &mut self,
+        clock: f64,
+        sends: &[(SendQuote, u64)],
+        recvs: u64,
+        hits: u64,
+        by_last_lookup: &[(u64, u64)],
+    ) {
+        for &(quote, n) in sends.iter().filter(|(_, n)| *n > 0) {
+            self.count_transfers(quote.path, quote.bytes, n);
+            self.stats.sends += n;
+        }
+        self.stats.recvs += recvs;
+        self.cache_mut().hit_many(by_last_lookup, hits);
+        // the quoted charges are non-negative: the clock only moves forward
+        self.clock.merge(clock);
     }
 
     /// Concurrent send + receive (both directions in flight, as in ring
@@ -812,8 +946,13 @@ impl Comm {
     /// Charge the GPU reduce kernel for combining `elems` f32 elements
     /// (read two operands + write one ⇒ 12 bytes per element).
     pub fn charge_reduce(&mut self, elems: usize) {
-        let t = (elems as f64 * 12.0) / self.cfg.reduce_bandwidth;
-        self.clock.advance(t);
+        self.clock.advance(self.reduce_time(elems));
+    }
+
+    /// What [`Comm::charge_reduce`] charges for `elems` elements.
+    #[inline]
+    pub(crate) fn reduce_time(&self, elems: usize) -> f64 {
+        (elems as f64 * 12.0) / self.cfg.reduce_bandwidth
     }
 
     /// Fresh collective sequence number (all ranks call collectives in the

@@ -21,9 +21,12 @@
 //! message path calls (`Comm::account_send` / `Comm::account_recv`), in
 //! each rank's own operation order — one more topological order of the
 //! same dataflow graph, so clocks, statistics, registration caches and
-//! trace spans come out as the messages would have left them. Nothing is
-//! in flight during a wave, so it charges no `FlightBudget`: the budget
-//! bounds host bytes held in mailboxes, and a wave holds none.
+//! trace spans come out as the messages would have left them. An untraced
+//! wave whose hops do nothing for the first time pays the same charges in
+//! closed form, from quotes those functions' helpers give, over a clock
+//! array the engine keeps beside its routing scratch. Nothing is in flight
+//! during a wave, so it charges no `FlightBudget`: the budget bounds host
+//! bytes held in mailboxes, and a wave holds none.
 //!
 //! Tracing is ambient: with a `dlsr_trace::TraceSink` in scope on the
 //! calling thread, whatever the engine runs for rank `r` — a segment, a
@@ -45,7 +48,7 @@ use dlsr_gpu::IpcRegistry;
 use dlsr_net::ClusterTopology;
 use dlsr_trace::TraceEvent;
 
-use crate::collectives::tasks::RingWave;
+use crate::collectives::tasks::{RingWave, WaveScratch};
 use crate::comm::{Comm, Wire};
 use crate::config::MpiConfig;
 use crate::executor::budget::FlightBudget;
@@ -256,6 +259,9 @@ where
     // circulate instead of being freed, so steady-state routing never
     // touches the allocator.
     let mut outbox: Vec<(usize, crate::message::Message)> = Vec::new();
+    // The ring wave's closed-form scratch, reused by every wave for the
+    // same reason.
+    let mut wave_scratch = WaveScratch::default();
 
     while let Some(r) = runnable.pop() {
         let _lane = lanes.as_ref().map(|l| l[r].enter());
@@ -283,7 +289,7 @@ where
                         wave = Some(ring);
                         wave_ranks.push(r);
                         if wave_ranks.len() == ring.participants() {
-                            ring.run(&mut comms, lanes.as_deref());
+                            ring.run(&mut comms, lanes.as_deref(), &mut wave_scratch);
                             wave = None;
                             runnable.append(&mut wave_ranks);
                         }

@@ -23,7 +23,8 @@
 //!   single-threaded virtual-time event loop; this is the core that takes
 //!   worlds to 512–4096 ranks. Costs-only ring allreduces park on a
 //!   rendezvous ([`Poll::Wave`]) and are evaluated as one wave over the
-//!   communicators instead of being routed hop by hop.
+//!   communicators instead of being routed hop by hop — in closed form
+//!   when the wave is steady, cell by cell otherwise.
 //!
 //! Neither is selected by configuration: the caller's entry point is the
 //! choice, and the two are pinned bitwise-equal — clocks, `CommStats`,

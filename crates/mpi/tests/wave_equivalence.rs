@@ -1,15 +1,18 @@
 //! The ring wave against its reference, over the configuration space.
 //!
 //! On the driven engine a costs-only ring allreduce is evaluated as one
-//! wave (`RingWave::run`); on the context core the same `RingSm` exchanges
-//! one message per hop. Both pay through `Comm::account_send` /
-//! `Comm::account_recv`, so every rank must end with the same clock bits,
-//! the same `CommStats` and the same `RegCacheStats` whatever the world
-//! shape, element count, algorithm, wire format, registration-cache state,
-//! path policy or per-rank arrival skew — drawn here rather than
-//! hand-picked. `--features faults` adds the `Lossy` and `DegradedLink`
-//! plans (retry, backoff and degraded-link charges are part of the send
-//! accounting, so they must agree too).
+//! wave (`RingWave::run`): in closed form when the wave is steady (nothing
+//! in it happens for the first time), else cell by cell through
+//! `Comm::account_send` / `Comm::account_recv`. On the context core the
+//! same `RingSm` exchanges one message per hop through those two functions.
+//! Every rank must end with the same clock bits, the same `CommStats` and
+//! the same `RegCacheStats` whatever the world shape, element count,
+//! algorithm, wire format, registration-cache state, path policy or
+//! per-rank arrival skew — drawn here rather than hand-picked; which waves
+//! run in closed form follows from the draw. `--features faults` adds the
+//! `Lossy` and `DegradedLink` plans (retry, backoff and degraded-link
+//! charges are part of the send accounting, so they must agree too; a
+//! fault plan keeps every wave per cell).
 
 use proptest::prelude::*;
 
@@ -20,9 +23,14 @@ use dlsr_mpi::{
 };
 use dlsr_net::{ClusterTopology, RegCacheStats};
 
-/// Allreduces per run: cold caches, warm caches, then another buffer of
-/// another length (new registrations, new memoised routes).
-const ROUNDS: usize = 3;
+/// Allreduces per run: cold caches; warm caches (a steady wave on the
+/// driven engine, unless the cache is off or too small); another buffer one
+/// element shorter (new registrations, new memoised routes); the first
+/// buffer again. With the cache sized to hold exactly the first buffer's
+/// two chunk registrations, the third round's registration evicts the
+/// first buffer's least recently used length, so the last round's hits and
+/// evictions depend on the recency order the warm round left.
+const ROUNDS: usize = 4;
 
 #[derive(Debug, Clone, Copy)]
 struct Case {
@@ -63,9 +71,12 @@ impl RankProgram for Prog {
         }
         comm.advance(skew(skew_seed, comm.rank(), self.round));
         comm.set_path_policy(policy);
-        let last = self.round + 1 == ROUNDS;
+        let (elems, buf_id) = if self.round == 2 {
+            (elems.saturating_sub(1), 2)
+        } else {
+            (elems, 1)
+        };
         self.round += 1;
-        let (elems, buf_id) = if last { (elems + 1, 2) } else { (elems, 1) };
         Step::Task(AllreduceElemsTask::new_wire(elems, buf_id, algo, wire).into())
     }
 
@@ -149,23 +160,30 @@ fn draw(
         topo.total_gpus()
     };
     let elems = [0, p - 1, p * 4099 + 1, p * 8192][elems_pick];
+    let wire = if bf16 {
+        WireFormat::Bf16
+    } else {
+        WireFormat::F32
+    };
     let cfg = MpiConfig::mpi_opt().to_builder();
     let cfg = match cache_pick {
         0 => cfg.registration_cache(false),
         1 => cfg.registration_cache(true),
         // room for one ≥ 16 KiB chunk, not for both lengths: every other
         // lookup evicts
-        _ => cfg.registration_cache(true).reg_cache_capacity(20 << 10),
+        2 => cfg.registration_cache(true).reg_cache_capacity(20 << 10),
+        // exactly the first buffer's two chunk lengths
+        _ => {
+            let q = elems / p;
+            let both = wire.wire_bytes(q) + wire.wire_bytes(q + 1);
+            cfg.registration_cache(true).reg_cache_capacity(both)
+        }
     }
     .build();
     let case = Case {
         algo,
         elems,
-        wire: if bf16 {
-            WireFormat::Bf16
-        } else {
-            WireFormat::F32
-        },
+        wire,
         policy: if nccl {
             PathPolicy::NcclLike
         } else {
@@ -187,7 +205,7 @@ proptest! {
         elems_pick in 0usize..4,
         algo_pick in 0usize..3,
         bf16 in proptest::bool::ANY,
-        cache_pick in 0usize..3,
+        cache_pick in 0usize..4,
         nccl in proptest::bool::ANY,
         skew_seed in 0u64..u64::MAX,
     ) {
@@ -221,6 +239,19 @@ fn a_small_registration_cache_evicts_on_both_cores() {
         let (_, stats, reg) = &ranks[0];
         assert!(reg.evictions > 0 && reg.hits > 0, "{reg:?}");
         assert_eq!(stats.pin_count, reg.misses, "every miss pins");
+    }
+}
+
+/// The exact-fit draw must reach the case it exists for, on a leader ring
+/// and on a flat one: the shorter buffer evicts one of the first buffer's
+/// lengths, and the last round evicts again to bring it back.
+#[test]
+fn an_exact_fit_cache_evicts_by_the_warm_rounds_recency() {
+    for (nodes, gpn_pick, algo_pick) in [(5, 2, 1), (3, 1, 0)] {
+        let (topo, cfg, case) = draw(nodes, gpn_pick, 2, algo_pick, false, 3, false, 5);
+        let ranks = assert_cores_agree(&topo, &cfg, case).unwrap_or_else(|e| panic!("{e:?}"));
+        let (_, _, reg) = &ranks[0];
+        assert!(reg.evictions >= 2 && reg.hits > 0, "{case:?}: {reg:?}");
     }
 }
 

@@ -149,6 +149,46 @@ impl RegistrationCache {
         false
     }
 
+    /// Whether a [`RegistrationCache::lookup`] of `(buffer_id, bytes)` would
+    /// hit now. Side-effect free: counts nothing, moves nothing.
+    pub fn peek(&self, buffer_id: u64, bytes: u64) -> bool {
+        self.find((buffer_id, bytes)).is_some()
+    }
+
+    /// Leave the cache as `hits` lookups that all hit would have, when the
+    /// registered keys they touched are `keys`, listed by their last lookup,
+    /// oldest first: the hit count grows by `hits`, and since a hit moves its
+    /// entry to the front, `keys` end up at the front with the last one
+    /// first. Panics if a key is not registered — its lookup would have
+    /// missed.
+    pub fn hit_many(&mut self, keys: &[(u64, u64)], hits: u64) {
+        debug_assert!(
+            keys.len() as u64 <= hits,
+            "{} keys touched by {hits} hits",
+            keys.len()
+        );
+        if hits == 0 {
+            return;
+        }
+        for &key in keys {
+            let slot = self
+                .find(key)
+                .unwrap_or_else(|| panic!("hit_many: {key:?} is not registered"));
+            if slot != self.head {
+                self.unlink(slot);
+                self.link_front(slot);
+            }
+        }
+        self.stats.hits += hits;
+        dlsr_trace::counter_add(dlsr_trace::report::keys::REGCACHE_HITS, hits as f64);
+    }
+
+    /// The registered keys `(buffer identity, length)`, most recently used
+    /// first — the order evictions take them in, reversed.
+    pub fn recency(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        std::iter::successors(self.slots.get(self.head), |s| self.slots.get(s.next)).map(|s| s.key)
+    }
+
     /// Invalidate a buffer's registration (e.g. the allocator returned the
     /// memory — the TensorFlow conflict that historically forced the cache
     /// off, see §III-D).
@@ -274,6 +314,55 @@ mod tests {
             "entry larger than capacity never caches"
         );
         assert_eq!(c.used_bytes(), 0);
+    }
+
+    /// `peek` changes nothing, and `hit_many` leaves the cache exactly as the
+    /// lookups it stands for: statistics, recency and the next eviction.
+    #[test]
+    fn bulk_hits_equal_the_lookups_they_stand_for() {
+        let fill = || {
+            let mut c = RegistrationCache::new(4000);
+            for id in 1..=4 {
+                c.lookup(id, 1000);
+            }
+            c
+        };
+        let (mut one_by_one, mut bulk) = (fill(), fill());
+        let before: Vec<_> = bulk.recency().collect();
+        assert_eq!(before, [(4, 1000), (3, 1000), (2, 1000), (1, 1000)]);
+        assert!(bulk.peek(2, 1000) && !bulk.peek(2, 999) && !bulk.peek(5, 1000));
+        assert_eq!(
+            bulk.recency().collect::<Vec<_>>(),
+            before,
+            "peek moved an entry"
+        );
+        assert_eq!(bulk.stats(), one_by_one.stats(), "peek counted a lookup");
+
+        // lookups of 1, 2, 1, 1, 2, 1: last touched 2 then 1
+        for id in [1, 2, 1, 1, 2, 1] {
+            assert!(one_by_one.lookup(id, 1000));
+        }
+        bulk.hit_many(&[(2, 1000), (1, 1000)], 6);
+        assert_eq!(bulk.stats(), one_by_one.stats());
+        assert_eq!(
+            bulk.recency().collect::<Vec<_>>(),
+            one_by_one.recency().collect::<Vec<_>>()
+        );
+        // and so the next registration evicts the same entry
+        assert!(!bulk.lookup(5, 1000) && !one_by_one.lookup(5, 1000));
+        assert!(!bulk.peek(3, 1000) && bulk.peek(4, 1000));
+        assert_eq!(
+            bulk.recency().collect::<Vec<_>>(),
+            one_by_one.recency().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "is not registered")]
+    fn a_bulk_hit_on_a_missing_key_panics() {
+        let mut c = RegistrationCache::new(1 << 20);
+        c.lookup(1, 8);
+        c.hit_many(&[(2, 8)], 1);
     }
 
     #[test]

@@ -63,6 +63,11 @@ pub mod keys {
     /// ring or recursive doubling, one per sub-chunk of the first block on
     /// the pipelined ring.
     pub const WIRE_ENCODES: &str = "mpi.wire_encodes";
+    /// Ring-wave cells the driven engine evaluated (a cell is one hop of a
+    /// costs-only ring: a send, its receive and the reduce charge): `2·p·(p−1)`
+    /// per wave over `p` participants, whether the wave ran cell by cell or
+    /// in closed form — the simulator's own host-cost unit.
+    pub const WAVE_CELLS: &str = "mpi.wave_cells";
     /// Synthetic images a `Div2kSynthetic` rendered (HR + its LR). Each
     /// image is rendered on its first draw and kept, so a run renders at
     /// most one per image of each dataset it builds.
