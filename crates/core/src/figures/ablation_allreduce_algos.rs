@@ -7,15 +7,21 @@
 use std::io::{self, Write};
 
 use super::{json, Outputs, Sweeps};
-use crate::mpi::collectives::synthetic;
+use crate::mpi::CollectiveBuf;
 use crate::prelude::*;
 
 fn time_allreduce(topo: &ClusterTopology, elems: usize, algo: AllreduceAlgorithm) -> f64 {
     MpiWorld::run(topo, MpiConfig::mpi_opt(), move |c| {
+        let costs_only = || {
+            Allreduce::new(CollectiveBuf::costs_only(elems))
+                .buf_id(1)
+                .algo(algo)
+                .wire(WireFormat::F32)
+        };
         // warm up registrations, then measure a steady-state reduction
-        synthetic::allreduce_elems(c, elems, 1, algo);
+        costs_only().run(c);
         let t0 = c.now();
-        synthetic::allreduce_elems(c, elems, 1, algo);
+        costs_only().run(c);
         c.now() - t0
     })
     .clocks

@@ -3,8 +3,8 @@
 
 use dlsr_attr as dlsr;
 use dlsr_hvprof::{Collective, Hvprof};
-use dlsr_mpi::collectives::{bcast, synthetic, wire, Allreduce, AllreduceAlgorithm, ReduceOp};
-use dlsr_mpi::{Comm, CommChoice, PathPolicy, WireFormat};
+use dlsr_mpi::collectives::{bcast, wire, Allreduce, AllreduceAlgorithm, ReduceOp};
+use dlsr_mpi::{CollectiveBuf, Comm, CommChoice, PathPolicy, WireFormat};
 use dlsr_nccl::Nccl;
 use dlsr_nn::module::{Module, ModuleExt};
 use dlsr_nn::optim::Optimizer;
@@ -620,7 +620,8 @@ impl<O: Optimizer> DistributedOptimizer<O> {
 
 /// Costs-only gradient synchronization for the at-scale harnesses: same
 /// negotiation, fusion plan, cycle and allreduce schedule as
-/// [`DistributedOptimizer::step`], but payloads are synthetic.
+/// [`DistributedOptimizer::step`], over costs-only buffers
+/// ([`CollectiveBuf::costs_only`]).
 pub struct GradientSynchronizer {
     cfg: HorovodConfig,
     groups: Vec<FusionGroup>,
@@ -681,11 +682,19 @@ impl GradientSynchronizer {
                     // configured default algorithm is kept (the at-scale
                     // harnesses sweep algorithms through `MpiConfig`).
                     let wf = comm.config().tuning.select_wire(group.bytes);
-                    synthetic::allreduce_elems_wire(comm, group.elems, buf_id, algo, wf);
+                    Allreduce::new(CollectiveBuf::costs_only(group.elems))
+                        .buf_id(buf_id)
+                        .algo(algo)
+                        .wire(wf)
+                        .run(comm);
                 }
                 Backend::Nccl => {
                     comm.set_path_policy(PathPolicy::NcclLike);
-                    synthetic::allreduce_elems(comm, group.elems, buf_id, AllreduceAlgorithm::Ring);
+                    Allreduce::new(CollectiveBuf::costs_only(group.elems))
+                        .buf_id(buf_id)
+                        .algo(AllreduceAlgorithm::Ring)
+                        .wire(WireFormat::F32)
+                        .run(comm);
                     comm.set_path_policy(PathPolicy::Mpi);
                 }
             }

@@ -1,7 +1,8 @@
 //~ crate: mpi
 //~ expect: collective-order
 //! Seeded fixture: a `RankProgram` whose step fn is statically
-//! rank-divergent. Even ranks allreduce while odd ranks barrier — the
+//! rank-divergent. Even ranks allreduce (the `Allreduce::new` request
+//! builder, a path-qualified entry point) while odd ranks barrier — the
 //! protocol skeletons of the two arms differ, so some rank blocks forever
 //! waiting for a partner that went elsewhere. The rank-bounded loop below
 //! desynchronizes the same way: ranks issue different collective counts.
@@ -13,7 +14,7 @@ struct HalfAndHalf {
 impl RankProgram for HalfAndHalf {
     fn next(&mut self, rank: usize) {
         if rank % 2 == 0 {
-            allreduce(rank);
+            Allreduce::new(rank);
         } else {
             barrier(rank);
         }
@@ -23,5 +24,10 @@ impl RankProgram for HalfAndHalf {
     }
 }
 
-fn allreduce(_rank: usize) {}
+struct Allreduce;
+
+impl Allreduce {
+    fn new(_rank: usize) {}
+}
+
 fn barrier(_rank: usize) {}

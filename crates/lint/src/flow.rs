@@ -40,28 +40,36 @@
 
 use crate::callgraph::{FnDef, Graph};
 use crate::lexer::{Lexed, Tok, TokKind};
-use crate::parser::{Block, Stmt};
+use crate::parser::{Block, Call, Stmt};
 use crate::rules::{
     Finding, WaiverTable, HOT_BANNED_IDENTS, HOT_BANNED_MACROS, HOT_BANNED_PATHS, RULE_HOT_ALLOC,
     RULE_ORDER, RULE_TAINT, RULE_WALL_CLOCK,
 };
 
-/// Workspace collective entry points, as callable names. A call to any of
+/// Workspace collective entry points: callable names, or `Type::name` for
+/// the allreduce request builder, whose `Allreduce::new(buf)` starts one
+/// collective whether the buffer is real or costs-only. A call to any of
 /// these is a protocol event for the `collective-order` rule.
 pub const COLLECTIVE_FNS: &[&str] = &[
+    "Allreduce::new",
     "allgather",
-    "allreduce",
-    "allreduce_elems",
     "barrier",
     "bcast",
-    "bcast_elems",
     "broadcast_parameters",
     "negotiate",
     "negotiate_with_cost",
 ];
 
-fn is_collective(name: &str) -> bool {
-    COLLECTIVE_FNS.binary_search(&name).is_ok()
+/// The entry point call `c` makes, if it is one: matched by name, and by
+/// the path's last two segments for a `Type::name` entry.
+fn collective(c: &Call) -> Option<&'static str> {
+    COLLECTIVE_FNS
+        .iter()
+        .copied()
+        .find(|f| match f.split_once("::") {
+            Some((ty, name)) => c.qualifier.as_deref() == Some(ty) && c.name == name,
+            None => c.name == *f,
+        })
 }
 
 /// One rendered per-rank collective protocol, for `--json` output.
@@ -73,7 +81,7 @@ pub struct Protocol {
     pub path: String,
     /// Line of the root fn.
     pub line: usize,
-    /// Rendered skeleton, e.g. `[negotiate, loop{allreduce_elems}]`.
+    /// Rendered skeleton, e.g. `[negotiate, loop{Allreduce::new}]`.
     pub skeleton: String,
 }
 
@@ -370,7 +378,7 @@ fn rule_collective_order(
         if let Some(body) = &d.body {
             crate::parser::walk_stmts(body, &mut |s| {
                 if let Stmt::Call(c) = s {
-                    if is_collective(&c.name) {
+                    if collective(c).is_some() {
                         has_coll[i] = true;
                     }
                 }
@@ -433,8 +441,8 @@ fn build_skels(
     for s in &block.stmts {
         match s {
             Stmt::Call(c) => {
-                if is_collective(&c.name) {
-                    out.push(Skel::Coll(c.name.clone()));
+                if let Some(name) = collective(c) {
+                    out.push(Skel::Coll(name.to_string()));
                 } else {
                     // Match the stmt back to its resolved edge(s) by line
                     // AND callee name — two different calls can share a
@@ -779,21 +787,23 @@ mod tests {
             struct P;
             impl RankProgram for P {
                 fn next(&mut self, rank: usize) {
-                    if rank % 2 == 0 { allreduce(); } else { barrier(); }
+                    if rank % 2 == 0 { Allreduce::new(); } else { barrier(); }
                 }
             }
-            fn allreduce() {}
             fn barrier() {}
             ",
         )]);
         assert!(rules_of(&f).contains(&RULE_ORDER), "{f:?}");
         assert!(
-            f[0].msg.contains("[allreduce] vs [barrier]"),
+            f[0].msg.contains("[Allreduce::new] vs [barrier]"),
             "{}",
             f[0].msg
         );
         assert_eq!(protocols.len(), 1);
-        assert!(protocols[0].skeleton.contains("allreduce"), "{protocols:?}");
+        assert!(
+            protocols[0].skeleton.contains("Allreduce::new"),
+            "{protocols:?}"
+        );
     }
 
     #[test]
@@ -806,18 +816,17 @@ mod tests {
             impl RankProgram for P {
                 fn next(&mut self, rank: usize) {
                     negotiate();
-                    for step in 0..4 { allreduce(); }
+                    for step in 0..4 { Allreduce::new(); }
                     if rank == 0 { log_local(); } else { log_local(); }
                 }
             }
             fn negotiate() {}
-            fn allreduce() {}
             fn log_local() {}
             ",
         )]);
         assert!(f.is_empty(), "{f:?}");
         assert_eq!(protocols.len(), 1);
-        assert_eq!(protocols[0].skeleton, "[negotiate, loop{allreduce}]");
+        assert_eq!(protocols[0].skeleton, "[negotiate, loop{Allreduce::new}]");
     }
 
     #[test]
@@ -846,9 +855,8 @@ mod tests {
             pub fn drive(rank: usize) {
                 if rank == 0 { path_a(); } else { path_b(); }
             }
-            fn path_a() { allreduce(); }
+            fn path_a() { Allreduce::new(); }
             fn path_b() { barrier(); }
-            fn allreduce() {}
             fn barrier() {}
             ",
         )]);

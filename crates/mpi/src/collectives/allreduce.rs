@@ -17,21 +17,26 @@
 //!   and only one sub-chunk reduction per step stays exposed. Bitwise
 //!   identical to **Ring** (same per-element combine order).
 //!
-//! Entry point is the [`Allreduce`] request builder: buffer in, then
-//! `.op(..)`, `.algo(..)`, `.wire(..)`, `.group(..)` as needed, then
-//! `.run(comm)`. Unset algorithm/wire fall back to the size-binned
-//! selection ([`crate::MpiConfig::select_comm`]), mirroring the paper's
-//! message-size tuning. [`WireFormat`]s other than f32 compress what goes
-//! on the wire while keeping accumulation in f32; each algorithm
-//! re-quantizes at a single, documented point so every rank still lands on
-//! bit-identical results (`docs/WIRE.md`).
+//! Entry point is the [`Allreduce`] request builder: a buffer — real `f32`
+//! data, or a costs-only element count ([`CollectiveBuf::costs_only`]) —
+//! then `.op(..)`, `.algo(..)`, `.wire(..)`, `.group(..)` as needed, then
+//! `.run(comm)` to reduce in place, or `.task(comm)` for the [`Task`] a
+//! [`RankProgram`](crate::RankProgram) yields. Unset algorithm/wire fall
+//! back to the size-binned selection ([`crate::MpiConfig::select_comm`]),
+//! mirroring the paper's message-size tuning. [`WireFormat`]s other than
+//! f32 compress what goes on the wire while keeping accumulation in f32;
+//! each algorithm re-quantizes at a single, documented point so every rank
+//! still lands on bit-identical results (`docs/WIRE.md`). Each schedule
+//! exists once, as a state machine in [`super::tasks`] that both kinds of
+//! buffer run; this module resolves a request into that task.
 
 use crate::comm::Comm;
 use crate::config::CommChoice;
-use crate::message::Payload;
+use crate::executor::{drive_task, Task};
 
-use super::wire::{self, WireFormat};
-use super::{chunk_range, coll_tag, ReduceOp};
+use super::tasks::{AllreduceTask, CostsOnly, RealData};
+use super::wire::WireFormat;
+use super::ReduceOp;
 
 /// Allreduce algorithm selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,16 +100,38 @@ impl std::str::FromStr for AllreduceAlgorithm {
 /// A typed view of a collective's data buffer: the collective layer asks
 /// it for element count, dtype and byte size instead of hardwiring
 /// `len * 4` everywhere. f32 is the only gradient dtype today; the struct
-/// is the seam where further dtypes land.
+/// is the seam where further dtypes land. The buffer is real data, reduced
+/// in place, or costs-only ([`CollectiveBuf::costs_only`]).
 #[derive(Debug)]
 pub struct CollectiveBuf<'a> {
-    data: &'a mut Vec<f32>,
+    data: Data<'a>,
+}
+
+#[derive(Debug)]
+enum Data<'a> {
+    Real(&'a mut Vec<f32>),
+    CostsOnly(usize),
 }
 
 impl CollectiveBuf<'_> {
+    /// A costs-only buffer of `elems` f32 elements: the allreduce runs the
+    /// schedule a real buffer of that length runs — message sizes, paths,
+    /// registrations, reduce charges, so every clock and statistic — and
+    /// moves no data. What the at-scale harnesses reduce: 512 simulated
+    /// ranks × tens of MB of gradients would exhaust host memory without
+    /// changing any timing.
+    pub fn costs_only(elems: usize) -> CollectiveBuf<'static> {
+        CollectiveBuf {
+            data: Data::CostsOnly(elems),
+        }
+    }
+
     /// Element count.
     pub fn elems(&self) -> usize {
-        self.data.len()
+        match &self.data {
+            Data::Real(data) => data.len(),
+            Data::CostsOnly(elems) => *elems,
+        }
     }
 
     /// Element dtype, as recorded in verify signatures.
@@ -121,7 +148,9 @@ impl CollectiveBuf<'_> {
 
 impl<'a> From<&'a mut Vec<f32>> for CollectiveBuf<'a> {
     fn from(data: &'a mut Vec<f32>) -> Self {
-        CollectiveBuf { data }
+        CollectiveBuf {
+            data: Data::Real(data),
+        }
     }
 }
 
@@ -210,14 +239,40 @@ impl<'a> Allreduce<'a> {
         self
     }
 
-    /// Execute the allreduce in place; returns the resolved
-    /// algorithm + wire pair.
+    /// Execute the allreduce — in place on a real buffer; returns the
+    /// resolved algorithm + wire pair.
     ///
     /// # Panics
     ///
     /// Top-k wire compression is defined for [`ReduceOp::Sum`] only
     /// (error feedback has no meaning under Max/Min).
     pub fn run(self, comm: &mut Comm) -> CommChoice {
+        let (choice, mut task, home) = self.resolve(comm);
+        drive_task(comm, &mut task);
+        if let Some(home) = home {
+            *home = task
+                .into_buf()
+                .expect("a real allreduce hands its buffer back");
+        }
+        choice
+    }
+
+    /// The allreduce as a [`Task`] for a [`RankProgram`](crate::RankProgram)
+    /// to yield. A real buffer moves into the task, leaving the caller's
+    /// `Vec` empty, and comes back reduced through
+    /// [`RankProgram::task_done`](crate::RankProgram::task_done)
+    /// ([`Task::into_buf`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`Allreduce::run`].
+    pub fn task(self, comm: &Comm) -> Task {
+        self.resolve(comm).1
+    }
+
+    /// Resolve the algorithm and wire format and build the task; a real
+    /// buffer's `Vec` comes back beside it, to take the result.
+    fn resolve(self, comm: &Comm) -> (CommChoice, Task, Option<&'a mut Vec<f32>>) {
         let auto = comm
             .config()
             .select_comm(self.buf.dense_bytes(), comm.topology().nodes);
@@ -232,545 +287,35 @@ impl<'a> Allreduce<'a> {
                 "top-k wire compression only supports ReduceOp::Sum"
             );
         }
-        allreduce_grouped(
-            comm,
-            self.buf.data,
-            self.buf_id,
-            choice.algo,
-            self.op,
-            self.group,
-            choice.wire,
-        );
-        choice
-    }
-}
-
-fn allreduce_grouped(
-    comm: &mut Comm,
-    buf: &mut Vec<f32>,
-    buf_id: u64,
-    algo: AllreduceAlgorithm,
-    op: ReduceOp,
-    group: Option<usize>,
-    wf: WireFormat,
-) {
-    if comm.size() == 1 {
-        return;
-    }
-    // The wire format rides the signature's dtype slot: format skew
-    // between ranks must surface as a CollectiveMismatch at the
-    // rendezvous, never as a hang or a payload decode panic mid-schedule.
-    comm.verify_coll(
-        "allreduce",
-        op.label(),
-        wf.dtype_name(),
-        buf.len(),
-        algo.label(),
-        group,
-        0,
-    );
-    let bytes = buf.len() * 4;
-    {
-        use dlsr_trace::report::keys;
-        dlsr_trace::counter_add(keys::WIRE_DENSE_BYTES, bytes as f64);
-        dlsr_trace::counter_add(keys::WIRE_BYTES, wf.wire_bytes(buf.len()) as f64);
-    }
-    let t0 = comm.now();
-    if let WireFormat::TopK { k_permille } = wf {
-        let seq = comm.next_seq();
-        topk_allreduce(comm, buf, buf_id, seq, k_permille);
-    } else {
-        match algo {
-            AllreduceAlgorithm::Ring => {
-                let seq = comm.next_seq();
-                let participants: Vec<usize> = (0..comm.size()).collect();
-                ring_allreduce(comm, buf, &participants, buf_id, seq, op, wf);
+        let (elems, buf_id, op, group) = (self.buf.elems(), self.buf_id, self.op, self.group);
+        match self.buf.data {
+            Data::Real(data) => {
+                let kind = RealData::new(std::mem::take(data), op);
+                let task = AllreduceTask::with_kind(kind, elems, buf_id, op, choice, group);
+                (choice, task.into(), Some(data))
             }
-            AllreduceAlgorithm::RecursiveDoubling => {
-                if comm.size().is_power_of_two() {
-                    recursive_doubling(comm, buf, buf_id, op, wf);
-                } else {
-                    let seq = comm.next_seq();
-                    let participants: Vec<usize> = (0..comm.size()).collect();
-                    ring_allreduce(comm, buf, &participants, buf_id, seq, op, wf);
-                }
+            Data::CostsOnly(_) => {
+                let task = AllreduceTask::with_kind(CostsOnly, elems, buf_id, op, choice, group);
+                (choice, task.into(), None)
             }
-            AllreduceAlgorithm::TwoLevel => two_level(comm, buf, buf_id, op, group, wf),
-            AllreduceAlgorithm::PipelinedRing => {
-                let seq = comm.next_seq();
-                let participants: Vec<usize> = (0..comm.size()).collect();
-                let chunk_elems = (comm.config().tuning.pipeline_chunk as usize / 4).max(1);
-                pipelined_ring_allreduce(
-                    comm,
-                    buf,
-                    &participants,
-                    buf_id,
-                    seq,
-                    op,
-                    chunk_elems,
-                    group,
-                    wf,
-                );
-            }
-        }
-    }
-    dlsr_trace::record_span(
-        || {
-            let name = if let WireFormat::TopK { .. } = wf {
-                "topk".to_string()
-            } else if wf.is_f32() {
-                format!("{algo:?}")
-            } else {
-                format!("{algo:?}+{wf}")
-            };
-            match group {
-                Some(g) => format!("allreduce.{name}[g{g}] {bytes}B"),
-                None => format!("allreduce.{name} {bytes}B"),
-            }
-        },
-        dlsr_trace::cat::MPI,
-        t0,
-        comm.now(),
-    );
-    dlsr_trace::counter_add(dlsr_trace::report::keys::MPI_COLLECTIVES, 1.0);
-}
-
-/// Ring allreduce over an ordered participant subset (every participant
-/// calls this with the same list). Non-participants must not call.
-///
-/// Wire compression: each reduce-scatter hop encodes the partial sum for
-/// the wire and the receiver accumulates the decoded values in f32. After
-/// reduce-scatter, the owner **re-quantizes its fully reduced block once**
-/// — the allgather then circulates already-quantized values, whose
-/// re-encode is lossless, so every rank finishes with bit-identical
-/// buffers (see `docs/WIRE.md`).
-///
-/// Forwarding: the block a step receives is the block the next step sends
-/// (across the phase boundary too), so only the first send is encoded;
-/// every later message is the payload just received, folded in place by
-/// [`wire::combine_forward`] or read out by [`wire::copy_out`]. Its bits
-/// are the re-encode's: `enc(dec(enc(v))) == enc(v)`, which also covers
-/// the owner's first allgather send past its re-quantization point.
-fn ring_allreduce(
-    comm: &mut Comm,
-    buf: &mut [f32],
-    participants: &[usize],
-    buf_id: u64,
-    seq: u64,
-    op: ReduceOp,
-    wf: WireFormat,
-) {
-    let p = participants.len();
-    if p <= 1 {
-        return;
-    }
-    let me = participants
-        .iter()
-        .position(|&r| r == comm.rank())
-        .expect("caller participates in the ring");
-    let right = participants[(me + 1) % p];
-    let left = participants[(me + p - 1) % p];
-    let len = buf.len();
-    let mut payload = wf.encode(&buf[chunk_range(len, p, me)]);
-
-    // reduce-scatter: after p-1 steps, participant i owns the fully reduced
-    // chunk (i+1) mod p
-    for step in 0..p - 1 {
-        let recv_chunk = (me + p - step - 1) % p;
-        let incoming = comm.sendrecv(
-            right,
-            coll_tag(seq, step as u64),
-            payload,
-            buf_id,
-            left,
-            coll_tag(seq, step as u64),
-            buf_id,
-        );
-        let r = chunk_range(len, p, recv_chunk);
-        comm.charge_reduce(r.len());
-        payload = wire::combine_forward(incoming, &mut buf[r], op, false);
-    }
-
-    // the owner's re-quantization point (see doc comment): the last step
-    // left `enc(v)` in `payload`, and decoding it is `Q(v)`
-    if !wf.is_f32() {
-        wire::copy_out(&payload, &mut buf[chunk_range(len, p, (me + 1) % p)]);
-    }
-
-    // allgather: circulate reduced chunks
-    for step in 0..p - 1 {
-        let recv_chunk = (me + p - step) % p;
-        payload = comm.sendrecv(
-            right,
-            coll_tag(seq, (p + step) as u64),
-            payload,
-            buf_id,
-            left,
-            coll_tag(seq, (p + step) as u64),
-            buf_id,
-        );
-        wire::copy_out(&payload, &mut buf[chunk_range(len, p, recv_chunk)]);
-    }
-}
-
-/// Number of `chunk_elems`-sized sub-chunks covering a block of `len`
-/// elements (0 for an empty block).
-fn sub_count(len: usize, chunk_elems: usize) -> usize {
-    len.div_ceil(chunk_elems)
-}
-
-/// The `i`-th sub-chunk of `block`.
-fn sub_range(
-    block: &std::ops::Range<usize>,
-    chunk_elems: usize,
-    i: usize,
-) -> std::ops::Range<usize> {
-    let start = block.start + i * chunk_elems;
-    let end = (start + chunk_elems).min(block.end);
-    start..end
-}
-
-/// Tag-step encoding for pipelined ring traffic: phase step in the high
-/// bits, sub-chunk index in the low 20.
-fn pipeline_tag_step(phase_step: usize, chunk: usize) -> u64 {
-    debug_assert!(chunk < (1 << 20));
-    ((phase_step as u64) << 20) | chunk as u64
-}
-
-/// Chunked, pipelined ring allreduce: the exact ring schedule, but each
-/// block moves as `chunk_elems`-sized sub-chunks over `isend`/`irecv` +
-/// `wait`. The combine of sub-chunk *i* runs while the neighbour is already
-/// transmitting sub-chunk *i+1*, so per ring step only one sub-chunk
-/// reduction is on the virtual-clock critical path instead of the whole
-/// block's.
-///
-/// Per-element combine order is identical to [`ring_allreduce`] —
-/// sub-chunking only splits *which slice* a combine covers, never the rank
-/// order in which a given element accumulates — and wire encode/decode and
-/// the post-reduce-scatter re-quantization point are elementwise, so
-/// results are bitwise equal to the plain ring for every `ReduceOp` and
-/// every `WireFormat`. Sub-chunks are forwarded like the plain ring's
-/// blocks: the first step encodes its block's sub-chunks, every later step
-/// sends the ones the previous step received.
-#[allow(clippy::too_many_arguments)]
-fn pipelined_ring_allreduce(
-    comm: &mut Comm,
-    buf: &mut [f32],
-    participants: &[usize],
-    buf_id: u64,
-    seq: u64,
-    op: ReduceOp,
-    chunk_elems: usize,
-    group: Option<usize>,
-    wf: WireFormat,
-) {
-    let p = participants.len();
-    if p <= 1 {
-        return;
-    }
-    let me = participants
-        .iter()
-        .position(|&r| r == comm.rank())
-        .expect("caller participates in the ring");
-    let right = participants[(me + 1) % p];
-    let left = participants[(me + p - 1) % p];
-    let len = buf.len();
-
-    // Sub-chunks stream through the path the parent buffer's rendezvous
-    // established (an IPC mapping covers the whole registered buffer), so
-    // the NVLink-vs-staged decision keys on the full dense size — a 40 MB
-    // pipelined allreduce rides NVLink when IPC works even though each
-    // 4 MB sub-chunk is below the large-message threshold on its own.
-    comm.set_rendezvous_bytes(Some((len * 4) as u64));
-
-    // the sub-chunk messages the next step sends: encoded for the first,
-    // then what the step before received
-    let first = chunk_range(len, p, me);
-    let mut fwd: Vec<Payload> = (0..sub_count(first.len(), chunk_elems))
-        .map(|i| wf.encode(&buf[sub_range(&first, chunk_elems, i)]))
-        .collect();
-
-    // reduce-scatter, then allgather — same block rotation as the plain
-    // ring, each step streamed sub-chunk by sub-chunk.
-    for phase in 0..2usize {
-        // same re-quantization point as the plain ring: once, between the
-        // phases, on the block this participant owns — decoded from the
-        // sub-chunk messages the last reduce-scatter step left in `fwd`
-        if phase == 1 && !wf.is_f32() {
-            let own = chunk_range(len, p, (me + 1) % p);
-            for (i, sub) in fwd.iter().enumerate() {
-                wire::copy_out(sub, &mut buf[sub_range(&own, chunk_elems, i)]);
-            }
-        }
-        for step in 0..p - 1 {
-            let recv_block = if phase == 0 {
-                chunk_range(len, p, (me + p - step - 1) % p)
-            } else {
-                chunk_range(len, p, (me + p - step) % p)
-            };
-            let phase_step = phase * p + step;
-            let n_recv = sub_count(recv_block.len(), chunk_elems);
-            let mut received = Vec::with_capacity(n_recv);
-            // This step's sends do not depend on its receives, so
-            // sub-send i+1 can be posted the moment sub-recv i arrives —
-            // *before* its reduce — putting the next transfer on the wire
-            // while the reduce kernel runs. Consecutive sends stay at least
-            // one sub-cycle apart, so wire occupancy is still serialized.
-            let mut sends = std::mem::take(&mut fwd).into_iter().enumerate();
-            let mut post_send = |comm: &mut Comm| {
-                let Some((i, payload)) = sends.next() else {
-                    return false;
-                };
-                comm.isend(
-                    right,
-                    coll_tag(seq, pipeline_tag_step(phase_step, i)),
-                    payload,
-                    buf_id,
-                );
-                true
-            };
-            post_send(comm); // prime the pipeline
-            for i in 0..n_recv {
-                let t0 = comm.now();
-                let req = comm.irecv(
-                    left,
-                    coll_tag(seq, pipeline_tag_step(phase_step, i)),
-                    buf_id,
-                );
-                let incoming = comm.wait(req);
-                post_send(comm);
-                let r = sub_range(&recv_block, chunk_elems, i);
-                let sub_bytes = r.len() * 4;
-                if phase == 0 {
-                    comm.charge_reduce(r.len());
-                    received.push(wire::combine_forward(incoming, &mut buf[r], op, false));
-                } else {
-                    wire::copy_out(&incoming, &mut buf[r]);
-                    received.push(incoming);
-                }
-                let label = if phase == 0 { "rs" } else { "ag" };
-                dlsr_trace::record_span(
-                    || match group {
-                        Some(g) => format!("allreduce.pr[g{g}] {label}{step}.c{i} {sub_bytes}B"),
-                        None => format!("allreduce.pr {label}{step}.c{i} {sub_bytes}B"),
-                    },
-                    dlsr_trace::cat::MPI,
-                    t0,
-                    comm.now(),
-                );
-            }
-            while post_send(comm) {}
-            fwd = received;
-        }
-    }
-    comm.set_rendezvous_bytes(None);
-}
-
-/// Recursive doubling: log2(p) full-buffer exchanges.
-///
-/// Wire compression quantizes *both* sides of every hop — the local
-/// accumulator and the decoded incoming buffer — so each exchange computes
-/// `Q(a) op Q(b)` on both partners, always with the lower rank's operand
-/// first: `+`, `max` and `min` are not bitwise commutative on NaN payloads
-/// and signed zeros, so partners agree bitwise after every hop only because
-/// they evaluate the same expression, and by induction all ranks finish
-/// identical. Each hop sends the payload the previous one received, folded
-/// in place ([`wire::combine_forward`]): only the first is encoded.
-fn recursive_doubling(comm: &mut Comm, buf: &mut [f32], buf_id: u64, op: ReduceOp, wf: WireFormat) {
-    let p = comm.size();
-    let rank = comm.rank();
-    let seq = comm.next_seq();
-    let mut mask = 1usize;
-    let mut step = 0u64;
-    let mut payload = wf.encode(buf);
-    while mask < p {
-        let partner = rank ^ mask;
-        // Q(a): the decode of what this hop sends, as the partner sees it
-        if !wf.is_f32() {
-            wire::copy_out(&payload, buf);
-        }
-        let incoming = comm.sendrecv(
-            partner,
-            coll_tag(seq, step),
-            payload,
-            buf_id,
-            partner,
-            coll_tag(seq, step),
-            buf_id,
-        );
-        comm.charge_reduce(buf.len());
-        payload = wire::combine_forward(incoming, buf, op, partner < rank);
-        mask <<= 1;
-        step += 1;
-    }
-}
-
-/// Hierarchical two-level allreduce (the MVAPICH2-GDR dense-GPU design).
-///
-/// Wire compression applies to the **inter-node leader ring only**: the
-/// intra-node phases ride NVLink/IPC where bandwidth is plentiful and
-/// stay lossless f32, which also keeps them bitwise identical to the
-/// uncompressed two-level. With [`crate::config::CommTuning::hierarchical`]
-/// on and the buffer in the pipelined size bin, the leader ring runs
-/// chunk-pipelined (bitwise identical to the plain leader ring).
-fn two_level(
-    comm: &mut Comm,
-    buf: &mut Vec<f32>,
-    buf_id: u64,
-    op: ReduceOp,
-    group: Option<usize>,
-    wf: WireFormat,
-) {
-    let seq = comm.next_seq();
-    let topo = comm.topology().clone();
-    let rank = comm.rank();
-    let gpn = topo.gpus_per_node;
-    let node = topo.node_of(rank);
-    let leader = node * gpn;
-    let is_leader = rank == leader;
-
-    // Phase 1: binomial intra-node reduce to the leader (log₂(gpn)
-    // rounds). These are the large intra-node GPU transfers the CUDA IPC
-    // fix accelerates. A sender hands its buffer over (phase 3 refills it);
-    // a receiver keeps what it received for phase 3's sends to the same
-    // children.
-    let mut spares: Vec<Vec<f32>> = Vec::new();
-    if gpn > 1 {
-        let r = rank - leader;
-        let mut mask = 1usize;
-        while mask < gpn {
-            if r & mask != 0 {
-                comm.send(
-                    leader + (r - mask),
-                    coll_tag(seq, 0),
-                    Payload::F32(std::mem::take(buf)),
-                    buf_id,
-                );
-                break;
-            }
-            let src = r + mask;
-            if src < gpn {
-                let incoming = comm.recv(leader + src, coll_tag(seq, 0), buf_id).into_f32();
-                comm.charge_reduce(incoming.len());
-                op.combine(buf, &incoming);
-                spares.push(incoming);
-            }
-            mask <<= 1;
-        }
-    }
-
-    // Phase 2: inter-node ring allreduce among leaders over InfiniBand —
-    // the only wire-compressed phase. Pipelined on the large bins when
-    // hierarchical promotion is on.
-    if topo.nodes > 1 && is_leader {
-        let leaders: Vec<usize> = (0..topo.nodes).map(|n| n * gpn).collect();
-        let tuning = comm.config().tuning;
-        if tuning.hierarchical && (buf.len() * 4) as u64 >= tuning.pipeline_threshold {
-            let chunk_elems = (tuning.pipeline_chunk as usize / 4).max(1);
-            pipelined_ring_allreduce(
-                comm,
-                buf,
-                &leaders,
-                buf_id.wrapping_add(1),
-                seq,
-                op,
-                chunk_elems,
-                group,
-                wf,
-            );
-        } else {
-            ring_allreduce(comm, buf, &leaders, buf_id.wrapping_add(1), seq, op, wf);
-        }
-    }
-
-    // Phase 3: binomial intra-node broadcast of the result.
-    if gpn > 1 {
-        let r = rank - leader;
-        let mut mask = 1usize;
-        while mask < gpn {
-            if r & mask != 0 {
-                let src = leader + (r - mask);
-                *buf = comm.recv(src, coll_tag(seq, 1), buf_id).into_f32();
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if r + mask < gpn {
-                let mut out = spares.pop().expect("phase 1 received from this child");
-                out.copy_from_slice(buf);
-                comm.send(
-                    leader + r + mask,
-                    coll_tag(seq, 1),
-                    Payload::F32(out),
-                    buf_id,
-                );
-            }
-            mask >>= 1;
-        }
-    }
-}
-
-/// Top-k sparse allreduce: each rank selects its `k` largest-|g|
-/// coordinates ([`wire::topk_indices`] — deterministic), circulates the
-/// sparse sets around the ring in `p−1` hops, then **every** rank applies
-/// all `p` sets densely in rank order `0..p`. Identical sets + identical
-/// application order ⇒ bit-identical results everywhere, with no
-/// re-quantization (values stay f32). The caller's fusion layer owns the
-/// error-feedback residual: this schedule reduces exactly what it is
-/// handed. Sum only.
-fn topk_allreduce(comm: &mut Comm, buf: &mut [f32], buf_id: u64, seq: u64, k_permille: u16) {
-    let p = comm.size();
-    let me = comm.rank();
-    let right = (me + 1) % p;
-    let left = (me + p - 1) % p;
-    let k = wire::topk_count(buf.len(), k_permille);
-    let own_idx = wire::topk_indices(buf, k);
-    let own_val: Vec<f32> = own_idx.iter().map(|&i| buf[i as usize]).collect();
-    let mut sets: Vec<Option<(Vec<u32>, Vec<f32>)>> = vec![None; p];
-    let mut cur = (own_idx, own_val);
-    sets[me] = Some(cur.clone());
-    for step in 0..p - 1 {
-        let payload = Payload::Sparse {
-            idx: cur.0,
-            val: cur.1,
-        };
-        let incoming = comm.sendrecv(
-            right,
-            coll_tag(seq, step as u64),
-            payload,
-            buf_id,
-            left,
-            coll_tag(seq, step as u64),
-            buf_id,
-        );
-        cur = incoming.into_sparse();
-        // after `step+1` hops the set arriving from the left originated at
-        // rank me-(step+1)
-        let src = (me + p - step - 1) % p;
-        sets[src] = Some(cur.clone());
-    }
-    // dense application, every rank in the same order
-    for v in buf.iter_mut() {
-        *v = 0.0;
-    }
-    for set in sets.iter().flatten() {
-        let (idx, val) = set;
-        comm.charge_reduce(idx.len());
-        for (&i, &v) in idx.iter().zip(val.iter()) {
-            buf[i as usize] += v;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::collectives::chunk_range;
     use crate::config::MpiConfig;
     use crate::world::MpiWorld;
     use dlsr_net::ClusterTopology;
 
     use super::*;
+
+    /// Number of `chunk_elems`-sized sub-chunks covering a block of `len`
+    /// elements (0 for an empty block).
+    fn sub_count(len: usize, chunk_elems: usize) -> usize {
+        len.div_ceil(chunk_elems)
+    }
 
     fn run_allreduce(
         nodes: usize,
@@ -921,7 +466,7 @@ mod tests {
 
     /// Bitwise reference for the ring family: element `j` of block `b`
     /// accumulates as a fold starting at rank `b`'s value, combining rank
-    /// `b+1, b+2, …` in ring order (the order `ring_allreduce` combines).
+    /// `b+1, b+2, …` in ring order (the order the ring combines).
     fn ring_fold_reference(p: usize, len: usize, op: ReduceOp) -> Vec<f32> {
         let input = |rank: usize, i: usize| (rank * 31 + i) as f32 * 0.1 - 1.7;
         let mut out = vec![0.0f32; len];

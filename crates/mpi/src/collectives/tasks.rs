@@ -1,50 +1,68 @@
-//! Resumable ([`EventTask`]) forms of the costs-only collectives.
+//! Resumable ([`EventTask`]) forms of the collectives: every allreduce
+//! schedule, and the barrier.
 //!
-//! Each state machine runs the *same* communication schedule as the
-//! blocking entry points in [`super::synthetic`] and [`super::barrier`] —
-//! in fact those entry points are thin [`drive_task`] wrappers around
-//! these, so every schedule has exactly one implementation. On the driven
-//! engine a blocked receive returns [`Poll::Pending`] instead of parking
-//! an OS thread; on the context core [`drive_task`] blocks in place.
+//! Each allreduce algorithm — ring, pipelined ring, recursive doubling,
+//! two-level, top-k — has exactly one implementation: a state machine
+//! here, generic over what its hops carry ([`PayloadKind`]). A
+//! [`CostsOnly`] hop carries its wire length and nothing else, for the
+//! at-scale harnesses; a [`RealData`] hop carries a slice of an `f32`
+//! buffer the task owns, encoded, combined and forwarded. Peers, tags,
+//! chunk cursors, the order of sends, receives and reduce charges, and each
+//! algorithm's one re-quantization point live in the schedule, which never
+//! asks which kind it runs; a kind only moves data, so the two leave every
+//! clock, statistic and registration cache bit-identical by construction
+//! (`tests/properties.rs` holds them to it). The blocking
+//! [`Allreduce::run`](super::Allreduce::run) and [`barrier`](super::barrier)
+//! drive these tasks in place ([`drive_task`]). On the driven engine a
+//! blocked receive returns [`Poll::Pending`] instead of parking an OS
+//! thread; on the context core [`drive_task`] blocks in place.
 //!
 //! The re-poll contract: every `poll` records all side effects (sends
-//! posted, reduce charges) in task state *before* returning `Pending`, so
-//! resuming retries only the blocked [`Comm::try_recv_buffered`] and never
-//! replays a send.
+//! posted, reduce charges, data combined) in task state *before* returning
+//! `Pending`, so resuming retries only the blocked
+//! [`Comm::try_recv_buffered`] and never replays a send.
 //!
-//! The ring allreduce — flat, or over the node leaders of a two-level
-//! reduction — has a second form on the driven engine: its participants
-//! park on the ring's descriptor ([`Poll::Wave`]) and the engine evaluates
-//! the whole `2·p·(p−1)`-hop schedule in one pass (`RingWave::run`). A
-//! steady wave — untraced, fault-free, every hop's handshake done and
-//! every registration lookup a hit — runs in closed form: max-plus
-//! arithmetic over one clock per participant, with costs quoted by `Comm`
-//! and statistics settled once per participant. Any other wave charges
-//! each hop through the same `Comm` accounting the message path uses. The
-//! pipelined ring, recursive doubling, top-k and the barrier keep the
-//! message path on both cores.
+//! The costs-only ring allreduce — flat, or over the node leaders of a
+//! two-level reduction — has a second form on the driven engine: its
+//! participants park on the ring's descriptor ([`Poll::Wave`]) and the
+//! engine evaluates the whole `2·p·(p−1)`-hop schedule in one pass
+//! (`RingWave::run`). A steady wave — untraced, fault-free, every hop's
+//! handshake done and every registration lookup a hit — runs in closed
+//! form: max-plus arithmetic over one clock per participant, with costs
+//! quoted by `Comm` and statistics settled once per participant. Any other
+//! wave charges each hop through the same `Comm` accounting the message
+//! path uses. A wave moves no data, so only a kind without data may take
+//! it ([`PayloadKind::WAVES`]): a real ring exchanges its messages on both
+//! cores, as do the pipelined ring, recursive doubling, top-k and the
+//! barrier.
+
+use std::collections::VecDeque;
+use std::ops::Range;
 
 use crate::comm::{Comm, RecvQuote, SendQuote};
+use crate::config::CommChoice;
 use crate::executor::{drive_task, EventTask, Poll};
 use crate::message::Payload;
 
-use super::synthetic::{synth, synth_wire};
 use super::wire::{self, WireFormat};
-use super::{coll_tag, AllreduceAlgorithm};
+use super::{chunk_range, coll_tag, AllreduceAlgorithm, ReduceOp};
 
 /// Lengths of the chunks `chunk_range(elems, p, i)` for a chunk index that
 /// rotates downward (`i, i−1, …, 0, p−1, …`), the order every ring schedule
 /// visits them in. A ring hop runs millions of times per simulated world,
-/// so the index is kept only as `(i · r) mod p` (with `elems = q·p + r`):
+/// so the length is kept off `(i · r) mod p` (with `elems = q·p + r`):
 /// chunk `i` has `q + 1` elements exactly when that residue plus `r`
 /// reaches `p`, and stepping down subtracts `r` modulo `p` — the same
-/// integers as `chunk_range`, without its divisions.
+/// integers as `chunk_range`, without its divisions. Only a kind that
+/// touches data asks for the chunk's [`range`](ChunkCursor::range).
 #[derive(Clone, Copy)]
 struct ChunkCursor {
     q: usize,
     r: usize,
     p: usize,
-    /// `(i · r) mod p` for the current chunk index `i`.
+    /// The chunk index `i`.
+    i: usize,
+    /// `(i · r) mod p`.
     rem: usize,
 }
 
@@ -55,6 +73,7 @@ impl ChunkCursor {
             q,
             r,
             p,
+            i,
             rem: i * r % p,
         }
     }
@@ -63,6 +82,11 @@ impl ChunkCursor {
     #[inline]
     fn len(&self) -> usize {
         self.q + self.class()
+    }
+
+    /// `chunk_range(elems, p, i)`.
+    fn range(&self) -> Range<usize> {
+        chunk_range(self.q * self.p + self.r, self.p, self.i)
     }
 
     /// The chunk's length class: 0 for `q` elements, 1 for `q + 1`.
@@ -79,7 +103,8 @@ impl ChunkCursor {
         } else {
             self.rem + self.p - self.r
         };
-        ChunkCursor { rem, ..self }
+        let i = if self.i == 0 { self.p - 1 } else { self.i - 1 };
+        ChunkCursor { i, rem, ..self }
     }
 
     /// The cursor at chunk `i + 1` (wrapping to `0`).
@@ -87,6 +112,7 @@ impl ChunkCursor {
     fn up(self) -> ChunkCursor {
         let rem = self.rem + self.r;
         ChunkCursor {
+            i: if self.i + 1 == self.p { 0 } else { self.i + 1 },
             rem: if rem >= self.p { rem - self.p } else { rem },
             ..self
         }
@@ -101,6 +127,239 @@ fn ring_neighbours(me: usize, p: usize, stride: usize) -> (usize, usize) {
     (right * stride, left * stride)
 }
 
+/// The `i`-th `chunk_elems`-element sub-chunk of `block`.
+fn sub_range(block: Range<usize>, chunk_elems: usize, i: usize) -> Range<usize> {
+    let start = block.start + i * chunk_elems;
+    start..(start + chunk_elems).min(block.end)
+}
+
+/// What an allreduce's hops carry — the one seam between a schedule and
+/// its data. The schedules call these at fixed points and never ask which
+/// kind they run; a kind touches no clock, sends no message and counts no
+/// statistic, so every kind runs the same schedule to the bit.
+///
+/// A dense schedule's messages form one queue: a rank queues the messages
+/// it originates ([`originate`](PayloadKind::originate)), every receive
+/// queues what the next hop forwards ([`reduce`](PayloadKind::reduce),
+/// [`copy`](PayloadKind::copy)), and [`send`](PayloadKind::send) takes the
+/// oldest — a step's sends always precede its receives in the queue.
+/// Buffer ranges are passed as closures: only a kind that touches data
+/// computes them. The methods that move no message do nothing by default —
+/// all a kind without data needs of them.
+pub trait PayloadKind {
+    /// Whether a ring over this kind may park as a [`Poll::Wave`] on the
+    /// driven engine. A wave carries no data.
+    const WAVES: bool;
+
+    /// The dtype slot of the allreduce's verify signature, for wire format
+    /// `wf`: skew between ranks — of format or of kind — must be a
+    /// collective mismatch, never a hang or a decode panic mid-schedule.
+    fn dtype(wf: WireFormat) -> &'static str;
+
+    /// Queue the encoding of `range` of the buffer: a message this rank
+    /// originates.
+    fn originate(&mut self, _wf: WireFormat, _range: impl FnOnce() -> Range<usize>) {}
+
+    /// The next queued message; `bytes` is its size on the wire.
+    fn send(&mut self, bytes: u64) -> Payload;
+
+    /// Fold a received message into `range` (the message's operand first
+    /// when `incoming_first`) and queue the result, encoded as it arrived,
+    /// for the next hop.
+    fn reduce(
+        &mut self,
+        _incoming: Payload,
+        _incoming_first: bool,
+        _range: impl FnOnce() -> Range<usize>,
+    ) {
+    }
+
+    /// Decode a received message into `range` and queue it, as it
+    /// arrived, for the next hop.
+    fn copy(&mut self, _incoming: Payload, _range: impl FnOnce() -> Range<usize>) {}
+
+    /// A re-quantization point: decode queued message `i` back into
+    /// `range`, so this rank holds the bits its peers will decode.
+    fn requantize(&mut self, _i: usize, _range: impl FnOnce() -> Range<usize>) {}
+
+    /// Two-level reduce: the whole buffer for the parent, `bytes` on the
+    /// wire. The buffer goes with it; the broadcast brings it back.
+    fn hand_over(&mut self, bytes: u64) -> Payload;
+
+    /// Two-level reduce: fold a child's whole buffer in.
+    fn absorb(&mut self, _incoming: Payload) {}
+
+    /// Two-level broadcast: the parent's result becomes the buffer.
+    fn adopt(&mut self, _incoming: Payload) {}
+
+    /// Two-level broadcast: a copy of the buffer, `bytes` on the wire, for
+    /// the child whose reduce message is the latest one not yet answered.
+    fn pass_down(&mut self, bytes: u64) -> Payload;
+
+    /// Top-k: select this rank's `k` coordinates, queue them, and clear
+    /// the buffer to accumulate the `p` ranks' sets (this rank is `me`).
+    fn select(&mut self, _k: usize, _me: usize, _p: usize) {}
+
+    /// Top-k: keep the set rank `src` selected and queue it for the next
+    /// hop.
+    fn gather(&mut self, _incoming: Payload, _src: usize) {}
+
+    /// Top-k: add rank `src`'s set into the buffer.
+    fn apply(&mut self, _src: usize) {}
+}
+
+/// The costs-only kind: a hop carries its wire length and no data
+/// ([`Payload::Synthetic`]). Encode and decode cost nothing on the virtual
+/// clock, so the length is all the timing needs — what the 512-rank
+/// harnesses run, where real buffers would exhaust host memory without
+/// changing any result.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CostsOnly;
+
+impl PayloadKind for CostsOnly {
+    const WAVES: bool = true;
+
+    fn dtype(wf: WireFormat) -> &'static str {
+        match wf {
+            WireFormat::F32 => "synth",
+            WireFormat::Bf16 => "synth-bf16",
+            WireFormat::Fp16 => "synth-fp16",
+            WireFormat::TopK { .. } => "synth-topk",
+        }
+    }
+
+    #[inline]
+    fn send(&mut self, bytes: u64) -> Payload {
+        Payload::Synthetic { bytes }
+    }
+
+    #[inline]
+    fn hand_over(&mut self, bytes: u64) -> Payload {
+        Payload::Synthetic { bytes }
+    }
+
+    #[inline]
+    fn pass_down(&mut self, bytes: u64) -> Payload {
+        Payload::Synthetic { bytes }
+    }
+}
+
+/// The real kind: an `f32` buffer the task owns — moved in when the task
+/// is built, handed back on `Ready` ([`Task::into_buf`](crate::Task::into_buf)). Dense
+/// messages are encoded once, where a rank originates them; every later
+/// hop folds what it received in place and forwards it
+/// ([`wire::combine_forward`], [`wire::copy_out`]). The two-level
+/// intra-node phases move whole buffers and answer each child's reduce
+/// message with the same allocation, so no hop allocates.
+#[derive(Debug, Default)]
+pub struct RealData {
+    buf: Vec<f32>,
+    op: ReduceOp,
+    /// Messages not yet sent, oldest first.
+    queue: VecDeque<Payload>,
+    /// Two-level: what each child sent, reused for its broadcast.
+    spares: Vec<Vec<f32>>,
+    /// Top-k: every rank's (indices, values), by rank.
+    sets: Vec<(Vec<u32>, Vec<f32>)>,
+}
+
+impl RealData {
+    /// Reduce `buf` with `op`.
+    pub(crate) fn new(buf: Vec<f32>, op: ReduceOp) -> RealData {
+        RealData {
+            buf,
+            op,
+            ..RealData::default()
+        }
+    }
+}
+
+impl PayloadKind for RealData {
+    const WAVES: bool = false;
+
+    fn dtype(wf: WireFormat) -> &'static str {
+        wf.dtype_name()
+    }
+
+    fn originate(&mut self, wf: WireFormat, range: impl FnOnce() -> Range<usize>) {
+        let msg = wf.encode(&self.buf[range()]);
+        self.queue.push_back(msg);
+    }
+
+    fn send(&mut self, bytes: u64) -> Payload {
+        let msg = self
+            .queue
+            .pop_front()
+            .expect("the schedule queued this message");
+        debug_assert_eq!(msg.size_bytes(), bytes, "the schedule's message size");
+        msg
+    }
+
+    fn reduce(
+        &mut self,
+        incoming: Payload,
+        incoming_first: bool,
+        range: impl FnOnce() -> Range<usize>,
+    ) {
+        let acc = &mut self.buf[range()];
+        let forward = wire::combine_forward(incoming, acc, self.op, incoming_first);
+        self.queue.push_back(forward);
+    }
+
+    fn copy(&mut self, incoming: Payload, range: impl FnOnce() -> Range<usize>) {
+        wire::copy_out(&incoming, &mut self.buf[range()]);
+        self.queue.push_back(incoming);
+    }
+
+    fn requantize(&mut self, i: usize, range: impl FnOnce() -> Range<usize>) {
+        wire::copy_out(&self.queue[i], &mut self.buf[range()]);
+    }
+
+    fn hand_over(&mut self, _: u64) -> Payload {
+        Payload::F32(std::mem::take(&mut self.buf))
+    }
+
+    fn absorb(&mut self, incoming: Payload) {
+        let child = incoming.into_f32();
+        self.op.combine(&mut self.buf, &child);
+        self.spares.push(child);
+    }
+
+    fn adopt(&mut self, incoming: Payload) {
+        self.buf = incoming.into_f32();
+    }
+
+    fn pass_down(&mut self, _: u64) -> Payload {
+        let mut out = self
+            .spares
+            .pop()
+            .expect("the reduce received from this child");
+        out.copy_from_slice(&self.buf);
+        Payload::F32(out)
+    }
+
+    fn select(&mut self, k: usize, me: usize, p: usize) {
+        let idx = wire::topk_indices(&self.buf, k);
+        let val: Vec<f32> = idx.iter().map(|&i| self.buf[i as usize]).collect();
+        self.sets = vec![(Vec::new(), Vec::new()); p];
+        self.sets[me] = (idx.clone(), val.clone());
+        self.queue.push_back(Payload::Sparse { idx, val });
+        self.buf.fill(0.0);
+    }
+
+    fn gather(&mut self, incoming: Payload, src: usize) {
+        self.sets[src] = incoming.clone().into_sparse();
+        self.queue.push_back(incoming);
+    }
+
+    fn apply(&mut self, src: usize) {
+        let (idx, val) = &self.sets[src];
+        for (&i, &v) in idx.iter().zip(val) {
+            self.buf[i as usize] += v;
+        }
+    }
+}
+
 /// A costs-only ring allreduce (reduce-scatter + allgather) of `elems`
 /// elements over the strided participant set `{0, stride, 2·stride, …,
 /// (p−1)·stride}` — all ranks (`stride` 1) or the node leaders (`stride` =
@@ -109,12 +368,13 @@ fn ring_neighbours(me: usize, p: usize, stride: usize) -> (usize, usize) {
 /// visible in the driven-engine profile.
 ///
 /// This is both what a `RingSm` executes hop by hop as messages and what
-/// a rank on the driven engine parks on ([`Poll::Wave`]): every hop of the
-/// schedule carries nothing but a length and its arrival stamp is fixed at
-/// send time, so once all `p` participants have reached the ring the engine
-/// evaluates the whole thing with `RingWave::run` and no `Message` is
-/// ever built. Two participants of one ring hold equal descriptors; the
-/// engine treats unequal ones pending together as a collective mismatch.
+/// a costs-only rank on the driven engine parks on ([`Poll::Wave`]): every
+/// hop of the schedule carries nothing but a length and its arrival stamp
+/// is fixed at send time, so once all `p` participants have reached the
+/// ring the engine evaluates the whole thing with `RingWave::run` and no
+/// `Message` is ever built. Two participants of one ring hold equal
+/// descriptors; the engine treats unequal ones pending together as a
+/// collective mismatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingWave {
     seq: u64,
@@ -448,9 +708,19 @@ impl std::fmt::Display for RingWave {
     }
 }
 
-/// The message-path execution of a [`RingWave`] for one participant: the
-/// form the context core runs, and the reference the wave is held equal to
-/// (`all_cores_agree_bitwise`, `tests/wave_equivalence.rs`).
+/// Ring allreduce (reduce-scatter + allgather) for one participant: the
+/// message path of a [`RingWave`] — the costs-only kind's on the context
+/// core, every other kind's on both cores, and the reference the wave is
+/// held equal to (`all_cores_agree_bitwise`, `tests/wave_equivalence.rs`).
+///
+/// Forwarding: the chunk a step receives is the chunk the next step sends
+/// (across the phase boundary too), so a rank encodes only its first
+/// message and every later one is the payload just received, folded in
+/// place or read out. Wire compression: each reduce-scatter hop folds the
+/// decoded partial sum into f32; after the reduce-scatter the owner
+/// **re-quantizes its fully reduced chunk once** — the allgather then
+/// circulates already-quantized values, whose re-encode is lossless, so
+/// every rank finishes with bit-identical buffers (`docs/WIRE.md`).
 struct RingSm {
     ring: RingWave,
     /// The chunk this hop sends: `me − step` in the reduce-scatter,
@@ -465,8 +735,10 @@ struct RingSm {
 }
 
 impl RingSm {
+    #[allow(clippy::too_many_arguments)]
     fn new(
         comm: &Comm,
+        kind: &mut impl PayloadKind,
         elems: usize,
         p: usize,
         stride: usize,
@@ -482,6 +754,8 @@ impl RingSm {
         let me = comm.rank() / stride;
         debug_assert!(me < p, "caller participates in the ring");
         let (right, left) = ring_neighbours(me, p, stride);
+        let chunk = ChunkCursor::new(elems, p, me);
+        kind.originate(wf, || chunk.range());
         RingSm {
             ring: RingWave {
                 seq,
@@ -491,7 +765,7 @@ impl RingSm {
                 buf_id,
                 wf,
             },
-            chunk: ChunkCursor::new(elems, p, me),
+            chunk,
             right,
             left,
             phase: 0,
@@ -500,14 +774,14 @@ impl RingSm {
         }
     }
 
-    fn poll(&mut self, comm: &mut Comm) -> Poll {
+    fn poll<K: PayloadKind>(&mut self, comm: &mut Comm, kind: &mut K) -> Poll {
         let RingWave {
             seq, p, buf_id, wf, ..
         } = self.ring;
         if p <= 1 {
             return Poll::Ready;
         }
-        if comm.on_driven_wire() && self.phase < 2 {
+        if K::WAVES && comm.on_driven_wire() && self.phase < 2 {
             // Park on the ring as a whole; the engine's wake comes after
             // `RingWave::run` has accounted every hop, so the re-poll
             // finds both phases finished.
@@ -518,22 +792,34 @@ impl RingSm {
             while self.step < p - 1 {
                 let tag = coll_tag(seq, (usize::from(self.phase) * p + self.step) as u64);
                 if !self.sent {
-                    comm.isend(self.right, tag, synth_wire(self.chunk.len(), wf), buf_id);
+                    let msg = kind.send(wf.wire_bytes(self.chunk.len()));
+                    comm.isend(self.right, tag, msg, buf_id);
                     self.sent = true;
                 }
-                if comm.try_recv_buffered(self.left, tag, buf_id).is_none() {
+                let Some(incoming) = comm.try_recv_buffered(self.left, tag, buf_id) else {
                     return Poll::Pending {
                         src: self.left,
                         tag,
                     };
-                }
+                };
                 // the chunk just received is the one the next hop sends
                 self.chunk = self.chunk.down();
+                let chunk = self.chunk;
                 if self.phase == 0 {
-                    comm.charge_reduce(self.chunk.len());
+                    comm.charge_reduce(chunk.len());
+                    kind.reduce(incoming, false, || chunk.range());
+                } else {
+                    kind.copy(incoming, || chunk.range());
                 }
                 self.sent = false;
                 self.step += 1;
+            }
+            // the owner's re-quantization point: the last reduce-scatter
+            // step left `enc(v)` of the chunk this rank owns queued for the
+            // allgather, and decoding it is `Q(v)`
+            if self.phase == 0 && !wf.is_f32() {
+                let own = self.chunk;
+                kind.requantize(0, || own.range());
             }
             self.phase += 1;
             self.step = 0;
@@ -542,10 +828,21 @@ impl RingSm {
     }
 }
 
-/// Pipelined ring: ring blocks split into `chunk_elems` sub-chunks,
-/// sub-send `i+1` posted the moment sub-recv `i` lands.
+/// Chunked, pipelined ring: the exact ring schedule, but each block moves
+/// as `chunk_elems`-sized sub-chunks, sub-send `i+1` posted the moment
+/// sub-recv `i` lands — *before* its reduce — so the next transfer is on
+/// the wire while the reduce kernel runs, and per ring step only one
+/// sub-chunk reduction stays on the virtual-clock critical path.
+/// Consecutive sends stay at least one sub-cycle apart, so wire occupancy
+/// is still serialized.
+///
+/// Per-element combine order is the plain ring's — sub-chunking only
+/// splits *which slice* a combine covers, never the rank order in which an
+/// element accumulates — and encode, decode and the re-quantization point
+/// are elementwise, so the results equal [`RingSm`]'s bit for bit for
+/// every `ReduceOp` and `WireFormat`. Sub-chunks are forwarded like the
+/// ring's chunks.
 struct PipeSm {
-    elems: usize,
     buf_id: u64,
     seq: u64,
     chunk_elems: usize,
@@ -570,6 +867,7 @@ impl PipeSm {
     #[allow(clippy::too_many_arguments)]
     fn new(
         comm: &Comm,
+        kind: &mut impl PayloadKind,
         elems: usize,
         p: usize,
         stride: usize,
@@ -589,8 +887,11 @@ impl PipeSm {
         debug_assert!(me < p, "caller participates in the ring");
         let (right, left) = ring_neighbours(me, p, stride);
         let block = ChunkCursor::new(elems, p, me);
+        // the first step's sub-chunk messages
+        for i in 0..block.len().div_ceil(chunk_elems) {
+            kind.originate(wf, || sub_range(block.range(), chunk_elems, i));
+        }
         PipeSm {
-            elems,
             buf_id,
             seq,
             chunk_elems,
@@ -608,79 +909,102 @@ impl PipeSm {
         }
     }
 
-    fn poll(&mut self, comm: &mut Comm) -> Poll {
-        let p = self.block.p;
+    /// Post this step's next sub-send, of a `send_len`-element block.
+    fn post(
+        &mut self,
+        comm: &mut Comm,
+        kind: &mut impl PayloadKind,
+        phase_step: u64,
+        send_len: usize,
+    ) {
+        let i = self.next_send;
+        let len = self.chunk_elems.min(send_len - i * self.chunk_elems);
+        let msg = kind.send(self.wf.wire_bytes(len));
+        let tag = coll_tag(self.seq, phase_step | i as u64);
+        comm.isend(self.right, tag, msg, self.buf_id);
+        self.next_send += 1;
+    }
+
+    /// `group` is the fusion-group label of the sub-chunk spans.
+    fn poll(&mut self, comm: &mut Comm, kind: &mut impl PayloadKind, group: Option<usize>) -> Poll {
+        let ChunkCursor { q, r, p, .. } = self.block;
         if p <= 1 {
             return Poll::Ready;
         }
-        // Mirror of the real pipelined ring: sub-chunks take the path the
-        // parent buffer's rendezvous established, so path selection keys
-        // on the full dense size. Set per poll (a poll never interleaves
-        // with another task's sends) and cleared on every exit.
-        comm.set_rendezvous_bytes(Some((self.elems * 4) as u64));
+        // Sub-chunks stream through the path the parent buffer's
+        // rendezvous established (an IPC mapping covers the whole
+        // registered buffer), so path selection keys on the full dense
+        // size. Set per poll (a poll never interleaves with another task's
+        // sends) and cleared on every exit.
+        comm.set_rendezvous_bytes(Some(((q * p + r) * 4) as u64));
         let ce = self.chunk_elems;
-        // length of sub-chunk `i` of a `block`-element block
-        let sub_len = |block: usize, i: usize| ce.min(block - i * ce);
-        let (q, subs_short, subs_long) = (self.block.q, self.subs_short, self.subs_long);
+        let (subs_short, subs_long) = (self.subs_short, self.subs_long);
         let subs = |block: usize| if block == q { subs_short } else { subs_long };
         while self.phase < 2 {
             while self.step < p - 1 {
-                let recv_cursor = self.block.down();
-                let (send_block, recv_block) = (self.block.len(), recv_cursor.len());
+                let recv_block = self.block.down();
+                let (send_len, recv_len) = (self.block.len(), recv_block.len());
                 let phase_step = ((usize::from(self.phase) * p + self.step) as u64) << 20;
-                let (n_send, n_recv) = (subs(send_block), subs(recv_block));
+                let (n_send, n_recv) = (subs(send_len), subs(recv_len));
                 if !self.primed {
                     if n_send > 0 {
-                        comm.isend(
-                            self.right,
-                            coll_tag(self.seq, phase_step),
-                            synth_wire(sub_len(send_block, 0), self.wf),
-                            self.buf_id,
-                        );
-                        self.next_send = 1;
+                        self.post(comm, kind, phase_step, send_len);
                     }
                     self.primed = true;
                 }
                 while self.recv_i < n_recv {
-                    let tag = coll_tag(self.seq, phase_step | self.recv_i as u64);
-                    if comm
-                        .try_recv_buffered(self.left, tag, self.buf_id)
-                        .is_none()
-                    {
+                    let i = self.recv_i;
+                    let tag = coll_tag(self.seq, phase_step | i as u64);
+                    let t0 = comm.now();
+                    let Some(incoming) = comm.try_recv_buffered(self.left, tag, self.buf_id) else {
                         comm.set_rendezvous_bytes(None);
                         return Poll::Pending {
                             src: self.left,
                             tag,
                         };
-                    }
+                    };
                     if self.next_send < n_send {
-                        comm.isend(
-                            self.right,
-                            coll_tag(self.seq, phase_step | self.next_send as u64),
-                            synth_wire(sub_len(send_block, self.next_send), self.wf),
-                            self.buf_id,
-                        );
-                        self.next_send += 1;
+                        self.post(comm, kind, phase_step, send_len);
                     }
+                    let len = ce.min(recv_len - i * ce);
+                    let range = || sub_range(recv_block.range(), ce, i);
                     if self.phase == 0 {
-                        comm.charge_reduce(sub_len(recv_block, self.recv_i));
+                        comm.charge_reduce(len);
+                        kind.reduce(incoming, false, range);
+                    } else {
+                        kind.copy(incoming, range);
                     }
+                    let (label, step) = (["rs", "ag"][usize::from(self.phase)], self.step);
+                    dlsr_trace::record_span(
+                        || match group {
+                            Some(g) => {
+                                format!("allreduce.pr[g{g}] {label}{step}.c{i} {}B", len * 4)
+                            }
+                            None => format!("allreduce.pr {label}{step}.c{i} {}B", len * 4),
+                        },
+                        dlsr_trace::cat::MPI,
+                        t0,
+                        comm.now(),
+                    );
                     self.recv_i += 1;
                 }
                 while self.next_send < n_send {
-                    comm.isend(
-                        self.right,
-                        coll_tag(self.seq, phase_step | self.next_send as u64),
-                        synth_wire(sub_len(send_block, self.next_send), self.wf),
-                        self.buf_id,
-                    );
-                    self.next_send += 1;
+                    self.post(comm, kind, phase_step, send_len);
                 }
-                self.block = recv_cursor;
+                self.block = recv_block;
                 self.step += 1;
                 self.next_send = 0;
                 self.recv_i = 0;
                 self.primed = false;
+            }
+            // the plain ring's re-quantization point, sub-chunk by
+            // sub-chunk: the last reduce-scatter step left the owned
+            // block's messages queued for the allgather
+            if self.phase == 0 && !self.wf.is_f32() {
+                let own = self.block;
+                for i in 0..subs(own.len()) {
+                    kind.requantize(i, || sub_range(own.range(), ce, i));
+                }
             }
             self.phase += 1;
             self.step = 0;
@@ -690,7 +1014,16 @@ impl PipeSm {
     }
 }
 
-/// Recursive doubling: log₂ p pairwise exchanges (power-of-two worlds).
+/// Recursive doubling: log₂ p full-buffer exchanges (power-of-two worlds).
+///
+/// Wire compression quantizes *both* sides of every hop — the local
+/// accumulator and the decoded incoming buffer — so each exchange computes
+/// `Q(a) op Q(b)` on both partners, always with the lower rank's operand
+/// first: `+`, `max` and `min` are not bitwise commutative on NaN payloads
+/// and signed zeros, so partners agree bitwise after every hop only because
+/// they evaluate the same expression, and by induction all ranks finish
+/// identical. Each hop sends the payload the previous one received, folded
+/// in place: only the first is encoded.
 struct RdSm {
     elems: usize,
     buf_id: u64,
@@ -702,20 +1035,47 @@ struct RdSm {
 }
 
 impl RdSm {
-    fn poll(&mut self, comm: &mut Comm) -> Poll {
+    fn new(
+        kind: &mut impl PayloadKind,
+        elems: usize,
+        buf_id: u64,
+        seq: u64,
+        wf: WireFormat,
+    ) -> RdSm {
+        kind.originate(wf, || 0..elems);
+        RdSm {
+            elems,
+            buf_id,
+            seq,
+            wf,
+            mask: 1,
+            step: 0,
+            sent: false,
+        }
+    }
+
+    fn poll(&mut self, comm: &mut Comm, kind: &mut impl PayloadKind) -> Poll {
         let p = comm.size();
         let rank = comm.rank();
+        let elems = self.elems;
         while self.mask < p {
             let partner = rank ^ self.mask;
             let tag = coll_tag(self.seq, self.step);
             if !self.sent {
-                comm.isend(partner, tag, synth_wire(self.elems, self.wf), self.buf_id);
+                // Q(a): the decode of what this hop sends, as the partner
+                // sees it
+                if !self.wf.is_f32() {
+                    kind.requantize(0, || 0..elems);
+                }
+                let msg = kind.send(self.wf.wire_bytes(elems));
+                comm.isend(partner, tag, msg, self.buf_id);
                 self.sent = true;
             }
-            if comm.try_recv_buffered(partner, tag, self.buf_id).is_none() {
+            let Some(incoming) = comm.try_recv_buffered(partner, tag, self.buf_id) else {
                 return Poll::Pending { src: partner, tag };
-            }
-            comm.charge_reduce(self.elems);
+            };
+            comm.charge_reduce(elems);
+            kind.reduce(incoming, partner < rank, || 0..elems);
             self.sent = false;
             self.mask <<= 1;
             self.step += 1;
@@ -724,9 +1084,14 @@ impl RdSm {
     }
 }
 
-/// Top-k sparse allreduce: `p−1` ring hops circulating every rank's `k`
-/// selected coordinates (8 bytes each on the wire), then `p` dense-apply
-/// reduce charges — the costs-only twin of the real `topk_allreduce`.
+/// Top-k sparse allreduce: each rank selects its `k` largest-|g|
+/// coordinates ([`wire::topk_indices`] — deterministic), the sparse sets
+/// circulate the ring in `p−1` hops (8 bytes per coordinate on the wire),
+/// then **every** rank applies all `p` sets densely in rank order `0..p`.
+/// Identical sets + identical application order ⇒ bit-identical results
+/// everywhere, with no re-quantization (values stay f32). The caller's
+/// fusion layer owns the error-feedback residual: this schedule reduces
+/// exactly what it is handed. Sum only.
 struct TopkSm {
     k: usize,
     buf_id: u64,
@@ -736,38 +1101,53 @@ struct TopkSm {
 }
 
 impl TopkSm {
-    fn poll(&mut self, comm: &mut Comm) -> Poll {
-        let p = comm.size();
-        let (right, left) = ring_neighbours(comm.rank(), p, 1);
+    fn new(comm: &Comm, kind: &mut impl PayloadKind, k: usize, buf_id: u64, seq: u64) -> TopkSm {
+        kind.select(k, comm.rank(), comm.size());
+        TopkSm {
+            k,
+            buf_id,
+            seq,
+            step: 0,
+            sent: false,
+        }
+    }
+
+    fn poll(&mut self, comm: &mut Comm, kind: &mut impl PayloadKind) -> Poll {
+        let (p, me) = (comm.size(), comm.rank());
+        let (right, left) = ring_neighbours(me, p, 1);
         while self.step < p - 1 {
             let tag = coll_tag(self.seq, self.step as u64);
             if !self.sent {
-                comm.isend(
-                    right,
-                    tag,
-                    Payload::Synthetic {
-                        bytes: (self.k * 8) as u64,
-                    },
-                    self.buf_id,
-                );
+                comm.isend(right, tag, kind.send((self.k * 8) as u64), self.buf_id);
                 self.sent = true;
             }
-            if comm.try_recv_buffered(left, tag, self.buf_id).is_none() {
+            let Some(incoming) = comm.try_recv_buffered(left, tag, self.buf_id) else {
                 return Poll::Pending { src: left, tag };
-            }
+            };
+            // after `step+1` hops the set arriving from the left originated
+            // at rank me-(step+1)
+            kind.gather(incoming, (me + p - self.step - 1) % p);
             self.sent = false;
             self.step += 1;
         }
-        for _ in 0..p {
+        // dense application, every rank in the same order
+        for src in 0..p {
             comm.charge_reduce(self.k);
+            kind.apply(src);
         }
         Poll::Ready
     }
 }
 
-/// Two-level: binomial intra-node reduce → leader ring → binomial bcast.
-/// Only the inter-node leader ring is wire-compressed (and pipelined when
-/// hierarchical promotion is on), exactly like the real `two_level`.
+/// Hierarchical two-level allreduce (the MVAPICH2-GDR dense-GPU design):
+/// binomial intra-node reduce to the node leader → ring among the leaders
+/// → binomial intra-node broadcast. The intra-node phases are the large
+/// GPU transfers the CUDA IPC fix accelerates; they ride NVLink/IPC where
+/// bandwidth is plentiful and move whole lossless f32 buffers. Wire
+/// compression applies to the inter-node leader ring only, which runs
+/// chunk-pipelined when [`crate::config::CommTuning::hierarchical`] is on
+/// and the buffer is in the pipelined size bin (bitwise identical to the
+/// plain leader ring).
 enum TwoLevelState {
     IntraReduce { mask: usize },
     Ring(RingSm),
@@ -785,7 +1165,8 @@ struct TwoLevelSm {
 }
 
 impl TwoLevelSm {
-    fn poll(&mut self, comm: &mut Comm) -> Poll {
+    /// `group` labels the leader ring's sub-chunk spans.
+    fn poll(&mut self, comm: &mut Comm, kind: &mut impl PayloadKind, group: Option<usize>) -> Poll {
         // Copy the two scalars out instead of cloning the topology — this
         // poll is the engine's hottest path and the clone's heap traffic
         // (the name `String`) showed up in the simscale profile.
@@ -797,33 +1178,31 @@ impl TwoLevelSm {
         // `poll` re-enters once per leader-ring hop: no division here
         let leader = comm.node_first_rank();
         let r = rank - leader;
+        let whole = (self.elems * 4) as u64;
         loop {
             match &mut self.state {
                 TwoLevelState::IntraReduce { mask } => {
                     if gpn > 1 {
                         while *mask < gpn {
                             if r & *mask != 0 {
-                                comm.send(
-                                    leader + (r - *mask),
-                                    coll_tag(self.seq, 0),
-                                    synth(self.elems),
-                                    self.buf_id,
-                                );
+                                let parent = leader + (r - *mask);
+                                let msg = kind.hand_over(whole);
+                                comm.send(parent, coll_tag(self.seq, 0), msg, self.buf_id);
                                 break;
                             }
                             let src = r + *mask;
                             if src < gpn {
                                 let tag = coll_tag(self.seq, 0);
-                                if comm
-                                    .try_recv_buffered(leader + src, tag, self.buf_id)
-                                    .is_none()
-                                {
+                                let Some(incoming) =
+                                    comm.try_recv_buffered(leader + src, tag, self.buf_id)
+                                else {
                                     return Poll::Pending {
                                         src: leader + src,
                                         tag,
                                     };
-                                }
+                                };
                                 comm.charge_reduce(self.elems);
+                                kind.absorb(incoming);
                             }
                             *mask <<= 1;
                         }
@@ -831,12 +1210,11 @@ impl TwoLevelSm {
                     self.state = if nodes > 1 && rank == leader {
                         // leader ring: ranks {0, gpn, 2·gpn, …}
                         let tuning = comm.config().tuning;
-                        if tuning.hierarchical
-                            && (self.elems * 4) as u64 >= tuning.pipeline_threshold
-                        {
+                        if tuning.hierarchical && whole >= tuning.pipeline_threshold {
                             let chunk_elems = (tuning.pipeline_chunk as usize / 4).max(1);
                             TwoLevelState::Pipe(PipeSm::new(
                                 comm,
+                                kind,
                                 self.elems,
                                 nodes,
                                 gpn,
@@ -848,6 +1226,7 @@ impl TwoLevelSm {
                         } else {
                             TwoLevelState::Ring(RingSm::new(
                                 comm,
+                                kind,
                                 self.elems,
                                 nodes,
                                 gpn,
@@ -860,11 +1239,11 @@ impl TwoLevelSm {
                         TwoLevelState::Bcast
                     };
                 }
-                TwoLevelState::Ring(ring) => match ring.poll(comm) {
+                TwoLevelState::Ring(ring) => match ring.poll(comm, kind) {
                     Poll::Ready => self.state = TwoLevelState::Bcast,
                     pending => return pending,
                 },
-                TwoLevelState::Pipe(pipe) => match pipe.poll(comm) {
+                TwoLevelState::Pipe(pipe) => match pipe.poll(comm, kind, group) {
                     Poll::Ready => self.state = TwoLevelState::Bcast,
                     pending => return pending,
                 },
@@ -885,20 +1264,19 @@ impl TwoLevelSm {
                         if recv_mask != 0 {
                             let tag = coll_tag(self.seq, 1);
                             let src = leader + (r - recv_mask);
-                            if comm.try_recv_buffered(src, tag, self.buf_id).is_none() {
+                            let Some(incoming) = comm.try_recv_buffered(src, tag, self.buf_id)
+                            else {
                                 return Poll::Pending { src, tag };
-                            }
+                            };
+                            kind.adopt(incoming);
                             mask = recv_mask;
                         }
                         mask >>= 1;
                         while mask > 0 {
                             if r + mask < gpn {
-                                comm.send(
-                                    leader + r + mask,
-                                    coll_tag(self.seq, 1),
-                                    synth(self.elems),
-                                    self.buf_id,
-                                );
+                                let msg = kind.pass_down(whole);
+                                let child = leader + r + mask;
+                                comm.send(child, coll_tag(self.seq, 1), msg, self.buf_id);
                             }
                             mask >>= 1;
                         }
@@ -919,156 +1297,182 @@ enum AllreduceInner {
     Topk(TopkSm),
 }
 
-/// Costs-only sum-allreduce of `elems` f32 elements as a resumable task —
-/// the state-machine twin of [`super::synthetic::allreduce_elems`] (which
-/// now drives this).
-pub struct AllreduceElemsTask {
+/// One allreduce as a resumable task, over either payload kind. Both kinds
+/// file the same verify signature (but for the dtype slot), and record the
+/// same `allreduce.{algo}[+wire][g{g}] {bytes}B` span and
+/// `mpi.collectives` / `mpi.wire_bytes` / `mpi.wire_dense_bytes` counters,
+/// once, on `Ready`.
+pub struct AllreduceTask<K> {
+    kind: K,
     elems: usize,
     buf_id: u64,
-    algo: AllreduceAlgorithm,
-    wf: WireFormat,
+    op: ReduceOp,
+    choice: CommChoice,
+    group: Option<usize>,
     t0: f64,
     inner: Option<AllreduceInner>,
 }
 
-impl AllreduceElemsTask {
+/// A costs-only sum-allreduce of `elems` f32 elements — what the
+/// simulator's rank programs yield.
+pub type AllreduceElemsTask = AllreduceTask<CostsOnly>;
+
+impl AllreduceTask<CostsOnly> {
     /// Build the task; nothing happens until the first `poll`.
     pub fn new(elems: usize, buf_id: u64, algo: AllreduceAlgorithm) -> AllreduceElemsTask {
         AllreduceElemsTask::new_wire(elems, buf_id, algo, WireFormat::F32)
     }
 
-    /// [`AllreduceElemsTask::new`] with an explicit wire format — mirrors
-    /// the real schedule's encoded payload sizes (and the top-k sparse
-    /// schedule) without real data.
+    /// [`AllreduceElemsTask::new`] with an explicit wire format: encoded
+    /// payload sizes on the wire (and the top-k sparse schedule) without
+    /// real data.
     pub fn new_wire(
         elems: usize,
         buf_id: u64,
         algo: AllreduceAlgorithm,
         wf: WireFormat,
     ) -> AllreduceElemsTask {
-        AllreduceElemsTask {
+        let choice = CommChoice { algo, wire: wf };
+        AllreduceTask::with_kind(CostsOnly, elems, buf_id, ReduceOp::Sum, choice, None)
+    }
+}
+
+impl AllreduceTask<RealData> {
+    /// The buffer the task owns: reduced once the task is `Ready`.
+    pub(crate) fn into_buf(self) -> Vec<f32> {
+        self.kind.buf
+    }
+}
+
+impl<K: PayloadKind> AllreduceTask<K> {
+    /// An allreduce of `elems` elements over `kind`, algorithm and wire
+    /// format resolved; nothing happens until the first `poll`.
+    pub(crate) fn with_kind(
+        kind: K,
+        elems: usize,
+        buf_id: u64,
+        op: ReduceOp,
+        choice: CommChoice,
+        group: Option<usize>,
+    ) -> AllreduceTask<K> {
+        AllreduceTask {
+            kind,
             elems,
             buf_id,
-            algo,
-            wf,
+            op,
+            choice,
+            group,
             t0: 0.0,
             inner: None,
         }
     }
+
+    /// The resolved algorithm's schedule, its first messages queued.
+    fn start(&mut self, comm: &mut Comm) -> AllreduceInner {
+        let (elems, buf_id, wf) = (self.elems, self.buf_id, self.choice.wire);
+        let kind = &mut self.kind;
+        let size = comm.size();
+        let seq = comm.next_seq();
+        if let WireFormat::TopK { k_permille } = wf {
+            let k = wire::topk_count(elems, k_permille);
+            return AllreduceInner::Topk(TopkSm::new(comm, kind, k, buf_id, seq));
+        }
+        match self.choice.algo {
+            AllreduceAlgorithm::RecursiveDoubling if size.is_power_of_two() => {
+                AllreduceInner::Rd(RdSm::new(kind, elems, buf_id, seq, wf))
+            }
+            AllreduceAlgorithm::Ring | AllreduceAlgorithm::RecursiveDoubling => {
+                AllreduceInner::Ring(RingSm::new(comm, kind, elems, size, 1, buf_id, seq, wf))
+            }
+            AllreduceAlgorithm::TwoLevel => AllreduceInner::TwoLevel(TwoLevelSm {
+                elems,
+                buf_id,
+                seq,
+                wf,
+                state: TwoLevelState::IntraReduce { mask: 1 },
+            }),
+            AllreduceAlgorithm::PipelinedRing => {
+                let chunk_elems = (comm.config().tuning.pipeline_chunk as usize / 4).max(1);
+                AllreduceInner::Pipe(PipeSm::new(
+                    comm,
+                    kind,
+                    elems,
+                    size,
+                    1,
+                    buf_id,
+                    seq,
+                    chunk_elems,
+                    wf,
+                ))
+            }
+        }
+    }
+
+    /// The span and counters of a finished allreduce — one trace-scope test
+    /// on the untraced path, which a 512-rank step takes thousands of times.
+    fn record(&self, comm: &Comm) {
+        use dlsr_trace::report::keys;
+        if !dlsr_trace::is_on() {
+            return;
+        }
+        let (CommChoice { algo, wire: wf }, group) = (self.choice, self.group);
+        let bytes = self.elems * 4;
+        dlsr_trace::counter_add(keys::WIRE_DENSE_BYTES, bytes as f64);
+        dlsr_trace::counter_add(keys::WIRE_BYTES, wf.wire_bytes(self.elems) as f64);
+        dlsr_trace::record_span(
+            || {
+                let name = if let WireFormat::TopK { .. } = wf {
+                    "topk".to_string()
+                } else if wf.is_f32() {
+                    format!("{algo:?}")
+                } else {
+                    format!("{algo:?}+{wf}")
+                };
+                match group {
+                    Some(g) => format!("allreduce.{name}[g{g}] {bytes}B"),
+                    None => format!("allreduce.{name} {bytes}B"),
+                }
+            },
+            dlsr_trace::cat::MPI,
+            self.t0,
+            comm.now(),
+        );
+        dlsr_trace::counter_add(keys::MPI_COLLECTIVES, 1.0);
+    }
 }
 
-impl EventTask for AllreduceElemsTask {
+impl<K: PayloadKind> EventTask for AllreduceTask<K> {
     fn poll(&mut self, comm: &mut Comm) -> Poll {
         if comm.size() == 1 {
             return Poll::Ready;
         }
         if self.inner.is_none() {
+            // The wire format rides the signature's dtype slot: format skew
+            // between ranks must surface as a CollectiveMismatch at the
+            // rendezvous, never as a hang or a payload decode panic
+            // mid-schedule.
             comm.verify_coll(
                 "allreduce",
-                "sum",
-                self.wf.synth_dtype_name(),
+                self.op.label(),
+                K::dtype(self.choice.wire),
                 self.elems,
-                self.algo.label(),
-                None,
+                self.choice.algo.label(),
+                self.group,
                 0,
             );
             self.t0 = comm.now();
-            let size = comm.size();
-            let inner = if let WireFormat::TopK { k_permille } = self.wf {
-                AllreduceInner::Topk(TopkSm {
-                    k: wire::topk_count(self.elems, k_permille),
-                    buf_id: self.buf_id,
-                    seq: comm.next_seq(),
-                    step: 0,
-                    sent: false,
-                })
-            } else {
-                match self.algo {
-                    AllreduceAlgorithm::Ring => {
-                        let seq = comm.next_seq();
-                        AllreduceInner::Ring(RingSm::new(
-                            comm,
-                            self.elems,
-                            size,
-                            1,
-                            self.buf_id,
-                            seq,
-                            self.wf,
-                        ))
-                    }
-                    AllreduceAlgorithm::RecursiveDoubling => {
-                        if comm.size().is_power_of_two() {
-                            AllreduceInner::Rd(RdSm {
-                                elems: self.elems,
-                                buf_id: self.buf_id,
-                                seq: comm.next_seq(),
-                                wf: self.wf,
-                                mask: 1,
-                                step: 0,
-                                sent: false,
-                            })
-                        } else {
-                            let seq = comm.next_seq();
-                            AllreduceInner::Ring(RingSm::new(
-                                comm,
-                                self.elems,
-                                size,
-                                1,
-                                self.buf_id,
-                                seq,
-                                self.wf,
-                            ))
-                        }
-                    }
-                    AllreduceAlgorithm::TwoLevel => AllreduceInner::TwoLevel(TwoLevelSm {
-                        elems: self.elems,
-                        buf_id: self.buf_id,
-                        seq: comm.next_seq(),
-                        wf: self.wf,
-                        state: TwoLevelState::IntraReduce { mask: 1 },
-                    }),
-                    AllreduceAlgorithm::PipelinedRing => {
-                        let seq = comm.next_seq();
-                        let chunk_elems = (comm.config().tuning.pipeline_chunk as usize / 4).max(1);
-                        AllreduceInner::Pipe(PipeSm::new(
-                            comm,
-                            self.elems,
-                            size,
-                            1,
-                            self.buf_id,
-                            seq,
-                            chunk_elems,
-                            self.wf,
-                        ))
-                    }
-                }
-            };
-            self.inner = Some(inner);
+            self.inner = Some(self.start(comm));
         }
-        let done = match self.inner.as_mut().expect("initialized above") {
-            AllreduceInner::Ring(sm) => sm.poll(comm),
-            AllreduceInner::Rd(sm) => sm.poll(comm),
-            AllreduceInner::TwoLevel(sm) => sm.poll(comm),
-            AllreduceInner::Pipe(sm) => sm.poll(comm),
-            AllreduceInner::Topk(sm) => sm.poll(comm),
+        let (kind, group) = (&mut self.kind, self.group);
+        let done = match self.inner.as_mut().expect("started above") {
+            AllreduceInner::Ring(sm) => sm.poll(comm, kind),
+            AllreduceInner::Rd(sm) => sm.poll(comm, kind),
+            AllreduceInner::TwoLevel(sm) => sm.poll(comm, kind, group),
+            AllreduceInner::Pipe(sm) => sm.poll(comm, kind, group),
+            AllreduceInner::Topk(sm) => sm.poll(comm, kind),
         };
         if let Poll::Ready = done {
-            let (algo, wf, bytes) = (self.algo, self.wf, self.elems * 4);
-            dlsr_trace::record_span(
-                move || {
-                    let name = if let WireFormat::TopK { .. } = wf {
-                        "topk".to_string()
-                    } else if wf.is_f32() {
-                        format!("{algo:?}")
-                    } else {
-                        format!("{algo:?}+{wf}")
-                    };
-                    format!("allreduce.{name} {bytes}B")
-                },
-                dlsr_trace::cat::MPI,
-                self.t0,
-                comm.now(),
-            );
+            self.record(comm);
         }
         done
     }
@@ -1132,18 +1536,6 @@ impl EventTask for BarrierTask {
     }
 }
 
-/// Blocking entry used by [`super::synthetic::allreduce_elems`].
-pub(crate) fn drive_allreduce_elems(
-    comm: &mut Comm,
-    elems: usize,
-    buf_id: u64,
-    algo: AllreduceAlgorithm,
-    wf: WireFormat,
-) {
-    let mut task = AllreduceElemsTask::new_wire(elems, buf_id, algo, wf);
-    drive_task(comm, &mut task);
-}
-
 /// Blocking entry used by [`super::barrier`].
 pub(crate) fn drive_barrier(comm: &mut Comm) {
     let mut task = BarrierTask::new();
@@ -1152,9 +1544,10 @@ pub(crate) fn drive_barrier(comm: &mut Comm) {
 
 #[cfg(test)]
 mod tests {
+    use crate::collectives::{Allreduce, CollectiveBuf};
     use crate::comm::{CommStats, PathPolicy};
     use crate::config::MpiConfig;
-    use crate::executor::{drive_program, RankProgram, Step};
+    use crate::executor::{drive_program, RankProgram, Step, Task};
     use crate::verify::{Violation, ViolationKind};
     use crate::world::MpiWorld;
     use dlsr_net::{ClusterTopology, RegCacheStats};
@@ -1164,10 +1557,15 @@ mod tests {
     /// A small rank program with per-rank clock skew between collectives,
     /// so scheduling mistakes would show up as clock divergence. A rank for
     /// which `elems_of` answers `None` skips its allreduces (a bug the
-    /// engine must diagnose, not a supported program).
+    /// engine must diagnose, not a supported program). With `real` set,
+    /// each allreduce reduces a fresh rank-dependent buffer in that wire
+    /// format, which the engine hands back through
+    /// [`RankProgram::task_done`]; else it is costs-only.
     struct Prog<F> {
         algo: AllreduceAlgorithm,
         elems_of: F,
+        real: Option<WireFormat>,
+        buf: Vec<f32>,
         left: usize,
     }
 
@@ -1176,19 +1574,41 @@ mod tests {
             Prog {
                 algo,
                 elems_of,
+                real: None,
+                buf: Vec::new(),
                 left: 3,
             }
         }
     }
 
-    /// Every rank reduces `elems` elements.
-    fn uniform(algo: AllreduceAlgorithm, elems: usize) -> Prog<impl Fn(usize) -> Option<usize>> {
-        Prog::per_rank(algo, move |_| Some(elems))
+    /// Every rank reduces `elems` elements: real ones in wire format
+    /// `real`, or costs only.
+    fn uniform(
+        algo: AllreduceAlgorithm,
+        elems: usize,
+        real: Option<WireFormat>,
+    ) -> Prog<impl Fn(usize) -> Option<usize>> {
+        Prog {
+            real,
+            ..Prog::per_rank(algo, move |_| Some(elems))
+        }
+    }
+
+    /// Rank `rank`'s input: awkward floats, so fold order shows in the bits.
+    fn input(rank: usize, elems: usize) -> Vec<f32> {
+        (0..elems)
+            .map(|i| (rank * 31 + i) as f32 * 0.1 - 1.7)
+            .collect()
+    }
+
+    fn bits(buf: &[f32]) -> Vec<u32> {
+        buf.iter().map(|v| v.to_bits()).collect()
     }
 
     /// Everything a rank's communicator holds at the end of a run that the
-    /// two cores must agree on: clock bits, statistics, registration cache.
-    type Outcome = (u64, CommStats, RegCacheStats);
+    /// two cores must agree on — clock bits, statistics, registration cache
+    /// — and the bits of the buffer the last allreduce handed back.
+    type Outcome = (u64, CommStats, RegCacheStats, Vec<u32>);
 
     impl<F: Fn(usize) -> Option<usize>> RankProgram for Prog<F> {
         type Out = Outcome;
@@ -1203,8 +1623,18 @@ mod tests {
                     return Step::Task(BarrierTask::new().into());
                 }
                 if let Some(elems) = (self.elems_of)(comm.rank()) {
-                    return Step::Task(AllreduceElemsTask::new(elems, 1, self.algo).into());
+                    let Some(wf) = self.real else {
+                        return Step::Task(AllreduceElemsTask::new(elems, 1, self.algo).into());
+                    };
+                    self.buf = input(comm.rank(), elems);
+                    let req = Allreduce::new(&mut self.buf).buf_id(1).algo(self.algo);
+                    return Step::Task(req.wire(wf).task(comm));
                 }
+            }
+        }
+        fn task_done(&mut self, task: Task) {
+            if let Some(buf) = task.into_buf() {
+                self.buf = buf;
             }
         }
         fn finish(&mut self, comm: &mut Comm, _trace: Vec<dlsr_trace::TraceEvent>) -> Outcome {
@@ -1212,43 +1642,81 @@ mod tests {
                 comm.now().to_bits(),
                 comm.stats().clone(),
                 comm.regcache_stats(),
+                bits(&self.buf),
             )
         }
     }
 
-    /// The correctness bar: the driven engine — whose rings run as waves —
-    /// and the event context core (at several worker counts) — whose rings
-    /// exchange messages — leave *bit-identical* clocks, statistics and
-    /// registration caches on every rank: on a power-of-two world and on a
-    /// 3-node one (a non-power-of-two leader ring and a 12-rank flat
-    /// ring), with element counts that do and do not divide by the ring
-    /// size, small enough for single-element and empty chunks included.
-    /// `tests/wave_equivalence.rs` draws the same comparison from the
+    /// The correctness bar: the driven engine — whose costs-only rings run
+    /// as waves — and the event context core (at several worker counts) —
+    /// whose rings exchange messages — leave *bit-identical* clocks,
+    /// statistics and registration caches on every rank: on a power-of-two
+    /// world and on a 3-node one (a non-power-of-two leader ring and a
+    /// 12-rank flat ring), with element counts that do and do not divide by
+    /// the ring size, small enough for single-element and empty chunks
+    /// included. Real-payload programs run the same comparison, buffers
+    /// included, on 2 and 3 nodes in f32, bf16 and top-k, and the buffer a
+    /// program gets back must be the one the blocking allreduce computes.
+    /// `tests/wave_equivalence.rs` draws the costs-only comparison from the
     /// whole configuration space.
     #[test]
     fn all_cores_agree_bitwise() {
-        for (nodes, elems) in [(2, 123_457), (3, 123_457), (3, 120_000), (3, 7), (2, 5)] {
+        let costs_only = [(2, 123_457), (3, 123_457), (3, 120_000), (3, 7), (2, 5)]
+            .map(|(nodes, elems)| (nodes, elems, None));
+        let top_k = WireFormat::TopK { k_permille: 200 };
+        let real = [2, 3].into_iter().flat_map(|nodes| {
+            [WireFormat::F32, WireFormat::Bf16, top_k].map(|wf| (nodes, 1_003, Some(wf)))
+        });
+        for (nodes, elems, real) in costs_only.into_iter().chain(real) {
             let topo = ClusterTopology::lassen(nodes);
-            for algo in [
-                AllreduceAlgorithm::Ring,
-                AllreduceAlgorithm::RecursiveDoubling,
-                AllreduceAlgorithm::TwoLevel,
-                AllreduceAlgorithm::PipelinedRing,
-            ] {
-                let what = format!("{algo:?}, {nodes} nodes, {elems} elems");
-                let driven =
-                    MpiWorld::run_driven(&topo, MpiConfig::mpi_opt(), |_| uniform(algo, elems))
-                        .ranks;
+            for algo in AllreduceAlgorithm::ALL {
+                let what = format!("{algo:?}, {nodes} nodes, {elems} elems, real {real:?}");
+                let driven = MpiWorld::run_driven(&topo, MpiConfig::mpi_opt(), |_| {
+                    uniform(algo, elems, real)
+                })
+                .ranks;
                 for workers in [1usize, 4, 8] {
                     let mut cfg = MpiConfig::mpi_opt();
                     cfg.sim_workers = workers;
-                    let event =
-                        MpiWorld::run(&topo, cfg, move |c| drive_program(c, uniform(algo, elems)))
-                            .ranks;
+                    let event = MpiWorld::run(&topo, cfg, move |c| {
+                        drive_program(c, uniform(algo, elems, real))
+                    })
+                    .ranks;
                     assert_eq!(driven, event, "{what}: driven vs event(workers={workers})");
+                }
+                let Some(wf) = real else { continue };
+                let blocking = MpiWorld::run(&topo, MpiConfig::mpi_opt(), move |c| {
+                    let mut buf = input(c.rank(), elems);
+                    Allreduce::new(&mut buf)
+                        .buf_id(1)
+                        .algo(algo)
+                        .wire(wf)
+                        .run(c);
+                    bits(&buf)
+                })
+                .ranks;
+                for (rank, (got, want)) in driven.iter().zip(&blocking).enumerate() {
+                    assert_eq!(&got.3, want, "{what}: rank {rank} got another buffer back");
                 }
             }
         }
+    }
+
+    /// A 512-rank costs-only allreduce of a 10 MB gradient runs in
+    /// milliseconds of wall time and bytes of memory — the scale the
+    /// costs-only kind exists for.
+    #[test]
+    fn a_costs_only_allreduce_scales_to_512_ranks() {
+        let topo = ClusterTopology::lassen(128);
+        let res = MpiWorld::run(&topo, MpiConfig::mpi_opt(), |c| {
+            Allreduce::new(CollectiveBuf::costs_only(2_500_000))
+                .buf_id(1)
+                .algo(AllreduceAlgorithm::TwoLevel)
+                .run(c);
+            c.now()
+        });
+        assert_eq!(res.ranks.len(), 512);
+        assert!(res.makespan() > 0.0);
     }
 
     /// The violation `f`'s world fails with.
@@ -1444,28 +1912,27 @@ mod tests {
     /// starting chunk through two full rotations down and back up.
     #[test]
     fn chunk_cursor_matches_chunk_range() {
-        use crate::collectives::chunk_range;
         for p in [1usize, 2, 3, 4, 7, 12, 128] {
             for elems in [0usize, 1, 5, p - 1, p, p + 1, 1000, 123_457, 8 << 20] {
                 for start in 0..p {
                     let mut cursor = ChunkCursor::new(elems, p, start);
                     for k in 0..2 * p {
                         let i = (start + 2 * p - k) % p;
-                        assert_eq!(
-                            cursor.len(),
-                            chunk_range(elems, p, i).len(),
-                            "elems {elems}, p {p}, chunk {i}"
-                        );
+                        let want = chunk_range(elems, p, i);
+                        assert_eq!(cursor.len(), want.len(), "elems {elems}, p {p}, chunk {i}");
+                        assert_eq!(cursor.range(), want, "elems {elems}, p {p}, chunk {i}");
                         assert_eq!(cursor.down().up().rem, cursor.rem);
                         cursor = cursor.down();
                     }
                     for k in 0..2 * p {
                         let i = (start + k) % p;
+                        let want = chunk_range(elems, p, i);
                         assert_eq!(
                             cursor.len(),
-                            chunk_range(elems, p, i).len(),
+                            want.len(),
                             "elems {elems}, p {p}, chunk {i} (up)"
                         );
+                        assert_eq!(cursor.range(), want, "elems {elems}, p {p}, chunk {i} (up)");
                         cursor = cursor.up();
                     }
                 }

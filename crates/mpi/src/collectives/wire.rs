@@ -77,17 +77,6 @@ impl WireFormat {
         self.label()
     }
 
-    /// [`WireFormat::dtype_name`] of a costs-only payload: the same skew
-    /// must be a mismatch when the collective carries lengths only.
-    pub(crate) fn synth_dtype_name(self) -> &'static str {
-        match self {
-            WireFormat::F32 => "synth",
-            WireFormat::Bf16 => "synth-bf16",
-            WireFormat::Fp16 => "synth-fp16",
-            WireFormat::TopK { .. } => "synth-topk",
-        }
-    }
-
     /// Charged wire bytes for an `elems`-element f32 buffer in this
     /// format. This is what the transport bills, replacing the hardwired
     /// `len * 4`.

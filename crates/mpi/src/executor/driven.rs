@@ -39,8 +39,10 @@
 //! [`drive_task`] (poll, and on `Pending` block the OS thread until the
 //! match arrives; rings exchange their messages there and are the wave's
 //! reference), so every collective has exactly one implementation — its
-//! state machine — and core equivalence is structural rather than
-//! maintained by hand.
+//! state machine, for real and costs-only payloads alike — and core
+//! equivalence is structural rather than maintained by hand. A finished
+//! task goes back to its program ([`RankProgram::task_done`]): that is how
+//! a real-payload allreduce returns the buffer it reduced.
 
 use std::sync::Arc;
 
@@ -48,7 +50,9 @@ use dlsr_gpu::IpcRegistry;
 use dlsr_net::ClusterTopology;
 use dlsr_trace::TraceEvent;
 
-use crate::collectives::tasks::{RingWave, WaveScratch};
+use crate::collectives::tasks::{
+    AllreduceElemsTask, AllreduceTask, BarrierTask, RealData, RingWave, WaveScratch,
+};
 use crate::comm::{Comm, Wire};
 use crate::config::MpiConfig;
 use crate::executor::budget::FlightBudget;
@@ -87,6 +91,8 @@ pub trait EventTask {
 }
 
 /// What a [`RankProgram`] wants next.
+// The task rides inline, unboxed, for the reason [`Task`] gives.
+#[allow(clippy::large_enum_variant)]
 pub enum Step {
     /// Run this task to completion, then ask again.
     Task(Task),
@@ -102,10 +108,13 @@ pub enum Step {
 /// a measurable share of steady-state cost); anything else rides in
 /// [`Task::Custom`].
 pub enum Task {
-    /// [`AllreduceElemsTask`](crate::collectives::tasks::AllreduceElemsTask).
-    Allreduce(crate::collectives::tasks::AllreduceElemsTask),
-    /// [`BarrierTask`](crate::collectives::tasks::BarrierTask).
-    Barrier(crate::collectives::tasks::BarrierTask),
+    /// A costs-only [`AllreduceElemsTask`].
+    Allreduce(AllreduceElemsTask),
+    /// A real-payload allreduce, boxed: it owns its buffer and message
+    /// queue, and programs that move real data yield far fewer tasks.
+    RealAllreduce(Box<AllreduceTask<RealData>>),
+    /// [`BarrierTask`].
+    Barrier(BarrierTask),
     /// Any other [`EventTask`] (e.g. tasks defined outside this crate).
     Custom(Box<dyn EventTask>),
 }
@@ -115,16 +124,31 @@ impl Task {
     pub fn custom<T: EventTask + 'static>(t: T) -> Task {
         Task::Custom(Box::new(t))
     }
+
+    /// The buffer a finished real-payload allreduce hands back, reduced;
+    /// `None` for every other task.
+    pub fn into_buf(self) -> Option<Vec<f32>> {
+        match self {
+            Task::RealAllreduce(t) => Some(t.into_buf()),
+            _ => None,
+        }
+    }
 }
 
-impl From<crate::collectives::tasks::AllreduceElemsTask> for Task {
-    fn from(t: crate::collectives::tasks::AllreduceElemsTask) -> Task {
+impl From<AllreduceElemsTask> for Task {
+    fn from(t: AllreduceElemsTask) -> Task {
         Task::Allreduce(t)
     }
 }
 
-impl From<crate::collectives::tasks::BarrierTask> for Task {
-    fn from(t: crate::collectives::tasks::BarrierTask) -> Task {
+impl From<AllreduceTask<RealData>> for Task {
+    fn from(t: AllreduceTask<RealData>) -> Task {
+        Task::RealAllreduce(Box::new(t))
+    }
+}
+
+impl From<BarrierTask> for Task {
+    fn from(t: BarrierTask) -> Task {
         Task::Barrier(t)
     }
 }
@@ -133,6 +157,7 @@ impl EventTask for Task {
     fn poll(&mut self, comm: &mut Comm) -> Poll {
         match self {
             Task::Allreduce(t) => t.poll(comm),
+            Task::RealAllreduce(t) => t.poll(comm),
             Task::Barrier(t) => t.poll(comm),
             Task::Custom(t) => t.poll(comm),
         }
@@ -148,6 +173,10 @@ pub trait RankProgram {
     type Out;
     /// Run the next synchronous segment and say what follows it.
     fn next(&mut self, comm: &mut Comm) -> Step;
+    /// Take back the task of a [`Step::Task`] once it has run to
+    /// completion — how a real-payload allreduce returns the buffer it
+    /// reduced ([`Task::into_buf`]). The default drops it.
+    fn task_done(&mut self, _task: Task) {}
     /// Produce the rank's result. `trace` holds the spans of the rank's
     /// trace lane (empty when no sink is in scope).
     fn finish(&mut self, comm: &mut Comm, trace: Vec<TraceEvent>) -> Self::Out;
@@ -175,7 +204,10 @@ pub fn drive_task(comm: &mut Comm, task: &mut dyn EventTask) {
 pub fn drive_program<P: RankProgram>(comm: &mut Comm, mut prog: P) -> P::Out {
     loop {
         match prog.next(comm) {
-            Step::Task(mut t) => drive_task(comm, &mut t),
+            Step::Task(mut t) => {
+                drive_task(comm, &mut t);
+                prog.task_done(t);
+            }
             Step::DiscardTrace => {
                 if let Some(lane) = dlsr_trace::current() {
                     lane.drain_events();
@@ -269,7 +301,10 @@ where
         loop {
             if let Some(task) = tasks[r].as_mut() {
                 match task.poll(&mut comms[r]) {
-                    Poll::Ready => tasks[r] = None,
+                    Poll::Ready => {
+                        let done = tasks[r].take().expect("the task just polled");
+                        progs[r].task_done(done);
+                    }
                     Poll::Pending { src, tag } => {
                         waiting[r] = Some((src, tag));
                         break;
