@@ -2,8 +2,8 @@
 
 use dlsr_gpu::{GpuSpec, KernelCostModel, MemoryError, WorkloadProfile};
 use dlsr_horovod::{
-    plan_dynamic, readiness_from_elems, Backend, HorovodConfig, NegotiateTask, ScheduledGroup,
-    TensorSpec,
+    plan_dynamic, readiness_from_elems, record_group_counters, Backend, HorovodConfig,
+    NegotiateTask, ScheduledGroup, TensorSpec, FUSION_BUF_ID_BASE,
 };
 use dlsr_hvprof::{Collective, Hvprof, Label, Timeline};
 use dlsr_mpi::collectives::tasks::{AllreduceElemsTask, BarrierTask};
@@ -13,9 +13,6 @@ use dlsr_mpi::{drive_program, Comm, MpiConfig, PathPolicy, RankProgram, Step, Ta
 use dlsr_net::{ClusterTopology, RegCacheStats};
 
 use crate::scenario::Scenario;
-
-/// Stable id namespace for fusion buffers (mirrors the Horovod layer).
-const FUSION_BUF_ID_BASE: u64 = 0x4655_5300;
 
 /// Coordinator per-report processing cost charged in the *executed*
 /// once-per-step negotiation (rank 0, per worker).
@@ -471,15 +468,7 @@ impl RankProgram for SimProgram<'_> {
                         self.phase = SimPhase::Backward;
                         continue;
                     };
-                    dlsr_trace::counter_add(dlsr_trace::report::keys::FUSION_GROUPS, 1.0);
-                    dlsr_trace::counter_add(
-                        dlsr_trace::report::keys::FUSION_PACKED_BYTES,
-                        sg.group.bytes as f64,
-                    );
-                    dlsr_trace::counter_add(
-                        dlsr_trace::report::keys::FUSION_CAPACITY_BYTES,
-                        sg.group.bytes.max(tr.hcfg.fusion_threshold) as f64,
-                    );
+                    record_group_counters(&sg.group, tr.hcfg.fusion_threshold);
                     comm.advance_to(self.bwd_start + sg.launch_offset * self.jit);
                     self.ts = comm.now();
                     let buf_id = FUSION_BUF_ID_BASE + self.gi as u64;

@@ -25,8 +25,8 @@ fn real_training_passes_the_verifier() {
         gpus_per_node: 2,
     };
     let cfg = RealTrainConfig::builder().steps(6).build();
-    // Overlapped engine: fusion groups launch mid-backward, which is
-    // exactly the path whose launch order the verifier audits.
+    // Overlapped engine: fusion groups launch mid-backward, in the order
+    // the verifier audits.
     let res = train_real(&topo, MpiConfig::mpi_opt(), &cfg);
     assert!(res.losses.len() == 6);
     let summary = res.verify.expect("a verified run returns a summary");
@@ -40,11 +40,19 @@ fn real_training_passes_the_verifier() {
         "fusion-group launches were checked: {summary:?}"
     );
 
-    // Sequential engine covers the backward-then-allreduce path too.
+    // Sequential engine covers the backward-then-allreduce path too: its
+    // groups launch through the same exchange, so they are audited alike
+    // — the same launches per step as the overlapped run's.
     let cfg = RealTrainConfig::builder().steps(3).overlap(false).build();
     let res = train_real(&topo, MpiConfig::mpi_opt(), &cfg);
     assert!(res.losses.len() == 3);
-    assert!(res.verify.expect("summary").collectives_checked > 0);
+    let seq = res.verify.expect("summary");
+    assert!(seq.collectives_checked > 0);
+    assert_eq!(
+        seq.launches_checked * 2,
+        summary.launches_checked,
+        "3 sequential steps vs 6 overlapped: {seq:?} vs {summary:?}"
+    );
 }
 
 /// The world every scaling number comes from — `run_world`, so the driven

@@ -17,7 +17,7 @@
 //! | simulated V100 (memory, cost model, CUDA IPC) | [`gpu`] (`dlsr-gpu`) |
 //! | NVLink / PCIe-staging / InfiniBand + reg cache | [`net`] (`dlsr-net`) |
 //! | CUDA-aware MPI (collectives, `MV2_VISIBLE_DEVICES`) | [`mpi`] (`dlsr-mpi`) |
-//! | NCCL-like backend | [`nccl`] (`dlsr-nccl`) |
+//! | NCCL-like backend | [`nccl`] (`dlsr_mpi::nccl`) |
 //! | Horovod (fusion, coordinator, DistributedOptimizer) | [`horovod`] (`dlsr-horovod`) |
 //! | hvprof communication profiler | [`hvprof`] (`dlsr-hvprof`) |
 //! | cross-layer spans, counters & step report | [`trace`] (`dlsr-trace`) |
@@ -64,7 +64,7 @@ pub use dlsr_horovod as horovod;
 pub use dlsr_hvprof as hvprof;
 pub use dlsr_models as models;
 pub use dlsr_mpi as mpi;
-pub use dlsr_nccl as nccl;
+pub use dlsr_mpi::nccl;
 pub use dlsr_net as net;
 pub use dlsr_nn as nn;
 pub use dlsr_tensor as tensor;
@@ -82,11 +82,11 @@ pub mod prelude {
     pub use dlsr_horovod::{broadcast_parameters, Backend, DistributedOptimizer, HorovodConfig};
     pub use dlsr_hvprof::{compare, render_table, Collective, Hvprof};
     pub use dlsr_models::{Edsr, EdsrConfig, ResNet, ResNetConfig, SrResNet, Srcnn, Vdsr};
+    pub use dlsr_mpi::nccl::Nccl;
     pub use dlsr_mpi::{
         collectives, Allreduce, AllreduceAlgorithm, Comm, CommTuning, MpiConfig, MpiWorld, Payload,
         WireFormat,
     };
-    pub use dlsr_nccl::Nccl;
     pub use dlsr_net::{ClusterTopology, RegistrationCache, TransportModel};
     pub use dlsr_nn::checkpoint::StateDict;
     pub use dlsr_nn::loss::{cross_entropy, l1_loss, mse_loss};

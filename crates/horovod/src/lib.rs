@@ -1,7 +1,7 @@
 //! `dlsr-horovod` — a Horovod-like data-parallel middleware (§II-D) sitting
 //! between the DL framework (`dlsr-nn` models) and a communication backend
-//! (`dlsr-mpi` / `dlsr-nccl`), exactly as in the paper's stack diagram
-//! (Fig 3).
+//! (`dlsr-mpi`, or its NCCL-like `dlsr_mpi::nccl`), exactly as in the
+//! paper's stack diagram (Fig 3).
 //!
 //! Implements the pieces the paper's optimization story depends on:
 //!
@@ -60,5 +60,7 @@ pub use fusion::{
     plan_dynamic, plan_fusion, readiness_from_elems, reconcile_readiness, FusionGroup,
     ReadinessReconciliation, ScheduledGroup, TensorSpec,
 };
-pub use optimizer::{broadcast_parameters, DistributedOptimizer, GradientSynchronizer};
+pub use optimizer::{
+    broadcast_parameters, record_group_counters, DistributedOptimizer, FUSION_BUF_ID_BASE,
+};
 pub use tuner::{CommTuneEntry, CommTuner};

@@ -3,11 +3,12 @@
 
 use dlsr_attr as dlsr;
 use dlsr_hvprof::{Collective, Hvprof};
-use dlsr_mpi::collectives::{bcast, wire, Allreduce, AllreduceAlgorithm, ReduceOp};
-use dlsr_mpi::{CollectiveBuf, Comm, CommChoice, PathPolicy, WireFormat};
-use dlsr_nccl::Nccl;
+use dlsr_mpi::collectives::{bcast, wire, Allreduce, ReduceOp};
+use dlsr_mpi::nccl::Nccl;
+use dlsr_mpi::{Comm, CommChoice, WireFormat};
 use dlsr_nn::module::{Module, ModuleExt};
 use dlsr_nn::optim::Optimizer;
+use dlsr_nn::Param;
 use dlsr_tensor::{Result, Tensor};
 
 use crate::config::{Backend, HorovodConfig};
@@ -19,8 +20,10 @@ use crate::fusion::{
 use crate::tuner::{CommTuneEntry, CommTuner};
 
 /// Stable buffer-id namespace for the persistent fusion buffers (reused
-/// every step → registration-cache hits, the §III-D effect).
-const FUSION_BUF_ID_BASE: u64 = 0x4655_5300; // "FUS"
+/// every step → registration-cache hits, the §III-D effect): group `g`
+/// reduces under `FUSION_BUF_ID_BASE + g`; the parameter broadcast uses
+/// `FUSION_BUF_ID_BASE - 1` and the simulator's metrics reduction `- 2`.
+pub const FUSION_BUF_ID_BASE: u64 = 0x4655_5300; // "FUS"
 
 /// Buffer id of the tuner's 1-element step-duration agreement allreduce.
 const TUNE_BUF_ID: u64 = 0x54_554E; // "TUN"
@@ -28,8 +31,8 @@ const TUNE_BUF_ID: u64 = 0x54_554E; // "TUN"
 /// Algorithm + wire selection for one fused group: the comm config's
 /// size-binned [`select_comm`](dlsr_mpi::MpiConfig::select_comm), with the
 /// tuner's `rd`/`pipeline` thresholds substituted when a tuned entry is
-/// active. A pure function of `(bytes, tuned, config)`, so the sequential
-/// and overlapped paths — and every rank — pick identically.
+/// active. A pure function of `(bytes, tuned, config)`, so every rank picks
+/// identically.
 fn comm_choice(comm: &Comm, bytes: u64, tuned: Option<CommTuneEntry>) -> CommChoice {
     let nodes = comm.topology().nodes;
     match tuned {
@@ -65,7 +68,8 @@ fn topk_error_feedback(buf: &mut [f32], residual: &mut [f32], k_permille: u16) {
 /// packed, and the capacity each group occupies (a group can exceed the
 /// threshold when a single tensor is larger than it, so capacity is the
 /// max of the two — utilization stays ≤ 100%).
-fn record_group_counters(group: &FusionGroup, fusion_threshold: u64) {
+#[inline]
+pub fn record_group_counters(group: &FusionGroup, fusion_threshold: u64) {
     use dlsr_trace::report::keys;
     dlsr_trace::counter_add(keys::FUSION_GROUPS, 1.0);
     dlsr_trace::counter_add(keys::FUSION_PACKED_BYTES, group.bytes as f64);
@@ -106,12 +110,14 @@ pub struct DistributedOptimizer<O: Optimizer> {
     rev_offsets: Vec<usize>,
     /// Total gradient element count.
     total_elems: usize,
-    /// Persistent double-buffered fusion buffers for the overlapped path:
-    /// group k packs into buffer k % 2 while group k−1 is on the wire.
-    /// Capacity persists across steps → registration-cache hits.
+    /// Persistent double-buffered fusion buffers: group k packs into
+    /// buffer k % 2 while group k−1 is on the wire. Capacity persists
+    /// across steps → registration-cache hits.
     fuse_bufs: [Vec<f32>; 2],
-    /// Averaged gradients staged in reduction order until backward returns
-    /// (frees the parity buffer for group k+2 before write-back).
+    /// Averaged gradients staged in reduction order until write-back
+    /// (frees the parity buffer for group k+2). The sequential step stages
+    /// the local gradients here first; each group packs its range and its
+    /// average lands back in the same range.
     avg_flat: Vec<f32>,
     /// Wall-clock readiness offsets (seconds from backward start) measured
     /// during the last overlapped backward, one per tensor in reduction
@@ -317,9 +323,8 @@ impl<O: Optimizer> DistributedOptimizer<O> {
     /// Gradients, parameter updates and the returned input-gradient are
     /// bitwise identical to `model.backward(grad_out)` followed by
     /// [`DistributedOptimizer::step`]: the hook observes final gradient
-    /// values, groups pack the same byte ranges, the same size-binned
-    /// algorithm reduces them in the same order, and averaging uses the
-    /// same `/ world` division.
+    /// values, and both engines run every group through the same
+    /// pack·reduce·unpack, only launching it at a different time.
     #[dlsr::deterministic]
     pub fn backward_and_step(
         &mut self,
@@ -330,7 +335,6 @@ impl<O: Optimizer> DistributedOptimizer<O> {
     ) -> Result<Tensor> {
         self.tune_begin(comm);
         let world = comm.size();
-        let world_f = world as f32;
         let n = self.tensors.len();
         let readiness = readiness_from_elems(&self.tensors, bwd_virtual);
         let bwd_start_v = comm.now();
@@ -342,132 +346,64 @@ impl<O: Optimizer> DistributedOptimizer<O> {
             self.cycle += 1;
         }
         let cycle = self.cycle;
+        let cycle_half = self.cycle_time() * 0.5;
         self.measured_readiness.clear();
         self.avg_flat.resize(self.total_elems, 0.0);
-
-        // Split borrows: the hook drives comm and the profiler while the
-        // model is exclusively inside backward_with_hook.
-        let tuned = self.applied;
-        let fusion_threshold = self.fusion_threshold();
-        let cycle_half = self.cycle_time() * 0.5;
-        let total_elems = self.total_elems;
-        let groups = &self.groups;
-        let tensors = &self.tensors;
-        let cfg = &self.cfg;
-        let pack_bandwidth = self.pack_bandwidth;
-        let prof = &mut self.prof;
-        let fuse_bufs = &mut self.fuse_bufs;
-        let avg_flat = &mut self.avg_flat;
-        let measured = &mut self.measured_readiness;
-        let residual = &mut self.residual;
 
         let mut next_tensor = 0usize;
         let mut cur_group = 0usize;
         let mut filled = 0usize; // elems packed into the current group
-        let mut group_off = 0usize; // start of cur_group in reduction order
 
         let g_in = model.backward_with_hook(grad_out, &mut |p| {
-            measured.push(wall0.elapsed().as_secs_f64());
+            self.measured_readiness.push(wall0.elapsed().as_secs_f64());
             debug_assert_eq!(
-                p.name, tensors[next_tensor].name,
+                p.name, self.tensors[next_tensor].name,
                 "hook order diverged from the fusion plan"
             );
             next_tensor += 1;
             if world <= 1 {
                 return; // nothing to reduce — readiness capture only
             }
-            let group = &groups[cur_group];
-            let buf = &mut fuse_bufs[cur_group % 2];
+            let gi = cur_group;
+            let buf = &mut self.fuse_bufs[gi % 2];
             if filled == 0 {
                 buf.clear(); // capacity persists across steps and groups
             }
             buf.extend_from_slice(p.grad.data());
             filled += p.numel();
+            let group = &self.groups[gi];
             if filled < group.elems {
                 return;
             }
             // Group complete: launch its allreduce now, while backward
             // continues on the remaining layers.
-            let gi = cur_group;
-            let last = *group.indices.last().unwrap();
+            let (last, bytes) = (*group.indices.last().unwrap(), group.bytes);
             comm.advance_to(bwd_start_v + readiness[last] + cycle_half);
             if gi == 0 {
-                negotiate(comm, tensors.len(), cycle);
+                negotiate(comm, n, cycle);
             }
-            record_group_counters(group, fusion_threshold);
-            let t_pack = comm.now();
-            comm.advance(group.bytes as f64 / pack_bandwidth);
-            dlsr_trace::record_span(
-                || format!("pack[g{gi}] {}B", group.bytes),
-                dlsr_trace::cat::FUSION,
-                t_pack,
-                comm.now(),
-            );
             let w0 = dlsr_trace::now_wall_s();
-            let t0 = comm.now();
-            comm.verify_launch(gi);
-            match cfg.backend {
-                Backend::Mpi => {
-                    let choice = comm_choice(comm, group.bytes, tuned);
-                    if let WireFormat::TopK { k_permille } = choice.wire {
-                        if residual.len() != total_elems {
-                            residual.resize(total_elems, 0.0);
-                        }
-                        topk_error_feedback(
-                            buf,
-                            &mut residual[group_off..group_off + group.elems],
-                            k_permille,
-                        );
-                    }
-                    Allreduce::new(&mut *buf)
-                        .buf_id(FUSION_BUF_ID_BASE + gi as u64)
-                        .algo(choice.algo)
-                        .wire(choice.wire)
-                        .group(gi)
-                        .run(comm);
-                }
-                Backend::Nccl => Nccl::all_reduce(comm, buf, FUSION_BUF_ID_BASE + gi as u64),
-            }
-            prof.record(Collective::Allreduce, group.bytes, comm.now() - t0);
-            dlsr_trace::record_span(
-                || format!("allreduce[g{gi}] {}B", group.bytes),
-                dlsr_trace::cat::ALLREDUCE,
-                t0,
-                comm.now(),
-            );
+            self.exchange(gi, comm);
             // Wall-clock marker proving the launch happened mid-backward;
-            // the cost is carried by the virtual spans above.
+            // the cost is carried by the exchange's virtual spans.
             dlsr_trace::record_wall_span(
-                || format!("allreduce.launch[g{gi}] {}B", group.bytes),
+                || format!("allreduce.launch[g{gi}] {bytes}B"),
                 dlsr_trace::cat::AR_LAUNCH,
                 comm.rank(),
                 w0,
                 dlsr_trace::now_wall_s(),
             );
-            // Average into the staging buffer; the parity buffer frees for
-            // group gi + 2.
-            let t_unpack = comm.now();
-            for (dst, src) in avg_flat[group_off..group_off + group.elems]
-                .iter_mut()
-                .zip(buf.iter())
-            {
-                *dst = *src / world_f;
-            }
-            comm.advance(group.bytes as f64 / pack_bandwidth);
-            dlsr_trace::record_span(
-                || format!("unpack[g{gi}] {}B", group.bytes),
-                dlsr_trace::cat::FUSION,
-                t_unpack,
-                comm.now(),
-            );
-            group_off += group.elems;
             filled = 0;
             cur_group += 1;
         })?;
 
         assert_eq!(next_tensor, n, "backward did not fire every parameter hook");
         if world > 1 {
-            assert_eq!(cur_group, groups.len(), "not every fusion group launched");
+            assert_eq!(
+                cur_group,
+                self.groups.len(),
+                "not every fusion group launched"
+            );
         }
         // Backward compute ends `bwd_virtual` after it started; if some
         // group's reduction ran past that, the clock is already later.
@@ -480,25 +416,16 @@ impl<O: Optimizer> DistributedOptimizer<O> {
         );
         self.reconciliation = Some(reconcile_readiness(&readiness, &self.measured_readiness));
         if world > 1 {
-            // Write the averaged gradients back in visit order.
-            let rev_offsets = &self.rev_offsets;
-            let avg_flat = &self.avg_flat;
-            let mut v = 0usize;
-            model.visit_params(&mut |p| {
-                let ti = n - 1 - v;
-                let off = rev_offsets[ti];
-                let nel = p.numel();
-                p.grad.data_mut().copy_from_slice(&avg_flat[off..off + nel]);
-                v += 1;
-            });
+            self.visit_staged(model, |p, avg| p.grad.data_mut().copy_from_slice(avg));
         }
         self.inner.step(model);
         self.tune_end(comm);
         Ok(g_in)
     }
 
-    /// One distributed training step: negotiate, fuse, allreduce, average,
-    /// then apply the wrapped optimizer. Call after `model.backward(...)`.
+    /// One distributed training step: negotiate, then pack, allreduce and
+    /// average every fusion group in plan order, then apply the wrapped
+    /// optimizer. Call after `model.backward(...)`.
     #[dlsr::deterministic]
     pub fn step(&mut self, model: &mut dyn Module, comm: &mut Comm) {
         if comm.size() > 1 {
@@ -507,7 +434,18 @@ impl<O: Optimizer> DistributedOptimizer<O> {
             // Coordinator cycle: cost of waiting for the tick + negotiation.
             comm.advance(self.cycle_time());
             negotiate(comm, self.tensors.len(), self.cycle);
-            self.allreduce_gradients(model, comm);
+            self.avg_flat.resize(self.total_elems, 0.0);
+            self.visit_staged(model, |p, staged| staged.copy_from_slice(p.grad.data()));
+            let mut off = 0usize;
+            for gi in 0..self.groups.len() {
+                let elems = self.groups[gi].elems;
+                let buf = &mut self.fuse_bufs[gi % 2];
+                buf.clear();
+                buf.extend_from_slice(&self.avg_flat[off..off + elems]);
+                self.exchange(gi, comm);
+                off += elems;
+            }
+            self.visit_staged(model, |p, avg| p.grad.data_mut().copy_from_slice(avg));
             self.inner.step(model);
             self.tune_end(comm);
             return;
@@ -515,206 +453,83 @@ impl<O: Optimizer> DistributedOptimizer<O> {
         self.inner.step(model);
     }
 
-    /// Fuse + allreduce + average the gradients of `model` in place.
+    /// Call `f` on each of `model`'s parameters with its range of the
+    /// reduction-order staging buffer (visit order is reduction order
+    /// reversed).
+    fn visit_staged(&mut self, model: &mut dyn Module, f: impl Fn(&mut Param, &mut [f32])) {
+        let n = self.tensors.len();
+        let (rev_offsets, staged) = (&self.rev_offsets, &mut self.avg_flat);
+        let mut v = 0usize;
+        model.visit_params(&mut |p| {
+            let off = rev_offsets[n - 1 - v];
+            f(p, &mut staged[off..off + p.numel()]);
+            v += 1;
+        });
+    }
+
+    /// Exchange fusion group `gi`, already packed into its parity buffer
+    /// `fuse_bufs[gi % 2]`: charge the pack, allreduce the buffer on the
+    /// configured backend, average it into its range of `avg_flat` and
+    /// charge the unpack. Both engines call this once per group, in plan
+    /// order; they differ only in when a group launches.
     #[dlsr::deterministic]
-    fn allreduce_gradients(&mut self, model: &mut dyn Module, comm: &mut Comm) {
+    fn exchange(&mut self, gi: usize, comm: &mut Comm) {
+        let group = &self.groups[gi];
+        let bytes = group.bytes;
+        // groups tile the reduction order contiguously
+        let off = self.rev_offsets[group.indices[0]];
+        let range = off..off + group.elems;
+        record_group_counters(group, self.fusion_threshold());
+        let t_pack = comm.now();
+        comm.advance(bytes as f64 / self.pack_bandwidth);
+        dlsr_trace::record_span(
+            || format!("pack[g{gi}] {bytes}B"),
+            dlsr_trace::cat::FUSION,
+            t_pack,
+            comm.now(),
+        );
+        let buf = &mut self.fuse_bufs[gi % 2];
+        let buf_id = FUSION_BUF_ID_BASE + gi as u64;
+        let t0 = comm.now();
+        comm.verify_launch(gi);
+        match self.cfg.backend {
+            Backend::Mpi => {
+                let choice = comm_choice(comm, bytes, self.applied);
+                if let WireFormat::TopK { k_permille } = choice.wire {
+                    self.residual.resize(self.total_elems, 0.0);
+                    topk_error_feedback(buf, &mut self.residual[range.clone()], k_permille);
+                }
+                Allreduce::new(&mut *buf)
+                    .buf_id(buf_id)
+                    .algo(choice.algo)
+                    .wire(choice.wire)
+                    .group(gi)
+                    .run(comm);
+            }
+            Backend::Nccl => Nccl::all_reduce(comm, buf, buf_id),
+        }
+        self.prof
+            .record(Collective::Allreduce, bytes, comm.now() - t0);
+        dlsr_trace::record_span(
+            || format!("allreduce[g{gi}] {bytes}B"),
+            dlsr_trace::cat::ALLREDUCE,
+            t0,
+            comm.now(),
+        );
+        // Average into the staging buffer; the parity buffer frees for
+        // group gi + 2.
         let world = comm.size() as f32;
-        // flatten in visit order, then address per-tensor slices through
-        // the reversed order used by the fusion plan
-        let mut flat = model.flatten_grads();
-        // visit order offsets
-        let mut offsets = Vec::with_capacity(self.tensors.len());
-        {
-            let mut off = 0usize;
-            let mut sizes: Vec<usize> = Vec::new();
-            model.visit_params(&mut |p| sizes.push(p.numel()));
-            for s in &sizes {
-                offsets.push(off);
-                off += s;
-            }
-            // reversed to match self.tensors order
-            offsets.reverse();
-            let _ = off;
+        let t_unpack = comm.now();
+        for (dst, src) in self.avg_flat[range].iter_mut().zip(buf.iter()) {
+            *dst = *src / world;
         }
-        let fusion_threshold = self.fusion_threshold();
-        let mut group_off = 0usize; // start of the group in reduction order
-        for (gi, group) in self.groups.iter().enumerate() {
-            record_group_counters(group, fusion_threshold);
-            // pack
-            let t_pack = comm.now();
-            let mut fused = Vec::with_capacity(group.elems);
-            for &ti in &group.indices {
-                let off = offsets[ti];
-                let n = self.tensors[ti].elems;
-                fused.extend_from_slice(&flat[off..off + n]);
-            }
-            comm.advance(group.bytes as f64 / self.pack_bandwidth);
-            dlsr_trace::record_span(
-                || format!("pack[g{gi}] {}B", group.bytes),
-                dlsr_trace::cat::FUSION,
-                t_pack,
-                comm.now(),
-            );
-            // reduce
-            let buf_id = FUSION_BUF_ID_BASE + gi as u64;
-            let t0 = comm.now();
-            match self.cfg.backend {
-                // Size-binned algorithm + wire selection — the same pure
-                // function of the group's byte count as the overlapped
-                // path, so both paths reduce in bitwise-identical order.
-                Backend::Mpi => {
-                    let choice = comm_choice(comm, group.bytes, self.applied);
-                    if let WireFormat::TopK { k_permille } = choice.wire {
-                        if self.residual.len() != self.total_elems {
-                            self.residual.resize(self.total_elems, 0.0);
-                        }
-                        topk_error_feedback(
-                            &mut fused,
-                            &mut self.residual[group_off..group_off + group.elems],
-                            k_permille,
-                        );
-                    }
-                    Allreduce::new(&mut fused)
-                        .buf_id(buf_id)
-                        .algo(choice.algo)
-                        .wire(choice.wire)
-                        .group(gi)
-                        .run(comm);
-                }
-                Backend::Nccl => Nccl::all_reduce(comm, &mut fused, buf_id),
-            }
-            self.prof
-                .record(Collective::Allreduce, group.bytes, comm.now() - t0);
-            dlsr_trace::record_span(
-                || format!("allreduce[g{gi}] {}B", group.bytes),
-                dlsr_trace::cat::ALLREDUCE,
-                t0,
-                comm.now(),
-            );
-            // average + unpack
-            let t_unpack = comm.now();
-            let mut cursor = 0usize;
-            for &ti in &group.indices {
-                let off = offsets[ti];
-                let n = self.tensors[ti].elems;
-                for (dst, src) in flat[off..off + n]
-                    .iter_mut()
-                    .zip(&fused[cursor..cursor + n])
-                {
-                    *dst = *src / world;
-                }
-                cursor += n;
-            }
-            comm.advance(group.bytes as f64 / self.pack_bandwidth);
-            dlsr_trace::record_span(
-                || format!("unpack[g{gi}] {}B", group.bytes),
-                dlsr_trace::cat::FUSION,
-                t_unpack,
-                comm.now(),
-            );
-            group_off += group.elems;
-        }
-        model.load_flat_grads(&flat);
-    }
-}
-
-/// Costs-only gradient synchronization for the at-scale harnesses: same
-/// negotiation, fusion plan, cycle and allreduce schedule as
-/// [`DistributedOptimizer::step`], over costs-only buffers
-/// ([`CollectiveBuf::costs_only`]).
-pub struct GradientSynchronizer {
-    cfg: HorovodConfig,
-    groups: Vec<FusionGroup>,
-    n_tensors: usize,
-    prof: Hvprof,
-    cycle: u64,
-    pack_bandwidth: f64,
-}
-
-impl GradientSynchronizer {
-    /// Plan fusion for a gradient set described by `tensors`.
-    pub fn new(cfg: HorovodConfig, tensors: &[TensorSpec]) -> Self {
-        let groups = plan_fusion(tensors, cfg.fusion_threshold);
-        GradientSynchronizer {
-            cfg,
-            groups,
-            n_tensors: tensors.len(),
-            prof: Hvprof::new(),
-            cycle: 0,
-            pack_bandwidth: 700.0e9,
-        }
-    }
-
-    /// The fusion plan.
-    pub fn groups(&self) -> &[FusionGroup] {
-        &self.groups
-    }
-
-    /// Accumulated profile.
-    pub fn profiler(&self) -> &Hvprof {
-        &self.prof
-    }
-
-    /// Synchronize one step's gradients (costs only).
-    pub fn synchronize(&mut self, comm: &mut Comm) {
-        if comm.size() <= 1 {
-            return;
-        }
-        self.cycle += 1;
-        comm.advance(self.cfg.cycle_time);
-        negotiate(comm, self.n_tensors, self.cycle);
-        let algo = comm.config().allreduce;
-        for (gi, group) in self.groups.iter().enumerate() {
-            record_group_counters(group, self.cfg.fusion_threshold);
-            let t_pack = comm.now();
-            comm.advance(group.bytes as f64 / self.pack_bandwidth);
-            dlsr_trace::record_span(
-                || format!("pack[g{gi}] {}B", group.bytes),
-                dlsr_trace::cat::FUSION,
-                t_pack,
-                comm.now(),
-            );
-            let buf_id = FUSION_BUF_ID_BASE + gi as u64;
-            let t0 = comm.now();
-            match self.cfg.backend {
-                Backend::Mpi => {
-                    // Same wire selection as the real optimizer; the
-                    // configured default algorithm is kept (the at-scale
-                    // harnesses sweep algorithms through `MpiConfig`).
-                    let wf = comm.config().tuning.select_wire(group.bytes);
-                    Allreduce::new(CollectiveBuf::costs_only(group.elems))
-                        .buf_id(buf_id)
-                        .algo(algo)
-                        .wire(wf)
-                        .run(comm);
-                }
-                Backend::Nccl => {
-                    comm.set_path_policy(PathPolicy::NcclLike);
-                    Allreduce::new(CollectiveBuf::costs_only(group.elems))
-                        .buf_id(buf_id)
-                        .algo(AllreduceAlgorithm::Ring)
-                        .wire(WireFormat::F32)
-                        .run(comm);
-                    comm.set_path_policy(PathPolicy::Mpi);
-                }
-            }
-            self.prof
-                .record(Collective::Allreduce, group.bytes, comm.now() - t0);
-            dlsr_trace::record_span(
-                || format!("allreduce[g{gi}] {}B", group.bytes),
-                dlsr_trace::cat::ALLREDUCE,
-                t0,
-                comm.now(),
-            );
-            let t_unpack = comm.now();
-            comm.advance(group.bytes as f64 / self.pack_bandwidth);
-            dlsr_trace::record_span(
-                || format!("unpack[g{gi}] {}B", group.bytes),
-                dlsr_trace::cat::FUSION,
-                t_unpack,
-                comm.now(),
-            );
-        }
+        comm.advance(bytes as f64 / self.pack_bandwidth);
+        dlsr_trace::record_span(
+            || format!("unpack[g{gi}] {bytes}B"),
+            dlsr_trace::cat::FUSION,
+            t_unpack,
+            comm.now(),
+        );
     }
 }
 
@@ -824,67 +639,98 @@ mod tests {
 
     #[test]
     fn overlapped_step_is_bitwise_identical_to_sequential() {
+        use dlsr_mpi::PathPolicy;
         use dlsr_nn::module::Sequential;
         use dlsr_tensor::init;
-        // Small threshold → two fusion groups from a two-conv model,
-        // so the double-buffered launch path is actually exercised.
-        let cfg = HorovodConfig::builder()
-            .fusion_threshold(256)
-            .cycle_time(1e-4)
-            .build();
         let build = || {
             let p = dlsr_tensor::conv::Conv2dParams::same(3);
             Sequential::new()
                 .push(Conv2d::new("a", 2, 3, 3, p, 7))
                 .push(Conv2d::new("b", 3, 2, 3, p, 8))
         };
-        for topo in [
-            ClusterTopology {
-                name: "w1".into(),
-                nodes: 1,
-                gpus_per_node: 1,
-            },
-            ClusterTopology {
-                name: "w2".into(),
-                nodes: 1,
-                gpus_per_node: 2,
-            },
-            ClusterTopology::lassen(1), // 4 ranks
-        ] {
-            let world = topo.total_gpus();
-            let res = MpiWorld::run(&topo, MpiConfig::mpi_opt(), move |c| {
-                // rank-dependent data → rank-dependent local gradients
-                let x = init::uniform([1, 2, 6, 6], -1.0, 1.0, 100 + c.rank() as u64);
-                // sequential reference: backward, then step
-                let mut m1 = build();
-                let y = m1.forward(&x).unwrap();
-                let gy = dlsr_tensor::Tensor::ones(y.shape().clone());
-                let mut o1 = DistributedOptimizer::new(Sgd::new(0.05), &mut m1, cfg, c.size());
-                let g1 = m1.backward(&gy).unwrap();
-                o1.step(&mut m1, c);
-                // overlapped: hooks launch groups mid-backward
-                let mut m2 = build();
-                m2.forward(&x).unwrap();
-                let mut o2 = DistributedOptimizer::new(Sgd::new(0.05), &mut m2, cfg, c.size());
-                let g2 = o2.backward_and_step(&mut m2, &gy, c, 2e-3).unwrap();
-                assert!(o2.fusion_groups().len() > 1, "want multiple groups");
-                // readiness was measured for every tensor, monotonically
-                let meas = o2.measured_readiness();
-                assert_eq!(meas.len(), o2.tensors().len());
-                assert!(meas.windows(2).all(|w| w[0] <= w[1]));
-                let rec = o2.readiness_reconciliation().unwrap();
-                assert!(rec.measured_monotone);
-                (
-                    m1.flatten_params(),
-                    m2.flatten_params(),
-                    g1.data().to_vec(),
-                    g2.data().to_vec(),
-                )
-            });
-            for r in 0..world {
-                let (seq, ovl, g1, g2) = &res.ranks[r];
-                assert_eq!(seq, ovl, "world {world} rank {r}: params diverged");
-                assert_eq!(g1, g2, "world {world} rank {r}: input grads diverged");
+        let one_node = |gpus_per_node| ClusterTopology {
+            name: format!("w{gpus_per_node}"),
+            nodes: 1,
+            gpus_per_node,
+        };
+        for backend in [Backend::Mpi, Backend::Nccl] {
+            // Small threshold → two fusion groups from a two-conv model,
+            // so the double-buffered launch path is actually exercised.
+            let cfg = HorovodConfig::builder()
+                .fusion_threshold(256)
+                .cycle_time(1e-4)
+                .backend(backend)
+                .build();
+            for (topo, mcfg) in [
+                (one_node(1), MpiConfig::mpi_opt()),
+                (one_node(2), MpiConfig::mpi_opt()),
+                (ClusterTopology::lassen(1), MpiConfig::mpi_opt()), // 4 ranks
+                // 8 ranks over IB, with MPI's IPC broken by the pinned env
+                (ClusterTopology::lassen(2), MpiConfig::default_mpi()),
+            ] {
+                let world = topo.total_gpus();
+                // The coordinator's two negotiations ride MPI whatever the
+                // backend, and stage intra-node; they are all NCCL may stage.
+                let n_tensors = build().param_summary().len();
+                let control = MpiWorld::run(&topo, mcfg.clone(), move |c| {
+                    negotiate(c, n_tensors, 1);
+                    negotiate(c, n_tensors, 1);
+                    c.stats().staged_bytes
+                });
+                let res = MpiWorld::run(&topo, mcfg, move |c| {
+                    // rank-dependent data → rank-dependent local gradients
+                    let x = init::uniform([1, 2, 6, 6], -1.0, 1.0, 100 + c.rank() as u64);
+                    // sequential reference: backward, then step
+                    let mut m1 = build();
+                    let y = m1.forward(&x).unwrap();
+                    let gy = dlsr_tensor::Tensor::ones(y.shape().clone());
+                    let mut o1 = DistributedOptimizer::new(Sgd::new(0.05), &mut m1, cfg, c.size());
+                    let g1 = m1.backward(&gy).unwrap();
+                    o1.step(&mut m1, c);
+                    // overlapped: hooks launch groups mid-backward
+                    let mut m2 = build();
+                    m2.forward(&x).unwrap();
+                    let mut o2 = DistributedOptimizer::new(Sgd::new(0.05), &mut m2, cfg, c.size());
+                    let g2 = o2.backward_and_step(&mut m2, &gy, c, 2e-3).unwrap();
+                    assert!(o2.fusion_groups().len() > 1, "want multiple groups");
+                    // readiness was measured for every tensor, monotonically
+                    let meas = o2.measured_readiness();
+                    assert_eq!(meas.len(), o2.tensors().len());
+                    assert!(meas.windows(2).all(|w| w[0] <= w[1]));
+                    let rec = o2.readiness_reconciliation().unwrap();
+                    assert!(rec.measured_monotone);
+                    (
+                        [m1.flatten_params(), m2.flatten_params()],
+                        [g1.data().to_vec(), g2.data().to_vec()],
+                        c.stats().staged_bytes,
+                        c.path_policy(),
+                    )
+                });
+                let label = format!("{backend:?}, world {world}");
+                let (params0, grads0, _, _) = &res.ranks[0];
+                for (r, (params, grads, staged, policy)) in res.ranks.iter().enumerate() {
+                    for mode in 0..2 {
+                        assert_eq!(
+                            params[mode], params0[0],
+                            "{label} rank {r}: params diverged"
+                        );
+                        assert_eq!(
+                            grads[mode], grads0[0],
+                            "{label} rank {r}: input grads diverged"
+                        );
+                    }
+                    if backend == Backend::Nccl {
+                        assert_eq!(
+                            *staged, control.ranks[r],
+                            "{label} rank {r}: NCCL staged gradients through host"
+                        );
+                        assert_eq!(
+                            *policy,
+                            PathPolicy::Mpi,
+                            "{label} rank {r}: policy not restored"
+                        );
+                    }
+                }
             }
         }
     }
@@ -1021,32 +867,5 @@ mod tests {
         for (r, (params, _)) in res.ranks.iter().enumerate() {
             assert_eq!(params, params0, "rank {r} params diverged under top-k");
         }
-    }
-
-    #[test]
-    fn synthetic_synchronizer_matches_real_optimizer_timing_shape() {
-        // Same model size, same config → same fusion plan and comparable
-        // allreduce time (the real path adds only pack-time differences).
-        let tensors = vec![
-            TensorSpec {
-                name: "a".into(),
-                elems: 100_000,
-            },
-            TensorSpec {
-                name: "b".into(),
-                elems: 200_000,
-            },
-        ];
-        let topo = ClusterTopology::lassen(1);
-        let t_synth = MpiWorld::run(&topo, MpiConfig::mpi_opt(), {
-            let tensors = tensors.clone();
-            move |c| {
-                let mut sync = GradientSynchronizer::new(HorovodConfig::default(), &tensors);
-                sync.synchronize(c);
-                c.now()
-            }
-        })
-        .makespan();
-        assert!(t_synth > 0.0);
     }
 }

@@ -52,7 +52,6 @@ use crate::rules::{
 /// these is a protocol event for the `collective-order` rule.
 pub const COLLECTIVE_FNS: &[&str] = &[
     "Allreduce::new",
-    "allgather",
     "barrier",
     "bcast",
     "broadcast_parameters",

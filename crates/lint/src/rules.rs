@@ -5,7 +5,7 @@
 //! live here:
 //!
 //! - `hash-collections` — no `HashMap` / `HashSet` in rank-deterministic
-//!   crates (mpi, horovod, cluster, nccl, faults). Their iteration order
+//!   crates (mpi, horovod, cluster, faults). Their iteration order
 //!   is randomized per process; `BTreeMap` / `BTreeSet` / `Vec` are the
 //!   deterministic replacements.
 //! - `undocumented-unsafe` — every `unsafe` token needs a `// SAFETY:`
@@ -74,7 +74,7 @@ pub const ALL_RULES: [&str; 8] = [
 
 /// Crates whose code runs identically on every rank; hash-order
 /// nondeterminism there can diverge schedules.
-pub const RANK_DETERMINISTIC_CRATES: [&str; 5] = ["mpi", "horovod", "cluster", "nccl", "faults"];
+pub const RANK_DETERMINISTIC_CRATES: [&str; 4] = ["mpi", "horovod", "cluster", "faults"];
 
 /// Identifiers banned inside (and transitively below) `#[dlsr::hot]`
 /// bodies regardless of receiver.

@@ -7,19 +7,15 @@
 //! virtual clocks either way. Every allreduce algorithm is one state
 //! machine in [`tasks`], whichever the buffer.
 
-mod allgather;
 mod allreduce;
 mod barrier;
 mod bcast;
-mod rooted;
 pub mod tasks;
 pub mod wire;
 
-pub use allgather::allgather;
 pub use allreduce::{Allreduce, AllreduceAlgorithm, CollectiveBuf};
 pub use barrier::barrier;
 pub use bcast::bcast;
-pub use rooted::{gather, reduce, scatter};
 pub use wire::{WireFormat, DEFAULT_TOPK_PERMILLE};
 
 /// Reduction operator (`MPI_Op`). Gradient averaging uses [`ReduceOp::Sum`];

@@ -20,6 +20,9 @@
 //! - large intra-node messages ride NVLink only when IPC is available and
 //!   the message exceeds the IPC rendezvous threshold, else they stage
 //!   through the host.
+//!
+//! The paper's other backend, an NCCL-like ring over the same fabric, is
+//! [`nccl::Nccl`]: the same collectives under [`PathPolicy::NcclLike`].
 
 //! # Example
 //!
@@ -46,6 +49,9 @@ pub mod config;
 pub mod error;
 pub mod executor;
 pub mod message;
+pub mod nccl;
+#[cfg(test)]
+mod tests;
 pub mod verify;
 pub mod world;
 
