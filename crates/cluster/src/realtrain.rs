@@ -78,7 +78,7 @@ pub struct RealTrainConfig {
     pub checkpoint_every: usize,
     /// Enable the online comm tuner ([`dlsr_horovod::tuner`]): the first
     /// steps each measure one fusion/cycle/threshold candidate, then the
-    /// argmin freezes. Pre-warm the `DLSR_COMM_TUNE` cache to skip
+    /// argmin freezes. Pre-warm the `DLSR_TUNE_CACHE` file to skip
     /// exploration and keep the run digest-stable from step 0.
     pub tune_comm: bool,
 }

@@ -1,5 +1,5 @@
 //! Determinism contract of the online comm tuner (docs/WIRE.md):
-//! *same binary + same seed + same `DLSR_COMM_TUNE` cache ⇒ the same
+//! *same binary + same seed + same `DLSR_TUNE_CACHE` file ⇒ the same
 //! training bits*, on any rayon pool size.
 //!
 //! Three pieces:
@@ -15,8 +15,8 @@
 //!    first run's decision into the second, so each exploration gets its
 //!    own child process (the re-exec pattern of `tests/determinism.rs`).
 //! 3. **Cache round-trip through the environment.** A run pointed at an
-//!    absent `DLSR_COMM_TUNE` file explores and appends its frozen
-//!    decision; later runs pointed at that file freeze at step 0, are
+//!    absent `DLSR_TUNE_CACHE` file explores and appends its frozen
+//!    decision (a `comm` row, next to the GEMM misses' `gemm` rows); later runs pointed at that file freeze at step 0, are
 //!    bitwise stable across pool sizes, and never grow the file.
 
 #![forbid(unsafe_code)]
@@ -27,7 +27,7 @@ use dlsr_cluster::realtrain::{train_real, RealTrainConfig, RealTrainResult};
 use dlsr_mpi::MpiConfig;
 use dlsr_net::ClusterTopology;
 
-const CHILD_ENV: &str = "DLSR_COMM_TUNE_DIGEST_CHILD";
+const CHILD_ENV: &str = "DLSR_TUNER_DIGEST_CHILD";
 
 fn topo() -> ClusterTopology {
     ClusterTopology {
@@ -71,7 +71,7 @@ fn frozen_tuner_path_repeats_bitwise() {
     // Warm the process-global table: this run explores, freezes, installs.
     let _warm = train_real(&topo(), MpiConfig::mpi_opt(), &cfg());
     assert!(
-        !dlsr_horovod::tuner::entries().is_empty(),
+        !dlsr_horovod::tuner::TABLE.entries().is_empty(),
         "a tuned run left no frozen decision behind"
     );
     // Both runs below find the installed entry and freeze at step 0.
@@ -82,7 +82,7 @@ fn frozen_tuner_path_repeats_bitwise() {
 }
 
 /// Child mode: print the digest of one tuned run and exit. The parent
-/// pins `RAYON_NUM_THREADS` and `DLSR_COMM_TUNE` before spawning.
+/// pins `RAYON_NUM_THREADS` and `DLSR_TUNE_CACHE` before spawning.
 #[test]
 fn comm_tune_cache_makes_runs_bitwise_reproducible() {
     if std::env::var_os(CHILD_ENV).is_some() {
@@ -100,15 +100,12 @@ fn comm_tune_cache_makes_runs_bitwise_reproducible() {
     let d4 = digest_from_child("4", &dir.join("explore-4.tune"));
     assert_eq!(d1, d4, "exploration digests differ across rayon pool sizes");
 
-    // The seeding child above appended exactly one frozen decision
-    // (appends are header-less, like the GEMM tune cache; `# comments`
-    // are tolerated when reading).
+    // The seeding child above appended exactly one frozen decision (the
+    // file also holds the `gemm` rows of its GEMM selector misses).
     let cache = dir.join("explore-1.tune");
     let text = std::fs::read_to_string(&cache).expect("tuned child persisted its decision");
     assert_eq!(
-        text.lines()
-            .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
-            .count(),
+        text.lines().filter(|l| l.starts_with("comm ")).count(),
         1,
         "expected exactly one frozen entry:\n{text}"
     );
@@ -139,7 +136,7 @@ fn digest_from_child(rayon_threads: &str, cache: &std::path::Path) -> u64 {
         ])
         .env(CHILD_ENV, "1")
         .env("RAYON_NUM_THREADS", rayon_threads)
-        .env("DLSR_COMM_TUNE", cache)
+        .env("DLSR_TUNE_CACHE", cache)
         .output()
         .expect("spawn digest child");
     let stdout = String::from_utf8_lossy(&out.stdout);

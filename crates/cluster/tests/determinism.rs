@@ -151,9 +151,10 @@ fn simd_isa_and_tune_cache_do_not_change_parameters() {
     // else perturbed away from what the selector would pick on its own.
     std::fs::write(
         &warm,
-        "# digest-preserving overrides: kc untouched\n\
-         64 576 2304 scalar 6 8 256 64 seq\n\
-         576 64 2304 avx2_4x16 4 16 64 128 rows\n",
+        "# dlsr tune cache v2\n\
+         # digest-preserving overrides: kc untouched\n\
+         gemm 64 576 2304 scalar 6 8 256 64 seq\n\
+         gemm 576 64 2304 avx2_4x16 4 16 64 128 rows\n",
     )
     .expect("write warm tune cache");
     for (label, path) in [("cold", &cold), ("warm", &warm)] {

@@ -16,8 +16,9 @@
 #![forbid(unsafe_code)]
 use std::collections::HashMap;
 
+use dlsr::horovod::tuner;
 use dlsr::prelude::*;
-use dlsr::tensor::resize;
+use dlsr::tensor::{resize, tune};
 
 /// `--name value` / `--boolean` pairs of one invocation.
 type Flags = HashMap<String, String>;
@@ -1108,6 +1109,10 @@ fn main() {
                 known.join(" ")
             }
         ));
+    }
+    // A malformed tune cache stops every command before it runs.
+    if let Err(e) = tune::TABLE.load().and_then(|()| tuner::TABLE.load()) {
+        die(&e.to_string());
     }
     run(&flags);
 }

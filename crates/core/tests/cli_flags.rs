@@ -67,3 +67,25 @@ fn known_flags_still_run() {
     assert!(out.status.success(), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("throughput"));
 }
+
+#[test]
+fn a_garbled_tune_cache_stops_every_command() {
+    let cache = std::env::temp_dir().join(format!("dlsr-garbled-{}.tune", std::process::id()));
+    std::fs::write(
+        &cache,
+        "# dlsr tune cache v2\ngemm 64 576 2304 avx2_4x16 4 16 256 256 rows\ngemm 3 27\n",
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_dlsr"))
+        .current_dir(std::env::temp_dir())
+        .args(["train", "--gpus", "2", "--steps", "1"])
+        .env("DLSR_TUNE_CACHE", &cache)
+        .output()
+        .expect("spawn dlsr");
+    let _ = std::fs::remove_file(&cache);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "trained before checking the cache");
+    let err = String::from_utf8(out.stderr).unwrap();
+    let want = format!("tune cache {}:3: ", cache.display());
+    assert!(err.contains(&want), "{err}");
+}

@@ -44,7 +44,7 @@ pub struct HorovodConfig {
     /// first few steps each measure one candidate knob set, then the
     /// argmin freezes for the rest of the run. Off by default — the tuned
     /// knobs change step timing, so runs that must match a committed
-    /// baseline leave this off or pre-warm the `DLSR_COMM_TUNE` cache.
+    /// baseline leave this off or pre-warm the `DLSR_TUNE_CACHE` file.
     pub tune_comm: bool,
 }
 

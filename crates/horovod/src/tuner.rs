@@ -1,6 +1,6 @@
 //! Online communication autotuning: a deterministic coordinate-descent
 //! tuner over the Horovod/MPI knobs that dominate exposed communication
-//! time, plus the persistent comm-tune cache.
+//! time, and its rows of the persistent tune cache.
 //!
 //! The paper tunes `HOROVOD_FUSION_THRESHOLD` and `HOROVOD_CYCLE_TIME` "at
 //! each scale" by hand (§II-D); this module automates that sweep *inside*
@@ -25,18 +25,16 @@
 //!   deterministic for a given seed and config,
 //! - ties in the argmin break toward the lowest candidate index.
 //!
-//! The cache file (`DLSR_COMM_TUNE=<path>`) short-circuits exploration:
-//! a cached `(world, grad_bytes)` key freezes the tuner at step 0, so
-//! *same binary + same comm-tune cache + same seed ⇒ same digest* — the
-//! same contract the GEMM tune cache (`dlsr-tensor::tune`) provides, and
-//! the contract `cluster/tests/comm_tune_determinism.rs` enforces across
-//! simulator cores and thread counts. `cycle_time` is carried as integer
-//! nanoseconds so the file round-trips bitwise.
+//! The tune cache short-circuits exploration: its `comm` rows (the file
+//! `DLSR_TUNE_CACHE` names, shared with the GEMM blueprints of
+//! `dlsr-tensor::tune`, which owns its format and parser) freeze a tuner
+//! whose `(world, grad_bytes)` key they carry at step 0, and rank 0
+//! appends each new freeze. So *same binary + same tune cache + same seed
+//! ⇒ same digest*, the contract `cluster/tests/comm_tune_determinism.rs`
+//! enforces across simulator cores and thread counts. `cycle_time` is
+//! carried as integer nanoseconds so the file round-trips bitwise.
 
-use std::collections::BTreeMap;
-use std::io::Write as _;
-
-use parking_lot::Mutex;
+use dlsr_tensor::tune::{parse_num, TuneRow, TuneTable};
 
 /// One knob set the tuner can run a step with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,14 +57,6 @@ impl CommTuneEntry {
         self.cycle_time_ns as f64 * 1e-9
     }
 
-    /// Render as one cache-line body (without the key).
-    fn render(&self) -> String {
-        format!(
-            "{} {} {} {}",
-            self.fusion_threshold, self.cycle_time_ns, self.rd_threshold, self.pipeline_threshold
-        )
-    }
-
     /// Clamp a (possibly file-sourced) entry to knobs the builders would
     /// accept: positive fusion and cycle, and `rd < pipeline`. The fusion
     /// floor is deliberately low (1 KiB): the candidate sweep starts from
@@ -78,6 +68,31 @@ impl CommTuneEntry {
         self.pipeline_threshold = self.pipeline_threshold.max(1 << 17);
         self.rd_threshold = self.rd_threshold.clamp(1, self.pipeline_threshold / 2);
         self
+    }
+}
+
+impl TuneRow for CommTuneEntry {
+    const TAG: &'static str = "comm";
+    type Key = (usize, u64);
+
+    fn parse(f: &[&str]) -> Result<(Self::Key, Self), String> {
+        let &[world, grad_bytes, fusion, cycle_ns, rd, pipeline] = f else {
+            return Err(format!("{} fields, expected 6", f.len()));
+        };
+        let e = CommTuneEntry {
+            fusion_threshold: parse_num(fusion)?,
+            cycle_time_ns: parse_num(cycle_ns)?,
+            rd_threshold: parse_num(rd)?,
+            pipeline_threshold: parse_num(pipeline)?,
+        };
+        Ok(((parse_num(world)?, parse_num(grad_bytes)?), e.sanitized()))
+    }
+
+    fn render(&self, &(world, grad_bytes): &Self::Key) -> String {
+        format!(
+            "{world} {grad_bytes} {} {} {} {}",
+            self.fusion_threshold, self.cycle_time_ns, self.rd_threshold, self.pipeline_threshold
+        )
     }
 }
 
@@ -134,7 +149,7 @@ pub fn candidates(base: CommTuneEntry) -> Vec<CommTuneEntry> {
 
 /// Per-run tuner state: explore each candidate for two steps (settle +
 /// measure), then freeze on the argmin over the measure steps.
-/// Construction consults the comm-tune cache; a hit freezes immediately
+/// Construction consults the tune cache; a hit freezes immediately
 /// (no exploration steps, digest-stable from step 0).
 #[derive(Debug)]
 pub struct CommTuner {
@@ -153,7 +168,7 @@ impl CommTuner {
     /// step, starting from the `base` knob set.
     pub fn new(world: usize, grad_bytes: u64, base: CommTuneEntry) -> Self {
         let key = (world, grad_bytes);
-        let frozen = lookup(world, grad_bytes);
+        let frozen = TABLE.get(&key);
         CommTuner {
             key,
             candidates: if frozen.is_some() {
@@ -193,7 +208,7 @@ impl CommTuner {
     /// switching knobs — and its second step is the measurement. Once
     /// every candidate is measured the tuner freezes on the argmin (ties
     /// → lowest index); `is_root` (rank 0) persists the decision to the
-    /// comm-tune cache.
+    /// tune cache.
     pub fn observe(&mut self, agreed_step_seconds: f64, is_root: bool) {
         if self.frozen.is_some() {
             return;
@@ -216,106 +231,14 @@ impl CommTuner {
         let e = self.candidates[best];
         self.frozen = Some(e);
         if is_root {
-            install(self.key.0, self.key.1, e);
-            let st = state().lock();
-            if let Some(path) = st.persist_to.clone() {
-                drop(st);
-                append_entry(&path, self.key, &e);
-            }
+            TABLE.record(self.key, e);
         }
     }
 }
 
-struct TuneState {
-    table: BTreeMap<(usize, u64), CommTuneEntry>,
-    /// Cache-file path from `DLSR_COMM_TUNE`, if set.
-    persist_to: Option<std::path::PathBuf>,
-}
-
-fn parse_line(line: &str) -> Option<((usize, u64), CommTuneEntry)> {
-    let mut it = line.split_whitespace();
-    let world: usize = it.next()?.parse().ok()?;
-    let grad_bytes: u64 = it.next()?.parse().ok()?;
-    let fusion_threshold: u64 = it.next()?.parse().ok()?;
-    let cycle_time_ns: u64 = it.next()?.parse().ok()?;
-    let rd_threshold: u64 = it.next()?.parse().ok()?;
-    let pipeline_threshold: u64 = it.next()?.parse().ok()?;
-    Some((
-        (world, grad_bytes),
-        CommTuneEntry {
-            fusion_threshold,
-            cycle_time_ns,
-            rd_threshold,
-            pipeline_threshold,
-        }
-        .sanitized(),
-    ))
-}
-
-fn init_state() -> TuneState {
-    let mut table = BTreeMap::new();
-    let persist_to = std::env::var_os("DLSR_COMM_TUNE").map(std::path::PathBuf::from);
-    if let Some(path) = &persist_to {
-        if let Ok(text) = std::fs::read_to_string(path) {
-            for line in text.lines() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                if let Some((key, e)) = parse_line(line) {
-                    table.insert(key, e);
-                }
-            }
-        }
-    }
-    TuneState { table, persist_to }
-}
-
-fn state() -> &'static Mutex<TuneState> {
-    static STATE: std::sync::OnceLock<Mutex<TuneState>> = std::sync::OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(init_state()))
-}
-
-/// The cached decision for a `(world, grad_bytes)` run shape, if any.
-pub fn lookup(world: usize, grad_bytes: u64) -> Option<CommTuneEntry> {
-    state().lock().table.get(&(world, grad_bytes)).copied()
-}
-
-/// Install a decision, overriding the file. Used by tests (pre-warming a
-/// run without touching the environment) and by rank 0 on freeze.
-pub fn install(world: usize, grad_bytes: u64, entry: CommTuneEntry) {
-    state()
-        .lock()
-        .table
-        .insert((world, grad_bytes), entry.sanitized());
-}
-
-/// Snapshot the current table (debugging, offline inspection).
-pub fn entries() -> Vec<((usize, u64), CommTuneEntry)> {
-    state().lock().table.iter().map(|(k, v)| (*k, *v)).collect()
-}
-
-/// Write the full table as a comm-tune cache file.
-pub fn write_cache(path: &std::path::Path) -> std::io::Result<()> {
-    let mut out = String::from(
-        "# dlsr comm tune cache v1: world grad_bytes fusion_threshold \
-         cycle_time_ns rd_threshold pipeline_threshold\n",
-    );
-    for ((world, grad_bytes), e) in entries() {
-        out.push_str(&format!("{world} {grad_bytes} {}\n", e.render()));
-    }
-    std::fs::write(path, out)
-}
-
-fn append_entry(path: &std::path::Path, key: (usize, u64), e: &CommTuneEntry) {
-    let mut opts = std::fs::OpenOptions::new();
-    opts.create(true).append(true);
-    if let Ok(mut f) = opts.open(path) {
-        // Ignore I/O failures: the cache is an optimization, never a
-        // correctness dependency.
-        let _ = writeln!(f, "{} {} {}", key.0, key.1, e.render());
-    }
-}
+/// The comm tuner's frozen decisions: the cache file's `comm` rows, then
+/// each rank 0 freeze of this process.
+pub static TABLE: TuneTable<CommTuneEntry> = TuneTable::new(Vec::new);
 
 #[cfg(test)]
 mod tests {
@@ -408,12 +331,12 @@ mod tests {
             rd_threshold: 64 << 10,
             pipeline_threshold: 4 << 20,
         };
-        install(16, 999_003, e);
+        TABLE.install((16, 999_003), e);
         let t = CommTuner::new(16, 999_003, base());
         assert!(!t.exploring());
         assert_eq!(t.frozen(), Some(e));
         assert_eq!(t.current(), e);
-        assert_eq!(lookup(16, 999_003), Some(e));
+        assert_eq!(TABLE.get(&(16, 999_003)), Some(e));
     }
 
     #[test]
@@ -423,23 +346,29 @@ mod tests {
         for _ in 0..2 * n {
             t.observe(2.0, true);
         }
-        assert_eq!(lookup(32, 999_004), t.frozen());
+        assert_eq!(TABLE.get(&(32, 999_004)), t.frozen());
+    }
+
+    /// Parse one `comm` row's fields.
+    fn comm(line: &str) -> Result<((usize, u64), CommTuneEntry), String> {
+        CommTuneEntry::parse(&line.split_whitespace().collect::<Vec<_>>())
     }
 
     #[test]
     fn cache_line_round_trips() {
         let e = base();
-        let line = format!("8 123456 {}", e.render());
-        let (key, parsed) = parse_line(&line).expect("parse");
+        let line = e.render(&(8, 123456));
+        assert_eq!(line, "8 123456 67108864 3500000 131072 8388608");
+        let (key, parsed) = comm(&line).expect("parse");
         assert_eq!(key, (8, 123456));
         assert_eq!(parsed, e);
-        assert!(parse_line("garbage").is_none());
-        assert!(parse_line("8 1 2 3 4").is_none(), "short line rejected");
+        assert!(comm("8 1 2 3 x 5").is_err());
+        assert!(comm("8 1 2 3 4 -5").is_err());
     }
 
     #[test]
     fn sanitize_clamps_corrupt_entries() {
-        let (_, e) = parse_line("4 100 0 0 9999999999 1").expect("parse");
+        let (_, e) = comm("4 100 0 0 9999999999 1").expect("parse");
         assert!(e.fusion_threshold > 0 && e.cycle_time_ns >= 1_000);
         assert!(e.rd_threshold < e.pipeline_threshold);
     }

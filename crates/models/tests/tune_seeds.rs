@@ -19,11 +19,12 @@ fn paper_edsr_step_resolves_only_seeded_shapes() {
     };
     assert_eq!(cfg.scale, 2);
     let mut model = Edsr::new(cfg, 7);
-    let seeded = tune::entries();
+    let seeded = tune::TABLE.entries();
     let lr = init::uniform([1, 3, 48, 48], 0.0, 1.0, 8);
     let sr = model.forward(&lr).expect("forward");
     model.backward(&sr).expect("backward");
-    let missed: Vec<_> = tune::entries()
+    let missed: Vec<_> = tune::TABLE
+        .entries()
         .into_iter()
         .map(|(shape, _)| shape)
         .filter(|shape| !seeded.iter().any(|(s, _)| s == shape))

@@ -7,8 +7,8 @@
 //! every candidate blueprint (`tune::candidates` keeps `kc` pinned to the
 //! heuristic value, so every candidate produces bit-identical results and
 //! the winner only changes *speed*, never the digest), installs the
-//! winner, and writes the tune-cache file the runtime loads via
-//! `DLSR_TUNE_CACHE`.
+//! winner, and rewrites the `gemm` rows of the tune-cache file the runtime
+//! loads via `DLSR_TUNE_CACHE` (its `comm` rows are kept as they are).
 //!
 //! Usage: `cargo run --release -p dlsr-tensor --bin tune_gemm [-- out.tune]`
 //! Tunes the EDSR training shapes; the output path defaults to
@@ -81,6 +81,6 @@ fn main() {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).expect("create tune-cache directory");
     }
-    tune::write_cache(path).expect("write tune cache");
+    tune::TABLE.write(path).unwrap_or_else(|e| panic!("{e}"));
     println!("[tune cache written to {out}]");
 }

@@ -27,14 +27,21 @@
 //!
 //! # Cache file
 //!
-//! `DLSR_TUNE_CACHE=<path>` points at a plain-text file; lines are
-//! `m k n kernel mr nr kc nc par` (whitespace-separated, `#` comments).
-//! Entries are loaded at first use; every *new* shape the selector decides
+//! `DLSR_TUNE_CACHE=<path>` names the one tune-cache file of a run, and
+//! this module owns its format, parser and writer ([`TuneTable`]). After
+//! the header line `# dlsr tune cache v2` come tagged, whitespace-separated
+//! rows — `gemm m k n kernel mr nr kc nc par` here, `comm …` for the comm
+//! tuner in `dlsr-horovod` — with `#` comments and blank lines allowed.
+//! Rows are loaded at first use; every *new* shape the selector decides
 //! is appended back to the file, so a cold run leaves behind the warm
-//! cache that reproduces it.
+//! cache that reproduces it. A malformed file is a [`TuneCacheError`],
+//! never a table quietly missing the bad row.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::io::Write as _;
+use std::path::{Path, PathBuf};
+use std::sync::{MutexGuard, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -85,19 +92,6 @@ pub struct Blueprint {
 }
 
 impl Blueprint {
-    /// Render as one tune-cache line body (without the shape key).
-    fn render(&self) -> String {
-        format!(
-            "{} {} {} {} {} {}",
-            self.kernel.as_str(),
-            self.mr,
-            self.nr,
-            self.kc,
-            self.nc,
-            self.par.as_str()
-        )
-    }
-
     /// Sanity-clamp a parsed blueprint so a corrupt cache file cannot
     /// drive the engine out of bounds. `kc` is preserved exactly (it is
     /// digest-relevant); geometry is forced consistent with the kernel.
@@ -112,6 +106,33 @@ impl Blueprint {
         let nc = self.nc.max(self.nr);
         self.nc = nc - nc % self.nr;
         self
+    }
+}
+
+impl TuneRow for Blueprint {
+    const TAG: &'static str = "gemm";
+    type Key = (usize, usize, usize);
+
+    fn parse(f: &[&str]) -> Result<(Self::Key, Self), String> {
+        let &[m, k, n, kernel, mr, nr, kc, nc, par] = f else {
+            return Err(format!("{} fields, expected 9", f.len()));
+        };
+        let k = parse_num(k)?;
+        let bp = Blueprint {
+            kernel: KernelId::from_str_opt(kernel).ok_or(format!("unknown kernel `{kernel}`"))?,
+            mr: parse_num(mr)?,
+            nr: parse_num(nr)?,
+            kc: parse_num(kc)?,
+            nc: parse_num(nc)?,
+            par: ParHint::from_str_opt(par).ok_or(format!("unknown par hint `{par}`"))?,
+        };
+        Ok(((parse_num(m)?, k, parse_num(n)?), bp.sanitized(k)))
+    }
+
+    fn render(&self, &(m, k, n): &Self::Key) -> String {
+        let Blueprint { mr, nr, kc, nc, .. } = self;
+        let (kernel, par) = (self.kernel.as_str(), self.par.as_str());
+        format!("{m} {k} {n} {kernel} {mr} {nr} {kc} {nc} {par}")
     }
 }
 
@@ -193,108 +214,26 @@ pub fn heuristic(m: usize, k: usize, n: usize) -> Blueprint {
     }
 }
 
-struct TuneState {
-    table: BTreeMap<(usize, usize, usize), Blueprint>,
-    /// Cache-file path from `DLSR_TUNE_CACHE`, if set.
-    persist_to: Option<std::path::PathBuf>,
-}
-
-fn parse_line(line: &str) -> Option<((usize, usize, usize), Blueprint)> {
-    let mut it = line.split_whitespace();
-    let m: usize = it.next()?.parse().ok()?;
-    let k: usize = it.next()?.parse().ok()?;
-    let n: usize = it.next()?.parse().ok()?;
-    let kernel = KernelId::from_str_opt(it.next()?)?;
-    let mr: usize = it.next()?.parse().ok()?;
-    let nr: usize = it.next()?.parse().ok()?;
-    let kc: usize = it.next()?.parse().ok()?;
-    let nc: usize = it.next()?.parse().ok()?;
-    let par = ParHint::from_str_opt(it.next()?)?;
-    let bp = Blueprint {
-        kernel,
-        mr,
-        nr,
-        kc,
-        nc,
-        par,
-    }
-    .sanitized(k);
-    Some(((m, k, n), bp))
-}
-
-fn init_state() -> TuneState {
-    let mut table = BTreeMap::new();
-    for (m, k, n) in EDSR_SHAPES {
-        table.insert((m, k, n), heuristic(m, k, n));
-    }
-    let persist_to = std::env::var_os("DLSR_TUNE_CACHE").map(std::path::PathBuf::from);
-    if let Some(path) = &persist_to {
-        if let Ok(text) = std::fs::read_to_string(path) {
-            for line in text.lines() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                if let Some((key, bp)) = parse_line(line) {
-                    table.insert(key, bp);
-                }
-            }
-        }
-    }
-    TuneState { table, persist_to }
-}
-
-fn state() -> &'static Mutex<TuneState> {
-    static STATE: std::sync::OnceLock<Mutex<TuneState>> = std::sync::OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(init_state()))
-}
+/// The GEMM blueprint table: the EDSR seeds, then the cache file's
+/// `gemm` rows.
+pub static TABLE: TuneTable<Blueprint> = TuneTable::new(|| {
+    EDSR_SHAPES
+        .map(|(m, k, n)| ((m, k, n), heuristic(m, k, n)))
+        .to_vec()
+});
 
 /// Resolve the blueprint for one GEMM shape. Cache hit is a lock + map
 /// lookup; a miss runs the heuristic, installs the decision, and (when
 /// `DLSR_TUNE_CACHE` is set) appends it to the cache file so the next cold
 /// run reproduces this one.
 pub fn select(m: usize, k: usize, n: usize) -> Blueprint {
-    let mut st = state().lock();
-    if let Some(bp) = st.table.get(&(m, k, n)) {
-        return *bp;
-    }
-    let bp = heuristic(m, k, n);
-    st.table.insert((m, k, n), bp);
-    if let Some(path) = st.persist_to.clone() {
-        append_entry(&path, (m, k, n), &bp);
-    }
-    bp
-}
-
-fn append_entry(path: &std::path::Path, key: (usize, usize, usize), bp: &Blueprint) {
-    let mut opts = std::fs::OpenOptions::new();
-    opts.create(true).append(true);
-    if let Ok(mut f) = opts.open(path) {
-        // Ignore I/O failures: the cache is an optimization, never a
-        // correctness dependency.
-        let _ = writeln!(f, "{} {} {} {}", key.0, key.1, key.2, bp.render());
-    }
+    TABLE.get_or_insert_with((m, k, n), || heuristic(m, k, n))
 }
 
 /// Install a blueprint for a shape, overriding seed/heuristic/file. Used
 /// by the offline tuner and by tests.
 pub fn install(m: usize, k: usize, n: usize, bp: Blueprint) {
-    let bp = bp.sanitized(k);
-    state().lock().table.insert((m, k, n), bp);
-}
-
-/// Snapshot the current table (offline tuner output, debugging).
-pub fn entries() -> Vec<((usize, usize, usize), Blueprint)> {
-    state().lock().table.iter().map(|(k, v)| (*k, *v)).collect()
-}
-
-/// Write the full table as a tune-cache file (offline tuner output).
-pub fn write_cache(path: &std::path::Path) -> std::io::Result<()> {
-    let mut out = String::from("# dlsr tune cache v1: m k n kernel mr nr kc nc par\n");
-    for ((m, k, n), bp) in entries() {
-        out.push_str(&format!("{m} {k} {n} {}\n", bp.render()));
-    }
-    std::fs::write(path, out)
+    TABLE.install((m, k, n), bp.sanitized(k));
 }
 
 /// Candidate blueprints the offline tuner measures for one shape: every
@@ -323,6 +262,195 @@ pub fn candidates(m: usize, k: usize, n: usize) -> Vec<Blueprint> {
         }
     }
     out
+}
+
+/// First line of every tune-cache file.
+const CACHE_HEADER: &str = "# dlsr tune cache v2\n";
+
+/// One kind of tune-cache row: a line of `TAG`, the key's fields, the
+/// row's fields.
+pub trait TuneRow: Copy + Send + 'static {
+    /// `gemm` here, `comm` for the comm tuner in `dlsr-horovod`.
+    const TAG: &'static str;
+    /// What the table is indexed by.
+    type Key: Ord + Copy + Send + 'static;
+    /// Parse the fields after the tag into a sanitized row.
+    fn parse(fields: &[&str]) -> Result<(Self::Key, Self), String>;
+    /// The fields after the tag.
+    fn render(&self, key: &Self::Key) -> String;
+}
+
+/// One numeric field of a cache row.
+pub fn parse_num<T: std::str::FromStr>(field: &str) -> Result<T, String> {
+    field.parse().map_err(|_| format!("bad number `{field}`"))
+}
+
+/// Why a tune-cache file cannot be used. A file is used whole or not at
+/// all: a run never falls back to the heuristic for a row it could not
+/// read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TuneCacheError {
+    /// The cache file.
+    pub path: PathBuf,
+    /// 1-based line at fault (0 when the file could not be read or written).
+    pub line: usize,
+    /// What is wrong with it.
+    pub reason: String,
+}
+
+impl TuneCacheError {
+    fn new(path: &Path, line: usize, reason: impl fmt::Display) -> Self {
+        let (path, reason) = (path.into(), reason.to_string());
+        TuneCacheError { path, line, reason }
+    }
+}
+
+impl fmt::Display for TuneCacheError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (path, line, reason) = (self.path.display(), self.line, &self.reason);
+        write!(f, "tune cache {path}:{line}: {reason}")
+    }
+}
+
+impl std::error::Error for TuneCacheError {}
+
+/// The tune-cache file `DLSR_TUNE_CACHE` names, if any.
+fn cache_path() -> Option<PathBuf> {
+    std::env::var_os("DLSR_TUNE_CACHE").map(PathBuf::from)
+}
+
+/// The text of the cache file at `path`; an absent file reads as empty.
+fn read(path: &Path) -> Result<String, TuneCacheError> {
+    match std::fs::read_to_string(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(TuneCacheError::new(path, 0, e)),
+        text => Ok(text.unwrap_or_default()),
+    }
+}
+
+/// Every `R` row of `path`'s `text`, in file order, once every line has
+/// passed the checks all row kinds share: the version header, a known
+/// tag, and the trailing newline a crashed append leaves off.
+fn parse_rows<R: TuneRow>(path: &Path, text: &str) -> Result<Vec<(R::Key, R)>, TuneCacheError> {
+    let mut rows = Vec::new();
+    for (n, line) in (1..).zip(text.split_inclusive('\n')) {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let tag = fields.first().copied().unwrap_or("#");
+        let err = |reason: String| TuneCacheError::new(path, n, reason);
+        if !line.ends_with('\n') {
+            return Err(err("no trailing newline (a truncated append?)".into()));
+        } else if n == 1 && line != CACHE_HEADER {
+            let header = CACHE_HEADER.trim_end();
+            return Err(err(format!("expected the version header `{header}`")));
+        } else if n > 1 && tag == R::TAG {
+            rows.push(R::parse(&fields[1..]).map_err(err)?);
+        } else if n > 1 && !tag.starts_with('#') && !["gemm", "comm"].contains(&tag) {
+            return Err(err(format!("unknown row tag `{tag}`")));
+        }
+    }
+    Ok(rows)
+}
+
+/// The one writer that appends to the cache file: one `write_all` per row
+/// on an `O_APPEND` handle, so concurrent writers never split a row, and
+/// the header with the first row of an empty file (a racing second copy
+/// reads as a comment). I/O errors are ignored: the cache is an
+/// optimization, never a correctness dependency.
+fn append<R: TuneRow>(key: &R::Key, row: &R) {
+    let mut opts = std::fs::OpenOptions::new();
+    if let Some(Ok(mut f)) = cache_path().map(|p| opts.create(true).append(true).open(p)) {
+        let header = match f.metadata() {
+            Ok(m) if m.len() == 0 => CACHE_HEADER,
+            _ => "",
+        };
+        let _ = f.write_all(format!("{header}{} {}\n", R::TAG, row.render(key)).as_bytes());
+    }
+}
+
+/// A process-global table of one row kind: its seed rows, then the cache
+/// file's rows of that kind, loaded at first use.
+pub struct TuneTable<R: TuneRow> {
+    rows: OnceLock<Mutex<BTreeMap<R::Key, R>>>,
+    seed: fn() -> Vec<(R::Key, R)>,
+}
+
+impl<R: TuneRow> TuneTable<R> {
+    /// An unloaded table that starts from `seed`'s rows.
+    pub const fn new(seed: fn() -> Vec<(R::Key, R)>) -> Self {
+        let rows = OnceLock::new();
+        TuneTable { rows, seed }
+    }
+
+    /// Load the table now, or say why the cache file cannot be used. A
+    /// caller that skips this panics with the same message at first use.
+    pub fn load(&self) -> Result<(), TuneCacheError> {
+        self.init().map(drop)
+    }
+
+    fn init(&self) -> Result<&Mutex<BTreeMap<R::Key, R>>, TuneCacheError> {
+        if let Some(rows) = self.rows.get() {
+            return Ok(rows);
+        }
+        let mut rows: BTreeMap<_, _> = (self.seed)().into_iter().collect();
+        if let Some(path) = cache_path() {
+            rows.extend(parse_rows::<R>(&path, &read(&path)?)?);
+        }
+        Ok(self.rows.get_or_init(|| Mutex::new(rows)))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<R::Key, R>> {
+        match self.rows.get() {
+            Some(rows) => rows.lock(),
+            None => self.init().unwrap_or_else(|e| panic!("{e}")).lock(),
+        }
+    }
+
+    /// The row for `key`, if any.
+    pub fn get(&self, key: &R::Key) -> Option<R> {
+        self.lock().get(key).copied()
+    }
+
+    /// The row for `key`; on a miss, `f`'s row, installed and appended to
+    /// the cache file.
+    pub fn get_or_insert_with(&self, key: R::Key, f: impl FnOnce() -> R) -> R {
+        *self.lock().entry(key).or_insert_with(|| {
+            let row = f();
+            append(&key, &row);
+            row
+        })
+    }
+
+    /// Set the row for `key` in this process only.
+    pub fn install(&self, key: R::Key, row: R) {
+        self.lock().insert(key, row);
+    }
+
+    /// Set the row for `key` and append it to the cache file.
+    pub fn record(&self, key: R::Key, row: R) {
+        self.install(key, row);
+        append(&key, &row);
+    }
+
+    /// The table in key order.
+    pub fn entries(&self) -> Vec<(R::Key, R)> {
+        self.lock().iter().map(|(k, r)| (*k, *r)).collect()
+    }
+
+    /// Write the cache file at `path`: this table's rows replace the file's
+    /// rows of this kind, every other line stays as it is.
+    pub fn write(&self, path: &Path) -> Result<(), TuneCacheError> {
+        let old = read(path)?;
+        parse_rows::<R>(path, &old)?;
+        let mut out = String::from(CACHE_HEADER);
+        for line in old.lines().skip(1) {
+            if line.split_whitespace().next() != Some(R::TAG) {
+                out += &format!("{line}\n");
+            }
+        }
+        for (key, row) in self.entries() {
+            out += &format!("{} {}\n", R::TAG, row.render(&key));
+        }
+        std::fs::write(path, out).map_err(|e| TuneCacheError::new(path, 0, e))
+    }
 }
 
 /// Whether the bf16-storage path is active. Off by default; enabled by
@@ -403,23 +531,188 @@ mod tests {
         assert_eq!(select(shape.0, shape.1, shape.2), forced);
     }
 
+    /// The line of a cache text's first fault, and why.
+    type Fault = (usize, String);
+
+    /// `R`'s rows of `text`, or its first fault.
+    fn rows<R: TuneRow>(text: &str) -> Result<Vec<(R::Key, R)>, Fault> {
+        parse_rows(Path::new("t"), text).map_err(|e| (e.line, e.reason))
+    }
+
+    /// Parse one `gemm` row's fields.
+    fn gemm(line: &str) -> Result<((usize, usize, usize), Blueprint), String> {
+        Blueprint::parse(&line.split_whitespace().collect::<Vec<_>>())
+    }
+
     #[test]
     fn cache_line_round_trips() {
         let bp = heuristic(64, 576, 2304);
-        let line = format!("64 576 2304 {}", bp.render());
-        let (key, parsed) = parse_line(&line).expect("parse");
+        let line = bp.render(&(64, 576, 2304));
+        let (key, parsed) = gemm(&line).expect("parse");
         assert_eq!(key, (64, 576, 2304));
         assert_eq!(parsed, bp);
-        assert!(parse_line("garbage line").is_none());
-        assert!(parse_line("1 2 3 not_a_kernel 4 16 2 256 seq").is_none());
+        let text = format!("{CACHE_HEADER}gemm {line}\n");
+        assert_eq!(rows::<Blueprint>(&text), Ok(vec![(key, bp)]));
+        assert!(gemm("1 2 3 not_a_kernel 4 16 2 256 seq").is_err());
+        assert!(gemm("1 2 3 scalar 4 16 2 256 sideways").is_err());
+        assert_eq!(
+            rows::<Blueprint>(&format!("{CACHE_HEADER}garbage line\n")),
+            Err((2, "unknown row tag `garbage`".into()))
+        );
     }
 
     #[test]
     fn sanitize_clamps_corrupt_entries() {
-        let (_, bp) = parse_line("4 8 4 scalar 999 999 999 7 seq").expect("parse");
+        let (_, bp) = gemm("4 8 4 scalar 999 999 999 7 seq").expect("parse");
         assert!(bp.mr <= MAX_MR && bp.nr <= MAX_NR);
         assert!(bp.kc <= 8, "kc clamped to k");
         assert_eq!(bp.nc % bp.nr, 0);
+    }
+
+    /// The comm tuner's row shape, for holding a two-tag file to the
+    /// whole-or-nothing contract without depending on `dlsr-horovod`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Comm([u64; 4]);
+
+    impl TuneRow for Comm {
+        const TAG: &'static str = "comm";
+        type Key = (usize, u64);
+
+        fn parse(f: &[&str]) -> Result<(Self::Key, Self), String> {
+            if f.len() != 6 {
+                return Err(format!("{} fields, expected 6", f.len()));
+            }
+            let mut v = [0u64; 4];
+            for (x, s) in v.iter_mut().zip(&f[2..]) {
+                *x = parse_num(s)?;
+            }
+            Ok(((parse_num(f[0])?, parse_num(f[1])?), Comm(v)))
+        }
+
+        fn render(&self, key: &Self::Key) -> String {
+            let [a, b, c, d] = self.0;
+            format!("{} {} {a} {b} {c} {d}", key.0, key.1)
+        }
+    }
+
+    const TWO_TAG: &str = "# dlsr tune cache v2
+# a comment, then a blank line
+
+gemm 64 576 2304 avx2_4x16 4 16 256 256 rows
+comm 8 123456 67108864 3500000 131072 8388608
+gemm 3 27 5 scalar 4 16 27 256 seq
+comm 16 999 1024 1000 1 131072
+";
+
+    type Both = (
+        Vec<((usize, usize, usize), Blueprint)>,
+        Vec<((usize, u64), Comm)>,
+    );
+
+    /// Both row kinds of `text`, or the first error either loader reports.
+    fn both(text: &str) -> Result<Both, Fault> {
+        Ok((rows::<Blueprint>(text)?, rows::<Comm>(text)?))
+    }
+
+    #[test]
+    fn every_truncation_is_whole_lines_or_names_the_cut_line() {
+        let (gemms, comms) = both(TWO_TAG).expect("the fixture parses");
+        assert_eq!((gemms.len(), comms.len()), (2, 2));
+        for cut in 0..=TWO_TAG.len() {
+            let prefix = &TWO_TAG[..cut];
+            let complete = prefix.matches('\n').count();
+            match both(prefix) {
+                Ok((g, c)) => {
+                    assert!(cut == 0 || prefix.ends_with('\n'), "cut {cut} parsed");
+                    let kept = |tag| {
+                        let lines = TWO_TAG.lines().take(complete);
+                        lines.filter(|l| l.starts_with(tag)).count()
+                    };
+                    assert_eq!(g[..], gemms[..kept("gemm")], "cut {cut}");
+                    assert_eq!(c[..], comms[..kept("comm")], "cut {cut}");
+                }
+                Err((line, reason)) => {
+                    assert!(!prefix.ends_with('\n'), "cut {cut}: {reason}");
+                    assert_eq!(line, complete + 1, "cut {cut}: {reason}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_corrupted_field_names_its_line() {
+        let lines: Vec<&str> = TWO_TAG.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            if i > 0 && fields.first().is_none_or(|f| f.starts_with('#')) {
+                continue;
+            }
+            let mut variants: Vec<Vec<&str>> = Vec::new();
+            for at in 0..fields.len() {
+                for bad in ["x", "-1", "1.5", "18446744073709551616"] {
+                    let mut v = fields.clone();
+                    v[at] = bad;
+                    variants.push(v);
+                }
+                let mut dropped = fields.clone();
+                dropped.remove(at);
+                variants.push(dropped);
+            }
+            let mut extra = fields.clone();
+            extra.push("7");
+            variants.push(extra);
+            for v in variants {
+                let mut text: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+                text[i] = v.join(" ");
+                let text = text.join("\n") + "\n";
+                let err = both(&text).expect_err(&text);
+                assert_eq!(err.0, i + 1, "{}: {text}", err.1);
+            }
+        }
+    }
+
+    #[test]
+    fn v1_and_headerless_files_are_rejected() {
+        for text in [
+            "# dlsr tune cache v1: m k n kernel mr nr kc nc par\n",
+            "64 576 2304 avx2_4x16 4 16 256 256 rows\n",
+            "\n# dlsr tune cache v2\n",
+        ] {
+            let (line, reason) = rows::<Blueprint>(text).expect_err(text);
+            assert_eq!(line, 1, "{reason}");
+            assert!(reason.contains("version header"), "{reason}");
+        }
+        assert_eq!(rows::<Blueprint>(""), Ok(vec![]));
+        assert_eq!(rows::<Blueprint>(&format!("{CACHE_HEADER}\n")), Ok(vec![]));
+    }
+
+    #[test]
+    fn write_replaces_its_own_rows_and_keeps_every_other_line() {
+        let path = std::env::temp_dir().join(format!("dlsr-write-{}.tune", std::process::id()));
+        let gemm = "gemm 3 27 5 scalar 4 16 27 256 seq";
+        let old = format!("{CACHE_HEADER}# kept\n{gemm}\ncomm 8 1 2 3 4 5\n");
+        std::fs::write(&path, old).unwrap();
+        let table = TuneTable::<Comm>::new(|| vec![((16, 9), Comm([6, 7, 8, 9]))]);
+        table.write(&path).expect("write");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            text,
+            format!("{CACHE_HEADER}# kept\n{gemm}\ncomm 16 9 6 7 8 9\n")
+        );
+        assert_eq!(rows::<Comm>(&text), Ok(vec![((16, 9), Comm([6, 7, 8, 9]))]));
+    }
+
+    /// `results/gemm.tune` ships with the repository; every row keeps the
+    /// heuristic's `kc`, so a run pointed at it trains the no-cache bits.
+    #[test]
+    fn committed_cache_is_v2_and_keeps_the_heuristic_kc() {
+        let rows = rows::<Blueprint>(include_str!("../../../results/gemm.tune"))
+            .expect("results/gemm.tune parses");
+        assert_eq!(rows.len(), 26);
+        for ((m, k, n), bp) in rows {
+            assert_eq!(bp.kc, k.min(256), "{m}x{k}x{n}");
+        }
     }
 
     #[test]

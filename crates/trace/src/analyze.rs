@@ -30,6 +30,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::report::union_intervals;
 use crate::{cat, Clock, TraceEvent};
 
 /// Where the critical-path microseconds went, in seconds. The five
@@ -272,21 +273,6 @@ fn is_comm(cat_: &str) -> bool {
     cat::COMM_SET.contains(&cat_)
 }
 
-/// Merge possibly-overlapping `(start, end)` pairs into a disjoint
-/// sorted union (same contract as the report's interval math).
-fn union(mut iv: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
-    iv.retain(|(s, e)| e > s);
-    iv.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut out: Vec<(f64, f64)> = Vec::with_capacity(iv.len());
-    for (s, e) in iv {
-        match out.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
-        }
-    }
-    out
-}
-
 /// Build one rank's labeled timeline over `[t0, t1]` by priority sweep
 /// over the per-class interval unions.
 fn labeled_profile(spans: &[&TraceEvent], t0: f64, t1: f64) -> Vec<Seg> {
@@ -317,7 +303,7 @@ fn labeled_profile(spans: &[&TraceEvent], t0: f64, t1: f64) -> Vec<Seg> {
     ];
     let mut unions: Vec<(Label, Vec<(f64, f64)>)> = Vec::with_capacity(classes.len());
     for lab in classes {
-        let iv = union(
+        let iv = union_intervals(
             spans
                 .iter()
                 .filter(|e| class_of(e) == Some(lab))
@@ -454,7 +440,7 @@ pub fn critical_path(events: &[TraceEvent], steps: usize) -> CritPath {
     type Participants = Vec<(usize, f64, f64)>;
     let mut entries: BTreeMap<(String, usize), Participants> = BTreeMap::new();
     for (&rank, spans) in &by_rank {
-        let ar_union = union(
+        let ar_union = union_intervals(
             spans
                 .iter()
                 .filter(|e| e.cat == cat::ALLREDUCE)

@@ -398,7 +398,7 @@ pub struct StepReport {
 
 /// Merge possibly-overlapping `(start, end)` intervals into a disjoint,
 /// sorted list.
-fn union_intervals(mut iv: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
+pub(crate) fn union_intervals(mut iv: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
     iv.retain(|(s, e)| e > s);
     iv.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut out: Vec<(f64, f64)> = Vec::with_capacity(iv.len());
