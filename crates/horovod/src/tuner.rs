@@ -362,6 +362,8 @@ mod tests {
         let (key, parsed) = comm(&line).expect("parse");
         assert_eq!(key, (8, 123456));
         assert_eq!(parsed, e);
+        assert!(comm("garbage").is_err());
+        assert!(comm("8 1 2 3 4").is_err(), "short line rejected");
         assert!(comm("8 1 2 3 x 5").is_err());
         assert!(comm("8 1 2 3 4 -5").is_err());
     }
