@@ -6,8 +6,8 @@
 //!
 //! The training loop carries the graceful-degradation machinery of
 //! `docs/ROBUSTNESS.md`: periodic in-memory parameter + optimizer-state
-//! checkpoints ([`RealTrainConfig::checkpoint_every`]) and, under the
-//! `faults` feature, restore-and-continue recovery from a scheduled
+//! checkpoints ([`RealTrainConfig::checkpoint_every`]) and, when the
+//! job's fault plan schedules one, restore-and-continue recovery from a
 //! mid-run rank failure. Because data loading is step-keyed and the
 //! restored state is exact, the replayed steps are bitwise identical to an
 //! undisturbed run — only the virtual timeline pays for the fault.
@@ -289,7 +289,6 @@ const BWD_SECONDS_PER_MAC: f64 = 5.0e-9;
 const CHECKPOINT_BANDWIDTH: f64 = 2.0e9;
 const CHECKPOINT_FIXED_SECONDS: f64 = 50.0e-6;
 /// Virtual time for the fabric to agree a rank died (heartbeat timeout).
-#[cfg(feature = "faults")]
 const FAILURE_DETECT_SECONDS: f64 = 1.0e-3;
 
 /// Outcome of a real training run.
@@ -338,7 +337,6 @@ fn image_spec(lr_patch: usize, scale: usize) -> SyntheticImageSpec {
 /// parallelism keeps all ranks' parameters equal), so recovery needs only
 /// rank 0's copy re-broadcast to overwrite any replacement rank.
 #[derive(Clone)]
-#[cfg_attr(not(feature = "faults"), allow(dead_code))] // read only by restore
 struct Snapshot {
     step: usize,
     params: StateDict,
@@ -347,7 +345,6 @@ struct Snapshot {
 
 /// Flat f32 encoding of [`AdamState`] for `bcast`: `[t, m₀…, v₀…, m₁…, …]`
 /// in the snapshot's (name-sorted) order. Exact for `t < 2^24`.
-#[cfg(feature = "faults")]
 fn flatten_adam_state(s: &AdamState) -> Vec<f32> {
     let mut flat = vec![s.t as f32];
     for (_, _, m, v) in &s.moments {
@@ -359,7 +356,6 @@ fn flatten_adam_state(s: &AdamState) -> Vec<f32> {
 
 /// Inverse of [`flatten_adam_state`], using `template` for the name/shape
 /// skeleton (identical on every rank — same model, same step).
-#[cfg(feature = "faults")]
 fn unflatten_adam_state(template: &AdamState, flat: &[f32]) -> AdamState {
     let mut out = template.clone();
     out.t = flat[0] as u64;
@@ -430,15 +426,12 @@ pub fn train_real(
         // equivalence) and on every rank (no wall-clock noise). A
         // straggler multiplier from the fault plan stretches this rank's
         // compute without touching the math.
-        #[cfg(feature = "faults")]
         let compute_mult = comm
             .config()
             .fault_plan
             .as_ref()
             .map(|p| p.compute_multiplier(comm.rank()))
             .unwrap_or(1.0);
-        #[cfg(not(feature = "faults"))]
-        let compute_mult = 1.0;
         let local_batch = cfg.global_batch / world;
         let macs =
             model.num_params() as f64 * (cfg.lr_patch * cfg.lr_patch) as f64 * local_batch as f64;
@@ -461,18 +454,13 @@ pub fn train_real(
         let checkpoint_cost = CHECKPOINT_FIXED_SECONDS + snapshot_bytes / CHECKPOINT_BANDWIDTH;
         // The scheduled mid-run failure, if any (Copy — read out up front
         // so the borrow of the config doesn't pin `comm`).
-        #[cfg(feature = "faults")]
         let rank_failure = comm
             .config()
             .fault_plan
             .as_ref()
             .and_then(|p| p.rank_failure());
-        #[cfg(feature = "faults")]
         let mut restored = false;
-        #[cfg(feature = "faults")]
         let want_snapshots = cfg.checkpoint_every > 0 || rank_failure.is_some();
-        #[cfg(not(feature = "faults"))]
-        let want_snapshots = cfg.checkpoint_every > 0;
         // Initial snapshot (free: taken from the post-broadcast state
         // before any virtual time passes) so recovery always has a base.
         let mut snapshot: Option<Snapshot> = want_snapshots.then(|| Snapshot {
@@ -487,7 +475,6 @@ pub fn train_real(
             // last checkpoint and continue — the replacement rank slots in
             // with re-broadcast state. Replay is bitwise-exact because the
             // loader is step-keyed and the restored state is exact.
-            #[cfg(feature = "faults")]
             // dlsr-lint: allow(collective-order) -- rank_failure is config,
             // identical on every rank: all ranks take the same arm together
             if let Some(f) = rank_failure {
@@ -584,11 +571,6 @@ pub fn train_real(
             }
             step += 1;
         }
-        // Without the `faults` feature nothing ever restores from the
-        // replica; keep it observed so the checkpoint path (and its lint
-        // profile) is identical in both builds.
-        #[cfg(not(feature = "faults"))]
-        let _ = &snapshot;
         // held-out evaluation (same on every rank; rank 0's is reported)
         let sr = model.predict(&lr).expect("predict");
         let model_psnr = psnr(&sr, &hr, 1.0).expect("psnr");
@@ -652,7 +634,6 @@ impl<S: LrSchedule> SchedulerShim<S> {
     /// Rewind to `step` (checkpoint rollback): the schedule is a pure
     /// function of the step counter, so resetting the counter replays the
     /// exact same rate sequence.
-    #[cfg(feature = "faults")]
     fn reset_to(&mut self, step: u64) {
         self.step = step;
     }

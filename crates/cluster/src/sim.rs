@@ -409,7 +409,6 @@ impl RankProgram for SimProgram<'_> {
                     // A straggler rank from the fault plan runs all its
                     // compute slower by a fixed multiplier, on top of the
                     // per-step jitter.
-                    #[cfg(feature = "faults")]
                     let jit = jit
                         * comm
                             .config()

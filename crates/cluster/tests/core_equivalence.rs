@@ -64,7 +64,6 @@ fn training_bits_match_the_pre_deletion_goldens() {
 
 /// The fault plan is applied by the shared communicator layer, beneath
 /// the executor, so its bits were core-independent too.
-#[cfg(feature = "faults")]
 #[test]
 fn training_bits_under_a_fault_plan_match_the_pre_deletion_goldens() {
     use std::sync::Arc;

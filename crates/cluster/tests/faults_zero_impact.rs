@@ -1,10 +1,10 @@
-//! The zero-impact guarantee of `docs/ROBUSTNESS.md`: compiling the
-//! `faults` feature in must not perturb a fault-free run. With no plan —
-//! or an *empty* plan — attached, training produces bitwise-identical
-//! losses, parameters and virtual makespan to the baseline, in both
-//! overlap modes. (The cross-*build* half of the guarantee — default build
-//! vs `--features faults` — is checked by the CI chaos job comparing
-//! `dlsr train --digest` output across compilations.)
+//! The zero-impact guarantee of `docs/ROBUSTNESS.md`: fault injection is
+//! compiled into every build and switched only by
+//! `MpiConfig::fault_plan`, so it must not perturb a fault-free run. With
+//! no plan — or an *empty* plan — attached, training produces
+//! bitwise-identical losses, parameters and virtual makespan to the
+//! baseline, in both overlap modes. The committed goldens of
+//! `core_equivalence.rs` pin the no-plan bits themselves.
 
 use std::sync::Arc;
 

@@ -162,8 +162,7 @@ USAGE:
                 real EDSR training (tiny model, real math) on a simulated
                 cluster. --digest prints an FNV-1a digest of the exact loss
                 and parameter bits — two builds that print the same digest
-                ran bitwise-identical training (the CI chaos job compares
-                default vs `--features faults` builds this way).
+                ran bitwise-identical training.
                 --sequential disables backward/allreduce overlap.
                 --allreduce pins the default algorithm (ring | rd |
                 two-level | pipelined-ring); --wire selects a gradient wire
@@ -235,7 +234,7 @@ USAGE:
                 fault class against a clean baseline, reporting retries,
                 backoff, degraded time, checkpoint/restore cost and the
                 timeline overhead — and verifying the training math stayed
-                bitwise identical. Requires a `--features faults` build.
+                bitwise identical.
                 Faults: degraded-link | lossy | straggler | rank-failure
                 (default: all four)
   dlsr lint     [--json | --sarif] [--root DIR] [--self-test]
@@ -351,9 +350,6 @@ fn cmd_figures(flags: &Flags) {
     let rows: Vec<&Row> = match flags.get("only") {
         None => figures::ROWS.iter().collect(),
         Some(name) => match figures::ROWS.iter().find(|r| r.name == name) {
-            Some(Row { run: None, .. }) => die(&format!(
-                "`{name}` is compiled out; rebuild with `--features faults`"
-            )),
             Some(row) => vec![row],
             None => {
                 let names: Vec<&str> = figures::ROWS.iter().map(|r| r.name).collect();
@@ -813,8 +809,7 @@ fn check_analysis(
     }
 }
 
-/// `dlsr lint` — the workspace static analyzer, embedded so the main CLI
-/// exposes the same contract as the standalone `dlsr-lint` binary:
+/// `dlsr lint` — the workspace static analyzer's one entry point:
 /// exit 0 clean, 1 findings, 2 analyzer failure.
 fn cmd_lint(flags: &Flags) {
     let root = match flags.get("root") {
@@ -985,19 +980,9 @@ fn cmd_verify(flags: &Flags) {
     );
 }
 
-#[cfg(not(feature = "faults"))]
-fn cmd_chaos(_flags: &Flags) {
-    eprintln!(
-        "dlsr chaos: deterministic fault injection is compiled out of this \
-         binary.\nRebuild with:  cargo run -p dlsr --features faults -- chaos"
-    );
-    std::process::exit(2);
-}
-
 /// The injected-fault suite: run each chaos scenario against a clean
 /// baseline and report what the fault cost — while proving it cost only
 /// virtual time, never accuracy.
-#[cfg(feature = "faults")]
 fn cmd_chaos(flags: &Flags) {
     use std::sync::Arc;
 

@@ -1,10 +1,10 @@
-//! **Ablation** — throughput under injected faults (docs/ROBUSTNESS.md;
-//! requires `--features faults`): a virtual-time sweep over every chaos
-//! scenario — throughput, timeline overhead, retry/backoff/degraded charges
-//! per fault class — written to `results/BENCH_faults.json`. Asserts that
+//! **Ablation** — throughput under injected faults (docs/ROBUSTNESS.md):
+//! a virtual-time sweep over every chaos scenario — throughput, timeline
+//! overhead, retry/backoff/degraded charges per fault class — written to
+//! `results/BENCH_faults.json`. Asserts that
 //! no fault changes the training math.
 //!
-//! Run: `cargo run --release -p dlsr --features faults -- figures --only ablation_faults`
+//! Run: `cargo run --release -p dlsr -- figures --only ablation_faults`
 
 use std::io::{self, Write};
 use std::sync::Arc;

@@ -14,7 +14,6 @@
 //! machine. Wall-clock numbers are the `benchmark/` package's.
 
 mod ablation_allreduce_algos;
-#[cfg(feature = "faults")]
 mod ablation_faults;
 mod ablation_fusion_tuning;
 mod ablation_overlap;
@@ -59,109 +58,100 @@ pub struct Row {
     /// The files under `results/` this row owns, in the order it returns
     /// them.
     pub outputs: &'static [&'static str],
-    /// `None` when the row is compiled out of this build
-    /// (`ablation_faults` without `--features faults`).
-    pub run: Option<RowFn>,
+    pub run: RowFn,
 }
-
-/// `ablation_faults` injects faults; its body exists only in a
-/// `--features faults` build.
-#[cfg(feature = "faults")]
-const ABLATION_FAULTS: Option<RowFn> = Some(ablation_faults::run);
-#[cfg(not(feature = "faults"))]
-const ABLATION_FAULTS: Option<RowFn> = None;
 
 /// Every harness, in the order `dlsr figures` runs them.
 pub const ROWS: &[Row] = &[
     Row {
         name: "fig01",
         outputs: &["fig01_results.json"],
-        run: Some(fig01_single_node::run),
+        run: fig01_single_node::run,
     },
     Row {
         name: "fig09",
         outputs: &["fig09_results.json"],
-        run: Some(fig09_batch_size::run),
+        run: fig09_batch_size::run,
     },
     Row {
         name: "fig10",
         outputs: &["fig10_results.json"],
-        run: Some(fig10_default_scaling::run),
+        run: fig10_default_scaling::run,
     },
     Row {
         name: "fig11",
         outputs: &["fig11_results.json"],
-        run: Some(fig11_regcache::run),
+        run: fig11_regcache::run,
     },
     Row {
         name: "fig12",
         outputs: &["fig12_results.json"],
-        run: Some(fig12_optimized_scaling::run),
+        run: fig12_optimized_scaling::run,
     },
     Row {
         name: "fig13",
         outputs: &["fig13_results.json"],
-        run: Some(fig13_efficiency::run),
+        run: fig13_efficiency::run,
     },
     Row {
         name: "fig14",
         outputs: &["fig14_results.json"],
-        run: Some(fig14_hvprof::run),
+        run: fig14_hvprof::run,
     },
     Row {
         name: "table1",
         outputs: &["table1_results.json"],
-        run: Some(table1_allreduce::run),
+        run: table1_allreduce::run,
     },
     Row {
         name: "ablation_allreduce_algos",
         outputs: &["ablation_allreduce_algos.json"],
-        run: Some(ablation_allreduce_algos::run),
+        run: ablation_allreduce_algos::run,
     },
     Row {
         name: "ablation_fusion_tuning",
         outputs: &["ablation_fusion_tuning.json"],
-        run: Some(ablation_fusion_tuning::run),
+        run: ablation_fusion_tuning::run,
     },
     Row {
         name: "ablation_unpinned",
         outputs: &["ablation_unpinned.json"],
-        run: Some(ablation_unpinned::run),
+        run: ablation_unpinned::run,
     },
     Row {
         name: "ablation_overlap",
         outputs: &["BENCH_overlap.json"],
-        run: Some(ablation_overlap::run),
+        run: ablation_overlap::run,
     },
     Row {
         name: "ablation_wire",
         outputs: &["BENCH_wire.json"],
-        run: Some(ablation_wire::run),
+        run: ablation_wire::run,
     },
     Row {
         name: "ablation_faults",
         outputs: &["BENCH_faults.json"],
-        run: ABLATION_FAULTS,
+        run: ablation_faults::run,
     },
     Row {
         name: "extra_strong_scaling",
         outputs: &["extra_strong_scaling.json"],
-        run: Some(extra_strong_scaling::run),
+        run: extra_strong_scaling::run,
     },
     Row {
         name: "extra_text_config",
         outputs: &["extra_text_config.json"],
-        run: Some(extra_text_config_scaling::run),
+        run: extra_text_config_scaling::run,
     },
     Row {
         name: "export_timeline",
         outputs: &["timeline_mpi_4gpus.json", "timeline_mpi_opt_4gpus.json"],
-        run: Some(export_timeline::run),
+        run: export_timeline::run,
     },
     Row {
         name: "simscale",
         outputs: &["BENCH_simscale.json"],
-        run: Some(simscale::run),
+        run: simscale::run,
     },
 ];
 
@@ -336,16 +326,8 @@ fn json(name: &str, value: &serde_json::Value) -> (String, Vec<u8>) {
 pub fn produce(rows: &[&Row], sweeps: &Sweeps, out: &mut dyn Write) -> io::Result<Outputs> {
     let mut produced = Vec::new();
     for row in rows {
-        let Some(run) = row.run else {
-            writeln!(
-                out,
-                "[{}: skipped, this build lacks `--features faults`]\n",
-                row.name
-            )?;
-            continue;
-        };
         let (runs, hits) = (sweeps.runs(), sweeps.hits());
-        let files = run(sweeps, out)?;
+        let files = (row.run)(sweeps, out)?;
         assert!(
             files
                 .iter()

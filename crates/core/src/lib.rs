@@ -57,7 +57,6 @@ pub mod figures;
 
 pub use dlsr_cluster as cluster;
 pub use dlsr_data as data;
-#[cfg(feature = "faults")]
 pub use dlsr_faults as faults;
 pub use dlsr_gpu as gpu;
 pub use dlsr_horovod as horovod;

@@ -89,3 +89,20 @@ fn a_garbled_tune_cache_stops_every_command() {
     let want = format!("tune cache {}:3: ", cache.display());
     assert!(err.contains(&want), "{err}");
 }
+
+#[test]
+fn the_default_binary_runs_the_fault_commands() {
+    let out = dlsr(&["chaos", "--steps", "2"]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("bitwise intact"),
+        "{out:?}"
+    );
+    // `--check` writes nothing and compares against the committed copy.
+    let out = Command::new(env!("CARGO_BIN_EXE_dlsr"))
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .args(["figures", "--only", "ablation_faults", "--check"])
+        .output()
+        .expect("spawn dlsr");
+    assert!(out.status.success(), "{out:?}");
+}

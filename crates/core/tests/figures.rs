@@ -42,8 +42,7 @@ fn row(name: &str) -> &'static Row {
 }
 
 fn run(name: &str, sweeps: &Sweeps) -> Outputs {
-    let body = row(name).run.expect("row compiled in");
-    body(sweeps, &mut io::sink()).expect("row runs")
+    (row(name).run)(sweeps, &mut io::sink()).expect("row runs")
 }
 
 #[test]

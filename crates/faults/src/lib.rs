@@ -23,8 +23,9 @@
 //! - **mid-run rank failure** ([`RankFailure`]): triggers the trainer's
 //!   checkpoint/restore path.
 //!
-//! The plan only *schedules* faults; injection lives behind the `faults`
-//! feature of `dlsr-mpi`/`dlsr-cluster` so default builds carry none of it.
+//! The plan only *schedules* faults; `dlsr-mpi` and `dlsr-cluster` inject
+//! them when a job's `MpiConfig::fault_plan` is set, and skip every fault
+//! hook when it is `None`.
 
 #![forbid(unsafe_code)]
 

@@ -15,7 +15,7 @@
 //! its own targets). Findings flow through one waiver table, so a waiver
 //! that suppresses nothing is itself reported (stale-waiver detection).
 //!
-//! Run as `dlsr lint` or `cargo run -p dlsr-lint`; `--json` / `--sarif`
+//! Run as `dlsr lint` (the crate has no binary); `--json` / `--sarif`
 //! emit machine-readable reports ([`report`]); `--self-test` checks the
 //! true-positive fixtures under `crates/lint/fixtures/`. Exit codes:
 //! 0 clean, 1 findings, 2 analyzer failure.

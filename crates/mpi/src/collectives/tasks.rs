@@ -248,7 +248,7 @@ impl PayloadKind for CostsOnly {
 /// is built, handed back on `Ready` ([`Task::into_buf`](crate::Task::into_buf)). Dense
 /// messages are encoded once, where a rank originates them; every later
 /// hop folds what it received in place and forwards it
-/// ([`wire::combine_forward`], [`wire::copy_out`]). The two-level
+/// (`wire::combine_forward`, `wire::copy_out`). The two-level
 /// intra-node phases move whole buffers and answer each child's reduce
 /// message with the same allocation, so no hop allocates.
 #[derive(Debug, Default)]

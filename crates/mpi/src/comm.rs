@@ -161,9 +161,8 @@ pub struct Comm {
     /// registers its persistent transport buffers once at init).
     nccl_regcache: RegistrationCache,
     /// Per-destination message sequence numbers feeding the deterministic
-    /// fault plan (without the `faults` feature the field does not exist
-    /// and the send path is byte-identical to the pre-fault build).
-    #[cfg(feature = "faults")]
+    /// fault plan; empty when the job has no plan, so a fault-free world
+    /// does not pay an O(world²) table.
     send_seq: Vec<u64>,
     /// The world's verify ledger (debug builds only; without the `verify`
     /// feature the field does not exist and every hook below compiles to
@@ -194,6 +193,11 @@ impl Comm {
         } else {
             RegistrationCache::disabled()
         };
+        let send_seq = if cfg.fault_plan.is_some() {
+            vec![0; size]
+        } else {
+            Vec::new()
+        };
         Comm {
             rank,
             size,
@@ -215,8 +219,7 @@ impl Comm {
             policy: PathPolicy::Mpi,
             rendezvous_bytes: None,
             nccl_regcache: RegistrationCache::new(1 << 34),
-            #[cfg(feature = "faults")]
-            send_seq: vec![0; size],
+            send_seq,
             #[cfg(feature = "verify")]
             verify: None,
         }
@@ -492,7 +495,6 @@ impl Comm {
     /// clock, independent of OS thread scheduling. Only the *sender's*
     /// timeline is perturbed — failed attempts never reach the channel, so
     /// the receive path stays byte-identical and payloads stay exact.
-    #[cfg(feature = "faults")]
     fn faulted_transfer(&mut self, dst: usize, transfer: f64) -> Result<f64, CommError> {
         use dlsr_trace::report::keys;
         let Some(plan) = self.cfg.fault_plan.clone() else {
@@ -625,7 +627,6 @@ impl Comm {
         self.charge_registration(path, buf_id, bytes);
         self.clock.advance(self.send_overhead());
         self.count_transfers(path, bytes, 1);
-        #[cfg(feature = "faults")]
         let transfer = self.faulted_transfer(dst, transfer)?;
         let arrival = self.clock.now() + transfer;
         // The wire occupancy of this message on the sender's virtual
@@ -676,7 +677,6 @@ impl Comm {
     /// registration cache), so paying a quote ([`Comm::settle_hops`] plus
     /// the caller's clock arithmetic) charges what the send would.
     pub(crate) fn quote_send(&self, dst: usize, bytes: u64, buf_id: u64) -> Option<SendQuote> {
-        #[cfg(feature = "faults")]
         if self.cfg.fault_plan.is_some() {
             return None;
         }
@@ -1042,5 +1042,41 @@ impl Comm {
     #[inline]
     pub(crate) fn on_driven_wire(&self) -> bool {
         matches!(self.wire, Wire::Driven { .. })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rank0(cfg: MpiConfig) -> Comm {
+        let topo = ClusterTopology {
+            name: "seq".into(),
+            nodes: 2,
+            gpus_per_node: 2,
+        };
+        let registries = Arc::new((0..topo.nodes).map(|_| IpcRegistry::new()).collect());
+        let wire = Wire::Driven { outbox: Vec::new() };
+        Comm::new(0, topo, Arc::new(cfg), wire, None, registries)
+    }
+
+    /// The per-destination sequence table exists only under a fault plan,
+    /// so a fault-free world does not pay O(world²) for it; an empty plan
+    /// numbers every send without changing what the send costs.
+    #[test]
+    fn the_sequence_table_exists_only_under_a_fault_plan() {
+        let mut plain = rank0(MpiConfig::mpi_opt());
+        let plan = Some(Arc::new(dlsr_faults::FaultPlan::empty(7)));
+        let mut planned = rank0(MpiConfig::mpi_opt().to_builder().fault_plan(plan).build());
+        assert!(plain.send_seq.is_empty());
+        assert_eq!(planned.send_seq, [0; 4]);
+        for dst in [1, 3, 3] {
+            let a = plain.account_send(dst, 4096, 1).expect("send");
+            let b = planned.account_send(dst, 4096, 1).expect("send");
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert!(plain.send_seq.is_empty());
+        assert_eq!(planned.send_seq, [0, 1, 0, 2]);
+        assert_eq!(plain.stats(), planned.stats());
     }
 }

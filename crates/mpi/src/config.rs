@@ -201,9 +201,7 @@ pub struct MpiConfig {
     /// growth. 0 disables the check.
     pub sim_mailbox_budget: u64,
     /// Scheduled faults for this job (shared by every rank). `None` — the
-    /// default — injects nothing; without the `faults` feature the field
-    /// does not exist and the injection hooks compile to nothing.
-    #[cfg(feature = "faults")]
+    /// default — injects nothing: the send path skips every fault hook.
     pub fault_plan: Option<std::sync::Arc<dlsr_faults::FaultPlan>>,
 }
 
@@ -226,7 +224,6 @@ impl MpiConfig {
             retry: RetryPolicy::default(),
             sim_workers: 0,
             sim_mailbox_budget: 1 << 30,
-            #[cfg(feature = "faults")]
             fault_plan: None,
         }
     }
@@ -448,9 +445,7 @@ impl MpiConfigBuilder {
         self
     }
 
-    /// Attach a fault plan (see `dlsr-faults`). Only exists with the
-    /// `faults` feature; default builds carry no injection code at all.
-    #[cfg(feature = "faults")]
+    /// Attach a fault plan (see `dlsr-faults`); `None` injects nothing.
     pub fn fault_plan(mut self, plan: Option<std::sync::Arc<dlsr_faults::FaultPlan>>) -> Self {
         self.cfg.fault_plan = plan;
         self

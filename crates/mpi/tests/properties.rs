@@ -339,10 +339,9 @@ fn scaled(cfg: MpiConfig) -> MpiConfigBuilder {
         .wire_threshold(tuning.wire_threshold / S)
 }
 
-/// `cfg`, and with the `faults` feature `cfg` under the `Lossy` and
-/// `DegradedLink` plans of a `world`-rank job.
+/// `cfg`, then `cfg` under the `Lossy` and `DegradedLink` plans of a
+/// `world`-rank job.
 fn with_fault_plans(cfg: MpiConfig, world: usize) -> Vec<MpiConfig> {
-    #[cfg(feature = "faults")]
     let planned = [
         dlsr_faults::ChaosScenario::Lossy,
         dlsr_faults::ChaosScenario::DegradedLink,
@@ -351,11 +350,6 @@ fn with_fault_plans(cfg: MpiConfig, world: usize) -> Vec<MpiConfig> {
         let plan = std::sync::Arc::new(scenario.plan(2021, world, 2));
         cfg.clone().to_builder().fault_plan(Some(plan)).build()
     });
-    #[cfg(not(feature = "faults"))]
-    let planned: [MpiConfig; 0] = {
-        let _ = world;
-        []
-    };
     std::iter::once(cfg).chain(planned).collect()
 }
 
@@ -395,8 +389,8 @@ fn communicators(
 /// and one element either side of a whole number of sub-chunks per ring
 /// block, and bf16, fp16 and top-k on the latter two where a leader ring
 /// exists. Top-k runs one schedule whatever the algorithm, so it runs
-/// once. With `--features faults` every case runs again under the `Lossy`
-/// and `DegradedLink` plans: retries, backoff and degraded links are
+/// once. Every case runs again under the `Lossy` and `DegradedLink`
+/// plans: retries, backoff and degraded links are
 /// send-side accounting, so the kinds agree there too.
 #[test]
 fn both_payload_kinds_leave_identical_communicators() {

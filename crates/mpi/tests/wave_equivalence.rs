@@ -9,7 +9,7 @@
 //! the same `RegCacheStats` whatever the world shape, element count,
 //! algorithm, wire format, registration-cache state, path policy or
 //! per-rank arrival skew — drawn here rather than hand-picked; which waves
-//! run in closed form follows from the draw. `--features faults` adds the
+//! run in closed form follows from the draw. The fault-plan cases add the
 //! `Lossy` and `DegradedLink` plans (retry, backoff and degraded-link
 //! charges are part of the send accounting, so they must agree too; a
 //! fault plan keeps every wave per cell).
@@ -255,7 +255,6 @@ fn an_exact_fit_cache_evicts_by_the_warm_rounds_recency() {
     }
 }
 
-#[cfg(feature = "faults")]
 mod faults {
     use std::sync::Arc;
 

@@ -186,8 +186,7 @@ pub struct ScratchSummary {
 }
 
 /// Fault-injection and graceful-degradation activity (all zeros — and the
-/// render line suppressed — on fault-free runs and builds without the
-/// `faults` feature).
+/// render line suppressed — on fault-free runs).
 ///
 /// `Deserialize` is hand-written so reports recorded before this summary
 /// existed (no `faults` key → `Null`) lift to the all-zero default.
