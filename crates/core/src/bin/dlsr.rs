@@ -380,9 +380,6 @@ fn cmd_figures(flags: &Flags) {
 }
 
 fn cmd_profile(flags: &Flags) {
-    if !dlsr::trace::COMPILED {
-        die("this binary was built without the `trace` feature; rebuild with default features");
-    }
     let nodes: usize = get(flags, "nodes", 2);
     let steps: usize = get(flags, "steps", 4);
     let sc = scenario(flags);
@@ -550,9 +547,6 @@ fn check_profile(events: &[dlsr::trace::TraceEvent], report: &dlsr::trace::repor
 fn cmd_analyze(flags: &Flags) {
     use dlsr::cluster::analysis;
 
-    if !dlsr::trace::COMPILED {
-        die("this binary was built without the `trace` feature; rebuild with default features");
-    }
     let nodes: usize = get(flags, "nodes", 2);
     let steps: usize = get(flags, "steps", 4);
     let ckpt: usize = get(flags, "checkpoint-every", 2);

@@ -59,11 +59,11 @@ struct Bottleneck {
 
 impl Bottleneck {
     fn new(name: &str, c_in: usize, mid: usize, c_out: usize, stride: usize, seed: u64) -> Self {
-        let p1 = Conv2dParams {
-            stride: 1,
-            padding: 0,
+        let p1 = Conv2dParams::default();
+        let p2 = Conv2dParams {
+            stride,
+            ..Conv2dParams::same(3)
         };
-        let p2 = Conv2dParams { stride, padding: 1 };
         let downsample = (c_in != c_out || stride != 1).then(|| {
             (
                 Conv2d::new_no_bias(
@@ -71,7 +71,7 @@ impl Bottleneck {
                     c_in,
                     c_out,
                     1,
-                    Conv2dParams { stride, padding: 0 },
+                    Conv2dParams { stride, ..p1 },
                     seed + 6,
                 ),
                 BatchNorm2d::new(&format!("{name}.down.bn"), c_out),
@@ -188,7 +188,7 @@ impl ResNet {
             7,
             Conv2dParams {
                 stride: 2,
-                padding: 3,
+                ..Conv2dParams::same(7)
             },
             seed,
         );

@@ -35,9 +35,9 @@
 //!
 //! # Cost when disabled
 //!
-//! Same pattern as `dlsr-trace`: without the `verify` feature, [`COMPILED`]
-//! is a literal `false`, the `Comm` verify hooks are empty `#[inline]`
-//! functions and `Comm` carries no extra field — zero overhead.
+//! Without the `verify` feature, [`COMPILED`] is a literal `false`, the
+//! `Comm` verify hooks are empty `#[inline]` functions and `Comm` carries
+//! no extra field — zero overhead.
 
 /// Whether the verifier was compiled in (`verify` cargo feature).
 pub const COMPILED: bool = cfg!(feature = "verify");

@@ -129,6 +129,10 @@ impl StateDict {
     }
 
     /// Deserialize from a reader (inverse of [`StateDict::write_to`]).
+    ///
+    /// Sizes read from the stream are never trusted for allocation: the
+    /// header and every value buffer grow only as bytes arrive, so a garbled
+    /// length or shape fails with `Format` or `Io` instead of aborting.
     pub fn read_from(mut r: impl Read) -> Result<Self, CheckpointError> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -137,18 +141,30 @@ impl StateDict {
         }
         let mut len = [0u8; 8];
         r.read_exact(&mut len)?;
-        let mut header = vec![0u8; u64::from_le_bytes(len) as usize];
-        r.read_exact(&mut header)?;
+        let len = u64::from_le_bytes(len);
+        let mut header = Vec::new();
+        (&mut r).take(len).read_to_end(&mut header)?;
+        if header.len() as u64 != len {
+            return Err(CheckpointError::Format(format!(
+                "header truncated: {} of {len} bytes",
+                header.len()
+            )));
+        }
         let shapes: BTreeMap<String, Vec<usize>> =
             serde_json::from_slice(&header).map_err(|e| CheckpointError::Format(e.to_string()))?;
         let mut entries = BTreeMap::new();
         for (name, shape) in shapes {
-            let n: usize = shape.iter().product();
-            let mut values = vec![0f32; n];
+            let n = shape
+                .iter()
+                .try_fold(1usize, |n, &d| n.checked_mul(d))
+                .ok_or_else(|| {
+                    CheckpointError::Format(format!("shape of `{name}` overflows: {shape:?}"))
+                })?;
+            let mut values = Vec::new();
             let mut buf = [0u8; 4];
-            for v in values.iter_mut() {
+            for _ in 0..n {
                 r.read_exact(&mut buf)?;
-                *v = f32::from_le_bytes(buf);
+                values.push(f32::from_le_bytes(buf));
             }
             entries.insert(name, (shape, values));
         }
@@ -234,6 +250,45 @@ mod tests {
             dict.load_into(&mut a),
             Err(CheckpointError::Mismatch(_))
         ));
+    }
+
+    /// A garbled header length or shape, and every truncation of a valid
+    /// two-entry checkpoint, is an error — never an abort or a bogus `Ok`.
+    #[test]
+    fn garbled_or_truncated_input_is_an_error() {
+        let with_header = |len: u64, header: &[u8]| {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&len.to_le_bytes());
+            bytes.extend_from_slice(header);
+            bytes
+        };
+        let huge_len = with_header(1 << 42, b"{}");
+        assert!(matches!(
+            StateDict::read_from(huge_len.as_slice()),
+            Err(CheckpointError::Format(_))
+        ));
+        let header = br#"{"w":[4294967296,4294967296]}"#;
+        let wrapping = with_header(header.len() as u64, header);
+        assert!(matches!(
+            StateDict::read_from(wrapping.as_slice()),
+            Err(CheckpointError::Format(_))
+        ));
+
+        let mut a = model(6);
+        let dict = StateDict::from_module(&mut a);
+        assert_eq!(dict.entries.len(), 2);
+        let mut bytes = Vec::new();
+        dict.write_to(&mut bytes).unwrap();
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    StateDict::read_from(&bytes[..cut]),
+                    Err(CheckpointError::Format(_) | CheckpointError::Io(_))
+                ),
+                "prefix of {cut} bytes parsed"
+            );
+        }
+        assert_eq!(StateDict::read_from(bytes.as_slice()).unwrap(), dict);
     }
 
     #[test]

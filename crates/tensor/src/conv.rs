@@ -38,7 +38,7 @@
 //! at once, so that matrix is never written (`direct_input_grad`). Both
 //! perform, per element, exactly the `mul_add` chain and `kc`-boundary adds
 //! of the engine under the selector's blueprint, so which path runs — a pure
-//! function of `(c_out, stride, bf16 flag)` — cannot change a bit
+//! function of `(c_out, stride, bf16)` — cannot change a bit
 //! (`tests/properties.rs` holds every path to one GEMM oracle). The weight
 //! gradient of such a layer still runs through the engine.
 //!
@@ -46,10 +46,10 @@
 //! ([`conv2d_fused`]), so a conv + ReLU layer makes a single pass over the
 //! output instead of three.
 //!
-//! With the `bf16` feature enabled and the runtime flag on
-//! (`crate::tune::set_bf16` / `DLSR_BF16=1`), packed panels store bf16 and
-//! accumulation stays f32 — see `docs/KERNELS.md` for the (non-bitwise)
-//! accuracy contract.
+//! A call with [`Conv2dParams::bf16`] set stores its packed panels in bf16
+//! and keeps accumulation f32 — see `docs/KERNELS.md` for the (non-bitwise)
+//! accuracy contract. Precision is a per-call value, so an f32 and a bf16
+//! conv may run at once on different threads.
 
 use dlsr_attr as dlsr;
 use rayon::prelude::*;
@@ -76,6 +76,9 @@ pub struct Conv2dParams {
     pub stride: usize,
     /// Symmetric zero padding in both spatial dimensions.
     pub padding: usize,
+    /// Store packed GEMM panels in bf16 (accumulation stays f32). Off by
+    /// default; not bitwise-comparable to the f32 path.
+    pub bf16: bool,
 }
 
 impl Default for Conv2dParams {
@@ -83,6 +86,7 @@ impl Default for Conv2dParams {
         Conv2dParams {
             stride: 1,
             padding: 0,
+            bf16: false,
         }
     }
 }
@@ -91,8 +95,8 @@ impl Conv2dParams {
     /// "Same" convolution for odd kernel size `k` at stride 1.
     pub fn same(k: usize) -> Self {
         Conv2dParams {
-            stride: 1,
             padding: k / 2,
+            ..Conv2dParams::default()
         }
     }
 
@@ -107,20 +111,18 @@ fn weight_dims(weight: &Tensor) -> Result<(usize, usize, usize, usize)> {
 }
 
 /// A left operand packed once and reused across the batch — f32 panels, or
-/// bf16 panels when the reduced-precision storage path is active. One enum
-/// so every GEMM call site stays precision-agnostic.
+/// bf16 panels for a [`Conv2dParams::bf16`] call. One enum so every GEMM
+/// call site stays precision-agnostic.
 enum PackedA {
     F32(scratch::ScratchBuf),
-    #[cfg(feature = "bf16")]
     Bf16(scratch::ScratchBufU16),
 }
 
 impl PackedA {
-    /// Pack `a[m×k]` (or `Aᵀ` stored `[k×m]` when `trans`) under `bp`,
-    /// choosing the element type from the runtime bf16 flag.
-    fn pack(bp: &Blueprint, a: &[f32], m: usize, k: usize, trans: bool) -> PackedA {
-        #[cfg(feature = "bf16")]
-        if tune::bf16_enabled() {
+    /// Pack `a[m×k]` (or `Aᵀ` stored `[k×m]` when `trans`) under `bp`, in
+    /// bf16 when `bf16`.
+    fn pack(bp: &Blueprint, a: &[f32], m: usize, k: usize, trans: bool, bf16: bool) -> PackedA {
+        if bf16 {
             let mut buf = scratch::take_u16(matmul::packed_a_len(bp, m, k));
             matmul::pack_a_bf16(bp, a, m, k, trans, &mut buf);
             return PackedA::Bf16(buf);
@@ -148,7 +150,6 @@ impl PackedA {
     ) {
         match self {
             PackedA::F32(buf) => matmul::gemm(bp, buf, bsrc, c, m, k, n, epi, force_seq),
-            #[cfg(feature = "bf16")]
             PackedA::Bf16(buf) => matmul::gemm_bf16(bp, buf, bsrc, c, m, k, n, epi, force_seq),
         }
     }
@@ -224,11 +225,7 @@ const DIRECT_COUNTER: &str = "gemm.variant.direct";
 /// layer's shape and the storage precision (bf16 panels exist only in the
 /// engine).
 fn is_direct(c_out: usize, p: Conv2dParams) -> bool {
-    #[cfg(feature = "bf16")]
-    if tune::bf16_enabled() {
-        return false;
-    }
-    (1..=DIRECT_MAX_C_OUT).contains(&c_out) && p.stride == 1
+    !p.bf16 && (1..=DIRECT_MAX_C_OUT).contains(&c_out) && p.stride == 1
 }
 
 /// Extents `(rows, row pitch)` of the zero-padded image copy
@@ -493,7 +490,8 @@ pub fn conv2d_fused_into(
     let variant = bp.kernel.executes_as().as_str();
     // Pack the weight matrix once; every image multiplies against it —
     // unless the layer is too narrow for packing to pay (`is_direct`).
-    let wpack = (!is_direct(c_out, p)).then(|| PackedA::pack(&bp, weight.data(), c_out, k, false));
+    let wpack =
+        (!is_direct(c_out, p)).then(|| PackedA::pack(&bp, weight.data(), c_out, k, false, p.bf16));
     let image = |i: usize, dst: &mut [f32]| {
         let _lane = lane.as_ref().map(dlsr_trace::Lane::enter);
         let img = &input.data()[i * chw_in..(i + 1) * chw_in];
@@ -594,7 +592,7 @@ pub fn conv2d_backward(
     // Pack Wᵀ (K×C_out) once for the input-gradient GEMMs — unless the
     // layer is too narrow for the column matrix to pay (`is_direct`).
     let wt_pack =
-        (!is_direct(c_out, p)).then(|| PackedA::pack(&bp_i, weight.data(), k, c_out, true));
+        (!is_direct(c_out, p)).then(|| PackedA::pack(&bp_i, weight.data(), k, c_out, true, p.bf16));
 
     // Disjoint per-image accumulators for the cross-batch reductions.
     let mut gw_all = scratch::take(n * c_out * k);
@@ -618,7 +616,7 @@ pub fn conv2d_backward(
         }
 
         // weight gradient: implicit GEMM against the transposed view
-        let go_pack = PackedA::pack(&bp_w, go, c_out, hw_out, false);
+        let go_pack = PackedA::pack(&bp_w, go, c_out, hw_out, false, p.bf16);
         go_pack.gemm(
             &bp_w,
             BSrc::Im2colT(view),
@@ -820,7 +818,11 @@ mod tests {
     #[test]
     fn matches_reference_with_padding_and_stride() {
         for &(stride, padding) in &[(1, 0), (1, 1), (1, 2), (2, 1), (2, 0), (2, 2), (3, 1)] {
-            let p = Conv2dParams { stride, padding };
+            let p = Conv2dParams {
+                stride,
+                padding,
+                ..Default::default()
+            };
             let x = rand_tensor(&[2, 3, 7, 6], 42);
             let w = rand_tensor(&[4, 3, 3, 3], 43);
             let b = vec![0.1, -0.2, 0.3, 0.0];
@@ -840,6 +842,7 @@ mod tests {
         let p = Conv2dParams {
             stride: 1,
             padding: 1,
+            ..Default::default()
         };
         let x = rand_tensor(&[1, 2, 6, 8], 61);
         let w = rand_tensor(&[3, 2, 1, 3], 62);
@@ -900,6 +903,7 @@ mod tests {
         let p = Conv2dParams {
             stride: 1,
             padding: 1,
+            ..Default::default()
         };
         let x = rand_tensor(&[1, 2, 4, 4], 10);
         let w = rand_tensor(&[2, 2, 3, 3], 11);
@@ -949,7 +953,11 @@ mod tests {
     #[test]
     fn backward_matches_direct_reference() {
         for &(stride, padding) in &[(1, 1), (2, 0), (2, 2), (3, 1)] {
-            let p = Conv2dParams { stride, padding };
+            let p = Conv2dParams {
+                stride,
+                padding,
+                ..Default::default()
+            };
             let x = rand_tensor(&[2, 3, 6, 5], 31);
             let w = rand_tensor(&[4, 3, 3, 3], 32);
             let go_shape = conv2d(&x, &w, None, p).unwrap();
@@ -1023,20 +1031,61 @@ mod tests {
         assert_eq!(&gb[..], &gb_sum[..]);
     }
 
-    /// With bf16 storage active, forward/backward still track the f32
-    /// oracle within bf16 precision (no bitwise claim).
-    #[cfg(feature = "bf16")]
+    /// With bf16 storage, forward/backward still track the f32 oracle
+    /// within bf16 precision (no bitwise claim).
     #[test]
     fn bf16_conv_tracks_reference() {
-        tune::set_bf16(true);
         let p = Conv2dParams::same(3);
         let x = rand_tensor(&[2, 3, 6, 6], 71);
         let w = rand_tensor(&[4, 3, 3, 3], 72);
         let b = vec![0.1, -0.2, 0.3, 0.0];
-        let fast = conv2d(&x, &w, Some(&b), p);
-        tune::set_bf16(false);
-        let fast = fast.unwrap();
+        let fast = conv2d(&x, &w, Some(&b), Conv2dParams { bf16: true, ..p }).unwrap();
         let slow = conv2d_reference(&x, &w, Some(&b), p).unwrap();
         assert!(fast.allclose(&slow, 0.15), "{}", fast.max_abs_diff(&slow));
+        let exact = conv2d(&x, &w, Some(&b), p).unwrap();
+        assert_ne!(fast.data(), exact.data(), "bf16: true left the panels f32");
+    }
+
+    /// Precision is a per-call value, not process state: bf16 convs looping
+    /// on another thread leave an f32 forward+backward bit-equal to a solo
+    /// run, on the pack-free (`c_out` 3) and the GEMM (`c_out` 64) path.
+    #[test]
+    fn bf16_calls_on_another_thread_leave_f32_bits_alone() {
+        use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+        use std::sync::Barrier;
+
+        let p = Conv2dParams::same(3);
+        let x = rand_tensor(&[2, 3, 6, 6], 81);
+        let f32_bits = |w: &Tensor| {
+            let y = conv2d_fused(&x, w, None, Act::Relu, p).unwrap();
+            let (gi, gw, gb) = conv2d_backward(&x, w, &y, p).unwrap();
+            [y.data(), gi.data(), gw.data(), &gb[..]]
+                .map(|v| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>())
+        };
+        for c_out in [3, 64] {
+            let w = rand_tensor(&[c_out, 3, 3, 3], 82);
+            let solo = f32_bits(&w);
+            let (stop, started) = (AtomicBool::new(false), Barrier::new(2));
+            let beside_bf16 = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let bf = Conv2dParams { bf16: true, ..p };
+                    started.wait();
+                    while !stop.load(Relaxed) {
+                        let y = conv2d(&x, &w, None, bf).unwrap();
+                        conv2d_backward(&x, &w, &y, bf).unwrap();
+                    }
+                });
+                started.wait();
+                let runs: Vec<_> = (0..4).map(|_| f32_bits(&w)).collect();
+                stop.store(true, Relaxed);
+                runs
+            });
+            for run in beside_bf16 {
+                assert!(
+                    run == solo,
+                    "c_out {c_out}: f32 bits moved beside bf16 calls"
+                );
+            }
+        }
     }
 }

@@ -355,13 +355,12 @@ avx512_kernel!(microkernel_avx512_8x32, 8);
 avx512_kernel!(microkernel_avx512_14x32, 14);
 
 // ---------------------------------------------------------------------------
-// bf16 storage (feature `bf16`): packed panels hold bf16, accumulation
+// bf16 storage (`Conv2dParams::bf16`): packed panels hold bf16, accumulation
 // stays f32. Not part of any bitwise contract — convergence equivalence is
 // the test bar (see tests/bf16_convergence.rs).
 // ---------------------------------------------------------------------------
 
 /// Round-to-nearest-even truncation of an `f32` to bf16 bits.
-#[cfg(feature = "bf16")]
 #[inline]
 pub fn f32_to_bf16(x: f32) -> u16 {
     let b = x.to_bits();
@@ -370,7 +369,6 @@ pub fn f32_to_bf16(x: f32) -> u16 {
 }
 
 /// Widen bf16 bits back to `f32` (exact).
-#[cfg(feature = "bf16")]
 #[inline]
 pub fn bf16_to_f32(h: u16) -> f32 {
     f32::from_bits((h as u32) << 16)
@@ -378,7 +376,6 @@ pub fn bf16_to_f32(h: u16) -> f32 {
 
 /// bf16 tile kernel: panels hold bf16, accumulators are f32. Dispatches
 /// to an AVX2 widening kernel for the 6×16 geometry, scalar otherwise.
-#[cfg(feature = "bf16")]
 #[inline]
 #[dlsr::hot]
 pub(crate) fn run_tile_bf16(
@@ -402,7 +399,6 @@ pub(crate) fn run_tile_bf16(
     microkernel_bf16_scalar(apan, bpan, kc, mr, nr, acc);
 }
 
-#[cfg(feature = "bf16")]
 #[dlsr::hot]
 fn microkernel_bf16_scalar(
     apan: &[u16],
@@ -426,7 +422,7 @@ fn microkernel_bf16_scalar(
     }
 }
 
-#[cfg(all(feature = "bf16", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[dlsr::hot]
 // SAFETY: callers must ensure the CPU supports AVX2+FMA (checked by
@@ -519,7 +515,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "bf16")]
     #[test]
     fn bf16_round_trip_and_rounding() {
         assert_eq!(bf16_to_f32(f32_to_bf16(1.0)), 1.0);
@@ -535,7 +530,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "bf16")]
     #[test]
     fn bf16_kernels_agree_scalar_vs_simd() {
         let kc = 33;

@@ -84,8 +84,8 @@ impl Epilogue<'_> {
     }
 }
 
-/// Packed-panel element type: `f32`, or bf16 bits behind the `bf16`
-/// feature. Accumulation is always `f32`; only panel storage changes.
+/// Packed-panel element type: `f32`, or bf16 bits (`u16`). Accumulation is
+/// always `f32`; only panel storage changes.
 pub(crate) trait Elem: Copy + Send + Sync + 'static {
     /// Pooled scratch buffer type for this element.
     type Buf: std::ops::Deref<Target = [Self]> + std::ops::DerefMut<Target = [Self]> + Send;
@@ -138,7 +138,6 @@ impl Elem for f32 {
     }
 }
 
-#[cfg(feature = "bf16")]
 impl Elem for u16 {
     type Buf = scratch::ScratchBufU16;
 
@@ -263,7 +262,6 @@ pub fn pack_a_transposed(bp: &Blueprint, a: &[f32], m: usize, k: usize, out: &mu
 }
 
 /// bf16 twin of [`pack_a`] / [`pack_a_transposed`].
-#[cfg(feature = "bf16")]
 #[dlsr::hot]
 pub fn pack_a_bf16(bp: &Blueprint, a: &[f32], m: usize, k: usize, trans: bool, out: &mut [u16]) {
     pack_a_impl::<u16>(bp, a, m, k, trans, out);
@@ -893,7 +891,6 @@ pub fn gemm(
 /// bf16-storage twin of [`gemm`]: packed panels hold bf16, accumulation is
 /// f32. Not bitwise-comparable to the f32 path — the convergence test is
 /// the contract.
-#[cfg(feature = "bf16")]
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_bf16(
     bp: &Blueprint,
@@ -1425,7 +1422,6 @@ mod tests {
 
     /// bf16 storage loses precision but must stay close on tame inputs,
     /// and be identical between B-source kinds.
-    #[cfg(feature = "bf16")]
     #[test]
     fn bf16_gemm_tracks_f32() {
         let (m, k, n) = (6, 70, 40);

@@ -115,17 +115,14 @@ pub fn alloc_events() -> u64 {
 
 /// `u16` twin of the f32 pool, backing bf16 packed panels. Kept separate so
 /// the two element types never trade storage (a cast-based scheme would need
-/// `unsafe`). Feature-gated: without `bf16` nothing takes u16 scratch.
-#[cfg(feature = "bf16")]
+/// `unsafe`).
 static POOL_U16: Mutex<Vec<Vec<u16>>> = Mutex::new(Vec::new());
 
 /// A pooled `u16` scratch buffer; see [`ScratchBuf`].
-#[cfg(feature = "bf16")]
 pub struct ScratchBufU16 {
     buf: Vec<u16>,
 }
 
-#[cfg(feature = "bf16")]
 impl std::ops::Deref for ScratchBufU16 {
     type Target = [u16];
 
@@ -134,14 +131,12 @@ impl std::ops::Deref for ScratchBufU16 {
     }
 }
 
-#[cfg(feature = "bf16")]
 impl std::ops::DerefMut for ScratchBufU16 {
     fn deref_mut(&mut self) -> &mut [u16] {
         &mut self.buf
     }
 }
 
-#[cfg(feature = "bf16")]
 impl Drop for ScratchBufU16 {
     fn drop(&mut self) {
         let buf = std::mem::take(&mut self.buf);
@@ -154,7 +149,6 @@ impl Drop for ScratchBufU16 {
 
 /// Acquire a `u16` scratch buffer of length `len` with unspecified contents
 /// (bf16 packed-panel storage). Same pooling discipline as [`take`].
-#[cfg(feature = "bf16")]
 pub fn take_u16(len: usize) -> ScratchBufU16 {
     dlsr_trace::counter_add(dlsr_trace::report::keys::SCRATCH_TAKES, 1.0);
     let candidate = {

@@ -453,33 +453,6 @@ impl<R: TuneRow> TuneTable<R> {
     }
 }
 
-/// Whether the bf16-storage path is active. Off by default; enabled by
-/// `DLSR_BF16=1` (checked once) or [`set_bf16`]. Only meaningful with the
-/// `bf16` crate feature.
-#[cfg(feature = "bf16")]
-pub fn bf16_enabled() -> bool {
-    use std::sync::atomic::Ordering;
-    match BF16.load(Ordering::Relaxed) {
-        0 => {
-            let on = std::env::var_os("DLSR_BF16").is_some_and(|v| v == "1");
-            BF16.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-        2 => true,
-        _ => false,
-    }
-}
-
-/// Force the bf16-storage path on or off (tests, experiments).
-#[cfg(feature = "bf16")]
-pub fn set_bf16(on: bool) {
-    BF16.store(if on { 2 } else { 1 }, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// 0 = unread (consult `DLSR_BF16`), 1 = off, 2 = on.
-#[cfg(feature = "bf16")]
-static BF16: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
 #[cfg(test)]
 mod tests {
     use super::*;

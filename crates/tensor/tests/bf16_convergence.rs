@@ -7,24 +7,23 @@
 //! teacher–student conv regression driven by SGD must converge to the
 //! same loss floor with bf16 storage as with f32 storage, and the loss
 //! trajectories must track each other step for step.
-//!
-//! Feature-gated; runs only under `--features bf16`. This file is its own
-//! test binary so flipping the process-global bf16 switch cannot race
-//! other tensor tests.
 
-#![cfg(feature = "bf16")]
 #![forbid(unsafe_code)]
 
 use dlsr_tensor::conv::{conv2d_backward, conv2d_fused, Act, Conv2dParams};
-use dlsr_tensor::{init, tune, Tensor};
+use dlsr_tensor::{init, Tensor};
 
 const STEPS: usize = 120;
 const LR: f32 = 0.3;
 
-/// Train a single 3×3 conv layer to match a fixed teacher; return the
-/// per-step MSE losses.
-fn train_losses() -> Vec<f32> {
-    let p = Conv2dParams::same(3);
+/// Train a single 3×3 conv layer to match a fixed teacher, teacher and
+/// student both storing panels in bf16 when `bf16`; return the per-step MSE
+/// losses.
+fn train_losses(bf16: bool) -> Vec<f32> {
+    let p = Conv2dParams {
+        bf16,
+        ..Conv2dParams::same(3)
+    };
     let x = init::uniform([2, 3, 8, 8], -1.0, 1.0, 11);
     let teacher_w = init::uniform([4, 3, 3, 3], -0.5, 0.5, 12);
     let teacher_b = vec![0.1f32, -0.2, 0.05, 0.3];
@@ -62,11 +61,8 @@ fn train_losses() -> Vec<f32> {
 
 #[test]
 fn bf16_training_tracks_f32_convergence() {
-    tune::set_bf16(false);
-    let f32_losses = train_losses();
-    tune::set_bf16(true);
-    let bf16_losses = train_losses();
-    tune::set_bf16(false);
+    let f32_losses = train_losses(false);
+    let bf16_losses = train_losses(true);
 
     // Both runs must actually converge…
     let (f32_final, bf16_final) = (

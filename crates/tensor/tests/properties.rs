@@ -216,8 +216,16 @@ fn assert_conv_equals_gemm_oracle(
 /// output row longer than one lane vector and one shorter than a panel.
 #[test]
 fn conv_equals_gemm_oracle_at_the_path_boundaries() {
-    let s1 = |padding| Conv2dParams { stride: 1, padding };
-    let s2 = |padding| Conv2dParams { stride: 2, padding };
+    let s1 = |padding| Conv2dParams {
+        stride: 1,
+        padding,
+        ..Default::default()
+    };
+    let s2 = |padding| Conv2dParams {
+        stride: 2,
+        padding,
+        ..Default::default()
+    };
     for (n, ch, hw, k, p, epi, nan_tap) in [
         (2, (40, 3), (7, 9), (3, 3), s1(1), 2, false),
         (1, (30, 4), (5, 7), (3, 3), s1(1), 1, true),
@@ -339,7 +347,7 @@ proptest! {
     ) {
         let n = [1usize, 3, 4][n_idx];
         let k = [1usize, 3, 5][k_idx];
-        let p = Conv2dParams { stride, padding };
+        let p = Conv2dParams { stride, padding, ..Default::default() };
         let x = dlsr_tensor::init::uniform([n, cin, hw, hw], -1.0, 1.0, seed);
         let w = dlsr_tensor::init::uniform([cout, cin, k, k], -1.0, 1.0, seed + 1);
         let bias: Vec<f32> = (0..cout).map(|i| 0.1 * i as f32 - 0.2).collect();
@@ -368,7 +376,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let kernel = [(1usize, 1usize), (3, 3), (5, 5), (1, 3)][k_idx];
-        let p = Conv2dParams { stride, padding };
+        let p = Conv2dParams { stride, padding, ..Default::default() };
         let hw = (2 * h_half + 1, 2 * w_half + 1);
         assert_conv_equals_gemm_oracle(n, (c_in, c_out), hw, kernel, p, epi, nan_tap, seed);
     }
@@ -388,7 +396,7 @@ proptest! {
     ) {
         let n = [1usize, 3, 4][n_idx];
         let k = [1usize, 3, 5][k_idx];
-        let p = Conv2dParams { stride, padding };
+        let p = Conv2dParams { stride, padding, ..Default::default() };
         let x = dlsr_tensor::init::uniform([n, cin, hw, hw], -1.0, 1.0, seed);
         let w = dlsr_tensor::init::uniform([cout, cin, k, k], -1.0, 1.0, seed + 1);
         let (ho, wo) = (p.out_extent(hw, k), p.out_extent(hw, k));
@@ -442,7 +450,7 @@ proptest! {
         let view = Im2colView::new(img.data(), (c_in, hw, hw), (kk, kk), stride, padding);
         let (kdim, n) = (view.rows(), view.cols());
         prop_assume!(n > 0);
-        let p = Conv2dParams { stride, padding };
+        let p = Conv2dParams { stride, padding, ..Default::default() };
         let col = im2col(img.data(), (c_in, hw, hw), (kk, kk), p);
         let a = dlsr_tensor::init::uniform([m, kdim], -1.0, 1.0, seed + 1);
         let bp = tune::heuristic(m, kdim, n);

@@ -30,11 +30,9 @@
 //!
 //! # Cost when disabled
 //!
-//! Collection is compiled in only under the `enabled` cargo feature. Without
-//! it, [`is_on`] is a `const false`, so every guarded call site — including
-//! its `format!` arguments — is dead code the optimizer removes. With the
-//! feature compiled in, recording is off on every thread that has no lane
-//! current, and the check is one thread-local read.
+//! Recording is off on every thread that has no lane current, and every
+//! record site is guarded by [`is_on`], one thread-local read: a guarded
+//! call's `format!` arguments are never evaluated outside a scope.
 
 #![forbid(unsafe_code)]
 pub mod analyze;
@@ -50,16 +48,11 @@ use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
-#[cfg(feature = "enabled")]
 use std::{cell::RefCell, mem::ManuallyDrop};
 
 use dlsr_attr as dlsr;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-
-/// Whether span/counter collection was compiled into this build
-/// (the `enabled` cargo feature).
-pub const COMPILED: bool = cfg!(feature = "enabled");
 
 /// Clock domain a span was measured against. Reports never compare
 /// timestamps across domains.
@@ -242,7 +235,6 @@ impl Lane {
     /// which restores whatever was current before (also on unwind).
     pub fn enter(&self) -> Entered {
         Entered {
-            #[cfg(feature = "enabled")]
             outer: CURRENT.with(|c| c.replace(Some(self.clone()))),
             not_send: PhantomData,
         }
@@ -257,26 +249,23 @@ impl Lane {
 /// Guard of [`Lane::enter`]; tied to the thread it was created on.
 #[must_use = "the lane is current only while the guard lives"]
 pub struct Entered {
-    #[cfg(feature = "enabled")]
     outer: Option<Lane>,
     not_send: PhantomData<*const ()>,
 }
 
 impl Drop for Entered {
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
         CURRENT.with(|c| c.replace(self.outer.take()));
     }
 }
 
-#[cfg(feature = "enabled")]
 thread_local! {
     /// The lane this thread records into; `None` = tracing is off here.
     /// The crate's only static.
     ///
     /// `ManuallyDrop` so the slot has no destructor to register and
     /// [`is_on`] is two loads, not a lazy-state check first: with tracing
-    /// compiled in and off, a 512-rank simulated step tests it ~1 M times
+    /// off, a 512-rank simulated step tests it ~1 M times
     /// (about five per ring cell), which leaves `sim_world_512` ≈ 8 % over
     /// the global flag this replaced as it is and more with the state
     /// check. Nothing leaks: an [`Entered`] cannot leave its thread and puts
@@ -290,15 +279,11 @@ thread_local! {
 /// in scope, and what a kernel captures before fanning out to threads that
 /// have no lane of their own. `None` when nothing is being traced here.
 pub fn current() -> Option<Lane> {
-    #[cfg(feature = "enabled")]
-    return CURRENT.with(|c| c.borrow().clone());
-    #[cfg(not(feature = "enabled"))]
-    None
+    CURRENT.with(|c| c.borrow().clone())
 }
 
-/// True when collection is compiled in *and* a lane is current on this
-/// thread. `const false` without the feature, so `if is_on() { ... }` call
-/// sites (and their formatting) compile out entirely.
+/// True when a lane is current on this thread: `if is_on() { ... }` call
+/// sites skip their recording (and its formatting) everywhere else.
 ///
 /// The generic recorders below are `#[inline]` for this check's sake: a
 /// copy per downstream codegen unit is what lets the thread-local access
@@ -306,10 +291,7 @@ pub fn current() -> Option<Lane> {
 /// accessor once per message).
 #[inline(always)]
 pub fn is_on() -> bool {
-    #[cfg(feature = "enabled")]
-    return CURRENT.with(|c| c.borrow().is_some());
-    #[cfg(not(feature = "enabled"))]
-    false
+    CURRENT.with(|c| c.borrow().is_some())
 }
 
 /// Run `f` on the current lane, if there is one. Not a substitute for the
@@ -317,11 +299,8 @@ pub fn is_on() -> bool {
 /// inlined, and once per counter bump it cost a 512-rank simulated step 37 %
 /// more host time.
 #[inline]
-fn with_current<R>(_f: impl FnOnce(&Lane) -> R) -> Option<R> {
-    #[cfg(feature = "enabled")]
-    return CURRENT.with(|c| c.borrow().as_ref().map(_f));
-    #[cfg(not(feature = "enabled"))]
-    None
+fn with_current<R>(f: impl FnOnce(&Lane) -> R) -> Option<R> {
+    CURRENT.with(|c| c.borrow().as_ref().map(f))
 }
 
 /// Wall-clock seconds since the epoch of the sink in scope (0 outside one).
@@ -488,7 +467,6 @@ mod tests {
         assert!(sink.counters().is_empty());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn spans_counters_round_trip() {
         let sink = TraceSink::new();
@@ -520,7 +498,6 @@ mod tests {
         assert_eq!(c["fusion.util"], 0.25);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn timeline_export_separates_clock_lanes() {
         let evs = vec![

@@ -1,6 +1,5 @@
 //! A `TraceSink` records what runs inside its scope on the scoping thread
 //! and nothing else: other threads do not see it, and scopes nest.
-#![cfg(feature = "enabled")]
 
 use std::sync::Barrier;
 
