@@ -319,9 +319,8 @@ pub struct RealTrainResult {
     /// Analytic-vs-measured gradient-readiness reconciliation from rank
     /// 0's last overlapped backward; `None` on the sequential path.
     pub readiness: Option<dlsr_horovod::ReadinessReconciliation>,
-    /// What the collective-matching verifier checked (`None` without the
-    /// `verify` feature).
-    pub verify: Option<dlsr_mpi::verify::VerifySummary>,
+    /// What the collective-matching verifier checked.
+    pub verify: dlsr_mpi::verify::VerifySummary,
 }
 
 fn image_spec(lr_patch: usize, scale: usize) -> SyntheticImageSpec {

@@ -1,6 +1,6 @@
 //! End-to-end smoke test: real distributed EDSR training, and the
 //! costs-only world behind the scaling figures, under the
-//! collective-matching verifier (`verify` feature — see Cargo.toml).
+//! collective-matching verifier every world runs under.
 //!
 //! This is the "clean workspace" half of the verifier story: the full
 //! training path (parameter bcast, coordinator negotiation, overlapped
@@ -18,7 +18,6 @@ use dlsr_net::ClusterTopology;
 
 #[test]
 fn real_training_passes_the_verifier() {
-    // `required-features = ["verify"]` guarantees verify::COMPILED here.
     let topo = ClusterTopology {
         name: "mini".into(),
         nodes: 1,
@@ -29,7 +28,7 @@ fn real_training_passes_the_verifier() {
     // the verifier audits.
     let res = train_real(&topo, MpiConfig::mpi_opt(), &cfg);
     assert!(res.losses.len() == 6);
-    let summary = res.verify.expect("a verified run returns a summary");
+    let summary = res.verify;
     assert_eq!(summary.ranks, 2);
     assert!(
         summary.collectives_checked > 0,
@@ -46,7 +45,7 @@ fn real_training_passes_the_verifier() {
     let cfg = RealTrainConfig::builder().steps(3).overlap(false).build();
     let res = train_real(&topo, MpiConfig::mpi_opt(), &cfg);
     assert!(res.losses.len() == 3);
-    let seq = res.verify.expect("summary");
+    let seq = res.verify;
     assert!(seq.collectives_checked > 0);
     assert_eq!(
         seq.launches_checked * 2,
@@ -71,7 +70,7 @@ fn the_costs_only_world_passes_the_verifier() {
         let trainer = SimTrainer::new(workload.clone(), tensors.clone(), 4, scenario, &topo, 2021)
             .expect("batch 4 fits");
         let res = run_world(&topo, scenario.mpi_config(), &trainer, warmup, steps);
-        let summary = res.verify.expect("a verified run returns a summary");
+        let summary = res.verify;
         assert_eq!(summary.ranks, 32);
         let per_step = 1 + trainer.plan().len() + 1 + 1;
         assert_eq!(

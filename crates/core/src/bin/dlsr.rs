@@ -227,7 +227,8 @@ USAGE:
                 collective's per-rank signature is compared with the other
                 ranks' on arrival and fusion launch order is audited against
                 the analytic schedule. Prints the violation and exits 1 on
-                a mismatch. Requires a `--features verify` build
+                a mismatch. Every world runs under the verifier; this
+                command drives it end to end
   dlsr chaos    [--fault NAME] [--nodes N] [--gpus G] [--steps S] [--seed X]
                 [--scenario NAME] [--checkpoint-every K]
                 run the injected-fault suite (see docs/ROBUSTNESS.md): each
@@ -903,13 +904,6 @@ fn cmd_info() {
 }
 
 fn cmd_verify(flags: &Flags) {
-    if !dlsr_mpi::verify::COMPILED {
-        eprintln!(
-            "dlsr verify: the collective-matching verifier is compiled out of \
-             this binary.\nRebuild with:  cargo run -p dlsr --features verify -- verify"
-        );
-        std::process::exit(2);
-    }
     let nodes: usize = get(flags, "nodes", 1);
     let gpus: usize = get(flags, "gpus", 2);
     let topo = ClusterTopology {
@@ -955,7 +949,7 @@ fn cmd_verify(flags: &Flags) {
         }
         std::process::exit(1)
     });
-    let summary = real.verify.expect("verify is compiled in");
+    let summary = real.verify;
     println!(
         "ok: {} collectives and {} fusion launches cross-checked over {} ranks \
          (final loss {:.4})",
@@ -967,10 +961,7 @@ fn cmd_verify(flags: &Flags) {
     println!(
         "ok: {} collectives cross-checked over {} ranks of the costs-only world \
          (driven engine, 1 + 3 steps)",
-        sim.as_ref()
-            .expect("verify is compiled in")
-            .collectives_checked,
-        summary.ranks,
+        sim.collectives_checked, summary.ranks,
     );
 }
 

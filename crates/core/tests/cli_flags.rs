@@ -106,3 +106,21 @@ fn the_default_binary_runs_the_fault_commands() {
         .expect("spawn dlsr");
     assert!(out.status.success(), "{out:?}");
 }
+
+#[test]
+fn the_default_binary_runs_verify() {
+    let out = dlsr(&["verify", "--nodes", "1", "--gpus", "2", "--steps", "2"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for line in [
+        "fusion launches cross-checked over 2 ranks",
+        "ranks of the costs-only world",
+    ] {
+        assert!(
+            stdout
+                .lines()
+                .any(|l| l.starts_with("ok: ") && l.contains(line)),
+            "{stdout}"
+        );
+    }
+}

@@ -32,8 +32,8 @@
 //!   protocol skeleton and reject statically rank-divergent shapes: a
 //!   rank-dependent branch whose arms run different collective sequences,
 //!   or a rank-dependent loop around a collective. This is the static
-//!   complement of the runtime `verify` feature — it fires before any
-//!   rank runs.
+//!   complement of the runtime collective-matching verifier — it fires
+//!   before any rank runs.
 //!
 //! All traversal is index-ordered (no hashing), so reports are
 //! bitwise-stable.

@@ -1556,8 +1556,9 @@ mod tests {
 
     /// A small rank program with per-rank clock skew between collectives,
     /// so scheduling mistakes would show up as clock divergence. A rank for
-    /// which `elems_of` answers `None` skips its allreduces (a bug the
-    /// engine must diagnose, not a supported program). With `real` set,
+    /// which `elems_of` answers `None` parks for good on a receive nobody
+    /// sends instead of its first allreduce (a bug the engine must
+    /// diagnose, not a supported program). With `real` set,
     /// each allreduce reduces a fresh rank-dependent buffer in that wire
     /// format, which the engine hands back through
     /// [`RankProgram::task_done`]; else it is costs-only.
@@ -1613,24 +1614,23 @@ mod tests {
     impl<F: Fn(usize) -> Option<usize>> RankProgram for Prog<F> {
         type Out = Outcome;
         fn next(&mut self, comm: &mut Comm) -> Step {
-            loop {
-                if self.left == 0 {
-                    return Step::Done;
-                }
-                self.left -= 1;
-                comm.advance(1.0e-5 * (comm.rank() as f64 + 1.0));
-                if self.left == 1 {
-                    return Step::Task(BarrierTask::new().into());
-                }
-                if let Some(elems) = (self.elems_of)(comm.rank()) {
-                    let Some(wf) = self.real else {
-                        return Step::Task(AllreduceElemsTask::new(elems, 1, self.algo).into());
-                    };
-                    self.buf = input(comm.rank(), elems);
-                    let req = Allreduce::new(&mut self.buf).buf_id(1).algo(self.algo);
-                    return Step::Task(req.wire(wf).task(comm));
-                }
+            if self.left == 0 {
+                return Step::Done;
             }
+            self.left -= 1;
+            comm.advance(1.0e-5 * (comm.rank() as f64 + 1.0));
+            if self.left == 1 {
+                return Step::Task(BarrierTask::new().into());
+            }
+            let Some(elems) = (self.elems_of)(comm.rank()) else {
+                return Step::Task(Task::custom(NobodySends));
+            };
+            let Some(wf) = self.real else {
+                return Step::Task(AllreduceElemsTask::new(elems, 1, self.algo).into());
+            };
+            self.buf = input(comm.rank(), elems);
+            let req = Allreduce::new(&mut self.buf).buf_id(1).algo(self.algo);
+            Step::Task(req.wire(wf).task(comm))
         }
         fn task_done(&mut self, task: Task) {
             if let Some(buf) = task.into_buf() {
@@ -1729,29 +1729,55 @@ mod tests {
         (v.kind, v.detail)
     }
 
+    /// A receive nobody sends: the rank parks on it for good, having filed
+    /// nothing the world's ledger could flag.
+    struct NobodySends;
+
+    impl EventTask for NobodySends {
+        fn poll(&mut self, comm: &mut Comm) -> Poll {
+            let (src, tag) = (0, u64::MAX);
+            match comm.try_recv_buffered(src, tag, 0) {
+                Some(_) => Poll::Ready,
+                None => Poll::Pending { src, tag },
+            }
+        }
+    }
+
+    /// Parks once on `ring` as its participants do, with no top-level
+    /// collective entry (so no signature) before it.
+    struct ParksOn(Option<RingWave>);
+
+    impl EventTask for ParksOn {
+        fn poll(&mut self, _comm: &mut Comm) -> Poll {
+            self.0.take().map_or(Poll::Ready, Poll::Wave)
+        }
+    }
+
+    /// Runs one task, if any, and finishes.
+    struct Once(Option<Task>);
+
+    impl RankProgram for Once {
+        type Out = ();
+        fn next(&mut self, _comm: &mut Comm) -> Step {
+            self.0.take().map_or(Step::Done, Step::Task)
+        }
+        fn finish(&mut self, _comm: &mut Comm, _trace: Vec<dlsr_trace::TraceEvent>) {}
+    }
+
     /// A world stuck on a partial wave says who waits in which ring — a
-    /// rank parked on a wave has no `(src, tag)` to list. (A `verify` build
-    /// never lets it get stuck: the leader that skips the allreduce files a
-    /// barrier where its peers filed an allreduce.)
+    /// rank parked on a wave has no `(src, tag)` to list. Node 1's leader
+    /// parks on a receive instead of entering the allreduce, so every
+    /// signature filed agrees and the ledger never fires.
     #[test]
     fn a_partial_wave_is_named_in_the_deadlock_panic() {
         let topo = ClusterTopology::lassen(3);
         let (kind, msg) = panic_message(|| {
             MpiWorld::run_driven(&topo, MpiConfig::mpi_opt(), |_| {
-                // node 1's leader never enters the allreduces
                 Prog::per_rank(AllreduceAlgorithm::TwoLevel, |rank| {
                     (rank != 4).then_some(1000)
                 })
             });
         });
-        if crate::verify::COMPILED {
-            assert_eq!(kind, ViolationKind::CollectiveMismatch, "{msg}");
-            assert!(
-                msg.contains("allreduce(") && msg.contains("barrier("),
-                "{msg}"
-            );
-            return;
-        }
         assert_eq!(kind, ViolationKind::Deadlock);
         assert!(msg.contains("deadlock on the driven core"), "{msg}");
         assert!(
@@ -1766,31 +1792,33 @@ mod tests {
     }
 
     /// Two descriptors pending at once mean the leaders disagree about
-    /// the collective: reported at the second arrival, naming both. (A
-    /// `verify` build reports the same disagreement one level up, when the
-    /// second top-level signature arrives.)
+    /// the collective: reported at the second arrival, naming both. The
+    /// leaders park on their leader ring directly: through the top-level
+    /// entry the ledger catches the disagreement one level up first
+    /// (`verify_matching.rs::a_mis_sized_wave_is_a_signature_mismatch`).
     #[test]
     fn a_mis_sized_wave_is_a_mismatch_panic() {
         let topo = ClusterTopology::lassen(3);
         let (kind, msg) = panic_message(|| {
-            MpiWorld::run_driven(&topo, MpiConfig::mpi_opt(), |_| {
-                Prog::per_rank(AllreduceAlgorithm::TwoLevel, |rank| {
-                    Some(if rank / 4 == 1 { 999 } else { 1000 })
-                })
+            MpiWorld::run_driven(&topo, MpiConfig::mpi_opt(), |rank| {
+                let ring = RingWave {
+                    seq: 1,
+                    p: 3,
+                    stride: 4,
+                    elems: if rank / 4 == 1 { 999 } else { 1000 },
+                    buf_id: 1,
+                    wf: WireFormat::F32,
+                };
+                Once((rank % 4 == 0).then(|| Task::custom(ParksOn(Some(ring)))))
             });
         });
         assert_eq!(kind, ViolationKind::CollectiveMismatch);
         for elems in [999, 1000] {
-            let named = if crate::verify::COMPILED {
-                format!("elems={elems},")
-            } else {
-                format!("ring allreduce #1 of {elems} elems")
-            };
+            let named = format!("ring allreduce #1 of {elems} elems");
             assert!(msg.contains(&named), "{msg}");
         }
-        assert_eq!(
+        assert!(
             msg.contains("collective mismatch on the driven core"),
-            !crate::verify::COMPILED,
             "{msg}"
         );
     }
@@ -1804,6 +1832,7 @@ mod tests {
                 .map(|_| dlsr_gpu::IpcRegistry::new())
                 .collect::<Vec<_>>(),
         );
+        let ledger = crate::verify::Ledger::new(topo.total_gpus());
         (0..topo.total_gpus())
             .map(|rank| {
                 let mut comm = Comm::new(
@@ -1813,6 +1842,7 @@ mod tests {
                     crate::comm::Wire::Driven { outbox: Vec::new() },
                     None,
                     std::sync::Arc::clone(&registries),
+                    std::sync::Arc::clone(&ledger),
                 );
                 comm.set_path_policy(policy);
                 comm

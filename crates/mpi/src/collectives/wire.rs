@@ -225,8 +225,7 @@ fn fold<T: Copy>(
 fn not_dense(other: &Payload) -> ! {
     panic!(
         "collective expected a dense gradient payload, got {} — \
-         wire-format skew between ranks? (build with the `verify` \
-         feature to catch this at collective entry)",
+         wire-format skew between ranks?",
         other.kind_name()
     )
 }

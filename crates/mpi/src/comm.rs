@@ -164,11 +164,8 @@ pub struct Comm {
     /// fault plan; empty when the job has no plan, so a fault-free world
     /// does not pay an O(world²) table.
     send_seq: Vec<u64>,
-    /// The world's verify ledger (debug builds only; without the `verify`
-    /// feature the field does not exist and every hook below compiles to
-    /// nothing).
-    #[cfg(feature = "verify")]
-    verify: Option<Arc<crate::verify::Ledger>>,
+    /// The world's verify ledger, shared by all of its ranks.
+    verify: Arc<crate::verify::Ledger>,
 }
 
 impl Comm {
@@ -179,6 +176,7 @@ impl Comm {
         wire: Wire,
         budget: Option<Arc<FlightBudget>>,
         ipc_registries: Arc<Vec<IpcRegistry>>,
+        verify: Arc<crate::verify::Ledger>,
     ) -> Self {
         let size = topo.total_gpus();
         let local = topo.local_of(rank);
@@ -220,25 +218,16 @@ impl Comm {
             rendezvous_bytes: None,
             nccl_regcache: RegistrationCache::new(1 << 34),
             send_seq,
-            #[cfg(feature = "verify")]
-            verify: None,
+            verify,
         }
-    }
-
-    /// Attach the world's verify ledger (set by both launchers right after
-    /// construction, before the rank runs).
-    #[cfg(feature = "verify")]
-    pub(crate) fn attach_verify(&mut self, ledger: Arc<crate::verify::Ledger>) {
-        self.verify = Some(ledger);
     }
 
     /// File one collective signature in the world's ledger and raise the
     /// [`Violation`](crate::verify::Violation) if it differs from what an
-    /// earlier rank filed for the same round (no-op unless the `verify`
-    /// feature is on). Called exactly once at every top-level collective
-    /// entry point, before any of the collective's messages move.
+    /// earlier rank filed for the same round. Called exactly once at
+    /// every top-level collective entry point, before any of the
+    /// collective's messages move.
     #[inline]
-    #[allow(unused_variables)]
     // one parameter per `CollSig` field: the arg list *is* the signature
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn verify_coll(
@@ -251,44 +240,36 @@ impl Comm {
         group: Option<usize>,
         root: usize,
     ) {
-        #[cfg(feature = "verify")]
-        if let Some(ledger) = &self.verify {
-            let sig = crate::verify::CollSig {
-                kind,
-                op,
-                dtype,
-                elems,
-                seq: self.coll_seq,
-                algo,
-                group,
-                root,
-            };
-            if let Err(v) = ledger.record(self.rank, sig) {
-                v.raise();
-            }
+        let sig = crate::verify::CollSig {
+            kind,
+            op,
+            dtype,
+            elems,
+            seq: self.coll_seq,
+            algo,
+            group,
+            root,
+        };
+        if let Err(v) = self.verify.record(self.rank, sig) {
+            v.raise();
         }
     }
 
     /// Cross-rank checkpoint: all ranks must call this with the same label
-    /// and marker, in the same program order (no-op unless `verify` is on).
-    /// `dlsr-horovod` calls it at every negotiation round.
+    /// and marker, in the same program order. `dlsr-horovod` calls it at
+    /// every negotiation round.
     #[inline]
-    #[allow(unused_variables)]
     pub fn verify_checkpoint(&mut self, label: &'static str, marker: u64) {
         self.verify_coll("checkpoint", "-", "-", marker as usize, label, None, 0);
     }
 
-    /// Record one fusion-group launch for launch-order verification
-    /// (no-op unless `verify` is on). The overlapped optimizer calls this
-    /// right before launching each group's allreduce.
+    /// Record one fusion-group launch for launch-order verification. The
+    /// overlapped optimizer calls this right before launching each group's
+    /// allreduce.
     #[inline]
-    #[allow(unused_variables)]
     pub fn verify_launch(&mut self, group: usize) {
-        #[cfg(feature = "verify")]
-        if let Some(ledger) = &self.verify {
-            if let Err(v) = ledger.launch(self.rank, group) {
-                v.raise();
-            }
+        if let Err(v) = self.verify.launch(self.rank, group) {
+            v.raise();
         }
     }
 
@@ -1057,7 +1038,8 @@ mod tests {
         };
         let registries = Arc::new((0..topo.nodes).map(|_| IpcRegistry::new()).collect());
         let wire = Wire::Driven { outbox: Vec::new() };
-        Comm::new(0, topo, Arc::new(cfg), wire, None, registries)
+        let ledger = crate::verify::Ledger::new(topo.total_gpus());
+        Comm::new(0, topo, Arc::new(cfg), wire, None, registries, ledger)
     }
 
     /// The per-destination sequence table exists only under a fault plan,

@@ -43,7 +43,6 @@ where
     let registries: Arc<Vec<IpcRegistry>> =
         Arc::new((0..topo.nodes).map(|_| IpcRegistry::new()).collect());
 
-    #[cfg(feature = "verify")]
     let ledger = crate::verify::Ledger::new(size);
 
     // rank `r`'s thread records into lane `r` of the trace sink in scope here
@@ -58,7 +57,6 @@ where
             let topo = topo.clone();
             let f = &f;
             let lane = sink.as_ref().map(|s| s.lane(rank));
-            #[cfg(feature = "verify")]
             let ledger = Arc::clone(&ledger);
             handles.push(scope.spawn(move || {
                 let _lane = lane.as_ref().map(dlsr_trace::Lane::enter);
@@ -71,9 +69,8 @@ where
                     },
                     budget,
                     registries,
+                    ledger,
                 );
-                #[cfg(feature = "verify")]
-                comm.attach_verify(ledger);
                 // A panicking rank must wake parked peers (they observe
                 // WorldTornDown) before its own panic reaches the join —
                 // otherwise the world would hang instead of aborting
@@ -120,9 +117,6 @@ where
     WorldResult {
         ranks,
         clocks,
-        #[cfg(feature = "verify")]
-        verify: Some(ledger.close().unwrap_or_else(|v| v.raise())),
-        #[cfg(not(feature = "verify"))]
-        verify: None,
+        verify: ledger.close().unwrap_or_else(|v| v.raise()),
     }
 }

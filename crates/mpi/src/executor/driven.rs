@@ -238,6 +238,9 @@ where
             .map(|_| IpcRegistry::new())
             .collect::<Vec<_>>(),
     );
+    // Nothing in the ledger waits for another rank, so the one thread that
+    // steps every rank can file all of their signatures.
+    let ledger = crate::verify::Ledger::new(size);
     let mut comms: Vec<Comm> = (0..size)
         .map(|r| {
             Comm::new(
@@ -247,17 +250,10 @@ where
                 Wire::Driven { outbox: Vec::new() },
                 budget.clone(),
                 Arc::clone(&ipc_registries),
+                Arc::clone(&ledger),
             )
         })
         .collect();
-    // Nothing in the ledger waits for another rank, so the one thread that
-    // steps every rank can file all of their signatures.
-    #[cfg(feature = "verify")]
-    let ledger = crate::verify::Ledger::new(size);
-    #[cfg(feature = "verify")]
-    for comm in &mut comms {
-        comm.attach_verify(Arc::clone(&ledger));
-    }
     let mut progs: Vec<P> = (0..size).map(&mut make).collect();
     let mut tasks: Vec<Option<Task>> = (0..size).map(|_| None).collect();
     // `Some((src, tag))` while a rank's task is parked on that match.
@@ -393,9 +389,6 @@ where
     WorldResult {
         ranks,
         clocks,
-        #[cfg(feature = "verify")]
-        verify: Some(ledger.close().unwrap_or_else(|v| v.raise())),
-        #[cfg(not(feature = "verify"))]
-        verify: None,
+        verify: ledger.close().unwrap_or_else(|v| v.raise()),
     }
 }

@@ -23,9 +23,8 @@ pub struct WorldResult<R> {
     pub ranks: Vec<R>,
     /// Per-rank final virtual times in seconds.
     pub clocks: Vec<f64>,
-    /// What the collective-matching verifier checked on the way (`None`
-    /// without the `verify` feature).
-    pub verify: Option<VerifySummary>,
+    /// What the collective-matching verifier checked on the way.
+    pub verify: VerifySummary,
 }
 
 impl<R> WorldResult<R> {
@@ -70,8 +69,8 @@ impl MpiWorld {
     /// discrete-event loop steps all of them in a deterministic
     /// engine-chosen order. Same clock/payload semantics as
     /// [`MpiWorld::run`], minus threads — this is the entry point for
-    /// 512–4096-rank worlds. In a `verify` build the same ledger checks
-    /// both entry points, ring waves included.
+    /// 512–4096-rank worlds. The same ledger checks both entry points,
+    /// ring waves included.
     pub fn run_driven<P, F>(topo: &ClusterTopology, cfg: MpiConfig, make: F) -> WorldResult<P::Out>
     where
         P: RankProgram,

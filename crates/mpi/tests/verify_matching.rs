@@ -1,5 +1,4 @@
-//! Tests for the debug-mode collective-matching verifier (the `verify`
-//! feature — this target only builds with it, see Cargo.toml).
+//! Tests for the collective-matching verifier every world runs under.
 //!
 //! The injected-failure tests prove the checker actually fires, on both
 //! entry points: a skewed collective (wrong count / wrong tag via an extra
@@ -100,7 +99,7 @@ impl RankProgram for Script {
 }
 
 /// Run `script(rank)` on the driven engine over `topo`.
-fn drive(topo: &ClusterTopology, script: impl Fn(usize) -> Vec<Op>) -> Option<VerifySummary> {
+fn drive(topo: &ClusterTopology, script: impl Fn(usize) -> Vec<Op>) -> VerifySummary {
     MpiWorld::run_driven(topo, MpiConfig::mpi_opt(), |rank| {
         Script(script(rank).into())
     })
@@ -156,7 +155,7 @@ fn clean_world_passes_and_reports_a_summary() {
         grads[0]
     });
     assert!(res.ranks.iter().all(|&v| v == 6.0));
-    let summary = res.verify.expect("a verified run returns a summary");
+    let summary = res.verify;
     assert_eq!(summary.ranks, 4);
     assert_eq!(
         summary.collectives_checked, 4,
@@ -166,7 +165,7 @@ fn clean_world_passes_and_reports_a_summary() {
     let driven = drive(&topo(), |_| {
         vec![ring(64), Op::Barrier, Op::Checkpoint(1), ring(8)]
     });
-    assert_eq!(driven, Some(summary));
+    assert_eq!(driven, summary);
 }
 
 #[test]
@@ -339,10 +338,46 @@ fn out_of_order_fusion_launch_is_detected() {
     }
 }
 
-/// Leaders that disagree about a two-level allreduce's size: with the
-/// verifier attached the disagreement is caught one level above the wave
-/// descriptors (`tasks.rs::a_mis_sized_wave_is_a_mismatch_panic` is the
-/// descriptor-level half, in builds without it).
+/// Launch sequences each valid on its own rank (group 0, then
+/// `previous + 1`) but different across ranks: rank 2 launches one group
+/// fewer, or opens a new backward where its peers launch group 2. Either
+/// way the world ends in a launch-order violation, on both cores.
+#[test]
+fn launch_sequences_that_differ_across_ranks_are_detected() {
+    for rank_2 in [vec![0, 1], vec![0, 1, 0]] {
+        let launches = |rank: usize| {
+            if rank == 2 {
+                rank_2.clone()
+            } else {
+                vec![0, 1, 2]
+            }
+        };
+        let on_context = violation_of(|| {
+            MpiWorld::run(&topo(), MpiConfig::mpi_opt(), |c| {
+                for group in launches(c.rank()) {
+                    c.verify_launch(group);
+                }
+                barrier(c);
+            })
+        });
+        let on_driven = violation_of(|| {
+            drive(&topo(), |rank| {
+                let mut ops: Vec<Op> = launches(rank).into_iter().map(Op::Launch).collect();
+                ops.push(Op::Barrier);
+                ops
+            })
+        });
+        for v in [on_context, on_driven] {
+            assert_eq!(v.kind, ViolationKind::LaunchOrder, "{v}");
+            assert!(v.detail.contains("launch order diverged"), "{v}");
+        }
+    }
+}
+
+/// Leaders that disagree about a two-level allreduce's size: the
+/// disagreement is caught one level above the wave descriptors
+/// (`tasks.rs::a_mis_sized_wave_is_a_mismatch_panic` is the
+/// descriptor-level half, reached below the top-level entry).
 #[test]
 fn a_mis_sized_wave_is_a_signature_mismatch() {
     let two_level = |elems| Op::Allreduce(elems, AllreduceAlgorithm::TwoLevel, WireFormat::F32);
@@ -407,13 +442,13 @@ fn concurrent_worlds_see_only_their_own_outcome() {
                 })
             });
             let d = s.spawn(|| MpiWorld::run(&topo(), MpiConfig::mpi_opt(), barrier).verify);
-            let summary = a.join().unwrap().expect("verify is compiled in");
+            let summary = a.join().unwrap();
             assert_eq!((summary.ranks, summary.collectives_checked), (4, 3));
             let v = b.join().unwrap();
             assert!(v.detail.contains("elems=65"), "{v}");
             let v = c.join().unwrap();
             assert!(v.detail.contains("elems=9"), "{v}");
-            assert_eq!(d.join().unwrap().unwrap().collectives_checked, 1);
+            assert_eq!(d.join().unwrap().collectives_checked, 1);
         });
     }
 }
