@@ -17,12 +17,16 @@
 //!    pool, so the steady-state loop does not allocate.
 //! 3. The forward and weight-gradient GEMMs read the image through a
 //!    *virtual im2col view* ([`matmul::BSrc::Im2col`] /
-//!    [`matmul::BSrc::Im2colT`]): the column matrix is never materialized —
-//!    the packing routines copy patch runs straight from the image, which
-//!    removes a `C_in·K²·H_out·W_out` scratch buffer and a full write+read
-//!    pass per image per direction. The input gradient materializes a
-//!    column matrix, because there it is the GEMM *output* that `col2im`
-//!    adds back onto the image, run by run.
+//!    [`matmul::BSrc::TapMajor`]): the column matrix is never materialized —
+//!    the packing routines copy patch runs out of one zero-bordered copy of
+//!    the image (NCHW for a stride-1 forward, channels-last with tap-major
+//!    columns for the weight gradient), which removes a
+//!    `C_in·K²·H_out·W_out` scratch buffer and a full write+read pass per
+//!    image per direction; the copy holds every window, so no run is
+//!    clamped. The weight gradient comes out tap-major and the batch
+//!    reduction puts it back in `(c, ky, kx)` order. The input gradient
+//!    materializes a column matrix, because there it is the GEMM *output*
+//!    that `col2im` adds back onto the image, run by run.
 //! 4. Reductions that cross the parallel axis (weight/bias gradients) are
 //!    accumulated per image into disjoint scratch, then summed sequentially
 //!    in ascending image order — results are bitwise independent of the
@@ -54,7 +58,7 @@
 use dlsr_attr as dlsr;
 use rayon::prelude::*;
 
-use crate::matmul::{self, BSrc, Epilogue, Im2colView};
+use crate::matmul::{self, BSrc, Epilogue, Im2colView, TapMajorView};
 use crate::scratch;
 use crate::tune::{self, Blueprint};
 use crate::{Result, Tensor, TensorError};
@@ -100,9 +104,35 @@ impl Conv2dParams {
         }
     }
 
-    /// Output spatial extent for an input extent.
+    /// Output spatial extent for an input extent. Only meaningful where
+    /// [`Conv2dParams::output_extents`] accepts the geometry (it panics on a
+    /// zero stride).
     pub fn out_extent(&self, input: usize, kernel: usize) -> usize {
         (input + 2 * self.padding).saturating_sub(kernel) / self.stride + 1
+    }
+
+    /// Output extents `(h_out, w_out)` of an `h×w` input under a `kh×kw`
+    /// kernel, or [`TensorError::InvalidArgument`] when the geometry has no
+    /// window: a zero stride, or a kernel larger than the padded input.
+    pub fn output_extents(
+        &self,
+        (h, w): (usize, usize),
+        (kh, kw): (usize, usize),
+    ) -> Result<(usize, usize)> {
+        if self.stride == 0 || kh == 0 || kw == 0 {
+            return Err(TensorError::InvalidArgument(format!(
+                "conv stride {} and {kh}x{kw} kernel must be at least 1",
+                self.stride
+            )));
+        }
+        let (ph, pw) = (h + 2 * self.padding, w + 2 * self.padding);
+        if kh > ph || kw > pw {
+            return Err(TensorError::InvalidArgument(format!(
+                "{kh}x{kw} conv kernel does not fit the {h}x{w} input padded by {}",
+                self.padding
+            )));
+        }
+        Ok((self.out_extent(h, kh), self.out_extent(w, kw)))
     }
 }
 
@@ -239,8 +269,10 @@ fn padded_extents((h_out, w_out): (usize, usize), (kh, kw): (usize, usize)) -> (
     )
 }
 
-/// Copy `img` (`[c_in, h, w]`) into the interior of the zeroed
-/// `[c_in, ph, pw]` buffer `padded`, `pad` rows/columns in.
+/// Copy `img` (`[c_in, h, w]`) into the `[c_in, ph, pw]` buffer `padded`,
+/// `pad` rows/columns in, and zero the border around it (the interior is
+/// written once, never zeroed first). `ph`/`pw` may exceed `h`/`w` by more
+/// than `2·pad`: the slack joins the bottom/right border.
 #[dlsr::hot]
 fn pad_image(
     img: &[f32],
@@ -249,11 +281,61 @@ fn pad_image(
     (ph, pw): (usize, usize),
     padded: &mut [f32],
 ) {
-    padded.fill(0.0);
+    // Between two interior rows lies one contiguous stretch of border (the
+    // right edge, then the bottom and top rows of a plane change, then the
+    // left edge): one fill each.
+    let mut gap = 0;
     for c in 0..c_in {
         for y in 0..h {
             let dst = (c * ph + y + pad) * pw + pad;
-            padded[dst..dst + w].copy_from_slice(&img[(c * h + y) * w..(c * h + y + 1) * w]);
+            padded[gap..dst].fill(0.0);
+            padded[dst..dst + w].copy_from_slice(&img[(c * h + y) * w..][..w]);
+            gap = dst + w;
+        }
+    }
+    padded[gap..c_in * ph * pw].fill(0.0);
+}
+
+/// Channels-last twin of [`pad_image`]: `img` (`[c_in, h, w]`) into the
+/// `[ph, pw, c_in]` buffer `xt`, `pad` pixels in, border zeroed — the copy
+/// a [`matmul::TapMajorView`] reads.
+#[dlsr::hot]
+fn pad_image_channels_last(
+    img: &[f32],
+    (c_in, h, w): (usize, usize, usize),
+    pad: usize,
+    (ph, pw): (usize, usize),
+    xt: &mut [f32],
+) {
+    let mut gap = 0;
+    for y in 0..h {
+        let dst = ((y + pad) * pw + pad) * c_in;
+        xt[gap..dst].fill(0.0);
+        let interior = &mut xt[dst..dst + w * c_in];
+        for c in 0..c_in {
+            let src = &img[(c * h + y) * w..(c * h + y + 1) * w];
+            for (d, &v) in interior[c..].iter_mut().step_by(c_in).zip(src) {
+                *d = v;
+            }
+        }
+        gap = dst + w * c_in;
+    }
+    xt[gap..ph * pw * c_in].fill(0.0);
+}
+
+/// Add a tap-major `[c_out, (ky, kx, c)]` weight gradient onto a
+/// channel-major `[c_out, (c, ky, kx)]` one: the weight-gradient GEMM's
+/// columns follow its B operand ([`matmul::TapMajorView`]), the weight
+/// tensor's do not. One add per element, so summing per-image gradients
+/// through it in ascending image order is the plain elementwise reduction.
+#[dlsr::hot]
+fn add_tap_major(src: &[f32], (c_in, kh, kw): (usize, usize, usize), dst: &mut [f32]) {
+    let (k, khw) = (c_in * kh * kw, kh * kw);
+    for (d, s) in dst.chunks_exact_mut(k).zip(src.chunks_exact(k)) {
+        for (tap, run) in s.chunks_exact(c_in).enumerate() {
+            for (c, &v) in run.iter().enumerate() {
+                d[c * khw + tap] += v;
+            }
         }
     }
 }
@@ -427,7 +509,8 @@ pub fn conv2d_fused(
 ) -> Result<Tensor> {
     let (n, _, h, w) = input.shape().as_nchw()?;
     let (c_out, _, kh, kw) = weight_dims(weight)?;
-    let mut out = Tensor::zeros([n, c_out, p.out_extent(h, kh), p.out_extent(w, kw)]);
+    let (h_out, w_out) = p.output_extents((h, w), (kh, kw))?;
+    let mut out = Tensor::zeros([n, c_out, h_out, w_out]);
     conv2d_fused_into(input, weight, bias, act, p, &mut out)?;
     Ok(out)
 }
@@ -461,8 +544,7 @@ pub fn conv2d_fused_into(
             )));
         }
     }
-    let h_out = p.out_extent(h, kh);
-    let w_out = p.out_extent(w, kw);
+    let (h_out, w_out) = p.output_extents((h, w), (kh, kw))?;
     let hw_out = h_out * w_out;
     let k = c_in * kh * kw;
     if out.shape().dims() != [n, c_out, h_out, w_out] {
@@ -520,8 +602,21 @@ pub fn conv2d_fused_into(
             return;
         };
         // Implicit GEMM: the im2col matrix is a view the packer reads
-        // through, never a buffer.
-        let view = Im2colView::new(img, (c_in, h, w), (kh, kw), p.stride, p.padding);
+        // through, never a buffer. At stride 1 that view is over the image
+        // itself or, when the layer pads, over a zero-bordered copy of it,
+        // so every window row is one contiguous run.
+        let padded;
+        let view = if p.stride == 1 && p.padding > 0 {
+            let (ph, pw) = (h + 2 * p.padding, w + 2 * p.padding);
+            padded = {
+                let mut buf = scratch::take(c_in * ph * pw);
+                pad_image(img, (c_in, h, w), p.padding, (ph, pw), &mut buf);
+                buf
+            };
+            Im2colView::new(&padded, (c_in, ph, pw), (kh, kw), 1, 0)
+        } else {
+            Im2colView::new(img, (c_in, h, w), (kh, kw), p.stride, p.padding)
+        };
         let _span = dlsr_trace::span_with(
             || format!("conv gemm {c_out}x{k}x{hw_out} {variant} kc{}", bp.kc),
             dlsr_trace::cat::GEMM,
@@ -566,8 +661,7 @@ pub fn conv2d_backward(
     let (n, c_in, h, w) = input.shape().as_nchw()?;
     let (c_out, _, kh, kw) = weight_dims(weight)?;
     let (gn, gc, gh, gw) = grad_out.shape().as_nchw()?;
-    let h_out = p.out_extent(h, kh);
-    let w_out = p.out_extent(w, kw);
+    let (h_out, w_out) = p.output_extents((h, w), (kh, kw))?;
     if (gn, gc, gh, gw) != (n, c_out, h_out, w_out) {
         return Err(TensorError::ShapeMismatch {
             expected: vec![n, c_out, h_out, w_out],
@@ -581,9 +675,12 @@ pub fn conv2d_backward(
 
     let mut grad_input = Tensor::zeros([n, c_in, h, w]);
 
-    // Weight gradient per image: grad_out (C_out×HW) · colᵀ (HW×K),
-    // with colᵀ read through the transposed virtual im2col view.
+    // Weight gradient per image: grad_out (C_out×HW) · colᵀ (HW×K), with
+    // colᵀ read tap-major through a channels-last copy of the image — the
+    // result's columns come out `(ky, kx, c)` and are put back in order by
+    // the batch reduction.
     let bp_w = tune::select(c_out, hw_out, k);
+    let (ph, pw) = (h + 2 * p.padding, w + 2 * p.padding);
     // Input gradient per image: Wᵀ (K×C_out) · grad_out (C_out×HW) — the
     // output of this GEMM is the column matrix col2im scatters back.
     let bp_i = tune::select(k, c_out, hw_out);
@@ -608,25 +705,30 @@ pub fn conv2d_backward(
         );
         let img = &input.data()[i * chw_in..(i + 1) * chw_in];
         let go = &grad_out.data()[i * c_out * hw_out..(i + 1) * c_out * hw_out];
-        let view = Im2colView::new(img, (c_in, h, w), (kh, kw), p.stride, p.padding);
 
         // bias gradient: per-channel sums of grad_out
         for (co, chunk) in go.chunks_exact(hw_out).enumerate() {
             gb_i[co] = chunk.iter().sum::<f32>();
         }
 
-        // weight gradient: implicit GEMM against the transposed view
-        let go_pack = PackedA::pack(&bp_w, go, c_out, hw_out, false, p.bf16);
-        go_pack.gemm(
-            &bp_w,
-            BSrc::Im2colT(view),
-            gw_i,
-            c_out,
-            hw_out,
-            k,
-            Epilogue::None,
-            batch_par,
-        );
+        // weight gradient (tap-major): implicit GEMM against the transposed
+        // view of the channels-last copy
+        {
+            let go_pack = PackedA::pack(&bp_w, go, c_out, hw_out, false, p.bf16);
+            let mut xt = scratch::take(c_in * ph * pw);
+            pad_image_channels_last(img, (c_in, h, w), p.padding, (ph, pw), &mut xt);
+            let view = TapMajorView::new(&xt, (c_in, ph, pw), (kh, kw), p.stride);
+            go_pack.gemm(
+                &bp_w,
+                BSrc::TapMajor(view),
+                gw_i,
+                c_out,
+                hw_out,
+                k,
+                Epilogue::None,
+                batch_par,
+            );
+        }
 
         let Some(wt_pack) = &wt_pack else {
             drop(gemm_span);
@@ -697,9 +799,7 @@ pub fn conv2d_backward(
     // regardless of which worker produced each contribution.
     let mut grad_weight = Tensor::zeros(weight.shape().clone());
     for gw_i in gw_all.chunks_exact(gw_len) {
-        for (a, &b) in grad_weight.data_mut().iter_mut().zip(gw_i.iter()) {
-            *a += b;
-        }
+        add_tap_major(gw_i, (c_in, kh, kw), grad_weight.data_mut());
     }
     let mut grad_bias = vec![0.0f32; c_out];
     for gb_i in gb_all.chunks_exact(c_out) {
@@ -719,8 +819,7 @@ pub fn conv2d_reference(
 ) -> Result<Tensor> {
     let (n, c_in, h, w) = input.shape().as_nchw()?;
     let (c_out, _, kh, kw) = weight_dims(weight)?;
-    let h_out = p.out_extent(h, kh);
-    let w_out = p.out_extent(w, kw);
+    let (h_out, w_out) = p.output_extents((h, w), (kh, kw))?;
     let mut out = Tensor::zeros([n, c_out, h_out, w_out]);
     for i in 0..n {
         for co in 0..c_out {
@@ -761,8 +860,7 @@ pub fn conv2d_backward_reference(
 ) -> Result<(Tensor, Tensor, Vec<f32>)> {
     let (n, c_in, h, w) = input.shape().as_nchw()?;
     let (c_out, _, kh, kw) = weight_dims(weight)?;
-    let h_out = p.out_extent(h, kh);
-    let w_out = p.out_extent(w, kw);
+    let (h_out, w_out) = p.output_extents((h, w), (kh, kw))?;
     let mut grad_input = Tensor::zeros([n, c_in, h, w]);
     let mut grad_weight = Tensor::zeros(weight.shape().clone());
     let mut grad_bias = vec![0.0f32; c_out];
@@ -895,6 +993,71 @@ mod tests {
             &mut out,
         );
         assert!(r.is_err());
+    }
+
+    /// Every entry point, forward and backward, fast and reference.
+    fn all_entry_points_fail(x: &Tensor, w: &Tensor, p: Conv2dParams) -> Vec<TensorError> {
+        let mut out = Tensor::zeros([1, 1, 1, 1]);
+        let go = Tensor::zeros([1, 1, 1, 1]);
+        vec![
+            conv2d(x, w, None, p).unwrap_err(),
+            conv2d_fused_into(x, w, None, Act::Identity, p, &mut out).unwrap_err(),
+            conv2d_backward(x, w, &go, p).unwrap_err(),
+            conv2d_reference(x, w, None, p).unwrap_err(),
+            conv2d_backward_reference(x, w, &go, p).unwrap_err(),
+        ]
+    }
+
+    /// A window that lies outside the padded image has no output pixel:
+    /// a typed error, not a 1×1 output summed from the taps that happen to
+    /// land in the image.
+    #[test]
+    fn kernel_larger_than_padded_input_is_invalid_argument() {
+        let x = Tensor::ones([1, 1, 1, 1]);
+        let w = Tensor::ones([1, 1, 5, 5]);
+        let p = Conv2dParams {
+            padding: 1,
+            ..Default::default()
+        };
+        for e in all_entry_points_fail(&x, &w, p) {
+            assert!(matches!(e, TensorError::InvalidArgument(_)), "{e:?}");
+        }
+    }
+
+    /// A zero stride is a typed error, not a division by zero.
+    #[test]
+    fn zero_stride_is_invalid_argument() {
+        let x = Tensor::ones([1, 1, 3, 3]);
+        let w = Tensor::ones([1, 1, 3, 3]);
+        let p = Conv2dParams {
+            stride: 0,
+            ..Default::default()
+        };
+        for e in all_entry_points_fail(&x, &w, p) {
+            assert!(matches!(e, TensorError::InvalidArgument(_)), "{e:?}");
+        }
+    }
+
+    /// `add_tap_major` is the inverse of reading a `[c_out, c, ky, kx]`
+    /// tensor tap-major: every element lands back where it came from, once.
+    #[test]
+    fn tap_major_permutation_round_trips() {
+        for (c_out, c_in, kh, kw) in [(2, 3, 3, 3), (1, 5, 1, 3), (3, 1, 2, 1)] {
+            let wt = rand_tensor(&[c_out, c_in, kh, kw], 91);
+            let mut tap_major = Vec::with_capacity(wt.data().len());
+            for co in 0..c_out {
+                for ky in 0..kh {
+                    for kx in 0..kw {
+                        for c in 0..c_in {
+                            tap_major.push(wt.at(&[co, c, ky, kx]));
+                        }
+                    }
+                }
+            }
+            let mut back = vec![0.0f32; tap_major.len()];
+            add_tap_major(&tap_major, (c_in, kh, kw), &mut back);
+            assert_eq!(&back[..], wt.data(), "{c_out}x{c_in}x{kh}x{kw}");
+        }
     }
 
     /// Finite-difference check of all three gradients on a tiny problem.

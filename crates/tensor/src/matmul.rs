@@ -19,7 +19,7 @@
 //! panel is packed into the other half of the staging buffer
 //! (`rayon::join`). B is described by a [`BSrc`], which the packing
 //! routines read through directly — including the *virtual im2col views*
-//! ([`BSrc::Im2col`]/[`BSrc::Im2colT`]) that let convolution run as
+//! ([`BSrc::Im2col`]/[`BSrc::TapMajor`]) that let convolution run as
 //! implicit GEMM without ever materializing a column matrix.
 //!
 //! # Determinism contract
@@ -224,6 +224,68 @@ impl<'a> Im2colView<'a> {
     pub fn cols(&self) -> usize {
         self.h_out * self.w_out
     }
+
+    /// Whether every window lies inside the image and each of its rows is
+    /// one contiguous image run (stride 1, no padding): the view the
+    /// run packer reads. The conv module gives every stride-1 forward such
+    /// a view, over a zero-bordered copy of the image when it pads.
+    pub(crate) fn contiguous_runs(&self) -> bool {
+        self.stride == 1 && self.padding == 0 && self.kh <= self.h && self.kw <= self.w
+    }
+}
+
+/// The transposed im2col matrix of one image with its columns in
+/// **tap-major** `(ky, kx, c)` order, over a zero-padded channels-last copy
+/// `xt[(y·pitch + x)·c_in + c]`: element `(p, j)` is tap `j` of output pixel
+/// `p`'s window, `p` in `(oy, ox)` order. Every window lies inside the
+/// copy, and the `kw·c_in` taps of one kernel row are contiguous in it.
+/// This is the B operand of the conv weight-gradient GEMM, whose result
+/// columns therefore come out tap-major too.
+#[derive(Debug, Clone, Copy)]
+pub struct TapMajorView<'a> {
+    xt: &'a [f32],
+    c_in: usize,
+    pitch: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    h_out: usize,
+    w_out: usize,
+}
+
+impl<'a> TapMajorView<'a> {
+    /// View over a channels-last `[ph, pw, c_in]` copy (borders included),
+    /// windows `kh×kw` every `stride` pixels. Panics if no window fits or
+    /// `stride` is 0.
+    pub fn new(
+        xt: &'a [f32],
+        (c_in, ph, pw): (usize, usize, usize),
+        (kh, kw): (usize, usize),
+        stride: usize,
+    ) -> TapMajorView<'a> {
+        assert!(stride > 0 && kh <= ph && kw <= pw, "no window fits");
+        assert_eq!(xt.len(), ph * pw * c_in);
+        TapMajorView {
+            xt,
+            c_in,
+            pitch: pw,
+            kh,
+            kw,
+            stride,
+            h_out: (ph - kh) / stride + 1,
+            w_out: (pw - kw) / stride + 1,
+        }
+    }
+
+    /// Rows: output pixels, `H_out·W_out`.
+    pub fn rows(&self) -> usize {
+        self.h_out * self.w_out
+    }
+
+    /// Columns: taps, `K_h·K_w·C_in`.
+    pub fn cols(&self) -> usize {
+        self.kh * self.kw * self.c_in
+    }
 }
 
 /// Where the right-hand operand's panels come from. The packing routines
@@ -237,8 +299,9 @@ pub enum BSrc<'a> {
     Cols(&'a [f32]),
     /// The im2col matrix of an image: `B[p, j] = col[p, j]`.
     Im2col(Im2colView<'a>),
-    /// The transposed im2col matrix: `B[p, j] = col[j, p]`.
-    Im2colT(Im2colView<'a>),
+    /// The transposed im2col matrix, columns tap-major (see
+    /// [`TapMajorView`]).
+    TapMajor(TapMajorView<'a>),
 }
 
 /// Length of the packed-A buffer for an `m×k` left operand under `bp`.
@@ -319,11 +382,11 @@ fn pack_b_block<E: Elem>(
     match src {
         BSrc::Rows(b) => pack_block_rows::<E>(bp.nr, b, n, jc, ncb, kb, kc, dst),
         BSrc::Cols(b) => pack_block_cols::<E>(bp.nr, b, k, n, jc, ncb, kb, kc, dst),
-        BSrc::Im2col(v) if v.stride == 1 => {
+        BSrc::Im2col(v) if v.contiguous_runs() => {
             pack_block_im2col::<E>(bp.nr, &v, n, jc, ncb, kb, kc, dst)
         }
-        BSrc::Im2col(v) => pack_block_im2col_strided::<E>(bp.nr, &v, n, jc, ncb, kb, kc, dst),
-        BSrc::Im2colT(v) => pack_block_im2col_t::<E>(bp.nr, &v, n, jc, ncb, kb, kc, dst),
+        BSrc::Im2col(v) => pack_block_im2col_gather::<E>(bp.nr, &v, n, jc, ncb, kb, kc, dst),
+        BSrc::TapMajor(v) => pack_block_tap_major::<E>(bp.nr, &v, n, jc, ncb, kb, kc, dst),
     }
 }
 
@@ -345,12 +408,10 @@ fn pack_block_rows<E: Elem>(
         let panel = &mut dst[jp * (nr * kc)..(jp + 1) * (nr * kc)];
         for (p, drow) in panel.chunks_exact_mut(nr).enumerate() {
             let src = &b[(kb + p) * n + j0..(kb + p) * n + j0 + cols];
-            // Branch-free split: a straight converting copy for the live
-            // columns, one fill for the zero-padded tail — both vectorize.
+            // Branch-free split: one run copy for the live columns, one
+            // fill for the zero-padded tail.
             let (live, pad) = drow.split_at_mut(cols);
-            for (d, &s) in live.iter_mut().zip(src) {
-                *d = E::pack(s);
-            }
+            E::pack_run(live, src);
             pad.fill(E::pack(0.0));
         }
     }
@@ -384,14 +445,16 @@ fn pack_block_cols<E: Elem>(
     }
 }
 
-/// Pack a staged block straight out of a stride-1 image view:
+/// Pack a staged block straight out of an image view whose windows are
+/// contiguous ([`Im2colView::contiguous_runs`]: stride 1, no padding — the
+/// conv module hands a zero-bordered copy of the image instead):
 /// `B[p, j] = col[p, j]` where `p` decodes to a (channel, ky, kx) patch row
 /// and `j` to an output pixel. Consecutive columns of a panel are
 /// consecutive output pixels, so for a fixed patch row the sources are
-/// contiguous image runs — one per output row the panel crosses. Those
-/// segments depend only on the panel and are computed once for it; the patch
-/// row is walked by counting `(c, ky, kx)` up, and each run is one
-/// [`Elem::pack_run`] with zero-filled out-of-image edges.
+/// image runs — one per output row the panel crosses, at the same offsets
+/// from the tap for every patch row. The panel's segment table is computed
+/// once; each patch row is then one [`Elem::pack_run`] per segment at
+/// `c·plane + ky·pitch + kx`, with no bounds test and no clamping.
 #[allow(clippy::too_many_arguments)]
 #[dlsr::hot]
 fn pack_block_im2col<E: Elem>(
@@ -404,24 +467,23 @@ fn pack_block_im2col<E: Elem>(
     kc: usize,
     dst: &mut [E],
 ) {
-    debug_assert_eq!(v.stride, 1);
+    debug_assert!(v.contiguous_runs());
+    let (plane, pitch) = (v.h * v.w, v.w);
     let khw = v.kh * v.kw;
     let (c0, rem0) = (kb / khw, kb % khw);
     let (ky0, kx0) = (rem0 / v.kw, rem0 % v.kw);
-    let (hs, ws, pad) = (v.h as isize, v.w as isize, v.padding as isize);
-    let zero = E::pack(0.0);
     for jp in 0..ncb / nr {
         let j0 = jc + jp * nr;
         let cols = nr.min(n.saturating_sub(j0));
-        // The panel's output-row segments: (first panel column, length,
-        // image y of tap row 0, image x of tap column 0).
-        let mut segs = [(0usize, 0usize, 0isize, 0isize); MAX_NR];
+        // The panel's output-row segments: (first panel column, image
+        // offset of its first pixel's top-left tap, length).
+        let mut segs = [(0usize, 0usize, 0usize); MAX_NR];
         let mut nseg = 0;
         let (mut oy, mut ox) = (j0 / v.w_out, j0 % v.w_out);
         let mut j = 0;
         while j < cols {
             let len = (cols - j).min(v.w_out - ox);
-            segs[nseg] = (j, len, oy as isize - pad, ox as isize - pad);
+            segs[nseg] = (j, oy * pitch + ox, len);
             nseg += 1;
             j += len;
             (oy, ox) = (oy + 1, 0);
@@ -429,24 +491,11 @@ fn pack_block_im2col<E: Elem>(
         let panel = &mut dst[jp * (nr * kc)..(jp + 1) * (nr * kc)];
         let (mut c, mut ky, mut kx) = (c0, ky0, kx0);
         for drow in panel.chunks_exact_mut(nr) {
-            let plane = &v.img[c * v.h * v.w..(c + 1) * v.h * v.w];
-            drow[cols..].fill(zero);
-            for &(j, len, y0, x0) in &segs[..nseg] {
-                let drun = &mut drow[j..j + len];
-                let (iy, x0, len) = (y0 + ky as isize, x0 + kx as isize, len as isize);
-                // Elements of the run left and right of the image.
-                let lead = (-x0).clamp(0, len);
-                let trail = (x0 + len - ws).clamp(0, len);
-                if iy < 0 || iy >= hs || lead + trail >= len {
-                    drun.fill(zero);
-                    continue;
-                }
-                let src0 = (iy * ws + x0 + lead) as usize;
-                let (lead, live) = (lead as usize, (len - lead - trail) as usize);
-                drun[..lead].fill(zero);
-                drun[lead + live..].fill(zero);
-                E::pack_run(&mut drun[lead..lead + live], &plane[src0..src0 + live]);
+            let tap = c * plane + ky * pitch + kx;
+            for &(j, off, len) in &segs[..nseg] {
+                E::pack_run(&mut drow[j..j + len], &v.img[tap + off..tap + off + len]);
             }
+            drow[cols..].fill(E::pack(0.0));
             kx += 1;
             if kx == v.kw {
                 (ky, kx) = (ky + 1, 0);
@@ -458,13 +507,13 @@ fn pack_block_im2col<E: Elem>(
     }
 }
 
-/// Strided twin of [`pack_block_im2col`]: columns of a panel are not
-/// contiguous in the image, so every element is gathered. The per-panel
-/// spatial bases are hoisted to stack arrays; the inner loop is an add, two
-/// bounds tests and one image load.
+/// Every other image view (stride > 1, or a padded stride-1 view): columns
+/// of a panel are not contiguous in the image, so every element is
+/// gathered. The per-panel spatial bases are hoisted to stack arrays; the
+/// inner loop is an add, two bounds tests and one image load.
 #[allow(clippy::too_many_arguments)]
 #[dlsr::hot]
-fn pack_block_im2col_strided<E: Elem>(
+fn pack_block_im2col_gather<E: Elem>(
     nr: usize,
     v: &Im2colView<'_>,
     n: usize,
@@ -513,13 +562,19 @@ fn pack_block_im2col_strided<E: Elem>(
     }
 }
 
-/// Transposed twin of [`pack_block_im2col`]: `B[p, j] = col[j, p]` — rows
-/// are output pixels, columns are patch rows (the weight-gradient GEMM).
+/// Pack a staged block of the tap-major transposed im2col matrix (the
+/// weight-gradient GEMM): `B[p, j]` is tap `j = (ky, kx, c)` of output
+/// pixel `p`. Within one `ky` the taps `(kx, c)` are one contiguous run of
+/// the channels-last copy, so a panel row is one [`Elem::pack_run`] per
+/// kernel row its columns cross — `⌈nr / (kw·c_in)⌉ + 1` at most. The
+/// segment table `(first panel column, offset from the window's top-left,
+/// length)` is computed once per panel; each row then only adds its
+/// pixel's base offset, walked by counting `(oy, ox)` up.
 #[allow(clippy::too_many_arguments)]
 #[dlsr::hot]
-fn pack_block_im2col_t<E: Elem>(
+fn pack_block_tap_major<E: Elem>(
     nr: usize,
-    v: &Im2colView<'_>,
+    v: &TapMajorView<'_>,
     n: usize,
     jc: usize,
     ncb: usize,
@@ -527,54 +582,34 @@ fn pack_block_im2col_t<E: Elem>(
     kc: usize,
     dst: &mut [E],
 ) {
-    let khw = v.kh * v.kw;
-    let (hs, ws) = (v.h as isize, v.w as isize);
+    let run = v.kw * v.c_in;
+    let row_step = v.pitch * v.c_in;
+    let px_step = v.stride * v.c_in;
     for jp in 0..ncb / nr {
         let j0 = jc + jp * nr;
         let cols = nr.min(n.saturating_sub(j0));
-        // Per-column constants for this panel: linearized patch-row offset
-        // into the image (`soff = c·h·w + ky·w + kx`) plus the (ky, kx)
-        // displacements for the boundary test.
-        let mut soff = [0isize; MAX_NR];
-        let mut kya = [0isize; MAX_NR];
-        let mut kxa = [0isize; MAX_NR];
-        for j in 0..cols {
-            let (c, rem) = ((j0 + j) / khw, (j0 + j) % khw);
-            let (ky, kx) = (rem / v.kw, rem % v.kw);
-            soff[j] = (c * v.h * v.w + ky * v.w + kx) as isize;
-            kya[j] = ky as isize;
-            kxa[j] = kx as isize;
+        let mut segs = [(0usize, 0usize, 0usize); MAX_NR];
+        let mut nseg = 0;
+        let mut j = 0;
+        while j < cols {
+            let (ky, r) = ((j0 + j) / run, (j0 + j) % run);
+            let len = (cols - j).min(run - r);
+            segs[nseg] = (j, ky * row_step + r, len);
+            nseg += 1;
+            j += len;
         }
         let panel = &mut dst[jp * (nr * kc)..(jp + 1) * (nr * kc)];
-        for (p, drow) in panel.chunks_exact_mut(nr).enumerate() {
-            let pix = kb + p;
-            let (oy, ox) = (pix / v.w_out, pix % v.w_out);
-            let iy0 = (oy * v.stride) as isize - v.padding as isize;
-            let ix0 = (ox * v.stride) as isize - v.padding as isize;
-            let base = iy0 * ws + ix0;
-            let (fill, pad) = drow.split_at_mut(cols);
-            pad.fill(E::pack(0.0));
-            // Interior fast path: when the whole receptive field sits
-            // inside the image, every column is a plain gather at
-            // `soff[j] + base` — no per-element bounds tests.
-            let interior = iy0 >= 0
-                && iy0 + (v.kh as isize - 1) < hs
-                && ix0 >= 0
-                && ix0 + (v.kw as isize - 1) < ws;
-            if interior {
-                for (j, d) in fill.iter_mut().enumerate() {
-                    *d = E::pack(v.img[(soff[j] + base) as usize]);
-                }
-            } else {
-                for (j, d) in fill.iter_mut().enumerate() {
-                    let (iy, ix) = (iy0 + kya[j], ix0 + kxa[j]);
-                    let val = if iy >= 0 && iy < hs && ix >= 0 && ix < ws {
-                        v.img[(soff[j] + base) as usize]
-                    } else {
-                        0.0
-                    };
-                    *d = E::pack(val);
-                }
+        let (mut oy, mut ox) = (kb / v.w_out, kb % v.w_out);
+        for drow in panel.chunks_exact_mut(nr) {
+            let base = oy * v.stride * row_step + ox * px_step;
+            for &(j, off, len) in &segs[..nseg] {
+                let src = base + off;
+                E::pack_run(&mut drow[j..j + len], &v.xt[src..src + len]);
+            }
+            drow[cols..].fill(E::pack(0.0));
+            ox += 1;
+            if ox == v.w_out {
+                (oy, ox) = (oy + 1, 0);
             }
         }
     }
@@ -842,7 +877,7 @@ fn gemm_generic<E: Elem>(
         BSrc::Rows(b) => assert_eq!(b.len(), k * n),
         BSrc::Cols(b) => assert_eq!(b.len(), n * k),
         BSrc::Im2col(v) => debug_assert_eq!((v.rows(), v.cols()), (k, n)),
-        BSrc::Im2colT(v) => debug_assert_eq!((v.cols(), v.rows()), (k, n)),
+        BSrc::TapMajor(v) => debug_assert_eq!((v.rows(), v.cols()), (k, n)),
     }
     if m == 0 || n == 0 {
         return;
@@ -1342,8 +1377,13 @@ mod tests {
             );
             assert_eq!(c_virtual, c_mat, "stride={stride} padding={padding}");
 
-            // Transposed view vs Cols over the same materialized matrix:
-            // B = colᵀ (hw_out × k patch rows).
+            // Tap-major transposed view vs Cols over the same materialized
+            // matrix, its rows permuted to `(ky, kx, c)`: B = colᵀ
+            // (hw_out × k taps).
+            let (xt, dims) = channels_last_padded(&img, (c_in, h, w), padding);
+            let vt = TapMajorView::new(&xt, dims, (kh, kw), stride);
+            assert_eq!((vt.rows(), vt.cols()), (n, k));
+            let col_tm = tap_major_rows(&col, (c_in, kh, kw), n);
             let bp_t = scalar_bp(4, 16, n.min(256), 64);
             let (m_t, at) = (4usize, seq(4 * n, 0.043));
             let mut apack_t = vec![0.0; packed_a_len(&bp_t, m_t, n)];
@@ -1352,7 +1392,7 @@ mod tests {
             gemm(
                 &bp_t,
                 &apack_t,
-                BSrc::Im2colT(v),
+                BSrc::TapMajor(vt),
                 &mut c_tv,
                 m_t,
                 n,
@@ -1364,7 +1404,7 @@ mod tests {
             gemm(
                 &bp_t,
                 &apack_t,
-                BSrc::Cols(&col),
+                BSrc::Cols(&col_tm),
                 &mut c_tc,
                 m_t,
                 n,
@@ -1373,6 +1413,112 @@ mod tests {
                 false,
             );
             assert_eq!(c_tv, c_tc, "transposed stride={stride} padding={padding}");
+        }
+    }
+
+    /// A zero-bordered channels-last copy `[h + 2·pad, w + 2·pad, c_in]` of
+    /// a `[c_in, h, w]` image, element by element, and its `(c, ph, pw)`.
+    fn channels_last_padded(
+        img: &[f32],
+        (c_in, h, w): (usize, usize, usize),
+        pad: usize,
+    ) -> (Vec<f32>, (usize, usize, usize)) {
+        let (ph, pw) = (h + 2 * pad, w + 2 * pad);
+        let mut xt = vec![0.0; ph * pw * c_in];
+        for c in 0..c_in {
+            for y in 0..h {
+                for x in 0..w {
+                    xt[((y + pad) * pw + x + pad) * c_in + c] = img[(c * h + y) * w + x];
+                }
+            }
+        }
+        (xt, (c_in, ph, pw))
+    }
+
+    /// The rows of a channel-major `[(c, ky, kx), n]` matrix in tap-major
+    /// `(ky, kx, c)` order.
+    fn tap_major_rows(col: &[f32], (c_in, kh, kw): (usize, usize, usize), n: usize) -> Vec<f32> {
+        let mut out = Vec::with_capacity(col.len());
+        for ky in 0..kh {
+            for kx in 0..kw {
+                for c in 0..c_in {
+                    let row = (c * kh + ky) * kw + kx;
+                    out.extend_from_slice(&col[row * n..(row + 1) * n]);
+                }
+            }
+        }
+        out
+    }
+
+    /// Every staged block `pack_b_block` cuts from `src` equals the block it
+    /// cuts from `oracle` (a plain materialized source of the same matrix),
+    /// element for element, over `nr`/`kc`/`nc` choices that leave ragged
+    /// last panels and blocks.
+    fn assert_blocks_equal(src: BSrc<'_>, oracle: BSrc<'_>, k: usize, n: usize) {
+        for (nr, kc, nc) in [(16, 5, 32), (8, 7, 16), (4, k, 8), (32, 3, 32)] {
+            let bp = scalar_bp(4, nr, kc, nc);
+            for jc in (0..n).step_by(nc) {
+                let ncb = nc.min(n - jc).div_ceil(nr) * nr;
+                for kb in (0..k).step_by(kc) {
+                    let kcb = kc.min(k - kb);
+                    let mut got = vec![f32::NAN; ncb * kcb];
+                    let mut want = vec![0.0; ncb * kcb];
+                    pack_b_block::<f32>(&bp, src, k, n, jc, ncb, kb, kcb, &mut got);
+                    pack_b_block::<f32>(&bp, oracle, k, n, jc, ncb, kb, kcb, &mut want);
+                    assert_eq!(got, want, "nr={nr} kc={kc} nc={nc} jc={jc} kb={kb}");
+                }
+            }
+        }
+    }
+
+    /// The run packer over a zero-bordered copy packs what the row packer
+    /// packs from the materialized column matrix of the unpadded image:
+    /// panels that cross several output rows, output rows narrower than a
+    /// panel, one-pixel-wide images, kernels as wide as the image.
+    #[test]
+    fn run_packer_matches_materialized_im2col() {
+        for (c_in, (h, w), (kh, kw), pad) in [
+            (2, (5, 7), (3, 3), 1),
+            (1, (4, 1), (3, 1), 1),
+            (3, (3, 4), (1, 3), 0),
+            (2, (2, 3), (3, 3), 2),
+        ] {
+            let img = seq(c_in * h * w, 0.07);
+            let (ph, pw) = (h + 2 * pad, w + 2 * pad);
+            let mut padded = vec![0.0; c_in * ph * pw];
+            for c in 0..c_in {
+                for y in 0..h {
+                    let dst = (c * ph + y + pad) * pw + pad;
+                    padded[dst..dst + w].copy_from_slice(&img[(c * h + y) * w..][..w]);
+                }
+            }
+            let v = Im2colView::new(&padded, (c_in, ph, pw), (kh, kw), 1, 0);
+            assert!(v.contiguous_runs());
+            let col = naive_im2col(&Im2colView::new(&img, (c_in, h, w), (kh, kw), 1, pad));
+            let (k, n) = (v.rows(), v.cols());
+            assert_blocks_equal(BSrc::Im2col(v), BSrc::Rows(&col), k, n);
+        }
+    }
+
+    /// The tap-major packer packs what the column packer packs from the
+    /// materialized, row-permuted column matrix: runs that cross kernel
+    /// rows (`kw·c_in` below a panel), runs longer than a panel, strides 1
+    /// and 2.
+    #[test]
+    fn tap_major_packer_matches_materialized_im2col() {
+        for (c_in, (h, w), (kh, kw), stride, pad) in [
+            (3, (5, 6), (3, 3), 1, 1),
+            (1, (4, 5), (3, 3), 2, 1),
+            (11, (3, 3), (3, 1), 1, 0),
+            (2, (1, 4), (1, 3), 1, 0),
+        ] {
+            let img = seq(c_in * h * w, 0.09);
+            let (xt, dims) = channels_last_padded(&img, (c_in, h, w), pad);
+            let v = TapMajorView::new(&xt, dims, (kh, kw), stride);
+            let col = naive_im2col(&Im2colView::new(&img, (c_in, h, w), (kh, kw), stride, pad));
+            let (k, n) = (v.rows(), v.cols());
+            let col_tm = tap_major_rows(&col, (c_in, kh, kw), k);
+            assert_blocks_equal(BSrc::TapMajor(v), BSrc::Cols(&col_tm), k, n);
         }
     }
 

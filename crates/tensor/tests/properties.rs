@@ -211,9 +211,13 @@ fn assert_conv_equals_gemm_oracle(
 
 /// The corners the random grid below must not be left to find by luck:
 /// `c_out` 4 | 5 (pack-free | GEMM path), `c_in·kh·kw` > 256 (several `kc`
-/// blocks inside the pack-free forward), stride 2 (strided packer, strided
+/// blocks inside the pack-free forward), stride 2 (gather packer, strided
 /// `col2im`), every epilogue, padding wider than the kernel reach, an
 /// output row longer than one lane vector and one shorter than a panel.
+/// Then the tiny EDSR's own layers at 12×12 (and its 24×24 output conv),
+/// `c_out` past the random grid's 5, one-pixel-wide images, output rows
+/// narrower than any panel, and `c_in` = 33, whose tap-major runs end
+/// inside a weight-gradient panel.
 #[test]
 fn conv_equals_gemm_oracle_at_the_path_boundaries() {
     let s1 = |padding| Conv2dParams {
@@ -238,6 +242,17 @@ fn conv_equals_gemm_oracle_at_the_path_boundaries() {
         (2, (64, 3), (5, 19), (3, 3), s1(1), 0, false),
         (1, (2, 64), (13, 11), (3, 3), s1(1), 2, false),
         (1, (7, 6), (13, 11), (3, 3), s2(0), 1, true),
+        (1, (3, 8), (12, 12), (3, 3), s1(1), 2, false),
+        (1, (8, 8), (12, 12), (3, 3), s1(1), 2, true),
+        (2, (8, 32), (12, 12), (3, 3), s1(1), 1, false),
+        (1, (64, 64), (12, 12), (3, 3), s1(1), 0, false),
+        (1, (8, 3), (24, 24), (3, 3), s1(1), 1, false),
+        (2, (5, 9), (7, 1), (3, 3), s1(1), 0, true),
+        (1, (2, 8), (9, 1), (1, 1), s1(0), 2, false),
+        (2, (4, 12), (6, 5), (3, 3), s1(1), 1, false),
+        (1, (6, 10), (5, 3), (3, 3), s1(0), 0, false),
+        (1, (33, 8), (9, 11), (3, 3), s1(1), 1, false),
+        (2, (33, 6), (7, 9), (3, 3), s2(1), 0, false),
     ] {
         assert_conv_equals_gemm_oracle(n, ch, hw, k, p, epi, nan_tap, 99);
     }
@@ -246,15 +261,22 @@ fn conv_equals_gemm_oracle_at_the_path_boundaries() {
 /// `kc` is the one blueprint field that changes bits, and a tune cache may
 /// carry any value: the pack-free paths must cut their chains where the
 /// engine would, also inside a four-term input-gradient product and at
-/// depths that leave a ragged last block. (Extents outside the random grid,
-/// so no other test of this binary resolves these shapes.)
+/// depths that leave a ragged last block; the weight-gradient packer must
+/// start a block at any pixel, inside an output row of 23 as well as at
+/// one's start, with a ragged last block of the 299 pixels. (Extents
+/// outside the random grid, so no other test of this binary resolves these
+/// shapes.)
 #[test]
 fn conv_equals_gemm_oracle_under_installed_kc() {
     let (c_in, c_out, hw, kernel) = (6, 4, (13, 23), (3, 3));
     let p = Conv2dParams::same(3);
     let (k, n) = (c_in * 9, hw.0 * hw.1);
-    for (kc_fwd, kc_igrad) in [(7, 1), (54, 2), (20, 3), (1, 4)] {
-        for (shape, kc) in [((c_out, k, n), kc_fwd), ((k, c_out, n), kc_igrad)] {
+    for (kc_fwd, kc_igrad, kc_wgrad) in [(7, 1, 5), (54, 2, 47), (20, 3, 23), (1, 4, 1)] {
+        for (shape, kc) in [
+            ((c_out, k, n), kc_fwd),
+            ((k, c_out, n), kc_igrad),
+            ((c_out, n, k), kc_wgrad),
+        ] {
             let bp = Blueprint {
                 kc,
                 ..tune::heuristic(shape.0, shape.1, shape.2)
@@ -431,10 +453,10 @@ proptest! {
         prop_assert_eq!(fast, oracle);
     }
 
-    /// The virtual im2col packer (implicit-GEMM conv) is bitwise identical
-    /// to a GEMM against the materialized column matrix, across the
-    /// stride/padding/kernel grid — this is the property guarding the
-    /// stride-1 row-run fast path's boundary arithmetic.
+    /// The virtual im2col packers (implicit-GEMM conv) are bitwise
+    /// identical to a GEMM against the materialized column matrix, across
+    /// the stride/padding/kernel grid: padded and strided views through the
+    /// gather packer, unpadded stride-1 views through the run packer.
     #[test]
     fn implicit_im2col_matches_materialized_bitwise(
         c_in in 1usize..4,

@@ -78,4 +78,15 @@ fn steady_state_does_not_allocate() {
         conv2d_backward(&out, &w3, &go3, p).unwrap();
     });
     assert_eq!(allocs, 0, "c_out = 3 layer allocated in steady state");
+
+    // The tiny EDSR's 8→3 output conv at its 24×24 output: the pack-free
+    // forward's padded copy and the weight gradient's channels-last copy.
+    let x4 = init::uniform([4, 8, 24, 24], -1.0, 1.0, 10);
+    let mut out4 = Tensor::zeros([4, 3, 24, 24]);
+    let go4 = init::uniform([4, 3, 24, 24], -1.0, 1.0, 11);
+    let allocs = steady_state_allocs(|| {
+        conv2d_fused_into(&x4, &w3, Some(&bias3), Act::Identity, p, &mut out4).unwrap();
+        conv2d_backward(&x4, &w3, &go4, p).unwrap();
+    });
+    assert_eq!(allocs, 0, "24×24 8→3 output conv allocated in steady state");
 }
