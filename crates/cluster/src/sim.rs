@@ -55,6 +55,10 @@ const METRICS_ELEMS: usize = 256;
 /// NVLink IPC transfers (and NCCL's kernels on their own stream) overlap.
 const STAGED_BLOCKING_FRACTION: f64 = 1.0;
 
+/// Straggler-jitter amplitude: each rank-step's compute runs up to 2 %
+/// slow (see [`jitter_factor`]).
+const JITTER_SIGMA: f64 = 0.02;
+
 /// Deterministic per-(rank, step) compute jitter: a uniform draw in
 /// `[0, sigma)` added to 1.0. Synchronous data parallelism waits for the
 /// slowest rank each step, so with many ranks the *maximum* of these draws
@@ -161,7 +165,6 @@ pub struct SimTrainer {
     tail: f64,
     /// Per-step compute-stream stall caused by host-staged transfers.
     staged_blocking: f64,
-    jitter_sigma: f64,
     seed: u64,
     /// Collect the per-step diagnostic artifacts (Hvprof profile,
     /// HOROVOD_TIMELINE events) over the measured window. On by default.
@@ -266,16 +269,9 @@ impl SimTrainer {
             bwd,
             tail,
             staged_blocking,
-            jitter_sigma: 0.02,
             seed,
             artifacts: true,
         })
-    }
-
-    /// Override the straggler-jitter amplitude (default 2 %).
-    pub fn with_jitter(mut self, sigma: f64) -> Self {
-        self.jitter_sigma = sigma;
-        self
     }
 
     /// Turn per-step diagnostic artifacts (profile + timeline) on or off.
@@ -405,7 +401,7 @@ impl RankProgram for SimProgram<'_> {
                     let rank = comm.rank();
                     let step_idx = self.step_idx;
                     self.t0 = comm.now();
-                    let jit = jitter_factor(tr.seed, rank, step_idx, tr.jitter_sigma);
+                    let jit = jitter_factor(tr.seed, rank, step_idx, JITTER_SIGMA);
                     // A straggler rank from the fault plan runs all its
                     // compute slower by a fixed multiplier, on top of the
                     // per-step jitter.

@@ -12,7 +12,7 @@
 //! |---|---|
 //! | tensors & kernels | [`tensor`] (`dlsr-tensor`) |
 //! | autograd, layers, optimizers, metrics | [`nn`] (`dlsr-nn`) |
-//! | EDSR / SRCNN / SRResNet / ResNet-50 | [`models`] (`dlsr-models`) |
+//! | EDSR, and ResNet-50's closed-form profile | [`models`] (`dlsr-models`) |
 //! | synthetic DIV2K + sharded loading | [`data`] (`dlsr-data`) |
 //! | simulated V100 (memory, cost model, CUDA IPC) | [`gpu`] (`dlsr-gpu`) |
 //! | NVLink / PCIe-staging / InfiniBand + reg cache | [`net`] (`dlsr-net`) |
@@ -80,7 +80,7 @@ pub mod prelude {
     pub use dlsr_gpu::{DeviceEnv, GpuSpec, KernelCostModel, WorkloadKind, WorkloadProfile};
     pub use dlsr_horovod::{broadcast_parameters, Backend, DistributedOptimizer, HorovodConfig};
     pub use dlsr_hvprof::{compare, render_table, Collective, Hvprof};
-    pub use dlsr_models::{Edsr, EdsrConfig, ResNet, ResNetConfig, SrResNet, Srcnn, Vdsr};
+    pub use dlsr_models::{Edsr, EdsrConfig, ResNetConfig};
     pub use dlsr_mpi::nccl::Nccl;
     pub use dlsr_mpi::{
         collectives, Allreduce, AllreduceAlgorithm, Comm, CommTuning, MpiConfig, MpiWorld, Payload,
@@ -88,7 +88,7 @@ pub mod prelude {
     };
     pub use dlsr_net::{ClusterTopology, RegistrationCache, TransportModel};
     pub use dlsr_nn::checkpoint::StateDict;
-    pub use dlsr_nn::loss::{cross_entropy, l1_loss, mse_loss};
+    pub use dlsr_nn::loss::{l1_loss, mse_loss};
     pub use dlsr_nn::metrics::{psnr, ssim};
     pub use dlsr_nn::module::{Module, ModuleExt};
     pub use dlsr_nn::optim::{Adam, Optimizer, Sgd};

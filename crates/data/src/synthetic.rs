@@ -41,16 +41,6 @@ impl Default for SyntheticImageSpec {
 }
 
 impl SyntheticImageSpec {
-    /// A "2K-class" image like DIV2K's (large, detailed). Heavy on CPU —
-    /// used only by harnesses that need realistic byte counts.
-    pub fn div2k_like() -> Self {
-        SyntheticImageSpec {
-            height: 1080,
-            width: 2048,
-            ..Default::default()
-        }
-    }
-
     /// Generate image `index` of a deterministic virtual collection seeded
     /// by `seed`. Pixels lie in `[0, 1]`, NCHW with N = 1.
     pub fn generate(&self, seed: u64, index: usize) -> Tensor {

@@ -42,7 +42,6 @@ pub mod device;
 pub mod ipc;
 pub mod memory;
 pub mod spec;
-pub mod stream;
 pub mod visibility;
 
 pub use cost::{KernelCostModel, StepCost, WorkloadKind, WorkloadProfile};
@@ -50,5 +49,4 @@ pub use device::{Gpu, GpuId};
 pub use ipc::{IpcError, IpcHandle, IpcRegistry};
 pub use memory::{MemoryError, MemoryTracker};
 pub use spec::GpuSpec;
-pub use stream::{Event, StreamId, StreamScheduler};
 pub use visibility::{DeviceEnv, VisibleDevices};

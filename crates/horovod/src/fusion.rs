@@ -1,8 +1,6 @@
 //! Tensor Fusion (§II-D steps 1–6): pack small gradient tensors into one
 //! fusion buffer so a single large allreduce replaces many small ones.
 
-use dlsr_attr as dlsr;
-
 /// A gradient tensor awaiting reduction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TensorSpec {
@@ -86,7 +84,7 @@ pub struct ScheduledGroup {
 /// backward pass has produced its gradient — approximated as the fraction
 /// of backward compute proportional to cumulative element count (gradient
 /// FLOPs scale with parameter volume for conv stacks).
-#[dlsr::deterministic]
+#[cfg_attr(any(), dlsr::deterministic)]
 pub fn readiness_from_elems(tensors: &[TensorSpec], bwd_duration: f64) -> Vec<f64> {
     let total: usize = tensors.iter().map(|t| t.elems).sum();
     let mut cum = 0usize;
@@ -127,7 +125,7 @@ pub struct ReadinessReconciliation {
 /// Reconcile the analytical readiness schedule against measured readiness.
 /// Inputs are offsets from the start of backward, one per tensor in
 /// reduction order; lengths must match.
-#[dlsr::deterministic]
+#[cfg_attr(any(), dlsr::deterministic)]
 pub fn reconcile_readiness(analytic: &[f64], measured: &[f64]) -> ReadinessReconciliation {
     assert_eq!(
         analytic.len(),

@@ -1,7 +1,6 @@
 //! The `DistributedOptimizer` wrapper and parameter broadcast — the two
 //! code changes that "Horovod-ize" a single-GPU model (§III-A).
 
-use dlsr_attr as dlsr;
 use dlsr_hvprof::{Collective, Hvprof};
 use dlsr_mpi::collectives::{bcast, wire, Allreduce, ReduceOp};
 use dlsr_mpi::nccl::Nccl;
@@ -253,7 +252,7 @@ impl<O: Optimizer> DistributedOptimizer<O> {
     /// the threshold moved, adopt the candidate's cycle time and selection
     /// thresholds, and stamp the step start. No-op unless `cfg.tune_comm`
     /// on a multi-rank world.
-    #[dlsr::deterministic]
+    #[cfg_attr(any(), dlsr::deterministic)]
     fn tune_begin(&mut self, comm: &mut Comm) {
         if !self.cfg.tune_comm || comm.size() <= 1 {
             return;
@@ -284,7 +283,7 @@ impl<O: Optimizer> DistributedOptimizer<O> {
     /// Max-allreduce (every rank must act on the same measurement) and
     /// feed the tuner. The agreement runs only while candidates are still
     /// being explored — a frozen tuner costs nothing per step.
-    #[dlsr::deterministic]
+    #[cfg_attr(any(), dlsr::deterministic)]
     fn tune_end(&mut self, comm: &mut Comm) {
         let Some(t) = self.tuner.as_mut() else {
             return;
@@ -325,7 +324,7 @@ impl<O: Optimizer> DistributedOptimizer<O> {
     /// [`DistributedOptimizer::step`]: the hook observes final gradient
     /// values, and both engines run every group through the same
     /// pack·reduce·unpack, only launching it at a different time.
-    #[dlsr::deterministic]
+    #[cfg_attr(any(), dlsr::deterministic)]
     pub fn backward_and_step(
         &mut self,
         model: &mut dyn Module,
@@ -426,7 +425,7 @@ impl<O: Optimizer> DistributedOptimizer<O> {
     /// One distributed training step: negotiate, then pack, allreduce and
     /// average every fusion group in plan order, then apply the wrapped
     /// optimizer. Call after `model.backward(...)`.
-    #[dlsr::deterministic]
+    #[cfg_attr(any(), dlsr::deterministic)]
     pub fn step(&mut self, model: &mut dyn Module, comm: &mut Comm) {
         if comm.size() > 1 {
             self.tune_begin(comm);
@@ -472,7 +471,7 @@ impl<O: Optimizer> DistributedOptimizer<O> {
     /// configured backend, average it into its range of `avg_flat` and
     /// charge the unpack. Both engines call this once per group, in plan
     /// order; they differ only in when a group launches.
-    #[dlsr::deterministic]
+    #[cfg_attr(any(), dlsr::deterministic)]
     fn exchange(&mut self, gi: usize, comm: &mut Comm) {
         let group = &self.groups[gi];
         let bytes = group.bytes;

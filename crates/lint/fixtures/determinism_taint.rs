@@ -1,15 +1,14 @@
 //~ crate: nn
 //~ expect: determinism-taint
-//! Seeded fixture: a `#[dlsr::deterministic]` root reaches a helper that
+//! Seeded fixture: a `#[cfg_attr(any(), dlsr::deterministic)]` root reaches a helper that
 //! builds a `HashMap`. dlsr-nn is not a rank-deterministic crate, so the
 //! file-local `hash-collections` rule stays silent — only the
 //! interprocedural taint rule can see that rank-visible state one call
 //! away now depends on process-random iteration order.
 
-use dlsr_attr as dlsr;
 use std::collections::HashMap;
 
-#[dlsr::deterministic]
+#[cfg_attr(any(), dlsr::deterministic)]
 pub fn apply_updates(names: &[String]) -> Vec<String> {
     let reg = registry(names);
     order_of(&reg)

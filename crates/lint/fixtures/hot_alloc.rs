@@ -1,12 +1,10 @@
 //~ crate: tensor
 //~ expect: hot-alloc
-//! Seeded fixture: allocating calls inside a `#[dlsr::hot]` function must
+//! Seeded fixture: allocating calls inside a `#[cfg_attr(any(), dlsr::hot)]` function must
 //! trip `hot-alloc`. The identical calls in the unannotated neighbour are
 //! fine — the rule scopes to annotated bodies only.
 
-use dlsr_attr as dlsr;
-
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 pub fn microkernel_like(dst: &mut [f32], a: &[f32], b: &[f32]) {
     let mut acc = Vec::new();
     acc.extend(vec![0.0f32; 4]);

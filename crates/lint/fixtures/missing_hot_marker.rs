@@ -1,6 +1,6 @@
 //~ crate: tensor
 //~ expect: hot-markers
-// A kernel-convention function in crates/tensor/src without `#[dlsr::hot]`:
+// A kernel-convention function in crates/tensor/src without `#[cfg_attr(any(), dlsr::hot)]`:
 // the hot-alloc rule would never scan its body, so the naming rule trips.
 
 fn pack_block_rows(dst: &mut [f32]) {

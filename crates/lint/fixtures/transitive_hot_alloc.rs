@@ -1,13 +1,11 @@
 //~ crate: tensor
 //~ expect: hot-alloc
-//! Seeded fixture: the allocation hides one call below the `#[dlsr::hot]`
+//! Seeded fixture: the allocation hides one call below the `#[cfg_attr(any(), dlsr::hot)]`
 //! kernel — `kernel -> stage -> scratch_vec -> Vec::new`. The transitive
 //! rule scans every fn reachable from a hot root, so laundering an
 //! allocation through a helper no longer passes.
 
-use dlsr_attr as dlsr;
-
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 pub fn microkernel_entry(dst: &mut [f32]) {
     stage(dst);
 }

@@ -1,7 +1,7 @@
 //~ crate: cluster
 //~ expect: wall-clock
 //! Seeded fixture: wall-clock reads in a fn that is not under any
-//! `#[dlsr::wall]` boundary must trip `wall-clock`. Pretends to live in
+//! `#[cfg_attr(any(), dlsr::wall)]` boundary must trip `wall-clock`. Pretends to live in
 //! dlsr-cluster, which is strictly virtual-time.
 
 use std::time::{Instant, SystemTime};

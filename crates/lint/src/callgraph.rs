@@ -216,12 +216,11 @@ pub struct FnDef {
 }
 
 impl FnDef {
-    /// Does the def carry the given `dlsr::<marker>` attribute?
+    /// Does the def carry `#[cfg_attr(any(), dlsr::<marker>)]`?
     pub fn has_marker(&self, marker: &str) -> bool {
-        self.attrs.iter().any(|a| {
-            a.strip_prefix("dlsr::").is_some_and(|m| m == marker)
-                || a.strip_prefix("dlsr_attr::").is_some_and(|m| m == marker)
-        })
+        self.attrs
+            .iter()
+            .any(|a| crate::rules::marker_of(a) == Some(marker))
     }
 
     /// Human-readable name for findings: `Type::name` or `name`.
@@ -678,7 +677,7 @@ mod tests {
         let g = graph_of(&[(
             "crates/a/src/lib.rs",
             "a",
-            "#[dlsr::hot]\nfn k() {}\n#[dlsr::wall]\nfn w() {}",
+            "#[cfg_attr(any(), dlsr::hot)]\nfn k() {}\n#[cfg_attr(any(), dlsr::wall)]\nfn w() {}",
         )]);
         assert!(g.defs[def(&g, "k")].has_marker("hot"));
         assert!(g.defs[def(&g, "w")].has_marker("wall"));

@@ -4,7 +4,7 @@
 //!
 //! - **`wall-clock`** (transitive): a wall-clock read (`Instant`,
 //!   `SystemTime`) may only happen in code that is unreachable from
-//!   non-wall entry points. `#[dlsr::wall]` marks a fn as a wall-domain
+//!   non-wall entry points. The `wall` marker makes a fn a wall-domain
 //!   boundary (trace epoch, the `tune_gemm` timing loop): reads
 //!   inside it are fine, and traversal never crosses into it. This
 //!   replaces PR 4's path allowlist — the allowlist is now an annotation
@@ -12,19 +12,19 @@
 //!   is covered automatically and a helper that leaks into rank code is
 //!   not.
 //! - **`hot-alloc`** (transitive): the allocation scan runs over every fn
-//!   reachable from a `#[dlsr::hot]` fn, not just the annotated body —
+//!   reachable from a `hot`-marked fn, not just the annotated body —
 //!   `gemm -> helper -> Vec::new` no longer passes silently.
 //! - **`determinism-taint`**: nondeterminism sources (`HashMap`/`HashSet`,
 //!   `thread::current`, `thread_rng`, rayon's `par_bridge`) reachable
 //!   from rank-deterministic roots: everything in
 //!   `crates/mpi/src/executor/` and `crates/mpi/src/collectives/`, every
-//!   `RankProgram`/`EventTask` impl, and every `#[dlsr::deterministic]`
+//!   `RankProgram`/`EventTask` impl, and every `deterministic`-marked
 //!   fn (the `DistributedOptimizer` launch path, the fusion/readiness
 //!   schedule, and the comm tuner's `tune_begin`/`tune_end` carry the
 //!   marker — the tuner's measurements must stay virtual-clock
 //!   Max-allreduce agreements, so a wall-clock read or hashed iteration
 //!   sneaking into its observe path is exactly what this rule exists to
-//!   catch; see `docs/WIRE.md`). `#[dlsr::wall]` fns are trusted
+//!   catch; see `docs/WIRE.md`). `wall`-marked fns are trusted
 //!   boundaries and are not entered. Waivable per call edge or per source
 //!   line.
 //! - **`collective-order`**: for every fn whose call closure contains a
@@ -166,7 +166,7 @@ fn rule_wall_clock(
 ) {
     // Entries: fns with no in-graph callers that are neither test code nor
     // wall-domain boundaries. Everything reachable from them without
-    // crossing a `#[dlsr::wall]` fn is "unprotected": it may run on a
+    // crossing a `wall`-marked fn is "unprotected": it may run on a
     // rank, so it must not read wall clocks.
     let roots: Vec<usize> = graph
         .defs
@@ -199,7 +199,7 @@ fn rule_wall_clock(
                 msg: format!(
                     "`{what}` read in `{}` outside the wall domain (reachable via {}); \
                      virtual time must come from the simulator clock, or mark the fn \
-                     `#[dlsr::wall]`",
+                     `#[cfg_attr(any(), dlsr::wall)]`",
                     d.display_name(),
                     chain(graph, &parent, i)
                 ),
@@ -243,14 +243,14 @@ fn rule_hot_alloc(
             }
             let msg = if parent[i].is_none() {
                 format!(
-                    "allocating call `{what}` inside `#[dlsr::hot]` fn `{}`; \
+                    "allocating call `{what}` inside `hot`-marked fn `{}`; \
                      hot paths must take scratch from the caller",
                     d.display_name()
                 )
             } else {
                 format!(
                     "allocating call `{what}` in `{}`, reachable from a \
-                     `#[dlsr::hot]` fn via {}; hot paths must take scratch \
+                     `hot`-marked fn via {}; hot paths must take scratch \
                      from the caller",
                     d.display_name(),
                     chain(graph, &parent, i)
@@ -300,7 +300,7 @@ fn rule_determinism_taint(
     let (reached, parent) = reach(
         graph,
         &roots,
-        // `#[dlsr::wall]` fns are trusted boundaries: the wall-clock rule
+        // `wall`-marked fns are trusted boundaries: the wall-clock rule
         // owns what happens inside them.
         &mut |d| !d.is_test && !d.has_marker("wall"),
         &mut |caller, _callee, line| {
@@ -673,8 +673,7 @@ mod tests {
             "crates/tensor/src/bin/b.rs",
             "tensor",
             "
-            use dlsr_attr as dlsr;
-            #[dlsr::wall]
+            #[cfg_attr(any(), dlsr::wall)]
             fn main() { let t0 = std::time::Instant::now(); timed(); }
             fn timed() { let t1 = std::time::Instant::now(); }
             ",
@@ -688,8 +687,7 @@ mod tests {
             "crates/tensor/src/bin/b.rs",
             "tensor",
             "
-            use dlsr_attr as dlsr;
-            #[dlsr::wall]
+            #[cfg_attr(any(), dlsr::wall)]
             fn main() { timed(); }
             fn timed() { let t1 = std::time::Instant::now(); }
             pub fn leaked_into_rank_code() { timed(); }
@@ -705,8 +703,7 @@ mod tests {
             "crates/tensor/src/x.rs",
             "tensor",
             "
-            use dlsr_attr as dlsr;
-            #[dlsr::hot]
+            #[cfg_attr(any(), dlsr::hot)]
             fn microkernel_x(dst: &mut [f32]) { helper(dst); }
             fn helper(dst: &mut [f32]) { let v: Vec<f32> = Vec::new(); }
             fn cold() -> Vec<f32> { Vec::new() }
@@ -722,8 +719,7 @@ mod tests {
             "crates/tensor/src/x.rs",
             "tensor",
             "
-            use dlsr_attr as dlsr;
-            #[dlsr::hot]
+            #[cfg_attr(any(), dlsr::hot)]
             fn microkernel_x(dst: &mut [f32]) {
                 // dlsr-lint: allow(hot-alloc) -- setup-only call, runs once per shape
                 helper(dst);

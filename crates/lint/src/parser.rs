@@ -32,7 +32,7 @@ pub struct Item {
     /// What the item is.
     pub kind: ItemKind,
     /// Outer attributes, rendered with all whitespace removed:
-    /// `dlsr::hot`, `cfg(test)`, `inline(always)`.
+    /// `cfg_attr(any(),dlsr::hot)`, `cfg(test)`, `inline(always)`.
     pub attrs: Vec<String>,
     /// Token index range `[start, end)` the item occupies.
     pub span: (usize, usize),
@@ -156,6 +156,40 @@ pub fn parse(lexed: &Lexed) -> Ast {
     };
     let items = p.items_until_close(false);
     Ast { items }
+}
+
+/// Render the attribute starting at token `pos` (`#[...]` or `#![...]`)
+/// with all whitespace removed (`cfg_attr(any(),dlsr::hot)`, `cfg(test)`),
+/// and return the index just past its closing `]`.
+pub fn render_attr(toks: &[Tok], mut pos: usize) -> (String, usize) {
+    let text = |p: usize| toks.get(p).map_or("", |t| t.text.as_str());
+    if text(pos) == "#" {
+        pos += 1;
+    }
+    if text(pos) == "!" {
+        pos += 1;
+    }
+    let mut out = String::new();
+    if text(pos) == "[" {
+        pos += 1;
+        let mut depth = 1usize;
+        while pos < toks.len() {
+            match text(pos) {
+                "[" => depth += 1,
+                "]" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        pos += 1;
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            out.push_str(text(pos));
+            pos += 1;
+        }
+    }
+    (out, pos)
 }
 
 struct Parser<'a> {
@@ -450,31 +484,11 @@ impl<'a> Parser<'a> {
         true
     }
 
-    /// Consume `#[...]` / `#![...]` and render its inside with all
-    /// whitespace removed (`dlsr::hot`, `cfg(test)`).
+    /// Consume `#[...]` / `#![...]` and render its inside (see
+    /// [`render_attr`]).
     fn parse_attr(&mut self) -> String {
-        self.eat("#");
-        self.eat("!");
-        let mut out = String::new();
-        if self.cur_text() == "[" {
-            self.bump();
-            let mut depth = 1usize;
-            while !self.at_end() && depth > 0 {
-                match self.cur_text() {
-                    "[" => depth += 1,
-                    "]" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            self.bump();
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                out.push_str(self.cur_text());
-                self.bump();
-            }
-        }
+        let (out, end) = render_attr(self.toks, self.pos);
+        self.pos = end;
         out
     }
 
@@ -1291,10 +1305,10 @@ mod tests {
 
     #[test]
     fn attrs_render_without_whitespace() {
-        let src = "#[dlsr::hot]\n#[inline(always)]\nfn k() {}";
+        let src = "#[cfg_attr(any(), dlsr::hot)]\n#[inline(always)]\nfn k() {}";
         let ast = parse_src(src);
         let attrs = &ast.items[0].attrs;
-        assert_eq!(attrs, &["dlsr::hot", "inline(always)"]);
+        assert_eq!(attrs, &["cfg_attr(any(),dlsr::hot)", "inline(always)"]);
     }
 
     #[test]

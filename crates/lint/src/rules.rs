@@ -1,7 +1,7 @@
 //! Findings, waivers, and the file-local lexical rules.
 //!
-//! Eight rules guard the simulator's load-bearing assumptions (see
-//! docs/CORRECTNESS.md for the full catalogue). Four are file-local and
+//! Nine rules guard the simulator's load-bearing assumptions (see
+//! docs/CORRECTNESS.md for the full catalogue). Five are file-local and
 //! live here:
 //!
 //! - `hash-collections` — no `HashMap` / `HashSet` in rank-deterministic
@@ -12,14 +12,19 @@
 //!   comment immediately above it (or trailing on the same line).
 //! - `hot-markers` — in `crates/tensor/src`, functions following the hot
 //!   kernel naming convention (`microkernel_*`, `pack_*`) must carry
-//!   `#[dlsr::hot]`, so the `hot-alloc` rule actually covers them.
+//!   `#[cfg_attr(any(), dlsr::hot)]`, so the `hot-alloc` rule actually
+//!   covers them.
+//! - `unknown-marker` — every attribute naming a `dlsr::` path must be one
+//!   of the three markers in their one spelling (see [`MARKERS`]). The
+//!   compiler never expands a marker, so it cannot catch a misspelled one;
+//!   this rule does.
 //! - `thread-spawn` — in the rank-execution crates (mpi, cluster), no
 //!   `thread::spawn` / `thread::scope` / `JoinHandle` outside the
 //!   sanctioned executor module (`crates/mpi/src/executor/`).
 //!
 //! The other four are interprocedural and live in [`flow`](crate::flow):
-//! `wall-clock` (transitive; `#[dlsr::wall]` marks the wall domain),
-//! `hot-alloc` (allocation reachable from a `#[dlsr::hot]` fn through the
+//! `wall-clock` (transitive; the `wall` marker bounds the wall domain),
+//! `hot-alloc` (allocation reachable from a `hot`-marked fn through the
 //! call graph), `determinism-taint` (nondeterminism sources reachable from
 //! rank-deterministic roots) and `collective-order` (statically
 //! rank-divergent collective sequences).
@@ -31,6 +36,7 @@
 //! rot as code moves.
 
 use crate::lexer::{Comment, Lexed, Tok, TokKind};
+use crate::parser::render_attr;
 
 /// One lint violation.
 #[derive(Debug, Clone)]
@@ -59,9 +65,10 @@ pub const RULE_HOT_MARKERS: &str = "hot-markers";
 pub const RULE_THREAD: &str = "thread-spawn";
 pub const RULE_TAINT: &str = "determinism-taint";
 pub const RULE_ORDER: &str = "collective-order";
+pub const RULE_MARKER: &str = "unknown-marker";
 pub const RULE_WAIVER: &str = "waiver";
 
-pub const ALL_RULES: [&str; 8] = [
+pub const ALL_RULES: [&str; 9] = [
     RULE_WALL_CLOCK,
     RULE_HASH,
     RULE_HOT_ALLOC,
@@ -70,13 +77,49 @@ pub const ALL_RULES: [&str; 8] = [
     RULE_THREAD,
     RULE_TAINT,
     RULE_ORDER,
+    RULE_MARKER,
 ];
 
 /// Crates whose code runs identically on every rank; hash-order
 /// nondeterminism there can diverge schedules.
 pub const RANK_DETERMINISTIC_CRATES: [&str; 4] = ["mpi", "horovod", "cluster", "faults"];
 
-/// Identifiers banned inside (and transitively below) `#[dlsr::hot]`
+/// The lint markers. Each is written `#[cfg_attr(any(), dlsr::<marker>)]`:
+/// `any()` is always false, so the compiler drops the attribute without
+/// resolving its path, and the lint reads it from the source.
+///
+/// - `hot`: steady-state hot code; no allocating call may be reachable
+///   from its body (`hot-alloc`). Scratch comes in from the caller.
+/// - `wall`: a wall-clock domain boundary; `Instant`/`SystemTime` reads
+///   are legitimate inside it and below it (`wall-clock`).
+/// - `deterministic`: a rank-determinism root; no nondeterminism source
+///   may be reachable from it (`determinism-taint`) and its collective
+///   sequence is checked for rank divergence (`collective-order`).
+pub const MARKERS: [&str; 3] = ["hot", "wall", "deterministic"];
+
+/// The marker named by a rendered (whitespace-free) attribute in the one
+/// accepted spelling, `cfg_attr(any(),dlsr::<marker>)`, known or not.
+pub fn marker_of(attr: &str) -> Option<&str> {
+    attr.strip_prefix("cfg_attr(any(),dlsr::")?
+        .strip_suffix(')')
+}
+
+/// Every attribute (`#[...]` or `#![...]`) in a token stream: the line
+/// of its `#`, its rendering (see [`render_attr`]) and the index just
+/// past its `]`.
+fn attrs(toks: &[Tok]) -> impl Iterator<Item = (usize, String, usize)> + '_ {
+    let text = |p: usize| toks.get(p).map_or("", |t| t.text.as_str());
+    (0..toks.len())
+        .filter(move |&i| {
+            text(i) == "#" && (text(i + 1) == "[" || text(i + 1) == "!" && text(i + 2) == "[")
+        })
+        .map(|i| {
+            let (attr, end) = render_attr(toks, i);
+            (toks[i].line, attr, end)
+        })
+}
+
+/// Identifiers banned inside (and transitively below) `hot`-marked
 /// bodies regardless of receiver.
 pub const HOT_BANNED_IDENTS: [&str; 6] = [
     "to_vec",
@@ -276,6 +319,7 @@ pub fn local_rules(
     rule_undocumented_unsafe(path, lexed, token_lines, waived, findings);
     rule_hot_markers(path, lexed, waived, findings);
     rule_thread_spawn(path, crate_name, lexed, waived, findings);
+    rule_unknown_marker(path, lexed, waived, findings);
 }
 
 fn rule_hash_collections(
@@ -307,15 +351,9 @@ fn rule_hash_collections(
     }
 }
 
-/// Does the token sequence at `i` spell `# [ dlsr :: hot ]`?
-pub fn is_hot_attr(toks: &[Tok], i: usize) -> bool {
-    let want = ["#", "[", "dlsr", ":", ":", "hot", "]"];
-    toks.len() >= i + want.len() && want.iter().enumerate().all(|(k, w)| toks[i + k].text == *w)
-}
-
 /// `hot-markers`: inside `crates/tensor/src`, any fn whose name follows
-/// the kernel naming convention must be annotated `#[dlsr::hot]` —
-/// otherwise the `hot-alloc` scan never sees its body.
+/// the kernel naming convention must carry the `hot` marker — otherwise
+/// the `hot-alloc` scan never sees its body.
 fn rule_hot_markers(
     path: &str,
     lexed: &Lexed,
@@ -326,15 +364,14 @@ fn rule_hot_markers(
         return;
     }
     let toks = &lexed.toks;
-    // Indices of `fn` keywords reached by walking forward from a
-    // `#[dlsr::hot]` attribute (skipping any further attributes and
-    // qualifier keywords in between).
+    // Indices of `fn` keywords reached by walking forward from a `hot`
+    // marker (skipping any further attributes and qualifier keywords in
+    // between).
     let mut hot_fns = Vec::new();
-    for i in 0..toks.len() {
-        if !is_hot_attr(toks, i) {
+    for (_, attr, mut j) in attrs(toks) {
+        if marker_of(&attr) != Some("hot") {
             continue;
         }
-        let mut j = i + 7;
         while j < toks.len() && toks[j].text != "fn" {
             if toks[j].text == ";" || toks[j].text == "}" {
                 break;
@@ -366,11 +403,46 @@ fn rule_hot_markers(
             line: name.line,
             rule: RULE_HOT_MARKERS,
             msg: format!(
-                "kernel-convention fn `{}` lacks `#[dlsr::hot]`; unmarked kernels \
-                 escape the hot-alloc scan",
+                "kernel-convention fn `{}` lacks `#[cfg_attr(any(), dlsr::hot)]`; \
+                 unmarked kernels escape the hot-alloc scan",
                 name.text
             ),
         });
+    }
+}
+
+/// `unknown-marker`: an attribute naming a `dlsr::` path must be one of
+/// [`MARKERS`] in the `cfg_attr(any(), …)` spelling. A misspelled marker
+/// compiles (the compiler never expands it) but no rule would see it, and
+/// the bare `#[dlsr::…]` form needs a proc-macro crate the workspace no
+/// longer has.
+fn rule_unknown_marker(
+    path: &str,
+    lexed: &Lexed,
+    waived: &mut dyn FnMut(&str, usize) -> bool,
+    findings: &mut Vec<Finding>,
+) {
+    for (line, attr, _) in attrs(&lexed.toks) {
+        let msg = match marker_of(&attr) {
+            _ if attr.starts_with("dlsr::") => format!(
+                "`#[{attr}]` is the retired proc-macro spelling; write \
+                 `#[cfg_attr(any(), {attr})]`"
+            ),
+            Some(m) if MARKERS.contains(&m) => continue,
+            _ if !attr.contains("dlsr::") => continue,
+            _ => format!(
+                "`#[{attr}]` is not a lint marker; the markers are \
+                 `#[cfg_attr(any(), dlsr::{{hot,wall,deterministic}})]`"
+            ),
+        };
+        if !waived(RULE_MARKER, line) {
+            findings.push(Finding {
+                path: path.to_string(),
+                line,
+                rule: RULE_MARKER,
+                msg,
+            });
+        }
     }
 }
 
@@ -567,16 +639,50 @@ mod tests {
         // outside crates/tensor/src the convention is not enforced
         assert!(run("crates/core/src/x.rs", "core", src).is_empty());
 
-        let marked = "#[dlsr::hot]\nfn microkernel_scalar(acc: &mut [f32]) {}";
+        let marked = "#[cfg_attr(any(), dlsr::hot)]\nfn microkernel_scalar(acc: &mut [f32]) {}";
         assert!(run("crates/tensor/src/x.rs", "tensor", marked).is_empty());
 
-        // other attributes between #[dlsr::hot] and the fn are tolerated
-        let stacked = "#[dlsr::hot]\n#[inline]\nfn pack_a(dst: &mut [f32]) {}";
+        // other attributes between the marker and the fn are tolerated
+        let stacked = "#[cfg_attr(any(), dlsr::hot)]\n#[inline]\nfn pack_a(dst: &mut [f32]) {}";
         assert!(run("crates/tensor/src/x.rs", "tensor", stacked).is_empty());
 
         let waivered = "// dlsr-lint: allow(hot-markers) -- setup-only packer\n\
                         fn pack_setup_table(dst: &mut [f32]) {}";
         assert!(run("crates/tensor/src/x.rs", "tensor", waivered).is_empty());
+    }
+
+    #[test]
+    fn markers_have_one_spelling() {
+        for good in [
+            "#[cfg_attr(any(), dlsr::hot)]\nfn f() {}",
+            "#[cfg_attr(any(), dlsr::wall)]\nfn f() {}",
+            "#[cfg_attr(any(), dlsr::deterministic)]\nfn f() {}",
+            "#[cfg_attr(test, derive(Debug))]\nstruct S;",
+            "#![allow(unsafe_code)]",
+        ] {
+            assert!(
+                run("crates/core/src/x.rs", "core", good).is_empty(),
+                "{good}"
+            );
+        }
+        for bad in [
+            "#[cfg_attr(any(), dlsr::hto)]\nfn f() {}",
+            "#[cfg_attr(test, dlsr::hot)]\nfn f() {}",
+            "#[dlsr::hot]\nfn f() {}",
+            "#[dlsr::wall]\nfn f() {}",
+        ] {
+            let f = run("crates/core/src/x.rs", "core", bad);
+            assert_eq!(f.len(), 1, "{bad}: {f:?}");
+            assert_eq!(f[0].rule, RULE_MARKER);
+        }
+        assert!(
+            run("crates/core/src/x.rs", "core", "#[dlsr::hot]\nfn f() {}")[0]
+                .msg
+                .contains("retired")
+        );
+        // a marker mentioned in a comment or string is not an attribute
+        let prose = "// write #[dlsr::hot] here\nconst S: &str = \"#[dlsr::hto]\";";
+        assert!(run("crates/core/src/x.rs", "core", prose).is_empty());
     }
 
     #[test]

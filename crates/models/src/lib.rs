@@ -1,11 +1,10 @@
-//! `dlsr-models` — the model zoo of the workspace.
+//! `dlsr-models` — the models of the workspace.
 //!
 //! - [`edsr`]: the paper's training target (Enhanced Deep Super-Resolution,
-//!   Lim et al. 2017), configurable in depth/width/scale,
-//! - [`srcnn`]: the early CNN-based SR baseline (§II-E),
-//! - [`vdsr`]: the deep residual-over-bicubic network between them,
-//! - [`srresnet`]: the BN-carrying predecessor EDSR simplifies (Fig 5a),
-//! - [`resnet`]: ResNet-50, the image-classification comparator of Fig 1,
+//!   Lim et al. 2017), configurable in depth/width/scale — the one
+//!   executable model,
+//! - [`resnet`]: the configuration of ResNet-50, the image-classification
+//!   comparator of Fig 1 (closed-form only),
 //! - [`profile`]: closed-form parameter/FLOP/activation accounting that
 //!   drives the simulated-GPU cost model without instantiating full-size
 //!   models.
@@ -14,16 +13,10 @@
 pub mod edsr;
 pub mod profile;
 pub mod resnet;
-pub mod srcnn;
-pub mod srresnet;
-pub mod vdsr;
 
 pub use edsr::{Edsr, EdsrConfig};
 pub use profile::ModelProfile;
-pub use resnet::{ResNet, ResNetConfig};
-pub use srcnn::Srcnn;
-pub use srresnet::SrResNet;
-pub use vdsr::Vdsr;
+pub use resnet::ResNetConfig;
 
 /// DIV2K RGB channel means (images in `[0,1]`) used by EDSR MeanShift.
 pub const DIV2K_RGB_MEANS: [f32; 3] = [0.4488, 0.4371, 0.4040];

@@ -103,14 +103,6 @@ impl Payload {
         }
     }
 
-    /// Unwrap a synthetic payload's size.
-    pub fn into_synthetic(self) -> u64 {
-        match self {
-            Payload::Synthetic { bytes } => bytes,
-            other => other.mismatch("Synthetic"),
-        }
-    }
-
     /// The panic of a failed unwrap: kind and size only — a gradient
     /// payload's contents would be millions of numbers in the message.
     #[cold]

@@ -95,11 +95,6 @@ impl RegistrationCache {
         c
     }
 
-    /// Whether caching is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Look up a buffer; registers it on miss (evicting LRU entries as
     /// needed). Returns `true` on hit (no pin cost), `false` on miss (the
     /// caller charges the pin cost).

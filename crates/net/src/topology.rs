@@ -25,16 +25,6 @@ impl ClusterTopology {
         }
     }
 
-    /// Longhorn (TACC): 96 nodes × 4 V100.
-    pub fn longhorn(nodes: usize) -> Self {
-        assert!(nodes <= 96, "Longhorn has 96 nodes");
-        ClusterTopology {
-            name: "Longhorn".into(),
-            nodes,
-            gpus_per_node: 4,
-        }
-    }
-
     /// Total GPU count.
     pub fn total_gpus(&self) -> usize {
         self.nodes * self.gpus_per_node

@@ -71,11 +71,6 @@ impl Conv2d {
         }
     }
 
-    /// The convolution hyper-parameters.
-    pub fn conv_params(&self) -> Conv2dParams {
-        self.conv
-    }
-
     /// Layer name as passed to the constructor (parameters are named
     /// `{layer}.weight` / `{layer}.bias`).
     fn layer_name(&self) -> &str {
@@ -83,11 +78,6 @@ impl Conv2d {
             .name
             .strip_suffix(".weight")
             .unwrap_or(&self.weight.name)
-    }
-
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.weight.value.shape().dim(0)
     }
 
     /// Forward pass with `act` fused into the convolution epilogue. The

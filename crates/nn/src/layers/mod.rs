@@ -1,21 +1,17 @@
 //! Layer zoo.
 
 mod activation;
-mod batchnorm;
 mod conv;
 mod linear;
 mod meanshift;
-mod pool;
 mod resblock;
 mod scale;
 mod shuffle;
 
 pub use activation::ReLU;
-pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use linear::Linear;
 pub use meanshift::MeanShift;
-pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use resblock::ResBlock;
 pub use scale::Scale;
 pub use shuffle::PixelShuffle;

@@ -11,9 +11,9 @@
 //! Contents:
 //! - [`param`]: named trainable parameters with gradient buffers,
 //! - [`module`]: the [`Module`] trait, [`Sequential`] containers,
-//! - [`layers`]: Conv2d, Linear, ReLU, BatchNorm2d, PixelShuffle, MeanShift,
-//!   pooling and the EDSR residual block,
-//! - [`loss`]: L1 / MSE / cross-entropy losses with gradients,
+//! - [`layers`]: Conv2d, Linear, ReLU, PixelShuffle, MeanShift, Scale and
+//!   the EDSR residual block,
+//! - [`loss`]: L1 / MSE losses with gradients,
 //! - [`optim`]: SGD (momentum) and Adam, operating over parameter visitors,
 //! - [`schedule`]: learning-rate schedules (EDSR step decay, warmup),
 //! - [`checkpoint`]: named state dicts with file round-trips,

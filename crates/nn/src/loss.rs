@@ -1,7 +1,7 @@
 //! Loss functions. Each returns `(loss_value, grad_wrt_prediction)` so the
 //! training loop can seed backpropagation directly.
 
-use dlsr_tensor::{reduce, Result, Tensor, TensorError};
+use dlsr_tensor::{Result, Tensor, TensorError};
 
 /// Mean absolute error — the loss EDSR trains with (L1 gives sharper SR
 /// results than L2; see the EDSR paper).
@@ -30,37 +30,6 @@ pub fn mse_loss(pred: &Tensor, target: &Tensor) -> Result<(f32, Tensor)> {
         *g = 2.0 * d / n;
     }
     Ok((loss / n, grad))
-}
-
-/// Softmax cross-entropy over rows of `logits: [N, classes]` against integer
-/// labels. Used by the ResNet-50 comparator.
-pub fn cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<(f32, Tensor)> {
-    let (n, classes) = logits.shape().as_2d()?;
-    if labels.len() != n {
-        return Err(TensorError::InvalidArgument(format!(
-            "cross_entropy: {} labels for {} rows",
-            labels.len(),
-            n
-        )));
-    }
-    let log_p = reduce::log_softmax_rows(logits)?;
-    let mut loss = 0.0f32;
-    let mut grad = log_p.clone();
-    for (r, &label) in labels.iter().enumerate() {
-        if label >= classes {
-            return Err(TensorError::InvalidArgument(format!(
-                "label {label} out of range for {classes} classes"
-            )));
-        }
-        loss -= log_p.data()[r * classes + label];
-        let row = &mut grad.data_mut()[r * classes..(r + 1) * classes];
-        // d/dlogits = softmax − one_hot, averaged over batch
-        for (j, g) in row.iter_mut().enumerate() {
-            let p = g.exp();
-            *g = (p - if j == label { 1.0 } else { 0.0 }) / n as f32;
-        }
-    }
-    Ok((loss / n as f32, grad))
 }
 
 fn check(pred: &Tensor, target: &Tensor, context: &'static str) -> Result<()> {
@@ -101,39 +70,5 @@ mod tests {
         let t = Tensor::from_vec([3], vec![1.0, 2.0, 3.0]).unwrap();
         assert_eq!(l1_loss(&t, &t).unwrap().0, 0.0);
         assert_eq!(mse_loss(&t, &t).unwrap().0, 0.0);
-    }
-
-    #[test]
-    fn cross_entropy_prefers_correct_class() {
-        let good = Tensor::from_vec([1, 3], vec![10.0, 0.0, 0.0]).unwrap();
-        let bad = Tensor::from_vec([1, 3], vec![0.0, 10.0, 0.0]).unwrap();
-        let (lg, _) = cross_entropy(&good, &[0]).unwrap();
-        let (lb, _) = cross_entropy(&bad, &[0]).unwrap();
-        assert!(lg < lb);
-    }
-
-    #[test]
-    fn cross_entropy_grad_matches_finite_differences() {
-        let logits = Tensor::from_vec([2, 3], vec![0.5, -0.3, 0.1, 1.0, 0.2, -0.7]).unwrap();
-        let labels = [2usize, 0];
-        let (_, g) = cross_entropy(&logits, &labels).unwrap();
-        let eps = 1e-3f32;
-        for idx in 0..6 {
-            let mut lp = logits.clone();
-            lp.data_mut()[idx] += eps;
-            let mut lm = logits.clone();
-            lm.data_mut()[idx] -= eps;
-            let fd = (cross_entropy(&lp, &labels).unwrap().0
-                - cross_entropy(&lm, &labels).unwrap().0)
-                / (2.0 * eps);
-            assert!((g.data()[idx] - fd).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn out_of_range_label_is_error() {
-        let logits = Tensor::zeros([1, 3]);
-        assert!(cross_entropy(&logits, &[3]).is_err());
-        assert!(cross_entropy(&logits, &[0, 1]).is_err());
     }
 }

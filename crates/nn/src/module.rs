@@ -141,12 +141,6 @@ impl Sequential {
         self
     }
 
-    /// Append a boxed module.
-    pub fn push_boxed(mut self, m: Box<dyn Module>) -> Self {
-        self.mods.push(m);
-        self
-    }
-
     /// Number of children.
     pub fn len(&self) -> usize {
         self.mods.len()

@@ -56,13 +56,6 @@ impl Param {
     }
 }
 
-/// Visitor over the mutable parameters of a module tree.
-///
-/// Optimizers, gradient synchronization and state-dict extraction all walk
-/// parameters through this; the traversal order is deterministic and
-/// identical on every rank.
-pub type ParamVisitor<'a> = dyn FnMut(&mut Param) + 'a;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,14 +17,13 @@
 #![forbid(unsafe_code)]
 use std::time::Instant;
 
-use dlsr_attr as dlsr;
 use dlsr_tensor::matmul::{self, BSrc, Epilogue};
 use dlsr_tensor::tune::{self, Blueprint};
 use dlsr_tensor::{init, scratch};
 
 const REPS: usize = 3;
 
-#[dlsr::wall]
+#[cfg_attr(any(), dlsr::wall)]
 fn time_candidate(bp: &Blueprint, m: usize, k: usize, n: usize) -> f64 {
     let a = init::uniform([m, k], -1.0, 1.0, 5);
     let b = init::uniform([k, n], -1.0, 1.0, 6);

@@ -55,7 +55,6 @@
 //! accuracy contract. Precision is a per-call value, so an f32 and a bf16
 //! conv may run at once on different threads.
 
-use dlsr_attr as dlsr;
 use rayon::prelude::*;
 
 use crate::matmul::{self, BSrc, Epilogue, Im2colView, TapMajorView};
@@ -192,7 +191,7 @@ impl PackedA {
 /// range that lands inside the image is clamped once per `(ky, kx)`, so the
 /// inner loop is a branch-free add of one contiguous column-matrix run onto
 /// one image row.
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn col2im(
     col: &[f32],
     (c_in, h, w): (usize, usize, usize),
@@ -273,7 +272,7 @@ fn padded_extents((h_out, w_out): (usize, usize), (kh, kw): (usize, usize)) -> (
 /// `pad` rows/columns in, and zero the border around it (the interior is
 /// written once, never zeroed first). `ph`/`pw` may exceed `h`/`w` by more
 /// than `2·pad`: the slack joins the bottom/right border.
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn pad_image(
     img: &[f32],
     (c_in, h, w): (usize, usize, usize),
@@ -299,7 +298,7 @@ fn pad_image(
 /// Channels-last twin of [`pad_image`]: `img` (`[c_in, h, w]`) into the
 /// `[ph, pw, c_in]` buffer `xt`, `pad` pixels in, border zeroed — the copy
 /// a [`matmul::TapMajorView`] reads.
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn pad_image_channels_last(
     img: &[f32],
     (c_in, h, w): (usize, usize, usize),
@@ -328,7 +327,7 @@ fn pad_image_channels_last(
 /// columns follow its B operand ([`matmul::TapMajorView`]), the weight
 /// tensor's do not. One add per element, so summing per-image gradients
 /// through it in ascending image order is the plain elementwise reduction.
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn add_tap_major(src: &[f32], (c_in, kh, kw): (usize, usize, usize), dst: &mut [f32]) {
     let (k, khw) = (c_in * kh * kw, kh * kw);
     for (d, s) in dst.chunks_exact_mut(k).zip(src.chunks_exact(k)) {
@@ -351,7 +350,7 @@ fn add_tap_major(src: &[f32], (c_in, kh, kw): (usize, usize, usize), dst: &mut [
 /// at the first `kc` boundary and added at every later one, padding taps
 /// multiplied as zeros rather than skipped, then the epilogue.
 #[allow(clippy::too_many_arguments)]
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn direct_forward<const CO: usize>(
     padded: &[f32],
     (c_in, ph, pw): (usize, usize, usize),
@@ -422,7 +421,7 @@ fn direct_forward<const CO: usize>(
 /// boundaries, where the partial sum is stored, then added), and the runs
 /// land in `col2im`'s `(c, ky, kx, oy, ox)` order.
 #[allow(clippy::too_many_arguments)]
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn direct_input_grad<const CO: usize>(
     grad_out: &[f32],
     weight: &[f32],

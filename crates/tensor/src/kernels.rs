@@ -42,8 +42,6 @@
 // exception, audited by the Miri CI job and the bitwise oracle tests.
 #![allow(unsafe_code)]
 
-use dlsr_attr as dlsr;
-
 /// Widest tile height any kernel uses; sizes stack accumulators.
 pub const MAX_MR: usize = 16;
 /// Widest tile width any kernel uses; sizes stack accumulators.
@@ -189,7 +187,7 @@ impl KernelId {
 /// [`KernelId::Scalar`] the geometry comes from `mr`/`nr`, for SIMD
 /// kernels `mr`/`nr` must equal the kernel's fixed geometry.
 #[inline]
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 pub(crate) fn run_tile(
     kernel: KernelId,
     apan: &[f32],
@@ -226,7 +224,7 @@ pub(crate) fn run_tile(
 
 /// Portable oracle kernel: the exact per-element FMA chain every SIMD
 /// kernel reproduces. Geometry-free — `mr`/`nr` are runtime values.
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn microkernel_scalar(
     apan: &[f32],
     bpan: &[f32],
@@ -257,7 +255,7 @@ fn microkernel_scalar(
 macro_rules! avx2_kernel {
     ($name:ident, $mr:expr) => {
         #[target_feature(enable = "avx2,fma")]
-        #[dlsr::hot]
+        #[cfg_attr(any(), dlsr::hot)]
         // SAFETY: callers must ensure the CPU supports AVX2+FMA (checked
         // by `run_tile` via `executes_as()`); panel/acc length
         // preconditions are debug-asserted below.
@@ -304,7 +302,7 @@ macro_rules! avx2_kernel {
 macro_rules! avx512_kernel {
     ($name:ident, $mr:expr) => {
         #[target_feature(enable = "avx512f")]
-        #[dlsr::hot]
+        #[cfg_attr(any(), dlsr::hot)]
         // SAFETY: callers must ensure the CPU supports AVX-512F (checked
         // by `run_tile` via `executes_as()`); panel/acc length
         // preconditions are debug-asserted below.
@@ -377,7 +375,7 @@ pub fn bf16_to_f32(h: u16) -> f32 {
 /// bf16 tile kernel: panels hold bf16, accumulators are f32. Dispatches
 /// to an AVX2 widening kernel for the 6×16 geometry, scalar otherwise.
 #[inline]
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 pub(crate) fn run_tile_bf16(
     kernel: KernelId,
     apan: &[u16],
@@ -399,7 +397,7 @@ pub(crate) fn run_tile_bf16(
     microkernel_bf16_scalar(apan, bpan, kc, mr, nr, acc);
 }
 
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn microkernel_bf16_scalar(
     apan: &[u16],
     bpan: &[u16],
@@ -424,7 +422,7 @@ fn microkernel_bf16_scalar(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 // SAFETY: callers must ensure the CPU supports AVX2+FMA (checked by
 // `run_tile_bf16` via `executes_as()`); panel/acc length preconditions
 // are debug-asserted below.

@@ -1,9 +1,9 @@
 //! `dlsr-tensor` — a small, rayon-parallel NCHW `f32` tensor library.
 //!
 //! This crate is the numerical substrate of the `dlsr` workspace: it provides
-//! the dense-tensor kernels (convolution, GEMM, pooling, pixel-shuffle,
-//! bicubic resampling, reductions, elementwise algebra) on which the autograd
-//! layer (`dlsr-nn`) and the model zoo (`dlsr-models`) are built.
+//! the dense-tensor kernels (convolution, GEMM, pixel-shuffle, bicubic
+//! resampling, reductions, elementwise algebra) on which the autograd layer
+//! (`dlsr-nn`) and the models (`dlsr-models`) are built.
 //!
 //! Design notes:
 //! - Tensors are **contiguous, row-major** (`NCHW` for 4-D image tensors).
@@ -32,7 +32,6 @@ pub mod init;
 pub mod io;
 pub mod kernels;
 pub mod matmul;
-pub mod pool;
 pub mod reduce;
 pub mod resize;
 pub mod scratch;

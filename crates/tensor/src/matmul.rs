@@ -37,7 +37,6 @@
 //! in the tests pin both halves of the contract; `docs/KERNELS.md` states it
 //! end to end (tune cache included).
 
-use dlsr_attr as dlsr;
 use rayon::prelude::*;
 
 use crate::kernels::{self, KernelId, MAX_NR};
@@ -93,7 +92,7 @@ pub(crate) trait Elem: Copy + Send + Sync + 'static {
     fn take_scratch(len: usize) -> Self::Buf;
     fn pack(x: f32) -> Self;
     /// Pack a contiguous run: `dst[i] = pack(src[i])`, equal lengths.
-    #[dlsr::hot]
+    #[cfg_attr(any(), dlsr::hot)]
     fn pack_run(dst: &mut [Self], src: &[f32]);
     /// One microkernel tile: `acc = Apanel · Bpanel` (see [`kernels`]).
     fn tile(
@@ -119,7 +118,7 @@ impl Elem for f32 {
     }
 
     #[inline]
-    #[dlsr::hot]
+    #[cfg_attr(any(), dlsr::hot)]
     fn pack_run(dst: &mut [f32], src: &[f32]) {
         dst.copy_from_slice(src);
     }
@@ -150,7 +149,7 @@ impl Elem for u16 {
     }
 
     #[inline]
-    #[dlsr::hot]
+    #[cfg_attr(any(), dlsr::hot)]
     fn pack_run(dst: &mut [u16], src: &[f32]) {
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = kernels::f32_to_bf16(s);
@@ -312,25 +311,25 @@ pub fn packed_a_len(bp: &Blueprint, m: usize, k: usize) -> usize {
 /// Pack row-major `a[m×k]` into `bp.mr`-row panels in `bp.kc`-deep blocks
 /// (layout `[kb][panel][p][i]`). Rows past `m` in the final panel are
 /// zero-filled so the microkernel runs without remainder branches.
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 pub fn pack_a(bp: &Blueprint, a: &[f32], m: usize, k: usize, out: &mut [f32]) {
     pack_a_impl::<f32>(bp, a, m, k, false, out);
 }
 
 /// Pack `a` holding `Aᵀ` row-major (`a[k×m]`, so `A[i,p] = a[p·m + i]`)
 /// into the same panel layout as [`pack_a`].
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 pub fn pack_a_transposed(bp: &Blueprint, a: &[f32], m: usize, k: usize, out: &mut [f32]) {
     pack_a_impl::<f32>(bp, a, m, k, true, out);
 }
 
 /// bf16 twin of [`pack_a`] / [`pack_a_transposed`].
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 pub fn pack_a_bf16(bp: &Blueprint, a: &[f32], m: usize, k: usize, trans: bool, out: &mut [u16]) {
     pack_a_impl::<u16>(bp, a, m, k, trans, out);
 }
 
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn pack_a_impl<E: Elem>(bp: &Blueprint, a: &[f32], m: usize, k: usize, trans: bool, out: &mut [E]) {
     assert_eq!(a.len(), m * k);
     assert_eq!(out.len(), packed_a_len(bp, m, k));
@@ -365,7 +364,7 @@ fn pack_a_impl<E: Elem>(bp: &Blueprint, a: &[f32], m: usize, k: usize, trans: bo
 /// `ncb` columns starting at `jc`) into `nr`-column panels
 /// (`dst[jp][p][j]`, length `ncb·kc`). Columns past `n` are zero-filled.
 #[allow(clippy::too_many_arguments)]
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn pack_b_block<E: Elem>(
     bp: &Blueprint,
     src: BSrc<'_>,
@@ -391,7 +390,7 @@ fn pack_b_block<E: Elem>(
 }
 
 #[allow(clippy::too_many_arguments)]
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn pack_block_rows<E: Elem>(
     nr: usize,
     b: &[f32],
@@ -418,7 +417,7 @@ fn pack_block_rows<E: Elem>(
 }
 
 #[allow(clippy::too_many_arguments)]
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn pack_block_cols<E: Elem>(
     nr: usize,
     b: &[f32],
@@ -456,7 +455,7 @@ fn pack_block_cols<E: Elem>(
 /// once; each patch row is then one [`Elem::pack_run`] per segment at
 /// `c·plane + ky·pitch + kx`, with no bounds test and no clamping.
 #[allow(clippy::too_many_arguments)]
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn pack_block_im2col<E: Elem>(
     nr: usize,
     v: &Im2colView<'_>,
@@ -512,7 +511,7 @@ fn pack_block_im2col<E: Elem>(
 /// gathered. The per-panel spatial bases are hoisted to stack arrays; the
 /// inner loop is an add, two bounds tests and one image load.
 #[allow(clippy::too_many_arguments)]
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn pack_block_im2col_gather<E: Elem>(
     nr: usize,
     v: &Im2colView<'_>,
@@ -571,7 +570,7 @@ fn pack_block_im2col_gather<E: Elem>(
 /// length)` is computed once per panel; each row then only adds its
 /// pixel's base offset, walked by counting `(oy, ox)` up.
 #[allow(clippy::too_many_arguments)]
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn pack_block_tap_major<E: Elem>(
     nr: usize,
     v: &TapMajorView<'_>,
@@ -620,7 +619,7 @@ fn pack_block_tap_major<E: Elem>(
 /// with stride `nr`.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn store_tile(
     acc: &[f32],
     nr: usize,
@@ -652,7 +651,7 @@ fn store_tile(
 /// (row panel × column panel) tile it covers and store the partial sums.
 /// `c` holds the row range starting at global panel `row_panel0`.
 #[allow(clippy::too_many_arguments)]
-#[dlsr::hot]
+#[cfg_attr(any(), dlsr::hot)]
 fn compute_block<E: Elem>(
     kernel: KernelId,
     bp: &Blueprint,

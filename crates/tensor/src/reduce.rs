@@ -1,6 +1,6 @@
 //! Reductions.
 
-use crate::{Result, Tensor, TensorError};
+use crate::Tensor;
 
 /// Sum of all elements.
 pub fn sum(t: &Tensor) -> f32 {
@@ -33,39 +33,6 @@ pub fn mean_sq(t: &Tensor) -> f32 {
     t.data().iter().map(|x| x * x).sum::<f32>() / t.numel() as f32
 }
 
-/// Row-wise argmax of a 2-D tensor (per-sample predicted class).
-pub fn argmax_rows(t: &Tensor) -> Result<Vec<usize>> {
-    let (rows, cols) = t.shape().as_2d()?;
-    if cols == 0 {
-        return Err(TensorError::InvalidArgument(
-            "argmax over zero columns".into(),
-        ));
-    }
-    Ok((0..rows)
-        .map(|r| {
-            let row = &t.data()[r * cols..(r + 1) * cols];
-            row.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN in logits"))
-                .map(|(i, _)| i)
-                .expect("non-empty row")
-        })
-        .collect())
-}
-
-/// Numerically-stable log-softmax over the last axis of a 2-D tensor.
-pub fn log_softmax_rows(t: &Tensor) -> Result<Tensor> {
-    let (rows, cols) = t.shape().as_2d()?;
-    let mut out = t.clone();
-    for r in 0..rows {
-        let row = &mut out.data_mut()[r * cols..(r + 1) * cols];
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let lse = m + row.iter().map(|x| (x - m).exp()).sum::<f32>().ln();
-        row.iter_mut().for_each(|x| *x -= lse);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,28 +49,5 @@ mod tests {
         assert_eq!(max(&x), 3.0);
         assert_eq!(min(&x), -4.0);
         assert_eq!(mean_sq(&x), (1.0 + 4.0 + 9.0 + 16.0) / 4.0);
-    }
-
-    #[test]
-    fn argmax_per_row() {
-        let x = Tensor::from_vec([2, 3], vec![0.1, 0.9, 0.2, 5.0, 1.0, 2.0]).unwrap();
-        assert_eq!(argmax_rows(&x).unwrap(), vec![1, 0]);
-    }
-
-    #[test]
-    fn log_softmax_rows_sum_to_one() {
-        let x = Tensor::from_vec([1, 3], vec![1.0, 2.0, 3.0]).unwrap();
-        let ls = log_softmax_rows(&x).unwrap();
-        let total: f32 = ls.data().iter().map(|x| x.exp()).sum();
-        assert!((total - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn log_softmax_is_shift_invariant() {
-        let a = Tensor::from_vec([1, 3], vec![1.0, 2.0, 3.0]).unwrap();
-        let b = Tensor::from_vec([1, 3], vec![1001.0, 1002.0, 1003.0]).unwrap();
-        let la = log_softmax_rows(&a).unwrap();
-        let lb = log_softmax_rows(&b).unwrap();
-        assert!(la.allclose(&lb, 1e-3));
     }
 }

@@ -79,11 +79,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume into the flat data buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Value at a multi-index.
     pub fn at(&self, index: &[usize]) -> f32 {
         self.data[self.shape.offset(index)]

@@ -50,7 +50,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use std::{cell::RefCell, mem::ManuallyDrop};
 
-use dlsr_attr as dlsr;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -156,7 +155,7 @@ impl TraceSink {
     /// An empty sink whose wall epoch is now. Wall-domain boundary: trace
     /// timestamps are host-side observability, never rank-visible state
     /// (the virtual clock lives in `&mut Comm`).
-    #[dlsr::wall]
+    #[cfg_attr(any(), dlsr::wall)]
     #[allow(clippy::new_without_default)] // reads the clock: not a default value
     pub fn new() -> Self {
         TraceSink {

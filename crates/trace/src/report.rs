@@ -36,7 +36,6 @@ pub mod keys {
     pub const SCRATCH_TAKES: &str = "scratch.takes";
     pub const SCRATCH_ALLOCS: &str = "scratch.alloc_events";
     pub const GPU_IPC_OPENS: &str = "gpu.ipc_opens";
-    pub const GPU_IPC_CACHED: &str = "gpu.ipc_cached";
     pub const FAULT_RETRIES: &str = "faults.retries";
     pub const FAULT_LOST: &str = "faults.lost_messages";
     pub const FAULT_CORRUPT: &str = "faults.corrupt_messages";
