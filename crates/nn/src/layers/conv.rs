@@ -6,7 +6,7 @@ use dlsr_tensor::{elementwise, init, Result, Tensor};
 use crate::module::Module;
 use crate::param::Param;
 
-/// 2-D convolution with optional bias and an optionally fused activation.
+/// 2-D convolution with bias and an optionally fused activation.
 ///
 /// [`Conv2d::forward_act`] runs bias and activation inside the convolution
 /// GEMM epilogue (one pass over the output instead of three); the backward
@@ -15,7 +15,7 @@ use crate::param::Param;
 /// activation layer.
 pub struct Conv2d {
     weight: Param,
-    bias: Option<Param>,
+    bias: Param,
     conv: Conv2dParams,
     input_cache: Option<Tensor>,
     /// Post-activation output cached by a fused-ReLU forward; its sign
@@ -33,35 +33,11 @@ impl Conv2d {
         conv: Conv2dParams,
         seed: u64,
     ) -> Self {
-        Self::build(name, c_in, c_out, k, conv, seed, true)
-    }
-
-    /// Kaiming-initialized convolution without bias (for BN-followed convs).
-    pub fn new_no_bias(
-        name: &str,
-        c_in: usize,
-        c_out: usize,
-        k: usize,
-        conv: Conv2dParams,
-        seed: u64,
-    ) -> Self {
-        Self::build(name, c_in, c_out, k, conv, seed, false)
-    }
-
-    fn build(
-        name: &str,
-        c_in: usize,
-        c_out: usize,
-        k: usize,
-        conv: Conv2dParams,
-        seed: u64,
-        with_bias: bool,
-    ) -> Self {
         let weight = Param::new(
             format!("{name}.weight"),
             init::kaiming_conv(c_out, c_in, k, k, seed),
         );
-        let bias = with_bias.then(|| Param::new(format!("{name}.bias"), Tensor::zeros([c_out])));
+        let bias = Param::new(format!("{name}.bias"), Tensor::zeros([c_out]));
         Conv2d {
             weight,
             bias,
@@ -89,7 +65,7 @@ impl Conv2d {
         let y = conv2d_fused(
             x,
             &self.weight.value,
-            self.bias.as_ref().map(|b| b.value.data()),
+            Some(self.bias.value.data()),
             act,
             self.conv,
         )?;
@@ -105,7 +81,7 @@ impl Conv2d {
         conv2d_fused(
             x,
             &self.weight.value,
-            self.bias.as_ref().map(|b| b.value.data()),
+            Some(self.bias.value.data()),
             act,
             self.conv,
         )
@@ -134,9 +110,7 @@ impl Module for Conv2d {
         };
         let (gi, gw, gb) = conv2d_backward(&input, &self.weight.value, grad_out, self.conv)?;
         self.weight.accumulate_grad(&gw);
-        if let Some(bias) = &mut self.bias {
-            bias.accumulate_grad_slice(&gb);
-        }
+        self.bias.accumulate_grad_slice(&gb);
         Ok(gi)
     }
 
@@ -148,18 +122,14 @@ impl Module for Conv2d {
         let g = self.backward(grad_out)?;
         // reverse visit order: bias finalizes conceptually with the weight,
         // but readiness fires output-side-first
-        if let Some(b) = &mut self.bias {
-            hook(b);
-        }
+        hook(&mut self.bias);
         hook(&mut self.weight);
         Ok(g)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.weight);
-        if let Some(b) = &mut self.bias {
-            f(b);
-        }
+        f(&mut self.bias);
     }
 
     fn predict(&mut self, x: &Tensor) -> Result<Tensor> {
@@ -170,7 +140,6 @@ impl Module for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::module::ModuleExt;
     use dlsr_tensor::reduce;
 
     #[test]
@@ -204,12 +173,6 @@ mod tests {
         });
         let y1 = c.predict(&x).unwrap();
         assert!(reduce::mean_sq(&y1) < loss0);
-    }
-
-    #[test]
-    fn no_bias_variant_has_single_param() {
-        let mut c = Conv2d::new_no_bias("c", 2, 2, 3, Conv2dParams::default(), 1);
-        assert_eq!(c.param_summary().len(), 1);
     }
 
     #[test]

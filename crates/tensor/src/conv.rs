@@ -33,18 +33,26 @@
 //!    thread count (see the module docs of [`crate::matmul`] for the GEMM
 //!    half of that contract).
 //!
-//! Layers with at most four output channels at stride 1 (EDSR's RGB output
-//! conv) skip pack-and-GEMM for the forward and the input gradient: packing
-//! an image costs the same for 3 output rows as for 64 and is never
-//! amortized there. The forward walks a zero-padded copy of the image with
-//! one vector of accumulators per output channel (`direct_forward`); the
-//! input gradient computes each column-matrix run and adds it to the image
-//! at once, so that matrix is never written (`direct_input_grad`). Both
-//! perform, per element, exactly the `mul_add` chain and `kc`-boundary adds
-//! of the engine under the selector's blueprint, so which path runs — a pure
-//! function of `(c_out, stride, bf16)` — cannot change a bit
-//! (`tests/properties.rs` holds every path to one GEMM oracle). The weight
-//! gradient of such a layer still runs through the engine.
+//! A stride-1 f32 layer whose per-image work cannot pay back packing — at
+//! most four output channels (EDSR's RGB output conv) or an output plane
+//! of at most `DIRECT_MAX_PLANE` (1024) pixels (every layer of the tiny EDSR)
+//! — computes all three of its products pack-free: no packed operand, no
+//! column matrix, no `col2im`. Each kernel reads a zero-bordered copy of
+//! its input at the copy's own pitch, so output pixel `(y, x)` is position
+//! `y·pitch + x` of a *wide* plane and every tap is one flat run over the
+//! whole plane; a register tile of channels × positions walks the taps and
+//! the wide result is compacted into the output (through the epilogue, in
+//! the forward). The forward reads the image padded (`direct_forward`),
+//! the input gradient `grad_out` shifted into a border
+//! (`direct_input_grad`), and the weight gradient the channels-last copy
+//! the engine's tap-major packer reads, one kernel-row run per pixel
+//! (`direct_weight_grad`). Their inner loop is
+//! `kernels::fma_chain` (an AVX-512 body and its `f32::mul_add` twin),
+//! and each performs, per element, exactly the `mul_add` chain and
+//! `kc`-boundary adds of the engine under the selector's blueprint, so
+//! which path runs — a pure function of `(c_out, h_out·w_out, stride,
+//! bf16)` — cannot change a bit (`tests/properties.rs` holds every path to
+//! one GEMM oracle).
 //!
 //! The forward GEMM applies bias and activation in its epilogue
 //! ([`conv2d_fused`]), so a conv + ReLU layer makes a single pass over the
@@ -57,6 +65,7 @@
 
 use rayon::prelude::*;
 
+use crate::kernels::{self, Land, Tile};
 use crate::matmul::{self, BSrc, Epilogue, Im2colView, TapMajorView};
 use crate::scratch;
 use crate::tune::{self, Blueprint};
@@ -184,6 +193,32 @@ impl PackedA {
     }
 }
 
+/// A layer call's weights, prepared once for every image: packed GEMM
+/// panels, or — for a pack-free layer ([`is_direct`]) — a transposed copy
+/// whose values one register tile broadcasts lie side by side.
+enum Weights {
+    Packed(PackedA),
+    Direct(scratch::ScratchBuf),
+}
+
+impl Weights {
+    /// `Packed(pack())` for an engine layer, else `weight` (`[rows, cols]`)
+    /// transposed.
+    fn prepare(
+        direct: bool,
+        weight: &[f32],
+        (rows, cols): (usize, usize),
+        pack: impl FnOnce() -> PackedA,
+    ) -> Weights {
+        if !direct {
+            return Weights::Packed(pack());
+        }
+        let mut wt = scratch::take(rows * cols);
+        transpose_into(weight, (rows, cols), &mut wt);
+        Weights::Direct(wt)
+    }
+}
+
 /// Accumulate a column matrix back into an image (the adjoint of im2col).
 ///
 /// Walks `(c, ky, kx, oy, ox)` in ascending order — the order is part of
@@ -237,73 +272,117 @@ fn col2im(
     }
 }
 
-/// Widest `c_out` the pack-free paths serve. Packing an image for the GEMM
-/// engine costs the same for 3 output rows as for 64, so below this it can
-/// never be amortized.
+/// Widest `c_out` that takes the pack-free kernels at any plane size:
+/// packing an image for the GEMM engine costs the same for 3 output rows
+/// as for 64, so it is never amortized there.
 const DIRECT_MAX_C_OUT: usize = 4;
 
-/// Lanes per accumulator vector in [`direct_forward`].
-const DIRECT_LANES: usize = 16;
+/// Largest output plane (`h_out·w_out`) that takes the pack-free kernels
+/// at any `c_out`: below it, packing an image costs more than the
+/// register tiles save (see `docs/KERNELS.md` for the timings).
+const DIRECT_MAX_PLANE: usize = 1024;
 
-/// `gemm.variant.*` counter the pack-free paths count their
+/// Register tiles `(channels, lanes)` of one pack-free kernel: `wide` where
+/// [`kernels::fma_chain`] runs on AVX-512 (8 channels × 2 zmm, 16 of the
+/// 32 registers), `narrow` elsewhere — sized to stay inside the 16 AVX2
+/// registers with the operands they read, and with 8 or 9 independent
+/// accumulator vectors to cover the FMA latency. Channels are output
+/// channels in the forward and the weight gradient, image channels in the
+/// input gradient; lanes are positions, or weight-gradient columns (a
+/// kernel row of `c_in` = 8 is 24 of them). The tile changes which
+/// elements share registers, never an element's chain.
+struct Tiles {
+    wide: (usize, usize),
+    narrow: (usize, usize),
+}
+
+impl Tiles {
+    /// The tile this process runs.
+    fn get(&self) -> (usize, usize) {
+        if kernels::wide_tiles() {
+            self.wide
+        } else {
+            self.narrow
+        }
+    }
+}
+
+const FWD_TILES: Tiles = Tiles {
+    wide: (8, 32),
+    narrow: (4, 16),
+};
+const IGRAD_TILES: Tiles = Tiles {
+    wide: (8, 32),
+    narrow: (4, 16),
+};
+const WGRAD_TILES: Tiles = Tiles {
+    wide: (8, 32),
+    narrow: (3, 24),
+};
+
+/// Slack past a copy the pack-free kernels read, so the last tile of a
+/// plane reads whole: at least every tile's lane count.
+const SLACK: usize = 32;
+
+/// `gemm.variant.*` counter the pack-free kernels count their
 /// tile-equivalents under.
 const DIRECT_COUNTER: &str = "gemm.variant.direct";
 
-/// Whether a layer takes the pack-free paths ([`direct_forward`],
-/// [`direct_input_grad`]) instead of pack-and-GEMM: a pure function of the
-/// layer's shape and the storage precision (bf16 panels exist only in the
-/// engine).
-fn is_direct(c_out: usize, p: Conv2dParams) -> bool {
-    !p.bf16 && (1..=DIRECT_MAX_C_OUT).contains(&c_out) && p.stride == 1
+/// Whether a layer computes all three of its products pack-free
+/// ([`direct_forward`], [`direct_input_grad`], [`direct_weight_grad`])
+/// instead of through the GEMM engine: a pure function of the layer's shape
+/// and storage precision (bf16 panels exist only in the engine).
+fn is_direct(c_out: usize, hw_out: usize, p: Conv2dParams) -> bool {
+    !p.bf16 && p.stride == 1 && (c_out <= DIRECT_MAX_C_OUT || hw_out <= DIRECT_MAX_PLANE)
 }
 
-/// Extents `(rows, row pitch)` of the zero-padded image copy
-/// [`direct_forward`] reads: every tap of every output pixel is in bounds,
-/// and each row carries slack so the last lane vector of an output row
-/// reads whole.
-fn padded_extents((h_out, w_out): (usize, usize), (kh, kw): (usize, usize)) -> (usize, usize) {
-    (
-        h_out + kh - 1,
-        w_out.next_multiple_of(DIRECT_LANES) + kw - 1,
-    )
-}
-
-/// Copy `img` (`[c_in, h, w]`) into the `[c_in, ph, pw]` buffer `padded`,
-/// `pad` rows/columns in, and zero the border around it (the interior is
-/// written once, never zeroed first). `ph`/`pw` may exceed `h`/`w` by more
-/// than `2·pad`: the slack joins the bottom/right border.
+/// Copy the planes of `src` (`[c, h, w]`) into the `[c, ph, pw]` planes at
+/// the front of `dst`, shifted `(top, left)` rows and columns (a negative
+/// shift crops), and zero the rest of `dst`: border, slack past the last
+/// plane and all. Each element is written once — between two copied rows
+/// lies one contiguous stretch of border, zeroed by one `fill`.
 #[cfg_attr(any(), dlsr::hot)]
-fn pad_image(
-    img: &[f32],
-    (c_in, h, w): (usize, usize, usize),
-    pad: usize,
+fn embed(
+    src: &[f32],
+    (c, h, w): (usize, usize, usize),
+    (top, left): (isize, isize),
     (ph, pw): (usize, usize),
-    padded: &mut [f32],
+    dst: &mut [f32],
 ) {
-    // Between two interior rows lies one contiguous stretch of border (the
-    // right edge, then the bottom and top rows of a plane change, then the
-    // left edge): one fill each.
+    // source indices i with 0 <= i + shift < extent
+    let clip = |shift: isize, n: usize, extent: usize| {
+        let lo = (-shift).clamp(0, n as isize) as usize;
+        let hi = (extent as isize - shift).clamp(lo as isize, n as isize) as usize;
+        (lo, hi)
+    };
+    let (y_lo, y_hi) = clip(top, h, ph);
+    let (x_lo, x_hi) = clip(left, w, pw);
     let mut gap = 0;
-    for c in 0..c_in {
-        for y in 0..h {
-            let dst = (c * ph + y + pad) * pw + pad;
-            padded[gap..dst].fill(0.0);
-            padded[dst..dst + w].copy_from_slice(&img[(c * h + y) * w..][..w]);
-            gap = dst + w;
+    if x_lo < x_hi {
+        let len = x_hi - x_lo;
+        for ci in 0..c {
+            for y in y_lo..y_hi {
+                let at =
+                    (ci * ph + (y as isize + top) as usize) * pw + (x_lo as isize + left) as usize;
+                dst[gap..at].fill(0.0);
+                dst[at..at + len].copy_from_slice(&src[(ci * h + y) * w + x_lo..][..len]);
+                gap = at + len;
+            }
         }
     }
-    padded[gap..c_in * ph * pw].fill(0.0);
+    dst[gap..].fill(0.0);
 }
 
-/// Channels-last twin of [`pad_image`]: `img` (`[c_in, h, w]`) into the
-/// `[ph, pw, c_in]` buffer `xt`, `pad` pixels in, border zeroed — the copy
-/// a [`matmul::TapMajorView`] reads.
+/// Channels-last twin of [`embed`] for a centred copy: `img` (`[c_in, h,
+/// w]`) into the `[ph, pw, c_in]` buffer at the front of `xt`, `pad`
+/// pixels in, the rest of `xt` zeroed — the copy a
+/// [`matmul::TapMajorView`] and [`direct_weight_grad`] read.
 #[cfg_attr(any(), dlsr::hot)]
 fn pad_image_channels_last(
     img: &[f32],
     (c_in, h, w): (usize, usize, usize),
     pad: usize,
-    (ph, pw): (usize, usize),
+    pw: usize,
     xt: &mut [f32],
 ) {
     let mut gap = 0;
@@ -319,14 +398,15 @@ fn pad_image_channels_last(
         }
         gap = dst + w * c_in;
     }
-    xt[gap..ph * pw * c_in].fill(0.0);
+    xt[gap..].fill(0.0);
 }
 
 /// Add a tap-major `[c_out, (ky, kx, c)]` weight gradient onto a
-/// channel-major `[c_out, (c, ky, kx)]` one: the weight-gradient GEMM's
-/// columns follow its B operand ([`matmul::TapMajorView`]), the weight
-/// tensor's do not. One add per element, so summing per-image gradients
-/// through it in ascending image order is the plain elementwise reduction.
+/// channel-major `[c_out, (c, ky, kx)]` one: the weight gradient's columns
+/// follow the channels-last copy it reads ([`matmul::TapMajorView`],
+/// [`direct_weight_grad`]), the weight tensor's do not. One add per
+/// element, so summing per-image gradients through it in ascending image
+/// order is the plain elementwise reduction.
 #[cfg_attr(any(), dlsr::hot)]
 fn add_tap_major(src: &[f32], (c_in, kh, kw): (usize, usize, usize), dst: &mut [f32]) {
     let (k, khw) = (c_in * kh * kw, kh * kw);
@@ -339,151 +419,312 @@ fn add_tap_major(src: &[f32], (c_in, kh, kw): (usize, usize, usize), dst: &mut [
     }
 }
 
-/// Stride-1 forward convolution for `CO <= 4` output channels, without
-/// packing: one vector of [`DIRECT_LANES`] accumulators per output channel
-/// walks the taps of `DIRECT_LANES` neighbouring output pixels over the
-/// zero-padded image.
+/// Store (`first`) or add the first `lanes` lanes of each channel of a
+/// tile into `dst` at `at`, channel `cb` at `cb·pitch` — the engine's
+/// store at the first `kc` boundary and add at every later one.
+#[inline(always)]
+fn flush_tile<const CB: usize, const L: usize>(
+    tile: &Tile<CB, L>,
+    dst: &mut [f32],
+    (at, pitch, lanes): (usize, usize, usize),
+    first: bool,
+) {
+    for (cb, t) in tile.iter().enumerate() {
+        let d = &mut dst[cb * pitch + at..][..lanes];
+        if first {
+            d.copy_from_slice(&t[..lanes]);
+        } else {
+            for (d, &t) in d.iter_mut().zip(t) {
+                *d += t;
+            }
+        }
+    }
+}
+
+/// `src` (`[rows, cols]`) transposed into the front of `dst`
+/// (`[cols, rows]`): the pack-free kernels read the values they broadcast
+/// across a tile — weights, `grad_out` — as one contiguous run per step.
+#[cfg_attr(any(), dlsr::hot)]
+fn transpose_into(src: &[f32], (rows, cols): (usize, usize), dst: &mut [f32]) {
+    for (r, row) in src[..rows * cols].chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            dst[c * rows + r] = v;
+        }
+    }
+}
+
+/// Taps `t0..t1` of a `c_in × kh × kw` window stack in ascending
+/// `(c, ky, kx)` order, as `(t, (c·ph + ky)·pw + kx)`: each tap with where
+/// it lies, for output position 0, in a `[c_in, ph, pw]` copy.
+struct Taps {
+    t: usize,
+    t1: usize,
+    row: usize,
+    ky: usize,
+    kx: usize,
+    /// `(kh, kw, ph, pw)`
+    dims: (usize, usize, usize, usize),
+}
+
+impl Taps {
+    fn new(t0: usize, t1: usize, (kh, kw, ph, pw): (usize, usize, usize, usize)) -> Taps {
+        let (c, ky, kx) = (t0 / (kh * kw), t0 / kw % kh, t0 % kw);
+        let row = c * ph + ky;
+        Taps {
+            t: t0,
+            t1,
+            row,
+            ky,
+            kx,
+            dims: (kh, kw, ph, pw),
+        }
+    }
+}
+
+impl Iterator for Taps {
+    type Item = (usize, usize);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let (kh, kw, ph, pw) = self.dims;
+        if self.t == self.t1 {
+            return None;
+        }
+        let item = (self.t, self.row * pw + self.kx);
+        self.t += 1;
+        self.kx += 1;
+        if self.kx == kw {
+            (self.kx, self.ky, self.row) = (0, self.ky + 1, self.row + 1);
+            if self.ky == kh {
+                (self.ky, self.row) = (0, self.row + ph - kh);
+            }
+        }
+        Some(item)
+    }
+}
+
+/// Stride-1 forward of output channels `co0..co0 + CB`, pack-free. Output
+/// pixel `(oy, ox)` is position `q = oy·pw + ox` of a *wide* plane at the
+/// pitch of the zero-bordered copy `padded` (`[c_in, ph, pw]`, then
+/// slack), so each tap `(c, ky, kx)` is one flat run,
+/// `padded[c·ph·pw + ky·pw + kx + q]`, for every position at once. A
+/// `CB × L` register tile walks the taps per run of `L` positions, reading
+/// the weights from `wt` (`[k, c_out]`); the positions past `w_out` in
+/// each wide row are dropped when `wide` is compacted into `out` through
+/// the epilogue.
 ///
-/// Per output element this is the chain the GEMM engine performs (see the
-/// determinism contract in [`crate::matmul`]): one `mul_add` per tap in
-/// ascending `(c, ky, kx)` from a zero accumulator, the accumulator stored
-/// at the first `kc` boundary and added at every later one, padding taps
+/// Per output element this is the engine's chain (see the determinism
+/// contract in [`crate::matmul`]): one `mul_add` per tap in ascending
+/// `(c, ky, kx)` from a zero accumulator, the accumulator stored at the
+/// first `kc` boundary and added at every later one, padding taps
 /// multiplied as zeros rather than skipped, then the epilogue.
 #[allow(clippy::too_many_arguments)]
 #[cfg_attr(any(), dlsr::hot)]
-fn direct_forward<const CO: usize>(
+fn direct_forward<const CB: usize, const L: usize>(
+    co0: usize,
     padded: &[f32],
     (c_in, ph, pw): (usize, usize, usize),
     (kh, kw): (usize, usize),
-    weight: &[f32],
+    (wt, c_out): (&[f32], usize),
     kc: usize,
     (h_out, w_out): (usize, usize),
     epi: Epilogue<'_>,
+    wide: &mut [f32],
     out: &mut [f32],
 ) {
-    const V: usize = DIRECT_LANES;
     let k = c_in * kh * kw;
+    let nq = h_out * pw;
+    let pitch = nq.next_multiple_of(L);
+    let g = &wt[co0..];
+    for q0 in (0..nq).step_by(L) {
+        // one chain per `kc` block of taps (one empty block when k = 0)
+        for t0 in (0..k.max(1)).step_by(kc) {
+            let land = if t0 == 0 { Land::Store } else { Land::Add };
+            let taps = Taps::new(t0, k.min(t0 + kc), (kh, kw, ph, pw));
+            let steps = taps.map(|(t, at)| (t * c_out, at));
+            kernels::fma_chain::<CB, L>(wide, (q0, pitch), land, g, &padded[q0..], steps);
+        }
+    }
     let hw_out = h_out * w_out;
-    for oy in 0..h_out {
-        for ox0 in (0..w_out).step_by(V) {
-            let mut total = [[0.0f32; V]; CO];
-            let mut acc = [[0.0f32; V]; CO];
-            let (mut tap, mut left) = (0, kc);
-            for c in 0..c_in {
-                for ky in 0..kh {
-                    let row = (c * ph + oy + ky) * pw + ox0;
-                    let row = &padded[row..row + V + kw - 1];
-                    for kx in 0..kw {
-                        let x = &row[kx..kx + V];
-                        for (co, a) in acc.iter_mut().enumerate() {
-                            let wv = weight[co * k + tap];
-                            for (a, &x) in a.iter_mut().zip(x) {
-                                *a = wv.mul_add(x, *a);
-                            }
-                        }
-                        tap += 1;
-                        left -= 1;
-                        if left == 0 || tap == k {
-                            if tap <= kc {
-                                total = acc;
-                            } else {
-                                for (t, a) in total.iter_mut().zip(&acc) {
-                                    for (t, &a) in t.iter_mut().zip(a) {
-                                        *t += a;
-                                    }
-                                }
-                            }
-                            acc = [[0.0; V]; CO];
-                            left = kc;
-                        }
-                    }
-                }
-            }
-            let lanes = V.min(w_out - ox0);
-            for (co, t) in total.iter().enumerate() {
-                let dst = co * hw_out + oy * w_out + ox0;
-                let dst = &mut out[dst..dst + lanes];
-                dst.copy_from_slice(&t[..lanes]);
-                epi.finish_row(co, dst);
-            }
+    for cb in 0..CB {
+        for oy in 0..h_out {
+            let dst = &mut out[(co0 + cb) * hw_out + oy * w_out..][..w_out];
+            dst.copy_from_slice(&wide[cb * pitch + oy * pw..][..w_out]);
+            epi.finish_row(co0 + cb, dst);
         }
     }
 }
 
-/// Stride-1 input gradient for `CO <= 4` output channels with the product
-/// fused into the scatter: where the GEMM path writes the `K × H·W` column
-/// matrix `Wᵀ·grad_out` and [`col2im`] adds it onto the image, this adds
-/// each column-matrix run the moment it is computed, so the matrix never
-/// exists.
+/// Stride-1 input gradient of image channels `c0..c0 + CB`, pack-free:
+/// `Wᵀ · grad_out` and `col2im` in one pass, with neither the column
+/// matrix nor a packed operand. Image pixel `(iy, ix)` is position
+/// `q = iy·gpw + ix` of a wide plane at the pitch of `gpad`, a copy of
+/// `grad_out` shifted `kh − 1 − pad` rows and `kw − 1 − pad` columns into
+/// zeros (`[c_out, h + kh − 1, gpw = w + kw − 1]`, then slack), so tap
+/// `(ky, kx)` reads output pixel `(iy + pad − ky, ix + pad − kx)` for every
+/// position at once from the flat run at `(kh − 1 − ky)·gpw + kw − 1 − kx`.
+/// The weights come from `wt` (`[kh·kw, c_out, c_in]`).
 ///
-/// Same bits: the run elements are the engine's `mul_add` chain over
-/// ascending `co` from a zero accumulator (`cut[co]` marks the `kc`
-/// boundaries, where the partial sum is stored, then added), and the runs
-/// land in `col2im`'s `(c, ky, kx, oy, ox)` order.
+/// Same bits as the engine and [`col2im`]: per tap, the column-matrix
+/// element is the `mul_add` chain over ascending `co` from a zero
+/// accumulator, stored at the first `kc` boundary and added at every later
+/// one; the taps are added to the image element in `col2im`'s
+/// `(c, ky, kx)` order from zero. A tap whose output pixel lies outside
+/// the plane is not added (`col2im` has no column for it). With finite
+/// weights such a tap reads only bordering zeros, its chain is exactly
+/// `+0`, and adding `+0` leaves a sum that started at `+0` unchanged (a
+/// round-to-nearest sum from `+0` is never `−0`), so the unmasked loop adds
+/// it; when `masked` (a weight is not finite, and `0·NaN` would poison
+/// pixels the engine leaves alone) each lane tests its tap instead.
 #[allow(clippy::too_many_arguments)]
 #[cfg_attr(any(), dlsr::hot)]
-fn direct_input_grad<const CO: usize>(
-    grad_out: &[f32],
-    weight: &[f32],
+fn direct_input_grad<const CB: usize, const L: usize>(
+    c0: usize,
+    gpad: &[f32],
+    (c_out, gh, gpw): (usize, usize, usize),
+    (kh, kw): (usize, usize),
+    wt: &[f32],
     kc: usize,
     (c_in, h, w): (usize, usize, usize),
-    (kh, kw): (usize, usize),
-    pad: usize,
-    (h_out, w_out): (usize, usize),
+    (pad, h_out, w_out, masked): (usize, usize, usize, bool),
+    wide: &mut [f32],
     grad_in: &mut [f32],
 ) {
-    let hw_out = h_out * w_out;
-    let k = c_in * kh * kw;
-    let cut: [bool; CO] = std::array::from_fn(|co| co != 0 && co % kc == 0);
-    for c in 0..c_in {
-        let plane = &mut grad_in[c * h * w..(c + 1) * h * w];
+    let nq = h * gpw;
+    let pitch = nq.next_multiple_of(L);
+    let gplane = gh * gpw;
+    for q0 in (0..nq).step_by(L) {
+        // the image elements' sums live in `wide`, from +0
+        for cb in 0..CB {
+            wide[cb * pitch + q0..][..L].fill(0.0);
+        }
         for ky in 0..kh {
             for kx in 0..kw {
-                let tap = (c * kh + ky) * kw + kx;
-                let wv: [f32; CO] = std::array::from_fn(|co| weight[co * k + tap]);
-                // ox with 0 <= ox + kx − pad < w
-                let ox_lo = pad.saturating_sub(kx);
-                let ox_hi = w_out.min((w + pad).saturating_sub(kx));
-                if ox_lo >= ox_hi {
+                // tap (c0 + cb, ky, kx) of output channel co
+                let g = &wt[(ky * kw + kx) * c_out * c_in + c0..];
+                let run = &gpad[q0 + (kh - 1 - ky) * gpw + (kw - 1 - kx)..];
+                let steps = |cos: std::ops::Range<usize>| cos.map(|co| (co * c_in, co * gplane));
+                if !masked && c_out <= kc {
+                    // one chain, added straight onto the sums
+                    kernels::fma_chain::<CB, L>(
+                        wide,
+                        (q0, pitch),
+                        Land::Add,
+                        g,
+                        run,
+                        steps(0..c_out),
+                    );
                     continue;
                 }
-                let (ix_lo, len) = (ox_lo + kx - pad, ox_hi - ox_lo);
-                for oy in 0..h_out {
-                    let iy = oy + ky;
-                    if iy < pad || iy - pad >= h {
-                        continue;
-                    }
-                    let g: [&[f32]; CO] = std::array::from_fn(|co| {
-                        let j = co * hw_out + oy * w_out + ox_lo;
-                        &grad_out[j..j + len]
-                    });
-                    let dst = (iy - pad) * w + ix_lo;
-                    for (t, d) in plane[dst..dst + len].iter_mut().enumerate() {
-                        let (mut sum, mut acc) = (0.0f32, 0.0f32);
-                        for co in 0..CO {
-                            if cut[co] {
-                                sum = if co == kc { acc } else { sum + acc };
-                                acc = 0.0;
+                let mut col: Tile<CB, L> = [[0.0; L]; CB];
+                for b0 in (0..c_out).step_by(kc) {
+                    let mut acc: Tile<CB, L> = [[0.0; L]; CB];
+                    let cos = b0..c_out.min(b0 + kc);
+                    let tile = acc.as_flattened_mut();
+                    kernels::fma_chain::<CB, L>(tile, (0, L), Land::Store, g, run, steps(cos));
+                    if b0 == 0 {
+                        col = acc;
+                    } else {
+                        for (c, a) in col.iter_mut().zip(&acc) {
+                            for (c, &a) in c.iter_mut().zip(a) {
+                                *c += a;
                             }
-                            acc = wv[co].mul_add(g[co][t], acc);
                         }
-                        *d += if CO > kc { sum + acc } else { acc };
                     }
                 }
+                if masked {
+                    for (l, q) in (q0..q0 + L).enumerate() {
+                        let (iy, ix) = (q / gpw + pad, q % gpw + pad);
+                        if !((ky..ky + h_out).contains(&iy) && (kx..kx + w_out).contains(&ix)) {
+                            col.iter_mut().for_each(|c| c[l] = 0.0);
+                        }
+                    }
+                }
+                flush_tile(&col, wide, (q0, pitch, L), false);
+            }
+        }
+    }
+    for cb in 0..CB {
+        for iy in 0..h {
+            grad_in[((c0 + cb) * h + iy) * w..][..w]
+                .copy_from_slice(&wide[cb * pitch + iy * gpw..][..w]);
+        }
+    }
+}
+
+/// Stride-1 weight gradient of output channels `co0..co0 + CB`, pack-free:
+/// the GEMM `grad_out · colᵀ` with `colᵀ` read straight out of the
+/// channels-last copy `xt` (`[ph, pw, c_in]`, then slack) and `grad_out`
+/// from `got` (`[hw, c_out]`). Its columns are tap-major, `(ky, kx, c)`,
+/// so the `kw·c_in` columns of one kernel row are one contiguous run of
+/// `xt` per pixel; a `CB × L` register tile of that run takes the pixels in
+/// ascending order and is stored into `gw` (`[c_out, (ky, kx, c)]`, the
+/// layout [`add_tap_major`] reduces) at the first `kc` boundary of the
+/// pixel chain and added at every later one — the engine's chain, padding
+/// pixels multiplied as zeros like the packed copy does.
+#[allow(clippy::too_many_arguments)]
+#[cfg_attr(any(), dlsr::hot)]
+fn direct_weight_grad<const CB: usize, const L: usize>(
+    co0: usize,
+    xt: &[f32],
+    (c_in, pw): (usize, usize),
+    (kh, kw): (usize, usize),
+    (got, c_out): (&[f32], usize),
+    kc: usize,
+    (h_out, w_out): (usize, usize),
+    gw: &mut [f32],
+) {
+    let (hw, row) = (h_out * w_out, kw * c_in);
+    let k = kh * row;
+    let g = &got[co0..];
+    let gw = &mut gw[co0 * k..];
+    for p0 in (0..hw).step_by(kc) {
+        let p1 = hw.min(p0 + kc);
+        for ky in 0..kh {
+            for j0 in (0..row).step_by(L) {
+                // the chain's pixels, each with where its kernel row starts
+                let (oy, ox) = (p0 / w_out, p0 % w_out);
+                let first = ((oy + ky) * pw + ox) * c_in;
+                let px = (p0..p1).scan((first, ox), |(at, ox), p| {
+                    let step = (p * c_out, *at);
+                    (*at, *ox) = (*at + c_in, *ox + 1);
+                    if *ox == w_out {
+                        (*at, *ox) = (*at + (pw - w_out) * c_in, 0);
+                    }
+                    Some(step)
+                });
+                let mut acc: Tile<CB, L> = [[0.0; L]; CB];
+                let tile = acc.as_flattened_mut();
+                kernels::fma_chain::<CB, L>(tile, (0, L), Land::Store, g, &xt[j0..], px);
+                flush_tile(&acc, gw, (ky * row + j0, k, L.min(row - j0)), p0 == 0);
             }
         }
     }
 }
 
-/// Run `$f::<CO>($args)` for the runtime `c_out` of a direct-path layer.
-macro_rules! direct_dispatch {
-    ($c_out:expr, $f:ident($($arg:expr),* $(,)?)) => {
-        match $c_out {
-            1 => $f::<1>($($arg),*),
-            2 => $f::<2>($($arg),*),
-            3 => $f::<3>($($arg),*),
-            4 => $f::<4>($($arg),*),
-            n => unreachable!("direct conv path taken with c_out = {n}"),
+/// Run `$f::<CB, L>(b0, $args)` over channels `0..$n` in blocks of this
+/// process's tile from `$tiles` ([`Tiles::get`]), the last block `$n mod
+/// CB` wide.
+macro_rules! for_blocks {
+    ($tiles:expr, $n:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        if kernels::wide_tiles() {
+            for_blocks!(@run { $tiles.wide.1 }, $tiles.wide.0, $n, $f($($arg),*))
+        } else {
+            for_blocks!(@run { $tiles.narrow.1 }, $tiles.narrow.0, $n, $f($($arg),*))
+        }
+    };
+    (@run $l:tt, $cb:expr, $n:expr, $f:ident($($arg:expr),*)) => {
+        for b0 in (0..$n).step_by($cb) {
+            match ($n - b0).min($cb) {
+                8 => $f::<8, $l>(b0, $($arg),*),
+                7 => $f::<7, $l>(b0, $($arg),*),
+                6 => $f::<6, $l>(b0, $($arg),*),
+                5 => $f::<5, $l>(b0, $($arg),*),
+                4 => $f::<4, $l>(b0, $($arg),*),
+                3 => $f::<3, $l>(b0, $($arg),*),
+                2 => $f::<2, $l>(b0, $($arg),*),
+                _ => $f::<1, $l>(b0, $($arg),*),
+            }
         }
     };
 }
@@ -570,35 +811,48 @@ pub fn conv2d_fused_into(
     let lane = dlsr_trace::current();
     let variant = bp.kernel.executes_as().as_str();
     // Pack the weight matrix once; every image multiplies against it —
-    // unless the layer is too narrow for packing to pay (`is_direct`).
-    let wpack =
-        (!is_direct(c_out, p)).then(|| PackedA::pack(&bp, weight.data(), c_out, k, false, p.bf16));
+    // unless the layer is too small for packing to pay (`is_direct`): then
+    // it is read tap-major, `[k, c_out]`.
+    let weights = Weights::prepare(
+        is_direct(c_out, hw_out, p),
+        weight.data(),
+        (c_out, k),
+        || PackedA::pack(&bp, weight.data(), c_out, k, false, p.bf16),
+    );
     let image = |i: usize, dst: &mut [f32]| {
         let _lane = lane.as_ref().map(dlsr_trace::Lane::enter);
         let img = &input.data()[i * chw_in..(i + 1) * chw_in];
-        let Some(wpack) = &wpack else {
-            let _span = dlsr_trace::span_with(
-                || format!("conv direct {c_out}x{k}x{hw_out}"),
-                dlsr_trace::cat::GEMM,
-            );
-            dlsr_trace::counter_add(DIRECT_COUNTER, matmul::tile_count(&bp, c_out, k, hw_out));
-            let (ph, pw) = padded_extents((h_out, w_out), (kh, kw));
-            let mut padded = scratch::take(c_in * ph * pw);
-            pad_image(img, (c_in, h, w), p.padding, (ph, pw), &mut padded);
-            direct_dispatch!(
-                c_out,
-                direct_forward(
-                    &padded,
-                    (c_in, ph, pw),
-                    (kh, kw),
-                    weight.data(),
-                    bp.kc,
-                    (h_out, w_out),
-                    epi,
-                    dst,
-                )
-            );
-            return;
+        let wpack = match &weights {
+            Weights::Packed(wpack) => wpack,
+            Weights::Direct(wt) => {
+                let _span = dlsr_trace::span_with(
+                    || format!("conv direct {c_out}x{k}x{hw_out}"),
+                    dlsr_trace::cat::GEMM,
+                );
+                dlsr_trace::counter_add(DIRECT_COUNTER, matmul::tile_count(&bp, c_out, k, hw_out));
+                let (ph, pw) = (h + 2 * p.padding, w + 2 * p.padding);
+                let mut padded = scratch::take(c_in * ph * pw + SLACK + kw - 1);
+                let pad = p.padding as isize;
+                embed(img, (c_in, h, w), (pad, pad), (ph, pw), &mut padded);
+                let (cb, l) = FWD_TILES.get();
+                let mut wide = scratch::take(cb * (h_out * pw).next_multiple_of(l));
+                for_blocks!(
+                    FWD_TILES,
+                    c_out,
+                    direct_forward(
+                        &padded,
+                        (c_in, ph, pw),
+                        (kh, kw),
+                        (wt, c_out),
+                        bp.kc,
+                        (h_out, w_out),
+                        epi,
+                        &mut wide,
+                        dst,
+                    )
+                );
+                return;
+            }
         };
         // Implicit GEMM: the im2col matrix is a view the packer reads
         // through, never a buffer. At stride 1 that view is over the image
@@ -609,7 +863,8 @@ pub fn conv2d_fused_into(
             let (ph, pw) = (h + 2 * p.padding, w + 2 * p.padding);
             padded = {
                 let mut buf = scratch::take(c_in * ph * pw);
-                pad_image(img, (c_in, h, w), p.padding, (ph, pw), &mut buf);
+                let pad = p.padding as isize;
+                embed(img, (c_in, h, w), (pad, pad), (ph, pw), &mut buf);
                 buf
             };
             Im2colView::new(&padded, (c_in, ph, pw), (kh, kw), 1, 0)
@@ -681,14 +936,20 @@ pub fn conv2d_backward(
     let bp_w = tune::select(c_out, hw_out, k);
     let (ph, pw) = (h + 2 * p.padding, w + 2 * p.padding);
     // Input gradient per image: Wᵀ (K×C_out) · grad_out (C_out×HW) — the
-    // output of this GEMM is the column matrix col2im scatters back.
+    // column matrix col2im scatters back.
     let bp_i = tune::select(k, c_out, hw_out);
     let variant = bp_w.kernel.executes_as().as_str();
 
+    let direct = is_direct(c_out, hw_out, p);
     // Pack Wᵀ (K×C_out) once for the input-gradient GEMMs — unless the
-    // layer is too narrow for the column matrix to pay (`is_direct`).
-    let wt_pack =
-        (!is_direct(c_out, p)).then(|| PackedA::pack(&bp_i, weight.data(), k, c_out, true, p.bf16));
+    // layer is too small for packing to pay: then it is read
+    // `[kh·kw, c_out, c_in]`.
+    let weights = Weights::prepare(direct, weight.data(), (c_out * c_in, kh * kw), || {
+        PackedA::pack(&bp_i, weight.data(), k, c_out, true, p.bf16)
+    });
+    // The pack-free input gradient tests each tap's bounds only when a
+    // weight could turn a bordering zero into a NaN.
+    let masked = direct && !weight.data().iter().all(|v| v.is_finite());
 
     // Disjoint per-image accumulators for the cross-batch reductions.
     let mut gw_all = scratch::take(n * c_out * k);
@@ -698,24 +959,91 @@ pub fn conv2d_backward(
     let lane = dlsr_trace::current();
     let image = |i: usize, gi: &mut [f32], gw_i: &mut [f32], gb_i: &mut [f32]| {
         let _lane = lane.as_ref().map(dlsr_trace::Lane::enter);
-        let gemm_span = dlsr_trace::span_with(
-            || format!("conv bwd gemm {c_out}x{hw_out}x{k} {variant} kc{}", bp_w.kc),
-            dlsr_trace::cat::GEMM,
-        );
         let img = &input.data()[i * chw_in..(i + 1) * chw_in];
         let go = &grad_out.data()[i * c_out * hw_out..(i + 1) * c_out * hw_out];
+        let wgrad_span = dlsr_trace::span_with(
+            || match direct {
+                true => format!("conv bwd direct wgrad {c_out}x{hw_out}x{k}"),
+                false => format!("conv bwd gemm {c_out}x{hw_out}x{k} {variant} kc{}", bp_w.kc),
+            },
+            dlsr_trace::cat::GEMM,
+        );
 
         // bias gradient: per-channel sums of grad_out
         for (co, chunk) in go.chunks_exact(hw_out).enumerate() {
             gb_i[co] = chunk.iter().sum::<f32>();
         }
 
-        // weight gradient (tap-major): implicit GEMM against the transposed
-        // view of the channels-last copy
+        // weight gradient (tap-major) out of a channels-last copy: pack-free,
+        // or an implicit GEMM against the transposed view of the copy
+        let slack = if direct { SLACK } else { 0 };
+        let mut xt = scratch::take(c_in * ph * pw + slack);
+        pad_image_channels_last(img, (c_in, h, w), p.padding, pw, &mut xt);
+        let wt_pack = match &weights {
+            Weights::Packed(wt_pack) => wt_pack,
+            Weights::Direct(wt) => {
+                dlsr_trace::counter_add(
+                    DIRECT_COUNTER,
+                    matmul::tile_count(&bp_w, c_out, hw_out, k),
+                );
+                // grad_out pixel-major, `[hw, c_out]`
+                let mut got = scratch::take(hw_out * c_out);
+                transpose_into(go, (c_out, hw_out), &mut got);
+                for_blocks!(
+                    WGRAD_TILES,
+                    c_out,
+                    direct_weight_grad(
+                        &xt,
+                        (c_in, pw),
+                        (kh, kw),
+                        (&got, c_out),
+                        bp_w.kc,
+                        (h_out, w_out),
+                        gw_i
+                    )
+                );
+                drop((xt, got, wgrad_span));
+                // input gradient, pack-free: Wᵀ·grad_out fused into the scatter
+                let _span = dlsr_trace::span_with(
+                    || format!("conv bwd direct {k}x{c_out}x{hw_out}"),
+                    dlsr_trace::cat::GEMM,
+                );
+                dlsr_trace::counter_add(
+                    DIRECT_COUNTER,
+                    matmul::tile_count(&bp_i, k, c_out, hw_out),
+                );
+                let (gh, gpw) = (h + kh - 1, w + kw - 1);
+                let mut gpad = scratch::take(c_out * gh * gpw + SLACK + kw - 1);
+                let shift = |k: usize| k as isize - 1 - p.padding as isize;
+                embed(
+                    go,
+                    (c_out, h_out, w_out),
+                    (shift(kh), shift(kw)),
+                    (gh, gpw),
+                    &mut gpad,
+                );
+                let (cb, l) = IGRAD_TILES.get();
+                let mut wide = scratch::take(cb * (h * gpw).next_multiple_of(l));
+                for_blocks!(
+                    IGRAD_TILES,
+                    c_in,
+                    direct_input_grad(
+                        &gpad,
+                        (c_out, gh, gpw),
+                        (kh, kw),
+                        wt,
+                        bp_i.kc,
+                        (c_in, h, w),
+                        (p.padding, h_out, w_out, masked),
+                        &mut wide,
+                        gi,
+                    )
+                );
+                return;
+            }
+        };
         {
             let go_pack = PackedA::pack(&bp_w, go, c_out, hw_out, false, p.bf16);
-            let mut xt = scratch::take(c_in * ph * pw);
-            pad_image_channels_last(img, (c_in, h, w), p.padding, (ph, pw), &mut xt);
             let view = TapMajorView::new(&xt, (c_in, ph, pw), (kh, kw), p.stride);
             go_pack.gemm(
                 &bp_w,
@@ -728,30 +1056,7 @@ pub fn conv2d_backward(
                 batch_par,
             );
         }
-
-        let Some(wt_pack) = &wt_pack else {
-            drop(gemm_span);
-            // input gradient, pack-free: Wᵀ·grad_out fused into the scatter
-            let _span = dlsr_trace::span_with(
-                || format!("conv bwd direct {k}x{c_out}x{hw_out}"),
-                dlsr_trace::cat::GEMM,
-            );
-            dlsr_trace::counter_add(DIRECT_COUNTER, matmul::tile_count(&bp_i, k, c_out, hw_out));
-            direct_dispatch!(
-                c_out,
-                direct_input_grad(
-                    go,
-                    weight.data(),
-                    bp_i.kc,
-                    (c_in, h, w),
-                    (kh, kw),
-                    p.padding,
-                    (h_out, w_out),
-                    gi
-                )
-            );
-            return;
-        };
+        drop(xt);
         // input gradient: Wᵀ·grad_out produces the column matrix...
         let mut col = scratch::take(k * hw_out);
         wt_pack.gemm(
@@ -764,7 +1069,7 @@ pub fn conv2d_backward(
             Epilogue::None,
             batch_par,
         );
-        drop(gemm_span);
+        drop(wgrad_span);
         // ...which col2im scatters back onto the image.
         let _span = dlsr_trace::span_with(
             || format!("col2im {c_in}x{h}x{w} k{kh}x{kw}"),
@@ -1210,14 +1515,15 @@ mod tests {
 
     /// Precision is a per-call value, not process state: bf16 convs looping
     /// on another thread leave an f32 forward+backward bit-equal to a solo
-    /// run, on the pack-free (`c_out` 3) and the GEMM (`c_out` 64) path.
+    /// run, on the pack-free (`c_out` 3) and the GEMM (`c_out` 64, at a
+    /// plane past `DIRECT_MAX_PLANE`) path.
     #[test]
     fn bf16_calls_on_another_thread_leave_f32_bits_alone() {
         use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
         use std::sync::Barrier;
 
         let p = Conv2dParams::same(3);
-        let x = rand_tensor(&[2, 3, 6, 6], 81);
+        let x = rand_tensor(&[2, 3, 33, 33], 81);
         let f32_bits = |w: &Tensor| {
             let y = conv2d_fused(&x, w, None, Act::Relu, p).unwrap();
             let (gi, gw, gb) = conv2d_backward(&x, w, &y, p).unwrap();

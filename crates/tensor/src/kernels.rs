@@ -353,6 +353,149 @@ avx512_kernel!(microkernel_avx512_8x32, 8);
 avx512_kernel!(microkernel_avx512_14x32, 14);
 
 // ---------------------------------------------------------------------------
+// The pack-free conv kernels' inner loop (`crate::conv`): a register tile
+// walks a chain of broadcast × run products read in place, no panels.
+// ---------------------------------------------------------------------------
+
+/// A register tile of the pack-free conv kernels: `CB` rows (channels) of
+/// `L` lanes (positions or weight-gradient columns).
+pub(crate) type Tile<const CB: usize, const L: usize> = [[f32; L]; CB];
+
+/// Whether [`fma_chain`] runs a tile `L` lanes wide on AVX-512 here, so
+/// the pack-free kernels pick 32-lane tiles (8 rows × 2 zmm) over the
+/// AVX2-sized ones.
+pub(crate) fn wide_tiles() -> bool {
+    isa() == Isa::Avx512
+}
+
+/// How [`fma_chain`] lands its tile in the rows `cb` of `L` floats at
+/// `at + cb·pitch` of a destination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Land {
+    /// Store the tile.
+    Store,
+    /// Add the tile onto the rows, one add per element.
+    Add,
+}
+
+/// For each `(gi, xi)` of `steps` in turn, `t[cb][l] = g[gi + cb] ·
+/// x[xi + l] + t[cb][l]` — one fused multiply-add per product, the chain
+/// every GEMM microkernel runs, so the AVX-512 body (when `L` is 16 or 32
+/// and [`wide_tiles`]) and the safe body agree bit for bit — from a zero
+/// tile `t`, landed in rows `at + cb·pitch` of `dst` as `land` says.
+#[inline]
+#[cfg_attr(any(), dlsr::hot)]
+pub(crate) fn fma_chain<const CB: usize, const L: usize>(
+    dst: &mut [f32],
+    (at, pitch): (usize, usize),
+    land: Land,
+    g: &[f32],
+    x: &[f32],
+    steps: impl Iterator<Item = (usize, usize)>,
+) {
+    let rows = &mut dst[at..at + (CB - 1) * pitch + L];
+    #[cfg(target_arch = "x86_64")]
+    if wide_tiles() {
+        match L {
+            // SAFETY: `wide_tiles` means the dispatch probe verified
+            // AVX-512F; the body bounds-checks every operand it reads and
+            // `rows` holds every row it touches.
+            16 => return unsafe { fma_chain_avx512::<CB, 1>(rows, pitch, land, g, x, steps) },
+            // SAFETY: as above.
+            32 => return unsafe { fma_chain_avx512::<CB, 2>(rows, pitch, land, g, x, steps) },
+            _ => {}
+        }
+    }
+    fma_chain_scalar::<CB, L>(rows, pitch, land, g, x, steps);
+}
+
+/// Portable twin of the AVX-512 [`fma_chain`] body: `f32::mul_add` over
+/// the tile. Out of line, so the tile is loaded into registers once, stays
+/// there for the whole chain (AVX2 holds an 8- to 9-vector tile) and is
+/// landed once.
+#[inline(never)]
+#[cfg_attr(any(), dlsr::hot)]
+fn fma_chain_scalar<const CB: usize, const L: usize>(
+    rows: &mut [f32],
+    pitch: usize,
+    land: Land,
+    g: &[f32],
+    x: &[f32],
+    steps: impl Iterator<Item = (usize, usize)>,
+) {
+    let mut t: Tile<CB, L> = [[0.0; L]; CB];
+    for (gi, xi) in steps {
+        let gv: &[f32; CB] = g[gi..gi + CB].try_into().expect("CB broadcasts");
+        let xv: &[f32; L] = x[xi..xi + L].try_into().expect("L lanes");
+        for (row, &gv) in t.iter_mut().zip(gv) {
+            for (a, &xv) in row.iter_mut().zip(xv) {
+                *a = gv.mul_add(xv, *a);
+            }
+        }
+    }
+    for (cb, t) in t.iter().enumerate() {
+        let d = &mut rows[cb * pitch..][..L];
+        if land == Land::Add {
+            for (d, &t) in d.iter_mut().zip(t) {
+                *d += t;
+            }
+        } else {
+            d.copy_from_slice(t);
+        }
+    }
+}
+
+/// AVX-512F body of [`fma_chain`] for a tile of `CB` rows × `V` zmm
+/// vectors, row `cb` at `rows[cb·pitch..][..16V]`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[cfg_attr(any(), dlsr::hot)]
+// SAFETY: callers must ensure the CPU supports AVX-512F (`fma_chain`
+// checks `wide_tiles`); every load and store below is bounds-checked
+// against its slice first.
+unsafe fn fma_chain_avx512<const CB: usize, const V: usize>(
+    rows: &mut [f32],
+    pitch: usize,
+    land: Land,
+    g: &[f32],
+    x: &[f32],
+    steps: impl Iterator<Item = (usize, usize)>,
+) {
+    use std::arch::x86_64::*;
+    assert!(CB == 0 || (CB - 1) * pitch + 16 * V <= rows.len());
+    let mut c = [[_mm512_setzero_ps(); V]; CB];
+    for (gi, xi) in steps {
+        let gv = &g[gi..gi + CB];
+        let xv = &x[xi..xi + 16 * V];
+        let mut xr = [_mm512_setzero_ps(); V];
+        for (v, r) in xr.iter_mut().enumerate() {
+            // SAFETY: `xv` holds 16·V floats, so lanes `16v..16v + 16` are
+            // in bounds; loadu tolerates any alignment.
+            *r = unsafe { _mm512_loadu_ps(xv.as_ptr().add(16 * v)) };
+        }
+        for (row, &gv) in c.iter_mut().zip(gv) {
+            let b = _mm512_set1_ps(gv);
+            for (r, &xr) in row.iter_mut().zip(&xr) {
+                *r = _mm512_fmadd_ps(b, xr, *r);
+            }
+        }
+    }
+    for (cb, row) in c.iter().enumerate() {
+        for (v, &r) in row.iter().enumerate() {
+            // SAFETY: `cb·pitch + 16v + 16 <= rows.len()` (asserted).
+            unsafe {
+                let d = rows.as_mut_ptr().add(cb * pitch + 16 * v);
+                let r = match land {
+                    Land::Add => _mm512_add_ps(_mm512_loadu_ps(d), r),
+                    Land::Store => r,
+                };
+                _mm512_storeu_ps(d, r);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // bf16 storage (`Conv2dParams::bf16`): packed panels hold bf16, accumulation
 // stays f32. Not part of any bitwise contract — convergence equivalence is
 // the test bar (see tests/bf16_convergence.rs).
@@ -493,6 +636,38 @@ mod tests {
                 assert_eq!(sb, cb, "{kernel:?} kc={kc} diverged from scalar oracle");
             }
         }
+    }
+
+    /// The AVX-512 `fma_chain` body reproduces its safe twin bit for bit
+    /// for every tile shape the pack-free conv kernels use and every
+    /// `Land`, over uniform and irregular step offsets and rows at a pitch
+    /// (where AVX-512 is missing, or under Miri, both sides run the safe
+    /// body).
+    #[test]
+    fn fma_chain_matches_scalar_twin_bitwise() {
+        fn check<const CB: usize, const L: usize>() {
+            let g: Vec<f32> = (0..400).map(|i| (i as f32 * 0.37).sin()).collect();
+            let x: Vec<f32> = (0..900).map(|i| (i as f32 * 0.21).cos()).collect();
+            let steps = |n: usize| (0..n).map(|i| (i * 7 % 300, i * i % 600));
+            let (at, pitch) = (3, L + 5);
+            let start: Vec<f32> = (0..at + CB * pitch).map(|i| i as f32 * 0.5 - 9.0).collect();
+            for land in [Land::Store, Land::Add] {
+                for n in [0usize, 1, 9, 40] {
+                    let (mut via, mut twin) = (start.clone(), start.clone());
+                    fma_chain::<CB, L>(&mut via, (at, pitch), land, &g, &x, steps(n));
+                    let rows = &mut twin[at..at + (CB - 1) * pitch + L];
+                    fma_chain_scalar::<CB, L>(rows, pitch, land, &g, &x, steps(n));
+                    let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&via), bits(&twin), "CB={CB} L={L} {land:?} n={n}");
+                }
+            }
+        }
+        check::<1, 16>();
+        check::<3, 32>();
+        check::<8, 32>();
+        check::<5, 16>();
+        check::<4, 16>();
+        check::<3, 24>();
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! than thread-local so buffers survive across rayon worker generations and
 //! across layers sharing shapes.
 //!
+//! A pooled `Vec` keeps its full length for life: its storage is zeroed
+//! once, when it is allocated or grown, and a [`ScratchBuf`] carries the
+//! length its taker asked for. So a take never writes the buffer it hands
+//! out, however the lengths of successive takes of one buffer vary.
+//!
 //! [`alloc_events`] counts how many `take` calls had to touch the allocator
 //! (pool miss or capacity growth); tests assert it stays flat in steady
 //! state.
@@ -34,19 +39,20 @@ const MAX_POOLED: usize = 64;
 /// passed to [`take`]; contents on acquisition are unspecified.
 pub struct ScratchBuf {
     buf: Vec<f32>,
+    len: usize,
 }
 
 impl std::ops::Deref for ScratchBuf {
     type Target = [f32];
 
     fn deref(&self) -> &[f32] {
-        &self.buf
+        &self.buf[..self.len]
     }
 }
 
 impl std::ops::DerefMut for ScratchBuf {
     fn deref_mut(&mut self) -> &mut [f32] {
-        &mut self.buf
+        &mut self.buf[..self.len]
     }
 }
 
@@ -67,16 +73,25 @@ impl Drop for ScratchBuf {
 /// call concurrently from rayon workers — each call returns a distinct
 /// buffer.
 pub fn take(len: usize) -> ScratchBuf {
+    ScratchBuf {
+        buf: take_from(&POOL, len, 0.0),
+        len,
+    }
+}
+
+/// A buffer of at least `len` elements out of `pool`: the smallest pooled
+/// one that fits, so one oversized buffer does not get claimed by tiny
+/// requests, else one grown to `len` — the only time its storage is
+/// written (counted by [`alloc_events`]).
+fn take_from<T: Copy>(pool: &Mutex<Vec<Vec<T>>>, len: usize, zero: T) -> Vec<T> {
     dlsr_trace::counter_add(dlsr_trace::report::keys::SCRATCH_TAKES, 1.0);
     let candidate = {
-        let mut pool = POOL.lock();
-        // Prefer the smallest pooled buffer that already fits, so one
-        // oversized buffer does not get claimed by tiny requests.
+        let mut pool = pool.lock();
         let best = pool
             .iter()
             .enumerate()
-            .filter(|(_, b)| b.capacity() >= len)
-            .min_by_key(|(_, b)| b.capacity())
+            .filter(|(_, b)| b.len() >= len)
+            .min_by_key(|(_, b)| b.len())
             .map(|(i, _)| i);
         match best {
             Some(i) => Some(pool.swap_remove(i)),
@@ -84,20 +99,13 @@ pub fn take(len: usize) -> ScratchBuf {
         }
     };
     let mut buf = candidate.unwrap_or_default();
-    if buf.capacity() < len {
+    if buf.len() < len {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
         dlsr_trace::counter_add(dlsr_trace::report::keys::SCRATCH_ALLOCS, 1.0);
         buf.reserve_exact(len - buf.len());
+        buf.resize(len, zero);
     }
-    // Adjust logical length without zeroing reused storage: `resize` only
-    // writes the newly exposed region, and capacity is already sufficient,
-    // so this never reallocates.
-    if buf.len() < len {
-        buf.resize(len, 0.0);
-    } else {
-        buf.truncate(len);
-    }
-    ScratchBuf { buf }
+    buf
 }
 
 /// Like [`take`], but the buffer is zero-filled.
@@ -121,19 +129,20 @@ static POOL_U16: Mutex<Vec<Vec<u16>>> = Mutex::new(Vec::new());
 /// A pooled `u16` scratch buffer; see [`ScratchBuf`].
 pub struct ScratchBufU16 {
     buf: Vec<u16>,
+    len: usize,
 }
 
 impl std::ops::Deref for ScratchBufU16 {
     type Target = [u16];
 
     fn deref(&self) -> &[u16] {
-        &self.buf
+        &self.buf[..self.len]
     }
 }
 
 impl std::ops::DerefMut for ScratchBufU16 {
     fn deref_mut(&mut self) -> &mut [u16] {
-        &mut self.buf
+        &mut self.buf[..self.len]
     }
 }
 
@@ -150,32 +159,10 @@ impl Drop for ScratchBufU16 {
 /// Acquire a `u16` scratch buffer of length `len` with unspecified contents
 /// (bf16 packed-panel storage). Same pooling discipline as [`take`].
 pub fn take_u16(len: usize) -> ScratchBufU16 {
-    dlsr_trace::counter_add(dlsr_trace::report::keys::SCRATCH_TAKES, 1.0);
-    let candidate = {
-        let mut pool = POOL_U16.lock();
-        let best = pool
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.capacity() >= len)
-            .min_by_key(|(_, b)| b.capacity())
-            .map(|(i, _)| i);
-        match best {
-            Some(i) => Some(pool.swap_remove(i)),
-            None => pool.pop(),
-        }
-    };
-    let mut buf = candidate.unwrap_or_default();
-    if buf.capacity() < len {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        dlsr_trace::counter_add(dlsr_trace::report::keys::SCRATCH_ALLOCS, 1.0);
-        buf.reserve_exact(len - buf.len());
+    ScratchBufU16 {
+        buf: take_from(&POOL_U16, len, 0),
+        len,
     }
-    if buf.len() < len {
-        buf.resize(len, 0);
-    } else {
-        buf.truncate(len);
-    }
-    ScratchBufU16 { buf }
 }
 
 #[cfg(test)]
@@ -197,6 +184,35 @@ mod tests {
         a[0] = 1.0;
         b[0] = 2.0;
         assert_eq!(a[0], 1.0);
+    }
+
+    /// A take writes nothing into the storage it hands out: what one taker
+    /// left survives a shorter take of the same buffer and a longer one
+    /// after it (other tests share the pool, so only rounds that got the
+    /// same storage back are checked; one of them must).
+    #[test]
+    fn retakes_keep_what_the_last_taker_left() {
+        const LEN: usize = 3 << 20;
+        let mut checked = 0;
+        for _ in 0..50 {
+            let mut b = take(LEN);
+            let at = b.as_ptr();
+            (b[7], b[LEN - 1]) = (7.0, 42.0);
+            drop(b);
+            let short = take(LEN / 2);
+            if short.as_ptr() != at {
+                continue;
+            }
+            assert_eq!(short[7], 7.0, "the shorter take rewrote the buffer");
+            drop(short);
+            let long = take(LEN);
+            if long.as_ptr() != at {
+                continue;
+            }
+            assert_eq!(long[LEN - 1], 42.0, "the longer re-take zeroed the tail");
+            checked += 1;
+        }
+        assert!(checked > 0, "the pool never handed the same buffer back");
     }
 
     // Steady-state reuse is asserted in `tests/scratch_pool.rs`, which runs

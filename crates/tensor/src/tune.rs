@@ -148,8 +148,8 @@ const PAR_FLOP_THRESHOLD: usize = 1 << 21;
 /// Rows 0–9 are indexed by position from outside the workspace, so new
 /// shapes are appended. Rows 2, 6 and 9 are the output conv at 48², where
 /// no ×2 model runs it: it comes after the pixel shuffle, at 96² (rows
-/// 10–12). Its forward and input-gradient run pack-free (`crate::conv`)
-/// and resolve their row only for `kc`.
+/// 10–12). All three of its products run pack-free (`crate::conv`) and
+/// resolve their rows only for `kc`.
 pub const EDSR_SHAPES: [(usize, usize, usize); 15] = [
     (64, 27, 2304),   // fwd head: 3->64, 3x3, 48x48 out
     (64, 576, 2304),  // fwd body: 64->64
@@ -162,7 +162,7 @@ pub const EDSR_SHAPES: [(usize, usize, usize); 15] = [
     (27, 64, 2304),   // igrad head
     (576, 3, 2304),   // igrad tail
     (3, 576, 9216),   // fwd tail at 96x96 (kc only)
-    (3, 9216, 576),   // wgrad tail at 96x96
+    (3, 9216, 576),   // wgrad tail at 96x96 (kc only)
     (576, 3, 9216),   // igrad tail at 96x96 (kc only)
     (256, 2304, 576), // wgrad upsampler
     (576, 256, 2304), // igrad upsampler

@@ -100,8 +100,8 @@ fn bits(x: &[f32]) -> Vec<u32> {
 /// under the selector's blueprint on a **materialized** column matrix, the
 /// naive `col2im`, per-image reductions summed in ascending image order.
 /// Every conv path — implicit-im2col packers, run-adding `col2im`, the
-/// pack-free small-`c_out` forward and input gradient — must reproduce it
-/// bit for bit. `epi`: 0 = no bias, 1 = bias, 2 = bias + ReLU. With
+/// pack-free forward, input gradient and weight gradient — must reproduce
+/// it bit for bit. `epi`: 0 = no bias, 1 = bias, 2 = bias + ReLU. With
 /// `nan_tap` the first weight is NaN: the engine multiplies padding zeros
 /// like any other tap, so every output whose window holds that tap — in the
 /// image or in the padding — is NaN, and a path that skips padding taps
@@ -210,14 +210,17 @@ fn assert_conv_equals_gemm_oracle(
 }
 
 /// The corners the random grid below must not be left to find by luck:
-/// `c_out` 4 | 5 (pack-free | GEMM path), `c_in·kh·kw` > 256 (several `kc`
-/// blocks inside the pack-free forward), stride 2 (gather packer, strided
-/// `col2im`), every epilogue, padding wider than the kernel reach, an
-/// output row longer than one lane vector and one shorter than a panel.
-/// Then the tiny EDSR's own layers at 12×12 (and its 24×24 output conv),
-/// `c_out` past the random grid's 5, one-pixel-wide images, output rows
-/// narrower than any panel, and `c_in` = 33, whose tap-major runs end
-/// inside a weight-gradient panel.
+/// `c_out` 4 | 5 at a plane past the pack-free limit (pack-free | GEMM
+/// path), `c_in·kh·kw` > 256 (several `kc` blocks inside the pack-free
+/// forward), stride 2 (gather packer, strided `col2im`), every epilogue,
+/// padding wider than the kernel reach, an output row longer than one lane
+/// vector and one shorter than a panel. Then the tiny EDSR's own layers at
+/// 12×12 (and its 24×24 output conv, whose 576-pixel weight-gradient chain
+/// is cut inside output rows 10 and 21), one-pixel-wide and one-row
+/// images, output rows narrower than any panel, `c_in` = 33, whose
+/// tap-major runs end inside a weight-gradient panel, and an 8-channel
+/// layer at the largest pack-free plane (32×32) and one pixel past it
+/// (25×41, the GEMM engine).
 #[test]
 fn conv_equals_gemm_oracle_at_the_path_boundaries() {
     let s1 = |padding| Conv2dParams {
@@ -253,37 +256,64 @@ fn conv_equals_gemm_oracle_at_the_path_boundaries() {
         (1, (6, 10), (5, 3), (3, 3), s1(0), 0, false),
         (1, (33, 8), (9, 11), (3, 3), s1(1), 1, false),
         (2, (33, 6), (7, 9), (3, 3), s2(1), 0, false),
+        (1, (30, 6), (34, 35), (3, 3), s1(1), 1, true),
+        (1, (30, 3), (34, 35), (3, 3), s1(1), 2, false),
+        (1, (8, 8), (32, 32), (3, 3), s1(1), 2, true),
+        (1, (8, 8), (25, 41), (3, 3), s1(1), 1, true),
+        (1, (3, 6), (1, 40), (3, 3), s1(1), 0, true),
+        (2, (8, 6), (17, 19), (3, 3), s1(1), 1, false),
     ] {
         assert_conv_equals_gemm_oracle(n, ch, hw, k, p, epi, nan_tap, 99);
     }
 }
 
 /// `kc` is the one blueprint field that changes bits, and a tune cache may
-/// carry any value: the pack-free paths must cut their chains where the
-/// engine would, also inside a four-term input-gradient product and at
-/// depths that leave a ragged last block; the weight-gradient packer must
-/// start a block at any pixel, inside an output row of 23 as well as at
-/// one's start, with a ragged last block of the 299 pixels. (Extents
+/// carry any value: the pack-free kernels must cut their chains where the
+/// engine would — the forward at any tap, the input gradient inside a
+/// four- or nine-term product, the weight gradient at any pixel, inside an
+/// output row of 23 as well as at one's start — also at depths that leave
+/// a ragged last block (of the 54 taps, the 9 output channels, the 299
+/// pixels). `c_out` = 4 and 9 cover a narrow and a two-block tile. (Extents
 /// outside the random grid, so no other test of this binary resolves these
 /// shapes.)
 #[test]
 fn conv_equals_gemm_oracle_under_installed_kc() {
-    let (c_in, c_out, hw, kernel) = (6, 4, (13, 23), (3, 3));
+    let (c_in, hw, kernel) = (6, (13, 23), (3, 3));
     let p = Conv2dParams::same(3);
     let (k, n) = (c_in * 9, hw.0 * hw.1);
-    for (kc_fwd, kc_igrad, kc_wgrad) in [(7, 1, 5), (54, 2, 47), (20, 3, 23), (1, 4, 1)] {
-        for (shape, kc) in [
-            ((c_out, k, n), kc_fwd),
-            ((k, c_out, n), kc_igrad),
-            ((c_out, n, k), kc_wgrad),
-        ] {
-            let bp = Blueprint {
-                kc,
-                ..tune::heuristic(shape.0, shape.1, shape.2)
-            };
-            tune::install(shape.0, shape.1, shape.2, bp);
+    for c_out in [4, 9] {
+        for (kc_fwd, kc_igrad, kc_wgrad) in [(7, 1, 5), (54, 2, 47), (20, 3, 23), (1, 4, 1)] {
+            for (shape, kc) in [
+                ((c_out, k, n), kc_fwd),
+                ((k, c_out, n), kc_igrad),
+                ((c_out, n, k), kc_wgrad),
+            ] {
+                let bp = Blueprint {
+                    kc,
+                    ..tune::heuristic(shape.0, shape.1, shape.2)
+                };
+                tune::install(shape.0, shape.1, shape.2, bp);
+            }
+            assert_conv_equals_gemm_oracle(2, (c_in, c_out), hw, kernel, p, 1, false, 5);
         }
-        assert_conv_equals_gemm_oracle(2, (c_in, c_out), hw, kernel, p, 1, false, 5);
+    }
+}
+
+/// Every register-tile remainder of the pack-free kernels, forward and
+/// backward: `c_out` 1–40 (blocks of 3, 4 and 8 with every remainder) over
+/// `c_in` 1, 3, 8 and 33 (image-channel blocks for the input gradient;
+/// kernel rows of 3, 9, 24 and 99 weight-gradient columns; `c_in` = 33 cuts
+/// the forward's 297-tap chain at 256), cycling the epilogues and the NaN
+/// weight tap.
+#[test]
+fn conv_equals_gemm_oracle_across_pack_free_tiles() {
+    for c_in in [1, 3, 8, 33] {
+        for c_out in 1..=40 {
+            let (epi, nan_tap) = (c_out % 3, c_out % 4 == 1);
+            let p = Conv2dParams::same(3);
+            let seed = (c_in * 100 + c_out) as u64;
+            assert_conv_equals_gemm_oracle(1, (c_in, c_out), (5, 7), (3, 3), p, epi, nan_tap, seed);
+        }
     }
 }
 
@@ -380,14 +410,15 @@ proptest! {
     }
 
     /// Every conv path is **bitwise** the pack-and-GEMM formulation (see
-    /// [`assert_conv_equals_gemm_oracle`]) across channel counts on both
-    /// sides of the pack-free rule, square and flat kernels, paddings,
-    /// strides, odd extents and epilogues.
+    /// [`assert_conv_equals_gemm_oracle`]) across channel counts (register
+    /// tiles of the pack-free kernels with and without a remainder), square
+    /// and flat kernels, paddings, strides (stride 2 takes the GEMM
+    /// engine), odd extents and epilogues.
     #[test]
     fn conv_equals_gemm_oracle_bitwise(
         n in 1usize..3,
         c_in in 1usize..=40,
-        c_out in 1usize..=5,
+        c_out in 1usize..=12,
         k_idx in 0usize..4,
         padding in 0usize..=2,
         stride in 1usize..=2,

@@ -65,9 +65,8 @@ fn steady_state_does_not_allocate() {
     });
     assert_eq!(allocs, 0, "mixed layer shapes allocated in steady state");
 
-    // A 3-channel output layer takes the pack-free paths: its zero-padded
-    // image copy is pooled scratch too, next to a GEMM-path layer as in a
-    // model's tail.
+    // A 3-channel output layer after an 8-channel one, as in a model's
+    // tail: both pack-free at 12×12, every copy and wide plane pooled.
     let w3 = init::uniform([3, 8, 3, 3], -1.0, 1.0, 8);
     let bias3 = vec![0.1f32; 3];
     let mut out3 = Tensor::zeros([4, 3, 12, 12]);
@@ -89,4 +88,15 @@ fn steady_state_does_not_allocate() {
         conv2d_backward(&x4, &w3, &go4, p).unwrap();
     });
     assert_eq!(allocs, 0, "24×24 8→3 output conv allocated in steady state");
+
+    // A plane past the pack-free limit takes the GEMM engine: packed
+    // panels, the column matrix and `col2im`'s image, all pooled.
+    let x5 = init::uniform([2, 8, 33, 33], -1.0, 1.0, 12);
+    let mut out5 = Tensor::zeros([2, 8, 33, 33]);
+    let go5 = init::uniform([2, 8, 33, 33], -1.0, 1.0, 13);
+    let allocs = steady_state_allocs(|| {
+        conv2d_fused_into(&x5, &w, Some(&bias), Act::Relu, p, &mut out5).unwrap();
+        conv2d_backward(&x5, &w, &go5, p).unwrap();
+    });
+    assert_eq!(allocs, 0, "GEMM-path conv allocated in steady state");
 }
